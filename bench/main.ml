@@ -974,6 +974,12 @@ let engine_json ~modules ~runs ~path =
   output_string oc (Buffer.contents buf);
   close_out oc
 
+(* Ceiling on [Obj.reachable_words] of the estimate store per entry
+   after the smoke workload: an entry measures ~560 words when it keeps
+   only results and counts, and ~16k when it pins whole module reports
+   (circuit and expansion included). *)
+let max_retained_words_per_entry = 1200.
+
 let run_engine ~smoke () =
   let modules = if smoke then 48 else 500 in
   section
@@ -1127,6 +1133,19 @@ let run_engine ~smoke () =
      from the store, bit-identical\n"
     cold_stats.Mae_engine.elapsed_s cold_stats.Mae_engine.store_misses
     warm_stats.Mae_engine.elapsed_s;
+  let retained_words_per_entry =
+    Float.of_int (Obj.reachable_words (Obj.repr cas))
+    /. Float.of_int (Stdlib.max 1 (Mae_db.Cas.length cas))
+  in
+  Printf.printf "estimate store: %.0f words retained per entry\n"
+    retained_words_per_entry;
+  if retained_words_per_entry > max_retained_words_per_entry then begin
+    Printf.printf
+      "FAIL: the estimate store retains %.0f words per entry (ceiling %.0f):\n\
+       an entry must keep results, not the circuits they came from\n"
+      retained_words_per_entry max_retained_words_per_entry;
+    exit 1
+  end;
   (* drain the cursor so the history entry's gc object sees the run *)
   Mae_obs.Runtime.stop ();
   (* one timestamped line per bench run, appended so the trajectory
@@ -1164,6 +1183,7 @@ let run_engine ~smoke () =
               Number (Float.of_int warm_stats.Mae_engine.store_hits) );
             ("warm_hit_ratio", Number store_hit_ratio);
             ("warm_bit_identical", Bool store_identical);
+            ("retained_words_per_entry", Number retained_words_per_entry);
           ] );
     ]
 

@@ -693,8 +693,8 @@ let serve_cmd =
       value & opt int 65536
       & info [ "store-cap" ] ~docv:"N"
           ~doc:
-            "LRU bound on the estimate store's live tier (default 65536; 0 \
-             = unbounded).  Evictions count into \
+            "LRU bound on the estimate store's entries, journal replay \
+             included (default 65536; 0 = unbounded).  Evictions count into \
              mae_estimate_cache_evictions_total.")
   in
   Cmd.v

@@ -14,47 +14,44 @@
    simply stops being looked up.  There is no invalidation protocol to
    get wrong.
 
-   Two tiers back the store.  [table] holds promoted entries: full
-   module reports, returned on hits bit-for-bit as first computed.
-   [warm] holds entries replayed from the append-only journal as parsed
-   text; a warm entry is promoted (reconstructed into a report) on its
-   first hit, which needs the live circuit and process -- exactly what
-   the caller holding a matching key has in hand.  Reconstructed reports
-   carry [issues = []] and [expanded = None]: validation warnings and
-   the expansion intermediate are not part of any serve answer, and
-   recomputing them would defeat the cache.
+   One LRU-capped table backs the store, and it holds one compact entry
+   type: the module name and technology, the resolved method results,
+   and the device/net/port counts a Store snapshot row needs.  A hit
+   rebuilds the report around the caller's circuit and process -- the
+   pair the caller computed the key from -- with [issues = []] and
+   [expanded = None]: validation warnings and the transistor-level
+   expansion are not part of any serve answer, and keeping them pinned
+   cost ~30k words per entry.  Journal replay inserts the same entry
+   type through the same cap.
 
    Journal robustness: appends are sequential, so the only corruption a
-   crash can produce is a torn final entry -- tolerated on load.  A
-   malformed line that is *followed* by further entries is real
-   corruption and fails the load. *)
+   crash can produce is a torn final entry.  Replay skips any malformed
+   block and resyncs at the next entry header. *)
 
 module D = Mae.Driver
 module M = Mae.Methodology
 module C = Mae_netlist.Circuit
 
-type warm_entry = {
-  w_module : string;
-  w_technology : string;
-  w_results : (string * (M.outcome, M.error) result) list;
-}
-
-(* live-tier entries thread an intrusive doubly-linked recency list:
-   head is most recently touched, tail is the LRU eviction victim *)
-type node = {
-  n_key : string;
-  n_report : D.module_report;
-  mutable n_prev : node option;
-  mutable n_next : node option;
+(* Entries thread an intrusive doubly-linked recency list: head is most
+   recently touched, tail is the LRU eviction victim. *)
+type entry = {
+  key : string;
+  module_name : string;
+  technology : string;
+  results : D.method_result list;
+  mutable counts : (int * int * int) option;
+      (* devices, nets, ports; a journal-replayed entry learns them from
+         the circuit of its first hit *)
+  mutable prev : entry option;
+  mutable next : entry option;
 }
 
 type t = {
   lock : Mutex.t;
   live_cap : int option;
-  table : (string, node) Hashtbl.t;
-  warm : (string, warm_entry) Hashtbl.t;
-  mutable lru_head : node option;
-  mutable lru_tail : node option;
+  table : (string, entry) Hashtbl.t;
+  mutable lru_head : entry option;
+  mutable lru_tail : entry option;
   mutable journal : out_channel option;
 }
 
@@ -68,7 +65,7 @@ let misses =
 
 let evictions =
   Mae_obs.Metrics.counter "mae_estimate_cache_evictions_total"
-    ~help:"Estimate-store live-tier entries evicted by the LRU cap"
+    ~help:"Estimate-store entries evicted by the LRU cap"
 
 let hit_count () = Mae_obs.Metrics.counter_value hits
 let miss_count () = Mae_obs.Metrics.counter_value misses
@@ -83,7 +80,6 @@ let create ?live_cap () =
     lock = Mutex.create ();
     live_cap;
     table = Hashtbl.create 64;
-    warm = Hashtbl.create 64;
     lru_head = None;
     lru_tail = None;
     journal = None;
@@ -91,26 +87,26 @@ let create ?live_cap () =
 
 (* --- recency list (call with t.lock held) --- *)
 
-let detach t n =
-  (match n.n_prev with
-  | Some p -> p.n_next <- n.n_next
-  | None -> t.lru_head <- n.n_next);
-  (match n.n_next with
-  | Some s -> s.n_prev <- n.n_prev
-  | None -> t.lru_tail <- n.n_prev);
-  n.n_prev <- None;
-  n.n_next <- None
+let detach t e =
+  (match e.prev with
+  | Some p -> p.next <- e.next
+  | None -> t.lru_head <- e.next);
+  (match e.next with
+  | Some s -> s.prev <- e.prev
+  | None -> t.lru_tail <- e.prev);
+  e.prev <- None;
+  e.next <- None
 
-let push_front t n =
-  n.n_next <- t.lru_head;
-  (match t.lru_head with Some h -> h.n_prev <- Some n | None -> ());
-  t.lru_head <- Some n;
-  if t.lru_tail = None then t.lru_tail <- Some n
+let push_front t e =
+  e.next <- t.lru_head;
+  (match t.lru_head with Some h -> h.prev <- Some e | None -> ());
+  t.lru_head <- Some e;
+  if t.lru_tail = None then t.lru_tail <- Some e
 
-let touch t n =
-  if t.lru_head != Some n then begin
-    detach t n;
-    push_front t n
+let touch t e =
+  if t.lru_head != Some e then begin
+    detach t e;
+    push_front t e
   end
 
 let enforce_cap t =
@@ -120,20 +116,25 @@ let enforce_cap t =
       let rec evict () =
         if Hashtbl.length t.table > cap then
           match t.lru_tail with
-          | None -> () (* unreachable: every live entry is on the list *)
+          | None -> () (* unreachable: every entry is on the list *)
           | Some victim ->
               detach t victim;
-              Hashtbl.remove t.table victim.n_key;
+              Hashtbl.remove t.table victim.key;
               Mae_obs.Metrics.incr evictions;
               evict ()
       in
       evict ()
 
-let insert_live t k report =
-  let n = { n_key = k; n_report = report; n_prev = None; n_next = None } in
-  Hashtbl.replace t.table k n;
-  push_front t n;
-  enforce_cap t
+(* first write wins: a key already held is only touched *)
+let insert t e =
+  match Hashtbl.find_opt t.table e.key with
+  | Some held -> touch t held
+  | None ->
+      Hashtbl.replace t.table e.key e;
+      push_front t e;
+      enforce_cap t
+
+let counts c = (C.device_count c, C.net_count c, C.port_count c)
 
 let key ?(methods = M.default_names) ~process circuit =
   Digest.to_hex
@@ -291,32 +292,6 @@ let parse_result = function
   | kind :: _ -> raise (Bad ("unknown outcome kind " ^ kind))
   | [] -> raise (Bad "empty method payload")
 
-(* --- promotion: warm text -> full report --- *)
-
-let report_of_entry e ~circuit ~process =
-  if
-    (not (String.equal e.w_module circuit.C.name))
-    || not (String.equal e.w_technology circuit.C.technology)
-  then None
-  else
-    let rec go acc = function
-      | [] ->
-          Some
-            {
-              D.circuit;
-              process;
-              issues = [];
-              expanded = None;
-              results = List.rev acc;
-            }
-      | (name, outcome) :: rest -> (
-          (* a method name no longer registered invalidates the entry *)
-          match M.find name with
-          | None -> None
-          | Some t -> go ({ D.methodology = t; outcome } :: acc) rest)
-    in
-    go [] e.w_results
-
 (* --- the store proper --- *)
 
 let locked t f =
@@ -327,35 +302,44 @@ let find t ~key:k ~circuit ~process =
   let r =
     locked t (fun () ->
         match Hashtbl.find_opt t.table k with
-        | Some n ->
-            touch t n;
-            Some n.n_report
-        | None -> (
-            match Hashtbl.find_opt t.warm k with
-            | None -> None
-            | Some e -> (
-                Hashtbl.remove t.warm k;
-                match report_of_entry e ~circuit ~process with
-                | None -> None
-                | Some report ->
-                    insert_live t k report;
-                    Some report)))
+        | Some e
+          when String.equal e.module_name circuit.C.name
+               && String.equal e.technology circuit.C.technology ->
+            touch t e;
+            if Option.is_none e.counts then e.counts <- Some (counts circuit);
+            Some
+              {
+                D.circuit;
+                process;
+                issues = [];
+                expanded = None;
+                results = e.results;
+              }
+        | Some _ | None -> None)
   in
   (match r with
   | Some _ -> Mae_obs.Metrics.incr hits
   | None -> Mae_obs.Metrics.incr misses);
   r
 
-let store t ~key:k report =
+let store t ~key:k (r : D.module_report) =
   locked t (fun () ->
       if not (Hashtbl.mem t.table k) then begin
-        insert_live t k report;
-        Hashtbl.remove t.warm k;
+        insert t
+          {
+            key = k;
+            module_name = r.circuit.C.name;
+            technology = r.circuit.C.technology;
+            results = r.results;
+            counts = Some (counts r.circuit);
+            prev = None;
+            next = None;
+          };
         match t.journal with
         | None -> ()
         | Some oc -> (
             try
-              output_string oc (entry_string ~key:k report);
+              output_string oc (entry_string ~key:k r);
               flush oc
             with Sys_error _ ->
               (* a dying disk must not take estimation down; the store
@@ -364,19 +348,20 @@ let store t ~key:k report =
               t.journal <- None)
       end)
 
-let length t = locked t (fun () -> Hashtbl.length t.table + Hashtbl.length t.warm)
-let warm_pending t = locked t (fun () -> Hashtbl.length t.warm)
+let length t = locked t (fun () -> Hashtbl.length t.table)
 
 (* --- journal --- *)
 
-let parse_journal lines =
+let parse_journal ~add lines =
   (* Best-effort replay: a malformed block (a torn tail from a crash
      mid-append, or bit rot) is skipped and parsing resyncs at the next
      "entry" header.  Skipping is always safe for a cache -- a dropped
-     entry is just a future miss.  Returns (entries, skipped_blocks). *)
+     entry is just a future miss.  Each parsed entry goes to [add] as it
+     is read, so a long journal never materializes past the cap.
+     Returns (loaded, skipped_blocks). *)
   let n = Array.length lines in
   let is_entry l = String.length l >= 6 && String.sub l 0 6 = "entry " in
-  let entries = ref [] in
+  let loaded = ref 0 in
   let skipped = ref 0 in
   let next_entry j =
     let j = ref j in
@@ -405,8 +390,14 @@ let parse_journal lines =
            | Error e -> raise (Bad e)
            | Ok [ "end" ] -> closed := true
            | Ok [ "module"; m; "technology"; tech ] -> meta := Some (m, tech)
-           | Ok ("method" :: name :: payload) ->
-               results := (name, parse_result payload) :: !results
+           | Ok ("method" :: name :: payload) -> (
+               (* a methodology no longer registered drops the entry *)
+               match M.find name with
+               | None -> raise (Bad ("unregistered methodology " ^ name))
+               | Some m ->
+                   results :=
+                     { D.methodology = m; outcome = parse_result payload }
+                     :: !results)
            | Ok _ -> raise (Bad "unrecognized journal line"));
         incr j
       done;
@@ -415,12 +406,15 @@ let parse_journal lines =
       | None -> raise (Bad "entry without module line")
       | Some (m, tech) ->
           Some
-            ( ( k,
-                {
-                  w_module = m;
-                  w_technology = tech;
-                  w_results = List.rev !results;
-                } ),
+            ( {
+                key = k;
+                module_name = m;
+                technology = tech;
+                results = List.rev !results;
+                counts = None;
+                prev = None;
+                next = None;
+              },
               !j )
     with Bad _ -> None
   in
@@ -435,13 +429,14 @@ let parse_journal lines =
     else
       match parse_block !i with
       | Some (e, j) ->
-          entries := e :: !entries;
+          add e;
+          incr loaded;
           i := j
       | None ->
           incr skipped;
           i := next_entry (!i + 1)
   done;
-  (List.rev !entries, !skipped)
+  (!loaded, !skipped)
 
 let open_journal t ~path =
   let read_lines () =
@@ -459,17 +454,12 @@ let open_journal t ~path =
   match read_lines () with
   | exception Sys_error e -> Error e
   | lines -> (
-      let entries, skipped = parse_journal lines in
       match open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path with
       | exception Sys_error e -> Error e
       | oc ->
           locked t (fun () ->
-              List.iter
-                (fun (k, e) ->
-                  if not (Hashtbl.mem t.table k) then Hashtbl.replace t.warm k e)
-                entries;
-              t.journal <- Some oc);
-          Ok (List.length entries, skipped))
+              t.journal <- Some oc;
+              Ok (parse_journal ~add:(insert t) lines)))
 
 let close_journal t =
   locked t (fun () ->
@@ -483,9 +473,15 @@ let to_store t =
   let s = Store.create () in
   locked t (fun () ->
       Hashtbl.iter
-        (fun _ n ->
-          match Record.of_report n.n_report with
-          | Ok record -> Store.add s record
-          | Error _ -> ())
+        (fun _ e ->
+          match e.counts with
+          | None -> ()
+          | Some (devices, nets, ports) -> (
+              match
+                Record.of_results ~module_name:e.module_name
+                  ~technology:e.technology ~devices ~nets ~ports e.results
+              with
+              | Ok record -> Store.add s record
+              | Error _ -> ()))
         t.table);
   s

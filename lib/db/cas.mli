@@ -9,24 +9,25 @@
     the registry, or bumping its epoch changes every key, so stale
     entries are simply never looked up again.
 
-    Hits return the stored {!Mae.Driver.module_report} bit-for-bit as
-    first computed.  Entries replayed from the journal are promoted
-    lazily on first hit; a promoted-from-disk report carries
-    [issues = []] and [expanded = None] (neither is part of a serve
-    answer).  Thread-safe; lookups count into the
-    [mae_estimate_cache_{hits,misses}_total] metrics. *)
+    An entry keeps only what an answer needs: the module name and
+    technology, the resolved method results, and the device/net/port
+    counts of a {!Record}.  A hit rebuilds the
+    {!Mae.Driver.module_report} around the caller's own circuit and
+    process: [results] are bit-for-bit as first computed, [issues] is
+    [[]] and [expanded] is [None] (neither is part of a serve answer,
+    and pinning them cost ~30k words per entry).  Journal replay
+    inserts the same entries through the same LRU cap.  Thread-safe;
+    lookups count into the [mae_estimate_cache_{hits,misses}_total]
+    metrics. *)
 
 type t
 
 val create : ?live_cap:int -> unit -> t
-(** [?live_cap] bounds the live (promoted) tier: past the cap the
+(** [?live_cap] bounds the number of entries: past the cap the
     least-recently-used entry is evicted and counted into
     [mae_estimate_cache_evictions_total].  Recency is updated on hit,
-    promotion, and insert.  Omitted means unbounded.  Raises
-    [Invalid_argument] on a cap below 1.  The warm (journal-replayed)
-    tier is not capped: warm entries are parsed text, an order of
-    magnitude lighter than live reports, and each leaves the tier on
-    its first lookup. *)
+    insert and journal replay.  Omitted means unbounded.  Raises
+    [Invalid_argument] on a cap below 1. *)
 
 val key :
   ?methods:string list ->
@@ -44,10 +45,10 @@ val find :
   circuit:Mae_netlist.Circuit.t ->
   process:Mae_tech.Process.t ->
   Mae.Driver.module_report option
-(** Lookup, counting a hit or miss.  [circuit] and [process] are needed
-    to promote a journal-replayed entry into a live report; they must be
-    the pair the key was computed from.  A warm entry naming a
-    methodology that is no longer registered is dropped (miss). *)
+(** Lookup, counting a hit or miss.  [circuit] and [process] must be
+    the pair the key was computed from; a hit's report holds them
+    physically.  An entry whose module name or technology differs from
+    [circuit]'s misses. *)
 
 val store : t -> key:string -> Mae.Driver.module_report -> unit
 (** Insert (first write wins) and append to the journal when one is
@@ -55,10 +56,7 @@ val store : t -> key:string -> Mae.Driver.module_report -> unit
     estimation. *)
 
 val length : t -> int
-(** Promoted + journal-replayed entries currently held. *)
-
-val warm_pending : t -> int
-(** Journal-replayed entries not yet promoted by a hit. *)
+(** Entries currently held, stored and journal-replayed alike. *)
 
 val hit_count : unit -> int
 (** Process-wide value of [mae_estimate_cache_hits_total]. *)
@@ -69,15 +67,20 @@ val eviction_count : unit -> int
 (** Process-wide value of [mae_estimate_cache_evictions_total]. *)
 
 val open_journal : t -> path:string -> (int * int, string) result
-(** Replay [path] (created if absent) into the warm tier, then keep it
-    open for appends.  Returns [(loaded, skipped)]: malformed blocks --
-    e.g. a tail torn by a crash mid-append -- are skipped (a skip is
-    just a future miss), parsing resyncs at the next entry header.
-    [Error] only on I/O failure. *)
+(** Replay [path] (created if absent) into the store, oldest entry
+    first and through the LRU cap, then keep it open for appends.
+    Returns [(loaded, skipped)]: malformed blocks -- e.g. a tail torn by
+    a crash mid-append, or an entry naming a methodology that is no
+    longer registered -- are skipped (a skip is just a future miss),
+    parsing resyncs at the next entry header.  Entries evicted by the
+    cap during replay count as loaded and as evictions.  [Error] only
+    on I/O failure. *)
 
 val close_journal : t -> unit
 
 val to_store : t -> Store.t
-(** Flatten promoted entries into a floor-planner {!Store} snapshot.
+(** Flatten the entries into a floor-planner {!Store} snapshot.
     Entries whose method set cannot feed a {!Record} (narrower than the
-    default set) are omitted, as are unpromoted journal entries. *)
+    default set) are omitted, as are journal-replayed entries not yet
+    hit: the journal does not carry the circuit counts, and the first
+    hit learns them from the caller's circuit. *)

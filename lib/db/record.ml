@@ -39,18 +39,23 @@ let of_report_error_to_string = function
    produce one.  Every float field is checked finite here -- %.17g in
    the Store writer happily prints nan/inf, and a poisoned row would
    otherwise round-trip silently into every packing that reads it. *)
-let of_report (r : Mae.Driver.module_report) =
-  let module_name = r.circuit.Mae_netlist.Circuit.name in
-  match
-    ( Mae.Driver.stdcell r,
-      Mae.Driver.fullcustom_exact r,
-      Mae.Driver.fullcustom_average r )
-  with
-  | Some sc, Some fce, Some fca -> begin
+let of_results ~module_name ~technology ~devices ~nets ~ports results =
+  let ok name =
+    match
+      List.find_opt
+        (fun (mr : Mae.Driver.method_result) ->
+          String.equal (Mae.Methodology.name mr.methodology) name)
+        results
+    with
+    | Some { outcome = Ok o; _ } -> Some o
+    | Some { outcome = Error _; _ } | None -> None
+  in
+  match (ok "stdcell", ok "fullcustom-exact", ok "fullcustom-average") with
+  | ( Some (Mae.Methodology.Stdcell { auto = sc; sweep }),
+      Some (Mae.Methodology.Fullcustom fce),
+      Some (Mae.Methodology.Fullcustom fca) ) -> begin
       let sweep_shapes =
-        List.map
-          (fun (e : Mae.Estimate.stdcell) -> (e.width, e.height))
-          (Mae.Driver.stdcell_sweep r)
+        List.map (fun (e : Mae.Estimate.stdcell) -> (e.width, e.height)) sweep
       in
       let fc_shapes =
         [
@@ -61,10 +66,10 @@ let of_report (r : Mae.Driver.module_report) =
       let record =
         {
           module_name;
-          technology = r.circuit.Mae_netlist.Circuit.technology;
-          devices = Mae_netlist.Circuit.device_count r.circuit;
-          nets = Mae_netlist.Circuit.net_count r.circuit;
-          ports = Mae_netlist.Circuit.port_count r.circuit;
+          technology;
+          devices;
+          nets;
+          ports;
           sc_rows = sc.Mae.Estimate.rows;
           sc_tracks = sc.tracks;
           sc_feed_throughs = sc.feed_throughs;
@@ -107,6 +112,14 @@ let of_report (r : Mae.Driver.module_report) =
       | None -> Ok record
     end
   | _ -> Error (Missing_methods { module_name })
+
+let of_report (r : Mae.Driver.module_report) =
+  let c = r.circuit in
+  of_results ~module_name:c.name ~technology:c.technology
+    ~devices:(Mae_netlist.Circuit.device_count c)
+    ~nets:(Mae_netlist.Circuit.net_count c)
+    ~ports:(Mae_netlist.Circuit.port_count c)
+    r.results
 
 (* Float fields compare with [Float.equal] (total order: nan equals
    nan, unlike [=.]), so a record always equals itself even if a

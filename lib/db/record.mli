@@ -37,9 +37,20 @@ type of_report_error =
 
 val of_report_error_to_string : of_report_error -> string
 
-val of_report : Mae.Driver.module_report -> (t, of_report_error) result
+val of_results :
+  module_name:string ->
+  technology:string ->
+  devices:int ->
+  nets:int ->
+  ports:int ->
+  Mae.Driver.method_result list ->
+  (t, of_report_error) result
 (** Shapes collect the standard-cell sweep plus the two full-custom
     variants.  Every float field is validated finite. *)
+
+val of_report : Mae.Driver.module_report -> (t, of_report_error) result
+(** {!of_results} with the name, technology and counts read off the
+    report's circuit. *)
 
 val equal : t -> t -> bool
 (** Structural equality with NaN-safe float comparison ([Float.equal]'s

@@ -194,7 +194,8 @@ val run_file :
     Pass [?cache] (a {!Mae_db.Cas.t}) to any entry point and each module
     is first looked up by its content address (canonical circuit +
     process fingerprint + registry version + resolved method set); hits
-    return the stored report bit-for-bit and count into
+    return the stored results bit-for-bit, rebuilt around the caller's
+    circuit with [issues = []] and [expanded = None], and count into
     [mae_estimate_cache_hits_total].  Runs with an explicit [?config]
     bypass the store: a config changes results but is not part of the
     address. *)

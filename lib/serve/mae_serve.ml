@@ -94,8 +94,7 @@ type config = {
       (** {!Mae_db.Store}-format snapshot of the estimate store written
           at shutdown (the floor-planner feed) *)
   store_live_cap : int option;
-      (** LRU bound on the store's live (promoted) tier; [None] is
-          unbounded *)
+      (** LRU bound on the store's entries; [None] is unbounded *)
   idle_timeout_s : float;
       (** keep-alive connections idle this long are reaped *)
   max_connections : int;

@@ -116,10 +116,10 @@ type config = {
       (** {!Mae_db.Store}-format snapshot of the estimate store written
           at shutdown (a floor-planner feed) *)
   store_live_cap : int option;
-      (** LRU bound on the estimate store's live tier ({!Mae_db.Cas});
-          over the cap the least-recently-used entries demote out and
-          count into [mae_estimate_cache_evictions_total].  [None] is
-          unbounded. *)
+      (** LRU bound on the estimate store's entries ({!Mae_db.Cas}),
+          journal replay included; over the cap the least-recently-used
+          entries are evicted and count into
+          [mae_estimate_cache_evictions_total].  [None] is unbounded. *)
   idle_timeout_s : float;
       (** keep-alive connections idle longer than this (with no pending
           responses) are closed and counted into
@@ -147,7 +147,7 @@ val default_config :
 (** [jobs = 1], no obs plane, no dumps, 8 MiB line cap, 4096-span
     retention, {!default_slo}, capture 8 slow / 32 errored / 256 spans,
     no sleep injection, estimate store on (no journal, no snapshot,
-    live tier capped at 65536), 300 s idle timeout, 1024 connections,
+    capped at 65536 entries), 300 s idle timeout, 1024 connections,
     watermark 256, batches of 32, no-op [on_ready]. *)
 
 val run : config -> (unit, string) result

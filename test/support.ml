@@ -34,6 +34,34 @@ let tiny () =
   ignore (Mae_netlist.Builder.add_device b ~name:"i2" ~kind:"inv" ~nets:[ "m"; "y" ]);
   Mae_netlist.Builder.build b
 
+(* The same circuit entered in a shuffled net, device and port order:
+   structurally identical, so its canonical digest (and store key) is
+   unchanged. *)
+let rebuild_permuted ~rng (c : Mae_netlist.Circuit.t) =
+  let open Mae_netlist in
+  let b = Builder.create ~name:c.name ~technology:c.technology in
+  let shuffled a =
+    let a = Array.copy a in
+    Mae_prob.Rng.shuffle rng a;
+    a
+  in
+  Array.iter
+    (fun (n : Net.t) -> ignore (Builder.net b n.name))
+    (shuffled c.nets);
+  Array.iter
+    (fun (d : Device.t) ->
+      ignore
+        (Builder.add_device b ~name:d.name ~kind:d.kind
+           ~nets:
+             (Array.to_list (Array.map (fun i -> c.nets.(i).Net.name) d.pins))))
+    (shuffled c.devices);
+  Array.iter
+    (fun (p : Port.t) ->
+      Builder.add_port b ~name:p.name ~direction:p.direction
+        ~net:c.nets.(p.net).Net.name)
+    (shuffled c.ports);
+  Builder.build b
+
 let raises_invalid f =
   match f () with
   | exception Invalid_argument _ -> ()

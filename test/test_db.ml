@@ -268,42 +268,102 @@ let report_bits (r : Mae.Driver.module_report) =
           [ (name ^ ".error:" ^ Mae.Methodology.error_to_string e, 0L) ])
     r.results
 
+let bits = Alcotest.(list (pair string int64))
+
+let record = Alcotest.testable Mae_db.Record.pp Mae_db.Record.equal
+
+let open_journal_exn cas ~path ~want =
+  match Mae_db.Cas.open_journal cas ~path with
+  | Ok got when got = want -> ()
+  | Ok (l, s) -> Alcotest.failf "open_journal loaded %d skipped %d" l s
+  | Error e -> Alcotest.failf "open_journal: %s" e
+
+let fresh_report ~registry ~methods c =
+  match Mae.Driver.run_circuits ~methods ~registry [ c ] with
+  | [ Ok r ] -> r
+  | _ -> Alcotest.failf "driver failed on %s" c.Mae_netlist.Circuit.name
+
+(* Differential inputs: both technologies, gate- and transistor-level
+   circuits, the default method set and a narrower one. *)
+let differential_inputs () =
+  let gen = Mae_workload.Generators.full_adder in
+  List.concat_map
+    (fun c -> [ (c, Mae.Methodology.default_names); (c, [ "stdcell" ]) ])
+    [
+      gen ~name:"fa_nmos" ();
+      gen ~name:"fa_cmos" ~technology:"cmos20" ();
+      Mae_workload.Bench_circuits.flatten (gen ~name:"fa_tx" ());
+      Mae_workload.Generators.pass_chain ~technology:"cmos20" 6;
+    ]
+
 let test_cas_hit_returns_same_report () =
+  let registry = Mae_tech.Registry.create () in
+  let path = Filename.temp_file "mae_cas" ".journal" in
   let cas = Mae_db.Cas.create () in
-  let r = report () in
-  let key = Mae_db.Cas.key ~process:(process ()) S.full_adder in
-  Alcotest.(check bool) "cold miss" true
-    (Option.is_none
-       (Mae_db.Cas.find cas ~key ~circuit:S.full_adder ~process:(process ())));
-  Mae_db.Cas.store cas ~key r;
-  match Mae_db.Cas.find cas ~key ~circuit:S.full_adder ~process:(process ()) with
-  | None -> Alcotest.fail "stored entry not found"
-  | Some r' ->
-      Alcotest.(check (list (pair string int64)))
-        "hit is bit-for-bit" (report_bits r) (report_bits r')
+  open_journal_exn cas ~path ~want:(0, 0);
+  let fresh =
+    List.map
+      (fun (c, methods) ->
+        let process =
+          Mae_tech.Registry.find_exn registry c.Mae_netlist.Circuit.technology
+        in
+        let r = fresh_report ~registry ~methods c in
+        let key = Mae_db.Cas.key ~methods ~process c in
+        Alcotest.(check bool) "cold miss" true
+          (Option.is_none (Mae_db.Cas.find cas ~key ~circuit:c ~process));
+        Mae_db.Cas.store cas ~key r;
+        (c, methods, process, key, r))
+      (differential_inputs ())
+  in
+  (* every hit answers a shuffled rebuild of its circuit -- same key,
+     different build order -- with the fresh results, and the snapshot
+     rows equal the fresh reports' rows *)
+  let check_hits label cas =
+    List.iteri
+      (fun i (c, methods, process, key, r) ->
+        let name = label ^ " " ^ c.Mae_netlist.Circuit.name in
+        let c' = S.rebuild_permuted ~rng:(S.rng i) c in
+        Alcotest.(check string) (name ^ ": shuffled rebuild keys equal") key
+          (Mae_db.Cas.key ~methods ~process c');
+        match Mae_db.Cas.find cas ~key ~circuit:c' ~process with
+        | None -> Alcotest.failf "%s: stored entry not found" name
+        | Some hit ->
+            Alcotest.check bits (name ^ ": hit is bit-for-bit") (report_bits r)
+              (report_bits hit);
+            Alcotest.(check bool)
+              (name ^ ": hit holds the caller's circuit")
+              true (hit.circuit == c'))
+      fresh;
+    let expected = Mae_db.Store.create () in
+    List.iter
+      (fun (_, _, _, _, r) ->
+        Result.iter (Mae_db.Store.add expected) (Mae_db.Record.of_report r))
+      fresh;
+    Alcotest.(check (list record))
+      (label ^ ": to_store rows equal the fresh reports' rows")
+      (Mae_db.Store.records expected)
+      (Mae_db.Store.records (Mae_db.Cas.to_store cas))
+  in
+  check_hits "stored" cas;
+  Mae_db.Cas.close_journal cas;
+  let replayed = Mae_db.Cas.create () in
+  open_journal_exn replayed ~path ~want:(List.length fresh, 0);
+  check_hits "journal-replayed" replayed;
+  Mae_db.Cas.close_journal replayed;
+  Sys.remove path
 
 let test_cas_journal_roundtrip () =
   let path = Filename.temp_file "mae_cas" ".journal" in
   let r = report () in
   let key = Mae_db.Cas.key ~process:(process ()) S.full_adder in
   let cas1 = Mae_db.Cas.create () in
-  begin
-    match Mae_db.Cas.open_journal cas1 ~path with
-    | Ok (0, 0) -> ()
-    | Ok (l, s) -> Alcotest.failf "fresh journal loaded %d skipped %d" l s
-    | Error e -> Alcotest.failf "open_journal: %s" e
-  end;
+  open_journal_exn cas1 ~path ~want:(0, 0);
   Mae_db.Cas.store cas1 ~key r;
   Mae_db.Cas.close_journal cas1;
   (* a restarted process replays the journal and answers warm *)
   let cas2 = Mae_db.Cas.create () in
-  begin
-    match Mae_db.Cas.open_journal cas2 ~path with
-    | Ok (1, 0) -> ()
-    | Ok (l, s) -> Alcotest.failf "replay loaded %d skipped %d" l s
-    | Error e -> Alcotest.failf "replay open_journal: %s" e
-  end;
-  Alcotest.(check int) "one warm entry" 1 (Mae_db.Cas.warm_pending cas2);
+  open_journal_exn cas2 ~path ~want:(1, 0);
+  Alcotest.(check int) "one entry replayed" 1 (Mae_db.Cas.length cas2);
   begin
     match
       Mae_db.Cas.find cas2 ~key ~circuit:S.full_adder ~process:(process ())
@@ -318,13 +378,7 @@ let test_cas_journal_roundtrip () =
   output_string oc "entry deadbeef\nmodule \"torn\"";
   close_out oc;
   let cas3 = Mae_db.Cas.create () in
-  begin
-    match Mae_db.Cas.open_journal cas3 ~path with
-    | Ok (1, 1) -> ()
-    | Ok (l, s) ->
-        Alcotest.failf "torn tail: loaded %d skipped %d (want 1 1)" l s
-    | Error e -> Alcotest.failf "torn-tail open_journal: %s" e
-  end;
+  open_journal_exn cas3 ~path ~want:(1, 1);
   Mae_db.Cas.close_journal cas3;
   Sys.remove path
 
@@ -394,6 +448,77 @@ let test_cas_lru_eviction () =
     (Mae_db.Cas.eviction_count ());
   (* a cap below one live entry is a programming error *)
   S.raises_invalid (fun () -> Mae_db.Cas.create ~live_cap:0 ())
+
+(* A journal longer than the cap replays through the same LRU table:
+   the newest [cap] entries survive, bit-for-bit, and the rest count as
+   evictions. *)
+let test_cas_replay_obeys_cap () =
+  let registry = Mae_tech.Registry.create () in
+  let process = process () in
+  let path = Filename.temp_file "mae_cas" ".journal" in
+  let writer = Mae_db.Cas.create () in
+  open_journal_exn writer ~path ~want:(0, 0);
+  let entries =
+    List.init 20 (fun i ->
+        let c = Mae_workload.Generators.parity (i + 2) in
+        let methods = Mae.Methodology.default_names in
+        let r = fresh_report ~registry ~methods c in
+        let key = Mae_db.Cas.key ~process c in
+        Mae_db.Cas.store writer ~key r;
+        (c, key, r))
+  in
+  Mae_db.Cas.close_journal writer;
+  let reader = Mae_db.Cas.create ~live_cap:8 () in
+  let before = Mae_db.Cas.eviction_count () in
+  open_journal_exn reader ~path ~want:(20, 0);
+  Mae_db.Cas.close_journal reader;
+  Alcotest.(check int) "replay stays at the cap" 8 (Mae_db.Cas.length reader);
+  Alcotest.(check int) "replay evictions counted" 12
+    (Mae_db.Cas.eviction_count () - before);
+  List.iteri
+    (fun i (c, key, r) ->
+      let name = c.Mae_netlist.Circuit.name in
+      match Mae_db.Cas.find reader ~key ~circuit:c ~process with
+      | None when i < 12 -> ()
+      | Some _ when i < 12 -> Alcotest.failf "%s: oldest entry survived" name
+      | None -> Alcotest.failf "%s: newest entry missing" name
+      | Some hit ->
+          Alcotest.check bits (name ^ ": replayed hit is bit-for-bit")
+            (report_bits r) (report_bits hit))
+    entries;
+  Sys.remove path
+
+(* The store keeps results, not the circuits they came from: once the
+   caller lets go, the circuit and its transistor-level expansion are
+   collectable, and a later hit is rebuilt around the new caller's
+   circuit. *)
+let test_cas_retains_no_circuit () =
+  let registry = Mae_tech.Registry.create () in
+  let process = process () in
+  let cas = Mae_db.Cas.create () in
+  let weak = Weak.create 2 in
+  let store_one () =
+    let c = Mae_workload.Generators.counter 4 in
+    let r = fresh_report ~registry ~methods:Mae.Methodology.default_names c in
+    Alcotest.(check bool) "the circuit expands to transistors" true
+      (Option.is_some r.expanded);
+    Weak.set weak 0 (Some r.circuit);
+    Weak.set weak 1 r.expanded;
+    let key = Mae_db.Cas.key ~process c in
+    Mae_db.Cas.store cas ~key r;
+    (key, report_bits r)
+  in
+  let key, expected = (Sys.opaque_identity store_one) () in
+  Gc.full_major ();
+  Alcotest.(check bool) "stored circuit collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "expanded circuit collected" false (Weak.check weak 1);
+  let c = Mae_workload.Generators.counter 4 in
+  match Mae_db.Cas.find cas ~key ~circuit:c ~process with
+  | None -> Alcotest.fail "stored entry not found"
+  | Some hit ->
+      Alcotest.check bits "hit is bit-for-bit" expected (report_bits hit);
+      Alcotest.(check bool) "hit holds the caller's circuit" true
+        (hit.circuit == c)
 
 let fuzz_props =
   let open QCheck2.Gen in
@@ -490,6 +615,10 @@ let () =
           Alcotest.test_case "version bump invalidates" `Quick
             test_cas_version_bump_invalidates;
           Alcotest.test_case "lru cap churn" `Quick test_cas_lru_eviction;
+          Alcotest.test_case "journal replay obeys the cap" `Quick
+            test_cas_replay_obeys_cap;
+          Alcotest.test_case "retains no circuit" `Quick
+            test_cas_retains_no_circuit;
         ] );
       ("fuzz", fuzz_props);
     ]

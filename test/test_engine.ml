@@ -185,25 +185,62 @@ let test_stats () =
 (* --- the content-addressed estimate store through the engine --- *)
 
 let test_estimate_store_hits () =
-  let batch = random_batch ~first_seed:3000 6 in
-  let cache = Mae_db.Cas.create () in
-  let cold, cold_stats =
-    Mae_engine.run_circuits_with_stats ~jobs:1 ~cache ~registry batch
+  (* both technologies, gate- and transistor-level circuits; the warm
+     pass asks for shuffled rebuilds (same key, different build order) *)
+  let gen = Mae_workload.Generators.full_adder in
+  let batch =
+    random_batch ~first_seed:3000 6
+    @ [
+        gen ~name:"fa_cmos" ~technology:"cmos20" ();
+        Mae_workload.Bench_circuits.flatten (gen ~name:"fa_tx" ());
+        Mae_workload.Generators.pass_chain ~technology:"cmos20" 6;
+      ]
   in
-  Alcotest.(check int) "cold run misses every module" 6
-    cold_stats.Mae_engine.store_misses;
-  Alcotest.(check int) "cold run has no hits" 0
-    cold_stats.Mae_engine.store_hits;
-  let warm, warm_stats =
-    Mae_engine.run_circuits_with_stats ~jobs:1 ~cache ~registry batch
+  let n = List.length batch in
+  let shuffled = List.mapi (fun i c -> S.rebuild_permuted ~rng:(S.rng i) c) batch in
+  let record = Alcotest.testable Mae_db.Record.pp Mae_db.Record.equal in
+  let check_methods methods =
+    let label = String.concat "," methods in
+    let reference =
+      List.map
+        (function
+          | Ok r -> r
+          | Error _ -> Alcotest.failf "%s: reference driver failed" label)
+        (Mae.Driver.run_circuits ~methods ~registry batch)
+    in
+    let cache = Mae_db.Cas.create () in
+    let cold, cold_stats =
+      Mae_engine.run_circuits_with_stats ~methods ~jobs:1 ~cache ~registry batch
+    in
+    Alcotest.(check int) (label ^ ": cold run misses every module") n
+      cold_stats.Mae_engine.store_misses;
+    Alcotest.(check int) (label ^ ": cold run has no hits") 0
+      cold_stats.Mae_engine.store_hits;
+    let warm, warm_stats =
+      Mae_engine.run_circuits_with_stats ~methods ~jobs:1 ~cache ~registry
+        shuffled
+    in
+    Alcotest.(check int) (label ^ ": warm run hits every module") n
+      warm_stats.Mae_engine.store_hits;
+    Alcotest.(check int) (label ^ ": warm run misses nothing") 0
+      warm_stats.Mae_engine.store_misses;
+    let expected = List.map (fun r -> result_digest (Ok r)) reference in
+    Alcotest.check digests (label ^ ": cold answers are the driver's, bit for bit")
+      expected (List.map result_digest cold);
+    Alcotest.check digests (label ^ ": warm answers are the driver's, bit for bit")
+      expected (List.map result_digest warm);
+    let rows = Mae_db.Store.create () in
+    List.iter
+      (fun r -> Result.iter (Mae_db.Store.add rows) (Mae_db.Record.of_report r))
+      reference;
+    Alcotest.(check (list record))
+      (label ^ ": to_store rows equal the driver's")
+      (Mae_db.Store.records rows)
+      (Mae_db.Store.records (Mae_db.Cas.to_store cache));
+    cache
   in
-  Alcotest.(check int) "warm run hits every module" 6
-    warm_stats.Mae_engine.store_hits;
-  Alcotest.(check int) "warm run misses nothing" 0
-    warm_stats.Mae_engine.store_misses;
-  Alcotest.check digests "warm answers are bit-for-bit the cold ones"
-    (List.map result_digest cold)
-    (List.map result_digest warm);
+  ignore (check_methods [ "stdcell" ]);
+  let cache = check_methods [ "default" ] in
   (* an explicit config changes results, so it must bypass the store *)
   let config = { Mae.Config.default with two_component_free = false } in
   let _, bypass =

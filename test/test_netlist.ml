@@ -194,30 +194,6 @@ let props =
 
 (* Rebuild [c] with nets, devices and ports entered in a shuffled order:
    structurally identical, construction-order different. *)
-let rebuild_permuted ~rng (c : Circuit.t) =
-  let b = Builder.create ~name:c.name ~technology:c.technology in
-  let shuffled a =
-    let a = Array.copy a in
-    Mae_prob.Rng.shuffle rng a;
-    a
-  in
-  Array.iter
-    (fun (n : Net.t) -> ignore (Builder.net b n.name))
-    (shuffled c.nets);
-  Array.iter
-    (fun (d : Device.t) ->
-      ignore
-        (Builder.add_device b ~name:d.name ~kind:d.kind
-           ~nets:
-             (Array.to_list (Array.map (fun i -> c.nets.(i).Net.name) d.pins))))
-    (shuffled c.devices);
-  Array.iter
-    (fun (p : Port.t) ->
-      Builder.add_port b ~name:p.name ~direction:p.direction
-        ~net:c.nets.(p.net).Net.name)
-    (shuffled c.ports);
-  Builder.build b
-
 let random_circuit seed =
   Mae_workload.Random_circuit.generate
     ~name:(Printf.sprintf "canon%d" seed)
@@ -231,7 +207,7 @@ let canonical_props =
       (pair int int)
       (fun (seed, perm_seed) ->
         let c = random_circuit (abs seed mod 1000) in
-        let c' = rebuild_permuted ~rng:(S.rng perm_seed) c in
+        let c' = S.rebuild_permuted ~rng:(S.rng perm_seed) c in
         String.equal (Canonical.digest c) (Canonical.digest c'));
     S.qtest ~count:100 "structural mutations change the digest" (pair int int)
       (fun (seed, which) ->
