@@ -259,10 +259,12 @@ let prepopulate_journal () =
   | Ok (0, 0) -> ()
   | Ok (l, s) -> fail "fresh journal loaded %d skipped %d" l s
   | Error e -> fail "open_journal: %s" e);
-  (match Mae_engine.run_string ~jobs:1 ~cache:cas ~registry warm_hdl with
-  | Ok [ Ok _ ] -> ()
-  | Ok _ -> fail "prepopulate: expected one Ok module"
-  | Error _ -> fail "prepopulate: driver error");
+  (match Mae.Driver.string_circuits warm_hdl with
+  | Error _ -> fail "prepopulate: driver error"
+  | Ok circuits -> (
+      match Mae_engine.run_circuits ~jobs:1 ~cache:cas ~registry circuits with
+      | [ Ok _ ] -> ()
+      | _ -> fail "prepopulate: expected one Ok module"));
   Mae_db.Cas.close_journal cas;
   check
     (Mae_db.Cas.length cas = 1)
@@ -969,6 +971,31 @@ let () =
         [ "latency_s"; "rows_selected"; "cache_hits"; "cache_misses"; "ok" ])
     requests;
   check true "access-log request ids are r1..r%d in order" total;
+  (* the lockstep corpus (r1..rN): each request has its engine batch to
+     itself, so every uncached estimate carries its own kernel-cache
+     traffic in the access log *)
+  let int_field field doc =
+    match Option.bind (Json.member field doc) Json.to_number with
+    | Some f -> int_of_float f
+    | None -> 0
+  in
+  let lockstep = List.filteri (fun i _ -> i < List.length corpus) requests in
+  let uncached =
+    List.filter
+      (fun doc ->
+        Json.member "ok" doc = Some (Json.Bool true)
+        && Json.member "cached" doc = Some (Json.Bool false)
+        && int_field "modules" doc > 0)
+      lockstep
+  in
+  check
+    (uncached <> []
+    && List.for_all
+         (fun doc -> int_field "cache_hits" doc + int_field "cache_misses" doc > 0)
+         uncached)
+    "every uncached lockstep estimate (%d of r1..r%d) logs its kernel-cache \
+     traffic"
+    (List.length uncached) (List.length corpus);
 
   (* --- the warm daemon: its journal was written by another process,
      so its very first request must answer from disk --- *)

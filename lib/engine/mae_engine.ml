@@ -78,7 +78,7 @@ let pp_stats ppf s =
     "%d module(s) (%d ok, %d failed) on %d domain(s) in %.3f s (%.0f \
      modules/s); kernel cache %d hits / %d misses (%.1f%% hit rate); \
      modules/domain [%s]"
-    s.modules s.ok s.failed s.jobs s.elapsed_s
+    s.modules s.ok s.failed (Array.length s.per_domain) s.elapsed_s
     (if s.elapsed_s > 0. then Float.of_int s.modules /. s.elapsed_s else 0.)
     s.cache_hits s.cache_misses
     (if lookups > 0 then 100. *. Float.of_int s.cache_hits /. Float.of_int lookups
@@ -344,20 +344,16 @@ let map_pool ~jobs ?pool ~t0 f inputs =
     Mae_prob.Kernel_cache.flush_local ();
     Mae_obs.Sketch.flush_local ()
   in
-  (match (pool, workers) with
-  | _, 1 -> worker 0
-  | Some p, _ ->
-      (* pool domains beyond the requested worker count run an empty
-         slot: they wake, find no range, and report done *)
-      Pool.run p (fun slot -> if slot < workers then worker slot)
-  | None, _ ->
-      (* the calling domain is worker number 0; spawned domains are 1.. *)
-      let spawned =
-        List.init (workers - 1) (fun k ->
-            Domain.spawn (fun () -> worker (k + 1)))
-      in
-      worker 0;
-      List.iter Domain.join spawned);
+  (* pool domains beyond the requested worker count run an empty slot:
+     they wake, find no range, and report done *)
+  let fan_out p = Pool.run p (fun slot -> if slot < workers then worker slot) in
+  (match pool with
+  | _ when workers = 1 -> worker 0
+  | Some p -> fan_out p
+  | None ->
+      (* no caller pool: a short-lived one sized to this batch *)
+      let p = Pool.create ~domains:(workers - 1) in
+      Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> fan_out p));
   let results =
     Array.map
       (function
@@ -374,14 +370,13 @@ let map_pool ~jobs ?pool ~t0 f inputs =
   let batch_misses = Array.fold_left ( + ) 0 miss_delta in
   (results, claimed, max_wait, batch_hits, batch_misses)
 
-(* Like {!estimate_one} but also says how the estimate store answered
-   for this module: [`Hit]/[`Miss] when the store was consulted,
-   [`Bypass] when the lookup never happened (no cache, a [config]
-   override, or an unknown process/method that the driver will report).
-   The flag gives grouped batches exact per-request store accounting
-   where the process-counter delta of {!run_circuits_with_stats} would
-   lump every request in the batch together. *)
-let estimate_one_flagged ?config ?methods ?cache ~registry
+(* One module, through the estimate store when there is one: the
+   result plus how the store answered -- [`Hit]/[`Miss] when it was
+   consulted, [`Bypass] when the lookup never happened (no cache, a
+   [config] override, or an unknown process/method that the driver will
+   report).  Counting these flags gives every group of a batch exact
+   store accounting, even while other batches share the store. *)
+let estimate_module ?config ?methods ?cache ~registry
     (circuit : Mae_netlist.Circuit.t) =
   let run_uncached () =
     match Mae.Driver.run_circuit ?config ?methods ~registry circuit with
@@ -433,48 +428,46 @@ let estimate_one_flagged ?config ?methods ?cache ~registry
   end
   else run ()
 
-let estimate_one ?config ?methods ?cache ~registry circuit =
-  fst (estimate_one_flagged ?config ?methods ?cache ~registry circuit)
-
-let run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
-    circuits =
+(* The one batch path.  Each inner list is one request's circuits; the
+   concatenation runs as a single fan-out (one pool submission, one
+   work-stealing pass) and is sliced back into the groups, each with
+   its own store hit/miss counts from the per-module flags. *)
+let run_grouped ?config ?methods ?jobs ?pool ?cache ~registry groups =
   let jobs = resolve_jobs jobs in
   check_oversubscription jobs;
-  let inputs = Array.of_list circuits in
+  let inputs = Array.of_list (List.concat groups) in
+  let modules = Array.length inputs in
   Mae_obs.Span.with_ ~name:"engine.batch"
     ~attrs:
       [
-        ("modules", string_of_int (Array.length inputs));
+        ("modules", string_of_int modules);
         ("jobs", string_of_int jobs);
+        ("groups", string_of_int (List.length groups));
       ]
   @@ fun () ->
-  (* before/after deltas of the process-wide store counters: exact when
-     batches run one at a time (the serve daemon, the CLI); concurrent
-     batches sharing a store attribute each other's lookups *)
-  let store_h0, store_m0 =
-    match cache with
-    | Some _ -> (Mae_db.Cas.hit_count (), Mae_db.Cas.miss_count ())
-    | None -> (0, 0)
-  in
   let t0 = Mae_obs.Clock.monotonic () in
-  let results, per_domain, queue_wait, cache_hits, cache_misses =
+  let flagged, per_domain, queue_wait, cache_hits, cache_misses =
     map_pool ~jobs ?pool ~t0
-      (estimate_one ?config ?methods ?cache ~registry)
+      (estimate_module ?config ?methods ?cache ~registry)
       inputs
   in
-  let store_hits, store_misses =
-    match cache with
-    | Some _ ->
-        (Mae_db.Cas.hit_count () - store_h0, Mae_db.Cas.miss_count () - store_m0)
-    | None -> (0, 0)
-  in
   let elapsed_s = Mae_obs.Clock.monotonic () -. t0 in
+  let _, grouped =
+    List.fold_left_map
+      (fun off group ->
+        let slice = Array.sub flagged off (List.length group) in
+        let count flag =
+          Array.fold_left (fun n (_, f) -> if f = flag then n + 1 else n) 0 slice
+        in
+        ( off + Array.length slice,
+          (Array.to_list (Array.map fst slice), count `Hit, count `Miss) ))
+      0 groups
+  in
   let ok =
     Array.fold_left
-      (fun acc -> function Ok _ -> acc + 1 | Error _ -> acc)
-      0 results
+      (fun acc (r, _) -> match r with Ok _ -> acc + 1 | Error _ -> acc)
+      0 flagged
   in
-  let modules = Array.length inputs in
   Mae_obs.Metrics.add modules_counter modules;
   Mae_obs.Metrics.add ok_counter ok;
   Mae_obs.Metrics.add failed_counter (modules - ok);
@@ -488,94 +481,11 @@ let run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
       elapsed_s;
       (* summed per-worker deltas of the workers' domain-local cache
          counts: exactly this batch's traffic, even when another batch
-         runs concurrently on other domains (the old before/after of the
-         process-global counters attributed the overlap to both) *)
+         runs concurrently on other domains *)
       cache_hits;
       cache_misses;
-      store_hits;
-      store_misses;
-      per_domain;
-    }
-  in
-  if Mae_obs.Log.enabled Mae_obs.Log.Debug then
-    Mae_obs.Log.debug ~event:"engine.batch"
-      [
-        ("modules", Mae_obs.Log.Int modules);
-        ("ok", Mae_obs.Log.Int ok);
-        ("failed", Mae_obs.Log.Int (modules - ok));
-        ("jobs", Mae_obs.Log.Int jobs);
-        ("elapsed_s", Mae_obs.Log.Float elapsed_s);
-        ("cache_hits", Mae_obs.Log.Int stats.cache_hits);
-        ("cache_misses", Mae_obs.Log.Int stats.cache_misses);
-      ];
-  (Array.to_list results, stats)
-
-(* The coalescing batch entry point: several requests' circuit lists
-   run as one engine fan-out (one pool submission, one work-stealing
-   pass over the concatenation), and each group gets its own results
-   slice plus its own store hit/miss counts from the per-module flags.
-   One group is one request, so the dispatcher can answer each with an
-   exact "cached" field even though the engine saw a single batch. *)
-let run_grouped ?methods ?jobs ?pool ?cache ~registry groups =
-  let jobs = resolve_jobs jobs in
-  check_oversubscription jobs;
-  let inputs = Array.of_list (List.concat groups) in
-  Mae_obs.Span.with_ ~name:"engine.batch"
-    ~attrs:
-      [
-        ("modules", string_of_int (Array.length inputs));
-        ("jobs", string_of_int jobs);
-        ("groups", string_of_int (List.length groups));
-      ]
-  @@ fun () ->
-  let t0 = Mae_obs.Clock.monotonic () in
-  let flagged, per_domain, queue_wait, cache_hits, cache_misses =
-    map_pool ~jobs ?pool ~t0 (estimate_one_flagged ?methods ?cache ~registry)
-      inputs
-  in
-  let elapsed_s = Mae_obs.Clock.monotonic () -. t0 in
-  (* slice the flat result array back into the input groups, counting
-     each group's own store traffic as it goes *)
-  let grouped_rev, _ =
-    List.fold_left
-      (fun (acc, off) group ->
-        let len = List.length group in
-        let results = ref [] and hits = ref 0 and misses = ref 0 in
-        for i = off + len - 1 downto off do
-          let r, flag = flagged.(i) in
-          results := r :: !results;
-          match flag with
-          | `Hit -> incr hits
-          | `Miss -> incr misses
-          | `Bypass -> ()
-        done;
-        ((!results, !hits, !misses) :: acc, off + len))
-      ([], 0) groups
-  in
-  let grouped = List.rev grouped_rev in
-  let ok =
-    Array.fold_left
-      (fun acc (r, _) -> match r with Ok _ -> acc + 1 | Error _ -> acc)
-      0 flagged
-  in
-  let modules = Array.length inputs in
-  Mae_obs.Metrics.add modules_counter modules;
-  Mae_obs.Metrics.add ok_counter ok;
-  Mae_obs.Metrics.add failed_counter (modules - ok);
-  Mae_obs.Metrics.set queue_wait_gauge queue_wait;
-  let store_hits = List.fold_left (fun a (_, h, _) -> a + h) 0 grouped in
-  let store_misses = List.fold_left (fun a (_, _, m) -> a + m) 0 grouped in
-  let stats =
-    {
-      modules;
-      ok;
-      failed = modules - ok;
-      jobs;
-      elapsed_s;
-      cache_hits;
-      cache_misses;
-      store_hits;
-      store_misses;
+      store_hits = List.fold_left (fun a (_, h, _) -> a + h) 0 grouped;
+      store_misses = List.fold_left (fun a (_, _, m) -> a + m) 0 grouped;
       per_domain;
     }
   in
@@ -588,33 +498,22 @@ let run_grouped ?methods ?jobs ?pool ?cache ~registry groups =
         ("failed", Mae_obs.Log.Int (modules - ok));
         ("jobs", Mae_obs.Log.Int jobs);
         ("elapsed_s", Mae_obs.Log.Float elapsed_s);
-        ("cache_hits", Mae_obs.Log.Int stats.cache_hits);
-        ("cache_misses", Mae_obs.Log.Int stats.cache_misses);
+        ("cache_hits", Mae_obs.Log.Int cache_hits);
+        ("cache_misses", Mae_obs.Log.Int cache_misses);
       ];
   (grouped, stats)
+
+let run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
+    circuits =
+  let grouped, stats =
+    run_grouped ?config ?methods ?jobs ?pool ?cache ~registry [ circuits ]
+  in
+  (List.concat_map (fun (results, _, _) -> results) grouped, stats)
 
 let run_circuits ?config ?methods ?jobs ?pool ?cache ~registry circuits =
   fst
     (run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
        circuits)
-
-let run_design ?config ?methods ?jobs ?pool ?cache ~registry design =
-  match Mae.Driver.design_circuits design with
-  | Error e -> Error e
-  | Ok circuits ->
-      Ok (run_circuits ?config ?methods ?jobs ?pool ?cache ~registry circuits)
-
-let run_string ?config ?methods ?jobs ?pool ?cache ~registry text =
-  match Mae.Driver.string_circuits text with
-  | Error e -> Error e
-  | Ok circuits ->
-      Ok (run_circuits ?config ?methods ?jobs ?pool ?cache ~registry circuits)
-
-let run_file ?config ?methods ?jobs ?pool ?cache ~registry path =
-  match Mae.Driver.file_circuits path with
-  | Error e -> Error e
-  | Ok circuits ->
-      Ok (run_circuits ?config ?methods ?jobs ?pool ?cache ~registry circuits)
 
 (* --- incremental re-estimation: the delta path --- *)
 

@@ -1,13 +1,17 @@
 (** Multicore batch-estimation engine.
 
-    Fans a list of circuits (or the modules of an HDL file) across an
-    OCaml 5 [Domain] pool, runs {!Mae.Driver.run_circuit} on each, and
-    returns per-module results {e in deterministic input order} no
-    matter which domain estimated which module.  A module that fails
-    (driver error or exception) yields an [Error] slot; the rest of the
-    batch is unaffected.
+    Fans circuits across an OCaml 5 [Domain] pool, runs
+    {!Mae.Driver.run_circuit} on each, and returns per-module results
+    {e in deterministic input order} no matter which domain estimated
+    which module.  A module that fails (driver error or exception)
+    yields an [Error] slot; the rest of the batch is unaffected.
 
-    Every entry point takes the driver's [?methods] selection (see
+    There is one batch path, {!run_grouped}: its input is one circuit
+    list per request, and {!run_circuits_with_stats} and {!run_circuits}
+    are that path over a single group.  To estimate HDL text or a file,
+    elaborate it with {!Mae.Driver.string_circuits} (or
+    [design_circuits], [file_circuits]) and pass the circuits on.  Every
+    entry point takes the driver's [?methods] selection (see
     {!Mae.Methodology}); linking this library guarantees the four
     baseline methodologies from {!Mae_baselines.Methods} are registered,
     so all eight estimators are selectable by name in batch requests.
@@ -22,10 +26,11 @@
     atomic per chunk; a worker whose block runs dry steals chunks from
     the others.  Result slot [i] always receives the estimate of module
     [i] whatever the schedule, so output order and bits are independent
-    of [jobs] and of stealing.  Callers that run many batches (the
-    serve daemon, benches) should create a {!Pool} once and pass it to
-    every run: the pool parks its domains between batches, replacing the
-    per-batch [Domain.spawn] cost with one broadcast.
+    of [jobs] and of stealing.  Every fan-out goes through a {!Pool}:
+    callers that run many batches (the serve daemon, benches) should
+    create one once and pass it to every run; without one, a batch
+    with [jobs >= 2] creates a pool of its own and shuts it down when
+    it returns.
 
     The engine is instrumented through {!Mae_obs}: with telemetry on
     ({!Mae_obs.set_enabled}) every batch records an [engine.batch]
@@ -49,7 +54,7 @@ type stats = {
   modules : int;
   ok : int;
   failed : int;
-  jobs : int;  (** domains actually used *)
+  jobs : int;  (** domains requested ([0] resolved); see [per_domain] *)
   elapsed_s : float;  (** wall-clock batch time *)
   cache_hits : int;
       (** kernel-cache hits during this batch, summed from the workers'
@@ -57,18 +62,19 @@ type stats = {
           batches run concurrently on other domains *)
   cache_misses : int;
   store_hits : int;
-      (** estimate-store lookups answered from {!Mae_db.Cas} during this
-          batch (before/after deltas of the process-wide counters: exact
-          when batches run one at a time, as in the serve daemon) *)
+      (** estimate-store lookups answered from {!Mae_db.Cas}, counted
+          from this batch's own per-module lookups -- exact even when
+          other batches share the store concurrently *)
   store_misses : int;
   per_domain : int array;
-      (** how many modules each worker estimated; slot 0 is the calling
-          domain, the rest are pool/spawned domains in spawn order *)
+      (** how many modules each worker estimated; its length is the
+          number of domains used.  Slot 0 is the calling domain, the
+          rest are pool domains in spawn order *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit
-(** One line: throughput, kernel-cache hits/misses with hit rate, and
-    the per-domain module counts. *)
+(** One line: domains used, throughput, kernel-cache hits/misses with
+    hit rate, and the per-domain module counts. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
@@ -78,7 +84,7 @@ val default_jobs : unit -> int
     Domains park on a condition variable between batches, so a batch
     submission costs one lock round-trip and a broadcast instead of
     [jobs - 1] [Domain.spawn]s (each worth several cached modules).
-    Pass the pool to {!run_circuits} and friends via [?pool]; the
+    Pass the pool to {!run_grouped} and its adapters via [?pool]; the
     calling domain always participates as worker 0, pool domains serve
     the remaining slots (idle when the batch requests fewer jobs than
     the pool offers).  A pool runs one batch at a time -- submitting
@@ -111,22 +117,30 @@ end
     [engine.batch] debug log record when {!Mae_obs.Log} is at
     [Debug]. *)
 
-val run_circuits :
+val run_grouped :
   ?config:Mae.Config.t ->
   ?methods:string list ->
   ?jobs:int ->
   ?pool:Pool.t ->
   ?cache:Mae_db.Cas.t ->
   registry:Mae_tech.Registry.t ->
-  Mae_netlist.Circuit.t list ->
-  (Mae.Driver.module_report, error) result list
-(** Estimate every circuit.  [methods] selects the methodologies each
-    module runs (default ["default"]; see {!Mae.Methodology.resolve}).
-    [jobs] is the number of domains: omitted or [1] runs sequentially on
-    the calling domain, [0] means {!default_jobs}, [n >= 2] spawns
-    [n - 1] additional domains (the caller is the n-th worker).  Raises
-    [Invalid_argument] on a negative [jobs].  Output order equals input
-    order and is bit-for-bit independent of [jobs]. *)
+  Mae_netlist.Circuit.t list list ->
+  ((Mae.Driver.module_report, error) result list * int * int) list * stats
+(** The batch path.  Each inner list is one request's circuits; the
+    concatenation runs as a single fan-out (one pool submission, one
+    work-stealing pass) and each group comes back as
+    [(results, store_hits, store_misses)], results in input order and
+    the store counts taken from that group's own lookups.  [stats]
+    covers the whole batch.
+
+    [methods] selects the methodologies each module runs (default
+    ["default"]; see {!Mae.Methodology.resolve}).  [jobs] is the number
+    of domains: omitted or [1] runs sequentially on the calling domain,
+    [0] means {!default_jobs}, [n >= 2] uses up to [n - 1] more domains
+    (the caller is the n-th worker; never more workers than modules, nor
+    than a given pool's {!Pool.concurrency}).  Raises [Invalid_argument] on a negative
+    [jobs].  Results are bit-for-bit independent of [jobs], of [pool]
+    and of how the circuits are split into groups. *)
 
 val run_circuits_with_stats :
   ?config:Mae.Config.t ->
@@ -137,68 +151,29 @@ val run_circuits_with_stats :
   registry:Mae_tech.Registry.t ->
   Mae_netlist.Circuit.t list ->
   (Mae.Driver.module_report, error) result list * stats
+(** {!run_grouped} over one group. *)
 
-val run_grouped :
-  ?methods:string list ->
-  ?jobs:int ->
-  ?pool:Pool.t ->
-  ?cache:Mae_db.Cas.t ->
-  registry:Mae_tech.Registry.t ->
-  Mae_netlist.Circuit.t list list ->
-  (((Mae.Driver.module_report, error) result list * int * int) list * stats)
-(** The coalescing batch entry point: each inner list is one request's
-    circuits; the concatenation runs as a single engine fan-out (one
-    pool submission, one work-stealing pass) and each group comes back
-    as [(results, store_hits, store_misses)] with results in input
-    order and the store counts taken from per-module lookup flags --
-    exact per-group accounting even though the engine saw one batch.
-    [stats] covers the whole batch.  Per-module results are bit-for-bit
-    what per-request {!run_circuits_with_stats} calls would produce. *)
-
-val run_design :
+val run_circuits :
   ?config:Mae.Config.t ->
   ?methods:string list ->
   ?jobs:int ->
   ?pool:Pool.t ->
   ?cache:Mae_db.Cas.t ->
   registry:Mae_tech.Registry.t ->
-  Mae_hdl.Ast.design ->
-  ((Mae.Driver.module_report, error) result list, Mae.Driver.error) result
-(** Elaborate a parsed multi-module design, then fan the modules out.
-    Elaboration failures abort the whole batch (there is nothing to
-    estimate); per-module estimation failures are isolated as [Error]
-    slots. *)
-
-val run_string :
-  ?config:Mae.Config.t ->
-  ?methods:string list ->
-  ?jobs:int ->
-  ?pool:Pool.t ->
-  ?cache:Mae_db.Cas.t ->
-  registry:Mae_tech.Registry.t ->
-  string ->
-  ((Mae.Driver.module_report, error) result list, Mae.Driver.error) result
-
-val run_file :
-  ?config:Mae.Config.t ->
-  ?methods:string list ->
-  ?jobs:int ->
-  ?pool:Pool.t ->
-  ?cache:Mae_db.Cas.t ->
-  registry:Mae_tech.Registry.t ->
-  string ->
-  ((Mae.Driver.module_report, error) result list, Mae.Driver.error) result
+  Mae_netlist.Circuit.t list ->
+  (Mae.Driver.module_report, error) result list
+(** The results of {!run_circuits_with_stats}. *)
 
 (** {1 Estimate store}
 
-    Pass [?cache] (a {!Mae_db.Cas.t}) to any entry point and each module
-    is first looked up by its content address (canonical circuit +
+    Pass [?cache] (a {!Mae_db.Cas.t}) to a batch and each module is
+    first looked up by its content address (canonical circuit +
     process fingerprint + registry version + resolved method set); hits
     return the stored results bit-for-bit, rebuilt around the caller's
     circuit with [issues = []] and [expanded = None], and count into
-    [mae_estimate_cache_hits_total].  Runs with an explicit [?config]
-    bypass the store: a config changes results but is not part of the
-    address. *)
+    [mae_estimate_cache_hits_total] and the batch's [store_hits].  Runs
+    with an explicit [?config] bypass the store (no lookup, no store
+    count): a config changes results but is not part of the address. *)
 
 (** {1 Incremental re-estimation}
 

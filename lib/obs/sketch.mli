@@ -20,7 +20,8 @@
 
     Observation cost with telemetry enabled is an array store; the
     caller is expected to gate on {!Control.enabled} alongside its
-    histogram observation (see [Mae_engine.estimate_one]). *)
+    histogram observation, as the engine's per-module latency sampling
+    does. *)
 
 type t
 

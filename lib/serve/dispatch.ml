@@ -3,12 +3,14 @@
    Every request-plane frame becomes a job in one FIFO queue, so each
    connection's responses come back in its own arrival order even when
    requests from many connections interleave.  A tick takes a queue
-   prefix, coalesces the estimate jobs in it into engine batches (one
-   {!Mae_engine.run_grouped} fan-out per method selection -- one pool
-   submission instead of one per request), and answers every job of
-   the prefix with the full per-request bookkeeping: seq/rid, latency
-   histogram + sketch exemplar, SLO events, tail capture, the access
-   log record, the response write.
+   prefix, runs the estimate jobs in it as engine batches (one
+   {!Mae_engine.run_grouped} fan-out per method selection, each request
+   one group -- a lone request is a group of one), and answers every
+   job of the prefix with the full per-request bookkeeping: seq/rid,
+   latency histogram + sketch exemplar, SLO events, tail capture, the
+   access log record, the response write.  The tick's engine work runs
+   inside its first estimate's [serve.request] span and request-id
+   scope.
 
    Admission control lives at the front door: when the queued estimate
    count is at the watermark, a new estimate is answered 503 +
@@ -61,7 +63,7 @@ let request_latency_sketch =
   Mae_obs.Sketch.create "mae_serve_request_seconds_summary"
     ~help:"Per-request service latency quantiles (GK sketch)"
 
-(* --- response assembly (shared by the solo and coalesced paths) --- *)
+(* --- response assembly --- *)
 
 (* One JSON value per methodology outcome: the shared dimensions plus a
    few kind-specific extras. *)
@@ -147,7 +149,7 @@ let module_json = function
       Json.Object
         [ ("error", Json.String (Format.asprintf "%a" Mae_engine.pp_error e)) ]
 
-(* What one answered request amounts to, whichever path computed it. *)
+(* What one answered request amounts to. *)
 type prepared = {
   fields : (string * Json.t) list;  (** after "seq" and "id" *)
   p_ok : bool;
@@ -156,13 +158,13 @@ type prepared = {
   rows_selected_total : int;
   cache_hits : int;
       (** kernel-cache traffic attributed to this request by the
-          engine's domain-local accounting; 0 for a coalesced request
-          (the shared batch's traffic is on the [serve.batch] record) *)
+          engine's domain-local accounting when it had an engine batch
+          to itself; 0 when it shared one (the shared batch's traffic
+          is on the [serve.batch] record) *)
   cache_misses : int;
   cached : bool;
       (** every module of this request was answered from the estimate
-          store -- per-request exact on both paths (the solo path's
-          counter delta and the grouped path's per-module flags) *)
+          store -- exact per request, from its own per-module lookups *)
   server_error : bool;
       (** true when the failure is the server's fault (an estimator
           crash), as opposed to a malformed request or bad circuit --
@@ -183,7 +185,7 @@ let failure ?(server_error = false) msg =
   }
 
 (* Results (plus this request's own store traffic) to the response
-   fields -- the shape both engine paths share. *)
+   fields. *)
 let prepared_of_results ~cache_hits ~cache_misses ~store_hits ~store_misses
     results =
   let modules = List.length results in
@@ -318,9 +320,9 @@ let seq_and_id seq id fields =
     @ fields)
 
 (* Full per-request bookkeeping around [outcome]: the thunk runs inside
-   the request's [serve.request] span (on the solo path it is the whole
-   parse + engine run; a coalesced request already estimated and just
-   returns).  Latency counts from frame arrival, so queue wait and any
+   the request's [serve.request] span (for a tick's first estimate it is
+   the tick's whole parse + engine run; later ones find their outcome
+   ready).  Latency counts from frame arrival, so queue wait and any
    shared batch the request rode are part of its SLO story. *)
 let answer t job ~id outcome =
   let seq = t.next_seq in
@@ -417,120 +419,84 @@ let answer_shed t job ~id =
     (Protocol.json_response ~status:503 ~retry_after_s:shed_retry_after_s
        (seq_and_id seq id fields))
 
-(* --- the estimate paths --- *)
+(* --- the estimate path --- *)
 
 let inject_sleep t (est : Protocol.estimate) =
   if t.config.inject_sleep_field then
     match est.Protocol.sleep_s with Some s -> Unix.sleepf s | None -> ()
 
-(* One request, one engine batch: the pre-coalescing hot path, kept
-   byte-identical in behavior (store-counter delta, per-request
-   kernel-cache attribution) for the common lockstep client. *)
-let solo_outcome t (est : Protocol.estimate) =
-  inject_sleep t est;
-  match Mae.Driver.string_circuits est.Protocol.hdl with
-  | Error e -> failure (Format.asprintf "%a" Mae.Driver.pp_error e)
-  | Ok circuits -> begin
-      match
-        Mae_engine.run_circuits_with_stats ?methods:est.Protocol.methods
-          ?pool:t.pool ?cache:t.cas ~jobs:t.config.jobs
-          ~registry:t.config.registry circuits
-      with
-      | results, stats ->
-          prepared_of_results ~cache_hits:stats.Mae_engine.cache_hits
-            ~cache_misses:stats.Mae_engine.cache_misses
-            ~store_hits:stats.Mae_engine.store_hits
-            ~store_misses:stats.Mae_engine.store_misses results
-      | exception exn ->
-          failure ~server_error:true
-            ("estimator crashed: " ^ Printexc.to_string exn)
-    end
+(* Split parsed requests into runs of one method selection, in order of
+   first appearance. *)
+let rec by_selection = function
+  | [] -> []
+  | ((_, (est : Protocol.estimate), _) :: _) as members ->
+      let same, rest =
+        List.partition
+          (fun (_, (e : Protocol.estimate), _) ->
+            e.Protocol.methods = est.Protocol.methods)
+          members
+      in
+      (est.Protocol.methods, same) :: by_selection rest
 
-(* Coalescing: several estimate jobs from the queue prefix run as one
-   engine fan-out per method selection.  Sleep injection and hdl
-   parsing stay in arrival order; the grouped engine call gives each
-   request its own results slice and store hit/miss counts, so the
-   per-request "cached" field stays exact.  Per-request kernel-cache
-   attribution does not survive sharing a batch -- those totals go on
-   the [serve.batch] debug record instead. *)
+(* A tick's estimate jobs run as one engine fan-out per method
+   selection.  Sleep injection and hdl parsing stay in arrival order;
+   the grouped engine call gives each request its own results slice and
+   store hit/miss counts, so the per-request "cached" field stays exact.
+   Kernel-cache traffic is per request only when the request had its
+   batch to itself; a shared batch's totals go on the [serve.batch]
+   debug record instead. *)
 let prepare_batch t ests =
   List.iter (fun (_, est) -> inject_sleep t est) ests;
-  let parsed =
-    List.map
+  let parsed, unparsed =
+    List.partition_map
       (fun (job, est) ->
         match Mae.Driver.string_circuits est.Protocol.hdl with
+        | Ok circuits -> Left (job, est, circuits)
         | Error e ->
-            (job, est, Error (Format.asprintf "%a" Mae.Driver.pp_error e))
-        | Ok circuits -> (job, est, Ok circuits))
+            Right (job, failure (Format.asprintf "%a" Mae.Driver.pp_error e)))
       ests
   in
-  let groups = Hashtbl.create 4 in
-  let order = ref [] in
-  List.iter
-    (fun (job, est, p) ->
-      match p with
-      | Error _ -> ()
-      | Ok circuits ->
-          let key =
-            match est.Protocol.methods with
-            | None -> "\x00default"
-            | Some names -> String.concat "," names
-          in
-          if not (Hashtbl.mem groups key) then order := key :: !order;
-          Hashtbl.replace groups key
-            ((job, est, circuits)
-            :: (try Hashtbl.find groups key with Not_found -> [])))
-    parsed;
-  let outcomes = ref [] in
-  List.iter
-    (fun key ->
-      let members = List.rev (Hashtbl.find groups key) in
-      let methods =
-        match members with (_, est, _) :: _ -> est.Protocol.methods | [] -> None
-      in
-      Metrics.observe batch_requests (Float.of_int (List.length members));
-      match
-        Mae_obs.Span.with_ ~name:"serve.batch"
-          ~attrs:[ ("requests", string_of_int (List.length members)) ]
-          (fun () ->
-            Mae_engine.run_grouped ?methods ~jobs:t.config.jobs ?pool:t.pool
-              ?cache:t.cas ~registry:t.config.registry
-              (List.map (fun (_, _, circuits) -> circuits) members))
-      with
-      | grouped, stats ->
-          if Log.enabled Log.Debug then
-            Log.debug ~event:"serve.batch"
-              [
-                ("requests", Log.Int (List.length members));
-                ("modules", Log.Int stats.Mae_engine.modules);
-                ("cache_hits", Log.Int stats.Mae_engine.cache_hits);
-                ("cache_misses", Log.Int stats.Mae_engine.cache_misses);
-                ("store_hits", Log.Int stats.Mae_engine.store_hits);
-                ("store_misses", Log.Int stats.Mae_engine.store_misses);
-              ];
-          List.iter2
-            (fun (job, _, _) (results, store_hits, store_misses) ->
-              outcomes :=
-                ( job,
-                  prepared_of_results ~cache_hits:0 ~cache_misses:0 ~store_hits
-                    ~store_misses results )
-                :: !outcomes)
-            members grouped
-      | exception exn ->
-          let p =
-            failure ~server_error:true
-              ("estimator crashed: " ^ Printexc.to_string exn)
-          in
-          List.iter (fun (job, _, _) -> outcomes := (job, p) :: !outcomes)
-            members)
-    (List.rev !order);
-  List.iter
-    (fun (job, _, p) ->
-      match p with
-      | Error msg -> outcomes := (job, failure msg) :: !outcomes
-      | Ok _ -> ())
-    parsed;
-  !outcomes
+  let run (methods, members) =
+    let requests = List.length members in
+    Metrics.observe batch_requests (Float.of_int requests);
+    match
+      Mae_obs.Span.with_ ~name:"serve.batch"
+        ~attrs:[ ("requests", string_of_int requests) ]
+        (fun () ->
+          Mae_engine.run_grouped ?methods ~jobs:t.config.jobs ?pool:t.pool
+            ?cache:t.cas ~registry:t.config.registry
+            (List.map (fun (_, _, circuits) -> circuits) members))
+    with
+    | grouped, stats ->
+        if Log.enabled Log.Debug then
+          Log.debug ~event:"serve.batch"
+            [
+              ("requests", Log.Int requests);
+              ("modules", Log.Int stats.Mae_engine.modules);
+              ("cache_hits", Log.Int stats.Mae_engine.cache_hits);
+              ("cache_misses", Log.Int stats.Mae_engine.cache_misses);
+              ("store_hits", Log.Int stats.Mae_engine.store_hits);
+              ("store_misses", Log.Int stats.Mae_engine.store_misses);
+            ];
+        let cache_hits, cache_misses =
+          if requests = 1 then
+            (stats.Mae_engine.cache_hits, stats.Mae_engine.cache_misses)
+          else (0, 0)
+        in
+        List.map2
+          (fun (job, _, _) (results, store_hits, store_misses) ->
+            ( job,
+              prepared_of_results ~cache_hits ~cache_misses ~store_hits
+                ~store_misses results ))
+          members grouped
+    | exception exn ->
+        let p =
+          failure ~server_error:true
+            ("estimator crashed: " ^ Printexc.to_string exn)
+        in
+        List.map (fun (job, _, _) -> (job, p)) members
+  in
+  unparsed @ List.concat_map run (by_selection parsed)
 
 (* --- the tick --- *)
 
@@ -568,10 +534,10 @@ let process t jobs =
         match job.kind with J_estimate est -> Some (job, est) | _ -> None)
       jobs
   in
-  (* a lone estimate keeps the pre-coalescing solo path: its engine run
-     happens inside its own serve.request span with per-request
-     kernel-cache attribution, exactly as before the split *)
-  let prepared = match ests with [] | [ _ ] -> [] | _ -> prepare_batch t ests in
+  (* forced from the first estimate's [answer] thunk, so the tick's
+     engine run sits inside that request's serve.request span and
+     request-id log scope *)
+  let prepared = lazy (prepare_batch t ests) in
   List.iter
     (fun job ->
       match job.kind with
@@ -579,12 +545,9 @@ let process t jobs =
       | J_shed { id } -> answer_shed t job ~id
       | J_invalid { id; error } ->
           answer t job ~id (fun () -> failure error)
-      | J_estimate est -> begin
-          match List.assq_opt job prepared with
-          | Some p -> answer t job ~id:est.Protocol.id (fun () -> p)
-          | None ->
-              answer t job ~id:est.Protocol.id (fun () -> solo_outcome t est)
-        end)
+      | J_estimate est ->
+          answer t job ~id:est.Protocol.id (fun () ->
+              List.assq job (Lazy.force prepared)))
     jobs
 
 let tick t =

@@ -2,11 +2,13 @@
 
     One FIFO queue for every request-plane frame keeps each
     connection's responses in its own arrival order.  A {!tick} takes
-    a queue prefix, coalesces its estimate jobs into engine batches
-    (one {!Mae_engine.run_grouped} fan-out per method selection) and
-    answers every job with the full per-request bookkeeping: seq/rid,
-    latency histogram + sketch exemplar, SLO events, tail capture,
-    the access-log record, the response write.
+    a queue prefix, runs its estimate jobs as engine batches (one
+    {!Mae_engine.run_grouped} fan-out per method selection, one group
+    per request, a lone request included) and answers every job with
+    the full per-request bookkeeping: seq/rid, latency histogram +
+    sketch exemplar, SLO events, tail capture, the access-log record,
+    the response write.  A request that has its engine batch to itself
+    gets that batch's kernel-cache traffic in its access-log record.
 
     Admission control: at the queue-depth watermark a new estimate is
     answered 503 + Retry-After without estimation.  Shed requests

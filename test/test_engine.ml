@@ -182,6 +182,27 @@ let test_stats () =
     "repeated kernels hit the cache" true
     (stats.Mae_engine.cache_hits > 0)
 
+(* [jobs] is the request; [per_domain] and the printed line are what
+   ran.  Two circuits cannot keep four domains busy. *)
+let test_stats_domains_used () =
+  let _, stats =
+    Mae_engine.run_circuits_with_stats ~jobs:4 ~registry (random_batch 2)
+  in
+  Alcotest.(check int) "jobs as requested" 4 stats.Mae_engine.jobs;
+  Alcotest.(check int) "two circuits use two domains" 2
+    (Array.length stats.Mae_engine.per_domain);
+  let line = Format.asprintf "%a" Mae_engine.pp_stats stats in
+  let needle = "on 2 domain(s)" in
+  let found =
+    let n = String.length needle in
+    let rec at i =
+      i + n <= String.length line
+      && (String.equal (String.sub line i n) needle || at (i + 1))
+    in
+    at 0
+  in
+  if not found then Alcotest.failf "pp_stats: want %S in %S" needle line
+
 (* --- the content-addressed estimate store through the engine --- *)
 
 let test_estimate_store_hits () =
@@ -248,6 +269,119 @@ let test_estimate_store_hits () =
   in
   Alcotest.(check int) "config bypasses the store" 0
     (bypass.Mae_engine.store_hits + bypass.Mae_engine.store_misses)
+
+(* --- the grouped batch core against per-group runs --- *)
+
+let unknown_process_circuit name =
+  Mae_workload.Random_circuit.generate ~name ~rng:(Mae_prob.Rng.create ~seed:7)
+    {
+      Mae_workload.Random_circuit.default_params with
+      devices = 20;
+      technology = "unobtanium";
+    }
+
+(* Groups with an empty request, an unknown-process module (an [Error]
+   slot, no store lookup) and a mix of stored and new modules: every
+   group must come back bit-for-bit as its own plain run, with exact
+   store counts from its own lookups; a [config] run must bypass the
+   store.  Both sequentially and fanned out over a pool. *)
+let test_grouped_matches_per_group () =
+  let stored = random_batch ~first_seed:5000 3 in
+  let groups =
+    [
+      random_batch ~first_seed:5100 5;
+      [];
+      [ unknown_process_circuit "lost" ];
+      stored @ random_batch ~first_seed:5200 4;
+      [
+        Mae_workload.Bench_circuits.flatten
+          (Mae_workload.Generators.full_adder ~name:"fa_tx" ());
+      ];
+    ]
+  in
+  let reference ?config () =
+    List.map
+      (fun group ->
+        List.map result_digest
+          (Mae_engine.run_circuits ?config ~jobs:1 ~registry group))
+      groups
+  in
+  let config = { Mae.Config.default with two_component_free = false } in
+  let plain = reference () and configured = reference ~config () in
+  let digests_of grouped =
+    List.map (fun (results, _, _) -> List.map result_digest results) grouped
+  in
+  let counts grouped = List.map (fun (_, h, m) -> (h, m)) grouped in
+  let store_counts = Alcotest.(list (pair int int)) in
+  let check_run label ?pool ~jobs () =
+    let cache = Mae_db.Cas.create () in
+    ignore (Mae_engine.run_circuits ~jobs:1 ~cache ~registry stored);
+    let grouped, stats =
+      Mae_engine.run_grouped ~jobs ?pool ~cache ~registry groups
+    in
+    Alcotest.check (Alcotest.list digests)
+      (label ^ ": each group = its own run, bit for bit")
+      plain (digests_of grouped);
+    Alcotest.check store_counts (label ^ ": per-group store hits/misses")
+      [ (0, 5); (0, 0); (0, 0); (3, 4); (0, 1) ]
+      (counts grouped);
+    Alcotest.(check (pair int int))
+      (label ^ ": batch store counts sum the groups")
+      (3, 10)
+      (stats.Mae_engine.store_hits, stats.Mae_engine.store_misses);
+    let stored_before = Mae_db.Cas.length cache in
+    let grouped, stats =
+      Mae_engine.run_grouped ~config ~jobs ?pool ~cache ~registry groups
+    in
+    Alcotest.check (Alcotest.list digests)
+      (label ^ ": configured groups = their own configured runs")
+      configured (digests_of grouped);
+    Alcotest.check store_counts (label ^ ": config bypasses the store per group")
+      (List.map (fun _ -> (0, 0)) groups)
+      (counts grouped);
+    Alcotest.(check (pair int int))
+      (label ^ ": config batch counts no store traffic")
+      (0, 0)
+      (stats.Mae_engine.store_hits, stats.Mae_engine.store_misses);
+    Alcotest.(check int)
+      (label ^ ": config stores nothing")
+      stored_before (Mae_db.Cas.length cache)
+  in
+  check_run "jobs:1" ~jobs:1 ();
+  let pool = Mae_engine.Pool.create ~domains:3 in
+  Fun.protect
+    ~finally:(fun () -> Mae_engine.Pool.shutdown pool)
+    (check_run "jobs:4 pooled" ~pool ~jobs:4)
+
+(* Two batches on two domains at once against one store: each batch's
+   store counts are its own lookups, not the other batch's too. *)
+let test_concurrent_store_counts () =
+  let cache = Mae_db.Cas.create () in
+  let a = random_batch ~first_seed:6000 24 in
+  let b = random_batch ~first_seed:6100 17 in
+  (* half of [a] is already stored, so both hits and misses are in play *)
+  ignore
+    (Mae_engine.run_circuits ~jobs:1 ~cache ~registry
+       (List.filteri (fun i _ -> i mod 2 = 0) a));
+  let start = Atomic.make 0 in
+  let run batch () =
+    Atomic.incr start;
+    while Atomic.get start < 2 do
+      Domain.cpu_relax ()
+    done;
+    snd (Mae_engine.run_circuits_with_stats ~jobs:1 ~cache ~registry batch)
+  in
+  let other = Domain.spawn (run b) in
+  let stats_a = run a () in
+  let stats_b = Domain.join other in
+  List.iter
+    (fun (label, batch, (stats : Mae_engine.stats)) ->
+      Alcotest.(check int)
+        (label ^ ": store hits + misses = its own modules")
+        (List.length batch)
+        (stats.store_hits + stats.store_misses))
+    [ ("a", a, stats_a); ("b", b, stats_b) ];
+  Alcotest.(check int) "a: the stored half hits" 12 stats_a.Mae_engine.store_hits
 
 (* --- incremental re-estimation: the delta path must be bit-for-bit the
    full recomputation --- *)
@@ -430,11 +564,17 @@ let () =
           Alcotest.test_case "pool reuse is deterministic" `Slow
             test_pool_reuse_deterministic;
           Alcotest.test_case "batch stats" `Quick test_stats;
+          Alcotest.test_case "stats report the domains used" `Quick
+            test_stats_domains_used;
+          Alcotest.test_case "grouped = per-group runs" `Slow
+            test_grouped_matches_per_group;
         ] );
       ( "store",
         [
           Alcotest.test_case "repeat batch answers from the store" `Quick
             test_estimate_store_hits;
+          Alcotest.test_case "concurrent batches count their own lookups"
+            `Quick test_concurrent_store_counts;
         ] );
       ( "reestimate",
         [
