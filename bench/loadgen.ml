@@ -7,7 +7,8 @@
    1. keep-alive: N HTTP/1.1 POST /estimate requests round-robined
       across C persistent connections;
    2. close: the same N requests, one fresh connection each
-      (Connection: close) -- keep-alive must win on req/s, since each
+      (Connection: close) -- over five interleaved rounds of 1 and 2,
+      keep-alive's median req/s must beat close's, since each
       close-mode request pays socket setup + accept + teardown;
    3. overload: a pipelined burst far past the queue watermark on one
       connection -- some requests must answer 200, some must shed with
@@ -15,7 +16,7 @@
       the burst drains, and the daemon must still exit 0 on SIGTERM.
 
    One line goes to BENCH_history.jsonl (source "loadgen") with both
-   throughputs and the shed tally, so the keep-alive advantage is
+   median throughputs and the shed tally, so the keep-alive advantage is
    tracked over time next to the engine benches.
 
    Standalone: loadgen --addr HOST:PORT [--mode keepalive|close]
@@ -24,91 +25,9 @@
 
 module Json = Mae_obs.Json
 
-let fail fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline ("loadgen: " ^ msg);
-      exit 1)
-    fmt
+open Smoke_support
 
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then fail "%s" msg else Printf.printf "ok: %s\n%!" msg)
-    fmt
-
-(* --- tiny HTTP/1.1 client --- *)
-
-let index_sub hay needle from =
-  let nn = String.length needle and nh = String.length hay in
-  let rec at i =
-    if i + nn > nh then None
-    else if String.equal (String.sub hay i nn) needle then Some i
-    else at (i + 1)
-  in
-  at from
-
-let write_fully fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then go (off + Unix.write_substring fd s off (n - off))
-  in
-  go 0
-
-(* one Content-Length-framed response; [leftover] carries bytes already
-   read past the previous response on this connection *)
-let recv_http fd leftover =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf leftover;
-  let chunk = Bytes.create 65536 in
-  let rec fill_until probe =
-    match probe (Buffer.contents buf) with
-    | Some v -> v
-    | None -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> fail "EOF mid HTTP response (got %S)" (Buffer.contents buf)
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            fill_until probe)
-  in
-  let head_end = fill_until (fun s -> index_sub s "\r\n\r\n" 0) in
-  let head = String.sub (Buffer.contents buf) 0 head_end in
-  let content_length =
-    let lower = String.lowercase_ascii head in
-    match index_sub lower "content-length:" 0 with
-    | None -> fail "HTTP response without Content-Length: %S" head
-    | Some i -> (
-        let rest = String.sub lower (i + 15) (String.length lower - i - 15) in
-        match
-          int_of_string_opt (String.trim (List.hd (String.split_on_char '\r' rest)))
-        with
-        | Some n -> n
-        | None -> fail "bad Content-Length in %S" head)
-  in
-  let body_start = head_end + 4 in
-  let total_len = body_start + content_length in
-  ignore
-    (fill_until (fun s -> if String.length s >= total_len then Some 0 else None));
-  let raw = Buffer.contents buf in
-  let status =
-    match index_sub head " " 0 with
-    | Some sp when String.length head >= sp + 4 ->
-        Option.value ~default:0 (int_of_string_opt (String.sub head (sp + 1) 3))
-    | _ -> 0
-  in
-  ( status,
-    head,
-    String.sub raw body_start content_length,
-    String.sub raw total_len (String.length raw - total_len) )
-
-let connect_tcp host port =
-  let inet =
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found | Invalid_argument _ -> Unix.inet_addr_loopback
-  in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (inet, port));
-  fd
+let () = prefix := "loadgen"
 
 (* --- the workload: one tiny module, warm in the estimate store after
    the first request, so the measurement isolates the serve plane --- *)
@@ -165,99 +84,49 @@ let run_close ~host ~port ~requests =
   let dt = Unix.gettimeofday () -. t0 in
   float_of_int requests /. dt
 
-(* --- the smoke daemon --- *)
-
-let spawn_server ~watermark =
-  let r, w = Unix.pipe () in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      Unix.close r;
-      Mae_obs.Log.set_threshold None;
-      let registry = Mae_tech.Registry.create () in
-      let config =
-        {
-          (Mae_serve.default_config ~registry
-             ~request_addr:(Mae_serve.Tcp { host = "127.0.0.1"; port = 0 }))
-          with
-          Mae_serve.obs_addr =
-            Some (Mae_serve.Tcp { host = "127.0.0.1"; port = 0 });
-          queue_watermark = watermark;
-          max_batch = 4;
-          on_ready =
-            (fun ~request_addr ~obs_addr ->
-              let port = function
-                | Mae_serve.Tcp { port; _ } -> port
-                | Mae_serve.Unix_sock _ -> 0
-              in
-              let line =
-                Printf.sprintf "%d %d\n" (port request_addr)
-                  (match obs_addr with Some a -> port a | None -> 0)
-              in
-              ignore (Unix.write_substring w line 0 (String.length line));
-              Unix.close w);
-        }
-      in
-      (match Mae_serve.run config with
-      | Ok () -> Unix._exit 0
-      | Error e ->
-          prerr_endline ("loadgen daemon: " ^ e);
-          Unix._exit 1)
-  | pid ->
-      Unix.close w;
-      let buf = Bytes.create 64 in
-      let n = Unix.read r buf 0 64 in
-      Unix.close r;
-      if n = 0 then fail "daemon died before announcing its ports";
-      (match
-         String.split_on_char ' ' (String.trim (Bytes.sub_string buf 0 n))
-       with
-      | [ req; obs ] -> (pid, int_of_string req, int_of_string obs)
-      | _ -> fail "bad ready line")
-
-let prom_value body name =
-  let rec find = function
-    | [] -> fail "metric %s not in /metrics" name
-    | line :: rest -> (
-        match String.split_on_char ' ' line with
-        | [ n; v ] when String.equal n name -> (
-            match float_of_string_opt v with
-            | Some f -> f
-            | None -> fail "metric %s has unparseable value %S" name v)
-        | _ -> find rest)
-  in
-  find (String.split_on_char '\n' body)
-
-let obs_get ~port path =
-  let fd = connect_tcp "127.0.0.1" port in
-  write_fully fd (Printf.sprintf "GET %s HTTP/1.1\r\nHost: loadgen\r\n\r\n" path);
-  let status, _, body, _ = recv_http fd "" in
-  Unix.close fd;
-  (status, body)
-
 let run_smoke () =
   let watermark = 8 in
-  let pid, req_port, obs_port = spawn_server ~watermark in
+  let pid, req_port, obs_port =
+    spawn ~prefix:"loadgen daemon" (fun config ->
+        { config with Mae_serve.queue_watermark = watermark; max_batch = 4 })
+  in
   check (req_port > 0 && obs_port > 0)
     "daemon bound request plane :%d and obs plane :%d" req_port obs_port;
   let host = "127.0.0.1" in
   (* warm the estimate store so both measured phases compare serve-plane
      overhead, not first-estimate cost *)
   ignore (run_close ~host ~port:req_port ~requests:1);
-  let connections = 4 and requests = 240 in
-  let keepalive_rps =
-    run_keepalive ~host ~port:req_port ~connections ~requests
+  (* five rounds in K C, C K, K C, ... order, so host drift hits both
+     modes alike; the bar is the single-run one, applied to medians *)
+  let connections = 4 and requests = 240 and rounds = 5 in
+  let keepalive () = run_keepalive ~host ~port:req_port ~connections ~requests in
+  let close () = run_close ~host ~port:req_port ~requests in
+  let runs =
+    List.init rounds (fun i ->
+        if i mod 2 = 0 then
+          let k = keepalive () in
+          (k, close ())
+        else
+          let c = close () in
+          (keepalive (), c))
   in
-  let close_rps = run_close ~host ~port:req_port ~requests in
-  Printf.printf "keep-alive: %.0f req/s over %d connections\n%!" keepalive_rps
-    connections;
-  Printf.printf "close:      %.0f req/s, one connection per request\n%!"
-    close_rps;
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  let keepalive_rps = median (List.map fst runs)
+  and close_rps = median (List.map snd runs) in
+  let show xs = String.concat " " (List.map (Printf.sprintf "%.0f") xs) in
+  Printf.printf "keep-alive: %s req/s over %d connections\n%!"
+    (show (List.map fst runs)) connections;
+  Printf.printf "close:      %s req/s, one connection per request\n%!"
+    (show (List.map snd runs));
   check
     (keepalive_rps > close_rps)
-    "keep-alive beats connection-per-request (%.0f > %.0f req/s)"
-    keepalive_rps close_rps;
+    "keep-alive beats connection-per-request on the median of %d rounds \
+     (%.0f > %.0f req/s)"
+    rounds keepalive_rps close_rps;
 
   (* overload: pipeline a burst far past the watermark on one
      connection; the prefix estimates, the excess answers 503 *)
@@ -270,11 +139,11 @@ let run_smoke () =
   write_fully fd (Buffer.contents b);
   (* the obs plane must keep answering while the burst drains: scrapes
      bypass the request queue *)
-  let health_status, _ = obs_get ~port:obs_port "/healthz" in
+  let health_status = status_of (fst (get ~port:obs_port "/healthz")) in
   check
     (health_status = 200 || health_status = 503)
     "/healthz responsive during the burst (answered %d)" health_status;
-  let metrics_status, _ = obs_get ~port:obs_port "/metrics" in
+  let metrics_status = status_of (fst (get ~port:obs_port "/metrics")) in
   check (metrics_status = 200) "/metrics responsive during the burst";
   let oks = ref 0 and sheds = ref 0 in
   let leftover = ref "" in
@@ -284,7 +153,7 @@ let run_smoke () =
     (match status with
     | 200 -> incr oks
     | 503 ->
-        if index_sub head "Retry-After:" 0 = None then
+        if index_sub head "Retry-After:" = None then
           fail "503 response %d lacks Retry-After: %S" i head;
         incr sheds
     | s -> fail "burst response %d answered %d: %S" i s body);
@@ -295,7 +164,7 @@ let run_smoke () =
     (!oks >= 1 && !sheds >= 1 && !oks + !sheds = burst)
     "burst of %d past watermark %d: %d answered 200, %d shed 503" burst
     watermark !oks !sheds;
-  let _, metrics_body = obs_get ~port:obs_port "/metrics" in
+  let _, metrics_body = get ~port:obs_port "/metrics" in
   check
     (int_of_float (prom_value metrics_body "mae_serve_requests_shed_total")
     = !sheds)

@@ -10,12 +10,9 @@
 
      dune build @obs-smoke   (also pulled in by @bench-smoke) *)
 
-let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("obs-smoke: " ^ msg); exit 1) fmt
+open Smoke_support
 
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg -> if not cond then fail "%s" msg else Printf.printf "ok: %s\n" msg)
-    fmt
+let () = prefix := "obs-smoke"
 
 let workload =
   let flat g = Mae_workload.Bench_circuits.flatten g in
@@ -201,14 +198,6 @@ let () =
            && (not (String.length line >= 1 && Char.equal line.[0] '#'))
            && not (String.contains line ' ')
          then fail "malformed metrics line %S" line);
-  let contains haystack needle =
-    let nh = String.length haystack and nn = String.length needle in
-    let rec at i =
-      i + nn <= nh
-      && (String.equal (String.sub haystack i nn) needle || at (i + 1))
-    in
-    at 0
-  in
   check
     (contains prom "mae_kernel_cache_hits_total"
     && contains prom "mae_engine_modules_total"
@@ -245,9 +234,8 @@ let () =
     "every metric family has # HELP and # TYPE (%d families)" helps;
   check
     (contains prom "# TYPE mae_engine_modules_total counter"
-    && contains prom "# TYPE mae_engine_module_seconds histogram"
     && contains prom "# TYPE mae_engine_module_seconds_summary summary")
-    "counter/histogram/summary TYPE lines present";
+    "counter/summary TYPE lines present";
 
   (* (5) sketch accuracy: a synthetic stream's quantiles must sit
      within the advertised rank-error bound of the exact sorted pool *)

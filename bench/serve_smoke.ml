@@ -45,19 +45,9 @@
      dune build @serve-smoke   (also pulled in by @bench-smoke) *)
 
 module Json = Mae_obs.Json
+open Smoke_support
 
-let fail fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline ("serve-smoke: " ^ msg);
-      exit 1)
-    fmt
-
-let check cond fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not cond then fail "%s" msg else Printf.printf "ok: %s\n%!" msg)
-    fmt
+let () = prefix := "serve-smoke"
 
 let access_log_path = "serve_smoke_access.log"
 let metrics_path = "serve_smoke_metrics.json"
@@ -105,93 +95,6 @@ let corpus =
               (Json.Object [ ("hdl", Json.String (unknown_process_hdl i)) ]),
             Expect_failed ));
     ]
-
-(* --- tiny HTTP client for the obs plane --- *)
-
-let read_all fd =
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> Buffer.contents buf
-    | n ->
-        Buffer.add_subbytes buf chunk 0 n;
-        go ()
-  in
-  go ()
-
-let http_get ~port path =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let req = Printf.sprintf "GET %s HTTP/1.0\r\n\r\n" path in
-  ignore (Unix.write_substring fd req 0 (String.length req));
-  let raw = read_all fd in
-  Unix.close fd;
-  let split_at marker =
-    let nm = String.length marker and nr = String.length raw in
-    let rec at i =
-      if i + nm > nr then None
-      else if String.equal (String.sub raw i nm) marker then
-        Some (String.sub raw 0 i, String.sub raw (i + nm) (nr - i - nm))
-      else at (i + 1)
-    in
-    at 0
-  in
-  match split_at "\r\n\r\n" with
-  | Some (headers, body) -> (headers, body)
-  | None -> (
-      match split_at "\n\n" with
-      | Some (headers, body) -> (headers, body)
-      | None -> fail "HTTP response to %s has no header/body split" path)
-
-let prom_value body name =
-  let lines = String.split_on_char '\n' body in
-  let rec find = function
-    | [] -> fail "metric %s not in /metrics" name
-    | line :: rest -> (
-        match String.split_on_char ' ' line with
-        | [ n; v ] when String.equal n name -> (
-            match float_of_string_opt v with
-            | Some f -> f
-            | None -> fail "metric %s has unparseable value %S" name v)
-        | _ -> find rest)
-  in
-  find lines
-
-(* percentile from cumulative Prometheus buckets: smallest bound whose
-   cumulative count covers the rank *)
-let prom_histogram_percentile body name p =
-  let prefix = name ^ "_bucket{le=\"" in
-  let np = String.length prefix in
-  let buckets =
-    List.filter_map
-      (fun line ->
-        if String.length line > np && String.equal (String.sub line 0 np) prefix
-        then
-          match String.index_from_opt line np '"' with
-          | None -> None
-          | Some q -> (
-              let le = String.sub line np (q - np) in
-              match String.rindex_opt line ' ' with
-              | None -> None
-              | Some sp ->
-                  let count =
-                    String.sub line (sp + 1) (String.length line - sp - 1)
-                  in
-                  Some
-                    ( (if String.equal le "+Inf" then Float.infinity
-                       else float_of_string le),
-                      float_of_string count ))
-        else None)
-      (String.split_on_char '\n' body)
-  in
-  let total = prom_value body (name ^ "_count") in
-  let rank = p *. total in
-  let rec scan = function
-    | [] -> Float.nan
-    | (le, cum) :: rest -> if cum >= rank then le else scan rest
-  in
-  scan buckets
 
 (* --- bit-for-bit: logging must never change an estimate --- *)
 
@@ -271,78 +174,38 @@ let prepopulate_journal () =
     "parent pre-estimated 1 module into %s" journal_path
 
 let spawn_server ?(overload = false) ?journal ?store_out () =
-  let r, w = Unix.pipe () in
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      (* child: become the daemon; announce bound ports on the pipe *)
-      Unix.close r;
-      let main = (not overload) && journal = None in
-      if not main then Mae_obs.Log.set_threshold None
-      else begin
+  let main = (not overload) && journal = None in
+  spawn ~prefix:"serve-smoke child" (fun config ->
+      if main then begin
         Mae_obs.Log.set_threshold (Some Mae_obs.Log.Info);
         match Mae_obs.Log.set_sink_file access_log_path with
         | Ok () -> ()
         | Error e -> fail "access log: %s" e
       end;
-      let registry = Mae_tech.Registry.create () in
-      let config =
-        {
-          (Mae_serve.default_config ~registry
-             ~request_addr:(Mae_serve.Tcp { host = "127.0.0.1"; port = 0 }))
-          with
-          Mae_serve.obs_addr = Some (Mae_serve.Tcp { host = "127.0.0.1"; port = 0 });
-          metrics_out = (if main then Some metrics_path else None);
-          trace_out = (if main then Some trace_path else None);
-          store_journal = journal;
-          store_out;
-          (* the overload daemon honours an injected per-request sleep
-             and judges latency against a 5 ms objective, so a few
-             slow requests deterministically exhaust the fast-window
-             budget *)
-          inject_sleep_field = overload;
-          (* a tiny watermark so a pipelined burst trips admission
-             control deterministically in the shed phase *)
-          queue_watermark = (if overload then 2 else 256);
-          slo =
-            (if overload then
-               {
-                 Mae_serve.default_slo with
-                 Mae_serve.latency_threshold_s = 0.005;
-                 latency_target = 0.9;
-                 min_events = 5;
-               }
-             else Mae_serve.default_slo);
-          on_ready =
-            (fun ~request_addr ~obs_addr ->
-              let port = function
-                | Mae_serve.Tcp { port; _ } -> port
-                | Mae_serve.Unix_sock _ -> 0
-              in
-              let line =
-                Printf.sprintf "%d %d\n" (port request_addr)
-                  (match obs_addr with Some a -> port a | None -> 0)
-              in
-              ignore (Unix.write_substring w line 0 (String.length line));
-              Unix.close w);
-        }
-      in
-      (match Mae_serve.run config with
-      | Ok () -> Unix._exit 0
-      | Error e ->
-          prerr_endline ("serve-smoke child: " ^ e);
-          Unix._exit 1)
-  | pid ->
-      Unix.close w;
-      let buf = Bytes.create 64 in
-      let n = Unix.read r buf 0 64 in
-      Unix.close r;
-      if n = 0 then fail "server died before announcing its ports";
-      let ports = String.trim (Bytes.sub_string buf 0 n) in
-      (match String.split_on_char ' ' ports with
-      | [ req; obs ] -> (pid, int_of_string req, int_of_string obs)
-      | _ -> fail "bad ready line %S" ports)
+      {
+        config with
+        Mae_serve.metrics_out = (if main then Some metrics_path else None);
+        trace_out = (if main then Some trace_path else None);
+        store_journal = journal;
+        store_out;
+        (* the overload daemon honours an injected per-request sleep
+           and judges latency against a 5 ms objective, so a few
+           slow requests deterministically exhaust the fast-window
+           budget *)
+        inject_sleep_field = overload;
+        (* a tiny watermark so a pipelined burst trips admission
+           control deterministically in the shed phase *)
+        queue_watermark = (if overload then 2 else 256);
+        slo =
+          (if overload then
+             {
+               Mae_serve.default_slo with
+               Mae_serve.latency_threshold_s = 0.005;
+               latency_target = 0.9;
+               min_events = 5;
+             }
+           else Mae_serve.default_slo);
+      })
 
 let () =
   (* estimate one module into the journal first: jobs:1 spawns no
@@ -365,8 +228,7 @@ let () =
     "daemon bound request plane :%d and obs plane :%d" req_port obs_port;
 
   (* one connection, request/response in lockstep *)
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, req_port));
+  let fd = connect_tcp "127.0.0.1" req_port in
   let ic = Unix.in_channel_of_descr fd in
   let sent_ok = ref 0 and sent_failed = ref 0 in
   let last_seq = ref 0 in
@@ -488,7 +350,7 @@ let () =
          ])
   in
   let hits_metric () =
-    let _, body = http_get ~port:obs_port "/metrics" in
+    let _, body = get ~port:obs_port "/metrics" in
     int_of_float (prom_value body "mae_estimate_cache_hits_total")
   in
   let cold_doc = send_and_parse fresh_line in
@@ -507,8 +369,7 @@ let () =
 
   (* --- framing: a slow client dribbling one byte at a time must still
      be answered (single-shot reads used to drop or split lines) --- *)
-  let slow_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect slow_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, req_port));
+  let slow_fd = connect_tcp "127.0.0.1" req_port in
   let slow_ic = Unix.in_channel_of_descr slow_fd in
   let slow_line =
     Json.encode
@@ -540,63 +401,9 @@ let () =
 
   (* --- HTTP/1.1 keep-alive: one connection answers many requests,
      framed by Content-Length --- *)
-  let index_sub hay needle =
-    let nn = String.length needle and nh = String.length hay in
-    let rec at i =
-      if i + nn > nh then None
-      else if String.equal (String.sub hay i nn) needle then Some i
-      else at (i + 1)
-    in
-    at 0
-  in
-  let write_fully wfd s =
-    let n = String.length s in
-    let rec go off =
-      if off < n then go (off + Unix.write_substring wfd s off (n - off))
-    in
-    go 0
-  in
-  (* one Content-Length-framed response off [rfd]; [leftover] carries
-     bytes already read past the previous response on this connection *)
-  let recv_http rfd leftover =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf leftover;
-    let chunk = Bytes.create 65536 in
-    let rec fill_until probe =
-      match probe (Buffer.contents buf) with
-      | Some v -> v
-      | None -> (
-          match Unix.read rfd chunk 0 (Bytes.length chunk) with
-          | 0 -> fail "EOF mid HTTP response (got %S)" (Buffer.contents buf)
-          | n ->
-              Buffer.add_subbytes buf chunk 0 n;
-              fill_until probe)
-    in
-    let head_end = fill_until (fun s -> index_sub s "\r\n\r\n") in
-    let head = String.sub (Buffer.contents buf) 0 head_end in
-    let content_length =
-      let lower = String.lowercase_ascii head in
-      match index_sub lower "content-length:" with
-      | None -> fail "HTTP response without Content-Length: %S" head
-      | Some i -> (
-          let rest = String.sub lower (i + 15) (String.length lower - i - 15) in
-          match int_of_string_opt (String.trim (List.hd (String.split_on_char '\r' rest))) with
-          | Some n -> n
-          | None -> fail "bad Content-Length in %S" head)
-    in
-    let body_start = head_end + 4 in
-    let total_len = body_start + content_length in
-    ignore
-      (fill_until (fun s -> if String.length s >= total_len then Some 0 else None));
-    let raw = Buffer.contents buf in
-    ( head,
-      String.sub raw body_start content_length,
-      String.sub raw total_len (String.length raw - total_len) )
-  in
-  let ka_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect ka_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, obs_port));
+  let ka_fd = connect_tcp "127.0.0.1" obs_port in
   write_fully ka_fd "GET /healthz HTTP/1.1\r\nHost: smoke\r\n\r\n";
-  let ka_head1, ka_body1, ka_rest = recv_http ka_fd "" in
+  let _, ka_head1, ka_body1, ka_rest = recv_http ka_fd "" in
   check
     (String.length ka_head1 >= 15
     && String.equal (String.sub ka_head1 0 15) "HTTP/1.1 200 OK"
@@ -606,7 +413,7 @@ let () =
        | Error _ -> false))
     "HTTP/1.1 scrape answers 200 and advertises keep-alive";
   write_fully ka_fd "GET /buildinfo HTTP/1.1\r\nHost: smoke\r\n\r\n";
-  let ka_head2, ka_body2, _ = recv_http ka_fd ka_rest in
+  let _, ka_head2, ka_body2, _ = recv_http ka_fd ka_rest in
   check
     (String.length ka_head2 >= 15
     && String.equal (String.sub ka_head2 0 15) "HTTP/1.1 200 OK"
@@ -618,8 +425,7 @@ let () =
 
   (* --- HTTP POST /estimate on the request plane: same estimates, HTTP
      framing, connection reused until the client says close --- *)
-  let post_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect post_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, req_port));
+  let post_fd = connect_tcp "127.0.0.1" req_port in
   let post_request ?(close = false) id =
     let body =
       Json.encode
@@ -639,7 +445,7 @@ let () =
     | Error e -> fail "%s response not JSON (%s): %S" tag e body
   in
   write_fully post_fd (post_request "http-1");
-  let ph1, pbody1, post_rest = recv_http post_fd "" in
+  let _, ph1, pbody1, post_rest = recv_http post_fd "" in
   incr sent_ok;
   incr last_seq;
   let pdoc1 = parse_post "HTTP POST 1" pbody1 in
@@ -651,7 +457,7 @@ let () =
        = Some (Float.of_int !last_seq))
     "HTTP POST /estimate answers the same JSON with the next seq";
   write_fully post_fd (post_request ~close:true "http-2");
-  let ph2, pbody2, _ = recv_http post_fd post_rest in
+  let _, ph2, pbody2, _ = recv_http post_fd post_rest in
   incr sent_ok;
   incr last_seq;
   ignore (parse_post "HTTP POST 2" pbody2);
@@ -666,8 +472,7 @@ let () =
 
   (* --- a malformed or oversized frame answers in order without
      killing the connection: good, bad, huge, good -- pipelined --- *)
-  let pl_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect pl_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, req_port));
+  let pl_fd = connect_tcp "127.0.0.1" req_port in
   let pl_ic = Unix.in_channel_of_descr pl_fd in
   let pl_line id =
     Json.encode
@@ -718,7 +523,7 @@ let () =
     total !sent_ok !sent_failed !last_seq;
 
   (* /metrics must agree with the client-side tally *)
-  let _, metrics_body = http_get ~port:obs_port "/metrics" in
+  let _, metrics_body = get ~port:obs_port "/metrics" in
   let m name = int_of_float (prom_value metrics_body name) in
   check
     (m "mae_serve_requests_total" = total
@@ -739,11 +544,6 @@ let () =
     (m "mae_estimate_cache_hits_total" >= 95)
     "repeat-heavy corpus hit the estimate store %d times (>= 95)"
     (m "mae_estimate_cache_hits_total");
-  let p50 = prom_histogram_percentile metrics_body "mae_serve_request_seconds" 0.50 in
-  let p99 = prom_histogram_percentile metrics_body "mae_serve_request_seconds" 0.99 in
-  check
-    (Float.is_finite p50 && Float.is_finite p99 && p50 <= p99)
-    "request latency histogram populated (p50 <= %.6fs, p99 <= %.6fs)" p50 p99;
 
   (* per-methodology counters: the methods=all request ran all eight *)
   List.iter
@@ -759,7 +559,7 @@ let () =
     (List.length all_names);
 
   (* GET /methods lists every registered estimator plus the default set *)
-  let _, methods_body = http_get ~port:obs_port "/methods" in
+  let _, methods_body = get ~port:obs_port "/methods" in
   let methods_doc =
     match Json.parse methods_body with
     | Ok d -> d
@@ -788,7 +588,7 @@ let () =
   check true "/methods lists all %d estimators" (List.length listed);
 
   (* /healthz *)
-  let headers, health_body = http_get ~port:obs_port "/healthz" in
+  let headers, health_body = get ~port:obs_port "/healthz" in
   check
     (String.length headers >= 15
     && String.equal (String.sub headers 0 15) "HTTP/1.0 200 OK")
@@ -816,20 +616,13 @@ let () =
     (sk_q "0.5" > 0. && sk_q "0.5" <= sk_q "0.99")
     "sketch quantiles ordered (p50 %.6fs <= p99 %.6fs)" (sk_q "0.5")
     (sk_q "0.99");
-  let contains needle hay =
-    let nn = String.length needle and nh = String.length hay in
-    let rec at i =
-      i + nn <= nh && (String.equal (String.sub hay i nn) needle || at (i + 1))
-    in
-    at 0
-  in
   check
-    (contains "# EXEMPLAR mae_serve_request_seconds_summary {request_id=\"r"
-       metrics_body)
+    (contains metrics_body
+       "# EXEMPLAR mae_serve_request_seconds_summary {request_id=\"r")
     "sketch exemplars carry request ids into /metrics";
 
   (* GET /slo: both objectives healthy under this friendly load *)
-  let _, slo_text = http_get ~port:obs_port "/slo" in
+  let _, slo_text = get ~port:obs_port "/slo" in
   let slo_doc =
     match Json.parse (String.trim slo_text) with
     | Ok d -> d
@@ -876,19 +669,19 @@ let () =
     (window_field latency_slo "fast" "burn_rate");
 
   (* GET /statusz: the human page renders and names the objectives *)
-  let statusz_headers, statusz_text = http_get ~port:obs_port "/statusz" in
+  let statusz_headers, statusz_text = get ~port:obs_port "/statusz" in
   check
     (String.length statusz_headers >= 15
     && String.equal (String.sub statusz_headers 0 15) "HTTP/1.0 200 OK"
-    && contains "mae serve status" statusz_text
-    && contains "mae_serve_latency_slo" statusz_text
-    && contains "request latency:" statusz_text)
+    && contains statusz_text "mae serve status"
+    && contains statusz_text "mae_serve_latency_slo"
+    && contains statusz_text "request latency:")
     "/statusz renders uptime, SLO table and latency quantiles";
 
   (* GET /runtimez: this daemon writes a trace, so telemetry -- and
      with it the runtime lens -- is on; after 121 estimation requests
      the per-domain GC statistics must be live *)
-  let rz_headers, rz_text = http_get ~port:obs_port "/runtimez" in
+  let rz_headers, rz_text = get ~port:obs_port "/runtimez" in
   check
     (String.length rz_headers >= 15
     && String.equal (String.sub rz_headers 0 15) "HTTP/1.0 200 OK")
@@ -921,17 +714,17 @@ let () =
   | Some (Json.Number up) when up > 0. -> ()
   | _ -> fail "/runtimez lacks process.uptime_s: %S" rz_text);
   check true "/runtimez carries process telemetry";
-  let _, metrics_after = http_get ~port:obs_port "/metrics" in
+  let _, metrics_after = get ~port:obs_port "/metrics" in
   check
-    (contains "mae_gc_minor_collections_total" metrics_after
-    && contains "mae_gc_pause_seconds_summary{domain=\"" metrics_after)
+    (contains metrics_after "mae_gc_minor_collections_total"
+    && contains metrics_after "mae_gc_pause_seconds_summary{domain=\"")
     "/metrics exposes mae_gc_* families with per-domain pause summaries";
   check
-    (contains "gc:" statusz_text)
+    (contains statusz_text "gc:")
     "/statusz renders the GC line while the lens runs";
 
   (* 404 for unknown paths *)
-  let headers404, _ = http_get ~port:obs_port "/nope" in
+  let headers404, _ = get ~port:obs_port "/nope" in
   check
     (String.length headers404 >= 12
     && String.equal (String.sub headers404 9 3) "404")
@@ -1006,13 +799,12 @@ let () =
   (* the child inherits the parent's own counter values at fork, so
      judge the warm request by counter deltas, not absolutes *)
   let warm_counters () =
-    let _, body = http_get ~port:warm_obs_port "/metrics" in
+    let _, body = get ~port:warm_obs_port "/metrics" in
     ( int_of_float (prom_value body "mae_estimate_cache_hits_total"),
       int_of_float (prom_value body "mae_estimate_cache_misses_total") )
   in
   let hits0, misses0 = warm_counters () in
-  let warm_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect warm_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, warm_req_port));
+  let warm_fd = connect_tcp "127.0.0.1" warm_req_port in
   let warm_ic = Unix.in_channel_of_descr warm_fd in
   let warm_line =
     Json.encode
@@ -1060,8 +852,7 @@ let () =
      pipelined burst trips shedding -- the prefix estimates, the excess
      answers 503-style with retry_after_s, and every response keeps its
      request's place in line *)
-  let shed_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect shed_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, ov_req_port));
+  let shed_fd = connect_tcp "127.0.0.1" ov_req_port in
   let shed_ic = Unix.in_channel_of_descr shed_fd in
   let burst = 40 in
   let burst_buf = Buffer.create 4096 in
@@ -1104,14 +895,13 @@ let () =
     (!shed_oks >= 1 && !shed_dropped >= 1 && !shed_oks + !shed_dropped = burst)
     "burst of %d past the watermark: %d estimated, %d shed, order kept" burst
     !shed_oks !shed_dropped;
-  let _, ov_metrics = http_get ~port:ov_obs_port "/metrics" in
+  let _, ov_metrics = get ~port:ov_obs_port "/metrics" in
   check
     (int_of_float (prom_value ov_metrics "mae_serve_requests_shed_total")
     = !shed_dropped)
     "mae_serve_requests_shed_total agrees with the client (%d)" !shed_dropped;
 
-  let ov_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect ov_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, ov_req_port));
+  let ov_fd = connect_tcp "127.0.0.1" ov_req_port in
   let ov_ic = Unix.in_channel_of_descr ov_fd in
   for i = 1 to 10 do
     let line =
@@ -1132,7 +922,7 @@ let () =
     | Error e -> fail "overload response %d not JSON: %s" i e
   done;
   Unix.close ov_fd;
-  let _, ov_slo_text = http_get ~port:ov_obs_port "/slo" in
+  let _, ov_slo_text = get ~port:ov_obs_port "/slo" in
   let ov_slo_doc =
     match Json.parse (String.trim ov_slo_text) with
     | Ok d -> d
@@ -1175,7 +965,7 @@ let () =
   in
   check (ov_errors_bad = 0.)
     "shed and slow requests burned no error budget (bad = %.0f)" ov_errors_bad;
-  let ov_headers, ov_health_text = http_get ~port:ov_obs_port "/healthz" in
+  let ov_headers, ov_health_text = get ~port:ov_obs_port "/healthz" in
   check
     (String.length ov_headers >= 12
     && String.equal (String.sub ov_headers 9 3) "503")

@@ -391,7 +391,7 @@ let estimate_cmd =
           ~doc:
             "Write the telemetry metrics registry (engine counters, kernel \
              cache hit/miss/race counters, queue-wait gauge, latency \
-             histograms) here after estimating: Prometheus text format, or \
+             sketches) here after estimating: Prometheus text format, or \
              JSON when $(docv) ends in .json.  The path is validated before \
              estimation starts.")
   in

@@ -118,17 +118,9 @@ let stage_sketch =
 
 let stage ~name ~module_name f =
   if not (Mae_obs.Control.enabled ()) then f ()
-  else begin
-    let sk = stage_sketch name in
-    let t0 = Mae_obs.Clock.monotonic () in
-    match Mae_obs.Span.with_ ~name ~attrs:[ ("module", module_name) ] f with
-    | v ->
-        Mae_obs.Sketch.observe sk (Mae_obs.Clock.monotonic () -. t0);
-        v
-    | exception e ->
-        Mae_obs.Sketch.observe sk (Mae_obs.Clock.monotonic () -. t0);
-        raise e
-  end
+  else
+    Mae_obs.Sketch.time (stage_sketch name) (fun () ->
+        Mae_obs.Span.with_ ~name ~attrs:[ ("module", module_name) ] f)
 
 let run_circuit ?config ?(methods = [ "default" ]) ~registry
     (circuit : Mae_netlist.Circuit.t) =

@@ -134,8 +134,7 @@ type t = {
   estimate : ctx -> Mae_netlist.Circuit.t -> (outcome, error) result;
   runs : Mae_obs.Metrics.counter;
   errors : Mae_obs.Metrics.counter;
-  latency : Mae_obs.Metrics.histogram;
-  latency_sketch : Mae_obs.Sketch.t;
+  latency : Mae_obs.Sketch.t;
 }
 
 let name t = t.name
@@ -193,14 +192,6 @@ let register ~name ~doc estimate =
             (Printf.sprintf "Runs of the %s methodology that returned an error"
                name);
       latency =
-        Mae_obs.Metrics.histogram
-          (Printf.sprintf "mae_method_%s_seconds" m)
-          ~help:
-            (Printf.sprintf
-               "Per-module latency of the %s methodology (recorded while \
-                telemetry is on)"
-               name);
-      latency_sketch =
         Mae_obs.Sketch.create
           (Printf.sprintf "mae_method_%s_seconds_summary" m)
           ~help:
@@ -248,25 +239,6 @@ let selection_of_string s =
              (String.concat ", " (names ())))
   end
 
-(* Histogram + sketch observation behind the one telemetry gate; off
-   means one atomic read, no clock reads. *)
-let timed t f =
-  if not (Mae_obs.Control.enabled ()) then f ()
-  else begin
-    let t0 = Mae_obs.Clock.monotonic () in
-    match f () with
-    | r ->
-        let d = Mae_obs.Clock.monotonic () -. t0 in
-        Mae_obs.Metrics.observe t.latency d;
-        Mae_obs.Sketch.observe t.latency_sketch d;
-        r
-    | exception e ->
-        let d = Mae_obs.Clock.monotonic () -. t0 in
-        Mae_obs.Metrics.observe t.latency d;
-        Mae_obs.Sketch.observe t.latency_sketch d;
-        raise e
-  end
-
 (* The raise/value boundary: estimators may raise on violated
    preconditions (the kernels assert their domains); a methodology run
    converts anything escaping into a typed error so no pipeline path
@@ -277,7 +249,7 @@ let run ctx t (circuit : Mae_netlist.Circuit.t) =
   @@ fun () ->
   Mae_obs.Metrics.incr t.runs;
   let result =
-    timed t @@ fun () ->
+    Mae_obs.Sketch.time t.latency @@ fun () ->
     match t.estimate ctx circuit with
     | (Ok _ | Error _) as r -> r
     | exception Mae_netlist.Stats.Unknown_kind k ->

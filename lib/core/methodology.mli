@@ -133,7 +133,7 @@ val register :
     duplicate name — registration happens at module initialization, so a
     clash is a programming error, not a request error.  Per-methodology
     telemetry ([mae_method_<name>_runs_total], [.._errors_total] and the
-    [mae_method_<name>_seconds] latency histogram) is created here. *)
+    [mae_method_<name>_seconds_summary] latency sketch) is created here. *)
 
 val find : string -> t option
 val all : unit -> t list  (** registration order *)
@@ -168,7 +168,7 @@ val selection_of_string : string -> (string list, string) result
 
 val run : ctx -> t -> Mae_netlist.Circuit.t -> (outcome, error) result
 (** Run one methodology under its [method.<name>] span, record its
-    run/error counters and latency histogram, and convert any escaping
+    run/error counters and latency sketch, and convert any escaping
     exception ({!Mae_netlist.Stats.Unknown_kind}, [Invalid_argument],
     [Failure], [Not_found]) into the corresponding typed {!error} — the
     pipeline boundary where raises become values. *)

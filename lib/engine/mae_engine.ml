@@ -49,13 +49,7 @@ let queue_wait_gauge =
       "Longest delay between batch start and a worker claiming its first \
        module, over the most recent batch (domain spawn + scheduling cost)"
 
-let module_latency =
-  Mae_obs.Metrics.histogram "mae_engine_module_seconds"
-    ~help:"Per-module estimation latency (recorded while telemetry is on)"
-
-(* True quantiles next to the bucketed histogram: same samples, no
-   bucket-edge quantization.  Observed only while telemetry is on,
-   like the histogram. *)
+(* Observed only while telemetry is on, like spans. *)
 let module_latency_sketch =
   Mae_obs.Sketch.create "mae_engine_module_seconds_summary"
     ~help:"Per-module estimation latency quantiles (GK sketch)"
@@ -414,19 +408,7 @@ let estimate_module ?config ?methods ?cache ~registry
                     | Error _ -> ());
                     (r, `Miss)))))
   in
-  (* latency sampling honours telemetry like spans do; with it off the
-     per-module cost is one atomic read, no closures into [time], no
-     clock reads, no sketch buffer stores.  [run] never raises (crashes
-     are folded into [Error (Crashed _)]), so plain sequencing is safe. *)
-  if Mae_obs.Control.enabled () then begin
-    let t0 = Mae_obs.Clock.monotonic () in
-    let r = run () in
-    let d = Mae_obs.Clock.monotonic () -. t0 in
-    Mae_obs.Metrics.observe module_latency d;
-    Mae_obs.Sketch.observe module_latency_sketch d;
-    r
-  end
-  else run ()
+  Mae_obs.Sketch.time module_latency_sketch run
 
 (* The one batch path.  Each inner list is one request's circuits; the
    concatenation runs as a single fan-out (one pool submission, one

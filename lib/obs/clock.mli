@@ -2,7 +2,7 @@
 
     Every latency / duration measurement in the pipeline uses
     {!monotonic}: a clock that never steps backwards when NTP adjusts
-    the system time, so histograms, sketches and BENCH_history deltas
+    the system time, so sketches, spans and BENCH_history deltas
     can't record negative or wildly inflated durations.  Wall-clock
     time ({!wall}) remains the source for human-facing timestamps
     (log records, Chrome-trace epoch offsets, bench history entries).

@@ -6,13 +6,13 @@
      recorded into lock-free-per-domain buffers and exported by
      {!Trace} as Chrome trace-event JSON (one lane per domain) or a
      plain-text flame summary.
-   - {!Metrics}: named counters, gauges and log-bucketed latency
-     histograms with Prometheus-text and JSON dumps.  Counters and
-     gauges are always live; they back [Kernel_cache.stats] and the
-     engine's [--stats] line.
-   - {!Sketch}: mergeable GK quantile summaries (true p50/p99/p999,
-     no bucket edges) with per-domain buffers and request-id
-     exemplars; rides along in every /metrics dump.
+   - {!Metrics}: named counters and gauges with Prometheus-text and
+     JSON dumps.  They are always live; they back
+     [Kernel_cache.stats] and the engine's [--stats] line.
+   - {!Sketch}: the one latency recorder -- mergeable GK quantile
+     summaries (true p50/p99/p999, no bucket edges) with per-domain
+     buffers and request-id exemplars; rides along in every /metrics
+     dump.
    - {!Slo}: declarative latency / error-rate objectives with
      fast+slow rolling burn-rate windows; backs GET /slo, /statusz
      and the /healthz 503 degradation.
@@ -55,4 +55,5 @@ let with_enabled = Control.with_enabled
 
 let reset () =
   Span.reset ();
-  Metrics.reset_values ()
+  Metrics.reset_values ();
+  List.iter Sketch.reset (Sketch.all ())

@@ -1,5 +1,4 @@
-(* The metrics registry: named counters, gauges and log-bucketed
-   latency histograms.
+(* The metrics registry: named counters and gauges.
 
    Values are plain atomics, so instruments are safe to update from
    any domain and cost what the hand-rolled counters they replace
@@ -10,22 +9,12 @@
 
    Counters and gauges stay live even when telemetry is off (they back
    always-on reporting such as [Kernel_cache.stats] and the engine's
-   [--stats] line).  Latency observation via [time] is gated on
-   {!Control.enabled} like spans are. *)
+   [--stats] line).  Latencies live in {!Sketch}, not here. *)
 
 type counter = { c_name : string; c_help : string; c_value : int Atomic.t }
 type gauge = { g_name : string; g_help : string; g_bits : int64 Atomic.t }
 
-type histogram = {
-  h_name : string;
-  h_help : string;
-  bounds : float array;  (* ascending upper bounds; +Inf is implicit *)
-  bucket_counts : int Atomic.t array;  (* length = Array.length bounds + 1 *)
-  h_sum_bits : int64 Atomic.t;
-  h_count : int Atomic.t;
-}
-
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+type metric = Counter of counter | Gauge of gauge
 
 let lock = Mutex.create ()
 let table : (string, metric) Hashtbl.t = Hashtbl.create 32
@@ -73,7 +62,7 @@ let counter ?(help = "") name =
     (fun () ->
       let c = { c_name = name; c_help = help; c_value = Atomic.make 0 } in
       (Counter c, c))
-    (function Counter c -> Ok c | Gauge _ -> Error "gauge" | Histogram _ -> Error "histogram")
+    (function Counter c -> Ok c | Gauge _ -> Error "gauge")
 
 let incr c = Atomic.incr c.c_value
 let add c n = ignore (Atomic.fetch_and_add c.c_value n)
@@ -89,72 +78,10 @@ let gauge ?(help = "") name =
         { g_name = name; g_help = help; g_bits = Atomic.make (Int64.bits_of_float 0.) }
       in
       (Gauge g, g))
-    (function Gauge g -> Ok g | Counter _ -> Error "counter" | Histogram _ -> Error "histogram")
+    (function Gauge g -> Ok g | Counter _ -> Error "counter")
 
 let set g v = Atomic.set g.g_bits (Int64.bits_of_float v)
 let gauge_value g = Int64.float_of_bits (Atomic.get g.g_bits)
-
-(* --- histograms --- *)
-
-(* 1 microsecond to ~33 s in factor-of-two steps: latency of anything
-   from one cached kernel lookup to a full batch fits the range. *)
-let default_latency_buckets = Array.init 26 (fun i -> 1e-6 *. Float.pow 2. (Float.of_int i))
-
-let histogram ?(help = "") ?(buckets = default_latency_buckets) name =
-  if Array.length buckets = 0 then
-    invalid_arg "Mae_obs.Metrics: empty bucket list";
-  Array.iteri
-    (fun i b ->
-      if i > 0 && b <= buckets.(i - 1) then
-        invalid_arg "Mae_obs.Metrics: buckets must be strictly increasing")
-    buckets;
-  register name
-    (fun () ->
-      let h =
-        {
-          h_name = name;
-          h_help = help;
-          bounds = Array.copy buckets;
-          bucket_counts =
-            Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
-          h_sum_bits = Atomic.make (Int64.bits_of_float 0.);
-          h_count = Atomic.make 0;
-        }
-      in
-      (Histogram h, h))
-    (function Histogram h -> Ok h | Counter _ -> Error "counter" | Gauge _ -> Error "gauge")
-
-let atomic_float_add bits v =
-  let rec go () =
-    let old = Atomic.get bits in
-    let updated = Int64.bits_of_float (Int64.float_of_bits old +. v) in
-    if not (Atomic.compare_and_set bits old updated) then go ()
-  in
-  go ()
-
-let observe h v =
-  (* first bucket whose bound is >= v; the extra slot is +Inf *)
-  let n = Array.length h.bounds in
-  let rec find i = if i >= n || v <= h.bounds.(i) then i else find (i + 1) in
-  Atomic.incr h.bucket_counts.(find 0);
-  Atomic.incr h.h_count;
-  atomic_float_add h.h_sum_bits v
-
-let time h f =
-  if not (Control.enabled ()) then f ()
-  else begin
-    let t0 = Clock.monotonic () in
-    match f () with
-    | v ->
-        observe h (Clock.monotonic () -. t0);
-        v
-    | exception e ->
-        observe h (Clock.monotonic () -. t0);
-        raise e
-  end
-
-let histogram_count h = Atomic.get h.h_count
-let histogram_sum h = Int64.float_of_bits (Atomic.get h.h_sum_bits)
 
 (* --- introspection --- *)
 
@@ -174,22 +101,12 @@ let sorted_metrics () =
   Mutex.lock lock;
   let all = Hashtbl.fold (fun _ m acc -> m :: acc) table [] in
   Mutex.unlock lock;
-  let name = function
-    | Counter c -> c.c_name
-    | Gauge g -> g.g_name
-    | Histogram h -> h.h_name
-  in
+  let name = function Counter c -> c.c_name | Gauge g -> g.g_name in
   List.sort (fun a b -> String.compare (name a) (name b)) all
 
 let reset_values () =
   List.iter
-    (function
-      | Counter c -> reset_counter c
-      | Gauge g -> set g 0.
-      | Histogram h ->
-          Array.iter (fun b -> Atomic.set b 0) h.bucket_counts;
-          Atomic.set h.h_sum_bits (Int64.bits_of_float 0.);
-          Atomic.set h.h_count 0)
+    (function Counter c -> reset_counter c | Gauge g -> set g 0.)
     (sorted_metrics ())
 
 (* --- exporters --- *)
@@ -224,8 +141,6 @@ let float_repr v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
 
-let le_label bound = float_repr bound
-
 let to_prometheus () =
   let buf = Buffer.create 1024 in
   let header name help kind =
@@ -246,25 +161,7 @@ let to_prometheus () =
       | Gauge g ->
           header g.g_name g.g_help "gauge";
           Buffer.add_string buf
-            (Printf.sprintf "%s %s\n" g.g_name (float_repr (gauge_value g)))
-      | Histogram h ->
-          header h.h_name h.h_help "histogram";
-          let cumulative = ref 0 in
-          Array.iteri
-            (fun i bucket ->
-              cumulative := !cumulative + Atomic.get bucket;
-              let le =
-                if i < Array.length h.bounds then le_label h.bounds.(i)
-                else "+Inf"
-              in
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" h.h_name le
-                   !cumulative))
-            h.bucket_counts;
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum %s\n" h.h_name (float_repr (histogram_sum h)));
-          Buffer.add_string buf
-            (Printf.sprintf "%s_count %d\n" h.h_name (histogram_count h)))
+            (Printf.sprintf "%s %s\n" g.g_name (float_repr (gauge_value g))))
     (sorted_metrics ());
   List.iter (fun e -> Buffer.add_string buf (e.e_prometheus ()))
     (current_expositions ());
@@ -272,9 +169,7 @@ let to_prometheus () =
 
 let to_json () =
   let buf = Buffer.create 1024 in
-  let counters = ref []
-  and gauges = ref []
-  and histograms = ref [] in
+  let counters = ref [] and gauges = ref [] in
   List.iter
     (function
       | Counter c ->
@@ -285,39 +180,16 @@ let to_json () =
           gauges :=
             Printf.sprintf "%s: %s" (Json.escape g.g_name)
               (float_repr (gauge_value g))
-            :: !gauges
-      | Histogram h ->
-          let cumulative = ref 0 in
-          let bucket_fields =
-            Array.to_list
-              (Array.mapi
-                 (fun i bucket ->
-                   cumulative := !cumulative + Atomic.get bucket;
-                   let le =
-                     if i < Array.length h.bounds then le_label h.bounds.(i)
-                     else "+Inf"
-                   in
-                   Printf.sprintf "[%s, %d]" (Json.escape le) !cumulative)
-                 h.bucket_counts)
-          in
-          histograms :=
-            Printf.sprintf "%s: {\"count\": %d, \"sum\": %s, \"buckets\": [%s]}"
-              (Json.escape h.h_name) (histogram_count h)
-              (float_repr (histogram_sum h))
-              (String.concat ", " bucket_fields)
-            :: !histograms)
+            :: !gauges)
     (sorted_metrics ());
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"counters\": {%s},\n"
        (String.concat ", " (List.rev !counters)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"gauges\": {%s},\n"
-       (String.concat ", " (List.rev !gauges)));
   let extras = current_expositions () in
   Buffer.add_string buf
-    (Printf.sprintf "  \"histograms\": {%s}%s\n"
-       (String.concat ", " (List.rev !histograms))
+    (Printf.sprintf "  \"gauges\": {%s}%s\n"
+       (String.concat ", " (List.rev !gauges))
        (if extras = [] then "" else ","));
   List.iteri
     (fun i e ->

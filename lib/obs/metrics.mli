@@ -1,5 +1,5 @@
-(** The metrics registry: named counters, gauges and log-bucketed
-    latency histograms, with Prometheus-text and JSON dumps.
+(** The metrics registry: named counters and gauges, with
+    Prometheus-text and JSON dumps.
 
     Instruments are backed by atomics -- update them freely from any
     domain; no update takes a lock.  Registration is idempotent:
@@ -11,11 +11,11 @@
 
     Counters and gauges are always live, even with telemetry off --
     they replace hand-rolled statistics ints and cost the same.
-    {!time} (latency observation) honours {!Control.enabled}. *)
+    Latencies are recorded by {!Sketch}, whose summaries ride along in
+    both dumps. *)
 
 type counter
 type gauge
-type histogram
 
 val valid_name : string -> bool
 (** Does the name match [mae_[a-z0-9_]+]? *)
@@ -41,32 +41,14 @@ val gauge : ?help:string -> string -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-(** {1 Histograms} *)
-
-val default_latency_buckets : float array
-(** 1 µs to ~33 s in factor-of-two steps. *)
-
-val histogram : ?help:string -> ?buckets:float array -> string -> histogram
-(** [buckets] are strictly increasing upper bounds (seconds for
-    latencies); an implicit [+Inf] bucket is appended. *)
-
-val observe : histogram -> float -> unit
-
-val time : histogram -> (unit -> 'a) -> 'a
-(** Run the thunk and observe its duration on the monotonic clock --
-    but only when {!Control.enabled}; otherwise a single atomic read
-    and a tail call, like spans. *)
-
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
 (** {1 Registry introspection} *)
 
 val find_counter : string -> counter option
 val find_gauge : string -> gauge option
 
 val reset_values : unit -> unit
-(** Zero every registered instrument (registrations persist). *)
+(** Zero every registered counter and gauge (registrations persist).
+    [Mae_obs.reset] also empties every {!Sketch}. *)
 
 (** {1 Exporters} *)
 
@@ -84,8 +66,7 @@ val to_prometheus : unit -> string
 
 val to_json : unit -> string
 (** The same data as one JSON object:
-    [{"counters": {..}, "gauges": {..}, "histograms": {..}, ...}] with
-    cumulative bucket pairs [[le, count]] plus any registered
+    [{"counters": {..}, "gauges": {..}, ...}] plus any registered
     exposition sections (e.g. ["sketches"]). *)
 
 val write_prometheus : path:string -> (unit, string) result

@@ -242,6 +242,19 @@ let observe t v =
   l.l_n <- l.l_n + 1;
   if l.l_n >= buf_cap then flush_one t l
 
+let time t f =
+  if not (Control.enabled ()) then f ()
+  else begin
+    let t0 = Clock.monotonic () in
+    match f () with
+    | v ->
+        observe t (Clock.monotonic () -. t0);
+        v
+    | exception e ->
+        observe t (Clock.monotonic () -. t0);
+        raise e
+  end
+
 let offer_exemplar t ~label v =
   let slots = t.sk_exemplars in
   let min_i = ref 0 and min_v = ref Float.infinity and empty = ref (-1) in

@@ -18,10 +18,8 @@
     Reads merge the published summaries of all domains; call them
     after in-flight work has joined, like {!Span.events}.
 
-    Observation cost with telemetry enabled is an array store; the
-    caller is expected to gate on {!Control.enabled} alongside its
-    histogram observation, as the engine's per-module latency sampling
-    does. *)
+    Observation cost is an array store.  Latency call sites time
+    through {!time}, which is gated on {!Control.enabled}. *)
 
 type t
 
@@ -44,6 +42,12 @@ val create :
 
 val observe : t -> float -> unit
 (** Record one sample from the calling domain. *)
+
+val time : t -> (unit -> 'a) -> 'a
+(** Run the thunk and observe its duration on the monotonic clock, on
+    return and on an exception alike -- but only when
+    {!Control.enabled}; otherwise one atomic read and a call of the
+    thunk. *)
 
 val observe_exemplar : t -> label:string -> float -> unit
 (** {!observe}, additionally offering [(label, value)] as an exemplar:

@@ -7,7 +7,7 @@
    {!Mae_engine.run_grouped} fan-out per method selection, each request
    one group -- a lone request is a group of one), and answers every
    job of the prefix with the full per-request bookkeeping: seq/rid,
-   latency histogram + sketch exemplar, SLO events, tail capture, the
+   latency sketch + exemplar, SLO events, tail capture, the
    access log record, the response write.  The tick's engine work runs
    inside its first estimate's [serve.request] span and request-id
    scope.
@@ -48,17 +48,11 @@ let queue_depth_gauge =
     ~help:"Jobs waiting in the dispatch queue right now"
 
 let batch_requests =
-  Metrics.histogram "mae_serve_batch_requests"
-    ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128. |]
+  Mae_obs.Sketch.create "mae_serve_batch_requests"
     ~help:"Requests coalesced into one engine batch"
 
-let request_latency =
-  Metrics.histogram "mae_serve_request_seconds"
-    ~help:"Per-request service latency (receipt of a line to its response)"
-
-(* The same samples as the histogram, without bucket-edge
-   quantization; exemplars carry the request ids of the slowest
-   requests so /metrics cross-links to /tracez. *)
+(* Exemplars carry the request ids of the slowest requests so /metrics
+   cross-links to /tracez. *)
 let request_latency_sketch =
   Mae_obs.Sketch.create "mae_serve_request_seconds_summary"
     ~help:"Per-request service latency quantiles (GK sketch)"
@@ -335,7 +329,6 @@ let answer t job ~id outcome =
     Mae_obs.Span.with_ ~name:"serve.request" ~attrs:[ ("rid", rid) ] outcome
   in
   let latency = Mae_obs.Clock.monotonic () -. t0 in
-  Metrics.observe request_latency latency;
   (* the sketch carries the request id as an exemplar so a bad
      quantile in /metrics links back to a trace in /tracez *)
   Mae_obs.Sketch.observe_exemplar request_latency_sketch ~label:rid latency;
@@ -458,7 +451,7 @@ let prepare_batch t ests =
   in
   let run (methods, members) =
     let requests = List.length members in
-    Metrics.observe batch_requests (Float.of_int requests);
+    Mae_obs.Sketch.observe batch_requests (Float.of_int requests);
     match
       Mae_obs.Span.with_ ~name:"serve.batch"
         ~attrs:[ ("requests", string_of_int requests) ]

@@ -5,8 +5,8 @@
     a queue prefix, runs its estimate jobs as engine batches (one
     {!Mae_engine.run_grouped} fan-out per method selection, one group
     per request, a lone request included) and answers every job with
-    the full per-request bookkeeping: seq/rid, latency histogram +
-    sketch exemplar, SLO events, tail capture, the access-log record,
+    the full per-request bookkeeping: seq/rid, latency sketch +
+    exemplar, SLO events, tail capture, the access-log record,
     the response write.  A request that has its engine batch to itself
     gets that batch's kernel-cache traffic in its access-log record.
 

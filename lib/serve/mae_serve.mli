@@ -24,7 +24,7 @@
     - {e observability plane} (optional second socket; the same
       documents also answer to [GET] on the request plane):
       [GET /metrics] (Prometheus text from the {!Mae_obs.Metrics}
-      registry -- counters, histograms, and the {!Mae_obs.Sketch}
+      registry -- counters, gauges, and the {!Mae_obs.Sketch}
       quantile summaries with request-id exemplars), [/healthz]
       (liveness + engine/domain status; answers
       [503 Service Unavailable] while any SLO's fast-window error

@@ -201,11 +201,7 @@ let test_metrics_registry () =
   | exception Invalid_argument _ -> ());
   let g = Metrics.gauge "mae_test_obs_gauge" in
   Metrics.set g 2.5;
-  Alcotest.(check (float 0.)) "gauge set/get" 2.5 (Metrics.gauge_value g);
-  let h = Metrics.histogram "mae_test_obs_hist_seconds" ~buckets:[| 0.1; 1.; 10. |] in
-  List.iter (Metrics.observe h) [ 0.05; 0.5; 0.5; 5.; 50. ];
-  Alcotest.(check int) "histogram count" 5 (Metrics.histogram_count h);
-  Alcotest.(check (float 1e-9)) "histogram sum" 56.05 (Metrics.histogram_sum h)
+  Alcotest.(check (float 0.)) "gauge set/get" 2.5 (Metrics.gauge_value g)
 
 let test_prometheus_format () =
   let prom = Metrics.to_prometheus () in
@@ -223,29 +219,6 @@ let test_prometheus_format () =
                  (Printf.sprintf "non-empty name in %S" line)
                  true (String.length name > 0)
            | _ -> Alcotest.failf "malformed line %S" line);
-  (* cumulative histogram buckets must be monotone *)
-  let last = Hashtbl.create 8 in
-  String.split_on_char '\n' prom
-  |> List.iter (fun line ->
-         match String.index_opt line '{' with
-         | Some i
-           when String.length line > 7
-                && String.equal (String.sub line (i - 7) 7) "_bucket" -> begin
-             let name = String.sub line 0 i in
-             match String.rindex_opt line ' ' with
-             | Some sp ->
-                 let v =
-                   float_of_string
-                     (String.sub line (sp + 1) (String.length line - sp - 1))
-                 in
-                 let prev = Option.value (Hashtbl.find_opt last name) ~default:0. in
-                 Alcotest.(check bool)
-                   (Printf.sprintf "monotone buckets for %s" name)
-                   true (v >= prev);
-                 Hashtbl.replace last name v
-             | None -> ()
-           end
-         | _ -> ());
   match Json.parse (Metrics.to_json ()) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "metrics JSON dump: %s" e
@@ -282,6 +255,36 @@ let test_metrics_match_engine () =
   Alcotest.(check bool) "races never exceed misses" true
     (cache.races <= cache.misses)
 
+(* Mae_obs.reset must empty the latency sketches, not only the
+   counters: after a telemetry-on batch, the engine module, driver
+   stage and methodology sketches all read empty again. *)
+let test_reset_empties_sketches () =
+  let sketches =
+    List.map Mae_obs.Sketch.create
+      [
+        "mae_engine_module_seconds_summary";
+        "mae_driver_module_seconds_summary";
+        "mae_method_stdcell_seconds_summary";
+      ]
+  in
+  let n sk = (Mae_obs.Sketch.snapshot sk).Mae_obs.Sketch.n in
+  ignore
+    (Obs.with_enabled true (fun () ->
+         Mae_engine.run_circuits ~jobs:2 ~registry (random_batch 4)));
+  List.iter
+    (fun sk ->
+      Alcotest.(check bool)
+        (Mae_obs.Sketch.name sk ^ " populated by the batch")
+        true
+        (n sk > 0))
+    sketches;
+  Obs.reset ();
+  List.iter
+    (fun sk ->
+      Alcotest.(check int) (Mae_obs.Sketch.name sk ^ " empty after reset") 0
+        (n sk))
+    sketches
+
 (* --- telemetry must never change an estimate --- *)
 
 let bits = Int64.bits_of_float
@@ -307,30 +310,20 @@ let digest results =
 
 let test_disabled_identical () =
   let batch = random_batch 12 in
-  (* same registered instruments the engine observes into *)
-  let module_latency = Metrics.histogram "mae_engine_module_seconds" in
+  (* the same registered sketch the engine observes into *)
   let module_sketch = Mae_obs.Sketch.create "mae_engine_module_seconds_summary" in
   let sketch_count () = (Mae_obs.Sketch.snapshot module_sketch).Mae_obs.Sketch.n in
   Obs.set_enabled false;
-  let count_before_off = Metrics.histogram_count module_latency in
   let sketch_before_off = sketch_count () in
   let off = Mae_engine.run_circuits ~jobs:2 ~registry batch in
   Alcotest.(check int)
-    "telemetry off records no per-module latency" count_before_off
-    (Metrics.histogram_count module_latency);
-  Alcotest.(check int)
     "telemetry off records no sketch samples" sketch_before_off
     (sketch_count ());
-  let count_before_on = Metrics.histogram_count module_latency in
   let sketch_before_on = sketch_count () in
   let on =
     Obs.with_enabled true (fun () ->
         Mae_engine.run_circuits ~jobs:2 ~registry batch)
   in
-  Alcotest.(check int)
-    "telemetry on records one observation per module"
-    (count_before_on + List.length batch)
-    (Metrics.histogram_count module_latency);
   Alcotest.(check int)
     "telemetry on records one sketch sample per module"
     (sketch_before_on + List.length batch)
@@ -368,38 +361,29 @@ let test_flame_zero_duration () =
   Alcotest.(check bool) "no inf in summary" false (contains "inf");
   Span.reset ()
 
-(* --- histogram observations at 0, huge, and negative values --- *)
+(* --- sketch observations at 0, huge, and negative values --- *)
 
-let test_histogram_extremes () =
-  let h =
-    Metrics.histogram "mae_test_obs_extreme_seconds" ~buckets:[| 0.001; 1. |]
-  in
-  List.iter (Metrics.observe h) [ 0.; 1e308; -5.; Float.min_float ];
-  Alcotest.(check int) "every observation counted" 4
-    (Metrics.histogram_count h);
+let test_sketch_extremes () =
+  let sk = Mae_obs.Sketch.create "mae_test_obs_extreme_seconds_summary" in
+  List.iter (Mae_obs.Sketch.observe sk) [ 0.; 1e308; -5.; Float.min_float ];
+  let s = Mae_obs.Sketch.snapshot sk in
+  Alcotest.(check int) "every observation counted" 4 s.Mae_obs.Sketch.n;
   Alcotest.(check (float 1e292)) "sum is the plain total" (1e308 -. 5.)
-    (Metrics.histogram_sum h);
-  (* 0, -5 and min_float land in the first bucket, 1e308 only in +Inf;
-     the exposition must stay parseable and cumulative-monotone *)
-  let prom = Metrics.to_prometheus () in
-  let bucket le =
-    let needle =
-      Printf.sprintf "mae_test_obs_extreme_seconds_bucket{le=\"%s\"} " le
-    in
-    let n = String.length needle in
-    String.split_on_char '\n' prom
-    |> List.find_map (fun line ->
-           if String.length line > n && String.equal (String.sub line 0 n) needle
-           then float_of_string_opt (String.sub line n (String.length line - n))
-           else None)
-    |> function
-    | Some v -> v
-    | None -> Alcotest.failf "bucket le=%s missing" le
-  in
-  Alcotest.(check (float 0.)) "first bucket holds 0/negative/min_float" 3.
-    (bucket "0.001");
-  Alcotest.(check (float 0.)) "middle bucket cumulative" 3. (bucket "1");
-  Alcotest.(check (float 0.)) "+Inf bucket = count" 4. (bucket "+Inf");
+    s.Mae_obs.Sketch.sum;
+  Alcotest.(check (float 0.)) "min is exact" (-5.) s.Mae_obs.Sketch.min_v;
+  Alcotest.(check (float 0.)) "max is exact" 1e308 s.Mae_obs.Sketch.max_v;
+  (* the exposition must stay parseable: every sample line is one name
+     (labels included) and one float *)
+  String.split_on_char '\n' (Metrics.to_prometheus ())
+  |> List.iter (fun line ->
+         if String.length line > 0 && not (Char.equal line.[0] '#') then
+           match String.split_on_char ' ' line with
+           | [ name; value ] when String.length name > 0 ->
+               Alcotest.(check bool)
+                 (Printf.sprintf "parseable value in %S" line)
+                 true
+                 (Option.is_some (float_of_string_opt value))
+           | _ -> Alcotest.failf "malformed line %S" line);
   match Json.parse (Metrics.to_json ()) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "metrics JSON with extreme sums: %s" e
@@ -791,13 +775,15 @@ let () =
             test_prometheus_format;
           Alcotest.test_case "counters match engine totals" `Quick
             test_metrics_match_engine;
+          Alcotest.test_case "reset empties every sketch" `Quick
+            test_reset_empties_sketches;
         ] );
       ( "edge cases",
         [
           Alcotest.test_case "flame summary with zero-duration spans" `Quick
             test_flame_zero_duration;
           Alcotest.test_case "histogram at 0 / huge / negative" `Quick
-            test_histogram_extremes;
+            test_sketch_extremes;
         ] );
       ( "log",
         [
