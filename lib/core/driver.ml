@@ -84,48 +84,10 @@ let method_failures report =
       | Ok _ -> None)
     report.results
 
-(* One Mae_obs span per Figure-1 stage, per module, plus a per-stage
-   latency sketch (mae_driver_<stage>_seconds_summary) so /metrics can
-   answer "p99 of validate" without bucket edges.  The module attribute
-   on every stage span lets a Chrome-trace or flame view slice by stage
-   across modules or by module across stages; with telemetry off each
-   [stage] call is a single atomic read. *)
-let stage_sketch =
-  let lock = Mutex.create () in
-  let tbl : (string, Mae_obs.Sketch.t) Hashtbl.t = Hashtbl.create 8 in
-  fun name ->
-    Mutex.lock lock;
-    let sk =
-      match Hashtbl.find_opt tbl name with
-      | Some sk -> sk
-      | None ->
-          let metric =
-            "mae_"
-            ^ String.map (fun c -> if c = '.' then '_' else c) name
-            ^ "_seconds_summary"
-          in
-          let sk =
-            Mae_obs.Sketch.create metric
-              ~help:
-                (Printf.sprintf "Latency quantiles of the %s stage (GK sketch)"
-                   name)
-          in
-          Hashtbl.add tbl name sk;
-          sk
-    in
-    Mutex.unlock lock;
-    sk
-
-let stage ~name ~module_name f =
-  if not (Mae_obs.Control.enabled ()) then f ()
-  else
-    Mae_obs.Sketch.time (stage_sketch name) (fun () ->
-        Mae_obs.Span.with_ ~name ~attrs:[ ("module", module_name) ] f)
-
 let run_circuit ?config ?(methods = [ "default" ]) ~registry
     (circuit : Mae_netlist.Circuit.t) =
   let m = circuit.name in
-  stage ~name:"driver.module" ~module_name:m @@ fun () ->
+  Methodology.stage ~name:"driver.module" ~module_name:m @@ fun () ->
   match Methodology.resolve methods with
   | Error name ->
       Error (Unknown_method { module_name = circuit.name; methodology = name })
@@ -137,7 +99,7 @@ let run_circuit ?config ?(methods = [ "default" ]) ~registry
                { module_name = circuit.name; technology = circuit.technology })
       | Some process -> begin
           let issues =
-            stage ~name:"driver.validate" ~module_name:m (fun () ->
+            Methodology.stage ~name:"driver.validate" ~module_name:m (fun () ->
                 Mae_netlist.Validate.check circuit process)
           in
           let errors = List.filter Mae_netlist.Validate.is_error issues in
@@ -146,39 +108,27 @@ let run_circuit ?config ?(methods = [ "default" ]) ~registry
               Error
                 (Validation_failed { module_name = circuit.name; issues = errors })
           | [] ->
-              let expanded =
-                stage ~name:"driver.expand" ~module_name:m (fun () ->
-                    Methodology.expand_for_fullcustom circuit process)
-              in
-              let fc_circuit = Option.value expanded ~default:circuit in
-              (* compute each circuit's statistics once and share them
-                 across the whole method set (the estimators' kernel
-                 caches ride along inside the stats). *)
-              let stats, fc_stats =
-                stage ~name:"driver.stats" ~module_name:m (fun () ->
-                    let stats = Mae_netlist.Stats.compute circuit process in
-                    let fc_stats =
-                      match expanded with
-                      | None -> stats
-                      | Some e -> Mae_netlist.Stats.compute e process
-                    in
-                    (stats, fc_stats))
-              in
-              let ctx =
-                {
-                  Methodology.config;
-                  process;
-                  stats;
-                  fc_circuit;
-                  fc_stats;
-                  rows_override = None;
-                }
-              in
-              let results =
-                List.map
-                  (fun t ->
-                    { methodology = t; outcome = Methodology.run ctx t circuit })
-                  selected
+              let expanded, results =
+                match Methodology.make_ctx ?config ~process circuit with
+                | Ok ctx ->
+                    (* make_ctx falls back to the raw circuit itself when
+                       nothing was expanded *)
+                    ( (if ctx.fc_circuit == circuit then None
+                       else Some ctx.fc_circuit),
+                      List.map
+                        (fun t ->
+                          {
+                            methodology = t;
+                            outcome = Methodology.run ctx t circuit;
+                          })
+                        selected )
+                | Error e ->
+                    (* validation already refused unknown kinds; should the
+                       context still fail, every slot reports it, typed *)
+                    ( None,
+                      List.map
+                        (fun t -> { methodology = t; outcome = Error e })
+                        selected )
               in
               let report = { circuit; process; issues; expanded; results } in
               (* one structured record per module (debug level): which row

@@ -110,15 +110,64 @@ let expand_for_fullcustom (circuit : Mae_netlist.Circuit.t) process =
       end
   end
 
+(* One Mae_obs span per Figure-1 stage, per module, plus a per-stage
+   latency sketch (mae_driver_<stage>_seconds_summary) so /metrics can
+   answer "p99 of validate" without bucket edges.  The module attribute
+   on every stage span lets a Chrome-trace or flame view slice by stage
+   across modules or by module across stages; with telemetry off each
+   [stage] call is a single atomic read. *)
+let stage_sketch =
+  let lock = Mutex.create () in
+  let tbl : (string, Mae_obs.Sketch.t) Hashtbl.t = Hashtbl.create 8 in
+  fun name ->
+    Mutex.lock lock;
+    let sk =
+      match Hashtbl.find_opt tbl name with
+      | Some sk -> sk
+      | None ->
+          let metric =
+            "mae_"
+            ^ String.map (fun c -> if c = '.' then '_' else c) name
+            ^ "_seconds_summary"
+          in
+          let sk =
+            Mae_obs.Sketch.create metric
+              ~help:
+                (Printf.sprintf "Latency quantiles of the %s stage (GK sketch)"
+                   name)
+          in
+          Hashtbl.add tbl name sk;
+          sk
+    in
+    Mutex.unlock lock;
+    sk
+
+let stage ~name ~module_name f =
+  if not (Mae_obs.Control.enabled ()) then f ()
+  else
+    Mae_obs.Sketch.time (stage_sketch name) (fun () ->
+        Mae_obs.Span.with_ ~name ~attrs:[ ("module", module_name) ] f)
+
 let make_ctx ?config ?rows_override ~process (circuit : Mae_netlist.Circuit.t) =
+  let m = circuit.name in
   match
-    let stats = Mae_netlist.Stats.compute circuit process in
-    let expanded = expand_for_fullcustom circuit process in
+    let expanded =
+      stage ~name:"driver.expand" ~module_name:m (fun () ->
+          expand_for_fullcustom circuit process)
+    in
     let fc_circuit = Option.value expanded ~default:circuit in
-    let fc_stats =
-      match expanded with
-      | None -> stats
-      | Some e -> Mae_netlist.Stats.compute e process
+    (* each circuit's statistics are computed once and shared across
+       the whole method set (the estimators' kernel caches ride along
+       inside the stats) *)
+    let stats, fc_stats =
+      stage ~name:"driver.stats" ~module_name:m (fun () ->
+          let stats = Mae_netlist.Stats.compute circuit process in
+          let fc_stats =
+            match expanded with
+            | None -> stats
+            | Some e -> Mae_netlist.Stats.compute e process
+          in
+          (stats, fc_stats))
     in
     { config; process; stats; fc_circuit; fc_stats; rows_override }
   with

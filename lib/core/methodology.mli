@@ -104,16 +104,25 @@ val expand_for_fullcustom :
     when one exists; [None] when the circuit is already transistor-level
     or no library applies. *)
 
+val stage : name:string -> module_name:string -> (unit -> 'a) -> 'a
+(** [stage ~name ~module_name f] runs one Figure-1 pipeline stage under a
+    [name] span carrying a [module] attribute, and times it into the
+    [mae_<name>_seconds_summary] sketch ([.] becomes [_]).  With
+    telemetry off it is one atomic read and a call of [f]. *)
+
 val make_ctx :
   ?config:Config.t ->
   ?rows_override:int ->
   process:Mae_tech.Process.t ->
   Mae_netlist.Circuit.t ->
   (ctx, error) result
-(** Compute statistics (and the full-custom expansion) for one circuit.
-    Returns [Invalid_input] on an unknown device kind instead of raising.
-    The driver builds its [ctx] inline (to keep its per-stage spans);
-    standalone callers use this. *)
+(** Expand one circuit for full-custom estimation, then compute the
+    statistics of the raw and the expanded circuit, timed as the
+    [driver.expand] and [driver.stats] {!stage}s.  This is the one place
+    a [ctx] is built: {!Driver.run_circuit} and the check harness both
+    call it.  [fc_circuit] is the circuit itself (physically) when
+    nothing was expanded.  Returns [Invalid_input] on an unknown device
+    kind instead of raising. *)
 
 (** {1 The registry} *)
 

@@ -6,14 +6,11 @@ let () = Mae_baselines.Methods.ensure_registered ()
 type error =
   | Driver_error of Mae.Driver.error
   | Crashed of { module_name : string; exn : string }
-  | Invalid_edit of { module_name : string; reason : string }
 
 let pp_error ppf = function
   | Driver_error e -> Mae.Driver.pp_error ppf e
   | Crashed { module_name; exn } ->
       Format.fprintf ppf "module %s: estimator crashed: %s" module_name exn
-  | Invalid_edit { module_name; reason } ->
-      Format.fprintf ppf "module %s: invalid edit: %s" module_name reason
 
 type stats = {
   modules : int;
@@ -234,62 +231,16 @@ module Pool = struct
     end
 end
 
-(* --- chunked claiming with steal-on-empty ---
+(* --- chunked claiming from one shared counter ---
 
-   The input array is block-partitioned: worker [w] owns the range
-   [[w*n/workers, (w+1)*n/workers)] and drains it in chunks of
-   [max 1 (n / (8 * workers))] claimed with one [fetch_and_add] per
-   chunk, so the per-module scheduling cost is amortized 8x and
-   neighbouring modules stay on one domain (warm minor heap).  A worker
-   whose range runs dry steals chunks from the other ranges with the
-   same claim primitive, rescanning until a full sweep finds every
-   range empty -- work only ever shrinks, so one clean sweep proves
-   completion.  Result slot [i] always receives [f inputs.(i)]
-   regardless of who claimed it: output order and content are
-   independent of the schedule, which is why determinism survives
-   stealing. *)
-
-type range = { pos : int Atomic.t; hi : int }
-
-let make_ranges ~workers n =
-  Array.init workers (fun w ->
-      { pos = Atomic.make (w * n / workers); hi = (w + 1) * n / workers })
-
-(* claim up to [chunk] indices from [r]; None when the range is dry *)
-let claim r chunk =
-  let i = Atomic.fetch_and_add r.pos chunk in
-  if i >= r.hi then None else Some (i, Stdlib.min r.hi (i + chunk))
-
-let run_range results claimed f inputs w lo hi =
-  for i = lo to hi - 1 do
-    results.(i) <- Some (f inputs.(i))
-  done;
-  claimed.(w) <- claimed.(w) + (hi - lo)
-
-(* Per worker: drain the own range, then sweep the others stealing
-   chunks until a full sweep comes back empty. *)
-let drain ~ranges ~chunk ~workers results claimed f inputs w =
-  let rec own () =
-    match claim ranges.(w) chunk with
-    | Some (lo, hi) ->
-        run_range results claimed f inputs w lo hi;
-        own ()
-    | None -> ()
-  in
-  own ();
-  let rec sweep () =
-    let stole = ref false in
-    for v = 1 to workers - 1 do
-      let victim = (w + v) mod workers in
-      match claim ranges.(victim) chunk with
-      | Some (lo, hi) ->
-          stole := true;
-          run_range results claimed f inputs w lo hi
-      | None -> ()
-    done;
-    if !stole then sweep ()
-  in
-  sweep ()
+   Every worker claims the next [max 1 (n / (8 * workers))] indices with
+   one [fetch_and_add] on a counter shared by the whole batch, until the
+   counter passes [n].  The per-module scheduling cost is amortized 8x,
+   neighbouring modules stay on one domain (warm minor heap), and a
+   slow worker simply claims fewer chunks.  Result slot [i] always
+   receives [f inputs.(i)] regardless of who claimed it: output order
+   and content are independent of the schedule, which is why
+   determinism holds for any [jobs]. *)
 
 let map_pool ~jobs ?pool ~t0 f inputs =
   let n = Array.length inputs in
@@ -304,8 +255,19 @@ let map_pool ~jobs ?pool ~t0 f inputs =
   let first_wait = Array.make workers Float.nan in
   let cache_delta = Array.make workers 0 in
   let miss_delta = Array.make workers 0 in
-  let ranges = make_ranges ~workers n in
+  let next = Atomic.make 0 in
   let chunk = Stdlib.max 1 (n / (8 * workers)) in
+  let rec drain w =
+    let lo = Atomic.fetch_and_add next chunk in
+    if lo < n then begin
+      let hi = Stdlib.min n (lo + chunk) in
+      for i = lo to hi - 1 do
+        results.(i) <- Some (f inputs.(i))
+      done;
+      claimed.(w) <- claimed.(w) + (hi - lo);
+      drain w
+    end
+  in
   let worker w =
     let c0 = Mae_prob.Kernel_cache.local_counts () in
     let body () =
@@ -315,7 +277,7 @@ let map_pool ~jobs ?pool ~t0 f inputs =
       first_wait.(w) <- wait;
       if Mae_obs.Control.enabled () then
         Mae_obs.Sketch.observe queue_wait_sketch wait;
-      drain ~ranges ~chunk ~workers results claimed f inputs w
+      drain w
     in
     (if Mae_obs.Control.enabled () then
        (* one root span per worker: its lane in the Chrome trace.  The
@@ -339,7 +301,7 @@ let map_pool ~jobs ?pool ~t0 f inputs =
     Mae_obs.Sketch.flush_local ()
   in
   (* pool domains beyond the requested worker count run an empty slot:
-     they wake, find no range, and report done *)
+     they wake, claim nothing, and report done *)
   let fan_out p = Pool.run p (fun slot -> if slot < workers then worker slot) in
   (match pool with
   | _ when workers = 1 -> worker 0
@@ -412,7 +374,7 @@ let estimate_module ?config ?methods ?cache ~registry
 
 (* The one batch path.  Each inner list is one request's circuits; the
    concatenation runs as a single fan-out (one pool submission, one
-   work-stealing pass) and is sliced back into the groups, each with
+   claiming pass) and is sliced back into the groups, each with
    its own store hit/miss counts from the per-module flags. *)
 let run_grouped ?config ?methods ?jobs ?pool ?cache ~registry groups =
   let jobs = resolve_jobs jobs in
@@ -496,322 +458,3 @@ let run_circuits ?config ?methods ?jobs ?pool ?cache ~registry circuits =
   fst
     (run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
        circuits)
-
-(* --- incremental re-estimation: the delta path --- *)
-
-module C = Mae_netlist.Circuit
-module Dv = Mae_netlist.Device
-module Nt = Mae_netlist.Net
-module Pt = Mae_netlist.Port
-
-type edit =
-  | Add_device of { name : string; kind : string; nets : string list }
-  | Remove_device of { name : string }
-  | Add_net of { name : string }
-  | Remove_net of { name : string }
-
-type reestimate_report = {
-  report : Mae.Driver.module_report;
-  reused : string list;
-  recomputed : string list;
-  stats_incremental : bool;
-  stats : Mae_netlist.Stats.t;
-}
-
-(* Rebuild a circuit through Builder preserving net and device index
-   order exactly, so the float folds downstream see the same sequences.
-   Additions are appended last (Builder creates nets on first mention),
-   which is what makes the Add_* stats deltas exact. *)
-let rebuild ?(keep_device = fun _ -> true) ?(keep_net = fun _ -> true)
-    ?append_net ?append_device (c : C.t) =
-  let b = Mae_netlist.Builder.create ~name:c.name ~technology:c.technology in
-  let net_name i = (c.nets.(i) : Nt.t).name in
-  Array.iter
-    (fun (n : Nt.t) -> if keep_net n.name then ignore (Mae_netlist.Builder.net b n.name))
-    c.nets;
-  (match append_net with
-  | Some name -> ignore (Mae_netlist.Builder.net b name)
-  | None -> ());
-  Array.iter
-    (fun (d : Dv.t) ->
-      if keep_device d.name then
-        ignore
-          (Mae_netlist.Builder.add_device b ~name:d.name ~kind:d.kind
-             ~nets:(Array.to_list (Array.map net_name d.pins))))
-    c.devices;
-  (match append_device with
-  | Some (name, kind, nets) ->
-      ignore (Mae_netlist.Builder.add_device b ~name ~kind ~nets)
-  | None -> ());
-  Array.iter
-    (fun (p : Pt.t) ->
-      Mae_netlist.Builder.add_port b ~name:p.name ~direction:p.direction
-        ~net:(net_name p.net))
-    c.ports;
-  Mae_netlist.Builder.build b
-
-let apply_edit (c : C.t) edit =
-  try
-    match edit with
-    | Add_device { name; kind; nets } ->
-        if nets = [] then Error "a device needs at least one pin"
-        else if C.find_device c name <> None then
-          Error (Printf.sprintf "device %s already exists" name)
-        else Ok (rebuild ~append_device:(name, kind, nets) c)
-    | Remove_device { name } ->
-        if C.find_device c name = None then
-          Error (Printf.sprintf "no device named %s" name)
-        else Ok (rebuild ~keep_device:(fun n -> not (String.equal n name)) c)
-    | Add_net { name } ->
-        if name = "" then Error "empty net name"
-        else if C.find_net c name <> None then
-          Error (Printf.sprintf "net %s already exists" name)
-        else Ok (rebuild ~append_net:name c)
-    | Remove_net { name } -> (
-        match C.find_net c name with
-        | None -> Error (Printf.sprintf "no net named %s" name)
-        | Some n ->
-            if C.degree c n.index > 0 then
-              Error
-                (Printf.sprintf "net %s still connects %d device(s)" name
-                   (C.degree c n.index))
-            else if
-              Array.exists (fun (p : Pt.t) -> p.net = n.index) c.ports
-            then Error (Printf.sprintf "net %s is bound to a port" name)
-            else Ok (rebuild ~keep_net:(fun nm -> not (String.equal nm name)) c))
-  with Invalid_argument reason -> Error reason
-
-(* Per-methodology input projections.
-
-   A stored outcome is reused only when every input the estimator reads
-   is bit-for-bit unchanged between the old and new circuit; all float
-   comparisons go through IEEE bit patterns.  The projections mirror
-   exactly what each estimator consumes:
-
-   - stdcell (stdcell.ml, row_select.ml): device_count, port_count,
-     average_width, total_device_area, the degree histogram.
-   - fullcustom (fullcustom.ml): the device term (total_device_area in
-     exact mode; device_count, average widths/heights in average mode),
-     port_count, and the ordered per-net channel contributions: nets of
-     degree <= 1 add a literal +0. to a non-negative accumulator (a
-     bitwise no-op), so only nets of degree >= 2 matter -- compared in
-     net-index order with their member widths (exact mode).
-   - gatearray (gatearray.ml): the device-kind multiset (site demand)
-     plus the full stats record (track model).
-
-   Unknown methodologies (baselines) have no projection and are always
-   recomputed. *)
-
-let bits = Int64.bits_of_float
-let feq a b = Int64.equal (bits a) (bits b)
-
-let stdcell_projection_equal (a : Mae_netlist.Stats.t)
-    (b : Mae_netlist.Stats.t) =
-  a.device_count = b.device_count
-  && a.port_count = b.port_count
-  && feq a.average_width b.average_width
-  && feq a.total_device_area b.total_device_area
-  && a.degree_histogram = b.degree_histogram
-
-let fc_wire_profile ~exact (c : C.t) process =
-  let widths =
-    if exact then Some (Mae_netlist.Stats.device_widths c process) else None
-  in
-  List.init (C.net_count c) (fun n ->
-      let members = C.devices_on_net c n in
-      let d = Array.length members in
-      if d < 2 then None
-      else
-        Some
-          ( d,
-            match widths with
-            | Some w -> Array.to_list (Array.map (fun i -> bits w.(i)) members)
-            | None -> [] ))
-  |> List.filter_map Fun.id
-
-let fullcustom_projection_equal ~exact ~(old_fc : C.t)
-    ~(old_fc_stats : Mae_netlist.Stats.t) ~(new_fc : C.t)
-    ~(new_fc_stats : Mae_netlist.Stats.t) process =
-  old_fc_stats.device_count = new_fc_stats.device_count
-  && old_fc_stats.port_count = new_fc_stats.port_count
-  && (if exact then feq old_fc_stats.total_device_area new_fc_stats.total_device_area
-      else
-        feq old_fc_stats.average_width new_fc_stats.average_width
-        && feq old_fc_stats.average_height new_fc_stats.average_height)
-  && fc_wire_profile ~exact old_fc process = fc_wire_profile ~exact new_fc process
-
-let kind_multiset (c : C.t) =
-  Array.to_list c.devices
-  |> List.map (fun (d : Dv.t) -> d.kind)
-  |> List.sort String.compare
-
-let reestimate ?config ?methods ?cache ?previous_stats ~registry
-    ~(previous : Mae.Driver.module_report) edit =
-  let module_name = previous.circuit.C.name in
-  match apply_edit previous.circuit edit with
-  | Error reason -> Error (Invalid_edit { module_name; reason })
-  | Ok circuit -> (
-      try
-        match Mae_tech.Registry.find registry circuit.C.technology with
-        | None ->
-            Error
-              (Driver_error
-                 (Mae.Driver.Unknown_process
-                    { module_name; technology = circuit.C.technology }))
-        | Some process -> (
-            match
-              Mae.Methodology.resolve (Option.value methods ~default:[ "default" ])
-            with
-            | Error name ->
-                Error
-                  (Driver_error
-                     (Mae.Driver.Unknown_method { module_name; methodology = name }))
-            | Ok selected -> (
-                let issues = Mae_netlist.Validate.check circuit process in
-                let errors = List.filter Mae_netlist.Validate.is_error issues in
-                match errors with
-                | _ :: _ ->
-                    Error
-                      (Driver_error
-                         (Mae.Driver.Validation_failed
-                            { module_name; issues = errors }))
-                | [] ->
-                    let old_stats =
-                      match previous_stats with
-                      | Some s -> s
-                      | None ->
-                          Mae_netlist.Stats.compute previous.circuit process
-                    in
-                    (* the edit kinds whose stats update extends the
-                       original fold (appends) are exact; a removal
-                       breaks float-fold associativity, so it recomputes *)
-                    let stats, stats_incremental =
-                      match edit with
-                      | Add_device { kind; nets; _ } -> (
-                          match Mae_tech.Process.find_device process kind with
-                          | None ->
-                              (Mae_netlist.Stats.compute circuit process, false)
-                          | Some k ->
-                              let transitions =
-                                List.sort_uniq String.compare nets
-                                |> List.map (fun nm ->
-                                       match C.find_net previous.circuit nm with
-                                       | Some n ->
-                                           let d =
-                                             C.degree previous.circuit n.Nt.index
-                                           in
-                                           (d, d + 1)
-                                       | None -> (0, 1))
-                              in
-                              ( Mae_netlist.Stats.add_device_delta old_stats
-                                  ~kind:k ~net_count:(C.net_count circuit)
-                                  ~net_transitions:transitions,
-                                true ))
-                      | Add_net _ | Remove_net _ ->
-                          ( Mae_netlist.Stats.with_net_count old_stats
-                              ~net_count:(C.net_count circuit),
-                            true )
-                      | Remove_device _ ->
-                          (Mae_netlist.Stats.compute circuit process, false)
-                    in
-                    let expanded =
-                      Mae.Methodology.expand_for_fullcustom circuit process
-                    in
-                    let fc_circuit = Option.value expanded ~default:circuit in
-                    let fc_stats =
-                      match expanded with
-                      | None -> stats
-                      | Some e -> Mae_netlist.Stats.compute e process
-                    in
-                    let ctx =
-                      {
-                        Mae.Methodology.config;
-                        process;
-                        stats;
-                        fc_circuit;
-                        fc_stats;
-                        rows_override = None;
-                      }
-                    in
-                    (* old full-custom inputs are re-derived from the old
-                       circuit (expansion is deterministic), so reuse is
-                       sound even when [previous] came from the store with
-                       its expansion intermediate stripped *)
-                    let old_fc_inputs =
-                      lazy
-                        (let old_expanded =
-                           Mae.Methodology.expand_for_fullcustom
-                             previous.circuit process
-                         in
-                         let old_fc =
-                           Option.value old_expanded ~default:previous.circuit
-                         in
-                         let old_fc_stats =
-                           match old_expanded with
-                           | None -> old_stats
-                           | Some e -> Mae_netlist.Stats.compute e process
-                         in
-                         (old_fc, old_fc_stats))
-                    in
-                    let projection_unchanged name =
-                      match name with
-                      | "stdcell" -> stdcell_projection_equal old_stats stats
-                      | "fullcustom-exact" | "fullcustom-average" ->
-                          let old_fc, old_fc_stats = Lazy.force old_fc_inputs in
-                          fullcustom_projection_equal
-                            ~exact:(String.equal name "fullcustom-exact")
-                            ~old_fc ~old_fc_stats ~new_fc:fc_circuit
-                            ~new_fc_stats:fc_stats process
-                      | "gatearray" ->
-                          Mae_netlist.Stats.equal old_stats stats
-                          && kind_multiset previous.circuit = kind_multiset circuit
-                      | _ -> false
-                    in
-                    let reused = ref [] in
-                    let recomputed = ref [] in
-                    let results =
-                      List.map
-                        (fun t ->
-                          let name = Mae.Methodology.name t in
-                          let previous_outcome =
-                            (* reuse only successful outcomes whose every
-                               input is bitwise unchanged; a [config]
-                               could change what an estimator reads, so
-                               configured runs always recompute *)
-                            if config = None && projection_unchanged name then
-                              match Mae.Driver.find_result previous name with
-                              | Some (Ok o) -> Some (Ok o)
-                              | Some (Error _) | None -> None
-                            else None
-                          in
-                          match previous_outcome with
-                          | Some outcome ->
-                              reused := name :: !reused;
-                              { Mae.Driver.methodology = t; outcome }
-                          | None ->
-                              recomputed := name :: !recomputed;
-                              {
-                                Mae.Driver.methodology = t;
-                                outcome = Mae.Methodology.run ctx t circuit;
-                              })
-                        selected
-                    in
-                    let report =
-                      { Mae.Driver.circuit; process; issues; expanded; results }
-                    in
-                    (match (cache, config) with
-                    | Some cas, None ->
-                        let names = List.map Mae.Methodology.name selected in
-                        let key = Mae_db.Cas.key ~methods:names ~process circuit in
-                        Mae_db.Cas.store cas ~key report
-                    | _ -> ());
-                    Ok
-                      {
-                        report;
-                        reused = List.rev !reused;
-                        recomputed = List.rev !recomputed;
-                        stats_incremental;
-                        stats;
-                      }))
-      with exn ->
-        Error (Crashed { module_name; exn = Printexc.to_string exn }))

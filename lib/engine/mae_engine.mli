@@ -21,16 +21,15 @@
     domain-safe {!Mae_prob.Kernel_cache}, so a batch pays for each
     [(rows, degree)] kernel once across all domains.
 
-    Scheduling: the input array is block-partitioned across workers and
-    drained in chunks of [max 1 (n / (8 * workers))] claimed with one
-    atomic per chunk; a worker whose block runs dry steals chunks from
-    the others.  Result slot [i] always receives the estimate of module
-    [i] whatever the schedule, so output order and bits are independent
-    of [jobs] and of stealing.  Every fan-out goes through a {!Pool}:
-    callers that run many batches (the serve daemon, benches) should
-    create one once and pass it to every run; without one, a batch
-    with [jobs >= 2] creates a pool of its own and shuts it down when
-    it returns.
+    Scheduling: every worker claims the next chunk of
+    [max 1 (n / (8 * workers))] modules from one shared atomic counter
+    until the batch is drained.  Result slot [i] always receives the
+    estimate of module [i] whatever the schedule, so output order and
+    bits are independent of [jobs] and of which worker claimed what.
+    Every fan-out goes through a {!Pool}: callers that run many
+    batches (the serve daemon, benches) should create one once and pass
+    it to every run; without one, a batch with [jobs >= 2] creates a
+    pool of its own and shuts it down when it returns.
 
     The engine is instrumented through {!Mae_obs}: with telemetry on
     ({!Mae_obs.set_enabled}) every batch records an [engine.batch]
@@ -45,8 +44,6 @@ type error =
   | Driver_error of Mae.Driver.error
   | Crashed of { module_name : string; exn : string }
       (** an exception escaped the estimator for this module *)
-  | Invalid_edit of { module_name : string; reason : string }
-      (** {!reestimate} was handed an edit the circuit cannot take *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -128,7 +125,7 @@ val run_grouped :
   ((Mae.Driver.module_report, error) result list * int * int) list * stats
 (** The batch path.  Each inner list is one request's circuits; the
     concatenation runs as a single fan-out (one pool submission, one
-    work-stealing pass) and each group comes back as
+    claiming pass) and each group comes back as
     [(results, store_hits, store_misses)], results in input order and
     the store counts taken from that group's own lookups.  [stats]
     covers the whole batch.
@@ -174,65 +171,3 @@ val run_circuits :
     [mae_estimate_cache_hits_total] and the batch's [store_hits].  Runs
     with an explicit [?config] bypass the store (no lookup, no store
     count): a config changes results but is not part of the address. *)
-
-(** {1 Incremental re-estimation}
-
-    The delta path: apply a netlist edit to an already-estimated module
-    and recompute only the methodologies whose inputs actually changed,
-    updating the shared statistics context incrementally where the edit
-    permits. *)
-
-type edit =
-  | Add_device of { name : string; kind : string; nets : string list }
-      (** pins connect to the named nets in order; unknown net names are
-          created (appended after the existing nets) *)
-  | Remove_device of { name : string }
-  | Add_net of { name : string }  (** a new floating net *)
-  | Remove_net of { name : string }
-      (** the net must be floating (degree 0) and not bound to a port *)
-
-val apply_edit :
-  Mae_netlist.Circuit.t -> edit -> (Mae_netlist.Circuit.t, string) result
-(** The edited circuit, rebuilt with net and device index order
-    preserved and additions appended last -- the property that makes the
-    [Add_*] statistics deltas exact. *)
-
-type reestimate_report = {
-  report : Mae.Driver.module_report;  (** for the edited circuit *)
-  reused : string list;
-      (** methodologies answered from the previous report because every
-          input they read was bit-for-bit unchanged *)
-  recomputed : string list;
-  stats_incremental : bool;
-      (** the shared stats context was updated by delta rather than by
-          rescanning the circuit *)
-  stats : Mae_netlist.Stats.t;
-      (** the edited circuit's statistics; feed back as
-          [?previous_stats] when chaining edits *)
-}
-
-val reestimate :
-  ?config:Mae.Config.t ->
-  ?methods:string list ->
-  ?cache:Mae_db.Cas.t ->
-  ?previous_stats:Mae_netlist.Stats.t ->
-  registry:Mae_tech.Registry.t ->
-  previous:Mae.Driver.module_report ->
-  edit ->
-  (reestimate_report, error) result
-(** Re-estimate [previous]'s module after [edit].
-
-    The result is {e bit-for-bit identical} to a full
-    {!Mae.Driver.run_circuit} on the edited circuit: statistics deltas
-    extend the original float folds exactly ([Add_device] appends the
-    new device's terms; add/remove of a floating net touches no float),
-    and a methodology's previous outcome is reused only when a bitwise
-    projection of everything it reads is unchanged.  [Remove_device]
-    breaks fold associativity, so its statistics are recomputed in full;
-    per-methodology reuse still applies.
-
-    [?previous_stats] supplies the raw statistics of [previous.circuit]
-    (e.g. from a prior {!reestimate_report}), making the stats update
-    O(edit); omitted, they are recomputed.  Runs with [?config] recompute
-    every methodology.  When [?cache] is given (and no config), the new
-    report is stored under the edited circuit's content address. *)

@@ -14,10 +14,6 @@ type t = {
   port_count : int;
   width_classes : (Mae_geom.Lambda.t * int) list;
       (** (W_i, X_i) pairs, widths ascending: X_i devices share width W_i *)
-  total_width : Mae_geom.Lambda.t;
-      (** running sum of device widths, kept so the delta path can extend
-          the fold exactly *)
-  total_height : Mae_geom.Lambda.t;  (** running sum of device heights *)
   average_width : Mae_geom.Lambda.t;  (** W_avg, equation (1) *)
   average_height : Mae_geom.Lambda.t;  (** h_avg, used by equation (13) *)
   total_device_area : Mae_geom.Lambda.area;
@@ -37,33 +33,5 @@ val device_widths : Circuit.t -> Mae_tech.Process.t -> Mae_geom.Lambda.t array
 
 val device_areas : Circuit.t -> Mae_tech.Process.t -> Mae_geom.Lambda.area array
 (** Per-device exact area.  Raises {!Unknown_kind}. *)
-
-val equal : t -> t -> bool
-(** Bitwise equality: every float field is compared by its IEEE bit
-    pattern ([Int64.bits_of_float]), so [equal] holding between an
-    incrementally updated stats and a fresh {!compute} means downstream
-    estimates are bit-for-bit identical. *)
-
-val add_device_delta :
-  t ->
-  kind:Mae_tech.Device_kind.t ->
-  net_count:int ->
-  net_transitions:(int * int) list ->
-  t
-(** Extend a stats record by one appended device without rescanning the
-    circuit.  [kind] is the resolved kind of the new device, [net_count]
-    the net count {e after} the edit, and [net_transitions] one
-    [(degree_before, degree_after)] pair per distinct net the device
-    pins (degree 0 = the net did not exist or was floating).
-
-    Exactness: {!compute}'s float folds visit devices in index order and
-    an added device is appended last, so extending each total by one
-    term reproduces the full fold bit for bit; the result satisfies
-    [equal (add_device_delta ...) (compute grown_circuit process)]. *)
-
-val with_net_count : t -> net_count:int -> t
-(** The stats with the net count replaced -- the whole delta for adding
-    or removing a floating net (a degree-0 net appears in no histogram
-    bucket and contributes nothing to any float fold). *)
 
 val pp : Format.formatter -> t -> unit

@@ -203,6 +203,37 @@ let test_stats_domains_used () =
   in
   if not found then Alcotest.failf "pp_stats: want %S in %S" needle line
 
+(* Every worker claims chunks from one shared counter.  Whatever the
+   batch size, chunk size (one module, or several with a short last
+   chunk) and worker count, each module is estimated exactly once, into
+   its own slot, with the sequential bits. *)
+let test_shared_counter_claims_once () =
+  let pool = Mae_engine.Pool.create ~domains:3 in
+  let batch = Array.of_list (random_batch ~first_seed:5000 70) in
+  let seq = Mae_engine.run_circuits ~jobs:1 ~registry (Array.to_list batch) in
+  let seq = Array.of_list (List.map result_digest seq) in
+  List.iter
+    (fun (n, jobs) ->
+      let label = Printf.sprintf "n:%d jobs:%d" n jobs in
+      let results, stats =
+        Mae_engine.run_circuits_with_stats ~jobs ~pool ~registry
+          (Array.to_list (Array.sub batch 0 n))
+      in
+      Alcotest.check digests
+        (label ^ ": = jobs:1, bit for bit")
+        (Array.to_list (Array.sub seq 0 n))
+        (List.map result_digest results);
+      Alcotest.(check int)
+        (label ^ ": workers used")
+        (min (min jobs n) (Mae_engine.Pool.concurrency pool))
+        (Array.length stats.Mae_engine.per_domain);
+      Alcotest.(check int)
+        (label ^ ": per_domain sums to the batch")
+        n
+        (Array.fold_left ( + ) 0 stats.Mae_engine.per_domain))
+    [ (1, 4); (2, 3); (9, 3); (33, 4); (70, 2); (70, 8) ];
+  Mae_engine.Pool.shutdown pool
+
 (* --- the content-addressed estimate store through the engine --- *)
 
 let test_estimate_store_hits () =
@@ -383,174 +414,6 @@ let test_concurrent_store_counts () =
     [ ("a", a, stats_a); ("b", b, stats_b) ];
   Alcotest.(check int) "a: the stored half hits" 12 stats_a.Mae_engine.store_hits
 
-(* --- incremental re-estimation: the delta path must be bit-for-bit the
-   full recomputation --- *)
-
-let previous_of circuit =
-  match Mae.Driver.run_circuit ~registry circuit with
-  | Ok r -> r
-  | Error e -> Alcotest.failf "driver: %a" (fun ppf -> Mae.Driver.pp_error ppf) e
-
-let check_reestimate ?(expect_incremental = true) name circuit edit =
-  let previous = previous_of circuit in
-  match Mae_engine.reestimate ~registry ~previous edit with
-  | Error e -> Alcotest.failf "%s: reestimate: %a" name Mae_engine.pp_error e
-  | Ok rr ->
-      let edited =
-        match Mae_engine.apply_edit circuit edit with
-        | Ok c -> c
-        | Error msg -> Alcotest.failf "%s: apply_edit: %s" name msg
-      in
-      let full = previous_of edited in
-      Alcotest.check digests
-        (name ^ ": delta = full recomputation, bit for bit")
-        [ result_digest (Ok full) ]
-        [ result_digest (Ok rr.Mae_engine.report) ];
-      Alcotest.(check bool)
-        (name ^ ": stats updated incrementally")
-        expect_incremental rr.Mae_engine.stats_incremental;
-      Alcotest.(check bool)
-        (name ^ ": incremental stats match a fresh compute")
-        true
-        (Mae_netlist.Stats.equal rr.Mae_engine.stats
-           (Mae_netlist.Stats.compute edited full.Mae.Driver.process));
-      rr
-
-let test_reestimate_add_device () =
-  List.iter
-    (fun circuit ->
-      List.iter
-        (fun (name, edit) -> ignore (check_reestimate name circuit edit))
-        [
-          ( "add_device new net",
-            Mae_engine.Add_device
-              { name = "zz_new"; kind = "inv"; nets = [ "zz_net" ] } );
-          ( "add_device existing nets",
-            Mae_engine.Add_device
-              {
-                name = "zz_tap";
-                kind = "nand2";
-                nets =
-                  [
-                    circuit.Mae_netlist.Circuit.nets.(0).Mae_netlist.Net.name;
-                    circuit.Mae_netlist.Circuit.nets.(1).Mae_netlist.Net.name;
-                    circuit.Mae_netlist.Circuit.nets.(0).Mae_netlist.Net.name;
-                  ];
-              } );
-        ])
-    (random_batch ~first_seed:4000 3)
-
-let test_reestimate_nets_and_removal () =
-  let circuit = List.hd (random_batch ~first_seed:4100 1) in
-  let rr =
-    check_reestimate "add floating net" circuit
-      (Mae_engine.Add_net { name = "zz_float" })
-  in
-  (* adding a floating net changes no estimator input except the net
-     count: the structured methodologies are all reused *)
-  List.iter
-    (fun m ->
-      Alcotest.(check bool)
-        (Printf.sprintf "add_net reuses %s" m)
-        true
-        (List.mem m rr.Mae_engine.reused))
-    [ "stdcell"; "fullcustom-exact"; "fullcustom-average" ];
-  (* removing it again: first apply the add, then re-estimate the remove *)
-  let grown =
-    match
-      Mae_engine.apply_edit circuit (Mae_engine.Add_net { name = "zz_float" })
-    with
-    | Ok c -> c
-    | Error msg -> Alcotest.failf "grow: %s" msg
-  in
-  ignore
-    (check_reestimate "remove floating net" grown
-       (Mae_engine.Remove_net { name = "zz_float" }));
-  (* device removal breaks fold associativity: full stats recompute,
-     same bit-for-bit contract *)
-  let victim = circuit.Mae_netlist.Circuit.devices.(2).Mae_netlist.Device.name in
-  ignore
-    (check_reestimate ~expect_incremental:false "remove device" circuit
-       (Mae_engine.Remove_device { name = victim }))
-
-let test_reestimate_chained_stats () =
-  (* ?previous_stats makes chaining O(edit): feed each report's stats
-     into the next call and stay bit-for-bit *)
-  let circuit = List.hd (random_batch ~first_seed:4200 1) in
-  let previous = previous_of circuit in
-  let e1 = Mae_engine.Add_net { name = "chain_a" } in
-  let rr1 =
-    match Mae_engine.reestimate ~registry ~previous e1 with
-    | Ok rr -> rr
-    | Error e -> Alcotest.failf "chain 1: %a" Mae_engine.pp_error e
-  in
-  let e2 =
-    Mae_engine.Add_device
-      { name = "chain_dev"; kind = "inv"; nets = [ "chain_a" ] }
-  in
-  let rr2 =
-    match
-      Mae_engine.reestimate ~registry ~previous:rr1.Mae_engine.report
-        ~previous_stats:rr1.Mae_engine.stats e2
-    with
-    | Ok rr -> rr
-    | Error e -> Alcotest.failf "chain 2: %a" Mae_engine.pp_error e
-  in
-  let full =
-    let c1 = Result.get_ok (Mae_engine.apply_edit circuit e1) in
-    previous_of (Result.get_ok (Mae_engine.apply_edit c1 e2))
-  in
-  Alcotest.check digests "chained deltas = full, bit for bit"
-    [ result_digest (Ok full) ]
-    [ result_digest (Ok rr2.Mae_engine.report) ]
-
-let test_apply_edit_errors () =
-  let circuit = S.tiny () in
-  let expect_err name edit =
-    match Mae_engine.apply_edit circuit edit with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "%s: expected apply_edit to refuse" name
-  in
-  expect_err "duplicate device"
-    (Mae_engine.Add_device { name = "i1"; kind = "inv"; nets = [ "a" ] });
-  expect_err "no pins" (Mae_engine.Add_device { name = "x"; kind = "inv"; nets = [] });
-  expect_err "missing device" (Mae_engine.Remove_device { name = "ghost" });
-  expect_err "existing net" (Mae_engine.Add_net { name = "m" });
-  expect_err "missing net" (Mae_engine.Remove_net { name = "ghost" });
-  expect_err "connected net" (Mae_engine.Remove_net { name = "m" });
-  (* net "a" has degree 1 via i1 and is port-bound: both refusals *)
-  expect_err "port-bound net" (Mae_engine.Remove_net { name = "a" });
-  (* and reestimate surfaces the refusal as a typed error *)
-  let previous = previous_of circuit in
-  match
-    Mae_engine.reestimate ~registry ~previous
-      (Mae_engine.Remove_device { name = "ghost" })
-  with
-  | Error (Mae_engine.Invalid_edit { module_name; _ }) ->
-      Alcotest.(check string) "typed error names the module" "tiny" module_name
-  | Error e -> Alcotest.failf "wrong error: %a" Mae_engine.pp_error e
-  | Ok _ -> Alcotest.fail "expected Invalid_edit"
-
-let test_stats_delta_equals_compute () =
-  let process = Mae_tech.Registry.find_exn registry "nmos25" in
-  List.iter
-    (fun circuit ->
-      let stats = Mae_netlist.Stats.compute circuit process in
-      let edit =
-        Mae_engine.Add_device { name = "zz"; kind = "inv"; nets = [ "zz_n" ] }
-      in
-      let grown = Result.get_ok (Mae_engine.apply_edit circuit edit) in
-      let kind = Option.get (Mae_tech.Process.find_device process "inv") in
-      let delta =
-        Mae_netlist.Stats.add_device_delta stats ~kind
-          ~net_count:(Mae_netlist.Circuit.net_count grown)
-          ~net_transitions:[ (0, 1) ]
-      in
-      Alcotest.(check bool) "delta = compute, bitwise" true
-        (Mae_netlist.Stats.equal delta
-           (Mae_netlist.Stats.compute grown process)))
-    (random_batch ~first_seed:4300 4)
-
 let () =
   Alcotest.run "engine"
     [
@@ -569,23 +432,16 @@ let () =
           Alcotest.test_case "grouped = per-group runs" `Slow
             test_grouped_matches_per_group;
         ] );
+      ( "scheduling",
+        [
+          Alcotest.test_case "shared counter claims every module once" `Slow
+            test_shared_counter_claims_once;
+        ] );
       ( "store",
         [
           Alcotest.test_case "repeat batch answers from the store" `Quick
             test_estimate_store_hits;
           Alcotest.test_case "concurrent batches count their own lookups"
             `Quick test_concurrent_store_counts;
-        ] );
-      ( "reestimate",
-        [
-          Alcotest.test_case "add_device delta = full" `Quick
-            test_reestimate_add_device;
-          Alcotest.test_case "net edits and removal delta = full" `Quick
-            test_reestimate_nets_and_removal;
-          Alcotest.test_case "chained previous_stats stays exact" `Quick
-            test_reestimate_chained_stats;
-          Alcotest.test_case "edit validation" `Quick test_apply_edit_errors;
-          Alcotest.test_case "stats delta = compute" `Quick
-            test_stats_delta_equals_compute;
         ] );
     ]

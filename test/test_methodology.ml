@@ -142,7 +142,8 @@ let test_engine_determinism_all_methods () =
   Alcotest.(check (list (list int64))) "jobs:1 = jobs:4 over all methods"
     (digest seq) (digest par);
   (* the persistent pool must be invisible in the results too, and stay
-     so when reused across batches (steal patterns differ run to run) *)
+     so when reused across batches (which worker claims which chunk
+     differs run to run) *)
   let pool = Mae_engine.Pool.create ~domains:3 in
   Fun.protect ~finally:(fun () -> Mae_engine.Pool.shutdown pool) @@ fun () ->
   for batch_no = 1 to 3 do
@@ -198,6 +199,78 @@ let test_standalone_run () =
   | Ok _ -> Alcotest.fail "wrong outcome variant"
   | Error e -> Alcotest.failf "run: %s" (Mae.Methodology.error_to_string e)
 
+(* make_ctx is the one place a ctx is built: make_ctx + run over every
+   methodology must be the driver's report, compared as IEEE-754 bits,
+   for a gate-level circuit that expands and a transistor-level one *)
+let outcome_bits = function
+  | Error e -> [ Int64.of_int (Hashtbl.hash (Mae.Methodology.error_to_string e)) ]
+  | Ok o ->
+      let d = Mae.Methodology.dims o in
+      let dims_bits =
+        List.map Int64.bits_of_float [ d.Mae.Methodology.area; d.width; d.height ]
+      in
+      let sweep_bits =
+        match o with
+        | Mae.Methodology.Stdcell { sweep; _ } ->
+            List.concat_map
+              (fun (e : Mae.Estimate.stdcell) ->
+                Int64.of_int e.rows
+                :: List.map Int64.bits_of_float [ e.area; e.width; e.height ])
+              sweep
+        | Fullcustom _ | Gatearray _ | Scalar _ -> []
+      in
+      dims_bits @ sweep_bits
+
+let test_make_ctx_matches_driver () =
+  let process = Mae_tech.Builtin.nmos25 in
+  List.iter
+    (fun ((circuit : Mae_netlist.Circuit.t), expands) ->
+      let report = report_of ~methods:[ "all" ] circuit in
+      Alcotest.(check bool)
+        (circuit.name ^ ": expansion as expected")
+        expands
+        (Option.is_some report.expanded);
+      let ctx =
+        match Mae.Methodology.make_ctx ~process circuit with
+        | Ok ctx -> ctx
+        | Error e ->
+            Alcotest.failf "make_ctx: %s" (Mae.Methodology.error_to_string e)
+      in
+      let standalone =
+        List.map
+          (fun t ->
+            ( Mae.Methodology.name t,
+              outcome_bits (Mae.Methodology.run ctx t circuit) ))
+          (Mae.Methodology.all ())
+      in
+      let driven =
+        List.map
+          (fun (mr : Mae.Driver.method_result) ->
+            (Mae.Methodology.name mr.methodology, outcome_bits mr.outcome))
+          report.results
+      in
+      Alcotest.(check int) (circuit.name ^ ": eight methodologies") 8
+        (List.length standalone);
+      Alcotest.(check (list (pair string (list int64))))
+        (circuit.name ^ ": make_ctx + run = driver, bit for bit")
+        driven standalone)
+    [ (S.counter8, true); (S.full_adder_tx, false) ]
+
+let test_make_ctx_unknown_kind () =
+  let b = Mae_netlist.Builder.create ~name:"odd" ~technology:"nmos25" in
+  ignore (Mae_netlist.Builder.add_device b ~name:"i1" ~kind:"inv" ~nets:[ "a"; "m" ]);
+  ignore
+    (Mae_netlist.Builder.add_device b ~name:"z1" ~kind:"no-such-kind"
+       ~nets:[ "m"; "y" ]);
+  let circuit = Mae_netlist.Builder.build b in
+  match Mae.Methodology.make_ctx ~process:Mae_tech.Builtin.nmos25 circuit with
+  | Error (Mae.Methodology.Invalid_input { reason; _ }) ->
+      Alcotest.(check string) "names the kind" "unknown device kind no-such-kind"
+        reason
+  | Error e ->
+      Alcotest.failf "wrong error: %s" (Mae.Methodology.error_to_string e)
+  | Ok _ -> Alcotest.fail "expected Invalid_input"
+
 let () =
   Alcotest.run "methodology"
     [
@@ -218,6 +291,10 @@ let () =
             test_unknown_method_typed_error;
           Alcotest.test_case "standalone make_ctx + run" `Quick
             test_standalone_run;
+          Alcotest.test_case "make_ctx + run = driver, all methods" `Quick
+            test_make_ctx_matches_driver;
+          Alcotest.test_case "make_ctx unknown kind is typed" `Quick
+            test_make_ctx_unknown_kind;
         ] );
       ( "engine",
         [
