@@ -1,8 +1,9 @@
 (* Perf regression gate: re-measure the engine's cached throughput and
    compare it against the most recent BENCH_history.jsonl entry from
    the same host profile.  A drop of more than 20% in [seq_cached] or
-   in the best parallel run fails the build; so does a p99 GC pause
-   that regressed more than 50% against the same entry.  An empty
+   in the best parallel run fails the build; so does a p99 GC pause of
+   that parallel run (the median over three passes) that regressed
+   more than 50% against the same run's recorded p99.  An empty
    history, or one whose entries all come from other host profiles
    (recommended domain count), skips the gate with a logged reason --
    numbers from another machine prove nothing about this one.
@@ -74,28 +75,46 @@ let engine_entries lines =
 let number_member name doc =
   Option.bind (Json.member name doc) Json.to_number
 
+type run = { label : string; jobs : int; mps : float; gc_p99 : float option }
+
 let run_of_json doc =
   match
     ( Option.bind (Json.member "label" doc) Json.to_string,
       number_member "jobs" doc,
       number_member "modules_per_s" doc )
   with
-  | Some label, Some jobs, Some mps -> Some (label, Float.to_int jobs, mps)
+  | Some label, Some jobs, Some mps ->
+      Some
+        {
+          label;
+          jobs = Float.to_int jobs;
+          mps;
+          gc_p99 = number_member "gc_p99_pause_s" doc;
+        }
   | _ -> None
 
+(* [passes] runs of the workload: each pass's modules/s and, while the
+   runtime lens is on, that pass's own p99 GC pause *)
 let measure ~pool ~jobs ~registry circuits =
-  let best = ref 0. in
-  for _ = 1 to passes do
-    Mae_prob.Kernel_cache.clear ();
-    let _, (stats : Mae_engine.stats) =
-      Mae_engine.run_circuits_with_stats ?pool ~jobs ~registry circuits
-    in
-    if stats.elapsed_s > 0. then begin
-      let mps = Float.of_int stats.modules /. stats.elapsed_s in
-      if mps > !best then best := mps
-    end
-  done;
-  !best
+  List.init passes (fun _ ->
+      Mae_prob.Kernel_cache.clear ();
+      let (_, (stats : Mae_engine.stats)), p99 =
+        Bench_history.History.with_own_gc_p99 (fun () ->
+            Mae_engine.run_circuits_with_stats ?pool ~jobs ~registry circuits)
+      in
+      let mps =
+        if stats.elapsed_s > 0. then
+          Float.of_int stats.modules /. stats.elapsed_s
+        else 0.
+      in
+      (mps, p99))
+
+let best_mps passes =
+  List.fold_left (fun acc (mps, _) -> Float.max acc mps) 0. passes
+
+let median xs =
+  let a = Array.of_list (List.sort Float.compare xs) in
+  a.(Array.length a / 2)
 
 let () =
   let history_path =
@@ -138,19 +157,19 @@ let () =
     | None -> skip "history entry lacks runs"
   in
   let baseline_seq =
-    match List.find_opt (fun (l, _, _) -> String.equal l "seq_cached") runs with
-    | Some (_, _, mps) when mps > 0. -> mps
+    match List.find_opt (fun r -> String.equal r.label "seq_cached") runs with
+    | Some r when r.mps > 0. -> r
     | _ -> skip "history entry lacks a seq_cached run"
   in
   (* best parallel run on record, if any: compare like with like by
      re-measuring at the same jobs count *)
   let baseline_par =
     List.fold_left
-      (fun acc (label, jobs, mps) ->
-        if String.length label >= 3 && String.sub label 0 3 = "par" then
+      (fun acc r ->
+        if String.length r.label >= 3 && String.sub r.label 0 3 = "par" then
           match acc with
-          | Some (_, best) when best >= mps -> acc
-          | _ -> Some (jobs, mps)
+          | Some best when best.mps >= r.mps -> acc
+          | _ -> Some r
         else acc)
       None runs
   in
@@ -160,7 +179,7 @@ let () =
     "bench-gate: %d modules vs last history entry (threshold %.0f%%)\n%!"
     modules
     (100. *. (1. -. threshold));
-  let seq = measure ~pool:None ~jobs:1 ~registry circuits in
+  let seq = best_mps (measure ~pool:None ~jobs:1 ~registry circuits) in
   let verdicts = ref [] in
   let check label ~baseline ~current =
     let floor = baseline *. threshold in
@@ -170,44 +189,49 @@ let () =
       (if ok then "ok" else "REGRESSION");
     verdicts := ok :: !verdicts
   in
-  check "seq_cached" ~baseline:baseline_seq ~current:seq;
-  (match baseline_par with
-  | None -> ()
-  | Some (jobs, mps) ->
-      let pool =
-        if jobs >= 2 then Some (Mae_engine.Pool.create ~domains:(jobs - 1))
-        else None
+  check "seq_cached" ~baseline:baseline_seq.mps ~current:seq;
+  let with_pool jobs f =
+    let pool =
+      if jobs >= 2 then Some (Mae_engine.Pool.create ~domains:(jobs - 1))
+      else None
+    in
+    Fun.protect
+      ~finally:(fun () -> Option.iter Mae_engine.Pool.shutdown pool)
+      (fun () -> f pool)
+  in
+  Option.iter
+    (fun r ->
+      let par =
+        with_pool r.jobs (fun pool ->
+            measure ~pool ~jobs:r.jobs ~registry circuits)
       in
-      let par = measure ~pool ~jobs ~registry circuits in
-      Option.iter Mae_engine.Pool.shutdown pool;
-      check
-        (Printf.sprintf "par%d_cached" jobs)
-        ~baseline:mps ~current:par);
-  (* GC gate: re-run the workload once with the runtime lens riding
-     along and compare the measured p99 pause against the baseline
-     entry's.  Missing baseline data skips this check only, with the
-     reason logged -- the throughput verdicts above still decide. *)
-  (match
-     Option.bind (Json.member "gc" entry) (number_member "p99_pause_s")
-   with
+      check r.label ~baseline:r.mps ~current:(best_mps par))
+    baseline_par;
+  (* GC gate: re-run the same run as the parallel check (seq_cached when
+     the entry has none) three times under the runtime lens, each pass
+     measuring its own pauses, and compare the median p99 against that
+     run's recorded p99.  Missing baseline data skips this check only,
+     with the reason logged -- the throughput verdicts above still
+     decide. *)
+  let gc_run = Option.value baseline_par ~default:baseline_seq in
+  (match gc_run.gc_p99 with
   | None ->
-      print_endline
-        "bench-gate: gc check skipped (baseline entry has no gc.p99_pause_s)"
-  | Some baseline_p99 ->
+      Printf.printf
+        "bench-gate: gc check skipped (baseline %s run has no gc_p99_pause_s)\n"
+        gc_run.label
+  | Some baseline_p99 -> (
       ignore (Mae_obs.Runtime.start ());
-      let jobs = match baseline_par with Some (j, _) -> j | None -> 1 in
-      let pool =
-        if jobs >= 2 then Some (Mae_engine.Pool.create ~domains:(jobs - 1))
-        else None
+      let gc_passes =
+        with_pool gc_run.jobs (fun pool ->
+            measure ~pool ~jobs:gc_run.jobs ~registry circuits)
       in
-      ignore (measure ~pool ~jobs ~registry circuits);
-      Option.iter Mae_engine.Pool.shutdown pool;
       Mae_obs.Runtime.stop ();
-      (match Mae_obs.Runtime.pause_quantile 0.99 with
-      | None ->
+      match List.filter_map snd gc_passes with
+      | [] ->
           print_endline
             "bench-gate: gc check skipped (no pauses observed this run)"
-      | Some current ->
+      | p99s ->
+          let current = median p99s in
           let ceiling = (baseline_p99 *. gc_threshold) +. gc_slack_s in
           let ok = current <= ceiling in
           Printf.printf

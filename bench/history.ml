@@ -37,6 +37,25 @@ let gc_fields () =
   in
   ("gc", Json.Object (base @ lens))
 
+(* Run [f] with the runtime lens drained and zeroed first, so the p99
+   pause returned beside its result covers [f] alone.  [None] when the
+   lens is off or saw no pause. *)
+let with_own_gc_p99 f =
+  let lens = Mae_obs.Runtime.running () in
+  if lens then begin
+    ignore (Mae_obs.Runtime.poll ());
+    Mae_obs.Runtime.reset ()
+  end;
+  let v = f () in
+  let p99 =
+    if lens then begin
+      ignore (Mae_obs.Runtime.poll ());
+      Mae_obs.Runtime.pause_quantile 0.99
+    end
+    else None
+  in
+  (v, p99)
+
 let append ~source fields =
   let record =
     Json.Object

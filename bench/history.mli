@@ -9,3 +9,9 @@
 val path : string
 
 val append : source:string -> (string * Mae_obs.Json.t) list -> unit
+
+val with_own_gc_p99 : (unit -> 'a) -> 'a * float option
+(** Run the thunk with the runtime lens drained and zeroed first, and
+    return its result with the p99 GC pause observed during it alone.
+    [None] when the lens is not running or saw no pause.  Resets the
+    lens's accumulated statistics. *)

@@ -916,16 +916,18 @@ type engine_run = {
   jobs : int;
   cache : bool;
   stats : Mae_engine.stats;
+  gc_p99_s : float option;  (* this run's own p99 pause; lens on only *)
 }
 
 let time_engine ?pool ~label ~jobs ~cache ~registry circuits =
   Mae_prob.Kernel_cache.clear ();
   Mae_prob.Kernel_cache.set_enabled cache;
-  let results, stats =
-    Mae_engine.run_circuits_with_stats ?pool ~jobs ~registry circuits
+  let (results, stats), gc_p99_s =
+    Bench_history.History.with_own_gc_p99 (fun () ->
+        Mae_engine.run_circuits_with_stats ?pool ~jobs ~registry circuits)
   in
   Mae_prob.Kernel_cache.set_enabled true;
-  (results, { label; jobs; cache; stats })
+  (results, { label; jobs; cache; stats; gc_p99_s })
 
 let modules_per_s (r : engine_run) =
   if r.stats.elapsed_s > 0. then
@@ -988,9 +990,10 @@ let run_engine ~smoke () =
        modules);
   let circuits = engine_workload ~modules in
   let registry = Mae_tech.Registry.create () in
-  (* the runtime lens rides the whole bench so the history entry
-     carries pause quantiles next to the throughput numbers; it does
-     not require telemetry, so the measured spans stay unchanged *)
+  (* the runtime lens rides the whole bench so every run in the history
+     entry carries its own p99 pause next to its throughput ([time_engine]
+     zeroes the lens before each run); it does not require telemetry, so
+     the measured spans stay unchanged *)
   ignore (Mae_obs.Runtime.start ());
   let parallel_jobs = if smoke then [ 2 ] else [ 2; 4; 8 ] in
   let baseline_results, seq_uncached =
@@ -1146,7 +1149,9 @@ let run_engine ~smoke () =
       retained_words_per_entry max_retained_words_per_entry;
     exit 1
   end;
-  (* drain the cursor so the history entry's gc object sees the run *)
+  (* drain the cursor so the history entry's gc object sees the run; its
+     pause fields cover what ran since the last per-run reset (the last
+     parallel run and the store passes) *)
   Mae_obs.Runtime.stop ();
   (* one timestamped line per bench run, appended so the trajectory
      across commits survives BENCH_engine.json being overwritten *)
@@ -1162,7 +1167,7 @@ let run_engine ~smoke () =
           (List.map
              (fun r ->
                Object
-                 [
+                 ([
                    ("label", String r.label);
                    ("jobs", Number (Float.of_int r.jobs));
                    ("cache", Bool r.cache);
@@ -1170,7 +1175,11 @@ let run_engine ~smoke () =
                    ("modules_per_s", Number (modules_per_s r));
                    ("cache_hits", Number (Float.of_int r.stats.cache_hits));
                    ("cache_misses", Number (Float.of_int r.stats.cache_misses));
-                 ])
+                 ]
+                 @
+                 match r.gc_p99_s with
+                 | Some p99 -> [ ("gc_p99_pause_s", Number p99) ]
+                 | None -> []))
              runs) );
       ( "estimate_store",
         Object
@@ -1189,7 +1198,7 @@ let run_engine ~smoke () =
 
 (* --gc-sweep: one row per jobs level -- cached throughput with the
    runtime lens riding along, against the pooled GC pause quantiles the
-   lens observed during that run.  Feeds the EXPERIMENTS.md "GC pauses
+   lens observed during that run ([time_engine] zeroes the lens first).  Feeds the EXPERIMENTS.md "GC pauses
    vs parallelism" table. *)
 let run_gc_sweep ~smoke () =
   let modules = if smoke then 48 else 500 in
@@ -1248,9 +1257,7 @@ let run_gc_sweep ~smoke () =
           | Some v -> us (v *. 1e6)
           | None -> "-");
           Printf.sprintf "%.1f" (total_s *. 1e3);
-        ];
-      (* each row measures its own run, not the process's history *)
-      Mae_obs.Runtime.reset ())
+        ])
     [ 1; 2; 4; 8 ];
   Table.print t
 

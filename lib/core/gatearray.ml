@@ -84,12 +84,12 @@ let site_demand ?params (circuit : Mae_netlist.Circuit.t) process =
    with a log per candidate row count.  Its result depends only on
    (sites, site_width, row_pitch) -- a handful of distinct values per
    process/parameter set across a whole batch -- so the scan is memoized
-   in the shared kernel-cache table structure (floats keyed by their
-   IEEE-754 bits; the scan itself is untouched, a hit returns exactly
-   the bits a fresh scan would). *)
+   in a shared kernel-cache table (floats keyed by their IEEE-754 bits;
+   the scan itself is untouched, a hit returns exactly the bits a fresh
+   scan would). *)
 let shape_table : (int * int64 * int64, int * int) Mae_prob.Kernel_cache.Table.t
     =
-  Mae_prob.Kernel_cache.Table.create ~name:"gatearray_shape" ()
+  Mae_prob.Kernel_cache.Table.create ()
 
 let squarest_array ~sites ~site_width ~row_pitch =
   Mae_prob.Kernel_cache.Table.find_or_compute shape_table

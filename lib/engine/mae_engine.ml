@@ -293,12 +293,7 @@ let map_pool ~jobs ?pool ~t0 f inputs =
      else body ());
     let c1 = Mae_prob.Kernel_cache.local_counts () in
     cache_delta.(w) <- c1.Mae_prob.Kernel_cache.hits - c0.Mae_prob.Kernel_cache.hits;
-    miss_delta.(w) <- c1.Mae_prob.Kernel_cache.misses - c0.Mae_prob.Kernel_cache.misses;
-    (* keep the process-wide counters and published sketch summaries
-       exact between batches, even on long-lived pool domains that may
-       never observe again *)
-    Mae_prob.Kernel_cache.flush_local ();
-    Mae_obs.Sketch.flush_local ()
+    miss_delta.(w) <- c1.Mae_prob.Kernel_cache.misses - c0.Mae_prob.Kernel_cache.misses
   in
   (* pool domains beyond the requested worker count run an empty slot:
      they wake, claim nothing, and report done *)

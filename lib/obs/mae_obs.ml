@@ -10,8 +10,8 @@
      JSON dumps.  They are always live; they back
      [Kernel_cache.stats] and the engine's [--stats] line.
    - {!Sketch}: the one latency recorder -- mergeable GK quantile
-     summaries (true p50/p99/p999, no bucket edges) with per-domain
-     buffers and request-id exemplars; rides along in every /metrics
+     summaries (true p50/p99/p999, no bucket edges), one lock per
+     sketch, with request-id exemplars; rides along in every /metrics
      dump.
    - {!Slo}: declarative latency / error-rate objectives with
      fast+slow rolling burn-rate windows; backs GET /slo, /statusz

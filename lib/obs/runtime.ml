@@ -16,12 +16,10 @@
      tagging and (b) feeds gc.* spans into the Chrome-trace export via
      the Trace provider hook.
 
-   The sampler is a domain rather than a sys-thread so its sketch
-   observations land in domain-private DLS buffers instead of racing
-   with the server thread's on domain 0.  All consumer state is
-   guarded by one mutex; [read_poll] and the callback mutations run
-   inside it, and the per-poll Sketch.flush_local publishes what the
-   poll observed before the lock is released.
+   The sampler is a domain rather than a sys-thread, so it needs no
+   threads library and polls without sharing domain 0's runtime lock
+   with the server loop.  All consumer state is guarded by one mutex;
+   [read_poll] and the callback mutations run inside it.
 
    Off means off: every query gate is a single Atomic.get, nothing is
    registered, no cursor exists, no file is created.  [start] is the
@@ -252,9 +250,6 @@ let poll () =
         Metrics.set ins.heap_g (float_of_int !heap);
         Metrics.set ins.domains_g (float_of_int (Hashtbl.length rings))
     | None -> ());
-    (* publish what this poll observed into the calling domain's
-       sketch buffers before anyone else reads quantiles *)
-    if n > 0 then Sketch.flush_local ();
     Mutex.unlock lock;
     n
   end

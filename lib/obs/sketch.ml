@@ -1,11 +1,12 @@
-(* Greenwald–Khanna quantile summaries with per-domain write buffers.
+(* Greenwald–Khanna quantile summaries behind one lock per sketch.
 
-   Each domain owns a [local]: a flat sample buffer (no locks, no
-   sharing) plus an immutable GK summary published through an Atomic.
-   Owners fold the buffer into a fresh summary and republish; readers
-   grab every domain's published summary and answer rank queries over
-   the concatenation -- the classic mergeable-summary argument gives a
-   combined rank error of sum_d eps * n_d = eps * n.
+   A sketch holds a flat sample buffer and one GK summary, both guarded
+   by [sk_lock].  [observe] stores a sample and folds the buffer into
+   the summary when it fills; reads fold whatever is pending, then
+   query the summary.  [quantile_of_many] answers rank queries over the
+   concatenation of several sketches' summaries -- the classic
+   mergeable-summary argument gives a combined rank error of
+   sum_i eps_i * n_i.
 
    GK invariant maintained here: every tuple (v, g, d) satisfies
    g + d <= floor(2 * eps * n) (new tuples get
@@ -30,12 +31,6 @@ type summary = {
 let empty_summary =
   { s_n = 0; s_sum = 0.; s_min = Float.nan; s_max = Float.nan; s_tuples = [] }
 
-type local = {
-  l_buf : float array;
-  mutable l_n : int;  (* owner-mutated; invisible to readers until flush *)
-  l_published : summary Atomic.t;
-}
-
 type exemplar = { ex_v : float; ex_label : string; ex_wall : float }
 
 type t = {
@@ -43,9 +38,10 @@ type t = {
   sk_labels : (string * string) list;  (* sorted by key; [] = unlabeled *)
   sk_help : string;
   sk_eps : float;
-  sk_lock : Mutex.t;  (* guards sk_locals *)
-  mutable sk_locals : local list;
-  sk_key : local Domain.DLS.key;
+  sk_lock : Mutex.t;  (* guards sk_buf, sk_n and sk_summary *)
+  sk_buf : float array;
+  mutable sk_n : int;  (* pending samples in sk_buf *)
+  mutable sk_summary : summary;
   sk_exemplars : exemplar option Atomic.t array;
 }
 
@@ -157,21 +153,27 @@ let query_sorted tuples n q =
     if !best_err = max_int then None else Some !best_v
   end
 
-(* --- registry and per-domain plumbing --- *)
+(* --- registry and buffering --- *)
 
 let registry_lock = Mutex.create ()
 let registry : (string, t) Hashtbl.t = Hashtbl.create 8
 
-let flush_one t l =
-  if l.l_n > 0 then begin
+(* Fold the pending samples into the summary.  Caller holds sk_lock. *)
+let fold_buffer t =
+  if t.sk_n > 0 then begin
     let values =
-      List.sort Float.compare (Array.to_list (Array.sub l.l_buf 0 l.l_n))
+      List.sort Float.compare (Array.to_list (Array.sub t.sk_buf 0 t.sk_n))
     in
-    let s = Atomic.get l.l_published in
-    let s = compress t.sk_eps (insert_sorted t.sk_eps s values) in
-    Atomic.set l.l_published s;
-    l.l_n <- 0
+    t.sk_summary <-
+      compress t.sk_eps (insert_sorted t.sk_eps t.sk_summary values);
+    t.sk_n <- 0
   end
+
+(* The summary with every observed sample folded in. *)
+let summary t =
+  Mutex.protect t.sk_lock (fun () ->
+      fold_buffer t;
+      t.sk_summary)
 
 let create ?(help = "") ?eps ?(labels = []) name =
   Metrics.lint_name ~what:"Mae_obs.Sketch" name;
@@ -193,10 +195,6 @@ let create ?(help = "") ?eps ?(labels = []) name =
         | _ -> Ok t)
     | None ->
         let eps = Option.value eps ~default:0.001 in
-        (* The DLS initializer closes over the sketch it belongs to;
-           tie the knot through a ref (the initializer only runs on a
-           domain's first observe, long after [create] returns). *)
-        let self = ref None in
         let t =
           {
             sk_name = name;
@@ -204,27 +202,13 @@ let create ?(help = "") ?eps ?(labels = []) name =
             sk_help = help;
             sk_eps = eps;
             sk_lock = Mutex.create ();
-            sk_locals = [];
-            sk_key =
-              Domain.DLS.new_key (fun () ->
-                  let t = Option.get !self in
-                  let l =
-                    {
-                      l_buf = Array.make buf_cap 0.;
-                      l_n = 0;
-                      l_published = Atomic.make empty_summary;
-                    }
-                  in
-                  Mutex.lock t.sk_lock;
-                  t.sk_locals <- l :: t.sk_locals;
-                  Mutex.unlock t.sk_lock;
-                  Domain.at_exit (fun () -> flush_one t l);
-                  l);
+            sk_buf = Array.make buf_cap 0.;
+            sk_n = 0;
+            sk_summary = empty_summary;
             sk_exemplars =
               Array.init exemplar_slots (fun _ -> Atomic.make None);
           }
         in
-        self := Some t;
         Hashtbl.add registry key t;
         Ok t
   in
@@ -237,10 +221,10 @@ let create ?(help = "") ?eps ?(labels = []) name =
            "Mae_obs.Sketch: %s already registered with eps %g" name existing)
 
 let observe t v =
-  let l = Domain.DLS.get t.sk_key in
-  l.l_buf.(l.l_n) <- v;
-  l.l_n <- l.l_n + 1;
-  if l.l_n >= buf_cap then flush_one t l
+  Mutex.protect t.sk_lock (fun () ->
+      t.sk_buf.(t.sk_n) <- v;
+      t.sk_n <- t.sk_n + 1;
+      if t.sk_n >= buf_cap then fold_buffer t)
 
 let time t f =
   if not (Control.enabled ()) then f ()
@@ -290,72 +274,22 @@ let all () =
       | c -> c)
     l
 
-let flush_local () =
-  List.iter (fun t -> flush_one t (Domain.DLS.get t.sk_key)) (all ())
-
-(* --- merged reads --- *)
-
-type merged = {
-  m_n : int;
-  m_sum : float;
-  m_min : float;
-  m_max : float;
-  m_tuples : tuple list;
-  m_domains : int;  (* summaries with samples *)
-}
-
-let merged t =
-  flush_one t (Domain.DLS.get t.sk_key);
-  Mutex.lock t.sk_lock;
-  let locals = t.sk_locals in
-  Mutex.unlock t.sk_lock;
-  let summaries =
-    List.filter_map
-      (fun l ->
-        let s = Atomic.get l.l_published in
-        if s.s_n = 0 then None else Some s)
-      locals
-  in
-  let tuples =
-    List.concat_map (fun s -> s.s_tuples) summaries
-    |> List.sort (fun a b -> Float.compare a.v b.v)
-  in
-  List.fold_left
-    (fun m s ->
-      {
-        m with
-        m_n = m.m_n + s.s_n;
-        m_sum = m.m_sum +. s.s_sum;
-        m_min =
-          (if Float.is_nan m.m_min then s.s_min else Float.min m.m_min s.s_min);
-        m_max =
-          (if Float.is_nan m.m_max then s.s_max else Float.max m.m_max s.s_max);
-        m_domains = m.m_domains + 1;
-      })
-    {
-      m_n = 0;
-      m_sum = 0.;
-      m_min = Float.nan;
-      m_max = Float.nan;
-      m_tuples = tuples;
-      m_domains = 0;
-    }
-    summaries
+(* --- reads --- *)
 
 let quantile t q =
-  let m = merged t in
-  query_sorted m.m_tuples m.m_n q
+  let s = summary t in
+  query_sorted s.s_tuples s.s_n q
 
 (* Pooled rank query across several sketches (e.g. one per domain
    label): classic mergeable-summary argument again, total rank error
    sum_i eps_i * n_i. *)
 let quantile_of_many ts q =
-  let ms = List.map merged ts in
+  let ss = List.map summary ts in
   let tuples =
-    List.concat_map (fun m -> m.m_tuples) ms
+    List.concat_map (fun s -> s.s_tuples) ss
     |> List.sort (fun a b -> Float.compare a.v b.v)
   in
-  let n = List.fold_left (fun acc m -> acc + m.m_n) 0 ms in
+  let n = List.fold_left (fun acc s -> acc + s.s_n) 0 ss in
   query_sorted tuples n q
 
 type snapshot = {
@@ -380,31 +314,29 @@ let exemplars t =
   |> List.sort (fun (a, _, _) (b, _, _) -> Float.compare b a)
 
 let snapshot ?(qs = default_qs) t =
-  let m = merged t in
+  let s = summary t in
   {
-    n = m.m_n;
-    sum = m.m_sum;
-    min_v = m.m_min;
-    max_v = m.m_max;
+    n = s.s_n;
+    sum = s.s_sum;
+    min_v = s.s_min;
+    max_v = s.s_max;
     eps = t.sk_eps;
     quantiles =
       List.filter_map
         (fun q ->
-          Option.map (fun v -> (q, v)) (query_sorted m.m_tuples m.m_n q))
+          Option.map (fun v -> (q, v)) (query_sorted s.s_tuples s.s_n q))
         qs;
     exemplars = exemplars t;
-    tuples = List.length m.m_tuples;
+    tuples = List.length s.s_tuples;
   }
 
 let rank_error_bound t ~n ~domains =
   (t.sk_eps *. float_of_int n) +. float_of_int domains
 
 let reset t =
-  Mutex.lock t.sk_lock;
-  let locals = t.sk_locals in
-  Mutex.unlock t.sk_lock;
-  List.iter (fun l -> Atomic.set l.l_published empty_summary) locals;
-  (Domain.DLS.get t.sk_key).l_n <- 0;
+  Mutex.protect t.sk_lock (fun () ->
+      t.sk_n <- 0;
+      t.sk_summary <- empty_summary);
   Array.iter (fun slot -> Atomic.set slot None) t.sk_exemplars
 
 (* --- exposition --- *)

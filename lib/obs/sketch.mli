@@ -1,25 +1,22 @@
 (** Mergeable, bounded-memory streaming quantile sketches
-    (Greenwald–Khanna summaries with per-domain buffers).
+    (Greenwald–Khanna summaries).
 
     A sketch answers rank queries over everything it has observed with
     a proven bound: for a sketch created with error [eps], the value
     returned for quantile [q] has true rank within [eps * n] of
-    [q * n] (plus one rank per merged per-domain summary, from
-    integer rounding).  Memory is [O((1/eps) * log(eps * n))] tuples
-    per domain regardless of stream length -- unlike a histogram there
-    is no bucket-edge quantization, and unlike a sorted reservoir
-    there is no sampling error.
+    [q * n] (plus one rank per merged summary, from integer rounding).
+    Memory is [O((1/eps) * log(eps * n))] tuples regardless of stream
+    length -- unlike a histogram there is no bucket-edge quantization,
+    and unlike a sorted reservoir there is no sampling error.
 
-    Concurrency follows the [Kernel_cache] tally discipline: each
-    domain observes into a private buffer (no locks, no shared cache
-    lines) which is folded into that domain's published summary when
-    the buffer fills, when {!flush_local} is called (the engine's
-    workers do this at the end of every batch), and at domain exit.
-    Reads merge the published summaries of all domains; call them
-    after in-flight work has joined, like {!Span.events}.
+    Concurrency: a sketch holds one sample buffer and one summary,
+    guarded by one mutex.  {!observe} stores the sample under the lock
+    and folds the buffer into the summary when it fills; reads fold the
+    pending samples first, so every observation made before a read,
+    from any domain, is in it.
 
-    Observation cost is an array store.  Latency call sites time
-    through {!time}, which is gated on {!Control.enabled}. *)
+    Observation cost is a lock and an array store.  Latency call sites
+    time through {!time}, which is gated on {!Control.enabled}. *)
 
 type t
 
@@ -41,7 +38,7 @@ val create :
     (0, 0.5), or an explicit [eps] differing from the registered one. *)
 
 val observe : t -> float -> unit
-(** Record one sample from the calling domain. *)
+(** Record one sample; safe from any domain. *)
 
 val time : t -> (unit -> 'a) -> 'a
 (** Run the thunk and observe its duration on the monotonic clock, on
@@ -56,15 +53,9 @@ val observe_exemplar : t -> label:string -> float -> unit
     /tracez.  Exemplar slots are global and racy-by-design; losing one
     under contention is acceptable. *)
 
-val flush_local : unit -> unit
-(** Publish the calling domain's pending buffers for every registered
-    sketch.  Engine workers call this at the end of each batch, and it
-    runs automatically at domain exit. *)
-
 val quantile : t -> float -> float option
 (** [quantile t q] for [q] in [[0, 1]]: a value whose rank is within
-    the advertised bound of [q * n].  [None] when empty.  Flushes the
-    calling domain's buffer first. *)
+    the advertised bound of [q * n].  [None] when empty. *)
 
 val quantile_of_many : t list -> float -> float option
 (** Pooled rank query over the union of several sketches' streams --
@@ -73,7 +64,7 @@ val quantile_of_many : t list -> float -> float option
     summed over members.  [None] when all are empty. *)
 
 type snapshot = {
-  n : int;  (** published sample count *)
+  n : int;  (** observed sample count *)
   sum : float;
   min_v : float;  (** [nan] when empty *)
   max_v : float;  (** [nan] when empty *)
@@ -81,17 +72,18 @@ type snapshot = {
   quantiles : (float * float) list;  (** [(q, value)] pairs *)
   exemplars : (float * string * float) list;
       (** [(value, label, wall_ts)], largest first *)
-  tuples : int;  (** resident summary tuples across all domains *)
+  tuples : int;  (** resident summary tuples *)
 }
 
 val snapshot : ?qs:float list -> t -> snapshot
-(** Merged view across domains.  Default [qs] are
+(** Current view of everything observed.  Default [qs] are
     [0.5; 0.9; 0.95; 0.99; 0.999]. *)
 
 val rank_error_bound : t -> n:int -> domains:int -> float
 (** The advertised worst-case rank error for a merged query:
-    [eps * n + domains] (the additive term covers per-summary integer
-    rounding).  Property tests assert against exactly this. *)
+    [eps * n + domains], where [domains] counts the summaries merged
+    into the query (the additive term covers per-summary integer
+    rounding; one sketch is one summary).  Property tests assert against exactly this. *)
 
 val name : t -> string
 
@@ -104,9 +96,7 @@ val all : unit -> t list
 (** Registered sketches, sorted by (name, labels). *)
 
 val reset : t -> unit
-(** Drop all published summaries, exemplars and the calling domain's
-    pending buffer.  Other domains' pending buffers survive until
-    their next flush; tests reset between joined phases. *)
+(** Drop the summary, pending samples and exemplars. *)
 
 val to_prometheus : unit -> string
 (** Prometheus [summary]-typed exposition for every registered

@@ -7,26 +7,18 @@
    thousands of times.  The tables below compute each kernel once and
    share it across every circuit and every domain of the batch engine.
 
-   Concurrency.  The tables are sharded: a key hashes to one of
-   [Table.shard_count] shards, each holding an immutable bucket array
-   published through an [Atomic].  The read path never locks -- it
-   snapshots the shard's bucket array with one atomic load and scans an
-   immutable association list, so the >98%-hit steady state of a batch
-   run costs a hash and a few pointer chases per lookup.  Misses
-   compute OUTSIDE any lock (the kernels are pure), then take the
-   shard's mutex only to publish a copy-on-write successor array.  A
-   racing domain that inserted the same key first wins; the loser's
-   value is dropped and the drop counted as a race.  Published arrays
-   and the pairs they hold are never mutated, so a reader can at worst
-   see a slightly stale snapshot and recompute a value it would have
-   found a moment later -- correctness never depends on winning.
+   Concurrency.  A table is one [Hashtbl] behind one mutex.  A hit is a
+   [find_opt] under the lock.  A miss computes OUTSIDE the lock (the
+   kernels are pure, and [expected_span]'s thunk itself looks up the
+   span table), then inserts under the lock unless the key is already
+   there.  In that case another domain computed the same kernel first:
+   this domain's value is dropped and the drop counted as a race, so
+   races never exceed misses and every caller gets a correct value.
 
-   Accounting.  Hits are counted in domain-local storage ([Domain.DLS])
-   so the hot path never writes a shared cache line.  The domain-local
-   counts are folded into the process-wide [Mae_obs.Metrics] counters
-   on every miss, on [stats], on [clear], and when a domain exits; the
-   batch engine additionally flushes its workers at the end of every
-   batch and reads {!local_counts} around each worker's run to
+   Accounting.  Every lookup adds straight into the process-wide
+   [Mae_obs.Metrics] counters, so {!stats} and /metrics are exact at
+   any moment.  It also bumps a plain per-domain tally, which the batch
+   engine reads through {!local_counts} around each worker's run to
    attribute hits and misses to the batch that caused them. *)
 
 type span_model = Paper | Exact
@@ -47,189 +39,69 @@ let race_count =
       "Misses whose insert was dropped because another domain computed the \
        same kernel first"
 
-(* --- domain-local hit/miss/race counting --- *)
-
 type counts = { hits : int; misses : int; races : int }
 
-type local = {
-  mutable l_hits : int;
-  mutable l_misses : int;
-  mutable l_races : int;
-  (* the prefix already folded into the global counters; tracking it
-     separately keeps the local counts monotone (so the engine can take
-     deltas around a batch) while still flushing each increment into the
-     registry exactly once, even across [clear]'s counter resets *)
-  mutable pushed_hits : int;
-  mutable pushed_misses : int;
-  mutable pushed_races : int;
+type tally = {
+  mutable t_hits : int;
+  mutable t_misses : int;
+  mutable t_races : int;
 }
 
-let flush_record l =
-  let dh = l.l_hits - l.pushed_hits
-  and dm = l.l_misses - l.pushed_misses
-  and dr = l.l_races - l.pushed_races in
-  if dh <> 0 then Mae_obs.Metrics.add hit_count dh;
-  if dm <> 0 then Mae_obs.Metrics.add miss_count dm;
-  if dr <> 0 then Mae_obs.Metrics.add race_count dr;
-  l.pushed_hits <- l.l_hits;
-  l.pushed_misses <- l.l_misses;
-  l.pushed_races <- l.l_races
-
-let local_key =
-  Domain.DLS.new_key (fun () ->
-      let l =
-        {
-          l_hits = 0;
-          l_misses = 0;
-          l_races = 0;
-          pushed_hits = 0;
-          pushed_misses = 0;
-          pushed_races = 0;
-        }
-      in
-      (* a short-lived engine worker flushes whatever it counted when
-         its domain terminates; the main domain flushes at process
-         exit *)
-      Domain.at_exit (fun () -> flush_record l);
-      l)
+let tally_key =
+  Domain.DLS.new_key (fun () -> { t_hits = 0; t_misses = 0; t_races = 0 })
 
 let local_counts () =
-  let l = Domain.DLS.get local_key in
-  { hits = l.l_hits; misses = l.l_misses; races = l.l_races }
-
-let flush_local () = flush_record (Domain.DLS.get local_key)
-
-(* --- the sharded publish-once table --- *)
+  let l = Domain.DLS.get tally_key in
+  { hits = l.t_hits; misses = l.t_misses; races = l.t_races }
 
 module Table = struct
-  let shard_count = 16 (* power of two *)
-  let shard_mask = shard_count - 1
-  let initial_buckets = 16 (* power of two *)
-
-  type ('k, 'v) shard = {
-    lock : Mutex.t;
-    (* the bucket array and every list cell in it are immutable once
-       published; inserts publish a copy-on-write successor *)
-    buckets : ('k * 'v) list array Atomic.t;
-    count : int Atomic.t;
-  }
-
-  type ('k, 'v) t = { name : string; shards : ('k, 'v) shard array }
+  type ('k, 'v) t = { lock : Mutex.t; tbl : ('k, 'v) Hashtbl.t }
 
   (* every table registers itself so [clear]/[stats] span the gate-array
      shape table as well as the four kernel tables below *)
-  type handle = {
-    h_name : string;
-    h_clear : unit -> unit;
-    h_entries : unit -> int;
-    h_shard_entries : unit -> int array;
-  }
+  type handle = { h_clear : unit -> unit; h_entries : unit -> int }
 
   let registry_lock = Mutex.create ()
   let registry : handle list ref = ref []
 
-  let bucket_of h len = (h lsr 4) land (len - 1)
+  let handles () = Mutex.protect registry_lock (fun () -> !registry)
 
-  let rec assoc_find key = function
-    | [] -> None
-    | (k, v) :: rest -> if k = key then Some v else assoc_find key rest
-
-  let fresh_buckets () = Array.make initial_buckets []
-
-  let shard_clear s =
-    Mutex.lock s.lock;
-    Atomic.set s.buckets (fresh_buckets ());
-    Atomic.set s.count 0;
-    Mutex.unlock s.lock
-
-  let entries t =
-    Array.fold_left (fun acc s -> acc + Atomic.get s.count) 0 t.shards
-
-  let shard_entries t = Array.map (fun s -> Atomic.get s.count) t.shards
-
-  let create ~name () =
-    let t =
+  let create () =
+    let t = { lock = Mutex.create (); tbl = Hashtbl.create 64 } in
+    let h =
       {
-        name;
-        shards =
-          Array.init shard_count (fun _ ->
-              {
-                lock = Mutex.create ();
-                buckets = Atomic.make (fresh_buckets ());
-                count = Atomic.make 0;
-              });
+        h_clear =
+          (fun () -> Mutex.protect t.lock (fun () -> Hashtbl.reset t.tbl));
+        h_entries =
+          (fun () -> Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl));
       }
     in
-    Mutex.lock registry_lock;
-    registry :=
-      {
-        h_name = name;
-        h_clear = (fun () -> Array.iter shard_clear t.shards);
-        h_entries = (fun () -> entries t);
-        h_shard_entries = (fun () -> shard_entries t);
-      }
-      :: !registry;
-    Mutex.unlock registry_lock;
+    Mutex.protect registry_lock (fun () -> registry := h :: !registry);
     t
-
-  (* Publish key -> v unless some other domain already did; returns
-     [true] when the insert was dropped (the race case). *)
-  let insert shard h key v =
-    Mutex.lock shard.lock;
-    let b = Atomic.get shard.buckets in
-    let len = Array.length b in
-    let idx = bucket_of h len in
-    match assoc_find key b.(idx) with
-    | Some _ ->
-        Mutex.unlock shard.lock;
-        true
-    | None ->
-        let n = Atomic.get shard.count + 1 in
-        let b' =
-          if n > 2 * len then begin
-            (* grow: rehash every entry into a doubled array *)
-            let len' = 2 * len in
-            let g = Array.make len' [] in
-            Array.iter
-              (List.iter (fun ((k, _) as pair) ->
-                   let i = bucket_of (Hashtbl.hash k) len' in
-                   g.(i) <- pair :: g.(i)))
-              b;
-            let i = bucket_of h len' in
-            g.(i) <- (key, v) :: g.(i);
-            g
-          end
-          else begin
-            let c = Array.copy b in
-            c.(idx) <- (key, v) :: c.(idx);
-            c
-          end
-        in
-        Atomic.set shard.count n;
-        Atomic.set shard.buckets b';
-        Mutex.unlock shard.lock;
-        false
 
   let find_or_compute t key compute =
     if not (Atomic.get enabled_flag) then compute ()
     else begin
-      let h = Hashtbl.hash key in
-      let shard = Array.unsafe_get t.shards (h land shard_mask) in
-      let b = Atomic.get shard.buckets in
-      match assoc_find key b.(bucket_of h (Array.length b)) with
+      let l = Domain.DLS.get tally_key in
+      match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tbl key) with
       | Some v ->
-          let l = Domain.DLS.get local_key in
-          l.l_hits <- l.l_hits + 1;
+          l.t_hits <- l.t_hits + 1;
+          Mae_obs.Metrics.incr hit_count;
           v
       | None ->
           let v = compute () in
-          let raced = insert shard h key v in
-          let l = Domain.DLS.get local_key in
-          l.l_misses <- l.l_misses + 1;
-          if raced then l.l_races <- l.l_races + 1;
-          (* misses are rare: keep the registry counters fresh here so a
-             metrics scrape between batches sees recent traffic *)
-          flush_record l;
+          let raced =
+            Mutex.protect t.lock (fun () ->
+                let present = Hashtbl.mem t.tbl key in
+                if not present then Hashtbl.add t.tbl key v;
+                present)
+          in
+          l.t_misses <- l.t_misses + 1;
+          Mae_obs.Metrics.incr miss_count;
+          if raced then begin
+            l.t_races <- l.t_races + 1;
+            Mae_obs.Metrics.incr race_count
+          end;
           v
     end
 end
@@ -237,16 +109,10 @@ end
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
 
-let span_table : (span_model * int * int, Dist.t) Table.t =
-  Table.create ~name:"span" ()
-
-let span_ceil_table : (span_model * int * int, int) Table.t =
-  Table.create ~name:"span_ceil" ()
-
-let feed_table : (int * int, Dist.t) Table.t = Table.create ~name:"feed" ()
-
-let feed_ceil_table : (int * int, int) Table.t =
-  Table.create ~name:"feed_ceil" ()
+let span_table : (span_model * int * int, Dist.t) Table.t = Table.create ()
+let span_ceil_table : (span_model * int * int, int) Table.t = Table.create ()
+let feed_table : (int * int, Dist.t) Table.t = Table.create ()
+let feed_ceil_table : (int * int, int) Table.t = Table.create ()
 
 (* --- row-span distribution (equations 2-3) --- *)
 
@@ -306,55 +172,23 @@ let expected_feed_throughs ~net_count ~rows =
   Table.find_or_compute feed_ceil_table (net_count, rows) (fun () ->
       Dist.expectation_ceil (feed_through_dist ~net_count ~rows))
 
-(* --- warm-up --- *)
-
-let precompute ~max_rows ~max_degree =
-  if max_rows < 1 then invalid_arg "Kernel_cache.precompute: max_rows < 1";
-  if max_degree < 1 then invalid_arg "Kernel_cache.precompute: max_degree < 1";
-  List.iter
-    (fun model ->
-      for rows = 1 to max_rows do
-        for degree = 1 to max_degree do
-          ignore (row_span_dist ~model ~rows ~degree);
-          ignore (expected_span ~model ~rows ~degree)
-        done
-      done)
-    [ Paper; Exact ]
-
 (* --- introspection --- *)
 
 type stats = { hits : int; misses : int; races : int; entries : int }
 
 let stats () =
-  flush_local ();
-  let entries =
-    Mutex.lock Table.registry_lock;
-    let handles = !Table.registry in
-    Mutex.unlock Table.registry_lock;
-    List.fold_left (fun acc h -> acc + h.Table.h_entries ()) 0 handles
-  in
   {
     hits = Mae_obs.Metrics.counter_value hit_count;
     misses = Mae_obs.Metrics.counter_value miss_count;
     races = Mae_obs.Metrics.counter_value race_count;
-    entries;
+    entries =
+      List.fold_left
+        (fun acc h -> acc + h.Table.h_entries ())
+        0 (Table.handles ());
   }
 
-let table_entries () =
-  Mutex.lock Table.registry_lock;
-  let handles = !Table.registry in
-  Mutex.unlock Table.registry_lock;
-  List.rev_map (fun h -> (h.Table.h_name, h.Table.h_shard_entries ())) handles
-
 let clear () =
-  (* fold this domain's counts in first, so the subsequent reset leaves
-     the pushed prefix equal to the local counts and future deltas stay
-     exact *)
-  flush_local ();
-  Mutex.lock Table.registry_lock;
-  let handles = !Table.registry in
-  Mutex.unlock Table.registry_lock;
-  List.iter (fun h -> h.Table.h_clear ()) handles;
+  List.iter (fun h -> h.Table.h_clear ()) (Table.handles ());
   Mae_obs.Metrics.reset_counter hit_count;
   Mae_obs.Metrics.reset_counter miss_count;
   Mae_obs.Metrics.reset_counter race_count

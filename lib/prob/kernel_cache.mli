@@ -8,14 +8,12 @@
     immutable {!Dist.t} across circuits and across the domains of the
     batch engine ({!Mae_engine}).
 
-    The tables are sharded 16 ways; each shard publishes an immutable
-    bucket array through an [Atomic], so lookups that hit never take a
-    lock -- one atomic snapshot and an association-list scan.  Misses
-    compute the (pure, deterministic) kernel outside any lock and
-    publish a copy-on-write successor under the shard's mutex.  Two
-    domains racing on the same key may both compute it; one result wins
-    the insert, the loser's drop is counted as a race, and both callers
-    receive a correct value.
+    Each table is one hash table behind one mutex.  A hit is a lookup
+    under the lock.  A miss computes the (pure, deterministic) kernel
+    outside the lock and inserts it under the lock.  Two domains racing
+    on the same key may both compute it; the first insert wins, the
+    loser's drop is counted as a race, and both callers receive a
+    correct value.
 
     All entry points may be called concurrently from any number of
     domains. *)
@@ -54,37 +52,28 @@ val feed_through_dist_uncached : net_count:int -> rows:int -> Dist.t
 val expected_feed_throughs : net_count:int -> rows:int -> int
 (** Equation (11): E(M) rounded up.  Cached. *)
 
-val precompute : max_rows:int -> max_degree:int -> unit
-(** Warm the span tables for every [(model, rows, degree)] with
-    [rows <= max_rows] and [degree <= max_degree], so a latency-critical
-    consumer (the serve daemon) can pay every kernel miss up front.
-    Raises [Invalid_argument] if either bound is < 1. *)
+(** {1 Generic tables}
 
-(** {1 Generic sharded tables}
-
-    The same publish-once sharded structure, for other pure
-    per-key computations that want to share [clear]/[set_enabled]/
-    [stats] with the kernel tables (the gate-array shape search keys
-    one by its small integer domain). *)
+    The same locked memo table, for other pure per-key computations
+    that want to share [clear]/[set_enabled]/[stats] with the kernel
+    tables (the gate-array shape search keys one by its small integer
+    domain). *)
 
 module Table : sig
   type ('k, 'v) t
 
-  val create : name:string -> unit -> ('k, 'v) t
-  (** Create a table and register it with the cache-wide {!clear},
-      {!stats} and {!table_entries}.  Intended for a handful of
-      module-initialization-time tables, not for dynamic creation:
-      registered tables are never unregistered.  Keys are compared with
-      structural equality and hashed with [Hashtbl.hash]. *)
+  val create : unit -> ('k, 'v) t
+  (** Create a table and register it with the cache-wide {!clear} and
+      {!stats}.  Intended for a handful of module-initialization-time
+      tables, not for dynamic creation: registered tables are never
+      unregistered.  Keys are compared with structural equality and
+      hashed with [Hashtbl.hash]. *)
 
   val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-  (** Lock-free lookup; on a miss, run the thunk outside any lock and
-      publish the result unless a racing domain already did (the
-      race-tolerant miss protocol -- the thunk must be pure).  When the
-      cache is disabled ({!set_enabled}), always runs the thunk. *)
-
-  val entries : ('k, 'v) t -> int
-  val shard_entries : ('k, 'v) t -> int array
+  (** Look the key up under the table's lock; on a miss, run the thunk
+      outside the lock and insert the result unless a racing domain
+      already did (the thunk must be pure).  When the cache is disabled
+      ({!set_enabled}), always runs the thunk. *)
 end
 
 (** {1 Introspection and control} *)
@@ -97,12 +86,6 @@ val local_counts : unit -> counts
     before and after a worker's run: the difference is exactly the
     worker's traffic, immune to concurrent batches on other domains. *)
 
-val flush_local : unit -> unit
-(** Fold this domain's not-yet-flushed counts into the process-wide
-    [mae_kernel_cache_*] registry counters.  Misses flush implicitly;
-    long-lived hit-only workers (the engine's pool domains) call this at
-    the end of every batch so {!stats} stays exact between batches. *)
-
 type stats = { hits : int; misses : int; races : int; entries : int }
 
 val stats : unit -> stats
@@ -112,12 +95,9 @@ val stats : unit -> stats
     domain computed the same kernel concurrently.  The counters live in
     the {!Mae_obs.Metrics} registry as [mae_kernel_cache_hits_total],
     [mae_kernel_cache_misses_total] and [mae_kernel_cache_races_total],
-    so a metrics dump sees the same numbers.  Flushes the calling
-    domain first; counts from another domain mid-batch appear once that
-    domain misses, finishes its batch, or exits. *)
-
-val table_entries : unit -> (string * int array) list
-(** Per-table, per-shard resident entry counts (diagnostics). *)
+    so a metrics dump sees the same numbers.  Every lookup adds to them
+    as it happens, so they are exact even while other domains are
+    mid-batch. *)
 
 val clear : unit -> unit
 (** Drop every entry and reset the counters.  Do not call concurrently

@@ -66,3 +66,23 @@ let raises_invalid f =
   match f () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
+
+(* Run [work] on a fresh domain that then stays alive, and return once
+   [work] is done: the caller can read what a live domain recorded
+   before that domain exits.  The returned function releases the domain
+   and joins it (re-raising anything [work] raised). *)
+let live_domain work =
+  let worked = Atomic.make false and release = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set worked true) work;
+        while not (Atomic.get release) do
+          Domain.cpu_relax ()
+        done)
+  in
+  while not (Atomic.get worked) do
+    Domain.cpu_relax ()
+  done;
+  fun () ->
+    Atomic.set release true;
+    Domain.join d

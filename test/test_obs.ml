@@ -567,13 +567,11 @@ let test_sketch_merged_domains () =
     List.init domains (fun d -> lcg_stream (100 + d) per_domain)
   in
   (* concurrent hammer: four domains observe their chunks into the
-     same sketch; per-domain buffers flush at domain exit *)
+     same sketch through its one lock *)
   let workers =
     List.map
       (fun chunk ->
-        Domain.spawn (fun () ->
-            List.iter (Mae_obs.Sketch.observe sk) chunk;
-            Mae_obs.Sketch.flush_local ()))
+        Domain.spawn (fun () -> List.iter (Mae_obs.Sketch.observe sk) chunk))
       chunks
   in
   List.iter Domain.join workers;
@@ -581,6 +579,34 @@ let test_sketch_merged_domains () =
   let s = Mae_obs.Sketch.snapshot sk in
   Alcotest.(check int) "merged count" (domains * per_domain) s.n;
   assert_within_bound sk pooled ~domains
+
+(* Samples observed on a domain that is still alive are in every read at
+   once, and [reset] drops them for good: nothing resurfaces when that
+   domain later exits. *)
+let observe_ten_live sk =
+  Mae_test_support.Support.live_domain (fun () ->
+      for i = 1 to 10 do
+        Mae_obs.Sketch.observe sk (float_of_int i)
+      done)
+
+let sketch_count sk = (Mae_obs.Sketch.snapshot sk).Mae_obs.Sketch.n
+
+let test_sketch_live_domain_visible () =
+  let sk = Mae_obs.Sketch.create "mae_test_sketch_live_seconds_summary" in
+  Mae_obs.Sketch.reset sk;
+  let finish = observe_ten_live sk in
+  let n = sketch_count sk in
+  finish ();
+  Alcotest.(check int) "live domain's samples counted" 10 n
+
+let test_sketch_reset_outlives_domain () =
+  let sk = Mae_obs.Sketch.create "mae_test_sketch_live_seconds_summary" in
+  Mae_obs.Sketch.reset sk;
+  let finish = observe_ten_live sk in
+  Mae_obs.Sketch.reset sk;
+  finish ();
+  Alcotest.(check int) "no sample back after the domain exits" 0
+    (sketch_count sk)
 
 let test_sketch_registry () =
   let a = Mae_obs.Sketch.create "mae_test_sketch_reg_seconds_summary" ~eps:0.02 in
@@ -800,6 +826,10 @@ let () =
             test_sketch_streams;
           Alcotest.test_case "4-domain concurrent merge" `Quick
             test_sketch_merged_domains;
+          Alcotest.test_case "live domain's samples read at once" `Quick
+            test_sketch_live_domain_visible;
+          Alcotest.test_case "reset outlives a live domain's exit" `Quick
+            test_sketch_reset_outlives_domain;
           Alcotest.test_case "registry, lint, exemplars" `Quick
             test_sketch_registry;
         ] );

@@ -173,13 +173,13 @@ let test_kernel_cache_matches_fresh () =
   Alcotest.(check int) "clear drops entries" 0 cleared.entries;
   Alcotest.(check int) "clear resets hits" 0 cleared.hits
 
-(* The sharded publish-once tables under real contention: four domains
-   hammer a shared key plane (every insert raced) plus a private plane
-   each (uncontended inserts), checking every returned distribution
-   against the uncached reference bit for bit.  Afterwards the flushed
-   accounting must add up exactly: every lookup was either a hit or a
-   miss, races are a subset of misses, and the tables hold exactly the
-   distinct keys touched. *)
+(* The locked tables under real contention: four domains hammer a
+   shared key plane (every insert raced) plus a private plane each
+   (uncontended inserts), checking every returned distribution against
+   the uncached reference bit for bit.  Afterwards the accounting must
+   add up exactly: every lookup was either a hit or a miss, races are a
+   subset of misses, and the tables hold exactly the distinct keys
+   touched. *)
 let dist_bits_equal a b =
   let bits d =
     List.map (fun o -> Int64.bits_of_float (Dist.prob d o)) (Dist.support d)
@@ -236,6 +236,26 @@ let test_kernel_cache_hammer () =
   Alcotest.(check int)
     "tables hold exactly the distinct keys" (shared_keys + private_keys)
     s.entries
+
+(* A live domain's hits reach [stats] as they happen: the domain never
+   misses, exits or flushes before the main domain reads them. *)
+let test_kernel_cache_live_domain_hits () =
+  Alcotest.(check bool) "cache enabled" true (Kernel_cache.enabled ());
+  let lookup () =
+    ignore
+      (Kernel_cache.row_span_dist ~model:Kernel_cache.Paper ~rows:6 ~degree:3)
+  in
+  lookup ();
+  let before = (Kernel_cache.stats ()).hits in
+  let finish =
+    S.live_domain (fun () ->
+        for _ = 1 to 5 do
+          lookup ()
+        done)
+  in
+  let hits = (Kernel_cache.stats ()).hits - before in
+  finish ();
+  Alcotest.(check int) "live domain's hits counted" 5 hits
 
 (* [clear] while four domains keep reading: no crash, no torn value --
    only reference bits ever come back, and once the dust settles a final
@@ -629,12 +649,14 @@ let () =
         ] );
       ( "kernel_cache",
         [
-          Alcotest.test_case "sharded cache 4-domain hammer" `Slow
+          Alcotest.test_case "locked cache 4-domain hammer" `Slow
             test_kernel_cache_hammer;
           Alcotest.test_case "clear under concurrent lookups" `Slow
             test_kernel_cache_clear_under_load;
           Alcotest.test_case "cache hit = fresh computation" `Quick
             test_kernel_cache_matches_fresh;
+          Alcotest.test_case "live domain's hits counted at once" `Quick
+            test_kernel_cache_live_domain_hits;
         ] );
       ( "rng",
         [
