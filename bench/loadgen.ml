@@ -88,7 +88,7 @@ let run_smoke () =
   let watermark = 8 in
   let pid, req_port, obs_port =
     spawn ~prefix:"loadgen daemon" (fun config ->
-        { config with Mae_serve.queue_watermark = watermark; max_batch = 4 })
+        { config with Mae_serve.queue_watermark = watermark })
   in
   check (req_port > 0 && obs_port > 0)
     "daemon bound request plane :%d and obs plane :%d" req_port obs_port;

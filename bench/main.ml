@@ -917,17 +917,29 @@ type engine_run = {
   cache : bool;
   stats : Mae_engine.stats;
   gc_p99_s : float option;  (* this run's own p99 pause; lens on only *)
+  alloc_words_per_module : float option;
+      (* minor words the calling domain allocated per module; jobs = 1
+         only, where that domain does all the work *)
 }
 
 let time_engine ?pool ~label ~jobs ~cache ~registry circuits =
   Mae_prob.Kernel_cache.clear ();
   Mae_prob.Kernel_cache.set_enabled cache;
-  let (results, stats), gc_p99_s =
+  let ((results, stats), words), gc_p99_s =
     Bench_history.History.with_own_gc_p99 (fun () ->
-        Mae_engine.run_circuits_with_stats ?pool ~jobs ~registry circuits)
+        let w0 = Gc.minor_words () in
+        let run =
+          Mae_engine.run_circuits_with_stats ?pool ~jobs ~registry circuits
+        in
+        (run, Gc.minor_words () -. w0))
   in
   Mae_prob.Kernel_cache.set_enabled true;
-  (results, { label; jobs; cache; stats; gc_p99_s })
+  let alloc_words_per_module =
+    if jobs = 1 && stats.modules > 0 then
+      Some (words /. Float.of_int stats.modules)
+    else None
+  in
+  (results, { label; jobs; cache; stats; gc_p99_s; alloc_words_per_module })
 
 let modules_per_s (r : engine_run) =
   if r.stats.elapsed_s > 0. then
@@ -1176,9 +1188,12 @@ let run_engine ~smoke () =
                    ("cache_hits", Number (Float.of_int r.stats.cache_hits));
                    ("cache_misses", Number (Float.of_int r.stats.cache_misses));
                  ]
+                 @ (match r.gc_p99_s with
+                   | Some p99 -> [ ("gc_p99_pause_s", Number p99) ]
+                   | None -> [])
                  @
-                 match r.gc_p99_s with
-                 | Some p99 -> [ ("gc_p99_pause_s", Number p99) ]
+                 match r.alloc_words_per_module with
+                 | Some w -> [ ("alloc_words_per_module", Number w) ]
                  | None -> []))
              runs) );
       ( "estimate_store",

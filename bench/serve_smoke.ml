@@ -35,7 +35,10 @@
       (the second with Connection: close, which must be honored), and
       a good-bad-good pipelined line burst where a malformed request
       and a 9 MiB oversized line each answer their typed error while
-      the requests queued behind them still answer, in order;
+      the requests queued behind them still answer, in order, and a
+      pipelined burst of never-seen modules written at once whose
+      responses keep arrival order and whose access-log records each
+      carry their own kernel-cache traffic;
   10. before the overload phase, pipelines a 40-request burst at the
       second daemon (queue watermark 2) and asserts deterministic
       admission control: every response arrives in request order, the
@@ -516,9 +519,59 @@ let () =
   check true
     "malformed and oversized frames answered in order, connection intact";
 
+  (* --- a pipelined burst of distinct, never-seen modules in one write:
+     each request is its own engine run, so the access log (checked
+     below) gives each its own kernel-cache traffic --- *)
+  let burst_sizes = List.init 8 (fun i -> 20 + i) in
+  let burst_id n = Json.String (Printf.sprintf "burst-%d" n) in
+  let burst_fd = connect_tcp "127.0.0.1" req_port in
+  let burst_ic = Unix.in_channel_of_descr burst_fd in
+  write_fully burst_fd
+    (String.concat ""
+       (List.map
+          (fun n ->
+            Json.encode
+              (Json.Object
+                 [
+                   ("id", burst_id n);
+                   ( "hdl",
+                     Json.String
+                       (hdl_of
+                          (Mae_workload.Generators.counter ~technology:"nmos25" n))
+                   );
+                 ])
+            ^ "\n")
+          burst_sizes));
+  let burst_seqs =
+    List.map
+      (fun n ->
+        let doc =
+          match Json.parse (input_line burst_ic) with
+          | Ok d -> d
+          | Error e -> fail "burst response not JSON: %s" e
+        in
+        if Json.member "id" doc <> Some (burst_id n) then
+          fail "burst response out of order, want burst-%d: %S" n
+            (Json.encode doc);
+        if
+          Json.member "ok" doc <> Some (Json.Bool true)
+          || Json.member "cached" doc <> Some (Json.Bool false)
+        then fail "burst-%d should answer ok and uncached: %S" n (Json.encode doc);
+        incr sent_ok;
+        incr last_seq;
+        match Option.bind (Json.member "seq" doc) Json.to_number with
+        | Some f -> int_of_float f
+        | None -> fail "burst-%d response lacks seq" n)
+      burst_sizes
+  in
+  Unix.close burst_fd;
+  check true "pipelined burst of %d new modules answered in arrival order"
+    (List.length burst_sizes);
+
   Unix.close fd;
   let total = !sent_ok + !sent_failed in
-  check (total = List.length corpus + 9 && !sent_ok = 108)
+  let burst = List.length burst_sizes in
+  check (total = List.length corpus + 9 + burst && !sent_ok = 108 + burst)
     "%d requests answered in order (%d ok, %d failed), seq monotone to %d"
     total !sent_ok !sent_failed !last_seq;
 
@@ -609,13 +662,19 @@ let () =
     (m "mae_serve_request_seconds_summary_count" = total)
     "latency sketch counted all %d requests" total;
   let sk_q q =
-    prom_value metrics_body
-      (Printf.sprintf "mae_serve_request_seconds_summary{quantile=\"%s\"}" q)
+    match
+      List.assoc_opt q
+        Mae_serve.Top.(
+          sketch_quantiles (parse_prometheus metrics_body)
+            "mae_serve_request_seconds_summary")
+    with
+    | Some v -> v
+    | None -> fail "latency sketch quantile %g not in /metrics" q
   in
   check
-    (sk_q "0.5" > 0. && sk_q "0.5" <= sk_q "0.99")
-    "sketch quantiles ordered (p50 %.6fs <= p99 %.6fs)" (sk_q "0.5")
-    (sk_q "0.99");
+    (sk_q 0.5 > 0. && sk_q 0.5 <= sk_q 0.99)
+    "sketch quantiles ordered (p50 %.6fs <= p99 %.6fs)" (sk_q 0.5)
+    (sk_q 0.99);
   check
     (contains metrics_body
        "# EXEMPLAR mae_serve_request_seconds_summary {request_id=\"r")
@@ -764,9 +823,9 @@ let () =
         [ "latency_s"; "rows_selected"; "cache_hits"; "cache_misses"; "ok" ])
     requests;
   check true "access-log request ids are r1..r%d in order" total;
-  (* the lockstep corpus (r1..rN): each request has its engine batch to
-     itself, so every uncached estimate carries its own kernel-cache
-     traffic in the access log *)
+  (* every request is its own engine run, so every uncached estimate
+     carries its own kernel-cache traffic in the access log: first the
+     lockstep corpus (r1..rN) *)
   let int_field field doc =
     match Option.bind (Json.member field doc) Json.to_number with
     | Some f -> int_of_float f
@@ -789,6 +848,17 @@ let () =
     "every uncached lockstep estimate (%d of r1..r%d) logs its kernel-cache \
      traffic"
     (List.length uncached) (List.length corpus);
+  (* ... then the pipelined burst, which arrived all at once *)
+  let burst_records =
+    List.filter (fun doc -> List.mem (int_field "seq" doc) burst_seqs) requests
+  in
+  check
+    (List.length burst_records = burst
+    && List.for_all
+         (fun doc -> int_field "cache_hits" doc + int_field "cache_misses" doc > 0)
+         burst_records)
+    "every pipelined burst estimate (%d) logs its own kernel-cache traffic"
+    (List.length burst_records);
 
   (* --- the warm daemon: its journal was written by another process,
      so its very first request must answer from disk --- *)

@@ -139,20 +139,11 @@ let get ~port path =
       | Some parts -> parts
       | None -> fail "HTTP response to %s has no header/body split" path)
 
-(* The value of an unlabelled sample line [name value] in a /metrics
-   body. *)
+(* The value of an unlabelled sample [name] in a /metrics body. *)
 let prom_value body name =
-  let rec find = function
-    | [] -> fail "metric %s not in /metrics" name
-    | line :: rest -> (
-        match String.split_on_char ' ' line with
-        | [ n; v ] when String.equal n name -> (
-            match float_of_string_opt v with
-            | Some f -> f
-            | None -> fail "metric %s has unparseable value %S" name v)
-        | _ -> find rest)
-  in
-  find (String.split_on_char '\n' body)
+  match Mae_serve.Top.(metric_value (parse_prometheus body) name) with
+  | Some v -> v
+  | None -> fail "metric %s not in /metrics" name
 
 (* --- the forked daemon --- *)
 

@@ -437,8 +437,7 @@ let estimate_cmd =
 
 let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
     metrics_out slo_latency_ms slo_latency_target slo_error_target store_journal
-    store_out no_estimate_cache idle_timeout max_connections queue_watermark
-    max_batch store_cap =
+    store_out idle_timeout max_connections queue_watermark store_cap =
   if jobs < 0 then
     or_die (Error "--jobs must be >= 0 (0 = one domain per core)");
   if slo_latency_ms <= 0. then
@@ -450,7 +449,6 @@ let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
     [
       ("--max-connections", max_connections);
       ("--queue-watermark", queue_watermark);
-      ("--max-batch", max_batch);
     ];
   if store_cap < 0 then
     or_die (Error "--store-cap must be >= 0 (0 = unbounded)");
@@ -475,9 +473,6 @@ let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
   validate_out_path ~flag:"--access-log" access_log;
   validate_out_path ~flag:"--store" store_journal;
   validate_out_path ~flag:"--store-db" store_out;
-  if no_estimate_cache && (store_journal <> None || store_out <> None) then
-    or_die
-      (Error "--no-estimate-cache conflicts with --store / --store-db");
   let registry = or_die (registry_of tech_files) in
   let request_addr = or_die (Mae_serve.parse_addr listen) in
   let obs_addr =
@@ -510,14 +505,12 @@ let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
       jobs;
       trace_out;
       metrics_out;
-      estimate_cache = not no_estimate_cache;
       store_journal;
       store_out;
       store_live_cap = (if store_cap = 0 then None else Some store_cap);
       idle_timeout_s = idle_timeout;
       max_connections;
       queue_watermark;
-      max_batch;
       slo =
         {
           Mae_serve.default_slo with
@@ -569,7 +562,7 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Engine domains per request batch (0 = one per core).")
+          ~doc:"Engine domains per request (0 = one per core).")
   in
   let access_log =
     Arg.(
@@ -645,14 +638,6 @@ let serve_cmd =
             "Write a mae_db Store snapshot of the estimate store to $(docv) \
              on shutdown (loadable by the floor-planner).")
   in
-  let no_estimate_cache =
-    Arg.(
-      value & flag
-      & info [ "no-estimate-cache" ]
-          ~doc:
-            "Disable the content-addressed estimate store: every request is \
-             recomputed even when an identical module was already answered.")
-  in
   let idle_timeout =
     Arg.(
       value & opt float 300.
@@ -679,15 +664,6 @@ let serve_cmd =
              Retry-After instead of estimated (default 256).  Shed requests \
              burn neither SLO budget.")
   in
-  let max_batch =
-    Arg.(
-      value & opt int 32
-      & info [ "max-batch" ] ~docv:"N"
-          ~doc:
-            "Coalesce up to $(docv) queued estimate requests into one \
-             engine batch (default 32); batches share the domain pool and \
-             the kernel cache warm-up.")
-  in
   let store_cap =
     Arg.(
       value & opt int 65536
@@ -707,8 +683,7 @@ let serve_cmd =
       const run_serve $ tech_files_arg $ listen $ obs_listen $ jobs
       $ access_log $ log_level $ trace_out $ metrics_out $ slo_latency_ms
       $ slo_latency_target $ slo_error_target $ store_journal $ store_out
-      $ no_estimate_cache $ idle_timeout $ max_connections $ queue_watermark
-      $ max_batch $ store_cap)
+      $ idle_timeout $ max_connections $ queue_watermark $ store_cap)
 
 (* top *)
 

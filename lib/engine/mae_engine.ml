@@ -325,8 +325,8 @@ let map_pool ~jobs ?pool ~t0 f inputs =
    result plus how the store answered -- [`Hit]/[`Miss] when it was
    consulted, [`Bypass] when the lookup never happened (no cache, a
    [config] override, or an unknown process/method that the driver will
-   report).  Counting these flags gives every group of a batch exact
-   store accounting, even while other batches share the store. *)
+   report).  Counting these flags gives every batch exact store
+   accounting, even while other batches share the store. *)
 let estimate_module ?config ?methods ?cache ~registry
     (circuit : Mae_netlist.Circuit.t) =
   let run_uncached () =
@@ -367,22 +367,18 @@ let estimate_module ?config ?methods ?cache ~registry
   in
   Mae_obs.Sketch.time module_latency_sketch run
 
-(* The one batch path.  Each inner list is one request's circuits; the
-   concatenation runs as a single fan-out (one pool submission, one
-   claiming pass) and is sliced back into the groups, each with
-   its own store hit/miss counts from the per-module flags. *)
-let run_grouped ?config ?methods ?jobs ?pool ?cache ~registry groups =
+(* The one batch path: one fan-out (one pool submission, one claiming
+   pass) over the circuits, with store hit/miss counts from the
+   per-module flags. *)
+let run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
+    circuits =
   let jobs = resolve_jobs jobs in
   check_oversubscription jobs;
-  let inputs = Array.of_list (List.concat groups) in
+  let inputs = Array.of_list circuits in
   let modules = Array.length inputs in
   Mae_obs.Span.with_ ~name:"engine.batch"
     ~attrs:
-      [
-        ("modules", string_of_int modules);
-        ("jobs", string_of_int jobs);
-        ("groups", string_of_int (List.length groups));
-      ]
+      [ ("modules", string_of_int modules); ("jobs", string_of_int jobs) ]
   @@ fun () ->
   let t0 = Mae_obs.Clock.monotonic () in
   let flagged, per_domain, queue_wait, cache_hits, cache_misses =
@@ -391,22 +387,8 @@ let run_grouped ?config ?methods ?jobs ?pool ?cache ~registry groups =
       inputs
   in
   let elapsed_s = Mae_obs.Clock.monotonic () -. t0 in
-  let _, grouped =
-    List.fold_left_map
-      (fun off group ->
-        let slice = Array.sub flagged off (List.length group) in
-        let count flag =
-          Array.fold_left (fun n (_, f) -> if f = flag then n + 1 else n) 0 slice
-        in
-        ( off + Array.length slice,
-          (Array.to_list (Array.map fst slice), count `Hit, count `Miss) ))
-      0 groups
-  in
-  let ok =
-    Array.fold_left
-      (fun acc (r, _) -> match r with Ok _ -> acc + 1 | Error _ -> acc)
-      0 flagged
-  in
+  let count p = Array.fold_left (fun n r -> if p r then n + 1 else n) 0 flagged in
+  let ok = count (fun (r, _) -> Result.is_ok r) in
   Mae_obs.Metrics.add modules_counter modules;
   Mae_obs.Metrics.add ok_counter ok;
   Mae_obs.Metrics.add failed_counter (modules - ok);
@@ -423,8 +405,8 @@ let run_grouped ?config ?methods ?jobs ?pool ?cache ~registry groups =
          runs concurrently on other domains *)
       cache_hits;
       cache_misses;
-      store_hits = List.fold_left (fun a (_, h, _) -> a + h) 0 grouped;
-      store_misses = List.fold_left (fun a (_, _, m) -> a + m) 0 grouped;
+      store_hits = count (fun (_, f) -> f = `Hit);
+      store_misses = count (fun (_, f) -> f = `Miss);
       per_domain;
     }
   in
@@ -432,7 +414,6 @@ let run_grouped ?config ?methods ?jobs ?pool ?cache ~registry groups =
     Mae_obs.Log.debug ~event:"engine.batch"
       [
         ("modules", Mae_obs.Log.Int modules);
-        ("groups", Mae_obs.Log.Int (List.length groups));
         ("ok", Mae_obs.Log.Int ok);
         ("failed", Mae_obs.Log.Int (modules - ok));
         ("jobs", Mae_obs.Log.Int jobs);
@@ -440,14 +421,7 @@ let run_grouped ?config ?methods ?jobs ?pool ?cache ~registry groups =
         ("cache_hits", Mae_obs.Log.Int cache_hits);
         ("cache_misses", Mae_obs.Log.Int cache_misses);
       ];
-  (grouped, stats)
-
-let run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
-    circuits =
-  let grouped, stats =
-    run_grouped ?config ?methods ?jobs ?pool ?cache ~registry [ circuits ]
-  in
-  (List.concat_map (fun (results, _, _) -> results) grouped, stats)
+  (Array.to_list (Array.map fst flagged), stats)
 
 let run_circuits ?config ?methods ?jobs ?pool ?cache ~registry circuits =
   fst

@@ -6,9 +6,8 @@
     which module.  A module that fails (driver error or exception)
     yields an [Error] slot; the rest of the batch is unaffected.
 
-    There is one batch path, {!run_grouped}: its input is one circuit
-    list per request, and {!run_circuits_with_stats} and {!run_circuits}
-    are that path over a single group.  To estimate HDL text or a file,
+    There is one batch path, {!run_circuits_with_stats}; {!run_circuits}
+    keeps only its results.  To estimate HDL text or a file,
     elaborate it with {!Mae.Driver.string_circuits} (or
     [design_circuits], [file_circuits]) and pass the circuits on.  Every
     entry point takes the driver's [?methods] selection (see
@@ -81,7 +80,7 @@ val default_jobs : unit -> int
     Domains park on a condition variable between batches, so a batch
     submission costs one lock round-trip and a broadcast instead of
     [jobs - 1] [Domain.spawn]s (each worth several cached modules).
-    Pass the pool to {!run_grouped} and its adapters via [?pool]; the
+    Pass the pool to {!run_circuits_with_stats} via [?pool]; the
     calling domain always participates as worker 0, pool domains serve
     the remaining slots (idle when the batch requests fewer jobs than
     the pool offers).  A pool runs one batch at a time -- submitting
@@ -114,31 +113,6 @@ end
     [engine.batch] debug log record when {!Mae_obs.Log} is at
     [Debug]. *)
 
-val run_grouped :
-  ?config:Mae.Config.t ->
-  ?methods:string list ->
-  ?jobs:int ->
-  ?pool:Pool.t ->
-  ?cache:Mae_db.Cas.t ->
-  registry:Mae_tech.Registry.t ->
-  Mae_netlist.Circuit.t list list ->
-  ((Mae.Driver.module_report, error) result list * int * int) list * stats
-(** The batch path.  Each inner list is one request's circuits; the
-    concatenation runs as a single fan-out (one pool submission, one
-    claiming pass) and each group comes back as
-    [(results, store_hits, store_misses)], results in input order and
-    the store counts taken from that group's own lookups.  [stats]
-    covers the whole batch.
-
-    [methods] selects the methodologies each module runs (default
-    ["default"]; see {!Mae.Methodology.resolve}).  [jobs] is the number
-    of domains: omitted or [1] runs sequentially on the calling domain,
-    [0] means {!default_jobs}, [n >= 2] uses up to [n - 1] more domains
-    (the caller is the n-th worker; never more workers than modules, nor
-    than a given pool's {!Pool.concurrency}).  Raises [Invalid_argument] on a negative
-    [jobs].  Results are bit-for-bit independent of [jobs], of [pool]
-    and of how the circuits are split into groups. *)
-
 val run_circuits_with_stats :
   ?config:Mae.Config.t ->
   ?methods:string list ->
@@ -148,7 +122,18 @@ val run_circuits_with_stats :
   registry:Mae_tech.Registry.t ->
   Mae_netlist.Circuit.t list ->
   (Mae.Driver.module_report, error) result list * stats
-(** {!run_grouped} over one group. *)
+(** The batch path: one fan-out (one pool submission, one claiming
+    pass) over the circuits, results in input order.  [stats] covers
+    the batch; its store counts come from this batch's own lookups.
+
+    [methods] selects the methodologies each module runs (default
+    ["default"]; see {!Mae.Methodology.resolve}).  [jobs] is the number
+    of domains: omitted or [1] runs sequentially on the calling domain,
+    [0] means {!default_jobs}, [n >= 2] uses up to [n - 1] more domains
+    (the caller is the n-th worker; never more workers than modules, nor
+    than a given pool's {!Pool.concurrency}).  Raises [Invalid_argument] on a negative
+    [jobs].  Results are bit-for-bit independent of [jobs] and of
+    [pool]. *)
 
 val run_circuits :
   ?config:Mae.Config.t ->

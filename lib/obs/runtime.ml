@@ -254,11 +254,13 @@ let poll () =
     n
   end
 
-let sampler_loop interval =
+let poll_interval_s = 0.05
+
+let sampler_loop () =
   while not (Atomic.get stop_requested) do
     ignore (poll ());
     Procstat.sample ();
-    (try Unix.sleepf interval
+    (try Unix.sleepf poll_interval_s
      with Unix.Unix_error (Unix.EINTR, _, _) -> ())
   done
 
@@ -266,9 +268,7 @@ let sampler_loop interval =
 
 let running () = Atomic.get running_flag
 
-let start ?(poll_interval_s = 0.05) () =
-  if not (poll_interval_s > 0.) then
-    invalid_arg "Mae_obs.Runtime.start: poll_interval_s must be positive";
+let start () =
   Mutex.lock life_lock;
   let started =
     if Atomic.get running_flag then false
@@ -287,7 +287,7 @@ let start ?(poll_interval_s = 0.05) () =
       Mutex.unlock lock;
       Atomic.set stop_requested false;
       Atomic.set running_flag true;
-      sampler := Some (Domain.spawn (fun () -> sampler_loop poll_interval_s));
+      sampler := Some (Domain.spawn sampler_loop);
       true
     end
   in

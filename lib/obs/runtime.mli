@@ -27,12 +27,11 @@
     live domain, possibly reused after a domain exits.  For the
     resident engine pool the numbering coincides with [Domain.id]. *)
 
-val start : ?poll_interval_s:float -> unit -> bool
+val start : unit -> bool
 (** Start event collection, create the cursor and spawn the sampler
-    (default tick 50 ms).  Returns [false] (and does nothing) when
+    (one tick every 50 ms).  Returns [false] (and does nothing) when
     already running.  Safe to call again after {!stop}; statistics
-    accumulate across sessions.  Raises [Invalid_argument] on a
-    non-positive interval. *)
+    accumulate across sessions. *)
 
 val stop : unit -> unit
 (** Join the sampler, drain the cursor one final time, free it, and

@@ -2,15 +2,13 @@
 
    Every request-plane frame becomes a job in one FIFO queue, so each
    connection's responses come back in its own arrival order even when
-   requests from many connections interleave.  A tick takes a queue
-   prefix, runs the estimate jobs in it as engine batches (one
-   {!Mae_engine.run_grouped} fan-out per method selection, each request
-   one group -- a lone request is a group of one), and answers every
-   job of the prefix with the full per-request bookkeeping: seq/rid,
-   latency sketch + exemplar, SLO events, tail capture, the
-   access log record, the response write.  The tick's engine work runs
-   inside its first estimate's [serve.request] span and request-id
-   scope.
+   requests from many connections interleave.  A tick pops one job and
+   answers it with the full per-request bookkeeping: seq/rid, latency
+   sketch + exemplar, SLO events, tail capture, the access log record,
+   the response write.  An estimate job parses its HDL and makes
+   exactly one {!Mae_engine.run_circuits_with_stats} call inside its
+   own [serve.request] span and request-id scope, so its store and
+   kernel-cache counts are its own.
 
    Admission control lives at the front door: when the queued estimate
    count is at the watermark, a new estimate is answered 503 +
@@ -46,10 +44,6 @@ let requests_shed =
 let queue_depth_gauge =
   Metrics.gauge "mae_serve_queue_depth"
     ~help:"Jobs waiting in the dispatch queue right now"
-
-let batch_requests =
-  Mae_obs.Sketch.create "mae_serve_batch_requests"
-    ~help:"Requests coalesced into one engine batch"
 
 (* Exemplars carry the request ids of the slowest requests so /metrics
    cross-links to /tracez. *)
@@ -150,11 +144,7 @@ type prepared = {
   modules : int;
   modules_ok : int;
   rows_selected_total : int;
-  cache_hits : int;
-      (** kernel-cache traffic attributed to this request by the
-          engine's domain-local accounting when it had an engine batch
-          to itself; 0 when it shared one (the shared batch's traffic
-          is on the [serve.batch] record) *)
+  cache_hits : int;  (** kernel-cache traffic of this request's engine run *)
   cache_misses : int;
   cached : bool;
       (** every module of this request was answered from the estimate
@@ -178,10 +168,8 @@ let failure ?(server_error = false) msg =
     server_error;
   }
 
-(* Results (plus this request's own store traffic) to the response
-   fields. *)
-let prepared_of_results ~cache_hits ~cache_misses ~store_hits ~store_misses
-    results =
+(* One engine run's results and stats to the response fields. *)
+let prepared_of_results results (stats : Mae_engine.stats) =
   let modules = List.length results in
   let modules_ok = List.length (List.filter Result.is_ok results) in
   (* a module that crashed its estimator is a server fault; a driver
@@ -202,7 +190,9 @@ let prepared_of_results ~cache_hits ~cache_misses ~store_hits ~store_misses
         | Error _ -> acc)
       0 results
   in
-  let cached = modules > 0 && store_hits = modules && store_misses = 0 in
+  let cached =
+    modules > 0 && stats.store_hits = modules && stats.store_misses = 0
+  in
   {
     fields =
       [
@@ -214,8 +204,8 @@ let prepared_of_results ~cache_hits ~cache_misses ~store_hits ~store_misses
     modules;
     modules_ok;
     rows_selected_total = rows;
-    cache_hits;
-    cache_misses;
+    cache_hits = stats.cache_hits;
+    cache_misses = stats.cache_misses;
     cached;
     server_error = crashed;
   }
@@ -244,14 +234,13 @@ type config = {
   registry : Mae_tech.Registry.t;
   inject_sleep_field : bool;
   queue_watermark : int;  (** queued estimates at/over this shed *)
-  max_batch : int;  (** estimate jobs coalesced per engine batch *)
 }
 
 type t = {
   config : config;
   transport : Transport.t;
   pool : Mae_engine.Pool.t option;
-  cas : Mae_db.Cas.t option;
+  cas : Mae_db.Cas.t;
   slo_latency : Mae_obs.Slo.t;
   slo_errors : Mae_obs.Slo.t;
   queue : job Queue.t;
@@ -314,10 +303,9 @@ let seq_and_id seq id fields =
     @ fields)
 
 (* Full per-request bookkeeping around [outcome]: the thunk runs inside
-   the request's [serve.request] span (for a tick's first estimate it is
-   the tick's whole parse + engine run; later ones find their outcome
-   ready).  Latency counts from frame arrival, so queue wait and any
-   shared batch the request rode are part of its SLO story. *)
+   the request's [serve.request] span (for an estimate, its parse and
+   engine run).  Latency counts from frame arrival, so queue wait is
+   part of its SLO story. *)
 let answer t job ~id outcome =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -418,136 +406,34 @@ let inject_sleep t (est : Protocol.estimate) =
   if t.config.inject_sleep_field then
     match est.Protocol.sleep_s with Some s -> Unix.sleepf s | None -> ()
 
-(* Split parsed requests into runs of one method selection, in order of
-   first appearance. *)
-let rec by_selection = function
-  | [] -> []
-  | ((_, (est : Protocol.estimate), _) :: _) as members ->
-      let same, rest =
-        List.partition
-          (fun (_, (e : Protocol.estimate), _) ->
-            e.Protocol.methods = est.Protocol.methods)
-          members
-      in
-      (est.Protocol.methods, same) :: by_selection rest
-
-(* A tick's estimate jobs run as one engine fan-out per method
-   selection.  Sleep injection and hdl parsing stay in arrival order;
-   the grouped engine call gives each request its own results slice and
-   store hit/miss counts, so the per-request "cached" field stays exact.
-   Kernel-cache traffic is per request only when the request had its
-   batch to itself; a shared batch's totals go on the [serve.batch]
-   debug record instead. *)
-let prepare_batch t ests =
-  List.iter (fun (_, est) -> inject_sleep t est) ests;
-  let parsed, unparsed =
-    List.partition_map
-      (fun (job, est) ->
-        match Mae.Driver.string_circuits est.Protocol.hdl with
-        | Ok circuits -> Left (job, est, circuits)
-        | Error e ->
-            Right (job, failure (Format.asprintf "%a" Mae.Driver.pp_error e)))
-      ests
-  in
-  let run (methods, members) =
-    let requests = List.length members in
-    Mae_obs.Sketch.observe batch_requests (Float.of_int requests);
-    match
-      Mae_obs.Span.with_ ~name:"serve.batch"
-        ~attrs:[ ("requests", string_of_int requests) ]
-        (fun () ->
-          Mae_engine.run_grouped ?methods ~jobs:t.config.jobs ?pool:t.pool
-            ?cache:t.cas ~registry:t.config.registry
-            (List.map (fun (_, _, circuits) -> circuits) members))
-    with
-    | grouped, stats ->
-        if Log.enabled Log.Debug then
-          Log.debug ~event:"serve.batch"
-            [
-              ("requests", Log.Int requests);
-              ("modules", Log.Int stats.Mae_engine.modules);
-              ("cache_hits", Log.Int stats.Mae_engine.cache_hits);
-              ("cache_misses", Log.Int stats.Mae_engine.cache_misses);
-              ("store_hits", Log.Int stats.Mae_engine.store_hits);
-              ("store_misses", Log.Int stats.Mae_engine.store_misses);
-            ];
-        let cache_hits, cache_misses =
-          if requests = 1 then
-            (stats.Mae_engine.cache_hits, stats.Mae_engine.cache_misses)
-          else (0, 0)
-        in
-        List.map2
-          (fun (job, _, _) (results, store_hits, store_misses) ->
-            ( job,
-              prepared_of_results ~cache_hits ~cache_misses ~store_hits
-                ~store_misses results ))
-          members grouped
-    | exception exn ->
-        let p =
+(* One estimate request: its own parse and one engine run. *)
+let estimate t (est : Protocol.estimate) =
+  inject_sleep t est;
+  match Mae.Driver.string_circuits est.Protocol.hdl with
+  | Error e -> failure (Format.asprintf "%a" Mae.Driver.pp_error e)
+  | Ok circuits -> (
+      match
+        Mae_engine.run_circuits_with_stats ?methods:est.Protocol.methods
+          ~jobs:t.config.jobs ?pool:t.pool ~cache:t.cas
+          ~registry:t.config.registry circuits
+      with
+      | results, stats -> prepared_of_results results stats
+      | exception exn ->
           failure ~server_error:true
-            ("estimator crashed: " ^ Printexc.to_string exn)
-        in
-        List.map (fun (job, _, _) -> (job, p)) members
-  in
-  unparsed @ List.concat_map run (by_selection parsed)
+            ("estimator crashed: " ^ Printexc.to_string exn))
 
 (* --- the tick --- *)
 
-(* Pop a FIFO prefix holding at most [max_batch] estimate jobs (shed,
-   invalid and reject jobs ride along free -- they cost no engine
-   time).  Stops *before* the estimate that would overflow, so its
-   response order relative to its connection still holds. *)
-let take_prefix t =
-  let batch = ref [] in
-  let estimates = ref 0 in
-  let rec go () =
-    match Queue.peek_opt t.queue with
-    | None -> ()
-    | Some job -> begin
-        match job.kind with
-        | J_estimate _ when !estimates >= t.config.max_batch -> ()
-        | kind ->
-            ignore (Queue.pop t.queue);
-            (match kind with
-            | J_estimate _ ->
-                incr estimates;
-                t.queued_estimates <- t.queued_estimates - 1
-            | J_invalid _ | J_shed _ | J_reject _ -> ());
-            batch := job :: !batch;
-            go ()
-      end
-  in
-  go ();
-  List.rev !batch
-
-let process t jobs =
-  let ests =
-    List.filter_map
-      (fun job ->
-        match job.kind with J_estimate est -> Some (job, est) | _ -> None)
-      jobs
-  in
-  (* forced from the first estimate's [answer] thunk, so the tick's
-     engine run sits inside that request's serve.request span and
-     request-id log scope *)
-  let prepared = lazy (prepare_batch t ests) in
-  List.iter
-    (fun job ->
-      match job.kind with
+let tick t =
+  match Queue.take_opt t.queue with
+  | None -> false
+  | Some job ->
+      sync_depth t;
+      (match job.kind with
       | J_reject response -> finish t job response
       | J_shed { id } -> answer_shed t job ~id
-      | J_invalid { id; error } ->
-          answer t job ~id (fun () -> failure error)
+      | J_invalid { id; error } -> answer t job ~id (fun () -> failure error)
       | J_estimate est ->
-          answer t job ~id:est.Protocol.id (fun () ->
-              List.assq job (Lazy.force prepared)))
-    jobs
-
-let tick t =
-  if Queue.is_empty t.queue then false
-  else begin
-    let batch = take_prefix t in
-    sync_depth t;
-    process t batch;
-    not (Queue.is_empty t.queue)
-  end
+          t.queued_estimates <- t.queued_estimates - 1;
+          answer t job ~id:est.Protocol.id (fun () -> estimate t est));
+      not (Queue.is_empty t.queue)

@@ -1,14 +1,13 @@
 (** The bounded submission queue in front of the engine.
 
     One FIFO queue for every request-plane frame keeps each
-    connection's responses in its own arrival order.  A {!tick} takes
-    a queue prefix, runs its estimate jobs as engine batches (one
-    {!Mae_engine.run_grouped} fan-out per method selection, one group
-    per request, a lone request included) and answers every job with
-    the full per-request bookkeeping: seq/rid, latency sketch +
-    exemplar, SLO events, tail capture, the access-log record,
-    the response write.  A request that has its engine batch to itself
-    gets that batch's kernel-cache traffic in its access-log record.
+    connection's responses in its own arrival order.  A {!tick} pops
+    one job and answers it with the full per-request bookkeeping:
+    seq/rid, latency sketch + exemplar, SLO events, tail capture, the
+    access-log record, the response write.  An estimate makes exactly
+    one {!Mae_engine.run_circuits_with_stats} call inside its own
+    [serve.request] span, and its access-log record carries that run's
+    store and kernel-cache counts.
 
     Admission control: at the queue-depth watermark a new estimate is
     answered 503 + Retry-After without estimation.  Shed requests
@@ -22,7 +21,6 @@ type config = {
   registry : Mae_tech.Registry.t;
   inject_sleep_field : bool;
   queue_watermark : int;  (** queued estimates at/over this shed *)
-  max_batch : int;  (** estimate jobs coalesced per engine batch *)
 }
 
 type t
@@ -31,7 +29,7 @@ val create :
   config:config ->
   transport:Transport.t ->
   pool:Mae_engine.Pool.t option ->
-  cas:Mae_db.Cas.t option ->
+  cas:Mae_db.Cas.t ->
   slo_latency:Mae_obs.Slo.t ->
   slo_errors:Mae_obs.Slo.t ->
   t
@@ -51,9 +49,9 @@ val submit_reject :
     accounting. *)
 
 val tick : t -> bool
-(** Process one queue prefix (at most [max_batch] estimates plus any
-    free riders); [true] when a backlog remains, so the select loop
-    polls instead of sleeping. *)
+(** Answer the job at the head of the queue; [true] when a backlog
+    remains, so the select loop polls (and answers scrapes) before the
+    next one instead of sleeping. *)
 
 val queue_length : t -> int
 

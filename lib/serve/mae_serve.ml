@@ -8,9 +8,9 @@
      (1.1 keep-alive with Content-Length framing, 1.0 close-by-default
      fallback) both decode to one typed request;
    - {!Dispatch}: the bounded FIFO submission queue in front of the
-     persistent {!Mae_engine.Pool}.  Concurrently-arriving estimate
-     requests coalesce into engine batches; at the queue watermark
-     admission control answers 503 + Retry-After without estimating.
+     persistent {!Mae_engine.Pool}.  Each estimate request is one
+     engine run; at the queue watermark admission control answers
+     503 + Retry-After without estimating.
 
    This module is the wiring: configuration, the SLO/capture/store
    setup, the observability documents (/metrics, /healthz, /slo,
@@ -18,12 +18,12 @@
    either plane, over the same transport), startup and drain.
 
    Estimation is CPU work measured in milliseconds per module, so the
-   loop runs requests inline: while a batch estimates, the scrape plane
-   waits -- the trade a sidecar-free stdlib+unix server makes.  Worker
-   parallelism still applies inside a batch: when [config.jobs >= 2]
-   the server spawns one persistent {!Mae_engine.Pool} at startup and
-   reuses its domains for every batch, so request latency never pays
-   domain creation.
+   loop runs requests inline: while a request estimates, the scrape
+   plane waits -- the trade a sidecar-free stdlib+unix server makes.
+   Worker parallelism still applies inside a request: when
+   [config.jobs >= 2] the server spawns one persistent
+   {!Mae_engine.Pool} at startup and reuses its domains for every
+   request, so request latency never pays domain creation.
 
    SIGINT/SIGTERM flip one atomic flag; the loop then stops accepting,
    answers every request already received (the drain), emits a final
@@ -68,24 +68,15 @@ let default_slo =
 type config = {
   request_addr : addr;
   obs_addr : addr option;
-  jobs : int;  (** engine domains per request batch *)
+  jobs : int;  (** engine domains per request *)
   registry : Mae_tech.Registry.t;
   trace_out : string option;  (** Chrome trace flushed at shutdown *)
   metrics_out : string option;  (** metrics dump flushed at shutdown *)
-  max_line_bytes : int;
-  span_retention : int;  (** recent-span window backing /tracez *)
   slo : slo_config;
-  capture_slow_k : int;  (** slowest-k span trees kept per window *)
-  capture_errored_cap : int;  (** errored span trees kept (FIFO ring) *)
-  capture_max_spans : int;  (** spans kept per captured request *)
   inject_sleep_field : bool;
       (** honour a "sleep_s" request field by sleeping before
           estimation -- an overload injector for the serve smoke gate;
           never enable in production *)
-  estimate_cache : bool;
-      (** consult and populate the content-addressed estimate store
-          ({!Mae_db.Cas}); repeats of a request batch are answered from
-          it bit-for-bit *)
   store_journal : string option;
       (** append-only journal backing the estimate store: replayed at
           startup (a restarted daemon answers warm) and appended on
@@ -101,7 +92,6 @@ type config = {
       (** accept cap across both planes; over it, accept-then-close *)
   queue_watermark : int;
       (** queued estimates at/over this are shed (503 + Retry-After) *)
-  max_batch : int;  (** estimate requests coalesced per engine batch *)
   on_ready : request_addr:addr -> obs_addr:addr option -> unit;
 }
 
@@ -113,23 +103,23 @@ let default_config ~registry ~request_addr =
     registry;
     trace_out = None;
     metrics_out = None;
-    max_line_bytes = 8 * 1024 * 1024;
-    span_retention = 4096;
     slo = default_slo;
-    capture_slow_k = 8;
-    capture_errored_cap = 32;
-    capture_max_spans = 256;
     inject_sleep_field = false;
-    estimate_cache = true;
     store_journal = None;
     store_out = None;
     store_live_cap = Some 65536;
     idle_timeout_s = 300.;
     max_connections = 1024;
     queue_watermark = 256;
-    max_batch = 32;
     on_ready = (fun ~request_addr:_ ~obs_addr:_ -> ());
   }
+
+(* The largest request frame the codec buffers (a line, or an HTTP
+   head plus body). *)
+let max_line_bytes = 8 * 1024 * 1024
+
+(* The recent-span window backing /tracez and the final trace dump. *)
+let span_retention = 4096
 
 let scrapes_total =
   Metrics.counter "mae_serve_scrapes_total"
@@ -261,7 +251,7 @@ let capture_json (c : Mae_obs.Capture.capture) =
       | Some e -> [ ("error", Json.String e) ])
     @ [ ("spans", Json.Array (List.map span_json c.cap_spans)) ])
 
-let tracez_body st =
+let tracez_body () =
   let events = Mae_obs.Span.events () in
   let recent =
     let by_ts_desc =
@@ -291,7 +281,7 @@ let tracez_body st =
        [
          ("telemetry", Json.Bool (Mae_obs.enabled ()));
          ( "retention",
-           Json.Number (Float.of_int st.config.span_retention) );
+           Json.Number (Float.of_int span_retention) );
          (* tail-based capture: the span trees of errored and
             slowest-k requests, the ones worth keeping; request ids
             here match the exemplar labels in /metrics *)
@@ -415,7 +405,7 @@ let obs_response st path =
       Protocol.text_response ~content_type:"application/json"
         (buildinfo_body st)
   | "/tracez" ->
-      Protocol.text_response ~content_type:"application/json" (tracez_body st)
+      Protocol.text_response ~content_type:"application/json" (tracez_body ())
   | "/methods" ->
       Protocol.text_response ~content_type:"application/json" (methods_body ())
   | "/runtimez" ->
@@ -534,7 +524,7 @@ let run (config : config) =
           Atomic.set stop_requested false;
           (* tracing in a resident process keeps a bounded recent
              window; the final dump and /tracez both read it. *)
-          Mae_obs.Span.set_retention (Some config.span_retention);
+          Mae_obs.Span.set_retention (Some span_retention);
           if Option.is_some config.trace_out then Mae_obs.set_enabled true;
           (* the runtime lens rides with telemetry: GC pause sketches
              per domain, /runtimez, gc.* spans in the final trace *)
@@ -575,37 +565,31 @@ let run (config : config) =
                  ~slow_window_s:config.slo.slow_window_s
                  ~min_events:config.slo.min_events "mae_serve_errors_slo")
           in
-          Mae_obs.Capture.configure ~slow_k:config.capture_slow_k
-            ~errored_cap:config.capture_errored_cap
-            ~max_spans:config.capture_max_spans ();
-          let cas =
-            if config.estimate_cache then begin
-              let cas = Mae_db.Cas.create ?live_cap:config.store_live_cap () in
-              (match config.store_journal with
-              | None -> ()
-              | Some path -> (
-                  match Mae_db.Cas.open_journal cas ~path with
-                  | Ok (loaded, skipped) ->
-                      Log.info ~event:"serve.store_warm"
-                        [
-                          ("journal", Log.Str path);
-                          ("loaded", Log.Int loaded);
-                          ("skipped", Log.Int skipped);
-                        ]
-                  | Error e ->
-                      (* estimation must not die with the journal; run
-                         cold and say so loudly *)
-                      Log.error ~event:"serve.store_journal_failed"
-                        [ ("journal", Log.Str path); ("error", Log.Str e) ]));
-              Some cas
-            end
-            else None
-          in
+          (* tail capture at its defaults: 8 slow / 32 errored span
+             trees of at most 256 spans *)
+          Mae_obs.Capture.configure ();
+          let cas = Mae_db.Cas.create ?live_cap:config.store_live_cap () in
+          (match config.store_journal with
+          | None -> ()
+          | Some path -> (
+              match Mae_db.Cas.open_journal cas ~path with
+              | Ok (loaded, skipped) ->
+                  Log.info ~event:"serve.store_warm"
+                    [
+                      ("journal", Log.Str path);
+                      ("loaded", Log.Int loaded);
+                      ("skipped", Log.Int skipped);
+                    ]
+              | Error e ->
+                  (* estimation must not die with the journal; run
+                     cold and say so loudly *)
+                  Log.error ~event:"serve.store_journal_failed"
+                    [ ("journal", Log.Str path); ("error", Log.Str e) ]));
           let transport =
             Transport.create
               ~config:
                 {
-                  Transport.max_request_bytes = config.max_line_bytes;
+                  Transport.max_request_bytes = max_line_bytes;
                   idle_timeout_s = config.idle_timeout_s;
                   max_connections = config.max_connections;
                 }
@@ -623,7 +607,6 @@ let run (config : config) =
                   registry = config.registry;
                   inject_sleep_field = config.inject_sleep_field;
                   queue_watermark = config.queue_watermark;
-                  max_batch = config.max_batch;
                 }
               ~transport ~pool ~cas ~slo_latency ~slo_errors
           in
@@ -663,20 +646,16 @@ let run (config : config) =
           Transport.unlink_unix_addr config.request_addr;
           Option.iter Transport.unlink_unix_addr config.obs_addr;
           Option.iter Mae_engine.Pool.shutdown pool;
-          (match cas with
+          (match config.store_out with
           | None -> ()
-          | Some cas ->
-              (match config.store_out with
-              | None -> ()
-              | Some path -> (
-                  match Mae_db.Store.save (Mae_db.Cas.to_store cas) ~path with
-                  | Ok () ->
-                      Log.info ~event:"serve.store_flush"
-                        [ ("store", Log.Str path) ]
-                  | Error e ->
-                      Log.error ~event:"serve.flush_failed"
-                        [ ("artifact", Log.Str "store"); ("error", Log.Str e) ]));
-              Mae_db.Cas.close_journal cas);
+          | Some path -> (
+              match Mae_db.Store.save (Mae_db.Cas.to_store cas) ~path with
+              | Ok () ->
+                  Log.info ~event:"serve.store_flush" [ ("store", Log.Str path) ]
+              | Error e ->
+                  Log.error ~event:"serve.flush_failed"
+                    [ ("artifact", Log.Str "store"); ("error", Log.Str e) ]));
+          Mae_db.Cas.close_journal cas;
           (* join the sampler and drain the cursor before the trace
              flush so the export carries the last GC windows *)
           Mae_obs.Runtime.stop ();

@@ -17,8 +17,8 @@
       methodologies ran, plus a ["methods"] object with one
       [{"ok", "kind", "area", "width", "height", ...}] value (or
       [{"ok": false, "error"}]) per selected methodology.  Requests
-      queue through {!Dispatch}: concurrent arrivals coalesce into
-      engine batches, and past the queue watermark a request is shed
+      queue through {!Dispatch}, each answered by its own engine run,
+      and past the queue watermark a request is shed
       with ["ok": false] (HTTP [503] + [Retry-After]) without burning
       either SLO's budget.
     - {e observability plane} (optional second socket; the same
@@ -49,8 +49,18 @@
 
     The implementation is layered -- {!Protocol} (the pure codec),
     {!Transport} (fds, buffers, timeouts), {!Dispatch} (queueing,
-    batching, admission control, per-request bookkeeping) -- and this
-    module is the wiring plus the observability documents. *)
+    admission control, per-request bookkeeping) -- and this module is
+    the wiring plus the observability documents.
+
+    Fixed, not configurable: request frames are capped at 8 MiB (an
+    oversized frame answers 413 and the connection resynchronizes), the
+    span window backing [/tracez] holds 4096 spans, and tail capture
+    keeps {!Mae_obs.Capture}'s defaults (8 slow and 32 errored span
+    trees of at most 256 spans).  Every daemon consults the
+    content-addressed estimate store ({!Mae_db.Cas}): a repeated
+    request is answered from it bit-for-bit with ["cached": true], and
+    hits and misses count into
+    [mae_estimate_cache_{hits,misses}_total]. *)
 
 type addr = Transport.addr =
   | Tcp of { host : string; port : int }
@@ -85,28 +95,16 @@ type config = {
   request_addr : addr;
   obs_addr : addr option;
   jobs : int;
-      (** engine domains per request batch; [>= 2] spawns a persistent
+      (** engine domains per request; [>= 2] spawns a persistent
           {!Mae_engine.Pool} at startup that every request reuses, and
           [0] means the host's recommended domain count *)
   registry : Mae_tech.Registry.t;
   trace_out : string option;  (** Chrome trace flushed at shutdown *)
   metrics_out : string option;  (** metrics dump flushed at shutdown *)
-  max_line_bytes : int;
-  span_retention : int;  (** recent-span window backing [/tracez] *)
   slo : slo_config;
-  capture_slow_k : int;
-      (** slowest-k requests whose span trees are retained per window *)
-  capture_errored_cap : int;  (** errored-request capture FIFO size *)
-  capture_max_spans : int;  (** span-tree truncation per capture *)
   inject_sleep_field : bool;
       (** honor a ["sleep_s"] request field (test-only overload
           injection; never exposed on the CLI) *)
-  estimate_cache : bool;
-      (** consult and populate the content-addressed estimate store
-          ({!Mae_db.Cas}): a repeated request batch is answered from the
-          store bit-for-bit and its response carries ["cached": true].
-          Hits and misses count into
-          [mae_estimate_cache_{hits,misses}_total]. *)
   store_journal : string option;
       (** append-only journal backing the estimate store, replayed at
           startup so a restarted daemon answers warm; every store insert
@@ -134,9 +132,6 @@ type config = {
           [Retry-After]) without estimation; shed requests count into
           [mae_serve_requests_shed_total] and requests_total/failed but
           burn neither SLO *)
-  max_batch : int;
-      (** estimate requests coalesced into one engine batch per
-          dispatch tick *)
   on_ready : request_addr:addr -> obs_addr:addr option -> unit;
       (** called once both listeners are bound, with kernel-assigned
           ports resolved *)
@@ -144,11 +139,10 @@ type config = {
 
 val default_config :
   registry:Mae_tech.Registry.t -> request_addr:addr -> config
-(** [jobs = 1], no obs plane, no dumps, 8 MiB line cap, 4096-span
-    retention, {!default_slo}, capture 8 slow / 32 errored / 256 spans,
-    no sleep injection, estimate store on (no journal, no snapshot,
-    capped at 65536 entries), 300 s idle timeout, 1024 connections,
-    watermark 256, batches of 32, no-op [on_ready]. *)
+(** [jobs = 1], no obs plane, no dumps, {!default_slo}, no sleep
+    injection, no store journal or snapshot, the store capped at 65536
+    entries, 300 s idle timeout, 1024 connections, watermark 256,
+    no-op [on_ready]. *)
 
 val run : config -> (unit, string) result
 (** Serve until SIGINT/SIGTERM, then drain and flush.  [Error] means
@@ -164,8 +158,8 @@ module Transport = Transport
     idle reaping, the connection cap. *)
 
 module Dispatch = Dispatch
-(** The bounded submission queue: engine batching and admission
-    control. *)
+(** The bounded submission queue: one engine run per estimate, and
+    admission control. *)
 
 module Top = Top
 (** The [mae top] dashboard client (see {!Top}). *)

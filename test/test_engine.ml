@@ -301,7 +301,7 @@ let test_estimate_store_hits () =
   Alcotest.(check int) "config bypasses the store" 0
     (bypass.Mae_engine.store_hits + bypass.Mae_engine.store_misses)
 
-(* --- the grouped batch core against per-group runs --- *)
+(* --- per-run store accounting --- *)
 
 let unknown_process_circuit name =
   Mae_workload.Random_circuit.generate ~name ~rng:(Mae_prob.Rng.create ~seed:7)
@@ -311,14 +311,15 @@ let unknown_process_circuit name =
       technology = "unobtanium";
     }
 
-(* Groups with an empty request, an unknown-process module (an [Error]
-   slot, no store lookup) and a mix of stored and new modules: every
-   group must come back bit-for-bit as its own plain run, with exact
-   store counts from its own lookups; a [config] run must bypass the
-   store.  Both sequentially and fanned out over a pool. *)
-let test_grouped_matches_per_group () =
+(* Runs against one store -- an empty request, an unknown-process
+   module (an [Error] slot, no store lookup) and a mix of stored and new
+   modules among them: every run must answer bit-for-bit as a plain
+   uncached run, with exact store counts from its own lookups; a
+   [config] run must bypass the store and store nothing.  Both
+   sequentially and fanned out over a pool. *)
+let test_runs_count_own_store_lookups () =
   let stored = random_batch ~first_seed:5000 3 in
-  let groups =
+  let requests =
     [
       random_batch ~first_seed:5100 5;
       [];
@@ -332,57 +333,52 @@ let test_grouped_matches_per_group () =
   in
   let reference ?config () =
     List.map
-      (fun group ->
+      (fun circuits ->
         List.map result_digest
-          (Mae_engine.run_circuits ?config ~jobs:1 ~registry group))
-      groups
+          (Mae_engine.run_circuits ?config ~jobs:1 ~registry circuits))
+      requests
   in
   let config = { Mae.Config.default with two_component_free = false } in
   let plain = reference () and configured = reference ~config () in
-  let digests_of grouped =
-    List.map (fun (results, _, _) -> List.map result_digest results) grouped
-  in
-  let counts grouped = List.map (fun (_, h, m) -> (h, m)) grouped in
   let store_counts = Alcotest.(list (pair int int)) in
-  let check_run label ?pool ~jobs () =
+  let check_runs label ?pool ~jobs () =
     let cache = Mae_db.Cas.create () in
     ignore (Mae_engine.run_circuits ~jobs:1 ~cache ~registry stored);
-    let grouped, stats =
-      Mae_engine.run_grouped ~jobs ?pool ~cache ~registry groups
+    let runs ?config () =
+      List.map
+        (fun circuits ->
+          let results, stats =
+            Mae_engine.run_circuits_with_stats ?config ~jobs ?pool ~cache
+              ~registry circuits
+          in
+          ( List.map result_digest results,
+            (stats.Mae_engine.store_hits, stats.Mae_engine.store_misses) ))
+        requests
     in
+    let cached = runs () in
     Alcotest.check (Alcotest.list digests)
-      (label ^ ": each group = its own run, bit for bit")
-      plain (digests_of grouped);
-    Alcotest.check store_counts (label ^ ": per-group store hits/misses")
+      (label ^ ": each cached run = its plain run, bit for bit")
+      plain (List.map fst cached);
+    Alcotest.check store_counts (label ^ ": per-run store hits/misses")
       [ (0, 5); (0, 0); (0, 0); (3, 4); (0, 1) ]
-      (counts grouped);
-    Alcotest.(check (pair int int))
-      (label ^ ": batch store counts sum the groups")
-      (3, 10)
-      (stats.Mae_engine.store_hits, stats.Mae_engine.store_misses);
+      (List.map snd cached);
     let stored_before = Mae_db.Cas.length cache in
-    let grouped, stats =
-      Mae_engine.run_grouped ~config ~jobs ?pool ~cache ~registry groups
-    in
+    let with_config = runs ~config () in
     Alcotest.check (Alcotest.list digests)
-      (label ^ ": configured groups = their own configured runs")
-      configured (digests_of grouped);
-    Alcotest.check store_counts (label ^ ": config bypasses the store per group")
-      (List.map (fun _ -> (0, 0)) groups)
-      (counts grouped);
-    Alcotest.(check (pair int int))
-      (label ^ ": config batch counts no store traffic")
-      (0, 0)
-      (stats.Mae_engine.store_hits, stats.Mae_engine.store_misses);
+      (label ^ ": configured runs = their plain configured runs")
+      configured (List.map fst with_config);
+    Alcotest.check store_counts (label ^ ": config bypasses the store per run")
+      (List.map (fun _ -> (0, 0)) requests)
+      (List.map snd with_config);
     Alcotest.(check int)
       (label ^ ": config stores nothing")
       stored_before (Mae_db.Cas.length cache)
   in
-  check_run "jobs:1" ~jobs:1 ();
+  check_runs "jobs:1" ~jobs:1 ();
   let pool = Mae_engine.Pool.create ~domains:3 in
   Fun.protect
     ~finally:(fun () -> Mae_engine.Pool.shutdown pool)
-    (check_run "jobs:4 pooled" ~pool ~jobs:4)
+    (check_runs "jobs:4 pooled" ~pool ~jobs:4)
 
 (* Two batches on two domains at once against one store: each batch's
    store counts are its own lookups, not the other batch's too. *)
@@ -429,8 +425,8 @@ let () =
           Alcotest.test_case "batch stats" `Quick test_stats;
           Alcotest.test_case "stats report the domains used" `Quick
             test_stats_domains_used;
-          Alcotest.test_case "grouped = per-group runs" `Slow
-            test_grouped_matches_per_group;
+          Alcotest.test_case "runs count their own store lookups" `Slow
+            test_runs_count_own_store_lookups;
         ] );
       ( "scheduling",
         [
