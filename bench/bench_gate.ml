@@ -95,12 +95,12 @@ let run_of_json doc =
 
 (* [passes] runs of the workload: each pass's modules/s and, while the
    runtime lens is on, that pass's own p99 GC pause *)
-let measure ~pool ~jobs ~registry circuits =
+let measure ~jobs ~registry circuits =
   List.init passes (fun _ ->
       Mae_prob.Kernel_cache.clear ();
       let (_, (stats : Mae_engine.stats)), p99 =
         Bench_history.History.with_own_gc_p99 (fun () ->
-            Mae_engine.run_circuits_with_stats ?pool ~jobs ~registry circuits)
+            Mae_engine.run_circuits_with_stats ~jobs ~registry circuits)
       in
       let mps =
         if stats.elapsed_s > 0. then
@@ -179,7 +179,7 @@ let () =
     "bench-gate: %d modules vs last history entry (threshold %.0f%%)\n%!"
     modules
     (100. *. (1. -. threshold));
-  let seq = best_mps (measure ~pool:None ~jobs:1 ~registry circuits) in
+  let seq = best_mps (measure ~jobs:1 ~registry circuits) in
   let verdicts = ref [] in
   let check label ~baseline ~current =
     let floor = baseline *. threshold in
@@ -190,21 +190,9 @@ let () =
     verdicts := ok :: !verdicts
   in
   check "seq_cached" ~baseline:baseline_seq.mps ~current:seq;
-  let with_pool jobs f =
-    let pool =
-      if jobs >= 2 then Some (Mae_engine.Pool.create ~domains:(jobs - 1))
-      else None
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Mae_engine.Pool.shutdown pool)
-      (fun () -> f pool)
-  in
   Option.iter
     (fun r ->
-      let par =
-        with_pool r.jobs (fun pool ->
-            measure ~pool ~jobs:r.jobs ~registry circuits)
-      in
+      let par = measure ~jobs:r.jobs ~registry circuits in
       check r.label ~baseline:r.mps ~current:(best_mps par))
     baseline_par;
   (* GC gate: re-run the same run as the parallel check (seq_cached when
@@ -221,10 +209,7 @@ let () =
         gc_run.label
   | Some baseline_p99 -> (
       ignore (Mae_obs.Runtime.start ());
-      let gc_passes =
-        with_pool gc_run.jobs (fun pool ->
-            measure ~pool ~jobs:gc_run.jobs ~registry circuits)
-      in
+      let gc_passes = measure ~jobs:gc_run.jobs ~registry circuits in
       Mae_obs.Runtime.stop ();
       match List.filter_map snd gc_passes with
       | [] ->

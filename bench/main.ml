@@ -922,14 +922,14 @@ type engine_run = {
          only, where that domain does all the work *)
 }
 
-let time_engine ?pool ~label ~jobs ~cache ~registry circuits =
+let time_engine ~label ~jobs ~cache ~registry circuits =
   Mae_prob.Kernel_cache.clear ();
   Mae_prob.Kernel_cache.set_enabled cache;
   let ((results, stats), words), gc_p99_s =
     Bench_history.History.with_own_gc_p99 (fun () ->
         let w0 = Gc.minor_words () in
         let run =
-          Mae_engine.run_circuits_with_stats ?pool ~jobs ~registry circuits
+          Mae_engine.run_circuits_with_stats ~jobs ~registry circuits
         in
         (run, Gc.minor_words () -. w0))
   in
@@ -1014,19 +1014,14 @@ let run_engine ~smoke () =
   let _, seq_cached =
     time_engine ~label:"seq_cached" ~jobs:1 ~cache:true ~registry circuits
   in
-  (* one persistent pool sized for the widest run: every parallel pass
-     reuses its domains, so the numbers measure scheduling, not
-     Domain.spawn *)
-  let max_jobs = List.fold_left Stdlib.max 1 parallel_jobs in
-  let pool =
-    if max_jobs >= 2 then Some (Mae_engine.Pool.create ~domains:(max_jobs - 1))
-    else None
-  in
+  (* every parallel pass spawns and joins its own domains, so its
+     elapsed time includes Domain.spawn and join (0.1-0.3 ms per
+     domain) *)
   let par_runs =
     List.map
       (fun jobs ->
         let results, run =
-          time_engine ?pool
+          time_engine
             ~label:(Printf.sprintf "par%d_cached" jobs)
             ~jobs ~cache:true ~registry circuits
         in
@@ -1057,7 +1052,6 @@ let run_engine ~smoke () =
         run)
       parallel_jobs
   in
-  Option.iter Mae_engine.Pool.shutdown pool;
   let runs = (seq_uncached :: seq_cached :: par_runs) in
   let t =
     Table.create
@@ -1093,7 +1087,7 @@ let run_engine ~smoke () =
   Printf.printf
     "kernel cache: sequential %.2fx faster than uncached; host offers %d\n\
      domain(s), so parallel speedup here is bounded by the hardware (the\n\
-     pool itself is exercised above and cross-checked against jobs=1).\n"
+     fan-out itself is exercised above and cross-checked against jobs=1).\n"
     (ratio seq_uncached seq_cached)
     (Mae_engine.default_jobs ());
   let path = "BENCH_engine.json" in
@@ -1238,16 +1232,11 @@ let run_gc_sweep ~smoke () =
   List.iter
     (fun jobs ->
       ignore (Mae_obs.Runtime.start ());
-      let pool =
-        if jobs >= 2 then Some (Mae_engine.Pool.create ~domains:(jobs - 1))
-        else None
-      in
       let _, run =
-        time_engine ?pool
+        time_engine
           ~label:(Printf.sprintf "gc%d" jobs)
           ~jobs ~cache:true ~registry circuits
       in
-      Option.iter Mae_engine.Pool.shutdown pool;
       Mae_obs.Runtime.stop ();
       let us = Printf.sprintf "%.0f" in
       let q p =

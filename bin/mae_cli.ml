@@ -438,8 +438,13 @@ let estimate_cmd =
 let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
     metrics_out slo_latency_ms slo_latency_target slo_error_target store_journal
     store_out idle_timeout max_connections queue_watermark store_cap =
-  if jobs < 0 then
-    or_die (Error "--jobs must be >= 0 (0 = one domain per core)");
+  if jobs <> 1 then
+    or_die
+      (Error
+         (Printf.sprintf
+            "--jobs %d: the daemon estimates every request on one domain; \
+             only --jobs 1 is accepted"
+            jobs));
   if slo_latency_ms <= 0. then
     or_die (Error "--slo-latency-ms must be positive");
   if idle_timeout <= 0. then or_die (Error "--idle-timeout must be positive");
@@ -497,12 +502,10 @@ let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
     | None -> ()
     | Some path -> or_die (Mae_obs.Log.set_sink_file path)
   end;
-  let jobs = if jobs = 0 then Mae_engine.default_jobs () else jobs in
   let config =
     {
       (Mae_serve.default_config ~registry ~request_addr) with
       Mae_serve.obs_addr;
-      jobs;
       trace_out;
       metrics_out;
       store_journal;
@@ -562,7 +565,9 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Engine domains per request (0 = one per core).")
+          ~doc:
+            "Must be 1: the daemon estimates every request on one domain. \
+             Kept so existing $(b,--jobs 1) invocations still start.")
   in
   let access_log =
     Arg.(

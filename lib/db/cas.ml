@@ -439,27 +439,32 @@ let parse_journal ~add lines =
   (!loaded, !skipped)
 
 let open_journal t ~path =
-  let read_lines () =
+  let read_text () =
     if Sys.file_exists path then begin
       let ic = open_in_bin path in
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          let text = really_input_string ic len in
-          Array.of_list (String.split_on_char '\n' text))
+        (fun () -> really_input_string ic (in_channel_length ic))
     end
-    else [||]
+    else ""
   in
-  match read_lines () with
+  match read_text () with
   | exception Sys_error e -> Error e
-  | lines -> (
+  | text -> (
       match open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path with
       | exception Sys_error e -> Error e
       | oc ->
+          (* a crash mid-append leaves a torn last line: end it (the
+             newline goes out with the first append), or the next
+             entry's header would be glued onto it and never recognised
+             by a later replay *)
+          let n = String.length text in
+          if n > 0 && text.[n - 1] <> '\n' then output_char oc '\n';
           locked t (fun () ->
               t.journal <- Some oc;
-              Ok (parse_journal ~add:(insert t) lines)))
+              Ok
+                (parse_journal ~add:(insert t)
+                   (Array.of_list (String.split_on_char '\n' text)))))
 
 let close_journal t =
   locked t (fun () ->

@@ -72,9 +72,11 @@ val open_journal : t -> path:string -> (int * int, string) result
     Returns [(loaded, skipped)]: malformed blocks -- e.g. a tail torn by
     a crash mid-append, or an entry naming a methodology that is no
     longer registered -- are skipped (a skip is just a future miss),
-    parsing resyncs at the next entry header.  Entries evicted by the
-    cap during replay count as loaded and as evictions.  [Error] only
-    on I/O failure. *)
+    parsing resyncs at the next entry header.  A last line torn
+    without its newline is ended before the first append, so entries
+    stored after a crash replay too.  Entries evicted by the cap during
+    replay count as loaded and as evictions.  [Error] only on I/O
+    failure. *)
 
 val close_journal : t -> unit
 

@@ -115,122 +115,6 @@ let check_oversubscription jobs =
         jobs recommended
   end
 
-(* --- the persistent domain pool --- *)
-
-(* Spawning a domain costs hundreds of microseconds -- more than a
-   whole cached module -- so per-batch spawns make small parallel
-   batches (the serve daemon's request sizes) a guaranteed loss.  The
-   pool keeps its domains parked on a condition variable between
-   batches; submitting a job is one lock round-trip and a broadcast.
-
-   Generation-counter barrier: [run] publishes the job under the lock
-   and bumps [gen]; each pool domain wakes, runs the job with its fixed
-   slot number, then decrements [active] and signals [done_cv].  [run]
-   participates as slot 0 on the calling domain and returns only after
-   [active] drops to zero, so job memory (result slots, atomics) is
-   fully synchronized before the caller reads it and jobs never
-   overlap. *)
-module Pool = struct
-  type t = {
-    lock : Mutex.t;
-    work_cv : Condition.t;
-    done_cv : Condition.t;
-    mutable job : (int -> unit) option;
-    mutable gen : int;
-    mutable active : int;
-    mutable exn : exn option; (* first exception a pool domain caught *)
-    mutable stop : bool;
-    mutable domains : unit Domain.t array;
-  }
-
-  let worker_loop p slot =
-    let my_gen = ref 0 in
-    let rec loop () =
-      Mutex.lock p.lock;
-      while (not p.stop) && p.gen = !my_gen do
-        Condition.wait p.work_cv p.lock
-      done;
-      if p.stop then Mutex.unlock p.lock
-      else begin
-        let job = Option.get p.job in
-        my_gen := p.gen;
-        Mutex.unlock p.lock;
-        let failure = match job slot with () -> None | exception e -> Some e in
-        Mutex.lock p.lock;
-        (match failure with
-        | Some e when p.exn = None -> p.exn <- Some e
-        | _ -> ());
-        p.active <- p.active - 1;
-        if p.active = 0 then Condition.broadcast p.done_cv;
-        Mutex.unlock p.lock;
-        loop ()
-      end
-    in
-    loop ()
-
-  let create ~domains =
-    if domains < 0 then invalid_arg "Mae_engine.Pool.create: domains < 0" (* invariant *);
-    let p =
-      {
-        lock = Mutex.create ();
-        work_cv = Condition.create ();
-        done_cv = Condition.create ();
-        job = None;
-        gen = 0;
-        active = 0;
-        exn = None;
-        stop = false;
-        domains = [||];
-      }
-    in
-    p.domains <-
-      Array.init domains (fun k ->
-          Domain.spawn (fun () -> worker_loop p (k + 1)));
-    p
-
-  let concurrency p = Array.length p.domains + 1
-
-  let run p f =
-    Mutex.lock p.lock;
-    if p.stop then begin
-      Mutex.unlock p.lock;
-      invalid_arg "Mae_engine.Pool.run: pool is shut down" (* invariant *)
-    end;
-    if p.job <> None then begin
-      Mutex.unlock p.lock;
-      invalid_arg "Mae_engine.Pool.run: a job is already running" (* invariant *)
-    end;
-    p.job <- Some f;
-    p.gen <- p.gen + 1;
-    p.active <- Array.length p.domains;
-    p.exn <- None;
-    Condition.broadcast p.work_cv;
-    Mutex.unlock p.lock;
-    let caller_failure = match f 0 with () -> None | exception e -> Some e in
-    Mutex.lock p.lock;
-    while p.active > 0 do
-      Condition.wait p.done_cv p.lock
-    done;
-    p.job <- None;
-    let pool_failure = p.exn in
-    p.exn <- None;
-    Mutex.unlock p.lock;
-    match (caller_failure, pool_failure) with
-    | Some e, _ | None, Some e -> raise e
-    | None, None -> ()
-
-  let shutdown p =
-    Mutex.lock p.lock;
-    if p.stop then Mutex.unlock p.lock
-    else begin
-      p.stop <- true;
-      Condition.broadcast p.work_cv;
-      Mutex.unlock p.lock;
-      Array.iter Domain.join p.domains;
-      p.domains <- [||]
-    end
-end
-
 (* --- chunked claiming from one shared counter ---
 
    Every worker claims the next [max 1 (n / (8 * workers))] indices with
@@ -240,17 +124,16 @@ end
    slow worker simply claims fewer chunks.  Result slot [i] always
    receives [f inputs.(i)] regardless of who claimed it: output order
    and content are independent of the schedule, which is why
-   determinism holds for any [jobs]. *)
+   determinism holds for any [jobs].
 
-let map_pool ~jobs ?pool ~t0 f inputs =
+   Worker 0 is the calling domain; a batch with [jobs >= 2] spawns the
+   other [workers - 1] domains for itself and joins them all before it
+   returns, so no domain outlives its batch. *)
+
+let map_pool ~jobs ~t0 f inputs =
   let n = Array.length inputs in
   let results = Array.make n None in
   let workers = Stdlib.max 1 (Stdlib.min jobs n) in
-  let workers =
-    match pool with
-    | Some p -> Stdlib.min workers (Pool.concurrency p)
-    | None -> workers
-  in
   let claimed = Array.make workers 0 in
   let first_wait = Array.make workers Float.nan in
   let cache_delta = Array.make workers 0 in
@@ -295,16 +178,14 @@ let map_pool ~jobs ?pool ~t0 f inputs =
     cache_delta.(w) <- c1.Mae_prob.Kernel_cache.hits - c0.Mae_prob.Kernel_cache.hits;
     miss_delta.(w) <- c1.Mae_prob.Kernel_cache.misses - c0.Mae_prob.Kernel_cache.misses
   in
-  (* pool domains beyond the requested worker count run an empty slot:
-     they wake, claim nothing, and report done *)
-  let fan_out p = Pool.run p (fun slot -> if slot < workers then worker slot) in
-  (match pool with
-  | _ when workers = 1 -> worker 0
-  | Some p -> fan_out p
-  | None ->
-      (* no caller pool: a short-lived one sized to this batch *)
-      let p = Pool.create ~domains:(workers - 1) in
-      Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> fan_out p));
+  let spawned =
+    Array.init (workers - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
+  in
+  let outcome run = match run () with () -> None | exception e -> Some e in
+  let caller = outcome (fun () -> worker 0) in
+  (* join every domain before re-raising, so none outlives the batch *)
+  let joined = Array.map (fun d -> outcome (fun () -> Domain.join d)) spawned in
+  Option.iter raise (List.find_map Fun.id (caller :: Array.to_list joined));
   let results =
     Array.map
       (function
@@ -367,11 +248,9 @@ let estimate_module ?config ?methods ?cache ~registry
   in
   Mae_obs.Sketch.time module_latency_sketch run
 
-(* The one batch path: one fan-out (one pool submission, one claiming
-   pass) over the circuits, with store hit/miss counts from the
-   per-module flags. *)
-let run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
-    circuits =
+(* The one batch path: one fan-out (one claiming pass) over the
+   circuits, with store hit/miss counts from the per-module flags. *)
+let run_circuits_with_stats ?config ?methods ?jobs ?cache ~registry circuits =
   let jobs = resolve_jobs jobs in
   check_oversubscription jobs;
   let inputs = Array.of_list circuits in
@@ -382,7 +261,7 @@ let run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
   @@ fun () ->
   let t0 = Mae_obs.Clock.monotonic () in
   let flagged, per_domain, queue_wait, cache_hits, cache_misses =
-    map_pool ~jobs ?pool ~t0
+    map_pool ~jobs ~t0
       (estimate_module ?config ?methods ?cache ~registry)
       inputs
   in
@@ -423,7 +302,5 @@ let run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
       ];
   (Array.to_list (Array.map fst flagged), stats)
 
-let run_circuits ?config ?methods ?jobs ?pool ?cache ~registry circuits =
-  fst
-    (run_circuits_with_stats ?config ?methods ?jobs ?pool ?cache ~registry
-       circuits)
+let run_circuits ?config ?methods ?jobs ?cache ~registry circuits =
+  fst (run_circuits_with_stats ?config ?methods ?jobs ?cache ~registry circuits)

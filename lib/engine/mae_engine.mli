@@ -1,6 +1,6 @@
 (** Multicore batch-estimation engine.
 
-    Fans circuits across an OCaml 5 [Domain] pool, runs
+    Fans circuits across OCaml 5 domains, runs
     {!Mae.Driver.run_circuit} on each, and returns per-module results
     {e in deterministic input order} no matter which domain estimated
     which module.  A module that fails (driver error or exception)
@@ -25,10 +25,10 @@
     until the batch is drained.  Result slot [i] always receives the
     estimate of module [i] whatever the schedule, so output order and
     bits are independent of [jobs] and of which worker claimed what.
-    Every fan-out goes through a {!Pool}: callers that run many
-    batches (the serve daemon, benches) should create one once and pass
-    it to every run; without one, a batch with [jobs >= 2] creates a
-    pool of its own and shuts it down when it returns.
+    Worker 0 is the calling domain.  A batch with [jobs >= 2] spawns
+    its other workers' domains itself (0.1-0.3 ms each) and joins them
+    all before it returns; the serve daemon runs every request at
+    [jobs = 1] on its own domain.
 
     The engine is instrumented through {!Mae_obs}: with telemetry on
     ({!Mae_obs.set_enabled}) every batch records an [engine.batch]
@@ -65,7 +65,7 @@ type stats = {
   per_domain : int array;
       (** how many modules each worker estimated; its length is the
           number of domains used.  Slot 0 is the calling domain, the
-          rest are pool domains in spawn order *)
+          rest are the batch's spawned domains in spawn order *)
 }
 
 val pp_stats : Format.formatter -> stats -> unit
@@ -74,34 +74,6 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
-
-(** A persistent domain pool: spawn once, reuse across batches.
-
-    Domains park on a condition variable between batches, so a batch
-    submission costs one lock round-trip and a broadcast instead of
-    [jobs - 1] [Domain.spawn]s (each worth several cached modules).
-    Pass the pool to {!run_circuits_with_stats} via [?pool]; the
-    calling domain always participates as worker 0, pool domains serve
-    the remaining slots (idle when the batch requests fewer jobs than
-    the pool offers).  A pool runs one batch at a time -- submitting
-    from two threads concurrently raises [Invalid_argument]. *)
-module Pool : sig
-  type t
-
-  val create : domains:int -> t
-  (** Spawn [domains] parked worker domains ([domains >= 0]; 0 is a
-      valid pool that adds nothing to the calling domain). *)
-
-  val concurrency : t -> int
-  (** [domains + 1]: the pool's worker slots including the caller. *)
-
-  val shutdown : t -> unit
-  (** Wake and join every domain.  Idempotent.  A shut-down pool has
-      [concurrency] 1, so batches handed one degrade to running
-      sequentially on the calling domain (results are identical by the
-      determinism contract); submitting directly to it raises
-      [Invalid_argument]. *)
-end
 
 (** Requesting more domains than {!default_jobs} is honoured (the
     determinism contract holds for any [jobs]) but announced loudly:
@@ -117,29 +89,28 @@ val run_circuits_with_stats :
   ?config:Mae.Config.t ->
   ?methods:string list ->
   ?jobs:int ->
-  ?pool:Pool.t ->
   ?cache:Mae_db.Cas.t ->
   registry:Mae_tech.Registry.t ->
   Mae_netlist.Circuit.t list ->
   (Mae.Driver.module_report, error) result list * stats
-(** The batch path: one fan-out (one pool submission, one claiming
-    pass) over the circuits, results in input order.  [stats] covers
+(** The batch path: one fan-out (one claiming pass) over the
+    circuits, results in input order.  [stats] covers
     the batch; its store counts come from this batch's own lookups.
 
     [methods] selects the methodologies each module runs (default
     ["default"]; see {!Mae.Methodology.resolve}).  [jobs] is the number
     of domains: omitted or [1] runs sequentially on the calling domain,
-    [0] means {!default_jobs}, [n >= 2] uses up to [n - 1] more domains
-    (the caller is the n-th worker; never more workers than modules, nor
-    than a given pool's {!Pool.concurrency}).  Raises [Invalid_argument] on a negative
-    [jobs].  Results are bit-for-bit independent of [jobs] and of
-    [pool]. *)
+    [0] means {!default_jobs}, [n >= 2] spawns up to [n - 1] more
+    domains for this batch (the caller is the n-th worker; never more
+    workers than modules).  If a worker raises, every domain is still
+    joined before the first exception is re-raised.  Raises
+    [Invalid_argument] on a negative [jobs].  Results are bit-for-bit
+    independent of [jobs]. *)
 
 val run_circuits :
   ?config:Mae.Config.t ->
   ?methods:string list ->
   ?jobs:int ->
-  ?pool:Pool.t ->
   ?cache:Mae_db.Cas.t ->
   registry:Mae_tech.Registry.t ->
   Mae_netlist.Circuit.t list ->

@@ -28,9 +28,10 @@
 
    Ring ids, not domain ids: the first argument of every callback is
    the ring buffer index.  A ring belongs to one domain for that
-   domain's lifetime and may be reused by a later spawn; early in a
-   process (and for the resident engine pool) the numbering coincides
-   with Domain.id, which is what makes the trace lanes line up. *)
+   domain's lifetime and may be reused by a later spawn.  The numbering
+   coincides with Domain.id only while no domain has exited: the
+   engine spawns and joins its workers per batch, so after a parallel
+   batch a new domain's id no longer matches the ring it reuses. *)
 
 module RE = Runtime_events
 

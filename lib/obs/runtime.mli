@@ -24,8 +24,9 @@
     that.
 
     "Domain" here means the runtime's ring buffer index: one ring per
-    live domain, possibly reused after a domain exits.  For the
-    resident engine pool the numbering coincides with [Domain.id]. *)
+    live domain, possibly reused after a domain exits.  It coincides
+    with [Domain.id] only until the first domain exits; the engine
+    joins its worker domains at the end of every parallel batch. *)
 
 val start : unit -> bool
 (** Start event collection, create the cursor and spawn the sampler

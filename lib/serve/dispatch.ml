@@ -6,7 +6,8 @@
    answers it with the full per-request bookkeeping: seq/rid, latency
    sketch + exemplar, SLO events, tail capture, the access log record,
    the response write.  An estimate job parses its HDL and makes
-   exactly one {!Mae_engine.run_circuits_with_stats} call inside its
+   exactly one {!Mae_engine.run_circuits_with_stats} call, at the
+   engine's default [jobs = 1] on the daemon's one domain, inside its
    own [serve.request] span and request-id scope, so its store and
    kernel-cache counts are its own.
 
@@ -230,7 +231,6 @@ type job = {
 }
 
 type config = {
-  jobs : int;
   registry : Mae_tech.Registry.t;
   inject_sleep_field : bool;
   queue_watermark : int;  (** queued estimates at/over this shed *)
@@ -239,7 +239,6 @@ type config = {
 type t = {
   config : config;
   transport : Transport.t;
-  pool : Mae_engine.Pool.t option;
   cas : Mae_db.Cas.t;
   slo_latency : Mae_obs.Slo.t;
   slo_errors : Mae_obs.Slo.t;
@@ -248,11 +247,10 @@ type t = {
   mutable queued_estimates : int;
 }
 
-let create ~config ~transport ~pool ~cas ~slo_latency ~slo_errors =
+let create ~config ~transport ~cas ~slo_latency ~slo_errors =
   {
     config;
     transport;
-    pool;
     cas;
     slo_latency;
     slo_errors;
@@ -414,8 +412,7 @@ let estimate t (est : Protocol.estimate) =
   | Ok circuits -> (
       match
         Mae_engine.run_circuits_with_stats ?methods:est.Protocol.methods
-          ~jobs:t.config.jobs ?pool:t.pool ~cache:t.cas
-          ~registry:t.config.registry circuits
+          ~cache:t.cas ~registry:t.config.registry circuits
       with
       | results, stats -> prepared_of_results results stats
       | exception exn ->

@@ -5,9 +5,10 @@
     one job and answers it with the full per-request bookkeeping:
     seq/rid, latency sketch + exemplar, SLO events, tail capture, the
     access-log record, the response write.  An estimate makes exactly
-    one {!Mae_engine.run_circuits_with_stats} call inside its own
-    [serve.request] span, and its access-log record carries that run's
-    store and kernel-cache counts.
+    one {!Mae_engine.run_circuits_with_stats} call on the calling
+    domain (no fan-out) inside its own [serve.request] span, and its
+    access-log record carries that run's store and kernel-cache
+    counts.
 
     Admission control: at the queue-depth watermark a new estimate is
     answered 503 + Retry-After without estimation.  Shed requests
@@ -17,7 +18,6 @@
 module Json = Mae_obs.Json
 
 type config = {
-  jobs : int;
   registry : Mae_tech.Registry.t;
   inject_sleep_field : bool;
   queue_watermark : int;  (** queued estimates at/over this shed *)
@@ -28,7 +28,6 @@ type t
 val create :
   config:config ->
   transport:Transport.t ->
-  pool:Mae_engine.Pool.t option ->
   cas:Mae_db.Cas.t ->
   slo_latency:Mae_obs.Slo.t ->
   slo_errors:Mae_obs.Slo.t ->

@@ -8,9 +8,9 @@
      (1.1 keep-alive with Content-Length framing, 1.0 close-by-default
      fallback) both decode to one typed request;
    - {!Dispatch}: the bounded FIFO submission queue in front of the
-     persistent {!Mae_engine.Pool}.  Each estimate request is one
-     engine run; at the queue watermark admission control answers
-     503 + Retry-After without estimating.
+     engine.  Each estimate request is one engine run; at the queue
+     watermark admission control answers 503 + Retry-After without
+     estimating.
 
    This module is the wiring: configuration, the SLO/capture/store
    setup, the observability documents (/metrics, /healthz, /slo,
@@ -20,10 +20,11 @@
    Estimation is CPU work measured in milliseconds per module, so the
    loop runs requests inline: while a request estimates, the scrape
    plane waits -- the trade a sidecar-free stdlib+unix server makes.
-   Worker parallelism still applies inside a request: when
-   [config.jobs >= 2] the server spawns one persistent
-   {!Mae_engine.Pool} at startup and reuses its domains for every
-   request, so request latency never pays domain creation.
+   Every request estimates on the loop's own domain: a per-request
+   spawn and join would add 0.1-0.3 ms per domain to every request,
+   and no workload runs the daemon with more than one, so the daemon
+   never fans out (the runtime lens's sampler is its only other
+   domain).
 
    SIGINT/SIGTERM flip one atomic flag; the loop then stops accepting,
    answers every request already received (the drain), emits a final
@@ -68,7 +69,6 @@ let default_slo =
 type config = {
   request_addr : addr;
   obs_addr : addr option;
-  jobs : int;  (** engine domains per request *)
   registry : Mae_tech.Registry.t;
   trace_out : string option;  (** Chrome trace flushed at shutdown *)
   metrics_out : string option;  (** metrics dump flushed at shutdown *)
@@ -99,7 +99,6 @@ let default_config ~registry ~request_addr =
   {
     request_addr;
     obs_addr = None;
-    jobs = 1;
     registry;
     trace_out = None;
     metrics_out = None;
@@ -157,7 +156,6 @@ let healthz_body st ~slo_healthy =
          ("slo_healthy", Json.Bool slo_healthy);
          ("uptime_s", Json.Number (uptime_s st));
          ("pid", num (Unix.getpid ()));
-         ("jobs", num st.config.jobs);
          ("recommended_domains", num (Mae_engine.default_jobs ()));
          ("telemetry", Json.Bool (Mae_obs.enabled ()));
          ( "log_threshold",
@@ -312,8 +310,8 @@ let statusz_body st =
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "mae serve status";
   line "";
-  line "uptime_s: %.1f  pid: %d  jobs: %d  telemetry: %s  draining: %b"
-    (uptime_s st) (Unix.getpid ()) st.config.jobs
+  line "uptime_s: %.1f  pid: %d  telemetry: %s  draining: %b"
+    (uptime_s st) (Unix.getpid ())
     (if Mae_obs.enabled () then "on" else "off")
     st.draining;
   line "requests: %d total, %d ok, %d failed (%d shed); open connections: %d"
@@ -529,16 +527,6 @@ let run (config : config) =
           (* the runtime lens rides with telemetry: GC pause sketches
              per domain, /runtimez, gc.* spans in the final trace *)
           if Mae_obs.enabled () then ignore (Mae_obs.Runtime.start ());
-          let pool =
-            (* [jobs = 0] means "the host's recommendation", like the
-               engine's own resolution; 0 or 1 worker needs no pool *)
-            let jobs =
-              if config.jobs = 0 then Mae_engine.default_jobs ()
-              else config.jobs
-            in
-            if jobs >= 2 then Some (Mae_engine.Pool.create ~domains:(jobs - 1))
-            else None
-          in
           (* declarative objectives over the request plane; both ride
              the same rolling multi-window burn-rate rings *)
           let slo_latency =
@@ -603,12 +591,11 @@ let run (config : config) =
             Dispatch.create
               ~config:
                 {
-                  Dispatch.jobs = config.jobs;
-                  registry = config.registry;
+                  Dispatch.registry = config.registry;
                   inject_sleep_field = config.inject_sleep_field;
                   queue_watermark = config.queue_watermark;
                 }
-              ~transport ~pool ~cas ~slo_latency ~slo_errors
+              ~transport ~cas ~slo_latency ~slo_errors
           in
           let st =
             {
@@ -623,7 +610,6 @@ let run (config : config) =
           Log.info ~event:"serve.start"
             ([
                ("addr", Log.Str (Format.asprintf "%a" pp_addr request_addr));
-               ("jobs", Log.Int config.jobs);
                ("pid", Log.Int (Unix.getpid ()));
              ]
             @
@@ -645,7 +631,6 @@ let run (config : config) =
             ~tick:(fun () -> Dispatch.tick st.dispatch);
           Transport.unlink_unix_addr config.request_addr;
           Option.iter Transport.unlink_unix_addr config.obs_addr;
-          Option.iter Mae_engine.Pool.shutdown pool;
           (match config.store_out with
           | None -> ()
           | Some path -> (

@@ -1,6 +1,8 @@
 (** The resident estimation service behind [mae serve].
 
-    A single-threaded select loop runs two planes over one transport:
+    A single-threaded select loop runs two planes over one transport,
+    and every request estimates on that loop's domain (the daemon
+    never fans a request out across domains):
 
     - {e request plane}: line-delimited JSON {e or} HTTP
       ([POST /estimate]) over TCP or a Unix-domain socket, with
@@ -26,7 +28,7 @@
       [GET /metrics] (Prometheus text from the {!Mae_obs.Metrics}
       registry -- counters, gauges, and the {!Mae_obs.Sketch}
       quantile summaries with request-id exemplars), [/healthz]
-      (liveness + engine/domain status; answers
+      (liveness + engine status; answers
       [503 Service Unavailable] while any SLO's fast-window error
       budget is exhausted), [/slo] (burn-rate reports for every
       registered objective, JSON), [/statusz] (one-page human-readable
@@ -94,10 +96,6 @@ val default_slo : slo_config
 type config = {
   request_addr : addr;
   obs_addr : addr option;
-  jobs : int;
-      (** engine domains per request; [>= 2] spawns a persistent
-          {!Mae_engine.Pool} at startup that every request reuses, and
-          [0] means the host's recommended domain count *)
   registry : Mae_tech.Registry.t;
   trace_out : string option;  (** Chrome trace flushed at shutdown *)
   metrics_out : string option;  (** metrics dump flushed at shutdown *)
@@ -139,7 +137,7 @@ type config = {
 
 val default_config :
   registry:Mae_tech.Registry.t -> request_addr:addr -> config
-(** [jobs = 1], no obs plane, no dumps, {!default_slo}, no sleep
+(** No obs plane, no dumps, {!default_slo}, no sleep
     injection, no store journal or snapshot, the store capped at 65536
     entries, 300 s idle timeout, 1024 connections, watermark 256,
     no-op [on_ready]. *)

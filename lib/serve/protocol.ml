@@ -164,7 +164,9 @@ let decode_line ~max_bytes buf =
           ({ request = request_of_body line; framing = Line; bytes = len },
            Ready, nl + 1)
   | None ->
-      if n > max_bytes then
+      (* the line is at least [n - 1] bytes long: its last byte may be
+         the '\r' that [strip_cr] drops *)
+      if n - 1 > max_bytes then
         (* no newline yet and already over budget: answer now and
            discard until the line finally ends *)
         Frame
@@ -180,23 +182,26 @@ let decode_line ~max_bytes buf =
    64 KiB buffer bound.  Bodies are bounded by [max_bytes]. *)
 let max_head_bytes = 65536
 
-let find_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i =
-    if i + nn > nh then None
-    else if String.equal (String.sub hay i nn) needle then Some i
-    else at (i + 1)
-  in
-  at 0
-
 (* Earliest of "\r\n\r\n" or a bare "\n\n" (tolerated like the old
-   plane did); returns (head_length, body_offset). *)
+   plane did); returns (head_length, body_offset).  One pass over the
+   newlines, comparing bytes in place: a "\r\n\r\n" starting at [i - 1]
+   starts before a "\n\n" at [i], and the two cannot share a newline,
+   so the first hit is the earliest terminator and the body is never
+   scanned. *)
 let head_terminator buf =
-  match (find_sub buf "\r\n\r\n", find_sub buf "\n\n") with
-  | None, None -> None
-  | Some i, None -> Some (i, i + 4)
-  | None, Some j -> Some (j, j + 2)
-  | Some i, Some j -> if i <= j then Some (i, i + 4) else Some (j, j + 2)
+  let n = String.length buf in
+  let rec from i =
+    match String.index_from_opt buf i '\n' with
+    | None -> None
+    | Some i when i + 1 >= n -> None
+    | Some i ->
+        if buf.[i + 1] = '\n' then Some (i, i + 2)
+        else if i >= 1 && buf.[i - 1] = '\r' && buf.[i + 1] = '\r'
+                && i + 2 < n && buf.[i + 2] = '\n'
+        then Some (i - 1, i + 3)
+        else from (i + 1)
+  in
+  from 0
 
 type head = {
   meth : string;
@@ -255,15 +260,19 @@ let strip_query target =
 
 let decode_http ~max_bytes buf =
   let n = String.length buf in
+  (* The head cap holds however the bytes arrived: a buffer without a
+     terminator holds a head of at least [n - 3] bytes (its last three
+     may open a "\r\n\r\n"), a terminated one a head of [head_len]. *)
+  let head_too_large () =
+    Frame
+      ( { request = Too_large { limit = max_head_bytes };
+          framing = Http { version = V10; keep_alive = false };
+          bytes = n },
+        Ready, n )
+  in
   match head_terminator buf with
-  | None ->
-      if n > max_head_bytes then
-        Frame
-          ( { request = Too_large { limit = max_head_bytes };
-              framing = Http { version = V10; keep_alive = false };
-              bytes = n },
-            Ready, n )
-      else Await
+  | None -> if n - 3 > max_head_bytes then head_too_large () else Await
+  | Some (head_len, _) when head_len > max_head_bytes -> head_too_large ()
   | Some (head_len, body_off) -> begin
       let closing err status =
         (* a framing error poisons the rest of the buffer: consume it

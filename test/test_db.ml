@@ -379,7 +379,22 @@ let test_cas_journal_roundtrip () =
   close_out oc;
   let cas3 = Mae_db.Cas.create () in
   open_journal_exn cas3 ~path ~want:(1, 1);
+  (* an entry appended after the torn tail must replay too: its header
+     may not be glued onto the torn line *)
+  let registry = Mae_tech.Registry.create () in
+  let c = Mae_workload.Generators.parity 3 in
+  let r3 = fresh_report ~registry ~methods:Mae.Methodology.default_names c in
+  let key3 = Mae_db.Cas.key ~process:(process ()) c in
+  Mae_db.Cas.store cas3 ~key:key3 r3;
   Mae_db.Cas.close_journal cas3;
+  let cas4 = Mae_db.Cas.create () in
+  open_journal_exn cas4 ~path ~want:(2, 1);
+  Mae_db.Cas.close_journal cas4;
+  (match Mae_db.Cas.find cas4 ~key:key3 ~circuit:c ~process:(process ()) with
+  | None -> Alcotest.fail "entry appended after a torn tail not replayed"
+  | Some r' ->
+      Alcotest.(check (list (pair string int64)))
+        "post-crash entry is bit-for-bit" (report_bits r3) (report_bits r'));
   Sys.remove path
 
 let test_cas_version_bump_invalidates () =
@@ -486,6 +501,79 @@ let test_cas_replay_obeys_cap () =
           Alcotest.check bits (name ^ ": replayed hit is bit-for-bit")
             (report_bits r) (report_bits hit))
     entries;
+  Sys.remove path
+
+(* A journal cut at every byte offset (a crash at any point of an
+   append): replay loads exactly the entries whose "end" line is
+   complete, each bit-for-bit, never an extra or a wrong one; and one
+   more store after the cut replays as that prefix plus the new entry. *)
+let test_cas_journal_truncation () =
+  let registry = Mae_tech.Registry.create () in
+  let process = process () in
+  let methods = Mae.Methodology.default_names in
+  let entry i =
+    let c = Mae_workload.Generators.parity (i + 2) in
+    (c, Mae_db.Cas.key ~process c, fresh_report ~registry ~methods c)
+  in
+  let entries = List.init 3 entry and extra_c, extra_key, extra_r = entry 3 in
+  let path = Filename.temp_file "mae_cas" ".journal" in
+  let writer = Mae_db.Cas.create () in
+  open_journal_exn writer ~path ~want:(0, 0);
+  List.iter (fun (_, key, r) -> Mae_db.Cas.store writer ~key r) entries;
+  Mae_db.Cas.close_journal writer;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  (* offset just past each entry's "end" *)
+  let ends =
+    let rec from i =
+      if i + 4 > String.length text then []
+      else if String.sub text i 4 = "end\n" then (i + 3) :: from (i + 4)
+      else from (i + 1)
+    in
+    from 0
+  in
+  Alcotest.(check int) "three entries written" 3 (List.length ends);
+  let write_prefix k =
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc (String.sub text 0 k))
+  in
+  let replay ~want_loaded =
+    let cas = Mae_db.Cas.create () in
+    (match Mae_db.Cas.open_journal cas ~path with
+    | Ok (loaded, skipped) ->
+        if loaded <> want_loaded || skipped > 1 then
+          Alcotest.failf "loaded %d skipped %d, want %d loaded" loaded skipped
+            want_loaded
+    | Error e -> Alcotest.failf "open_journal: %s" e);
+    Alcotest.(check int) "no extra entry" want_loaded (Mae_db.Cas.length cas);
+    cas
+  in
+  let expect cas ~label ~present (c, key, r) =
+    match (Mae_db.Cas.find cas ~key ~circuit:c ~process, present) with
+    | None, false -> ()
+    | Some hit, true ->
+        Alcotest.check bits (label ^ ": bit-for-bit") (report_bits r)
+          (report_bits hit)
+    | Some _, false -> Alcotest.failf "%s: an entry past the cut loaded" label
+    | None, true -> Alcotest.failf "%s: a complete entry is missing" label
+  in
+  for k = 0 to String.length text do
+    let label = Printf.sprintf "cut at %d" k in
+    let complete = List.length (List.filter (fun e -> e <= k) ends) in
+    write_prefix k;
+    let cas = replay ~want_loaded:complete in
+    List.iteri
+      (fun i e -> expect cas ~label ~present:(i < complete) e)
+      entries;
+    Mae_db.Cas.store cas ~key:extra_key extra_r;
+    Mae_db.Cas.close_journal cas;
+    let cas = replay ~want_loaded:(complete + 1) in
+    Mae_db.Cas.close_journal cas;
+    List.iteri
+      (fun i e -> expect cas ~label ~present:(i < complete) e)
+      entries;
+    expect cas ~label:(label ^ ", then a store") ~present:true
+      (extra_c, extra_key, extra_r)
+  done;
   Sys.remove path
 
 (* The store keeps results, not the circuits they came from: once the
@@ -615,6 +703,8 @@ let () =
           Alcotest.test_case "version bump invalidates" `Quick
             test_cas_version_bump_invalidates;
           Alcotest.test_case "lru cap churn" `Quick test_cas_lru_eviction;
+          Alcotest.test_case "journal cut at every byte offset" `Quick
+            test_cas_journal_truncation;
           Alcotest.test_case "journal replay obeys the cap" `Quick
             test_cas_replay_obeys_cap;
           Alcotest.test_case "retains no circuit" `Quick

@@ -130,39 +130,6 @@ let test_jobs_validation () =
     "empty batch" 0
     (List.length (Mae_engine.run_circuits ~jobs:4 ~registry []))
 
-(* The persistent pool must be invisible in results: same bits as
-   spawning fresh domains, across reuse, changing jobs counts (capped at
-   the pool's width rather than erroring) and changing batch sizes. *)
-let test_pool_reuse_deterministic () =
-  let pool = Mae_engine.Pool.create ~domains:3 in
-  Alcotest.(check int)
-    "concurrency = domains + caller" 4
-    (Mae_engine.Pool.concurrency pool);
-  let batch = random_batch 17 in
-  let seq = Mae_engine.run_circuits ~jobs:1 ~registry batch in
-  List.iter
-    (fun jobs ->
-      let pooled = Mae_engine.run_circuits ~jobs ~pool ~registry batch in
-      Alcotest.check digests
-        (Printf.sprintf "pooled jobs:%d = jobs:1" jobs)
-        (List.map result_digest seq)
-        (List.map result_digest pooled))
-    [ 2; 4; 8; 3; 4 ];
-  let small = random_batch ~first_seed:2000 3 in
-  let small_seq = Mae_engine.run_circuits ~jobs:1 ~registry small in
-  let small_pooled = Mae_engine.run_circuits ~jobs:4 ~pool ~registry small in
-  Alcotest.check digests "pool survives batch-size changes"
-    (List.map result_digest small_seq)
-    (List.map result_digest small_pooled);
-  Mae_engine.Pool.shutdown pool;
-  Mae_engine.Pool.shutdown pool (* idempotent *);
-  (* a shut-down pool contributes no workers: the batch degrades to the
-     calling domain, with identical bits *)
-  let after = Mae_engine.run_circuits ~jobs:4 ~pool ~registry small in
-  Alcotest.check digests "shut-down pool degrades to sequential"
-    (List.map result_digest small_seq)
-    (List.map result_digest after)
-
 let test_stats () =
   let batch = random_batch 8 in
   Mae_prob.Kernel_cache.clear ();
@@ -206,9 +173,8 @@ let test_stats_domains_used () =
 (* Every worker claims chunks from one shared counter.  Whatever the
    batch size, chunk size (one module, or several with a short last
    chunk) and worker count, each module is estimated exactly once, into
-   its own slot, with the sequential bits. *)
+   its own slot, with the sequential bits, on [min jobs n] workers. *)
 let test_shared_counter_claims_once () =
-  let pool = Mae_engine.Pool.create ~domains:3 in
   let batch = Array.of_list (random_batch ~first_seed:5000 70) in
   let seq = Mae_engine.run_circuits ~jobs:1 ~registry (Array.to_list batch) in
   let seq = Array.of_list (List.map result_digest seq) in
@@ -216,7 +182,7 @@ let test_shared_counter_claims_once () =
     (fun (n, jobs) ->
       let label = Printf.sprintf "n:%d jobs:%d" n jobs in
       let results, stats =
-        Mae_engine.run_circuits_with_stats ~jobs ~pool ~registry
+        Mae_engine.run_circuits_with_stats ~jobs ~registry
           (Array.to_list (Array.sub batch 0 n))
       in
       Alcotest.check digests
@@ -225,14 +191,13 @@ let test_shared_counter_claims_once () =
         (List.map result_digest results);
       Alcotest.(check int)
         (label ^ ": workers used")
-        (min (min jobs n) (Mae_engine.Pool.concurrency pool))
+        (min jobs n)
         (Array.length stats.Mae_engine.per_domain);
       Alcotest.(check int)
         (label ^ ": per_domain sums to the batch")
         n
         (Array.fold_left ( + ) 0 stats.Mae_engine.per_domain))
-    [ (1, 4); (2, 3); (9, 3); (33, 4); (70, 2); (70, 8) ];
-  Mae_engine.Pool.shutdown pool
+    [ (1, 4); (2, 3); (9, 3); (33, 4); (70, 2); (70, 8) ]
 
 (* --- the content-addressed estimate store through the engine --- *)
 
@@ -316,7 +281,7 @@ let unknown_process_circuit name =
    modules among them: every run must answer bit-for-bit as a plain
    uncached run, with exact store counts from its own lookups; a
    [config] run must bypass the store and store nothing.  Both
-   sequentially and fanned out over a pool. *)
+   sequentially and fanned out over four domains. *)
 let test_runs_count_own_store_lookups () =
   let stored = random_batch ~first_seed:5000 3 in
   let requests =
@@ -341,14 +306,14 @@ let test_runs_count_own_store_lookups () =
   let config = { Mae.Config.default with two_component_free = false } in
   let plain = reference () and configured = reference ~config () in
   let store_counts = Alcotest.(list (pair int int)) in
-  let check_runs label ?pool ~jobs () =
+  let check_runs label ~jobs =
     let cache = Mae_db.Cas.create () in
     ignore (Mae_engine.run_circuits ~jobs:1 ~cache ~registry stored);
     let runs ?config () =
       List.map
         (fun circuits ->
           let results, stats =
-            Mae_engine.run_circuits_with_stats ?config ~jobs ?pool ~cache
+            Mae_engine.run_circuits_with_stats ?config ~jobs ~cache
               ~registry circuits
           in
           ( List.map result_digest results,
@@ -374,11 +339,8 @@ let test_runs_count_own_store_lookups () =
       (label ^ ": config stores nothing")
       stored_before (Mae_db.Cas.length cache)
   in
-  check_runs "jobs:1" ~jobs:1 ();
-  let pool = Mae_engine.Pool.create ~domains:3 in
-  Fun.protect
-    ~finally:(fun () -> Mae_engine.Pool.shutdown pool)
-    (check_runs "jobs:4 pooled" ~pool ~jobs:4)
+  check_runs "jobs:1" ~jobs:1;
+  check_runs "jobs:4" ~jobs:4
 
 (* Two batches on two domains at once against one store: each batch's
    store counts are its own lookups, not the other batch's too. *)
@@ -420,8 +382,6 @@ let () =
           Alcotest.test_case "order preserved" `Quick test_order_preserved;
           Alcotest.test_case "error isolation" `Quick test_error_isolation;
           Alcotest.test_case "jobs validation" `Quick test_jobs_validation;
-          Alcotest.test_case "pool reuse is deterministic" `Slow
-            test_pool_reuse_deterministic;
           Alcotest.test_case "batch stats" `Quick test_stats;
           Alcotest.test_case "stats report the domains used" `Quick
             test_stats_domains_used;

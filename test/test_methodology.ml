@@ -136,23 +136,15 @@ let test_engine_determinism_all_methods () =
   let seq =
     Mae_engine.run_circuits ~jobs:1 ~methods:[ "all" ] ~registry batch
   in
-  let par =
-    Mae_engine.run_circuits ~jobs:4 ~methods:[ "all" ] ~registry batch
-  in
-  Alcotest.(check (list (list int64))) "jobs:1 = jobs:4 over all methods"
-    (digest seq) (digest par);
-  (* the persistent pool must be invisible in the results too, and stay
-     so when reused across batches (which worker claims which chunk
-     differs run to run) *)
-  let pool = Mae_engine.Pool.create ~domains:3 in
-  Fun.protect ~finally:(fun () -> Mae_engine.Pool.shutdown pool) @@ fun () ->
-  for batch_no = 1 to 3 do
-    let pooled =
-      Mae_engine.run_circuits ~jobs:4 ~pool ~methods:[ "all" ] ~registry batch
+  (* which worker claims which chunk differs run to run; the bits
+     must not *)
+  for run = 1 to 3 do
+    let par =
+      Mae_engine.run_circuits ~jobs:4 ~methods:[ "all" ] ~registry batch
     in
     Alcotest.(check (list (list int64)))
-      (Printf.sprintf "jobs:1 = pooled jobs:4 (batch %d)" batch_no)
-      (digest seq) (digest pooled)
+      (Printf.sprintf "jobs:1 = jobs:4 over all methods (run %d)" run)
+      (digest seq) (digest par)
   done
 
 (* one failing methodology must not poison the others *)

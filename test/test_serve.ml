@@ -338,6 +338,175 @@ let http_split_prop =
           consumed = String.length req && id = Json.Number 9.
       | _ -> false)
 
+(* The head cap holds however the head arrives: a 70 034-byte GET head
+   is Too_large decoded whole, and also when its first 65 537 bytes
+   come first (that prefix alone must wait, not answer). *)
+let http_head_cap_split () =
+  let head_bytes = 70_034 in
+  let pre = "GET /healthz HTTP/1.1\r\nX-Pad: " and post = "\r\n\r\n" in
+  let req =
+    pre
+    ^ String.make (head_bytes - String.length pre - String.length post) 'p'
+    ^ post
+  in
+  Alcotest.(check int) "head size" head_bytes (String.length req);
+  let too_large what = function
+    | P.Frame ({ P.request = P.Too_large { limit = 65536 }; _ }, _, _) -> ()
+    | P.Frame ({ P.request = P.Scrape { path }; _ }, _, _) ->
+        Alcotest.failf "%s: over-cap head decoded as Scrape %s" what path
+    | _ -> Alcotest.failf "%s: want Too_large 65536" what
+  in
+  too_large "whole" (decode P.initial req);
+  (match decode P.initial (String.sub req 0 65_537) with
+  | P.Await -> ()
+  | _ -> Alcotest.fail "an unterminated 65 537-byte prefix must Await");
+  too_large "after the prefix" (decode P.initial req);
+  (* a head exactly at the cap still decodes *)
+  let pad = 65536 - String.length pre - 2 in
+  let at_cap = pre ^ String.make pad 'p' ^ post in
+  match decode P.initial at_cap with
+  | P.Frame ({ P.request = P.Scrape { path = "/healthz" }; _ }, _, _) -> ()
+  | _ -> Alcotest.fail "a head of exactly 65536 bytes must decode"
+
+(* Feed [chunks] the way Transport.deliver_frames does: after every read
+   the decoder sees the unconsumed rest of the connection buffer, until
+   it Awaits.  Returns the frames in order; fails on a step that
+   consumes nothing or more than it was given. *)
+let frames_of_chunks ?(max_bytes = max_bytes) chunks =
+  let dec = ref P.initial and pending = ref "" and frames = ref [] in
+  List.iter
+    (fun chunk ->
+      let data = !pending ^ chunk in
+      let len = String.length data in
+      let rec go pos =
+        if pos >= len then pos
+        else
+          let rest = String.sub data pos (len - pos) in
+          let advance d k =
+            if k < 1 || k > len - pos then
+              QCheck2.Test.fail_reportf "step consumed %d of %d bytes" k
+                (len - pos);
+            dec := d;
+            go (pos + k)
+          in
+          match P.decode ~max_bytes !dec rest with
+          | P.Await -> pos
+          | P.Skip (d, k) -> advance d k
+          | P.Frame (f, d, k) ->
+              frames := f :: !frames;
+              advance d k
+      in
+      let consumed = go 0 in
+      pending := String.sub data consumed (len - consumed))
+    chunks;
+  List.rev !frames
+
+(* Cut [s] at the given offsets. *)
+let chunks_at s cuts =
+  let cuts =
+    List.sort_uniq compare
+      (List.filter (fun c -> c > 0 && c < String.length s) cuts)
+  in
+  let rec go from = function
+    | [] -> [ String.sub s from (String.length s - from) ]
+    | c :: rest -> String.sub s from (c - from) :: go c rest
+  in
+  go 0 cuts
+
+(* A frame after which the daemon closes the connection: HTTP without
+   keep-alive, or an HTTP 413 (see {!P.will_close}). *)
+let closes (f : P.frame) =
+  match (f.P.framing, f.P.request) with
+  | P.Line, _ -> false
+  | P.Http _, P.Too_large _ -> true
+  | P.Http { keep_alive; _ }, _ -> not keep_alive
+
+(* What the daemon acts on: each frame's request and framing up to and
+   including the first that closes the connection.  [bytes] (the access
+   log's size field) of an oversized frame counts what had arrived, so
+   it is left out. *)
+let until_close frames =
+  let rec go = function
+    | [] -> []
+    | f :: rest ->
+        (f.P.request, f.P.framing) :: (if closes f then [] else go rest)
+  in
+  go frames
+
+(* Request pieces around every framing edge: both dialects, CRLF and
+   bare-LF heads, a body holding a blank line, keep-alive and closing
+   HTTP, a malformed head, lines straddling the line cap (one CRLF line
+   at exactly [max_bytes]), heads straddling the head cap, and
+   arbitrary bytes. *)
+let stream_gen =
+  let open QCheck2.Gen in
+  let word = string_size ~gen:(char_range 'a' 'z') (0 -- 12) in
+  let post ?(version = "HTTP/1.1") body =
+    Printf.sprintf "POST /estimate %s\r\nContent-Length: %d\r\n\r\n%s"
+      version (String.length body) body
+  in
+  let big_head k = "GET /x HTTP/1.1\r\nX-Pad: " ^ String.make k 'p' ^ "\r\n\r\n" in
+  let piece =
+    frequency
+      [
+        (4, map (fun w -> est_line w ^ "\n") word);
+        (2, map (fun w -> est_line w ^ "\r\n") word);
+        (1, pure "\n");
+        (2, map (fun k -> String.make k 'x' ^ "\r\n") (max_bytes - 2 -- (max_bytes + 2)));
+        (4, map (fun w -> post (est_line w)) word);
+        (1, map (fun w -> post (est_line ("a\n\nb" ^ w))) word);
+        (1, map (fun w -> post ~version:"HTTP/1.0" (est_line w)) word);
+        (2, pure "GET /healthz HTTP/1.1\r\n\r\n");
+        (1, pure "GET /metrics HTTP/1.1\n\n");
+        (1, pure "GET /slo HTTP/1.0\r\n\r\n");
+        (1, pure "POST / HTTP/1.1\r\nContent-Length: zz\r\n\r\n");
+        (1, pure "DELETE /estimate HTTP/1.1\r\n\r\n");
+        (1, map big_head (65480 -- 65520));
+        (2, string_size ~gen:char (1 -- 16));
+      ]
+  in
+  list_size (1 -- 6) piece >>= fun pieces ->
+  let s = String.concat "" pieces in
+  let n = String.length s in
+  let cuts =
+    if n <= 2000 then
+      (* short streams: every offset, or a handful *)
+      oneof [ pure (List.init n Fun.id); list_size (0 -- 12) (int_bound n) ]
+    else list_size (0 -- 12) (int_bound n)
+  in
+  map (fun cuts -> (s, cuts)) cuts
+
+let print_stream (s, cuts) =
+  let shown = if String.length s > 400 then String.sub s 0 400 ^ "..." else s in
+  Printf.sprintf "%S (%d bytes) cut at [%s]" shown (String.length s)
+    (String.concat ";" (List.map string_of_int cuts))
+
+let stream_split_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"stream split invariance"
+       ~print:print_stream stream_gen (fun (s, cuts) ->
+         until_close (frames_of_chunks [ s ])
+         = until_close (frames_of_chunks (chunks_at s cuts))))
+
+(* Arbitrary bytes, bare or behind an HTTP request line, whole or split:
+   decode never raises and every step makes progress within its
+   buffer (checked inside [frames_of_chunks]). *)
+let decode_total_prop =
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (map2 ( ^ )
+           (oneofl [ ""; "GET / HTTP/1.1\r\n"; "POST /estimate HTTP/1.0\r\n" ])
+           (string_size ~gen:char (0 -- 600)))
+        (list_size (0 -- 8) (int_bound 700)))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"decode is total on arbitrary bytes"
+       ~print:print_stream gen (fun (s, cuts) ->
+         ignore (frames_of_chunks [ s ]);
+         ignore (frames_of_chunks ~max_bytes:16 (chunks_at s cuts));
+         true))
+
 (* --- responses --- *)
 
 let encode_line () =
@@ -430,7 +599,9 @@ let () =
           Alcotest.test_case "keep-alive negotiation" `Quick http_keep_alive;
           Alcotest.test_case "POST estimates" `Quick http_post;
           Alcotest.test_case "adversarial headers" `Quick http_adversarial;
-          Alcotest.test_case "split reads" `Quick http_split_reads ] );
+          Alcotest.test_case "split reads" `Quick http_split_reads;
+          Alcotest.test_case "head cap ignores read boundaries" `Quick
+            http_head_cap_split ] );
       ( "protocol-encode",
         [ Alcotest.test_case "line responses" `Quick encode_line;
           Alcotest.test_case "http responses" `Quick encode_http;
@@ -438,4 +609,5 @@ let () =
             encode_shed_and_close;
           Alcotest.test_case "status texts" `Quick status_texts ] );
       ( "protocol-props",
-        [ split_read_prop; http_split_prop; roundtrip_prop ] ) ]
+        [ split_read_prop; http_split_prop; roundtrip_prop;
+          stream_split_prop; decode_total_prop ] ) ]
