@@ -9,10 +9,10 @@
    numbers from another machine prove nothing about this one.
 
    Noise control on shared/virtualized runners: each configuration is
-   measured several times in this one process and the best pass is
-   compared, since the gate hunts regressions (code that got slower),
-   not slow machines (a loaded host only ever makes us *pass* slower
-   runs, never fail fast ones). *)
+   measured three times in this one process and the median pass is
+   compared.  The engine bench records every run as the median of the
+   same number of passes, so baseline and re-measurement are the same
+   statistic. *)
 
 module Json = Mae_obs.Json
 
@@ -109,12 +109,11 @@ let measure ~jobs ~registry circuits =
       in
       (mps, p99))
 
-let best_mps passes =
-  List.fold_left (fun acc (mps, _) -> Float.max acc mps) 0. passes
-
 let median xs =
   let a = Array.of_list (List.sort Float.compare xs) in
   a.(Array.length a / 2)
+
+let median_mps passes = median (List.map fst passes)
 
 let () =
   let history_path =
@@ -179,7 +178,7 @@ let () =
     "bench-gate: %d modules vs last history entry (threshold %.0f%%)\n%!"
     modules
     (100. *. (1. -. threshold));
-  let seq = best_mps (measure ~jobs:1 ~registry circuits) in
+  let seq = median_mps (measure ~jobs:1 ~registry circuits) in
   let verdicts = ref [] in
   let check label ~baseline ~current =
     let floor = baseline *. threshold in
@@ -193,7 +192,7 @@ let () =
   Option.iter
     (fun r ->
       let par = measure ~jobs:r.jobs ~registry circuits in
-      check r.label ~baseline:r.mps ~current:(best_mps par))
+      check r.label ~baseline:r.mps ~current:(median_mps par))
     baseline_par;
   (* GC gate: re-run the same run as the parallel check (seq_cached when
      the entry has none) three times under the runtime lens, each pass

@@ -916,24 +916,46 @@ type engine_run = {
   jobs : int;
   cache : bool;
   stats : Mae_engine.stats;
-  gc_p99_s : float option;  (* this run's own p99 pause; lens on only *)
+  gc_p99_s : float option;
+      (* median over the passes of each pass's own p99 pause; lens on
+         only *)
   alloc_words_per_module : float option;
       (* minor words the calling domain allocated per module; jobs = 1
          only, where that domain does all the work *)
 }
 
+(* Passes per engine run.  A run records its median pass, the statistic
+   bench_gate re-measures, so a history baseline and the gate compare
+   like with like. *)
+let passes = 3
+
+let median xs = List.nth (List.sort Float.compare xs) (List.length xs / 2)
+
 let time_engine ~label ~jobs ~cache ~registry circuits =
-  Mae_prob.Kernel_cache.clear ();
   Mae_prob.Kernel_cache.set_enabled cache;
-  let ((results, stats), words), gc_p99_s =
-    Bench_history.History.with_own_gc_p99 (fun () ->
-        let w0 = Gc.minor_words () in
-        let run =
-          Mae_engine.run_circuits_with_stats ~jobs ~registry circuits
+  let timed =
+    List.init passes (fun _ ->
+        Mae_prob.Kernel_cache.clear ();
+        let ((results, (stats : Mae_engine.stats)), words), p99 =
+          Bench_history.History.with_own_gc_p99 (fun () ->
+              let w0 = Gc.minor_words () in
+              let run =
+                Mae_engine.run_circuits_with_stats ~jobs ~registry circuits
+              in
+              (run, Gc.minor_words () -. w0))
         in
-        (run, Gc.minor_words () -. w0))
+        ((results, stats, words), p99))
   in
   Mae_prob.Kernel_cache.set_enabled true;
+  let results, stats, words =
+    let elapsed (_, (s : Mae_engine.stats), _) = s.elapsed_s in
+    List.nth
+      (List.sort (fun a b -> Float.compare (elapsed a) (elapsed b)) (List.map fst timed))
+      (passes / 2)
+  in
+  let gc_p99_s =
+    match List.filter_map snd timed with [] -> None | p99s -> Some (median p99s)
+  in
   let alloc_words_per_module =
     if jobs = 1 && stats.modules > 0 then
       Some (words /. Float.of_int stats.modules)
@@ -1093,25 +1115,53 @@ let run_engine ~smoke () =
   let path = "BENCH_engine.json" in
   engine_json ~modules ~runs ~path;
   Printf.printf "throughput baseline written to %s\n" path;
-  (* the content-addressed estimate store: run the batch cold, then
-     repeat it -- the repeat must be answered entirely from the store
-     with bit-identical results, or the bench fails *)
+  (* the content-addressed estimate store, consulted the way the serve
+     daemon consults it: run the batch cold, then repeat it -- the
+     repeat must be answered entirely from the store with bit-identical
+     results, or the bench fails *)
   let cas = Mae_db.Cas.create () in
-  let cold_results, cold_stats =
-    Mae_engine.run_circuits_with_stats ~jobs:1 ~cache:cas ~registry circuits
+  let store_pass () =
+    let t0 = Mae_obs.Clock.monotonic () in
+    let lookups =
+      List.map
+        (fun (c : Mae_netlist.Circuit.t) ->
+          let process = Mae_tech.Registry.find_exn registry c.technology in
+          let key = Mae_db.Cas.key ~process c in
+          (key, Mae_db.Cas.find cas ~key ~circuit:c ~process, c))
+        circuits
+    in
+    let misses =
+      List.filter_map
+        (fun (_, found, c) -> if Option.is_none found then Some c else None)
+        lookups
+    in
+    let computed =
+      ref (if misses = [] then [] else Mae_engine.run_circuits ~registry misses)
+    in
+    let results =
+      List.map
+        (fun (key, found, _) ->
+          match (found, !computed) with
+          | Some report, _ -> Ok report
+          | None, r :: rest ->
+              computed := rest;
+              Result.iter (Mae_db.Cas.store cas ~key) r;
+              r
+          | None, [] -> assert false (* one result per miss *))
+        lookups
+    in
+    let hits = List.length circuits - List.length misses in
+    (results, hits, Mae_obs.Clock.monotonic () -. t0)
   in
-  let warm_results, warm_stats =
-    Mae_engine.run_circuits_with_stats ~jobs:1 ~cache:cas ~registry circuits
-  in
+  let cold_results, cold_hits, cold_elapsed_s = store_pass () in
+  let warm_results, warm_hits, warm_elapsed_s = store_pass () in
   let store_hit_ratio =
-    if modules > 0 then
-      Float.of_int warm_stats.Mae_engine.store_hits /. Float.of_int modules
-    else 0.
+    if modules > 0 then Float.of_int warm_hits /. Float.of_int modules else 0.
   in
-  if warm_stats.Mae_engine.store_hits <> modules then begin
+  if warm_hits <> modules then begin
     Printf.printf
       "FAIL: repeat batch hit the estimate store %d/%d times (want 100%%)\n"
-      warm_stats.Mae_engine.store_hits modules;
+      warm_hits modules;
     exit 1
   end;
   let store_identical =
@@ -1137,11 +1187,22 @@ let run_engine ~smoke () =
     print_endline "FAIL: estimate-store answers differ from the computed runs";
     exit 1
   end;
+  (* the bar a store hit had to clear to earn a place in the engine: a
+     fifth of a cached recompute; recorded so the decision to keep the
+     store in serve only stays re-checkable *)
+  let per_module s = s /. Float.of_int (Stdlib.max 1 modules) in
+  let warm_hit_s_per_module = per_module warm_elapsed_s in
+  let seq_cached_s_per_module = per_module seq_cached.stats.elapsed_s in
   Printf.printf
     "estimate store: cold %.3fs (%d misses), repeat %.3fs answered 100%%\n\
-     from the store, bit-identical\n"
-    cold_stats.Mae_engine.elapsed_s cold_stats.Mae_engine.store_misses
-    warm_stats.Mae_engine.elapsed_s;
+     from the store, bit-identical; a hit costs %.1f us per module against\n\
+     %.1f us for a seq_cached recompute (%.2fx)\n"
+    cold_elapsed_s (modules - cold_hits) warm_elapsed_s
+    (warm_hit_s_per_module *. 1e6)
+    (seq_cached_s_per_module *. 1e6)
+    (if seq_cached_s_per_module > 0. then
+       warm_hit_s_per_module /. seq_cached_s_per_module
+     else 0.);
   let retained_words_per_entry =
     Float.of_int (Obj.reachable_words (Obj.repr cas))
     /. Float.of_int (Stdlib.max 1 (Mae_db.Cas.length cas))
@@ -1193,21 +1254,22 @@ let run_engine ~smoke () =
       ( "estimate_store",
         Object
           [
-            ("cold_elapsed_s", Number cold_stats.Mae_engine.elapsed_s);
-            ("warm_elapsed_s", Number warm_stats.Mae_engine.elapsed_s);
-            ( "cold_misses",
-              Number (Float.of_int cold_stats.Mae_engine.store_misses) );
-            ( "warm_hits",
-              Number (Float.of_int warm_stats.Mae_engine.store_hits) );
+            ("cold_elapsed_s", Number cold_elapsed_s);
+            ("warm_elapsed_s", Number warm_elapsed_s);
+            ("cold_misses", Number (Float.of_int (modules - cold_hits)));
+            ("warm_hits", Number (Float.of_int warm_hits));
             ("warm_hit_ratio", Number store_hit_ratio);
+            ("warm_hit_s_per_module", Number warm_hit_s_per_module);
+            ("seq_cached_s_per_module", Number seq_cached_s_per_module);
             ("warm_bit_identical", Bool store_identical);
             ("retained_words_per_entry", Number retained_words_per_entry);
           ] );
     ]
 
-(* --gc-sweep: one row per jobs level -- cached throughput with the
-   runtime lens riding along, against the pooled GC pause quantiles the
-   lens observed during that run ([time_engine] zeroes the lens first).  Feeds the EXPERIMENTS.md "GC pauses
+(* --gc-sweep: one row per jobs level -- cached throughput (the median
+   pass) with the runtime lens riding along, against the pooled GC pause
+   quantiles the lens observed during the run's last pass ([time_engine]
+   zeroes the lens before each pass).  Feeds the EXPERIMENTS.md "GC pauses
    vs parallelism" table. *)
 let run_gc_sweep ~smoke () =
   let modules = if smoke then 48 else 500 in

@@ -168,8 +168,14 @@ let prepopulate_journal () =
   (match Mae.Driver.string_circuits warm_hdl with
   | Error _ -> fail "prepopulate: driver error"
   | Ok circuits -> (
-      match Mae_engine.run_circuits ~jobs:1 ~cache:cas ~registry circuits with
-      | [ Ok _ ] -> ()
+      match Mae_engine.run_circuits ~jobs:1 ~registry circuits with
+      | [ Ok report ] ->
+          let process =
+            Mae_tech.Registry.find_exn registry report.circuit.technology
+          in
+          Mae_db.Cas.store cas
+            ~key:(Mae_db.Cas.key ~process report.circuit)
+            report
       | _ -> fail "prepopulate: expected one Ok module"));
   Mae_db.Cas.close_journal cas;
   check

@@ -25,8 +25,11 @@
    type through the same cap.
 
    Journal robustness: appends are sequential, so the only corruption a
-   crash can produce is a torn final entry.  Replay skips any malformed
-   block and resyncs at the next entry header. *)
+   crash can produce is a torn final entry; bit rot can hit any byte.
+   Each block's "end" line carries the digest of the block's lines
+   above it, and replay skips a block that is malformed, has no digest
+   or does not match it -- a flipped digit in a %h float would still
+   parse -- then resyncs at the next entry header. *)
 
 module D = Mae.Driver
 module M = Mae.Methodology
@@ -197,8 +200,8 @@ let entry_string ~key (r : D.module_report) =
         (Escape.quote (M.name mr.methodology))
         (result_string mr.outcome))
     r.results;
-  Buffer.add_string b "end\n";
-  Buffer.contents b
+  let body = Buffer.contents b in
+  body ^ "end " ^ Digest.to_hex (Digest.string body) ^ "\n"
 
 exception Bad of string
 
@@ -354,11 +357,11 @@ let length t = locked t (fun () -> Hashtbl.length t.table)
 
 let parse_journal ~add lines =
   (* Best-effort replay: a malformed block (a torn tail from a crash
-     mid-append, or bit rot) is skipped and parsing resyncs at the next
-     "entry" header.  Skipping is always safe for a cache -- a dropped
-     entry is just a future miss.  Each parsed entry goes to [add] as it
-     is read, so a long journal never materializes past the cap.
-     Returns (loaded, skipped_blocks). *)
+     mid-append, or bit rot caught by the block digest) is skipped and
+     parsing resyncs at the next "entry" header.  Skipping is always
+     safe for a cache -- a dropped entry is just a future miss.  Each
+     parsed entry goes to [add] as it is read, so a long journal never
+     materializes past the cap.  Returns (loaded, skipped_blocks). *)
   let n = Array.length lines in
   let is_entry l = String.length l >= 6 && String.sub l 0 6 = "entry " in
   let loaded = ref 0 in
@@ -388,7 +391,16 @@ let parse_journal ~add lines =
          else
            match Escape.tokens l with
            | Error e -> raise (Bad e)
-           | Ok [ "end" ] -> closed := true
+           | Ok [ "end"; d ] ->
+               (* the block's lines exactly as written, end line excluded *)
+               let body =
+                 String.concat ""
+                   (List.init (!j - i) (fun k -> lines.(i + k) ^ "\n"))
+               in
+               if not (String.equal d (Digest.to_hex (Digest.string body)))
+               then raise (Bad "block digest mismatch");
+               closed := true
+           | Ok [ "end" ] -> raise (Bad "block without digest")
            | Ok [ "module"; m; "technology"; tech ] -> meta := Some (m, tech)
            | Ok ("method" :: name :: payload) -> (
                (* a methodology no longer registered drops the entry *)

@@ -70,9 +70,11 @@ val open_journal : t -> path:string -> (int * int, string) result
 (** Replay [path] (created if absent) into the store, oldest entry
     first and through the LRU cap, then keep it open for appends.
     Returns [(loaded, skipped)]: malformed blocks -- e.g. a tail torn by
-    a crash mid-append, or an entry naming a methodology that is no
-    longer registered -- are skipped (a skip is just a future miss),
-    parsing resyncs at the next entry header.  A last line torn
+    a crash mid-append, a block whose lines no longer match the digest
+    on its [end] line (bit rot), a block written without one, or an
+    entry naming a methodology that is no longer registered -- are
+    skipped (a skip is just a future miss), parsing resyncs at the next
+    entry header.  A last line torn
     without its newline is ended before the first append, so entries
     stored after a crash replay too.  Entries evicted by the cap during
     replay count as loaded and as evictions.  [Error] only on I/O

@@ -20,8 +20,6 @@ type stats = {
   elapsed_s : float;
   cache_hits : int;
   cache_misses : int;
-  store_hits : int;
-  store_misses : int;
   per_domain : int array;
 }
 
@@ -74,10 +72,7 @@ let pp_stats ppf s =
     s.cache_hits s.cache_misses
     (if lookups > 0 then 100. *. Float.of_int s.cache_hits /. Float.of_int lookups
      else 0.)
-    (String.concat " " (List.map string_of_int (Array.to_list s.per_domain)));
-  if s.store_hits + s.store_misses > 0 then
-    Format.fprintf ppf "; estimate store %d hits / %d misses" s.store_hits
-      s.store_misses
+    (String.concat " " (List.map string_of_int (Array.to_list s.per_domain)))
 
 let default_jobs () = Stdlib.max 1 (Domain.recommended_domain_count ())
 
@@ -202,55 +197,18 @@ let map_pool ~jobs ~t0 f inputs =
   let batch_misses = Array.fold_left ( + ) 0 miss_delta in
   (results, claimed, max_wait, batch_hits, batch_misses)
 
-(* One module, through the estimate store when there is one: the
-   result plus how the store answered -- [`Hit]/[`Miss] when it was
-   consulted, [`Bypass] when the lookup never happened (no cache, a
-   [config] override, or an unknown process/method that the driver will
-   report).  Counting these flags gives every batch exact store
-   accounting, even while other batches share the store. *)
-let estimate_module ?config ?methods ?cache ~registry
-    (circuit : Mae_netlist.Circuit.t) =
-  let run_uncached () =
-    match Mae.Driver.run_circuit ?config ?methods ~registry circuit with
-    | Ok report -> Ok report
-    | Error e -> Error (Driver_error e)
-    | exception exn ->
-        Error
-          (Crashed { module_name = circuit.name; exn = Printexc.to_string exn })
-  in
-  let run () =
-    match (cache, config) with
-    (* a [config] changes results but is not part of the content
-       address (the store keys circuit + process + registry + methods),
-       so configured runs bypass the store entirely *)
-    | None, _ | Some _, Some _ -> (run_uncached (), `Bypass)
-    | Some cas, None -> (
-        match Mae_tech.Registry.find registry circuit.technology with
-        | None ->
-            (run_uncached (), `Bypass)
-            (* the driver will report Unknown_process *)
-        | Some process -> (
-            match
-              Mae.Methodology.resolve (Option.value methods ~default:[ "default" ])
-            with
-            | Error _ -> (run_uncached (), `Bypass) (* ... or Unknown_method *)
-            | Ok selected -> (
-                let names = List.map Mae.Methodology.name selected in
-                let key = Mae_db.Cas.key ~methods:names ~process circuit in
-                match Mae_db.Cas.find cas ~key ~circuit ~process with
-                | Some report -> (Ok report, `Hit)
-                | None -> (
-                    let r = run_uncached () in
-                    (match r with
-                    | Ok report -> Mae_db.Cas.store cas ~key report
-                    | Error _ -> ());
-                    (r, `Miss)))))
-  in
-  Mae_obs.Sketch.time module_latency_sketch run
+(* One module: its report, or the error that replaced it. *)
+let estimate_module ?config ?methods ~registry (circuit : Mae_netlist.Circuit.t) =
+  Mae_obs.Sketch.time module_latency_sketch @@ fun () ->
+  match Mae.Driver.run_circuit ?config ?methods ~registry circuit with
+  | Ok report -> Ok report
+  | Error e -> Error (Driver_error e)
+  | exception exn ->
+      Error (Crashed { module_name = circuit.name; exn = Printexc.to_string exn })
 
 (* The one batch path: one fan-out (one claiming pass) over the
-   circuits, with store hit/miss counts from the per-module flags. *)
-let run_circuits_with_stats ?config ?methods ?jobs ?cache ~registry circuits =
+   circuits. *)
+let run_circuits_with_stats ?config ?methods ?jobs ~registry circuits =
   let jobs = resolve_jobs jobs in
   check_oversubscription jobs;
   let inputs = Array.of_list circuits in
@@ -260,14 +218,13 @@ let run_circuits_with_stats ?config ?methods ?jobs ?cache ~registry circuits =
       [ ("modules", string_of_int modules); ("jobs", string_of_int jobs) ]
   @@ fun () ->
   let t0 = Mae_obs.Clock.monotonic () in
-  let flagged, per_domain, queue_wait, cache_hits, cache_misses =
-    map_pool ~jobs ~t0
-      (estimate_module ?config ?methods ?cache ~registry)
-      inputs
+  let results, per_domain, queue_wait, cache_hits, cache_misses =
+    map_pool ~jobs ~t0 (estimate_module ?config ?methods ~registry) inputs
   in
   let elapsed_s = Mae_obs.Clock.monotonic () -. t0 in
-  let count p = Array.fold_left (fun n r -> if p r then n + 1 else n) 0 flagged in
-  let ok = count (fun (r, _) -> Result.is_ok r) in
+  let ok =
+    Array.fold_left (fun n r -> if Result.is_ok r then n + 1 else n) 0 results
+  in
   Mae_obs.Metrics.add modules_counter modules;
   Mae_obs.Metrics.add ok_counter ok;
   Mae_obs.Metrics.add failed_counter (modules - ok);
@@ -284,8 +241,6 @@ let run_circuits_with_stats ?config ?methods ?jobs ?cache ~registry circuits =
          runs concurrently on other domains *)
       cache_hits;
       cache_misses;
-      store_hits = count (fun (_, f) -> f = `Hit);
-      store_misses = count (fun (_, f) -> f = `Miss);
       per_domain;
     }
   in
@@ -300,7 +255,7 @@ let run_circuits_with_stats ?config ?methods ?jobs ?cache ~registry circuits =
         ("cache_hits", Mae_obs.Log.Int cache_hits);
         ("cache_misses", Mae_obs.Log.Int cache_misses);
       ];
-  (Array.to_list (Array.map fst flagged), stats)
+  (Array.to_list results, stats)
 
-let run_circuits ?config ?methods ?jobs ?cache ~registry circuits =
-  fst (run_circuits_with_stats ?config ?methods ?jobs ?cache ~registry circuits)
+let run_circuits ?config ?methods ?jobs ~registry circuits =
+  fst (run_circuits_with_stats ?config ?methods ?jobs ~registry circuits)

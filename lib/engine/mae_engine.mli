@@ -15,6 +15,10 @@
     baseline methodologies from {!Mae_baselines.Methods} are registered,
     so all eight estimators are selectable by name in batch requests.
 
+    The engine always estimates: it consults no estimate store.  The
+    serve daemon looks each module up in its store before it calls the
+    engine, and passes only the misses on.
+
     The probability kernels shared by all modules -- row-span
     distributions, feed-through binomials -- are memoized in the
     domain-safe {!Mae_prob.Kernel_cache}, so a batch pays for each
@@ -57,11 +61,6 @@ type stats = {
           domain-local counts -- exact for this batch even when other
           batches run concurrently on other domains *)
   cache_misses : int;
-  store_hits : int;
-      (** estimate-store lookups answered from {!Mae_db.Cas}, counted
-          from this batch's own per-module lookups -- exact even when
-          other batches share the store concurrently *)
-  store_misses : int;
   per_domain : int array;
       (** how many modules each worker estimated; its length is the
           number of domains used.  Slot 0 is the calling domain, the
@@ -89,13 +88,11 @@ val run_circuits_with_stats :
   ?config:Mae.Config.t ->
   ?methods:string list ->
   ?jobs:int ->
-  ?cache:Mae_db.Cas.t ->
   registry:Mae_tech.Registry.t ->
   Mae_netlist.Circuit.t list ->
   (Mae.Driver.module_report, error) result list * stats
 (** The batch path: one fan-out (one claiming pass) over the
-    circuits, results in input order.  [stats] covers
-    the batch; its store counts come from this batch's own lookups.
+    circuits, results in input order.  [stats] covers the batch.
 
     [methods] selects the methodologies each module runs (default
     ["default"]; see {!Mae.Methodology.resolve}).  [jobs] is the number
@@ -111,19 +108,7 @@ val run_circuits :
   ?config:Mae.Config.t ->
   ?methods:string list ->
   ?jobs:int ->
-  ?cache:Mae_db.Cas.t ->
   registry:Mae_tech.Registry.t ->
   Mae_netlist.Circuit.t list ->
   (Mae.Driver.module_report, error) result list
 (** The results of {!run_circuits_with_stats}. *)
-
-(** {1 Estimate store}
-
-    Pass [?cache] (a {!Mae_db.Cas.t}) to a batch and each module is
-    first looked up by its content address (canonical circuit +
-    process fingerprint + registry version + resolved method set); hits
-    return the stored results bit-for-bit, rebuilt around the caller's
-    circuit with [issues = []] and [expanded = None], and count into
-    [mae_estimate_cache_hits_total] and the batch's [store_hits].  Runs
-    with an explicit [?config] bypass the store (no lookup, no store
-    count): a config changes results but is not part of the address. *)

@@ -1,6 +1,6 @@
 (** Canonical circuit serialization and digest.
 
-    The estimate store ({!Mae_db.Cas}) keys results by content: two
+    The estimate store (Cas, in lib/db) keys results by content: two
     structurally identical circuits -- same name, technology, devices,
     nets, ports and pin connectivity -- must produce the same key
     regardless of the order their builders created nets and devices in.

@@ -1,16 +1,16 @@
-(* Per-domain span buffers.
+(* Timed spans in one log.
 
-   Each domain that opens a span lazily allocates its own buffer
-   through [Domain.DLS], so recording a span never takes a lock and
-   never shares a cache line with another domain -- the only global
-   synchronization is a one-time registration of the buffer when a
-   domain first traces.  Buffers outlive their domain: after the batch
-   engine joins its workers, the exporter still sees every lane.
+   Every closed span of every domain goes into one list behind one
+   mutex, the same shape as Sketch: one short critical section per
+   span, and retention bounds the whole log, whichever domains wrote
+   it.  The only per-domain state is the open-span stack ([Domain.DLS]),
+   which is registered nowhere and dies with its domain, so a process
+   that runs many parallel batches keeps no lane per dead worker.
 
    Spans nest by construction ([with_] is a combinator, not a
-   begin/end pair), so each buffer records a well-formed forest; the
-   [depth] field and the child-duration accumulator let the exporter
-   compute self times without re-deriving the tree. *)
+   begin/end pair), so each domain's spans form a well-formed forest;
+   the [depth] field and the child-duration accumulator let the
+   exporter compute self times without re-deriving the tree. *)
 
 type event = {
   name : string;
@@ -22,20 +22,17 @@ type event = {
   self : float;  (* [dur] minus time spent in child spans *)
 }
 
-type buffer = {
-  buf_domain : int;
-  mutable events : event list;  (* most recently closed first *)
-  mutable event_count : int;  (* length of [events], kept incrementally *)
-  mutable open_depth : int;
-  mutable child_acc : float list;
-      (* one accumulator per open span: total duration of its already
-         closed children *)
-}
+(* The open-span stack of one domain: one accumulator per open span,
+   innermost first, holding the total duration of its already closed
+   children.  Private to its domain and registered nowhere, so it dies
+   with the domain. *)
+let open_spans : float list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 (* 0 = keep everything (batch-CLI behavior).  A resident server sets a
-   cap: each lane trims to the most recent [limit] events once it holds
+   cap: the log trims to the most recent [limit] events once it holds
    twice that, so memory stays bounded and /tracez serves a recent
-   window.  Trimming is done by the owning domain, never concurrently. *)
+   window. *)
 let retention = Atomic.make 0
 
 let set_retention = function
@@ -52,65 +49,60 @@ let truncate n l =
   in
   go [] n l
 
-let registry_lock = Mutex.create ()
-let buffers : buffer list ref = ref []
-
-let key =
-  Domain.DLS.new_key (fun () ->
-      let buf =
-        {
-          buf_domain = (Domain.self () :> int);
-          events = [];
-          event_count = 0;
-          open_depth = 0;
-          child_acc = [];
-        }
-      in
-      Mutex.lock registry_lock;
-      buffers := buf :: !buffers;
-      Mutex.unlock registry_lock;
-      buf)
+(* The one log: every closed span of every domain, most recently closed
+   first. *)
+let lock = Mutex.create ()
+let log : event list ref = ref []
+let log_length = ref 0
 
 (* Monotonic: a wall-clock step mid-span must not produce negative or
    inflated durations.  Exporters needing epoch timestamps convert via
    Clock.wall_of_monotonic. *)
 let now = Clock.monotonic
 
+(* Append a closed span.  Its end instant is read under the lock, so
+   the log is in closing order across domains -- what makes
+   [events_since]'s early stop exact. *)
+let record ~name ~attrs ~depth ~start ~children =
+  Mutex.lock lock;
+  let dur = now () -. start in
+  log :=
+    {
+      name;
+      attrs;
+      domain = (Domain.self () :> int);
+      depth;
+      ts = start;
+      dur;
+      self = Float.max 0. (dur -. children);
+    }
+    :: !log;
+  incr log_length;
+  let limit = Atomic.get retention in
+  if limit > 0 && !log_length > 2 * limit then begin
+    log := truncate limit !log;
+    log_length := limit
+  end;
+  Mutex.unlock lock;
+  dur
+
 let with_ ?(attrs = []) ~name f =
   if not (Control.enabled ()) then f ()
   else begin
-    let buf = Domain.DLS.get key in
+    let stack = Domain.DLS.get open_spans in
     let start = now () in
-    buf.open_depth <- buf.open_depth + 1;
-    buf.child_acc <- 0. :: buf.child_acc;
+    stack := 0. :: !stack;
     let close () =
-      let dur = now () -. start in
       let children, outer =
-        match buf.child_acc with
+        match !stack with
         | c :: rest -> (c, rest)
         | [] -> (0., [])  (* unbalanced only if [reset] raced a span *)
       in
-      buf.open_depth <- buf.open_depth - 1;
+      let dur =
+        record ~name ~attrs ~depth:(List.length outer) ~start ~children
+      in
       (* we are a closed child of the enclosing span, if any *)
-      buf.child_acc <-
-        (match outer with p :: up -> (p +. dur) :: up | [] -> []);
-      buf.events <-
-        {
-          name;
-          attrs;
-          domain = buf.buf_domain;
-          depth = buf.open_depth;
-          ts = start;
-          dur;
-          self = Float.max 0. (dur -. children);
-        }
-        :: buf.events;
-      buf.event_count <- buf.event_count + 1;
-      let limit = Atomic.get retention in
-      if limit > 0 && buf.event_count > 2 * limit then begin
-        buf.events <- truncate limit buf.events;
-        buf.event_count <- limit
-      end
+      stack := (match outer with p :: up -> (p +. dur) :: up | [] -> [])
     in
     match f () with
     | v ->
@@ -121,46 +113,37 @@ let with_ ?(attrs = []) ~name f =
         raise e
   end
 
-let events () =
-  Mutex.lock registry_lock;
-  let bufs = !buffers in
-  Mutex.unlock registry_lock;
-  List.concat_map (fun b -> List.rev b.events) bufs
-  |> List.sort (fun a b ->
-         match Int.compare a.domain b.domain with
-         | 0 -> Float.compare a.ts b.ts
-         | c -> c)
+let by_domain_then_start a b =
+  match Int.compare a.domain b.domain with
+  | 0 -> Float.compare a.ts b.ts
+  | c -> c
 
-(* Spans recorded at or after a monotonic instant.  Lane lists are
-   newest-closed first and every span starting at ts >= since closes
-   after any span from earlier work, so a per-lane take-while is exact
-   -- the scan stops at the first older span instead of walking the
-   whole retention window.  Serve uses this to pull out exactly the
-   span tree of the request that just finished. *)
+let events () =
+  Mutex.lock lock;
+  let l = !log in
+  Mutex.unlock lock;
+  List.sort by_domain_then_start l
+
+(* Spans recorded at or after a monotonic instant.  The log is in
+   closing order, and a span starting at or after [since] closes at or
+   after it, so the scan stops at the first span that closed before
+   [since] instead of walking the whole retention window.  Serve uses
+   this to pull out exactly the span tree of the request that just
+   finished. *)
 let events_since since =
-  Mutex.lock registry_lock;
-  let bufs = !buffers in
-  Mutex.unlock registry_lock;
-  List.concat_map
-    (fun b ->
-      let rec take acc = function
-        | e :: rest when e.ts >= since -> take (e :: acc) rest
-        | _ -> acc
-      in
-      take [] b.events)
-    bufs
-  |> List.sort (fun a b ->
-         match Int.compare a.domain b.domain with
-         | 0 -> Float.compare a.ts b.ts
-         | c -> c)
+  Mutex.lock lock;
+  let l = !log in
+  Mutex.unlock lock;
+  let rec take acc = function
+    | e :: rest when e.ts +. e.dur >= since ->
+        take (if e.ts >= since then e :: acc else acc) rest
+    | _ -> acc
+  in
+  List.sort by_domain_then_start (take [] l)
 
 let reset () =
-  Mutex.lock registry_lock;
-  List.iter
-    (fun b ->
-      b.events <- [];
-      b.event_count <- 0;
-      b.open_depth <- 0;
-      b.child_acc <- [])
-    !buffers;
-  Mutex.unlock registry_lock
+  Mutex.lock lock;
+  log := [];
+  log_length := 0;
+  Mutex.unlock lock;
+  Domain.DLS.get open_spans := []

@@ -1,14 +1,15 @@
-(** Nested, per-domain timed spans.
+(** Nested timed spans, one log for every domain.
 
-    [with_ ~name f] times [f] and records a span into a buffer private
-    to the calling domain -- recording takes no lock, so the batch
-    engine's workers trace into independent lanes.  When telemetry is
-    off ({!Control.enabled} [= false]) the combinator is one atomic
-    read and a tail call.
+    [with_ ~name f] times [f] and appends a span, tagged with the
+    calling domain, to one process-wide log behind one mutex -- one
+    short critical section per closed span.  When telemetry is off
+    ({!Control.enabled} [= false]) the combinator is one atomic read
+    and a tail call.
 
-    Spans nest lexically; a span closed while an exception unwinds is
-    still recorded.  Buffers persist after their domain exits, so the
-    exporter sees every lane of a finished batch. *)
+    Spans nest lexically per domain; a span closed while an exception
+    unwinds is still recorded.  Spans stay in the log after their
+    domain exits, so the exporter sees every lane of a finished
+    batch. *)
 
 type event = {
   name : string;
@@ -32,18 +33,20 @@ val events : unit -> event list
 
 val events_since : float -> event list
 (** Spans whose start is at or after the given {!Clock.monotonic}
-    instant, same ordering as {!events}.  Cost is proportional to the
-    number of matching spans, not the retention window -- the serve
-    plane calls this once per finished request for tail-based trace
-    capture. *)
+    instant, same ordering as {!events}.  The scan runs from the newest
+    closed span and stops at the first one that closed before the
+    instant, so its cost follows the spans closed since then, not the
+    retention window -- the serve plane calls this once per finished
+    request for tail-based trace capture. *)
 
 val reset : unit -> unit
 (** Drop all recorded spans.  Do not call while spans are open on
     another domain. *)
 
 val set_retention : int option -> unit
-(** [Some n] bounds every lane to (roughly) its [n] most recent spans
-    -- a resident server keeps tracing on without unbounded memory, and
+(** [Some n] bounds the whole log, every domain's spans together, to
+    at most [2n] spans: past that it trims back to the [n] most recent.
+    A resident server keeps tracing on without unbounded memory, and
     [/tracez] serves a recent window.  [None] (the default) keeps
     everything, the batch-CLI behavior.  Raises [Invalid_argument] on
     [n < 1]. *)

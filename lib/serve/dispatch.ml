@@ -5,10 +5,13 @@
    requests from many connections interleave.  A tick pops one job and
    answers it with the full per-request bookkeeping: seq/rid, latency
    sketch + exemplar, SLO events, tail capture, the access log record,
-   the response write.  An estimate job parses its HDL and makes
-   exactly one {!Mae_engine.run_circuits_with_stats} call, at the
-   engine's default [jobs = 1] on the daemon's one domain, inside its
-   own [serve.request] span and request-id scope, so its store and
+   the response write.  An estimate job parses its HDL, then looks each
+   module up in the estimate store ({!Mae_db.Cas}, owned here and
+   nowhere else).  It makes one {!Mae_engine.run_circuits_with_stats}
+   call over the misses, or none when every module hit, at the
+   engine's default [jobs = 1] on the daemon's one domain, and stores
+   each computed result.  All of it runs inside the request's own
+   [serve.request] span and request-id scope, so its store and
    kernel-cache counts are its own.
 
    Admission control lives at the front door: when the queued estimate
@@ -169,8 +172,10 @@ let failure ?(server_error = false) msg =
     server_error;
   }
 
-(* One engine run's results and stats to the response fields. *)
-let prepared_of_results results (stats : Mae_engine.stats) =
+(* One request's results to the response fields.  [kernel] is the
+   kernel-cache traffic of its engine run, [(0, 0)] when every module
+   came from the store. *)
+let prepared_of_results results ~cached ~kernel:(cache_hits, cache_misses) =
   let modules = List.length results in
   let modules_ok = List.length (List.filter Result.is_ok results) in
   (* a module that crashed its estimator is a server fault; a driver
@@ -191,9 +196,6 @@ let prepared_of_results results (stats : Mae_engine.stats) =
         | Error _ -> acc)
       0 results
   in
-  let cached =
-    modules > 0 && stats.store_hits = modules && stats.store_misses = 0
-  in
   {
     fields =
       [
@@ -205,8 +207,8 @@ let prepared_of_results results (stats : Mae_engine.stats) =
     modules;
     modules_ok;
     rows_selected_total = rows;
-    cache_hits = stats.cache_hits;
-    cache_misses = stats.cache_misses;
+    cache_hits;
+    cache_misses;
     cached;
     server_error = crashed;
   }
@@ -404,20 +406,72 @@ let inject_sleep t (est : Protocol.estimate) =
   if t.config.inject_sleep_field then
     match est.Protocol.sleep_s with Some s -> Unix.sleepf s | None -> ()
 
-(* One estimate request: its own parse and one engine run. *)
+(* How the store answered one module: a stored report, a miss under
+   [key], or no lookup at all -- an unknown process or method, which
+   the engine reports as an error slot. *)
+type lookup = Hit of Mae.Driver.module_report | Miss of string | Unkeyed
+
+(* One request's modules: one store lookup each, one engine run over
+   the misses (none when every module hit), each computed [Ok] stored,
+   and the results back in input order. *)
+let estimate_circuits t ?methods circuits =
+  let names =
+    match
+      Mae.Methodology.resolve (Option.value methods ~default:[ "default" ])
+    with
+    | Ok selected -> Some (List.map Mae.Methodology.name selected)
+    | Error _ -> None
+  in
+  let registry = t.config.registry in
+  let lookup (circuit : Mae_netlist.Circuit.t) =
+    match (names, Mae_tech.Registry.find registry circuit.technology) with
+    | Some methods, Some process -> (
+        let key = Mae_db.Cas.key ~methods ~process circuit in
+        match Mae_db.Cas.find t.cas ~key ~circuit ~process with
+        | Some report -> Hit report
+        | None -> Miss key)
+    | None, _ | _, None -> Unkeyed
+  in
+  let lookups = List.map (fun c -> (c, lookup c)) circuits in
+  let pending =
+    List.filter_map
+      (function _, Hit _ -> None | c, (Miss _ | Unkeyed) -> Some c)
+      lookups
+  in
+  let computed, kernel =
+    if pending = [] then ([], (0, 0))
+    else
+      let results, (stats : Mae_engine.stats) =
+        Mae_engine.run_circuits_with_stats ?methods ~registry pending
+      in
+      (results, (stats.cache_hits, stats.cache_misses))
+  in
+  let rec merge computed = function
+    | [] -> []
+    | (_, Hit report) :: rest -> Ok report :: merge computed rest
+    | (_, l) :: rest -> (
+        match computed with
+        | r :: computed ->
+            (match (l, r) with
+            | Miss key, Ok report -> Mae_db.Cas.store t.cas ~key report
+            | _ -> ());
+            r :: merge computed rest
+        | [] -> assert false (* one engine result per pending module *))
+  in
+  prepared_of_results (merge computed lookups)
+    ~cached:(circuits <> [] && pending = [])
+    ~kernel
+
+(* One estimate request: its own parse, then its modules. *)
 let estimate t (est : Protocol.estimate) =
   inject_sleep t est;
   match Mae.Driver.string_circuits est.Protocol.hdl with
   | Error e -> failure (Format.asprintf "%a" Mae.Driver.pp_error e)
   | Ok circuits -> (
-      match
-        Mae_engine.run_circuits_with_stats ?methods:est.Protocol.methods
-          ~cache:t.cas ~registry:t.config.registry circuits
-      with
-      | results, stats -> prepared_of_results results stats
-      | exception exn ->
-          failure ~server_error:true
-            ("estimator crashed: " ^ Printexc.to_string exn))
+      try estimate_circuits t ?methods:est.Protocol.methods circuits
+      with exn ->
+        failure ~server_error:true
+          ("estimator crashed: " ^ Printexc.to_string exn))
 
 (* --- the tick --- *)
 

@@ -4,11 +4,13 @@
     connection's responses in its own arrival order.  A {!tick} pops
     one job and answers it with the full per-request bookkeeping:
     seq/rid, latency sketch + exemplar, SLO events, tail capture, the
-    access-log record, the response write.  An estimate makes exactly
-    one {!Mae_engine.run_circuits_with_stats} call on the calling
-    domain (no fan-out) inside its own [serve.request] span, and its
-    access-log record carries that run's store and kernel-cache
-    counts.
+    access-log record, the response write.  An estimate looks each
+    module up in the estimate store once, then makes one
+    {!Mae_engine.run_circuits_with_stats} call over the misses (none
+    when every module hit) on the calling domain, inside its own
+    [serve.request] span, and stores each computed result.  It answers
+    [cached:true] exactly when it has modules and every one hit; its
+    access-log record carries that run's kernel-cache counts.
 
     Admission control: at the queue-depth watermark a new estimate is
     answered 503 + Retry-After without estimation.  Shed requests

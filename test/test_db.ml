@@ -503,6 +503,18 @@ let test_cas_replay_obeys_cap () =
     entries;
   Sys.remove path
 
+(* Offset of the newline that closes each block's "end" line. *)
+let end_line_ends text =
+  let rec from i =
+    match String.index_from_opt text i '\n' with
+    | None -> []
+    | Some nl -> (
+        match String.split_on_char ' ' (String.sub text i (nl - i)) with
+        | "end" :: _ -> nl :: from (nl + 1)
+        | _ -> from (nl + 1))
+  in
+  from 0
+
 (* A journal cut at every byte offset (a crash at any point of an
    append): replay loads exactly the entries whose "end" line is
    complete, each bit-for-bit, never an extra or a wrong one; and one
@@ -522,15 +534,7 @@ let test_cas_journal_truncation () =
   List.iter (fun (_, key, r) -> Mae_db.Cas.store writer ~key r) entries;
   Mae_db.Cas.close_journal writer;
   let text = In_channel.with_open_bin path In_channel.input_all in
-  (* offset just past each entry's "end" *)
-  let ends =
-    let rec from i =
-      if i + 4 > String.length text then []
-      else if String.sub text i 4 = "end\n" then (i + 3) :: from (i + 4)
-      else from (i + 1)
-    in
-    from 0
-  in
+  let ends = end_line_ends text in
   Alcotest.(check int) "three entries written" 3 (List.length ends);
   let write_prefix k =
     Out_channel.with_open_bin path (fun oc ->
@@ -574,6 +578,79 @@ let test_cas_journal_truncation () =
     expect cas ~label:(label ^ ", then a store") ~present:true
       (extra_c, extra_key, extra_r)
   done;
+  Sys.remove path
+
+(* Every bit of every byte of a 3-entry journal flipped in turn (bit
+   rot): replay never loads a wrong entry -- each loaded entry is one of
+   the stored ones, Int64-identical -- and the loaded and skipped
+   counts account for every block.  The one exception is a flipped
+   newline between two blocks, which glues them into one skipped block.
+   A journal written without digests loads nothing. *)
+let test_cas_journal_bit_flips () =
+  let registry = Mae_tech.Registry.create () in
+  let process = process () in
+  let methods = Mae.Methodology.default_names in
+  let entries =
+    List.init 3 (fun i ->
+        let c = Mae_workload.Generators.parity (i + 2) in
+        (c, Mae_db.Cas.key ~process c, fresh_report ~registry ~methods c))
+  in
+  let path = Filename.temp_file "mae_cas" ".journal" in
+  let writer = Mae_db.Cas.create () in
+  open_journal_exn writer ~path ~want:(0, 0);
+  List.iter (fun (_, key, r) -> Mae_db.Cas.store writer ~key r) entries;
+  Mae_db.Cas.close_journal writer;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let ends = end_line_ends text in
+  Alcotest.(check int) "three entries written" 3 (List.length ends);
+  let replay label text =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+    let cas = Mae_db.Cas.create () in
+    let loaded, skipped =
+      match Mae_db.Cas.open_journal cas ~path with
+      | Ok counts -> counts
+      | Error e -> Alcotest.failf "%s: open_journal: %s" label e
+    in
+    Mae_db.Cas.close_journal cas;
+    let found =
+      List.filter
+        (fun (c, key, r) ->
+          match Mae_db.Cas.find cas ~key ~circuit:c ~process with
+          | None -> false
+          | Some hit ->
+              if report_bits hit <> report_bits r then
+                Alcotest.failf "%s: a corrupted entry loaded" label;
+              true)
+        entries
+    in
+    if Mae_db.Cas.length cas <> loaded || List.length found <> loaded then
+      Alcotest.failf "%s: loaded %d, held %d, %d of them stored ones" label
+        loaded (Mae_db.Cas.length cas) (List.length found);
+    (loaded, skipped)
+  in
+  Alcotest.(check (pair int int)) "intact journal" (3, 0) (replay "intact" text);
+  let between_blocks = List.filter (fun e -> e < String.length text - 1) ends in
+  String.iteri
+    (fun at byte ->
+      for bit = 0 to 7 do
+        let label = Printf.sprintf "bit %d of byte %d" bit at in
+        let flipped = Bytes.of_string text in
+        Bytes.set flipped at (Char.chr (Char.code byte lxor (1 lsl bit)));
+        let loaded, skipped = replay label (Bytes.to_string flipped) in
+        let blocks = if List.mem at between_blocks then 2 else 3 in
+        if loaded + skipped <> blocks then
+          Alcotest.failf "%s: loaded %d + skipped %d, want %d blocks" label
+            loaded skipped blocks
+      done)
+    text;
+  let undigested =
+    String.concat "\n"
+      (List.map
+         (fun l -> if String.starts_with ~prefix:"end " l then "end" else l)
+         (String.split_on_char '\n' text))
+  in
+  Alcotest.(check (pair int int)) "blocks without a digest are skipped" (0, 3)
+    (replay "undigested" undigested);
   Sys.remove path
 
 (* The store keeps results, not the circuits they came from: once the
@@ -705,6 +782,8 @@ let () =
           Alcotest.test_case "lru cap churn" `Quick test_cas_lru_eviction;
           Alcotest.test_case "journal cut at every byte offset" `Quick
             test_cas_journal_truncation;
+          Alcotest.test_case "journal bit flips never load a wrong entry"
+            `Quick test_cas_journal_bit_flips;
           Alcotest.test_case "journal replay obeys the cap" `Quick
             test_cas_replay_obeys_cap;
           Alcotest.test_case "retains no circuit" `Quick

@@ -199,179 +199,6 @@ let test_shared_counter_claims_once () =
         (Array.fold_left ( + ) 0 stats.Mae_engine.per_domain))
     [ (1, 4); (2, 3); (9, 3); (33, 4); (70, 2); (70, 8) ]
 
-(* --- the content-addressed estimate store through the engine --- *)
-
-let test_estimate_store_hits () =
-  (* both technologies, gate- and transistor-level circuits; the warm
-     pass asks for shuffled rebuilds (same key, different build order) *)
-  let gen = Mae_workload.Generators.full_adder in
-  let batch =
-    random_batch ~first_seed:3000 6
-    @ [
-        gen ~name:"fa_cmos" ~technology:"cmos20" ();
-        Mae_workload.Bench_circuits.flatten (gen ~name:"fa_tx" ());
-        Mae_workload.Generators.pass_chain ~technology:"cmos20" 6;
-      ]
-  in
-  let n = List.length batch in
-  let shuffled = List.mapi (fun i c -> S.rebuild_permuted ~rng:(S.rng i) c) batch in
-  let record = Alcotest.testable Mae_db.Record.pp Mae_db.Record.equal in
-  let check_methods methods =
-    let label = String.concat "," methods in
-    let reference =
-      List.map
-        (function
-          | Ok r -> r
-          | Error _ -> Alcotest.failf "%s: reference driver failed" label)
-        (Mae.Driver.run_circuits ~methods ~registry batch)
-    in
-    let cache = Mae_db.Cas.create () in
-    let cold, cold_stats =
-      Mae_engine.run_circuits_with_stats ~methods ~jobs:1 ~cache ~registry batch
-    in
-    Alcotest.(check int) (label ^ ": cold run misses every module") n
-      cold_stats.Mae_engine.store_misses;
-    Alcotest.(check int) (label ^ ": cold run has no hits") 0
-      cold_stats.Mae_engine.store_hits;
-    let warm, warm_stats =
-      Mae_engine.run_circuits_with_stats ~methods ~jobs:1 ~cache ~registry
-        shuffled
-    in
-    Alcotest.(check int) (label ^ ": warm run hits every module") n
-      warm_stats.Mae_engine.store_hits;
-    Alcotest.(check int) (label ^ ": warm run misses nothing") 0
-      warm_stats.Mae_engine.store_misses;
-    let expected = List.map (fun r -> result_digest (Ok r)) reference in
-    Alcotest.check digests (label ^ ": cold answers are the driver's, bit for bit")
-      expected (List.map result_digest cold);
-    Alcotest.check digests (label ^ ": warm answers are the driver's, bit for bit")
-      expected (List.map result_digest warm);
-    let rows = Mae_db.Store.create () in
-    List.iter
-      (fun r -> Result.iter (Mae_db.Store.add rows) (Mae_db.Record.of_report r))
-      reference;
-    Alcotest.(check (list record))
-      (label ^ ": to_store rows equal the driver's")
-      (Mae_db.Store.records rows)
-      (Mae_db.Store.records (Mae_db.Cas.to_store cache));
-    cache
-  in
-  ignore (check_methods [ "stdcell" ]);
-  let cache = check_methods [ "default" ] in
-  (* an explicit config changes results, so it must bypass the store *)
-  let config = { Mae.Config.default with two_component_free = false } in
-  let _, bypass =
-    Mae_engine.run_circuits_with_stats ~jobs:1 ~cache ~config ~registry batch
-  in
-  Alcotest.(check int) "config bypasses the store" 0
-    (bypass.Mae_engine.store_hits + bypass.Mae_engine.store_misses)
-
-(* --- per-run store accounting --- *)
-
-let unknown_process_circuit name =
-  Mae_workload.Random_circuit.generate ~name ~rng:(Mae_prob.Rng.create ~seed:7)
-    {
-      Mae_workload.Random_circuit.default_params with
-      devices = 20;
-      technology = "unobtanium";
-    }
-
-(* Runs against one store -- an empty request, an unknown-process
-   module (an [Error] slot, no store lookup) and a mix of stored and new
-   modules among them: every run must answer bit-for-bit as a plain
-   uncached run, with exact store counts from its own lookups; a
-   [config] run must bypass the store and store nothing.  Both
-   sequentially and fanned out over four domains. *)
-let test_runs_count_own_store_lookups () =
-  let stored = random_batch ~first_seed:5000 3 in
-  let requests =
-    [
-      random_batch ~first_seed:5100 5;
-      [];
-      [ unknown_process_circuit "lost" ];
-      stored @ random_batch ~first_seed:5200 4;
-      [
-        Mae_workload.Bench_circuits.flatten
-          (Mae_workload.Generators.full_adder ~name:"fa_tx" ());
-      ];
-    ]
-  in
-  let reference ?config () =
-    List.map
-      (fun circuits ->
-        List.map result_digest
-          (Mae_engine.run_circuits ?config ~jobs:1 ~registry circuits))
-      requests
-  in
-  let config = { Mae.Config.default with two_component_free = false } in
-  let plain = reference () and configured = reference ~config () in
-  let store_counts = Alcotest.(list (pair int int)) in
-  let check_runs label ~jobs =
-    let cache = Mae_db.Cas.create () in
-    ignore (Mae_engine.run_circuits ~jobs:1 ~cache ~registry stored);
-    let runs ?config () =
-      List.map
-        (fun circuits ->
-          let results, stats =
-            Mae_engine.run_circuits_with_stats ?config ~jobs ~cache
-              ~registry circuits
-          in
-          ( List.map result_digest results,
-            (stats.Mae_engine.store_hits, stats.Mae_engine.store_misses) ))
-        requests
-    in
-    let cached = runs () in
-    Alcotest.check (Alcotest.list digests)
-      (label ^ ": each cached run = its plain run, bit for bit")
-      plain (List.map fst cached);
-    Alcotest.check store_counts (label ^ ": per-run store hits/misses")
-      [ (0, 5); (0, 0); (0, 0); (3, 4); (0, 1) ]
-      (List.map snd cached);
-    let stored_before = Mae_db.Cas.length cache in
-    let with_config = runs ~config () in
-    Alcotest.check (Alcotest.list digests)
-      (label ^ ": configured runs = their plain configured runs")
-      configured (List.map fst with_config);
-    Alcotest.check store_counts (label ^ ": config bypasses the store per run")
-      (List.map (fun _ -> (0, 0)) requests)
-      (List.map snd with_config);
-    Alcotest.(check int)
-      (label ^ ": config stores nothing")
-      stored_before (Mae_db.Cas.length cache)
-  in
-  check_runs "jobs:1" ~jobs:1;
-  check_runs "jobs:4" ~jobs:4
-
-(* Two batches on two domains at once against one store: each batch's
-   store counts are its own lookups, not the other batch's too. *)
-let test_concurrent_store_counts () =
-  let cache = Mae_db.Cas.create () in
-  let a = random_batch ~first_seed:6000 24 in
-  let b = random_batch ~first_seed:6100 17 in
-  (* half of [a] is already stored, so both hits and misses are in play *)
-  ignore
-    (Mae_engine.run_circuits ~jobs:1 ~cache ~registry
-       (List.filteri (fun i _ -> i mod 2 = 0) a));
-  let start = Atomic.make 0 in
-  let run batch () =
-    Atomic.incr start;
-    while Atomic.get start < 2 do
-      Domain.cpu_relax ()
-    done;
-    snd (Mae_engine.run_circuits_with_stats ~jobs:1 ~cache ~registry batch)
-  in
-  let other = Domain.spawn (run b) in
-  let stats_a = run a () in
-  let stats_b = Domain.join other in
-  List.iter
-    (fun (label, batch, (stats : Mae_engine.stats)) ->
-      Alcotest.(check int)
-        (label ^ ": store hits + misses = its own modules")
-        (List.length batch)
-        (stats.store_hits + stats.store_misses))
-    [ ("a", a, stats_a); ("b", b, stats_b) ];
-  Alcotest.(check int) "a: the stored half hits" 12 stats_a.Mae_engine.store_hits
-
 let () =
   Alcotest.run "engine"
     [
@@ -385,19 +212,10 @@ let () =
           Alcotest.test_case "batch stats" `Quick test_stats;
           Alcotest.test_case "stats report the domains used" `Quick
             test_stats_domains_used;
-          Alcotest.test_case "runs count their own store lookups" `Slow
-            test_runs_count_own_store_lookups;
         ] );
       ( "scheduling",
         [
           Alcotest.test_case "shared counter claims every module once" `Slow
             test_shared_counter_claims_once;
-        ] );
-      ( "store",
-        [
-          Alcotest.test_case "repeat batch answers from the store" `Quick
-            test_estimate_store_hits;
-          Alcotest.test_case "concurrent batches count their own lookups"
-            `Quick test_concurrent_store_counts;
         ] );
     ]

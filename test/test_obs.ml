@@ -92,6 +92,39 @@ let test_span_disabled_noop () =
   Span.with_ ~name:"invisible" (fun () -> ());
   Alcotest.(check int) "nothing recorded" 0 (List.length (Span.events ()))
 
+(* Retention bounds the whole log, whichever domains wrote it: the
+   workers of finished jobs:2 batches leave no untrimmed lane behind.
+   [events_since] stays exact with several domains writing. *)
+let test_span_retention_bounds_log () =
+  Obs.with_enabled true @@ fun () ->
+  Span.reset ();
+  Span.set_retention (Some 50);
+  Fun.protect
+    ~finally:(fun () ->
+      Span.set_retention None;
+      Span.reset ())
+    (fun () ->
+      let batch = random_batch ~first_seed:4500 4 in
+      for _ = 1 to 30 do
+        ignore (Mae_engine.run_circuits ~jobs:2 ~registry batch)
+      done;
+      let n = List.length (Span.events ()) in
+      if n > 100 then
+        Alcotest.failf "%d spans retained after 30 jobs:2 batches (cap 2 x 50)" n;
+      Span.set_retention None;
+      let since = Obs.Clock.monotonic () in
+      ignore (Mae_engine.run_circuits ~jobs:2 ~registry batch);
+      let expected =
+        List.filter (fun (e : Span.event) -> e.ts >= since) (Span.events ())
+      in
+      Alcotest.(check bool) "the last batch traced both workers" true
+        (List.length
+           (List.sort_uniq Int.compare
+              (List.map (fun (e : Span.event) -> e.domain) expected))
+        = 2);
+      Alcotest.(check bool) "events_since = the filtered log" true
+        (Span.events_since since = expected))
+
 (* --- trace export: well-formed JSON, nested non-overlapping lanes --- *)
 
 let x_events trace =
@@ -788,6 +821,8 @@ let () =
             test_span_recording;
           Alcotest.test_case "disabled is a no-op" `Quick
             test_span_disabled_noop;
+          Alcotest.test_case "retention bounds every domain's spans" `Quick
+            test_span_retention_bounds_log;
         ] );
       ( "trace",
         [
