@@ -1,4 +1,4 @@
-(* The persistent perf trajectory: every engine-bench and profile pass
+(* The persistent perf trajectory: every engine-bench and load-gate run
    appends one timestamped JSON line to BENCH_history.jsonl, so a
    regression shows up as a kink in the file's trajectory across
    commits rather than being lost when BENCH_engine.json is

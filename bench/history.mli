@@ -1,8 +1,8 @@
-(** Append-only perf trajectory shared by the engine bench and the
-    stage profiler.  Each call writes one line to [BENCH_history.jsonl]
-    in the working directory: a JSON object with ["ts"] (epoch
-    seconds), ["source"], the given fields, and a ["gc"] object
-    (cumulative collection counts and allocated words from
+(** Append-only perf trajectory written by the engine bench and the
+    load gate and read by the perf gate.  Each call writes one line to
+    [BENCH_history.jsonl] in the working directory: a JSON object with
+    ["ts"] (epoch seconds), ["source"], the given fields, and a ["gc"]
+    object (cumulative collection counts and allocated words from
     [Gc.quick_stat], plus pause count / max / p99 from
     {!Mae_obs.Runtime} when the bench ran the lens). *)
 

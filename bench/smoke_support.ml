@@ -139,9 +139,62 @@ let get ~port path =
       | Some parts -> parts
       | None -> fail "HTTP response to %s has no header/body split" path)
 
+(* --- /metrics lookups --- *)
+
+(* One sample line of Prometheus text: the metric name with its label
+   block stripped, its [quantile="q"] label if any, and the value. *)
+type sample = {
+  pm_name : string;
+  pm_quantile : float option;
+  pm_value : float;
+}
+
+(* Comment lines and lines that do not end in a number are skipped. *)
+let parse_prometheus text =
+  let parse_line line =
+    if line = "" || line.[0] = '#' then None
+    else
+      Option.bind (String.rindex_opt line ' ') (fun sp ->
+          let series = String.sub line 0 sp in
+          let raw = String.sub line (sp + 1) (String.length line - sp - 1) in
+          let pm_name =
+            match String.index_opt series '{' with
+            | None -> series
+            | Some b -> String.sub series 0 b
+          in
+          let pm_quantile =
+            let marker = "quantile=\"" in
+            Option.bind (index_sub series marker) (fun start ->
+                let v = start + String.length marker in
+                Option.bind (String.index_from_opt series v '"') (fun e ->
+                    float_of_string_opt (String.sub series v (e - v))))
+          in
+          Option.map
+            (fun pm_value -> { pm_name; pm_quantile; pm_value })
+            (float_of_string_opt raw))
+  in
+  List.filter_map parse_line (String.split_on_char '\n' text)
+
+(* The first unlabelled sample of [name] (counters, gauges). *)
+let metric_value samples name =
+  List.find_map
+    (fun s ->
+      if s.pm_name = name && s.pm_quantile = None then Some s.pm_value
+      else None)
+    samples
+
+(* Every [(quantile, value)] sample of the summary [name]. *)
+let sketch_quantiles samples name =
+  List.filter_map
+    (fun s ->
+      match s.pm_quantile with
+      | Some q when s.pm_name = name -> Some (q, s.pm_value)
+      | _ -> None)
+    samples
+
 (* The value of an unlabelled sample [name] in a /metrics body. *)
 let prom_value body name =
-  match Mae_serve.Top.(metric_value (parse_prometheus body) name) with
+  match metric_value (parse_prometheus body) name with
   | Some v -> v
   | None -> fail "metric %s not in /metrics" name
 

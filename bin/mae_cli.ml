@@ -3,7 +3,6 @@
    Subcommands mirror the Figure 1 pipeline and the evaluation harness:
      mae estimate  -- estimate every module of an HDL or SPICE file
      mae serve     -- resident estimation service with live telemetry
-     mae top       -- live dashboard polling a serve instance's obs plane
      mae check     -- differential correctness harness over the kernels
      mae layout    -- run the place & route substrate on one module
      mae floorplan -- floor-plan the modules of an estimate database
@@ -436,8 +435,8 @@ let estimate_cmd =
 (* serve *)
 
 let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
-    metrics_out slo_latency_ms slo_latency_target slo_error_target store_journal
-    store_out idle_timeout max_connections queue_watermark store_cap =
+    metrics_out store_journal store_out idle_timeout max_connections
+    queue_watermark store_cap =
   if jobs <> 1 then
     or_die
       (Error
@@ -445,8 +444,6 @@ let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
             "--jobs %d: the daemon estimates every request on one domain; \
              only --jobs 1 is accepted"
             jobs));
-  if slo_latency_ms <= 0. then
-    or_die (Error "--slo-latency-ms must be positive");
   if idle_timeout <= 0. then or_die (Error "--idle-timeout must be positive");
   List.iter
     (fun (flag, v) ->
@@ -457,14 +454,6 @@ let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
     ];
   if store_cap < 0 then
     or_die (Error "--store-cap must be >= 0 (0 = unbounded)");
-  List.iter
-    (fun (flag, v) ->
-      if not (v > 0. && v < 1.) then
-        or_die (Error (flag ^ " must be in (0, 1)")))
-    [
-      ("--slo-latency-target", slo_latency_target);
-      ("--slo-error-target", slo_error_target);
-    ];
   reject_same_path
     [
       ("--trace", trace_out);
@@ -514,13 +503,6 @@ let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
       idle_timeout_s = idle_timeout;
       max_connections;
       queue_watermark;
-      slo =
-        {
-          Mae_serve.default_slo with
-          Mae_serve.latency_threshold_s = slo_latency_ms /. 1e3;
-          latency_target = slo_latency_target;
-          error_target = slo_error_target;
-        };
       on_ready =
         (fun ~request_addr ~obs_addr ->
           Format.eprintf "mae: serving estimation requests on %a@."
@@ -528,8 +510,8 @@ let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
           match obs_addr with
           | Some a ->
               Format.eprintf
-                "mae: observability plane on %a (/metrics /healthz /slo \
-                 /statusz /buildinfo /tracez /runtimez /methods)@."
+                "mae: observability plane on %a (/metrics /healthz /statusz \
+                 /buildinfo /tracez /runtimez /methods)@."
                 Mae_serve.pp_addr a
           | None -> ());
     }
@@ -557,9 +539,10 @@ let serve_cmd =
       & info [ "obs-listen" ] ~docv:"ADDR"
           ~doc:
             "Observability-plane address (same syntax as --listen): serves \
-             GET /metrics, /healthz, /slo, /statusz, /buildinfo, /tracez, \
+             GET /metrics, /healthz, /statusz, /buildinfo, /tracez, \
              /runtimez (per-domain GC statistics) and /methods (the \
-             methodology registry) over HTTP/1.0.")
+             methodology registry) over HTTP/1.0.  /healthz answers 200 \
+             with status ok, or draining once shutdown has begun.")
   in
   let jobs =
     Arg.(
@@ -598,32 +581,6 @@ let serve_cmd =
           ~doc:
             "Write a final metrics dump here on shutdown (Prometheus text, \
              or JSON when $(docv) ends in .json).")
-  in
-  let slo_latency_ms =
-    Arg.(
-      value & opt float 250.
-      & info [ "slo-latency-ms" ] ~docv:"MS"
-          ~doc:
-            "Latency-SLO threshold: a request is within objective when \
-             answered in at most $(docv) milliseconds (default 250).")
-  in
-  let slo_latency_target =
-    Arg.(
-      value & opt float 0.99
-      & info [ "slo-latency-target" ] ~docv:"FRAC"
-          ~doc:
-            "Required fraction of requests within the latency threshold, in \
-             (0, 1) (default 0.99).  /healthz answers 503 while the \
-             fast-window burn rate is at or above 1.")
-  in
-  let slo_error_target =
-    Arg.(
-      value & opt float 0.999
-      & info [ "slo-error-target" ] ~docv:"FRAC"
-          ~doc:
-            "Required fraction of requests without server errors, in (0, 1) \
-             (default 0.999).  Malformed client requests do not count \
-             against this budget.")
   in
   let store_journal =
     Arg.(
@@ -667,7 +624,7 @@ let serve_cmd =
             "Admission control: with $(docv) estimate requests already \
              queued, new ones are shed with ok:false / HTTP 503 + \
              Retry-After instead of estimated (default 256).  Shed requests \
-             burn neither SLO budget.")
+             count into mae_serve_requests_shed_total.")
   in
   let store_cap =
     Arg.(
@@ -682,72 +639,13 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the resident estimation service with live telemetry \
-          (/metrics, /healthz, /slo, /statusz, structured access logs; \
+          (/metrics, /healthz, /statusz, structured access logs; \
           SIGTERM drains and flushes).")
     Term.(
       const run_serve $ tech_files_arg $ listen $ obs_listen $ jobs
-      $ access_log $ log_level $ trace_out $ metrics_out $ slo_latency_ms
-      $ slo_latency_target $ slo_error_target $ store_journal $ store_out
-      $ idle_timeout $ max_connections $ queue_watermark $ store_cap)
-
-(* top *)
-
-let run_top obs interval iterations no_clear =
-  if interval <= 0. then or_die (Error "--interval must be positive");
-  (match iterations with
-  | Some n when n < 1 -> or_die (Error "--iterations must be >= 1")
-  | _ -> ());
-  let host, port =
-    match Mae_serve.parse_addr obs with
-    | Ok (Mae_serve.Tcp { host; port }) when port > 0 -> (host, port)
-    | Ok _ -> or_die (Error "top needs a TCP observability address HOST:PORT")
-    | Error e -> or_die (Error e)
-  in
-  (* only clear the screen for a live loop on a terminal *)
-  let clear = (not no_clear) && iterations = None && Unix.isatty Unix.stdout in
-  match
-    Mae_serve.Top.run ~host ~port ~interval_s:interval ~iterations ~clear
-  with
-  | Ok () -> ()
-  | Error e -> or_die (Error e)
-
-let top_cmd =
-  let obs =
-    Arg.(
-      value & opt string "127.0.0.1:7789"
-      & info [ "obs" ] ~docv:"ADDR"
-          ~doc:
-            "The serve instance's observability-plane address (its \
-             --obs-listen), HOST:PORT.")
-  in
-  let interval =
-    Arg.(
-      value & opt float 2.
-      & info [ "interval" ] ~docv:"SECONDS"
-          ~doc:"Seconds between refreshes (default 2).")
-  in
-  let iterations =
-    Arg.(
-      value & opt (some int) None
-      & info [ "iterations" ] ~docv:"N"
-          ~doc:
-            "Render $(docv) frames, then exit (default: loop until \
-             interrupted).")
-  in
-  let no_clear =
-    Arg.(
-      value & flag
-      & info [ "no-clear" ]
-          ~doc:"Append frames instead of redrawing the screen in place.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live dashboard for a running mae serve: throughput, cache hit \
-          ratio, per-method latency quantiles, SLO burn rates and the worst \
-          captured traces and per-domain GC activity, polled from /metrics, \
-          /slo, /tracez and /runtimez.")
-    Term.(const run_top $ obs $ interval $ iterations $ no_clear)
+      $ access_log $ log_level $ trace_out $ metrics_out $ store_journal
+      $ store_out $ idle_timeout $ max_connections $ queue_watermark
+      $ store_cap)
 
 (* check *)
 
@@ -1126,7 +1024,7 @@ let main_cmd =
   Cmd.group
     (Cmd.info "mae" ~version:"1.0.0" ~doc)
     [
-      estimate_cmd; serve_cmd; top_cmd; check_cmd; layout_cmd; floorplan_cmd;
+      estimate_cmd; serve_cmd; check_cmd; layout_cmd; floorplan_cmd;
       generate_cmd; processes_cmd; table1_cmd; table2_cmd;
     ]
 

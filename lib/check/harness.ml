@@ -143,7 +143,9 @@ let inside (lo, hi) p = p >= lo && p <= hi
    (equations 2-3, Exact occupancy model). *)
 let span_exact_vs_enum config (c : Sweep.case) =
   let e = Enumerate.net ~rows:c.rows ~degree:c.degree in
-  let d = Kc.row_span_dist ~model:Kc.Exact ~rows:c.rows ~degree:c.degree in
+  let d =
+    Kc.row_span_dist_uncached ~model:Kc.Exact ~rows:c.rows ~degree:c.degree
+  in
   let per_outcome =
     List.init c.rows (fun i ->
         let s = i + 1 in
@@ -177,7 +179,9 @@ let span_paper_vs_enum config (c : Sweep.case) =
   if c.degree > c.rows then collect []
   else begin
     let e = Enumerate.net ~rows:c.rows ~degree:c.degree in
-    let d = Kc.row_span_dist ~model:Kc.Paper ~rows:c.rows ~degree:c.degree in
+    let d =
+      Kc.row_span_dist_uncached ~model:Kc.Paper ~rows:c.rows ~degree:c.degree
+    in
     collect
       (List.init c.rows (fun i ->
            let s = i + 1 in

@@ -87,7 +87,7 @@ let prob_two_component ~rows =
 let feed_through_dist ~net_count ~rows =
   if net_count < 0 then invalid_arg "Feedthrough.feed_through_dist: net_count < 0"; (* invariant *)
   if rows < 1 then invalid_arg "Feedthrough.feed_through_dist: rows < 1"; (* invariant *)
-  Mae_prob.Kernel_cache.feed_through_dist ~net_count ~rows
+  Mae_prob.Kernel_cache.feed_through_dist_uncached ~net_count ~rows
 
 let expected_feed_throughs ~net_count ~rows =
   if net_count < 0 then

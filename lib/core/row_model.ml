@@ -6,7 +6,8 @@ let kernel_model : Config.row_span_model -> Mae_prob.Kernel_cache.span_model =
 let prob_rows ~model ~rows ~degree =
   if rows < 1 then invalid_arg "Row_model.prob_rows: rows < 1"; (* invariant *)
   if degree < 1 then invalid_arg "Row_model.prob_rows: degree < 1"; (* invariant *)
-  Mae_prob.Kernel_cache.row_span_dist ~model:(kernel_model model) ~rows ~degree
+  Mae_prob.Kernel_cache.row_span_dist_uncached ~model:(kernel_model model)
+    ~rows ~degree
 
 let expected_span ~model ~rows ~degree =
   if rows < 1 then invalid_arg "Row_model.expected_span: rows < 1"; (* invariant *)

@@ -5,9 +5,10 @@
     the net consumes under the paper's one-net-per-track assumption: a net
     spanning i rows needs i tracks (one in each neighbouring channel).
 
-    Distributions are shared through {!Mae_prob.Kernel_cache} -- they
-    depend only on [(rows, degree)], so repeated queries (sweeps, batches)
-    hit the cache. *)
+    The per-degree expectation {!expected_span} is shared through
+    {!Mae_prob.Kernel_cache} -- it depends only on [(rows, degree)], so
+    repeated queries (sweeps, batches) hit the cache.  {!prob_rows}
+    builds the distribution afresh on every call. *)
 
 val prob_rows :
   model:Config.row_span_model -> rows:int -> degree:int -> Mae_prob.Dist.t

@@ -13,9 +13,6 @@
      summaries (true p50/p99/p999, no bucket edges), one lock per
      sketch, with request-id exemplars; rides along in every /metrics
      dump.
-   - {!Slo}: declarative latency / error-rate objectives with
-     fast+slow rolling burn-rate windows; backs GET /slo, /statusz
-     and the /healthz 503 degradation.
    - {!Capture}: tail-based trace retention -- full span trees kept
      only for errored and slowest-k requests, bounded memory.
    - {!Clock}: monotonic time for every duration measurement; wall
@@ -41,7 +38,6 @@ module Clock = Clock
 module Span = Span
 module Metrics = Metrics
 module Sketch = Sketch
-module Slo = Slo
 module Capture = Capture
 module Trace = Trace
 module Json = Json

@@ -30,8 +30,8 @@ type flame_row = {
 
 val flame : unit -> flame_row list
 (** Aggregate by span name, hottest self-time first.  Self times are
-    disjoint by construction, so they sum to the traced total -- the
-    per-stage breakdown bench/profile.ml prints. *)
+    disjoint by construction, so they sum to the traced total -- a
+    true per-stage breakdown. *)
 
 val flame_summary : unit -> string
 (** {!flame} as an aligned text table with a self-time total row. *)

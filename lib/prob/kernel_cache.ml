@@ -1,19 +1,21 @@
 (* Domain-safe memo tables for the estimator's probability kernels.
 
    Every quantity here depends only on small integer keys -- (rows,
-   degree) for the row-span distributions of equations (2)-(3), (net
-   count, rows) for the feed-through binomial of equations (9)-(11) --
-   so a batch of modules re-derives the same handful of distributions
-   thousands of times.  The tables below compute each kernel once and
-   share it across every circuit and every domain of the batch engine.
+   degree) for the row-span expectation of equation (3), (net count,
+   rows) for the feed-through expectation of equation (11) -- so a
+   batch of modules re-derives the same handful of kernels thousands
+   of times.  The tables below compute each once and share it across
+   every circuit and every domain of the batch engine.  They keep the
+   rounded-up integer only: the distribution it came from is built
+   afresh on a miss and dropped, so a long-lived process retains one
+   word per key, not one float per outcome.
 
    Concurrency.  A table is one [Hashtbl] behind one mutex.  A hit is a
    [find_opt] under the lock.  A miss computes OUTSIDE the lock (the
-   kernels are pure, and [expected_span]'s thunk itself looks up the
-   span table), then inserts under the lock unless the key is already
-   there.  In that case another domain computed the same kernel first:
-   this domain's value is dropped and the drop counted as a race, so
-   races never exceed misses and every caller gets a correct value.
+   kernels are pure), then inserts under the lock unless the key is
+   already there.  In that case another domain computed the same kernel
+   first: this domain's value is dropped and the drop counted as a race,
+   so races never exceed misses and every caller gets a correct value.
 
    Accounting.  Every lookup adds straight into the process-wide
    [Mae_obs.Metrics] counters, so {!stats} and /metrics are exact at
@@ -58,7 +60,7 @@ module Table = struct
   type ('k, 'v) t = { lock : Mutex.t; tbl : ('k, 'v) Hashtbl.t }
 
   (* every table registers itself so [clear]/[stats] span the gate-array
-     shape table as well as the four kernel tables below *)
+     shape table as well as the two kernel tables below *)
   type handle = { h_clear : unit -> unit; h_entries : unit -> int }
 
   let registry_lock = Mutex.create ()
@@ -109,9 +111,7 @@ end
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
 
-let span_table : (span_model * int * int, Dist.t) Table.t = Table.create ()
 let span_ceil_table : (span_model * int * int, int) Table.t = Table.create ()
-let feed_table : (int * int, Dist.t) Table.t = Table.create ()
 let feed_ceil_table : (int * int, int) Table.t = Table.create ()
 
 (* --- row-span distribution (equations 2-3) --- *)
@@ -138,15 +138,10 @@ let row_span_dist_uncached ~model ~rows ~degree =
   in
   Dist.of_sorted_weights ~outcomes ~weights
 
-let row_span_dist ~model ~rows ~degree =
-  check_span ~rows ~degree;
-  Table.find_or_compute span_table (model, rows, degree) (fun () ->
-      row_span_dist_uncached ~model ~rows ~degree)
-
 let expected_span ~model ~rows ~degree =
   check_span ~rows ~degree;
   Table.find_or_compute span_ceil_table (model, rows, degree) (fun () ->
-      Dist.expectation_ceil (row_span_dist ~model ~rows ~degree))
+      Dist.expectation_ceil (row_span_dist_uncached ~model ~rows ~degree))
 
 (* --- feed-throughs (equations 9-11) --- *)
 
@@ -160,17 +155,11 @@ let feed_through_dist_uncached ~net_count ~rows =
   if net_count < 0 then invalid_arg "Kernel_cache: net_count < 0";
   Dist.binomial ~n:net_count ~p:(two_component_feed_prob ~rows)
 
-let feed_through_dist ~net_count ~rows =
-  if net_count < 0 then invalid_arg "Kernel_cache: net_count < 0";
-  if rows < 1 then invalid_arg "Kernel_cache: rows < 1";
-  Table.find_or_compute feed_table (net_count, rows) (fun () ->
-      feed_through_dist_uncached ~net_count ~rows)
-
 let expected_feed_throughs ~net_count ~rows =
   if net_count < 0 then invalid_arg "Kernel_cache: net_count < 0";
   if rows < 1 then invalid_arg "Kernel_cache: rows < 1";
   Table.find_or_compute feed_ceil_table (net_count, rows) (fun () ->
-      Dist.expectation_ceil (feed_through_dist ~net_count ~rows))
+      Dist.expectation_ceil (feed_through_dist_uncached ~net_count ~rows))
 
 (* --- introspection --- *)
 

@@ -1,12 +1,14 @@
 (** Domain-safe memo tables for the estimator's probability kernels.
 
-    The row-span distribution of equations (2)-(3) depends only on
-    [(rows, degree)], and the feed-through binomial of equations
-    (9)-(11) only on [(net_count, rows)], so a batch of modules
-    re-derives the same handful of distributions thousands of times.
-    This cache computes each kernel once and shares the resulting
-    immutable {!Dist.t} across circuits and across the domains of the
-    batch engine ({!Mae_engine}).
+    The row-span expectation of equation (3) depends only on
+    [(rows, degree)], and the feed-through expectation of equation
+    (11) only on [(net_count, rows)], so a batch of modules re-derives
+    the same handful of kernels thousands of times.  This cache
+    computes each once and shares the rounded-up integer across
+    circuits and across the domains of the batch engine
+    ({!Mae_engine}).  The distributions behind them are computed
+    afresh on every call and never retained, so a resident process
+    keeps O(keys) words however large the circuits it has seen.
 
     Each table is one hash table behind one mutex.  A hit is a lookup
     under the lock.  A miss computes the (pure, deterministic) kernel
@@ -25,18 +27,15 @@ type span_model = Paper | Exact
 
 (** {1 Row-span distribution (equations 2-3)} *)
 
-val row_span_dist : model:span_model -> rows:int -> degree:int -> Dist.t
-(** Distribution of the number of rows spanned by a net with [degree]
-    components over [rows] rows.  Cached.  Raises [Invalid_argument] if
-    [rows < 1] or [degree < 1]. *)
-
 val row_span_dist_uncached :
   model:span_model -> rows:int -> degree:int -> Dist.t
-(** Same distribution, always computed afresh; the reference the cache
-    is property-tested against. *)
+(** Distribution of the number of rows spanned by a net with [degree]
+    components over [rows] rows, computed afresh on every call.  Raises
+    [Invalid_argument] if [rows < 1] or [degree < 1]. *)
 
 val expected_span : model:span_model -> rows:int -> degree:int -> int
-(** Equation (3): E(i) rounded up.  Cached. *)
+(** Equation (3): E(i) rounded up, i.e. [Dist.expectation_ceil] of
+    {!row_span_dist_uncached}.  Cached. *)
 
 (** {1 Feed-throughs (equations 9-11)} *)
 
@@ -44,13 +43,13 @@ val two_component_feed_prob : rows:int -> float
 (** Equation (9): ((rows - 1) / rows)^2 / 2.  Pure arithmetic, never
     cached. *)
 
-val feed_through_dist : net_count:int -> rows:int -> Dist.t
-(** Equation (10): B(net_count, {!two_component_feed_prob}).  Cached. *)
-
 val feed_through_dist_uncached : net_count:int -> rows:int -> Dist.t
+(** Equation (10): B(net_count, {!two_component_feed_prob}), computed
+    afresh on every call. *)
 
 val expected_feed_throughs : net_count:int -> rows:int -> int
-(** Equation (11): E(M) rounded up.  Cached. *)
+(** Equation (11): E(M) rounded up, i.e. [Dist.expectation_ceil] of
+    {!feed_through_dist_uncached}.  Cached. *)
 
 (** {1 Generic tables}
 

@@ -4,8 +4,8 @@
    connection's responses come back in its own arrival order even when
    requests from many connections interleave.  A tick pops one job and
    answers it with the full per-request bookkeeping: seq/rid, latency
-   sketch + exemplar, SLO events, tail capture, the access log record,
-   the response write.  An estimate job parses its HDL, then looks each
+   sketch + exemplar, tail capture, the access log record, the response
+   write.  An estimate job parses its HDL, then looks each
    module up in the estimate store ({!Mae_db.Cas}, owned here and
    nowhere else).  It makes one {!Mae_engine.run_circuits_with_stats}
    call over the misses, or none when every module hit, at the
@@ -16,10 +16,10 @@
 
    Admission control lives at the front door: when the queued estimate
    count is at the watermark, a new estimate is answered 503 +
-   Retry-After without touching the engine.  Shedding burns neither
-   SLO -- it is the server protecting its objectives, not missing
-   them -- but it does count into requests_total/failed and its own
-   shed counter, so overload is visible on every dashboard. *)
+   Retry-After without touching the engine.  A shed request stays out
+   of the latency sketch -- its answer measures the queue check, not
+   the service -- but it counts into requests_total/failed and its own
+   shed counter, so overload shows in /metrics. *)
 
 module Json = Mae_obs.Json
 module Log = Mae_obs.Log
@@ -155,8 +155,8 @@ type prepared = {
           store -- exact per request, from its own per-module lookups *)
   server_error : bool;
       (** true when the failure is the server's fault (an estimator
-          crash), as opposed to a malformed request or bad circuit --
-          the distinction the error-budget SLO cares about *)
+          crash), as opposed to a malformed request or bad circuit: it
+          selects HTTP 500 over 400 *)
 }
 
 let failure ?(server_error = false) msg =
@@ -234,7 +234,6 @@ type job = {
 
 type config = {
   registry : Mae_tech.Registry.t;
-  inject_sleep_field : bool;
   queue_watermark : int;  (** queued estimates at/over this shed *)
 }
 
@@ -242,20 +241,16 @@ type t = {
   config : config;
   transport : Transport.t;
   cas : Mae_db.Cas.t;
-  slo_latency : Mae_obs.Slo.t;
-  slo_errors : Mae_obs.Slo.t;
   queue : job Queue.t;
   mutable next_seq : int;
   mutable queued_estimates : int;
 }
 
-let create ~config ~transport ~cas ~slo_latency ~slo_errors =
+let create ~config ~transport ~cas =
   {
     config;
     transport;
     cas;
-    slo_latency;
-    slo_errors;
     queue = Queue.create ();
     next_seq = 1;
     queued_estimates = 0;
@@ -305,7 +300,7 @@ let seq_and_id seq id fields =
 (* Full per-request bookkeeping around [outcome]: the thunk runs inside
    the request's [serve.request] span (for an estimate, its parse and
    engine run).  Latency counts from frame arrival, so queue wait is
-   part of its SLO story. *)
+   part of it. *)
 let answer t job ~id outcome =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -320,10 +315,6 @@ let answer t job ~id outcome =
   (* the sketch carries the request id as an exemplar so a bad
      quantile in /metrics links back to a trace in /tracez *)
   Mae_obs.Sketch.observe_exemplar request_latency_sketch ~label:rid latency;
-  Mae_obs.Slo.record_latency t.slo_latency latency;
-  (* only server faults (estimator crashes) burn the error budget;
-     malformed client requests are the client's problem *)
-  Mae_obs.Slo.record t.slo_errors ~good:(not p.server_error);
   let error =
     if p.p_ok then None
     else begin
@@ -359,8 +350,7 @@ let answer t job ~id outcome =
 let shed_retry_after_s = 1
 
 (* A shed request: counted (total + failed + its own counter) and
-   logged, but no latency/error SLO events and no capture -- admission
-   control protecting the objectives must not burn their budgets. *)
+   logged, but kept out of the latency sketch and tail capture. *)
 let answer_shed t job ~id =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -401,10 +391,6 @@ let answer_shed t job ~id =
        (seq_and_id seq id fields))
 
 (* --- the estimate path --- *)
-
-let inject_sleep t (est : Protocol.estimate) =
-  if t.config.inject_sleep_field then
-    match est.Protocol.sleep_s with Some s -> Unix.sleepf s | None -> ()
 
 (* How the store answered one module: a stored report, a miss under
    [key], or no lookup at all -- an unknown process or method, which
@@ -464,7 +450,6 @@ let estimate_circuits t ?methods circuits =
 
 (* One estimate request: its own parse, then its modules. *)
 let estimate t (est : Protocol.estimate) =
-  inject_sleep t est;
   match Mae.Driver.string_circuits est.Protocol.hdl with
   | Error e -> failure (Format.asprintf "%a" Mae.Driver.pp_error e)
   | Ok circuits -> (

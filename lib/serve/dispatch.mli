@@ -3,8 +3,8 @@
     One FIFO queue for every request-plane frame keeps each
     connection's responses in its own arrival order.  A {!tick} pops
     one job and answers it with the full per-request bookkeeping:
-    seq/rid, latency sketch + exemplar, SLO events, tail capture, the
-    access-log record, the response write.  An estimate looks each
+    seq/rid, latency sketch + exemplar, tail capture, the access-log
+    record, the response write.  An estimate looks each
     module up in the estimate store once, then makes one
     {!Mae_engine.run_circuits_with_stats} call over the misses (none
     when every module hit) on the calling domain, inside its own
@@ -14,14 +14,13 @@
 
     Admission control: at the queue-depth watermark a new estimate is
     answered 503 + Retry-After without estimation.  Shed requests
-    count into requests_total/failed and their own counter but burn
-    neither the latency nor the error SLO. *)
+    count into requests_total/failed and their own counter, and stay
+    out of the latency sketch and tail capture. *)
 
 module Json = Mae_obs.Json
 
 type config = {
   registry : Mae_tech.Registry.t;
-  inject_sleep_field : bool;
   queue_watermark : int;  (** queued estimates at/over this shed *)
 }
 
@@ -31,8 +30,6 @@ val create :
   config:config ->
   transport:Transport.t ->
   cas:Mae_db.Cas.t ->
-  slo_latency:Mae_obs.Slo.t ->
-  slo_errors:Mae_obs.Slo.t ->
   t
 
 val submit_estimate :

@@ -12,9 +12,9 @@
      watermark admission control answers 503 + Retry-After without
      estimating.
 
-   This module is the wiring: configuration, the SLO/capture/store
-   setup, the observability documents (/metrics, /healthz, /slo,
-   /statusz, /buildinfo, /tracez, /methods, /runtimez -- answered on
+   This module is the wiring: configuration, the capture/store setup,
+   the observability documents (/metrics, /healthz, /statusz,
+   /buildinfo, /tracez, /methods, /runtimez -- answered on
    either plane, over the same transport), startup and drain.
 
    Estimation is CPU work measured in milliseconds per module, so the
@@ -47,36 +47,12 @@ type addr = Transport.addr =
 let pp_addr = Transport.pp_addr
 let parse_addr = Transport.parse_addr
 
-type slo_config = {
-  latency_threshold_s : float;  (** a request is "good" iff at or under *)
-  latency_target : float;  (** required good fraction for latency *)
-  error_target : float;  (** required non-server-error fraction *)
-  fast_window_s : float;
-  slow_window_s : float;
-  min_events : int;  (** fast-window events before /healthz may degrade *)
-}
-
-let default_slo =
-  {
-    latency_threshold_s = 0.25;
-    latency_target = 0.99;
-    error_target = 0.999;
-    fast_window_s = 300.;
-    slow_window_s = 3600.;
-    min_events = 20;
-  }
-
 type config = {
   request_addr : addr;
   obs_addr : addr option;
   registry : Mae_tech.Registry.t;
   trace_out : string option;  (** Chrome trace flushed at shutdown *)
   metrics_out : string option;  (** metrics dump flushed at shutdown *)
-  slo : slo_config;
-  inject_sleep_field : bool;
-      (** honour a "sleep_s" request field by sleeping before
-          estimation -- an overload injector for the serve smoke gate;
-          never enable in production *)
   store_journal : string option;
       (** append-only journal backing the estimate store: replayed at
           startup (a restarted daemon answers warm) and appended on
@@ -102,8 +78,6 @@ let default_config ~registry ~request_addr =
     registry;
     trace_out = None;
     metrics_out = None;
-    slo = default_slo;
-    inject_sleep_field = false;
     store_journal = None;
     store_out = None;
     store_live_cap = Some 65536;
@@ -142,18 +116,12 @@ let uptime_s st = Mae_obs.Clock.monotonic () -. st.started_mono
 
 (* --- the observability documents --- *)
 
-let healthz_body st ~slo_healthy =
+let healthz_body st =
   let num n = Json.Number (Float.of_int n) in
-  let status =
-    if st.draining then "draining"
-    else if not slo_healthy then "degraded"
-    else "ok"
-  in
   Json.encode
     (Json.Object
        [
-         ("status", Json.String status);
-         ("slo_healthy", Json.Bool slo_healthy);
+         ("status", Json.String (if st.draining then "draining" else "ok"));
          ("uptime_s", Json.Number (uptime_s st));
          ("pid", num (Unix.getpid ()));
          ("recommended_domains", num (Mae_engine.default_jobs ()));
@@ -295,15 +263,13 @@ let tracez_body () =
        ])
   ^ "\n"
 
-let slo_body () = Json.encode (Mae_obs.Slo.to_json ()) ^ "\n"
-
 (* /runtimez: the runtime lens document -- sampler state, per-domain
    GC statistics, process telemetry.  Served even when the lens is
    off (the document says so and still carries the process section). *)
 let runtimez_body () = Json.encode (Mae_obs.Runtime.to_json ()) ^ "\n"
 
 (* /statusz: the one-page human summary -- uptime, traffic, cache,
-   objectives, latency quantiles, captured tails. *)
+   latency quantiles, captured tails. *)
 let statusz_body st =
   let b = Buffer.create 1024 in
   let reqs = Metrics.counter_value Dispatch.requests_total in
@@ -329,22 +295,6 @@ let statusz_body st =
     lookups
     (if lookups = 0 then "n/a"
      else Printf.sprintf "%.1f%%" (100. *. float_of_int hits /. float_of_int lookups));
-  line "";
-  List.iter
-    (fun (r : Mae_obs.Slo.report) ->
-      let kind =
-        match r.r_spec.kind with
-        | Mae_obs.Slo.Latency th -> Printf.sprintf "latency <= %gms" (th *. 1e3)
-        | Mae_obs.Slo.Error_rate -> "error rate"
-      in
-      line "slo %s [%s, target %g%%]: fast burn %.2f (%d/%d bad), slow burn %.2f -- %s"
-        r.r_spec.slo_name kind
-        (100. *. r.r_spec.target)
-        r.fast.burn_rate r.fast.bad
-        (r.fast.good + r.fast.bad)
-        r.slow.burn_rate
-        (if r.r_healthy then "healthy" else "BUDGET EXHAUSTED"))
-    (Mae_obs.Slo.reports ());
   line "";
   let s = Mae_obs.Sketch.snapshot Dispatch.request_latency_sketch in
   if s.n = 0 then line "request latency: no samples yet"
@@ -387,17 +337,10 @@ let obs_response st path =
       Protocol.text_response ~content_type:"text/plain; version=0.0.4"
         (Metrics.to_prometheus ())
   | "/healthz" ->
-      (* liveness degrades to 503 when the fast-window error budget
-         of any objective is exhausted: load balancers shed load
-         from an instance that is up but missing its SLOs. *)
-      let slo_healthy = Mae_obs.Slo.healthy () in
-      let status =
-        if (not st.draining) && not slo_healthy then 503 else 200
-      in
-      Protocol.text_response ~status ~content_type:"application/json"
-        (healthz_body st ~slo_healthy)
-  | "/slo" ->
-      Protocol.text_response ~content_type:"application/json" (slo_body ())
+      (* liveness: 200 while the process answers, "draining" once
+         shutdown began; overload is Dispatch's watermark, not this *)
+      Protocol.text_response ~content_type:"application/json"
+        (healthz_body st)
   | "/statusz" -> Protocol.text_response (statusz_body st)
   | "/buildinfo" ->
       Protocol.text_response ~content_type:"application/json"
@@ -411,7 +354,7 @@ let obs_response st path =
         (runtimez_body ())
   | _ ->
       Protocol.text_response ~status:404
-        "not found; try /metrics /healthz /slo /statusz /buildinfo /tracez \
+        "not found; try /metrics /healthz /statusz /buildinfo /tracez \
          /methods /runtimez\n"
 
 (* One decoded frame: scrapes and framing errors answer inline (the
@@ -527,32 +470,6 @@ let run (config : config) =
           (* the runtime lens rides with telemetry: GC pause sketches
              per domain, /runtimez, gc.* spans in the final trace *)
           if Mae_obs.enabled () then ignore (Mae_obs.Runtime.start ());
-          (* declarative objectives over the request plane; both ride
-             the same rolling multi-window burn-rate rings *)
-          let slo_latency =
-            Mae_obs.Slo.register
-              (Mae_obs.Slo.spec
-                 ~description:
-                   (Printf.sprintf "%.0f%% of requests under %gms"
-                      (100. *. config.slo.latency_target)
-                      (config.slo.latency_threshold_s *. 1e3))
-                 ~kind:(Mae_obs.Slo.Latency config.slo.latency_threshold_s)
-                 ~target:config.slo.latency_target
-                 ~fast_window_s:config.slo.fast_window_s
-                 ~slow_window_s:config.slo.slow_window_s
-                 ~min_events:config.slo.min_events "mae_serve_latency_slo")
-          in
-          let slo_errors =
-            Mae_obs.Slo.register
-              (Mae_obs.Slo.spec
-                 ~description:
-                   (Printf.sprintf "%.1f%% of requests without server errors"
-                      (100. *. config.slo.error_target))
-                 ~kind:Mae_obs.Slo.Error_rate ~target:config.slo.error_target
-                 ~fast_window_s:config.slo.fast_window_s
-                 ~slow_window_s:config.slo.slow_window_s
-                 ~min_events:config.slo.min_events "mae_serve_errors_slo")
-          in
           (* tail capture at its defaults: 8 slow / 32 errored span
              trees of at most 256 spans *)
           Mae_obs.Capture.configure ();
@@ -592,10 +509,9 @@ let run (config : config) =
               ~config:
                 {
                   Dispatch.registry = config.registry;
-                  inject_sleep_field = config.inject_sleep_field;
                   queue_watermark = config.queue_watermark;
                 }
-              ~transport ~cas ~slo_latency ~slo_errors
+              ~transport ~cas
           in
           let st =
             {
@@ -651,4 +567,3 @@ let run (config : config) =
 module Protocol = Protocol
 module Transport = Transport
 module Dispatch = Dispatch
-module Top = Top

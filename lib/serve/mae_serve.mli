@@ -21,33 +21,31 @@
       [{"ok": false, "error"}]) per selected methodology.  Requests
       queue through {!Dispatch}, each answered by its own engine run,
       and past the queue watermark a request is shed
-      with ["ok": false] (HTTP [503] + [Retry-After]) without burning
-      either SLO's budget.
+      with ["ok": false] (HTTP [503] + [Retry-After]) without
+      estimating.
     - {e observability plane} (optional second socket; the same
       documents also answer to [GET] on the request plane):
       [GET /metrics] (Prometheus text from the {!Mae_obs.Metrics}
       registry -- counters, gauges, and the {!Mae_obs.Sketch}
       quantile summaries with request-id exemplars), [/healthz]
-      (liveness + engine status; answers
-      [503 Service Unavailable] while any SLO's fast-window error
-      budget is exhausted), [/slo] (burn-rate reports for every
-      registered objective, JSON), [/statusz] (one-page human-readable
-      status: uptime, traffic, cache hit ratio, SLO burn table,
-      latency quantiles, captured tails), [/buildinfo], [/tracez]
-      (recent-span snapshot + flame rows + tail-based captures: full
-      span trees of errored and slowest-k requests), and [/methods]
-      (the methodology registry: names, docs, and the default set).
+      (liveness + engine status; always [200], with ["status"] ["ok"]
+      or, once shutdown has begun, ["draining"]), [/statusz] (one-page
+      human-readable status: uptime, traffic, cache hit ratio, latency
+      quantiles, captured tails), [/buildinfo], [/tracez] (recent-span
+      snapshot + flame rows + tail-based captures: full span trees of
+      errored and slowest-k requests), [/methods] (the methodology
+      registry: names, docs, and the default set) and [/runtimez]
+      (the runtime lens: per-domain GC statistics and process
+      telemetry).
 
     Every request emits one [serve.request] access-log record through
     {!Mae_obs.Log} -- latency, rows selected, kernel-cache hit deltas
-    -- scoped to request id [r<seq>], feeds the
+    -- scoped to request id [r<seq>], and feeds the
     [mae_serve_request_seconds_summary] latency sketch (with the
-    request id as exemplar), and burns the two built-in objectives
-    ([mae_serve_latency_slo], [mae_serve_errors_slo]; only estimator
-    crashes count against the error budget, malformed client input
-    does not).  SIGINT/SIGTERM stop the accept loop, drain request
-    frames already received, emit a final [serve.shutdown] record and
-    flush the configured metrics/trace dumps.
+    request id as exemplar).  SIGINT/SIGTERM stop the accept loop,
+    drain request frames already received, emit a final
+    [serve.shutdown] record and flush the configured metrics/trace
+    dumps.
 
     The implementation is layered -- {!Protocol} (the pure codec),
     {!Transport} (fds, buffers, timeouts), {!Dispatch} (queueing,
@@ -76,33 +74,12 @@ val parse_addr : string -> (addr, string) result
     [on_ready]); ["unix:PATH"] or any string containing a slash is a
     Unix-domain socket path. *)
 
-type slo_config = {
-  latency_threshold_s : float;
-      (** a request is good for the latency SLO iff it answers within
-          this many seconds *)
-  latency_target : float;  (** required good fraction, in (0, 1) *)
-  error_target : float;
-      (** required fraction of requests without server errors *)
-  fast_window_s : float;  (** incident-reaction window (default 5 min) *)
-  slow_window_s : float;  (** sustained-regression window (default 1 h) *)
-  min_events : int;
-      (** fast-window events required before /healthz may flip to 503 *)
-}
-
-val default_slo : slo_config
-(** 99% under 250 ms; 99.9% without server errors; 300 s / 3600 s
-    windows; 20 events minimum. *)
-
 type config = {
   request_addr : addr;
   obs_addr : addr option;
   registry : Mae_tech.Registry.t;
   trace_out : string option;  (** Chrome trace flushed at shutdown *)
   metrics_out : string option;  (** metrics dump flushed at shutdown *)
-  slo : slo_config;
-  inject_sleep_field : bool;
-      (** honor a ["sleep_s"] request field (test-only overload
-          injection; never exposed on the CLI) *)
   store_journal : string option;
       (** append-only journal backing the estimate store, replayed at
           startup so a restarted daemon answers warm; every store insert
@@ -128,8 +105,7 @@ type config = {
       (** queued (unstarted) estimate requests at/over this are shed:
           answered ["ok": false] with ["retry_after_s"] (HTTP [503] +
           [Retry-After]) without estimation; shed requests count into
-          [mae_serve_requests_shed_total] and requests_total/failed but
-          burn neither SLO *)
+          [mae_serve_requests_shed_total] and requests_total/failed *)
   on_ready : request_addr:addr -> obs_addr:addr option -> unit;
       (** called once both listeners are bound, with kernel-assigned
           ports resolved *)
@@ -137,10 +113,9 @@ type config = {
 
 val default_config :
   registry:Mae_tech.Registry.t -> request_addr:addr -> config
-(** No obs plane, no dumps, {!default_slo}, no sleep
-    injection, no store journal or snapshot, the store capped at 65536
-    entries, 300 s idle timeout, 1024 connections, watermark 256,
-    no-op [on_ready]. *)
+(** No obs plane, no dumps, no store journal or snapshot, the store
+    capped at 65536 entries, 300 s idle timeout, 1024 connections,
+    watermark 256, no-op [on_ready]. *)
 
 val run : config -> (unit, string) result
 (** Serve until SIGINT/SIGTERM, then drain and flush.  [Error] means
@@ -158,6 +133,3 @@ module Transport = Transport
 module Dispatch = Dispatch
 (** The bounded submission queue: one engine run per estimate, and
     admission control. *)
-
-module Top = Top
-(** The [mae top] dashboard client (see {!Top}). *)

@@ -20,9 +20,6 @@ type estimate = {
   id : Json.t;  (** the client's "id" field, echoed back; Null if absent *)
   hdl : string;
   methods : string list option;  (** validated against the registry *)
-  sleep_s : float option;
-      (** the "sleep_s" overload-injector field, parsed here but only
-          honoured when the daemon config opts in *)
 }
 
 type http_version = V10 | V11
@@ -96,17 +93,12 @@ let request_of_body body =
   | Error e -> Invalid { id = Json.Null; error = "bad request JSON: " ^ e }
   | Ok doc -> begin
       let id = Option.value (Json.member "id" doc) ~default:Json.Null in
-      let sleep_s =
-        match Json.member "sleep_s" doc with
-        | Some (Json.Number s) when s > 0. && s <= 5. -> Some s
-        | _ -> None
-      in
       match parse_methods doc with
       | Error e -> Invalid { id; error = "bad \"methods\": " ^ e }
       | Ok methods -> begin
           match Json.member "hdl" doc with
           | Some (Json.String text) ->
-              Estimate { id; hdl = text; methods; sleep_s }
+              Estimate { id; hdl = text; methods }
           | Some _ -> Invalid { id; error = "\"hdl\" must be a string" }
           | None -> Invalid { id; error = "request needs an \"hdl\" field" }
         end

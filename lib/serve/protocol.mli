@@ -12,9 +12,6 @@ type estimate = {
   id : Json.t;  (** the client's "id" field, echoed back; Null if absent *)
   hdl : string;
   methods : string list option;
-  sleep_s : float option;
-      (** the "sleep_s" overload-injector field; honoured only when the
-          daemon config opts in *)
 }
 
 type http_version = V10 | V11

@@ -681,72 +681,6 @@ let test_sketch_registry () =
   Alcotest.(check bool) "exemplar comment in dump" true
     (contains "# EXEMPLAR mae_test_sketch_reg_seconds_summary" prom)
 
-(* --- SLO burn-rate math and the /healthz trip condition --- *)
-
-let test_slo_burn () =
-  let sk =
-    Mae_obs.Slo.register
-      (Mae_obs.Slo.spec ~kind:(Mae_obs.Slo.Latency 0.1) ~target:0.9
-         ~min_events:20 "mae_test_slo_latency")
-  in
-  Mae_obs.Slo.reset sk;
-  (* 10 good, 10 bad: bad fraction 0.5 against a 0.1 budget = burn 5 *)
-  for _ = 1 to 10 do
-    Mae_obs.Slo.record_latency sk 0.01
-  done;
-  for _ = 1 to 10 do
-    Mae_obs.Slo.record_latency sk 0.5
-  done;
-  let r = Mae_obs.Slo.report sk in
-  Alcotest.(check int) "good" 10 r.fast.good;
-  Alcotest.(check int) "bad" 10 r.fast.bad;
-  Alcotest.(check (float 1e-9)) "bad fraction" 0.5 r.fast.bad_fraction;
-  Alcotest.(check (float 1e-9)) "burn = fraction / budget" 5. r.fast.burn_rate;
-  Alcotest.(check bool) "min_events reached + burn >= 1 trips" false
-    r.r_healthy;
-  (* same traffic below min_events stays healthy *)
-  Mae_obs.Slo.reset sk;
-  for _ = 1 to 9 do
-    Mae_obs.Slo.record_latency sk 0.5
-  done;
-  Alcotest.(check bool) "burning but under min_events" true
-    (Mae_obs.Slo.report sk).r_healthy;
-  (* all-good traffic: burn 0, healthy *)
-  Mae_obs.Slo.reset sk;
-  for _ = 1 to 50 do
-    Mae_obs.Slo.record_latency sk 0.01
-  done;
-  let r = Mae_obs.Slo.report sk in
-  Alcotest.(check (float 0.)) "burn 0 when clean" 0. r.fast.burn_rate;
-  Alcotest.(check bool) "healthy when clean" true r.r_healthy;
-  let er =
-    Mae_obs.Slo.register
-      (Mae_obs.Slo.spec ~kind:Mae_obs.Slo.Error_rate ~target:0.999
-         "mae_test_slo_errors")
-  in
-  Mae_obs.Slo.reset er;
-  (match Mae_obs.Slo.record_latency er 0.1 with
-  | () -> Alcotest.fail "record_latency on an error-rate SLO must raise"
-  | exception Invalid_argument _ -> ());
-  Mae_obs.Slo.record er ~good:true;
-  Mae_obs.Slo.record er ~good:false;
-  let r = Mae_obs.Slo.report er in
-  Alcotest.(check (float 1e-6)) "error burn" (0.5 /. 0.001) r.fast.burn_rate;
-  (* registration validation *)
-  (match
-     Mae_obs.Slo.register
-       (Mae_obs.Slo.spec ~kind:Mae_obs.Slo.Error_rate ~target:1.5
-          "mae_test_slo_badtarget")
-   with
-  | _ -> Alcotest.fail "target outside (0,1) must raise"
-  | exception Invalid_argument _ -> ());
-  match
-    Mae_obs.Slo.register
-      (Mae_obs.Slo.spec ~kind:Mae_obs.Slo.Error_rate "not a metric name")
-  with
-  | _ -> Alcotest.fail "bad SLO name must raise"
-  | exception Invalid_argument _ -> ()
-
 (* --- tail-based capture: bounded retention, errored always kept --- *)
 
 let test_capture_retention () =
@@ -868,9 +802,6 @@ let () =
           Alcotest.test_case "registry, lint, exemplars" `Quick
             test_sketch_registry;
         ] );
-      ( "slo",
-        [ Alcotest.test_case "burn rates and healthy trip" `Quick test_slo_burn ]
-      );
       ( "capture",
         [
           Alcotest.test_case "bounded tail retention" `Quick

@@ -109,23 +109,9 @@ let test_log_factorial_domains () =
         true (Domain.join d))
     domains
 
-(* Kernel_cache: a cache hit must be indistinguishable from a fresh
-   computation, for every kernel and across the whole (rows, degree)
-   plane the estimators touch. *)
-
-let same_dist name a b =
-  Alcotest.(check (list int))
-    (name ^ " support") (Dist.support a) (Dist.support b);
-  List.iter
-    (fun o ->
-      S.check_float (Printf.sprintf "%s p(%d)" name o) (Dist.prob a o)
-        (Dist.prob b o))
-    (Dist.support a);
-  S.check_float (name ^ " expectation") (Dist.expectation a)
-    (Dist.expectation b);
-  Alcotest.(check bool)
-    (name ^ " mass ~ 1") true
-    (Dist.total_mass_error b < 1e-9)
+(* Kernel_cache: a cache hit must equal a fresh computation, for both
+   kernels and across the whole (rows, degree) plane the estimators
+   touch. *)
 
 let test_kernel_cache_matches_fresh () =
   Kernel_cache.clear ();
@@ -136,17 +122,14 @@ let test_kernel_cache_matches_fresh () =
         for degree = 2 to 16 do
           let name = Printf.sprintf "%s span n=%d D=%d" mname rows degree in
           let fresh =
-            Kernel_cache.row_span_dist_uncached ~model ~rows ~degree
+            Dist.expectation_ceil
+              (Kernel_cache.row_span_dist_uncached ~model ~rows ~degree)
           in
           (* first call fills the table, second call must hit it *)
-          let filled = Kernel_cache.row_span_dist ~model ~rows ~degree in
-          let hit = Kernel_cache.row_span_dist ~model ~rows ~degree in
-          same_dist name fresh filled;
-          same_dist (name ^ " (hit)") fresh hit;
-          Alcotest.(check int)
-            (name ^ " E(i)")
-            (Dist.expectation_ceil fresh)
-            (Kernel_cache.expected_span ~model ~rows ~degree)
+          let filled = Kernel_cache.expected_span ~model ~rows ~degree in
+          let hit = Kernel_cache.expected_span ~model ~rows ~degree in
+          Alcotest.(check int) (name ^ " E(i)") fresh filled;
+          Alcotest.(check int) (name ^ " E(i) (hit)") fresh hit
         done
       done)
     [ (Kernel_cache.Paper, "paper"); (Kernel_cache.Exact, "exact") ];
@@ -154,15 +137,14 @@ let test_kernel_cache_matches_fresh () =
     (fun net_count ->
       for rows = 1 to 12 do
         let name = Printf.sprintf "feed nets=%d n=%d" net_count rows in
-        let fresh = Kernel_cache.feed_through_dist_uncached ~net_count ~rows in
-        let filled = Kernel_cache.feed_through_dist ~net_count ~rows in
-        let hit = Kernel_cache.feed_through_dist ~net_count ~rows in
-        same_dist name fresh filled;
-        same_dist (name ^ " (hit)") fresh hit;
-        Alcotest.(check int)
-          (name ^ " E(M)")
-          (Dist.expectation_ceil fresh)
-          (Kernel_cache.expected_feed_throughs ~net_count ~rows)
+        let fresh =
+          Dist.expectation_ceil
+            (Kernel_cache.feed_through_dist_uncached ~net_count ~rows)
+        in
+        let filled = Kernel_cache.expected_feed_throughs ~net_count ~rows in
+        let hit = Kernel_cache.expected_feed_throughs ~net_count ~rows in
+        Alcotest.(check int) (name ^ " E(M)") fresh filled;
+        Alcotest.(check int) (name ^ " E(M) (hit)") fresh hit
       done)
     [ 1; 5; 50; 200 ];
   let s = Kernel_cache.stats () in
@@ -173,18 +155,36 @@ let test_kernel_cache_matches_fresh () =
   Alcotest.(check int) "clear drops entries" 0 cleared.entries;
   Alcotest.(check int) "clear resets hits" 0 cleared.hits
 
+(* The tables keep integers, not distributions: 1000 distinct
+   feed-through keys over 20k-net modules (each a B(H, p) of H + 1
+   floats when built) must leave under 1 MiB live once collected. *)
+let test_kernel_cache_retains_integers () =
+  Kernel_cache.clear ();
+  Gc.full_major ();
+  let before = (Gc.stat ()).live_words in
+  for net_count = 20_000 to 20_199 do
+    for rows = 10 to 14 do
+      ignore (Kernel_cache.expected_feed_throughs ~net_count ~rows)
+    done
+  done;
+  Gc.full_major ();
+  let grown = ((Gc.stat ()).live_words - before) * (Sys.word_size / 8) in
+  let entries = (Kernel_cache.stats ()).entries in
+  Kernel_cache.clear ();
+  if grown >= 1 lsl 20 then
+    Alcotest.failf "1000 keys kept %d live bytes (bound 1 MiB)" grown;
+  Alcotest.(check int) "1000 keys resident" 1000 entries
+
 (* The locked tables under real contention: four domains hammer a
    shared key plane (every insert raced) plus a private plane each
-   (uncontended inserts), checking every returned distribution against
-   the uncached reference bit for bit.  Afterwards the accounting must
-   add up exactly: every lookup was either a hit or a miss, races are a
+   (uncontended inserts), checking every returned expectation against
+   the uncached reference.  Afterwards the accounting must add up
+   exactly: every lookup was either a hit or a miss, races are a
    subset of misses, and the tables hold exactly the distinct keys
    touched. *)
-let dist_bits_equal a b =
-  let bits d =
-    List.map (fun o -> Int64.bits_of_float (Dist.prob d o)) (Dist.support d)
-  in
-  Dist.support a = Dist.support b && bits a = bits b
+let fresh_span model ~rows ~degree =
+  Dist.expectation_ceil
+    (Kernel_cache.row_span_dist_uncached ~model ~rows ~degree)
 
 let test_kernel_cache_hammer () =
   Kernel_cache.clear ();
@@ -193,9 +193,8 @@ let test_kernel_cache_hammer () =
   let work w () =
     let bad = ref 0 in
     let check model ~rows ~degree =
-      let got = Kernel_cache.row_span_dist ~model ~rows ~degree in
-      let fresh = Kernel_cache.row_span_dist_uncached ~model ~rows ~degree in
-      if not (dist_bits_equal got fresh) then incr bad
+      let got = Kernel_cache.expected_span ~model ~rows ~degree in
+      if got <> fresh_span model ~rows ~degree then incr bad
     in
     for _pass = 1 to passes do
       (* shared plane: all four domains fight over these keys *)
@@ -243,7 +242,7 @@ let test_kernel_cache_live_domain_hits () =
   Alcotest.(check bool) "cache enabled" true (Kernel_cache.enabled ());
   let lookup () =
     ignore
-      (Kernel_cache.row_span_dist ~model:Kernel_cache.Paper ~rows:6 ~degree:3)
+      (Kernel_cache.expected_span ~model:Kernel_cache.Paper ~rows:6 ~degree:3)
   in
   lookup ();
   let before = (Kernel_cache.stats ()).hits in
@@ -258,8 +257,8 @@ let test_kernel_cache_live_domain_hits () =
   Alcotest.(check int) "live domain's hits counted" 5 hits
 
 (* [clear] while four domains keep reading: no crash, no torn value --
-   only reference bits ever come back, and once the dust settles a final
-   clear leaves empty tables. *)
+   only reference values ever come back, and once the dust settles a
+   final clear leaves empty tables. *)
 let test_kernel_cache_clear_under_load () =
   Kernel_cache.clear ();
   let stop = Atomic.make false in
@@ -269,13 +268,9 @@ let test_kernel_cache_clear_under_load () =
       for rows = 2 to 8 do
         for degree = 2 to 5 do
           let got =
-            Kernel_cache.row_span_dist ~model:Kernel_cache.Paper ~rows ~degree
+            Kernel_cache.expected_span ~model:Kernel_cache.Paper ~rows ~degree
           in
-          let fresh =
-            Kernel_cache.row_span_dist_uncached ~model:Kernel_cache.Paper
-              ~rows ~degree
-          in
-          if not (dist_bits_equal got fresh) then incr bad
+          if got <> fresh_span Kernel_cache.Paper ~rows ~degree then incr bad
         done
       done
     done;
@@ -657,6 +652,8 @@ let () =
             test_kernel_cache_matches_fresh;
           Alcotest.test_case "live domain's hits counted at once" `Quick
             test_kernel_cache_live_domain_hits;
+          Alcotest.test_case "1000 large keys retain under 1 MiB" `Quick
+            test_kernel_cache_retains_integers;
         ] );
       ( "rng",
         [

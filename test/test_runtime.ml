@@ -190,7 +190,7 @@ let test_double_start_stop () =
     "statistics readable after teardown" true
     (Runtime.pause_count () > 0)
 
-(* --- /runtimez document and the top parser --- *)
+(* --- the /runtimez document --- *)
 
 let test_runtimez_roundtrip () =
   Alcotest.(check bool) "lens starts" true (Runtime.start ());
@@ -198,24 +198,27 @@ let test_runtimez_roundtrip () =
   ignore (Runtime.poll ());
   let doc = Runtime.to_json () in
   Runtime.stop ();
-  (match Json.member "domains" doc with
-  | Some (Json.Array (_ :: _)) -> ()
-  | _ -> Alcotest.fail "domains array missing or empty");
+  let rows =
+    match Option.bind (Json.member "domains" doc) Json.to_list with
+    | Some (_ :: _ as rows) -> rows
+    | _ -> Alcotest.fail "domains array missing or empty"
+  in
   (match Option.bind (Json.member "process" doc) (Json.member "uptime_s") with
   | Some (Json.Number up) ->
       Alcotest.(check bool) "uptime positive" true (up > 0.)
   | _ -> Alcotest.fail "process.uptime_s missing");
-  (* the serve plane sends exactly this encoding; mae top must read it *)
-  match Mae_serve.Top.parse_runtimez (Json.encode doc) with
-  | Error e -> Alcotest.failf "top parser rejected /runtimez: %s" e
-  | Ok rows ->
-      Alcotest.(check int)
-        "one row per domain"
-        (List.length (Runtime.domains ()))
-        (List.length rows);
-      Alcotest.(check bool)
-        "rows carry pauses" true
-        (List.exists (fun r -> r.Mae_serve.Top.rt_pauses > 0) rows)
+  Alcotest.(check int)
+    "one row per domain"
+    (List.length (Runtime.domains ()))
+    (List.length rows);
+  Alcotest.(check bool)
+    "rows carry pauses" true
+    (List.exists
+       (fun r ->
+         match Option.bind (Json.member "pauses" r) Json.to_number with
+         | Some n -> n > 0.
+         | None -> false)
+       rows)
 
 let () =
   Alcotest.run "runtime lens"
@@ -241,7 +244,7 @@ let () =
         ] );
       ( "runtimez",
         [
-          Alcotest.test_case "document round-trips through mae top" `Quick
+          Alcotest.test_case "document has one GC row per domain" `Quick
             test_runtimez_roundtrip;
         ] );
     ]

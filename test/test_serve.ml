@@ -70,11 +70,10 @@ let line_basics () =
   Alcotest.(check int) "frame bytes = line length" (String.length line)
     f.P.bytes;
   (match f.P.request with
-  | P.Estimate { id; hdl; methods; sleep_s } ->
+  | P.Estimate { id; hdl; methods } ->
       Alcotest.(check bool) "id echoed" true (id = Json.Number 7.);
       Alcotest.(check string) "hdl text" "circuit c; end c" hdl;
-      Alcotest.(check bool) "no methods" true (methods = None);
-      Alcotest.(check bool) "no sleep_s" true (sleep_s = None)
+      Alcotest.(check bool) "no methods" true (methods = None)
   | _ -> Alcotest.fail "expected Estimate");
   (* CRLF line endings decode to the same request. *)
   let f2, _, consumed2 = frame_exn "crlf line" (line ^ "\r\n") in
@@ -138,17 +137,6 @@ let line_methods () =
   bad "empty array" (Json.Array []) "empty method set";
   bad "wrong type" (Json.Bool true) "must be a string or an array"
 
-let line_sleep_s () =
-  let with_sleep s =
-    obj [ ("hdl", Json.String "x"); ("sleep_s", s) ] ^ "\n"
-  in
-  let e = estimate_exn "in range" (with_sleep (Json.Number 0.5)) in
-  Alcotest.(check bool) "0.5 accepted" true (e.P.sleep_s = Some 0.5);
-  let e = estimate_exn "too long" (with_sleep (Json.Number 10.)) in
-  Alcotest.(check bool) "10s rejected" true (e.P.sleep_s = None);
-  let e = estimate_exn "negative" (with_sleep (Json.Number (-1.))) in
-  Alcotest.(check bool) "negative rejected" true (e.P.sleep_s = None)
-
 let line_oversize_resync () =
   (* An oversized line that already has its newline: answered and the
      decoder stays Ready. *)
@@ -193,7 +181,7 @@ let split_read_prop =
           && f.P.request
              = P.Estimate
                  { id = Json.Number 42.; hdl = "circuit split; end split";
-                   methods = None; sleep_s = None }
+                   methods = None }
       | _ -> false)
 
 (* --- HTTP dialect --- *)
@@ -584,6 +572,95 @@ let roundtrip_prop =
           e.P.id = Json.Number (float_of_int id) && e.P.hdl = hdl
       | _ -> false)
 
+(* --- the daemon's other untrusted input: the "hdl" text --- *)
+
+(* Dispatch hands every request's HDL to exactly this call: whatever
+   the bytes, it must answer [Ok] or a typed [Error], never raise. *)
+let circuits_total text =
+  match Mae.Driver.string_circuits text with Ok _ | Error _ -> true
+
+let hdl_corpus =
+  Array.of_list
+    (List.map Mae_hdl.Printer.to_string
+       Mae_workload.Generators.
+         [ counter 4; alu 2; decoder 3; parity 5; c17 (); full_adder ();
+           shift_register 3; multiplier 2 ])
+
+(* One byte-level edit; positions and lengths are taken modulo the
+   current text, so every generated edit applies. *)
+type edit =
+  | Flip of int * int  (** xor the byte at a position with 1..255 *)
+  | Delete of int * int
+  | Duplicate of int * int
+  | Truncate of int
+
+let apply_edit text edit =
+  let n = String.length text in
+  if n = 0 then text
+  else
+    let at i = i mod n in
+    let span i len = (at i, min (1 + (len mod 64)) (n - at i)) in
+    match edit with
+    | Flip (i, x) ->
+        let b = Bytes.of_string text in
+        Bytes.set b (at i)
+          (Char.chr (Char.code text.[at i] lxor (1 + (x mod 255))));
+        Bytes.to_string b
+    | Delete (i, len) ->
+        let i, len = span i len in
+        String.sub text 0 i ^ String.sub text (i + len) (n - i - len)
+    | Duplicate (i, len) ->
+        let i, len = span i len in
+        String.sub text 0 (i + len) ^ String.sub text i (n - i)
+    | Truncate i -> String.sub text 0 (at i)
+
+let hdl_bytes_prop =
+  S.qtest ~count:500 "string_circuits total on arbitrary bytes"
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 400))
+    circuits_total
+
+let hdl_mutation_prop =
+  let open QCheck2.Gen in
+  let pos = int_range 0 1_000_000 in
+  let edit =
+    oneof
+      [ map2 (fun i x -> Flip (i, x)) pos nat;
+        map2 (fun i l -> Delete (i, l)) pos nat;
+        map2 (fun i l -> Duplicate (i, l)) pos nat;
+        map (fun i -> Truncate i) pos ]
+  in
+  S.qtest ~count:500 "string_circuits total on mutated printer output"
+    (pair (int_range 0 (Array.length hdl_corpus - 1))
+       (list_size (int_range 1 8) edit))
+    (fun (k, edits) ->
+      circuits_total (List.fold_left apply_edit hdl_corpus.(k) edits))
+
+(* A chain of 5000 modules, each instancing the next: the batch
+   elaboration and the hierarchical flatten both answer, and the
+   flattened top holds the one leaf device at the bottom. *)
+let hdl_deep_chain () =
+  let depth = 5000 in
+  let b = Buffer.create (depth * 80) in
+  for i = 0 to depth - 1 do
+    Printf.bprintf b "module m%d { technology nmos25; port a in; port y out;\n"
+      i;
+    if i + 1 < depth then Printf.bprintf b "  device u m%d (a, y); }\n" (i + 1)
+    else Buffer.add_string b "  device x inv (a, y); }\n"
+  done;
+  let text = Buffer.contents b in
+  (match Mae.Driver.string_circuits text with
+  | Ok cs -> Alcotest.(check int) "one circuit per module" depth (List.length cs)
+  | Error e -> Alcotest.failf "chain: %a" Mae.Driver.pp_error e);
+  match Mae_hdl.Parser.parse_string text with
+  | Error _ -> Alcotest.fail "chain does not parse"
+  | Ok design -> (
+      match Mae_hdl.Elaborate.flatten design ~top:"m0" with
+      | Ok c ->
+          Alcotest.(check int) "flattened leaf" 1
+            (Mae_netlist.Circuit.device_count c)
+      | Error e ->
+          Alcotest.failf "flatten: %a" Mae_hdl.Elaborate.pp_error e)
+
 let () =
   Alcotest.run "serve"
     [ ( "protocol-line",
@@ -592,7 +669,6 @@ let () =
             line_blank_and_await;
           Alcotest.test_case "request errors" `Quick line_request_errors;
           Alcotest.test_case "methods field" `Quick line_methods;
-          Alcotest.test_case "sleep_s field" `Quick line_sleep_s;
           Alcotest.test_case "oversize resync" `Quick line_oversize_resync ] );
       ( "protocol-http",
         [ Alcotest.test_case "GET scrapes" `Quick http_get;
@@ -610,4 +686,8 @@ let () =
           Alcotest.test_case "status texts" `Quick status_texts ] );
       ( "protocol-props",
         [ split_read_prop; http_split_prop; roundtrip_prop;
-          stream_split_prop; decode_total_prop ] ) ]
+          stream_split_prop; decode_total_prop ] );
+      ( "hdl-input",
+        [ hdl_bytes_prop; hdl_mutation_prop;
+          Alcotest.test_case "5000-module instance chain" `Quick
+            hdl_deep_chain ] ) ]
