@@ -168,14 +168,14 @@ let print_report ~verbose ~explicit ~compare ~db_requested store
     begin
       match Mae.Driver.stdcell report with
       | Some sc ->
-          Format.printf "%a@." Mae.Explain.pp_stdcell
-            (Mae.Explain.stdcell ~rows:sc.Mae.Estimate.rows circuit process)
+          Format.printf "%a@." Mae.Stdcell.pp_ledger
+            (Mae.Stdcell.ledger ~rows:sc.Mae.Estimate.rows circuit process)
       | None -> ()
     end;
     if Option.is_some (Mae.Driver.fullcustom_exact report) then begin
       let fc_circuit = Option.value report.expanded ~default:circuit in
-      Format.printf "%a@." Mae.Explain.pp_fullcustom
-        (Mae.Explain.fullcustom ~mode:Mae.Config.Exact_areas fc_circuit process)
+      Format.printf "%a@." Mae.Fullcustom.pp_ledger
+        (Mae.Fullcustom.ledger ~mode:Mae.Config.Exact_areas fc_circuit process)
     end
   end;
   match Mae_db.Record.of_report report with
@@ -510,8 +510,8 @@ let run_serve tech_files listen obs_listen jobs access_log log_level trace_out
           match obs_addr with
           | Some a ->
               Format.eprintf
-                "mae: observability plane on %a (/metrics /healthz /statusz \
-                 /buildinfo /tracez /runtimez /methods)@."
+                "mae: observability plane on %a (/metrics /healthz /buildinfo \
+                 /tracez /runtimez /methods)@."
                 Mae_serve.pp_addr a
           | None -> ());
     }
@@ -539,7 +539,7 @@ let serve_cmd =
       & info [ "obs-listen" ] ~docv:"ADDR"
           ~doc:
             "Observability-plane address (same syntax as --listen): serves \
-             GET /metrics, /healthz, /statusz, /buildinfo, /tracez, \
+             GET /metrics, /healthz, /buildinfo, /tracez, \
              /runtimez (per-domain GC statistics) and /methods (the \
              methodology registry) over HTTP/1.0.  /healthz answers 200 \
              with status ok, or draining once shutdown has begun.")
@@ -639,7 +639,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the resident estimation service with live telemetry \
-          (/metrics, /healthz, /statusz, structured access logs; \
+          (/metrics, /healthz, /tracez, structured access logs; \
           SIGTERM drains and flushes).")
     Term.(
       const run_serve $ tech_files_arg $ listen $ obs_listen $ jobs

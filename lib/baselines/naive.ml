@@ -1,12 +1,7 @@
-let stats_of ?stats circuit process =
-  match stats with
-  | Some (s : Mae_netlist.Stats.t) -> s
-  | None -> Mae_netlist.Stats.compute circuit process
-
 let estimate ?(utilization = 0.7) ?stats circuit process =
   if utilization <= 0. || utilization > 1. then
     invalid_arg "Naive.estimate: utilization outside (0, 1]";
-  let stats = stats_of ?stats circuit process in
+  let stats = Mae_netlist.Stats.ensure ?stats circuit process in
   if stats.device_count = 0 then invalid_arg "Naive.estimate: empty circuit";
   stats.total_device_area /. utilization
 

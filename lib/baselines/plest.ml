@@ -12,11 +12,7 @@ let oracle_density (layout : Mae_layout.Row_layout.t) =
 let estimate ~density ~rows ?stats circuit process =
   if density < 0. then invalid_arg "Plest.estimate: negative density";
   if rows < 1 then invalid_arg "Plest.estimate: rows < 1";
-  let stats =
-    match stats with
-    | Some (s : Mae_netlist.Stats.t) -> s
-    | None -> Mae_netlist.Stats.compute circuit process
-  in
+  let stats = Mae_netlist.Stats.ensure ?stats circuit process in
   if stats.device_count = 0 then invalid_arg "Plest.estimate: empty circuit";
   let row_length =
     Float.of_int stats.device_count *. stats.average_width /. Float.of_int rows

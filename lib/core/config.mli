@@ -2,7 +2,10 @@
 
     The defaults reproduce the paper exactly; the other knobs implement the
     ablations and extensions discussed in sections 6-7 (track sharing, the
-    two-component-net rule, the aspect-ratio clamp). *)
+    two-component-net rule, the aspect-ratio clamp).  The pipeline
+    ({!Driver}, the batch engine and the serve daemon) always runs
+    {!default}; the other values are for direct calls to {!Stdcell},
+    {!Fullcustom} and {!Extensions}. *)
 
 type device_area_mode =
   | Exact_areas  (** sum the per-device footprints from the process *)

@@ -84,7 +84,7 @@ let method_failures report =
       | Ok _ -> None)
     report.results
 
-let run_circuit ?config ?(methods = [ "default" ]) ~registry
+let run_circuit ?(methods = [ "default" ]) ~registry
     (circuit : Mae_netlist.Circuit.t) =
   let m = circuit.name in
   Methodology.stage ~name:"driver.module" ~module_name:m @@ fun () ->
@@ -109,7 +109,7 @@ let run_circuit ?config ?(methods = [ "default" ]) ~registry
                 (Validation_failed { module_name = circuit.name; issues = errors })
           | [] ->
               let expanded, results =
-                match Methodology.make_ctx ?config ~process circuit with
+                match Methodology.make_ctx ~process circuit with
                 | Ok ctx ->
                     (* make_ctx falls back to the raw circuit itself when
                        nothing was expanded *)
@@ -160,17 +160,17 @@ let run_circuit ?config ?(methods = [ "default" ]) ~registry
         end
     end
 
-let run_circuits ?config ?methods ~registry circuits =
-  List.map (run_circuit ?config ?methods ~registry) circuits
+let run_circuits ?methods ~registry circuits =
+  List.map (run_circuit ?methods ~registry) circuits
 
-let run_design ?config ?methods ~registry design =
+let run_design ?methods ~registry design =
   match Mae_hdl.Elaborate.design_to_circuits design with
   | Error e -> Error (Elaborate_error e)
   | Ok circuits ->
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | c :: rest -> begin
-            match run_circuit ?config ?methods ~registry c with
+            match run_circuit ?methods ~registry c with
             | Ok report -> go (report :: acc) rest
             | Error e -> Error e
           end
@@ -204,12 +204,12 @@ let file_circuits path =
   | Error e -> Error (Parse_error e)
   | Ok design -> design_circuits design
 
-let run_string ?config ?methods ~registry text =
+let run_string ?methods ~registry text =
   match parse_string text with
   | Error e -> Error (Parse_error e)
-  | Ok design -> run_design ?config ?methods ~registry design
+  | Ok design -> run_design ?methods ~registry design
 
-let run_file ?config ?methods ~registry path =
+let run_file ?methods ~registry path =
   match parse_file path with
   | Error e -> Error (Parse_error e)
-  | Ok design -> run_design ?config ?methods ~registry design
+  | Ok design -> run_design ?methods ~registry design

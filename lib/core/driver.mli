@@ -9,7 +9,9 @@
     stdcell + full-custom pipeline exactly).  Each method runs with
     per-module error isolation: a methodology that fails on a circuit
     contributes an [Error] slot to {!module_report.results} while the
-    others still produce estimates.
+    others still produce estimates.  Every estimator runs at
+    {!Config.default}; an ablation calls {!Stdcell} or {!Fullcustom}
+    with its own [?config] directly.
 
     Full-custom estimation runs at the transistor level: gate-level
     schematics are flattened through the technology's cell library when
@@ -83,7 +85,6 @@ val method_failures : module_report -> (string * Methodology.error) list
     order. *)
 
 val run_circuit :
-  ?config:Config.t ->
   ?methods:string list ->
   registry:Mae_tech.Registry.t ->
   Mae_netlist.Circuit.t ->
@@ -93,7 +94,6 @@ val run_circuit :
     and ["all"] work here too); default [["default"]]. *)
 
 val run_circuits :
-  ?config:Config.t ->
   ?methods:string list ->
   registry:Mae_tech.Registry.t ->
   Mae_netlist.Circuit.t list ->
@@ -114,7 +114,6 @@ val file_circuits : string -> (Mae_netlist.Circuit.t list, error) result
 (** Parse an HDL file and elaborate it into a circuit batch. *)
 
 val run_string :
-  ?config:Config.t ->
   ?methods:string list ->
   registry:Mae_tech.Registry.t ->
   string ->
@@ -122,7 +121,6 @@ val run_string :
 (** Parse HDL text and estimate every module in it. *)
 
 val run_file :
-  ?config:Config.t ->
   ?methods:string list ->
   registry:Mae_tech.Registry.t ->
   string ->

@@ -6,13 +6,8 @@ type net_area = {
 
 let half_rounded_up degree = (degree + 1) / 2
 
-let stats_of ?stats circuit process =
-  match stats with
-  | Some s -> s
-  | None -> Mae_netlist.Stats.compute circuit process
-
 let net_areas ?(config = Config.default) ?stats ~mode circuit process =
-  let stats = stats_of ?stats circuit process in
+  let stats = Mae_netlist.Stats.ensure ?stats circuit process in
   (* local laziness only: the array is needed in [Exact_areas] mode alone
      and never escapes this call, so there is no cross-domain sharing. *)
   let widths = lazy (Mae_netlist.Stats.device_widths circuit process) in
@@ -42,8 +37,10 @@ let net_areas ?(config = Config.default) ?stats ~mode circuit process =
   in
   List.init (Mae_netlist.Circuit.net_count circuit) area_of_net
 
-let estimate ?(config = Config.default) ?stats ~mode circuit process =
-  let stats = stats_of ?stats circuit process in
+type ledger = { device_area : Mae_geom.Lambda.area; nets : net_area list }
+
+let ledger ?(config = Config.default) ?stats ~mode circuit process =
+  let stats = Mae_netlist.Stats.ensure ?stats circuit process in
   if stats.device_count = 0 then
     invalid_arg "Fullcustom.estimate: circuit has no devices"; (* invariant *)
   let device_area =
@@ -53,18 +50,21 @@ let estimate ?(config = Config.default) ?stats ~mode circuit process =
         Float.of_int stats.device_count *. stats.average_width
         *. stats.average_height
   in
-  let wire_area =
-    List.fold_left
-      (fun acc n -> acc +. n.interconnect_area)
-      0.
-      (net_areas ~config ~stats ~mode circuit process)
-  in
-  let area = device_area +. wire_area in
+  { device_area; nets = net_areas ~config ~stats ~mode circuit process }
+
+let wire_area l =
+  List.fold_left (fun acc n -> acc +. n.interconnect_area) 0. l.nets
+
+let estimate ?(config = Config.default) ?stats ~mode circuit process =
+  let stats = Mae_netlist.Stats.ensure ?stats circuit process in
+  let l = ledger ~config ~stats ~mode circuit process in
+  let wire_area = wire_area l in
+  let area = l.device_area +. wire_area in
   let width, height, aspect_raw =
     Aspect_ratio.fullcustom ~area ~port_count:stats.port_count ~process
   in
   {
-    Estimate.device_area;
+    Estimate.device_area = l.device_area;
     wire_area;
     area;
     width;
@@ -73,7 +73,23 @@ let estimate ?(config = Config.default) ?stats ~mode circuit process =
     aspect_raw;
   }
 
+let pp_ledger ppf l =
+  let free, charged = List.partition (fun n -> n.interconnect_area = 0.) l.nets in
+  Format.fprintf ppf
+    "@[<v>full-custom breakdown:@ \
+     \  device area: %.0fL^2@ \
+     \  %d nets free (<= 2 components)@ "
+    l.device_area (List.length free);
+  List.iter
+    (fun n ->
+      Format.fprintf ppf "  net #%d (%d components): %.0fL^2@ " n.net n.degree
+        n.interconnect_area)
+    (List.sort
+       (fun a b -> Float.compare b.interconnect_area a.interconnect_area)
+       charged);
+  Format.fprintf ppf "  wire area: %.0fL^2@]" (wire_area l)
+
 let estimate_both ?config ?stats circuit process =
-  let stats = stats_of ?stats circuit process in
+  let stats = Mae_netlist.Stats.ensure ?stats circuit process in
   ( estimate ?config ~stats ~mode:Config.Exact_areas circuit process,
     estimate ?config ~stats ~mode:Config.Average_areas circuit process )

@@ -26,6 +26,25 @@ val net_areas :
     [stats], when given, must be [Stats.compute circuit process].
     Raises {!Mae_netlist.Stats.Unknown_kind}. *)
 
+type ledger = {
+  device_area : Mae_geom.Lambda.area;
+      (** exact sum, or N * W_avg * h_avg in [Average_areas] mode *)
+  nets : net_area list;  (** {!net_areas}, net index ascending *)
+}
+
+val ledger :
+  ?config:Config.t ->
+  ?stats:Mae_netlist.Stats.t ->
+  mode:Config.device_area_mode ->
+  Mae_netlist.Circuit.t ->
+  Mae_tech.Process.t ->
+  ledger
+(** Every equation (13) term.  Raises like {!estimate}. *)
+
+val pp_ledger : Format.formatter -> ledger -> unit
+(** The breakdown behind [mae estimate --verbose]: the device area, the
+    count of free nets and each charged net by descending area. *)
+
 val estimate :
   ?config:Config.t ->
   ?stats:Mae_netlist.Stats.t ->
@@ -33,7 +52,9 @@ val estimate :
   Mae_netlist.Circuit.t ->
   Mae_tech.Process.t ->
   Estimate.fullcustom
-(** Equation (13) plus the section 5 aspect-ratio algorithm.  Raises
+(** Equation (13) plus the section 5 aspect-ratio algorithm: area =
+    the {!ledger}'s [device_area] plus its net areas, folded in net
+    index order.  Raises
     {!Mae_netlist.Stats.Unknown_kind} and [Invalid_argument] on an empty
     circuit. *)
 

@@ -80,18 +80,18 @@ let site_demand ?params (circuit : Mae_netlist.Circuit.t) process =
       in
       go 0 0
 
-(* The squarest array offering at least [sites] sites: an O(sites) scan
+(* The row count of the squarest array offering at least [sites] sites
+   (its columns follow: ceil (sites / rows)): an O(sites) scan
    with a log per candidate row count.  Its result depends only on
    (sites, site_width, row_pitch) -- a handful of distinct values per
    process/parameter set across a whole batch -- so the scan is memoized
    in a shared kernel-cache table (floats keyed by their IEEE-754 bits;
    the scan itself is untouched, a hit returns exactly the bits a fresh
    scan would). *)
-let shape_table : (int * int64 * int64, int * int) Mae_prob.Kernel_cache.Table.t
-    =
+let shape_table : (int * int64 * int64, int) Mae_prob.Kernel_cache.Table.t =
   Mae_prob.Kernel_cache.Table.create ()
 
-let squarest_array ~sites ~site_width ~row_pitch =
+let squarest_rows ~sites ~site_width ~row_pitch =
   Mae_prob.Kernel_cache.Table.find_or_compute shape_table
     (sites, Int64.bits_of_float site_width, Int64.bits_of_float row_pitch)
     (fun () ->
@@ -102,16 +102,40 @@ let squarest_array ~sites ~site_width ~row_pitch =
         let height = Float.of_int rows *. row_pitch in
         let deviation = Float.abs (Float.log (width /. height)) in
         match !best with
-        | Some (d, _, _) when d <= deviation -> ()
-        | Some _ | None -> best := Some (deviation, rows, columns)
+        | Some (d, _) when d <= deviation -> ()
+        | Some _ | None -> best := Some (deviation, rows)
       done;
-      let _, array_rows, array_columns = Option.get !best in
-      (array_rows, array_columns))
+      snd (Option.get !best))
 
-let stats_of ?stats circuit process =
-  match stats with
-  | Some (s : Mae_netlist.Stats.t) -> s
-  | None -> Mae_netlist.Stats.compute circuit process
+let row_pitch params process =
+  params.site_height
+  +. (Float.of_int params.channel_tracks *. process.Mae_tech.Process.track_pitch)
+
+(* The array at a given row count: its shape, and its routability via
+   the paper's own track expectation (the shared statistics -- and,
+   through the track model, the shared kernel cache -- keep batch runs
+   from recomputing per method). *)
+let at_rows ~params ~stats ~demand ~sites process rows =
+  let columns = (sites + rows - 1) / rows in
+  let width = Float.of_int columns *. params.site_width in
+  let height = Float.of_int rows *. row_pitch params process in
+  let tracks =
+    Row_model.tracks_for_histogram ~model:Config.Paper_model ~rows
+      ~degree_histogram:stats.Mae_netlist.Stats.degree_histogram
+  in
+  let per_channel = Float.of_int tracks /. Float.of_int rows in
+  {
+    gate_equivalents = demand;
+    sites;
+    array_rows = rows;
+    array_columns = columns;
+    width;
+    height;
+    area = width *. height;
+    aspect = Mae_geom.Aspect.make ~width ~height;
+    expected_tracks_per_channel = per_channel;
+    routable = per_channel <= Float.of_int params.channel_tracks;
+  }
 
 let estimate ?params ?stats (circuit : Mae_netlist.Circuit.t) process =
   let params =
@@ -129,78 +153,27 @@ let estimate ?params ?stats (circuit : Mae_netlist.Circuit.t) process =
               (Float.to_int
                  (Float.ceil (Float.of_int demand /. params.utilization)))
           in
-          let pitch = process.Mae_tech.Process.track_pitch in
-          let row_pitch =
-            params.site_height
-            +. (Float.of_int params.channel_tracks *. pitch)
+          let rows =
+            squarest_rows ~sites ~site_width:params.site_width
+              ~row_pitch:(row_pitch params process)
           in
-          let array_rows, array_columns =
-            squarest_array ~sites ~site_width:params.site_width ~row_pitch
-          in
-          let width = Float.of_int array_columns *. params.site_width in
-          let height = Float.of_int array_rows *. row_pitch in
-          (* routability via the paper's own track expectation; the
-             shared statistics (and, through the track model, the shared
-             kernel cache) keep batch runs from recomputing per method *)
-          let stats = stats_of ?stats circuit process in
-          let expected_tracks =
-            Row_model.tracks_for_histogram ~model:Config.Paper_model
-              ~rows:array_rows ~degree_histogram:stats.degree_histogram
-          in
-          let per_channel =
-            Float.of_int expected_tracks /. Float.of_int array_rows
-          in
-          Ok
-            {
-              gate_equivalents = demand;
-              sites;
-              array_rows;
-              array_columns;
-              width;
-              height;
-              area = width *. height;
-              aspect = Mae_geom.Aspect.make ~width ~height;
-              expected_tracks_per_channel = per_channel;
-              routable = per_channel <= Float.of_int params.channel_tracks;
-            }
+          let stats = Mae_netlist.Stats.ensure ?stats circuit process in
+          Ok (at_rows ~params ~stats ~demand ~sites process rows)
     end
 
 let estimate_routable ?params ?stats ?(max_growth = 8) circuit process =
   let params =
     match params with Some p -> p | None -> default_params process
   in
-  let stats = stats_of ?stats circuit process in
+  let stats = Mae_netlist.Stats.ensure ?stats circuit process in
   match estimate ~params ~stats circuit process with
   | Error e -> Error e
   | Ok base ->
-      let try_rows rows =
-        let columns = (base.sites + rows - 1) / rows in
-        let pitch = process.Mae_tech.Process.track_pitch in
-        let width = Float.of_int columns *. params.site_width in
-        let height =
-          Float.of_int rows
-          *. (params.site_height
-             +. (Float.of_int params.channel_tracks *. pitch))
-        in
-        let tracks =
-          Row_model.tracks_for_histogram ~model:Config.Paper_model ~rows
-            ~degree_histogram:stats.degree_histogram
-        in
-        let per_channel = Float.of_int tracks /. Float.of_int rows in
-        {
-          base with
-          array_rows = rows;
-          array_columns = columns;
-          width;
-          height;
-          area = width *. height;
-          aspect = Mae_geom.Aspect.make ~width ~height;
-          expected_tracks_per_channel = per_channel;
-          routable = per_channel <= Float.of_int params.channel_tracks;
-        }
-      in
       let rec grow rows budget =
-        let candidate = try_rows rows in
+        let candidate =
+          at_rows ~params ~stats ~demand:base.gate_equivalents ~sites:base.sites
+            process rows
+        in
         if candidate.routable then Ok candidate
         else if budget = 0 then
           Error "no routable gate-array master within the growth budget"

@@ -148,7 +148,7 @@ let stage ~name ~module_name f =
     Mae_obs.Sketch.time (stage_sketch name) (fun () ->
         Mae_obs.Span.with_ ~name ~attrs:[ ("module", module_name) ] f)
 
-let make_ctx ?config ?rows_override ~process (circuit : Mae_netlist.Circuit.t) =
+let make_ctx ?rows_override ~process (circuit : Mae_netlist.Circuit.t) =
   let m = circuit.name in
   match
     let expanded =
@@ -169,7 +169,7 @@ let make_ctx ?config ?rows_override ~process (circuit : Mae_netlist.Circuit.t) =
           in
           (stats, fc_stats))
     in
-    { config; process; stats; fc_circuit; fc_stats; rows_override }
+    { config = None; process; stats; fc_circuit; fc_stats; rows_override }
   with
   | ctx -> Ok ctx
   | exception Mae_netlist.Stats.Unknown_kind k ->

@@ -85,6 +85,9 @@ val kind : outcome -> string
 
 type ctx = {
   config : Config.t option;
+      (** [None] runs every estimator at {!Config.default}; {!make_ctx}
+          always sets [None].  The field stays for callers that build a
+          ctx by hand (perfbench's per-layer replay sets [None] too) *)
   process : Mae_tech.Process.t;
   stats : Mae_netlist.Stats.t;  (** of the raw circuit *)
   fc_circuit : Mae_netlist.Circuit.t;
@@ -111,7 +114,6 @@ val stage : name:string -> module_name:string -> (unit -> 'a) -> 'a
     telemetry off it is one atomic read and a call of [f]. *)
 
 val make_ctx :
-  ?config:Config.t ->
   ?rows_override:int ->
   process:Mae_tech.Process.t ->
   Mae_netlist.Circuit.t ->

@@ -14,10 +14,26 @@ let expected_span ~model ~rows ~degree =
   if degree < 1 then invalid_arg "Row_model.expected_span: degree < 1"; (* invariant *)
   Mae_prob.Kernel_cache.expected_span ~model:(kernel_model model) ~rows ~degree
 
+type track_class = {
+  degree : int;
+  net_count : int;
+  expected_span : int;
+  tracks : int;
+}
+
+let track_classes ~model ~rows ~degree_histogram =
+  List.filter_map
+    (fun (degree, net_count) ->
+      if net_count < 0 then invalid_arg "Row_model.track_classes: negative count"; (* invariant *)
+      if net_count = 0 then None
+      else begin
+        let expected_span = expected_span ~model ~rows ~degree in
+        Some { degree; net_count; expected_span; tracks = net_count * expected_span }
+      end)
+    degree_histogram
+
 let tracks_for_histogram ~model ~rows ~degree_histogram =
   List.fold_left
-    (fun acc (degree, count) ->
-      if count < 0 then invalid_arg "Row_model.tracks_for_histogram: negative count"; (* invariant *)
-      if count = 0 then acc
-      else acc + (count * expected_span ~model ~rows ~degree))
-    0 degree_histogram
+    (fun acc c -> acc + c.tracks)
+    0
+    (track_classes ~model ~rows ~degree_histogram)

@@ -27,9 +27,24 @@ val expected_span : model:Config.row_span_model -> rows:int -> degree:int -> int
     prescribes.  This is the number of tracks charged to one net of this
     degree. *)
 
+type track_class = {
+  degree : int;  (** D *)
+  net_count : int;  (** y_D *)
+  expected_span : int;  (** ceil E(i): tracks charged to one net of degree D *)
+  tracks : int;  (** y_D * expected_span *)
+}
+
+val track_classes :
+  model:Config.row_span_model ->
+  rows:int ->
+  degree_histogram:(int * int) list ->
+  track_class list
+(** One class per histogram entry with [y_D > 0], in histogram order.
+    Raises [Invalid_argument] on a negative count or non-positive
+    degree. *)
+
 val tracks_for_histogram :
   model:Config.row_span_model -> rows:int -> degree_histogram:(int * int) list -> int
-(** Expected total track count for the module: sum over the histogram of
-    [y_D * expected_span D] (the paper's "expectation value of the total
-    number of tracks").  Entries with [y_D = 0] are skipped; raises
-    [Invalid_argument] on a negative count or non-positive degree. *)
+(** Expected total track count for the module: the sum of the
+    {!track_classes}' tracks (the paper's "expectation value of the
+    total number of tracks"). *)

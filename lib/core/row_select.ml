@@ -10,11 +10,7 @@ let row_length ~cell_area ~row_height ~rows =
   cell_area /. (Float.of_int rows *. row_height)
 
 let loop_state ?stats circuit process =
-  let stats =
-    match stats with
-    | Some s -> s
-    | None -> Mae_netlist.Stats.compute circuit process
-  in
+  let stats = Mae_netlist.Stats.ensure ?stats circuit process in
   if stats.Mae_netlist.Stats.device_count = 0 then
     invalid_arg "Row_select: circuit has no devices"; (* invariant *)
   let cell_area = stats.Mae_netlist.Stats.total_device_area in

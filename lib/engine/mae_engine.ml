@@ -198,9 +198,9 @@ let map_pool ~jobs ~t0 f inputs =
   (results, claimed, max_wait, batch_hits, batch_misses)
 
 (* One module: its report, or the error that replaced it. *)
-let estimate_module ?config ?methods ~registry (circuit : Mae_netlist.Circuit.t) =
+let estimate_module ?methods ~registry (circuit : Mae_netlist.Circuit.t) =
   Mae_obs.Sketch.time module_latency_sketch @@ fun () ->
-  match Mae.Driver.run_circuit ?config ?methods ~registry circuit with
+  match Mae.Driver.run_circuit ?methods ~registry circuit with
   | Ok report -> Ok report
   | Error e -> Error (Driver_error e)
   | exception exn ->
@@ -208,7 +208,7 @@ let estimate_module ?config ?methods ~registry (circuit : Mae_netlist.Circuit.t)
 
 (* The one batch path: one fan-out (one claiming pass) over the
    circuits. *)
-let run_circuits_with_stats ?config ?methods ?jobs ~registry circuits =
+let run_circuits_with_stats ?methods ?jobs ~registry circuits =
   let jobs = resolve_jobs jobs in
   check_oversubscription jobs;
   let inputs = Array.of_list circuits in
@@ -219,7 +219,7 @@ let run_circuits_with_stats ?config ?methods ?jobs ~registry circuits =
   @@ fun () ->
   let t0 = Mae_obs.Clock.monotonic () in
   let results, per_domain, queue_wait, cache_hits, cache_misses =
-    map_pool ~jobs ~t0 (estimate_module ?config ?methods ~registry) inputs
+    map_pool ~jobs ~t0 (estimate_module ?methods ~registry) inputs
   in
   let elapsed_s = Mae_obs.Clock.monotonic () -. t0 in
   let ok =
@@ -257,5 +257,5 @@ let run_circuits_with_stats ?config ?methods ?jobs ~registry circuits =
       ];
   (Array.to_list results, stats)
 
-let run_circuits ?config ?methods ?jobs ~registry circuits =
-  fst (run_circuits_with_stats ?config ?methods ?jobs ~registry circuits)
+let run_circuits ?methods ?jobs ~registry circuits =
+  fst (run_circuits_with_stats ?methods ?jobs ~registry circuits)

@@ -85,7 +85,6 @@ val default_jobs : unit -> int
     [Debug]. *)
 
 val run_circuits_with_stats :
-  ?config:Mae.Config.t ->
   ?methods:string list ->
   ?jobs:int ->
   registry:Mae_tech.Registry.t ->
@@ -105,7 +104,6 @@ val run_circuits_with_stats :
     independent of [jobs]. *)
 
 val run_circuits :
-  ?config:Mae.Config.t ->
   ?methods:string list ->
   ?jobs:int ->
   registry:Mae_tech.Registry.t ->

@@ -102,6 +102,9 @@ let compute (c : Circuit.t) process =
     max_degree;
   }
 
+let ensure ?stats c process =
+  match stats with Some s -> s | None -> compute c process
+
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>N=%d H=%d ports=%d W_avg=%.2fL h_avg=%.2fL cell_area=%.0fL^2@ \

@@ -28,6 +28,11 @@ val compute : Circuit.t -> Mae_tech.Process.t -> t
 (** Raises {!Unknown_kind} when the schematic references a device kind the
     process does not define. *)
 
+val ensure : ?stats:t -> Circuit.t -> Mae_tech.Process.t -> t
+(** [stats] when given (it must be [compute circuit process]), else
+    [compute circuit process]: the default behind every estimator's
+    [?stats] argument. *)
+
 val device_widths : Circuit.t -> Mae_tech.Process.t -> Mae_geom.Lambda.t array
 (** Per-device width, indexed by device index.  Raises {!Unknown_kind}. *)
 

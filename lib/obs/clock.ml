@@ -5,7 +5,7 @@ let wall = Unix.gettimeofday
 
 (* Offset sampled once at startup: wall readings drift / step relative
    to the monotonic clock, but for display purposes (trace timestamps,
-   statusz uptimes) a fixed offset is exactly what we want -- converted
+   capture times) a fixed offset is exactly what we want -- converted
    timestamps keep the monotonic ordering. *)
 let epoch_wall = wall ()
 let epoch_mono = monotonic ()

@@ -13,9 +13,9 @@
      estimating.
 
    This module is the wiring: configuration, the capture/store setup,
-   the observability documents (/metrics, /healthz, /statusz,
-   /buildinfo, /tracez, /methods, /runtimez -- answered on
-   either plane, over the same transport), startup and drain.
+   the observability documents (/metrics, /healthz, /buildinfo,
+   /tracez, /methods, /runtimez -- answered on either plane, over the
+   same transport), startup and drain.
 
    Estimation is CPU work measured in milliseconds per module, so the
    loop runs requests inline: while a request estimates, the scrape
@@ -268,69 +268,6 @@ let tracez_body () =
    off (the document says so and still carries the process section). *)
 let runtimez_body () = Json.encode (Mae_obs.Runtime.to_json ()) ^ "\n"
 
-(* /statusz: the one-page human summary -- uptime, traffic, cache,
-   latency quantiles, captured tails. *)
-let statusz_body st =
-  let b = Buffer.create 1024 in
-  let reqs = Metrics.counter_value Dispatch.requests_total in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "mae serve status";
-  line "";
-  line "uptime_s: %.1f  pid: %d  telemetry: %s  draining: %b"
-    (uptime_s st) (Unix.getpid ())
-    (if Mae_obs.enabled () then "on" else "off")
-    st.draining;
-  line "requests: %d total, %d ok, %d failed (%d shed); open connections: %d"
-    reqs
-    (Metrics.counter_value Dispatch.requests_ok)
-    (Metrics.counter_value Dispatch.requests_failed)
-    (Metrics.counter_value Dispatch.requests_shed)
-    (Transport.open_request_conns st.transport);
-  let hits = counter_value "mae_kernel_cache_hits_total" in
-  let misses = counter_value "mae_kernel_cache_misses_total" in
-  let lookups = hits + misses in
-  line "engine: %d modules (%d ok); kernel cache %d lookups, hit ratio %s"
-    (counter_value "mae_engine_modules_total")
-    (counter_value "mae_engine_modules_ok_total")
-    lookups
-    (if lookups = 0 then "n/a"
-     else Printf.sprintf "%.1f%%" (100. *. float_of_int hits /. float_of_int lookups));
-  line "";
-  let s = Mae_obs.Sketch.snapshot Dispatch.request_latency_sketch in
-  if s.n = 0 then line "request latency: no samples yet"
-  else begin
-    let q p =
-      match List.assoc_opt p s.quantiles with
-      | Some v -> Printf.sprintf "%.0fus" (v *. 1e6)
-      | None -> "-"
-    in
-    line "request latency: p50 %s  p90 %s  p95 %s  p99 %s  p999 %s (n=%d, eps=%g)"
-      (q 0.5) (q 0.9) (q 0.95) (q 0.99) (q 0.999) s.n s.eps
-  end;
-  let caps = Mae_obs.Capture.captures () in
-  let errored =
-    List.length (List.filter (fun c -> c.Mae_obs.Capture.cap_kind = `Errored) caps)
-  in
-  line "captures: %d errored, %d slow (resident spans %d/%d)" errored
-    (List.length caps - errored)
-    (Mae_obs.Capture.resident_spans ())
-    (Mae_obs.Capture.max_resident_spans ());
-  if Mae_obs.Runtime.running () then begin
-    let q p =
-      match Mae_obs.Runtime.pause_quantile p with
-      | Some v -> Printf.sprintf "%.0fus" (v *. 1e6)
-      | None -> "-"
-    in
-    line "gc: %d pauses (p50 %s, p99 %s, max %s) across %d domains -- /runtimez"
-      (Mae_obs.Runtime.pause_count ())
-      (q 0.5) (q 0.99)
-      (match Mae_obs.Runtime.max_pause_seconds () with
-      | Some v -> Printf.sprintf "%.0fus" (v *. 1e6)
-      | None -> "-")
-      (List.length (Mae_obs.Runtime.domains ()))
-  end;
-  Buffer.contents b
-
 let obs_response st path =
   match path with
   | "/metrics" ->
@@ -341,7 +278,6 @@ let obs_response st path =
          shutdown began; overload is Dispatch's watermark, not this *)
       Protocol.text_response ~content_type:"application/json"
         (healthz_body st)
-  | "/statusz" -> Protocol.text_response (statusz_body st)
   | "/buildinfo" ->
       Protocol.text_response ~content_type:"application/json"
         (buildinfo_body st)
@@ -354,8 +290,8 @@ let obs_response st path =
         (runtimez_body ())
   | _ ->
       Protocol.text_response ~status:404
-        "not found; try /metrics /healthz /statusz /buildinfo /tracez \
-         /methods /runtimez\n"
+        "not found; try /metrics /healthz /buildinfo /tracez /methods \
+         /runtimez\n"
 
 (* One decoded frame: scrapes and framing errors answer inline (the
    obs documents stay responsive under a request backlog -- the point

@@ -29,9 +29,8 @@
       registry -- counters, gauges, and the {!Mae_obs.Sketch}
       quantile summaries with request-id exemplars), [/healthz]
       (liveness + engine status; always [200], with ["status"] ["ok"]
-      or, once shutdown has begun, ["draining"]), [/statusz] (one-page
-      human-readable status: uptime, traffic, cache hit ratio, latency
-      quantiles, captured tails), [/buildinfo], [/tracez] (recent-span
+      or, once shutdown has begun, ["draining"]), [/buildinfo],
+      [/tracez] (recent-span
       snapshot + flame rows + tail-based captures: full span trees of
       errored and slowest-k requests), [/methods] (the methodology
       registry: names, docs, and the default set) and [/runtimez]

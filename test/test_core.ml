@@ -596,47 +596,129 @@ let test_gatearray_routable_master () =
       Alcotest.(check bool) "no smaller than the squarest array" true
         (e.Mae.Gatearray.array_rows >= base.Mae.Gatearray.array_rows)
 
-(* Explain: the breakdowns must reconcile with the estimates *)
+let test_gatearray_routable_equals_estimate () =
+  (* a circuit that already routes at the squarest array: the master
+     search returns the base shape, bit for bit *)
+  let base = Result.get_ok (Mae.Gatearray.estimate S.full_adder S.nmos) in
+  Alcotest.(check bool) "base routes" true base.Mae.Gatearray.routable;
+  let master = Result.get_ok (Mae.Gatearray.estimate_routable S.full_adder S.nmos) in
+  Alcotest.(check int) "rows" base.array_rows master.Mae.Gatearray.array_rows;
+  Alcotest.(check int) "columns" base.array_columns master.array_columns;
+  List.iter
+    (fun (what, a, b) ->
+      Alcotest.(check int64) what (Int64.bits_of_float a) (Int64.bits_of_float b))
+    [
+      ("width", base.width, master.width);
+      ("height", base.height, master.height);
+      ("area", base.area, master.area);
+      ("tracks/channel", base.expected_tracks_per_channel,
+        master.expected_tracks_per_channel);
+    ]
 
-let test_explain_stdcell_reconciles () =
-  let rows = 3 in
-  let est = Mae.Stdcell.estimate ~rows S.counter8 S.nmos in
-  let b = Mae.Explain.stdcell ~rows S.counter8 S.nmos in
-  let class_total =
-    List.fold_left (fun acc c -> acc + c.Mae.Explain.tracks) 0 b.Mae.Explain.classes
-  in
-  Alcotest.(check int) "classes sum to total" b.Mae.Explain.total_tracks class_total;
-  Alcotest.(check int) "matches estimate tracks" est.Mae.Estimate.tracks
-    b.Mae.Explain.total_tracks;
-  Alcotest.(check int) "matches estimate feeds" est.feed_throughs
-    b.Mae.Explain.expected_feed_throughs;
-  S.check_float "height reconstructs" est.height
-    (b.Mae.Explain.cell_height +. b.Mae.Explain.track_height);
-  S.check_float "width reconstructs" est.width
-    (b.Mae.Explain.cell_width +. b.Mae.Explain.feed_width)
+(* The ledger grid: every Table 1 / Table 2 golden circuit (and Table 2
+   row count) x every configuration ablation.  The estimators' ledgers
+   must recompose to their estimates bit for bit, so what
+   [mae estimate --verbose] prints is what the estimate used. *)
 
-let test_explain_fullcustom_reconciles () =
-  let est =
-    Mae.Fullcustom.estimate ~mode:Mae.Config.Exact_areas S.full_adder_tx S.nmos
+let ledger_configs =
+  let d = Mae.Config.default in
+  [
+    ("default", d);
+    ("paper_raw", Mae.Config.paper_raw);
+    ("exact occupancy", { d with row_span_model = Mae.Config.Exact_occupancy });
+    ("sharing 0.5", { d with track_sharing_factor = Some 0.5 });
+    ("sharing 0.8", { d with track_sharing_factor = Some 0.8 });
+    ("pairs charged", { d with two_component_free = false });
+  ]
+
+let check_bits what expected actual =
+  Alcotest.(check int64) what (Int64.bits_of_float expected)
+    (Int64.bits_of_float actual)
+
+let stdcell_ledger_case config circuit rows () =
+  let process = Mae_tech.Builtin.nmos25 in
+  let est = Mae.Stdcell.estimate ~config ~rows circuit process in
+  let l = Mae.Stdcell.ledger ~config ~rows circuit process in
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 l.Mae.Stdcell.classes in
+  let upper = sum (fun c -> c.Mae.Row_model.tracks) in
+  Alcotest.(check int) "classes sum to the upper bound" upper l.tracks_upper_bound;
+  let tracks =
+    match config.Mae.Config.track_sharing_factor with
+    | None -> upper
+    | Some f -> max 1 (Float.to_int (Float.ceil (Float.of_int upper *. f)))
   in
-  let b =
-    Mae.Explain.fullcustom ~mode:Mae.Config.Exact_areas S.full_adder_tx S.nmos
+  Alcotest.(check int) "scaled classes = estimate tracks" est.Mae.Estimate.tracks
+    tracks;
+  Alcotest.(check int) "ledger tracks" est.tracks l.tracks;
+  let feeds =
+    Mae.Feedthrough.expected_feed_throughs
+      ~net_count:(sum (fun c -> c.Mae.Row_model.net_count))
+      ~rows
   in
-  let charged_total =
-    List.fold_left (fun acc (_, _, a) -> acc +. a) 0. b.Mae.Explain.charged_nets
+  Alcotest.(check int) "E(M) over the classes' nets" est.feed_throughs feeds;
+  Alcotest.(check int) "ledger feeds" est.feed_throughs l.feed_throughs;
+  check_bits "track height = tracks x pitch"
+    (Float.of_int tracks *. process.Mae_tech.Process.track_pitch)
+    l.track_height;
+  check_bits "feed width = E(M) x feed width"
+    (Float.of_int feeds *. process.Mae_tech.Process.feed_through_width)
+    l.feed_width;
+  let height = l.cell_height +. l.track_height in
+  let width = l.cell_width +. l.feed_width in
+  check_bits "height" est.height height;
+  check_bits "width" est.width width;
+  check_bits "area" est.area (height *. width)
+
+let fullcustom_ledger_case config circuit mode () =
+  let process = Mae_tech.Builtin.nmos25 in
+  let est = Mae.Fullcustom.estimate ~config ~mode circuit process in
+  let l = Mae.Fullcustom.ledger ~config ~mode circuit process in
+  let free, charged =
+    List.partition
+      (fun (n : Mae.Fullcustom.net_area) -> n.interconnect_area = 0.)
+      l.Mae.Fullcustom.nets
   in
-  S.check_float "charged nets sum to wire area" est.Mae.Estimate.wire_area
-    charged_total;
-  S.check_float "device area matches" est.device_area b.Mae.Explain.device_area;
-  Alcotest.(check int) "free + charged = nets"
-    (Mae_netlist.Circuit.net_count S.full_adder_tx)
-    (b.Mae.Explain.free_nets + List.length b.Mae.Explain.charged_nets);
-  (* descending order *)
-  let rec desc = function
-    | (_, _, a) :: ((_, _, b) :: _ as rest) -> a >= b && desc rest
-    | [ _ ] | [] -> true
+  Alcotest.(check int) "charged + free = net_count"
+    (Mae_netlist.Circuit.net_count circuit)
+    (List.length charged + List.length free);
+  let charged_area =
+    List.fold_left
+      (fun acc (n : Mae.Fullcustom.net_area) -> acc +. n.interconnect_area)
+      0. charged
   in
-  Alcotest.(check bool) "sorted by area" true (desc b.Mae.Explain.charged_nets)
+  check_bits "charged areas sum to wire_area" est.Mae.Estimate.wire_area
+    charged_area;
+  check_bits "device area" est.device_area l.device_area;
+  check_bits "area" est.area (l.device_area +. charged_area)
+
+let ledger_grid =
+  (* two groups (the methodology); inside each, one case per
+     configuration x circuit x row count or device-area mode *)
+  let cases axis run table =
+    List.concat_map
+      (fun (cname, config) ->
+        List.concat_map
+          (fun (e : Mae_workload.Bench_circuits.entry) ->
+            List.map
+              (fun (what, x) ->
+                Alcotest.test_case
+                  (Printf.sprintf "%s, %s %s" cname e.name what)
+                  `Quick (run config e.circuit x))
+              axis)
+          (table ()))
+      ledger_configs
+  in
+  let stdcell =
+    cases
+      (List.map (fun n -> (Printf.sprintf "rows %d" n, n)) [ 2; 3; 4 ])
+      stdcell_ledger_case Mae_workload.Bench_circuits.table2
+  in
+  let fullcustom =
+    cases
+      [ ("exact", Mae.Config.Exact_areas); ("average", Mae.Config.Average_areas) ]
+      fullcustom_ledger_case Mae_workload.Bench_circuits.table1
+  in
+  [ ("ledger sc", stdcell); ("ledger fc", fullcustom) ]
 
 (* Config *)
 
@@ -763,7 +845,7 @@ let props =
 
 let () =
   Alcotest.run "core"
-    [
+    ([
       ( "row_model",
         [
           Alcotest.test_case "normalizes" `Quick test_row_model_normalizes;
@@ -852,13 +934,8 @@ let () =
             test_gatearray_routability_uses_track_model;
           Alcotest.test_case "routable master" `Quick
             test_gatearray_routable_master;
-        ] );
-      ( "explain",
-        [
-          Alcotest.test_case "stdcell reconciles" `Quick
-            test_explain_stdcell_reconciles;
-          Alcotest.test_case "fullcustom reconciles" `Quick
-            test_explain_fullcustom_reconciles;
+          Alcotest.test_case "routable base = estimate, bit for bit" `Quick
+            test_gatearray_routable_equals_estimate;
         ] );
       ("config", [ Alcotest.test_case "validation" `Quick test_config_validation ]);
       ( "driver",
@@ -873,3 +950,4 @@ let () =
         ] );
       ("properties", props);
     ]
+    @ ledger_grid)
