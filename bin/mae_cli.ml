@@ -916,7 +916,28 @@ let floorplan_cmd =
 
 (* generate *)
 
-let run_generate kind size technology =
+(* Each generator's --size range, checked before the generator runs so
+   that a bad size is a one-line error, not an uncaught Invalid_argument. *)
+let generate_size_range = function
+  | `Counter | `Alu | `Adder | `Shift | `Random -> (1, max_int)
+  | `Decoder -> (1, 4)
+  | `Parity -> (2, max_int)
+
+let generate_kinds =
+  [ ("counter", `Counter); ("alu", `Alu); ("adder", `Adder);
+    ("decoder", `Decoder); ("parity", `Parity); ("shift", `Shift);
+    ("random", `Random) ]
+
+let run_generate (name, kind) size technology =
+  let lo, hi = generate_size_range kind in
+  if size < lo || size > hi then begin
+    or_die
+      (Error
+         (if hi = max_int then
+            Printf.sprintf "generate %s: --size %d, must be at least %d" name size lo
+          else
+            Printf.sprintf "generate %s: --size %d, must be in %d..%d" name size lo hi))
+  end;
   let circuit =
     match kind with
     | `Counter -> Mae_workload.Generators.counter ~technology size
@@ -926,10 +947,15 @@ let run_generate kind size technology =
     | `Parity -> Mae_workload.Generators.parity ~technology size
     | `Shift -> Mae_workload.Generators.shift_register ~technology size
     | `Random ->
+        (* fewer devices than the default output count: every device
+           output is a port *)
+        let p = Mae_workload.Random_circuit.default_params in
         Mae_workload.Random_circuit.generate
           ~rng:(Mae_prob.Rng.create ~seed:size)
-          { Mae_workload.Random_circuit.default_params with
-            devices = size; technology }
+          { p with
+            devices = size;
+            primary_outputs = min p.primary_outputs size;
+            technology }
   in
   print_string (Mae_hdl.Printer.to_string circuit)
 
@@ -938,16 +964,17 @@ let generate_cmd =
     Arg.(
       required
       & pos 0
-          (some
-             (enum
-                [ ("counter", `Counter); ("alu", `Alu); ("adder", `Adder);
-                  ("decoder", `Decoder); ("parity", `Parity); ("shift", `Shift);
-                  ("random", `Random) ]))
+          (some (enum (List.map (fun ((name, _) as k) -> (name, k)) generate_kinds)))
           None
       & info [] ~docv:"KIND")
   in
   let size =
-    Arg.(value & opt int 8 & info [ "size" ] ~docv:"N" ~doc:"Bits/stages/devices.")
+    Arg.(
+      value & opt int 8
+      & info [ "size" ] ~docv:"N"
+          ~doc:
+            "Bits/stages/devices: at least 1 (parity: 2); decoder select \
+             bits 1..4.")
   in
   let technology =
     Arg.(

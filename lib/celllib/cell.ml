@@ -14,10 +14,19 @@ type transistor = {
   source : terminal;
 }
 
+type wiring = {
+  pin_count : int;
+  tx_names : string array;
+  tx_kinds : string array;
+  terminals : int array;
+  internal_nets : string array;
+}
+
 type t = {
   name : string;
   pins : (string * pin_role) list;
   transistors : transistor list;
+  wiring : wiring;
 }
 
 let check_terminal cell_name pin_count = function
@@ -30,6 +39,40 @@ let check_terminal cell_name pin_count = function
       if String.length name = 0 then
         invalid_arg (Printf.sprintf "Cell.make: %s has empty internal net" cell_name)
   | Vdd | Gnd -> ()
+
+let vdd_terminal = -1
+
+let gnd_terminal = -2
+
+let wiring pin_count transistors =
+  let internal = Hashtbl.create 8 and internal_rev = ref [] in
+  let code = function
+    | Pin i -> i
+    | Vdd -> vdd_terminal
+    | Gnd -> gnd_terminal
+    | Internal n -> (
+        match Hashtbl.find_opt internal n with
+        | Some k -> k
+        | None ->
+            let k = pin_count + Hashtbl.length internal in
+            Hashtbl.add internal n k;
+            internal_rev := n :: !internal_rev;
+            k)
+  in
+  let txs = Array.of_list transistors in
+  let terminals =
+    Array.concat
+      (List.map
+         (fun (tx : transistor) -> [| code tx.drain; code tx.gate; code tx.source |])
+         transistors)
+  in
+  {
+    pin_count;
+    tx_names = Array.map (fun (tx : transistor) -> tx.name) txs;
+    tx_kinds = Array.map (fun (tx : transistor) -> tx.kind) txs;
+    terminals;
+    internal_nets = Array.of_list (List.rev !internal_rev);
+  }
 
 let make ~name ~pins ~transistors =
   if String.length name = 0 then invalid_arg "Cell.make: empty name";
@@ -45,9 +88,11 @@ let make ~name ~pins ~transistors =
       check_terminal name pin_count tx.gate;
       check_terminal name pin_count tx.source)
     transistors;
-  { name; pins; transistors }
+  { name; pins; transistors; wiring = wiring pin_count transistors }
 
 let pin_count t = List.length t.pins
+
+let slot_count w = w.pin_count + Array.length w.internal_nets
 
 let input_count t =
   List.length (List.filter (fun (_, role) -> role = Input) t.pins)

@@ -24,11 +24,28 @@ type transistor = {
   source : terminal;
 }
 
-type t = {
+(** A cell's transistor template with every terminal an integer, so an
+    expansion wires an instance by array index rather than by name.
+    Terminal codes: [0 .. pin_count - 1] is that cell pin, [pin_count + k]
+    is internal net [internal_nets.(k)], and {!vdd_terminal} /
+    {!gnd_terminal} are the rails.  A cell pin past an instance's own pin
+    list, and each internal net, is one of the instance's private slots
+    (numbered by terminal code, [0 .. slot_count - 1]). *)
+type wiring = private {
+  pin_count : int;
+  tx_names : string array;
+  tx_kinds : string array;
+  terminals : int array;
+      (** drain, gate, source of transistor [i] at [3i .. 3i + 2] *)
+  internal_nets : string array;  (** in order of first use *)
+}
+
+type t = private {
   name : string;  (** also the device-kind name of the gate *)
   pins : (string * pin_role) list;
       (** pin order matches HDL instantiation: inputs first, outputs last *)
   transistors : transistor list;
+  wiring : wiring;  (** [transistors] by terminal code, made once by {!make} *)
 }
 
 val make : name:string -> pins:(string * pin_role) list -> transistors:transistor list -> t
@@ -36,6 +53,12 @@ val make : name:string -> pins:(string * pin_role) list -> transistors:transisto
     raises [Invalid_argument] otherwise. *)
 
 val pin_count : t -> int
+
+val vdd_terminal : int
+
+val gnd_terminal : int
+
+val slot_count : wiring -> int
 
 val input_count : t -> int
 

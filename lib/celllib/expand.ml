@@ -3,66 +3,134 @@ type error = Unknown_cell of { device : string; kind : string }
 let pp_error ppf (Unknown_cell { device; kind }) =
   Format.fprintf ppf "device %s: no cell template for kind %s" device kind
 
-(* A skipped pin marks a terminal that must not be wired (supply rails
-   when [include_supplies] is false). *)
-exception Skip
+exception Unknown of error
 
+(* Every device's cell wiring, in device order; the first device with no
+   template is the error. *)
+let wirings library (c : Mae_netlist.Circuit.t) =
+  match
+    Array.map
+      (fun (d : Mae_netlist.Device.t) ->
+        match Library.find library d.kind with
+        | Some cell -> cell.wiring
+        | None -> raise (Unknown (Unknown_cell { device = d.name; kind = d.kind })))
+      c.devices
+  with
+  | ws -> Ok ws
+  | exception Unknown e -> Error e
+
+(* Array fillers, all overwritten before the circuit is made. *)
+let placeholder =
+  Mae_netlist.Device.make ~index:0 ~name:"placeholder" ~kind:"placeholder"
+    ~pins:[||]
+
+let placeholder_net = Mae_netlist.Net.make ~index:0 ~name:"placeholder"
+
+(* Expanded nets are numbered in the order their first terminal is
+   wired.  Each is looked up by name once, when it is first wired: a
+   schematic net through [raw], a cell-private net through the device's
+   [slots], a rail through [vdd] / [gnd].  The lookup keeps two names
+   that coincide (a schematic net [g1.n1] and device [g1]'s internal
+   [n1]) as one net. *)
 let circuit ?(include_supplies = false) library (c : Mae_netlist.Circuit.t) =
-  let builder =
-    Mae_netlist.Builder.create ~name:(c.name ^ "_tx") ~technology:c.technology
-  in
-  let net_name i = c.nets.(i).Mae_netlist.Net.name in
-  let resolve (d : Mae_netlist.Device.t) = function
-    | Cell.Pin i ->
-        if i >= Array.length d.pins then
-          (* The schematic gave fewer pins than the cell defines; connect
-             the missing pin to a fresh private net so estimation can
-             proceed (matches how a layout tool would leave it floating). *)
-          String.concat "" [ d.name; ".unconnected"; string_of_int i ]
-        else net_name d.pins.(i)
-    | Cell.Internal n -> String.concat "" [ d.name; "."; n ]
-    | Cell.Vdd -> if include_supplies then "vdd!" else raise Skip
-    | Cell.Gnd -> if include_supplies then "gnd!" else raise Skip
-  in
-  let expand_device (d : Mae_netlist.Device.t) =
-    match Library.find library d.kind with
-    | None -> Error (Unknown_cell { device = d.name; kind = d.kind })
-    | Some cell ->
-        List.iter
-          (fun (t : Cell.transistor) ->
-            let terminals = [ t.drain; t.gate; t.source ] in
-            let nets =
-              List.filter_map
-                (fun term ->
-                  match resolve d term with
-                  | name -> Some name
-                  | exception Skip -> None)
-                terminals
-            in
-            ignore
-              (Mae_netlist.Builder.add_device builder
-                 ~name:(d.name ^ "." ^ t.name)
-                 ~kind:t.kind ~nets))
-          cell.transistors;
-        Ok ()
-  in
-  let rec go i =
-    if i >= Array.length c.devices then Ok ()
-    else begin
-      match expand_device c.devices.(i) with
-      | Ok () -> go (i + 1)
-      | Error e -> Error e
-    end
-  in
-  match go 0 with
+  match wirings library c with
   | Error e -> Error e
-  | Ok () ->
-      Array.iter
-        (fun (p : Mae_netlist.Port.t) ->
-          Mae_netlist.Builder.add_port builder ~name:p.name
-            ~direction:p.direction ~net:(net_name p.net))
-        c.ports;
-      Ok (Mae_netlist.Builder.build builder)
+  | Ok wirings ->
+      let open Mae_netlist in
+      let total =
+        Array.fold_left
+          (fun acc (w : Cell.wiring) -> acc + Array.length w.tx_names)
+          0 wirings
+      in
+      let ids = Names.create (Array.length c.nets + total) in
+      let nets_rev = ref [] and net_count = ref 0 in
+      let net_id name =
+        match Names.find ids name with
+        | i -> i
+        | exception Not_found ->
+            let i = !net_count in
+            net_count := i + 1;
+            Names.add ids name i;
+            nets_rev := Net.make ~index:i ~name :: !nets_rev;
+            i
+      in
+      let raw = Array.make (Array.length c.nets) (-1) in
+      let raw_net n =
+        if raw.(n) < 0 then raw.(n) <- net_id c.nets.(n).name;
+        raw.(n)
+      in
+      let vdd = ref (-1) and gnd = ref (-1) in
+      let rail r name =
+        if !r < 0 then r := net_id name;
+        !r
+      in
+      let slots =
+        Array.make
+          (Array.fold_left (fun m w -> max m (Cell.slot_count w)) 0 wirings)
+          (-1)
+      in
+      let resolve (d : Device.t) (w : Cell.wiring) code =
+        if code = Cell.vdd_terminal then rail vdd "vdd!"
+        else if code = Cell.gnd_terminal then rail gnd "gnd!"
+        else if code < w.pin_count && code < Array.length d.pins then
+          raw_net d.pins.(code)
+        else begin
+          if slots.(code) < 0 then
+            slots.(code) <-
+              net_id
+                (if code < w.pin_count then
+                   (* The schematic gave fewer pins than the cell defines;
+                      the missing pin gets a fresh private net so
+                      estimation can proceed (as a layout tool would leave
+                      it floating). *)
+                   d.name ^ ".unconnected" ^ string_of_int code
+                 else d.name ^ "." ^ w.internal_nets.(code - w.pin_count));
+          slots.(code)
+        end
+      in
+      (* rails are left out of the result unless [include_supplies]:
+         a rail terminal is then no pin at all *)
+      let wired code = include_supplies || code >= 0 in
+      let devices = Array.make total placeholder in
+      let next = ref 0 in
+      Array.iteri
+        (fun di (d : Device.t) ->
+          let w = wirings.(di) in
+          Array.fill slots 0 (Cell.slot_count w) (-1);
+          for t = 0 to Array.length w.tx_names - 1 do
+            let base = 3 * t in
+            let kept = ref 0 in
+            for k = 0 to 2 do
+              if wired w.terminals.(base + k) then incr kept
+            done;
+            let pins = Array.make !kept 0 in
+            let p = ref 0 in
+            for k = 0 to 2 do
+              let code = w.terminals.(base + k) in
+              if wired code then begin
+                pins.(!p) <- resolve d w code;
+                incr p
+              end
+            done;
+            let index = !next in
+            devices.(index) <-
+              Device.make ~index
+                ~name:(d.name ^ "." ^ w.tx_names.(t))
+                ~kind:w.tx_kinds.(t) ~pins;
+            next := index + 1
+          done)
+        c.devices;
+      let ports =
+        Array.map
+          (fun (p : Port.t) ->
+            Port.make ~name:p.name ~direction:p.direction ~net:(raw_net p.net))
+          c.ports
+      in
+      let nets = Array.make !net_count placeholder_net in
+      List.iter (fun (n : Net.t) -> nets.(n.index) <- n) !nets_rev;
+      Ok
+        (Circuit.of_arrays ~name:(c.name ^ "_tx") ~technology:c.technology
+           ~devices ~nets ~ports)
 
 let transistor_count library (c : Mae_netlist.Circuit.t) =
   let rec go acc i =

@@ -25,7 +25,16 @@ val circuit :
     are omitted from the result: supply rails are routed as planned power
     buses, not as signal wiring, and would otherwise dominate the net
     degree histogram that drives the estimator.  Pass [true] to keep them
-    as nets named [vdd!] and [gnd!]. *)
+    as nets named [vdd!] and [gnd!].
+
+    Transistors come out in device order, then template order.  Nets are
+    numbered in the order their first terminal is wired (drain, gate,
+    source), then any port net no transistor touched.  A net is looked
+    up by name once, when it is first wired, so two names that coincide
+    (a schematic net [g1.n1] and instance [g1]'s internal net [n1], or a
+    schematic net [vdd!] and the rail) are one net.  A device with fewer
+    pins than its cell gets a private net [<device>.unconnected<i>] on
+    each missing pin [i]. *)
 
 val transistor_count : Library.t -> Mae_netlist.Circuit.t -> (int, error) result
 (** Total transistors the expansion would produce, without building it. *)

@@ -87,18 +87,49 @@ let find_module ?default_technology design ~name =
 
 exception Flatten_error of error
 
-(* Hierarchical elaboration: walk the instance tree, renaming each child's
-   nets and devices under its instance path.  [bindings] maps a child's
-   port-net names to the parent's net names. *)
-let flatten ?default_technology design ~top =
-  let module_of name =
-    List.find_opt (fun (m : Ast.module_decl) -> String.equal m.name name) design
+(* A module of the design with its port names, in declaration order, and
+   the first position of each: an instance's pins bind by position. *)
+type indexed = {
+  decl : Ast.module_decl;
+  ports : string array;
+  port_position : int Mae_netlist.Names.t;
+}
+
+let index_module (m : Ast.module_decl) =
+  let ports =
+    Array.of_list
+      (List.filter_map
+         (function
+           | Ast.Port_decl { name; _ } -> Some name
+           | Ast.Technology_decl _ | Ast.Net_decl _ | Ast.Device_decl _ -> None)
+         m.items)
   in
+  let port_position = Mae_netlist.Names.create (Array.length ports) in
+  Array.iteri
+    (fun i p ->
+      if not (Mae_netlist.Names.mem port_position p) then
+        Mae_netlist.Names.add port_position p i)
+    ports;
+  { decl = m; ports; port_position }
+
+(* Hierarchical elaboration: walk the instance tree, renaming each child's
+   nets and devices under its instance path.  Modules are indexed by name
+   once (the first definition of a name wins) and [active] holds the
+   modules on the current instance path, so each instance costs a
+   constant number of table lookups plus its own items. *)
+let flatten ?default_technology design ~top =
+  let modules = Mae_netlist.Names.create 64 in
+  List.iter
+    (fun (m : Ast.module_decl) ->
+      if not (Mae_netlist.Names.mem modules m.name) then
+        Mae_netlist.Names.add modules m.name (index_module m))
+    design;
+  let module_of name = Mae_netlist.Names.find_opt modules name in
   match module_of top with
   | None -> Error (Module_not_found top)
   | Some top_module -> begin
       let technology =
-        match Ast.technology top_module with
+        match Ast.technology top_module.decl with
         | Some t -> Some t
         | None -> default_technology
       in
@@ -106,76 +137,69 @@ let flatten ?default_technology design ~top =
       | None -> Error (No_technology { module_name = top })
       | Some technology -> begin
           let builder = Mae_netlist.Builder.create ~name:top ~technology in
-          let ports_of (m : Ast.module_decl) =
-            List.filter_map
-              (function
-                | Ast.Port_decl { name; _ } -> Some name
-                | Ast.Technology_decl _ | Ast.Net_decl _ | Ast.Device_decl _ ->
-                    None)
-              m.items
-          in
           let fail e = raise (Flatten_error e) in
-          let rec instantiate ~prefix ~bindings ~stack (m : Ast.module_decl) =
-            if List.mem m.Ast.name stack then fail (Recursive_module m.Ast.name);
+          let active = Mae_netlist.Names.create 16 in
+          (* [bindings.(i)] is the parent's net on port [i] of [m]; the
+             top has none *)
+          let rec instantiate ~prefix ~bindings (m : indexed) =
+            let name = m.decl.name in
+            if not (Mae_netlist.Names.fresh active name) then
+              fail (Recursive_module name);
             let resolve net =
-              match List.assoc_opt net bindings with
-              | Some outer -> outer
-              | None -> prefix ^ net
+              match Mae_netlist.Names.find_opt m.port_position net with
+              | Some i when Array.length bindings > 0 -> bindings.(i)
+              | Some _ | None -> prefix ^ net
             in
             List.iter
               (fun item ->
                 match item with
                 | Ast.Technology_decl _ -> ()
                 | Ast.Net_decl n -> ignore (Mae_netlist.Builder.net builder (resolve n))
-                | Ast.Port_decl { name; direction } ->
+                | Ast.Port_decl { name = port; direction } ->
                     if String.equal prefix "" then
                       (* only the top module's ports survive flattening *)
                       (try
-                         Mae_netlist.Builder.add_port builder ~name ~direction
-                           ~net:(resolve name)
+                         Mae_netlist.Builder.add_port builder ~name:port ~direction
+                           ~net:(resolve port)
                        with Invalid_argument _ ->
                          fail
                            (Duplicate_name
-                              { module_name = m.Ast.name; what = "port"; name }))
-                    else ignore (Mae_netlist.Builder.net builder (resolve name))
-                | Ast.Device_decl { name; kind; pins } -> begin
+                              { module_name = name; what = "port"; name = port }))
+                    else ignore (Mae_netlist.Builder.net builder (resolve port))
+                | Ast.Device_decl { name = instance; kind; pins } -> begin
                     match module_of kind with
                     | Some child ->
-                        let child_ports = ports_of child in
-                        if List.length child_ports <> List.length pins then
+                        let expected = Array.length child.ports
+                        and got = List.length pins in
+                        if expected <> got then
                           fail
                             (Port_arity
                                {
-                                 module_name = m.Ast.name;
-                                 instance = prefix ^ name;
-                                 expected = List.length child_ports;
-                                 got = List.length pins;
+                                 module_name = name;
+                                 instance = prefix ^ instance;
+                                 expected;
+                                 got;
                                });
-                        let child_bindings =
-                          List.map2
-                            (fun port pin -> (port, resolve pin))
-                            child_ports pins
-                        in
                         instantiate
-                          ~prefix:(prefix ^ name ^ ".")
-                          ~bindings:child_bindings
-                          ~stack:(m.Ast.name :: stack)
+                          ~prefix:(prefix ^ instance ^ ".")
+                          ~bindings:(Array.of_list (List.map resolve pins))
                           child
                     | None -> begin
                         try
                           ignore
                             (Mae_netlist.Builder.add_device builder
-                               ~name:(prefix ^ name) ~kind
+                               ~name:(prefix ^ instance) ~kind
                                ~nets:(List.map resolve pins))
                         with Invalid_argument _ ->
                           fail
                             (Duplicate_name
-                               { module_name = m.Ast.name; what = "device"; name })
+                               { module_name = name; what = "device"; name = instance })
                       end
                   end)
-              m.Ast.items
+              m.decl.items;
+            Mae_netlist.Names.remove active name
           in
-          match instantiate ~prefix:"" ~bindings:[] ~stack:[] top_module with
+          match instantiate ~prefix:"" ~bindings:[||] top_module with
           | () -> Ok (Mae_netlist.Builder.build builder)
           | exception Flatten_error e -> Error e
         end

@@ -14,10 +14,12 @@ type error = { line : int; column : int; message : string }
 
 val pp_error : Format.formatter -> error -> unit
 
-val parse_tokens : Token.located list -> (Ast.design, error) result
-
 val parse_string : string -> (Ast.design, error) result
-(** Lex then parse; lexer errors are reported in the same [error] type. *)
+(** Parses while lexing: the parser pulls each token from a {!Lexer.t}
+    over [text], so no token list is built.  A lexer error anywhere in
+    the text wins over a parse error (the lexer runs on to the end of the
+    text after a parse error); lexer errors are reported in the same
+    [error] type. *)
 
 val parse_file : string -> (Ast.design, error) result
 (** I/O failures are reported as an error at 0:0. *)

@@ -13,8 +13,6 @@ type t =
   | Ident of string
   | Eof
 
-type located = { token : t; line : int; column : int }
-
 let equal a b =
   match (a, b) with
   | Ident x, Ident y -> String.equal x y

@@ -15,8 +15,6 @@ type t =
   | Ident of string
   | Eof
 
-type located = { token : t; line : int; column : int }
-
 val equal : t -> t -> bool
 
 val to_string : t -> string

@@ -16,43 +16,69 @@ let check_dense_indices what get arr =
     arr
 
 let check_unique_names what get arr =
-  let seen = Hashtbl.create 64 in
+  let seen = Names.create (Array.length arr) in
   Array.iter
     (fun x ->
       let n = get x in
-      if Hashtbl.mem seen n then
-        invalid_arg (Printf.sprintf "Circuit.make: duplicate %s name %s" what n);
-      Hashtbl.add seen n ())
+      if not (Names.fresh seen n) then
+        invalid_arg (Printf.sprintf "Circuit.make: duplicate %s name %s" what n))
     arr
 
-let make ~name ~technology ~devices ~nets ~ports =
+let out_of_range what name n =
+  invalid_arg (Printf.sprintf "Circuit.make: %s %s references net %d" what name n)
+
+(* [net_devices] in two passes over the pins: count each net's distinct
+   devices, then fill.  [last.(n)] is the last device seen on net [n];
+   devices go in ascending index order, so every row comes out ascending
+   and distinct without a sort. *)
+let connectivity ~net_count devices =
+  let last = Array.make net_count (-1) and fill = Array.make net_count 0 in
+  let pass visit =
+    Array.iter
+      (fun (d : Device.t) ->
+        let pins = d.pins in
+        for k = 0 to Array.length pins - 1 do
+          let n = pins.(k) in
+          if last.(n) <> d.index then begin
+            last.(n) <- d.index;
+            visit n d.index;
+            fill.(n) <- fill.(n) + 1
+          end
+        done)
+      devices
+  in
+  pass (fun _ _ -> ());
+  let net_devices = Array.map (fun k -> Array.make k 0) fill in
+  Array.fill last 0 net_count (-1);
+  Array.fill fill 0 net_count 0;
+  pass (fun n d -> net_devices.(n).(fill.(n)) <- d);
+  net_devices
+
+let of_arrays ~name ~technology ~devices ~nets ~ports =
   if String.length name = 0 then invalid_arg "Circuit.make: empty name";
-  let devices = Array.of_list devices in
-  let nets = Array.of_list nets in
-  let ports = Array.of_list ports in
   check_dense_indices "device" (fun (d : Device.t) -> d.index) devices;
   check_dense_indices "net" (fun (n : Net.t) -> n.index) nets;
   check_unique_names "device" (fun (d : Device.t) -> d.name) devices;
   check_unique_names "net" (fun (n : Net.t) -> n.name) nets;
   check_unique_names "port" (fun (p : Port.t) -> p.name) ports;
   let net_count = Array.length nets in
-  let in_range what n =
-    if n < 0 || n >= net_count then
-      invalid_arg (Printf.sprintf "Circuit.make: %s references net %d" what n)
-  in
-  Array.iter
-    (fun (d : Device.t) -> Array.iter (in_range ("device " ^ d.name)) d.pins)
-    devices;
-  Array.iter (fun (p : Port.t) -> in_range ("port " ^ p.name) p.net) ports;
-  let members = Array.make net_count [] in
   Array.iter
     (fun (d : Device.t) ->
-      List.iter (fun n -> members.(n) <- d.index :: members.(n)) (Device.nets d))
+      for k = 0 to Array.length d.pins - 1 do
+        let n = d.pins.(k) in
+        if n < 0 || n >= net_count then out_of_range "device" d.name n
+      done)
     devices;
-  let net_devices =
-    Array.map (fun ds -> Array.of_list (List.sort Int.compare ds)) members
-  in
+  Array.iter
+    (fun (p : Port.t) ->
+      if p.net < 0 || p.net >= net_count then out_of_range "port" p.name p.net)
+    ports;
+  let net_devices = connectivity ~net_count devices in
   { name; technology; devices; nets; ports; net_devices }
+
+let make ~name ~technology ~devices ~nets ~ports =
+  of_arrays ~name ~technology ~devices:(Array.of_list devices)
+    ~nets:(Array.of_list nets) ~ports:(Array.of_list ports)
 
 let device_count t = Array.length t.devices
 

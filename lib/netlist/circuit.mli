@@ -23,7 +23,17 @@ val make :
   t
 (** Validates: device/net indices are dense and match positions, pin and
     port net references are in range, instance and net names are unique.
-    Raises [Invalid_argument] otherwise. *)
+    Raises [Invalid_argument] otherwise.  Linear in the pin count. *)
+
+val of_arrays :
+  name:string ->
+  technology:string ->
+  devices:Device.t array ->
+  nets:Net.t array ->
+  ports:Port.t array ->
+  t
+(** {!make} on arrays, with the same checks and messages.  The arrays
+    become the circuit's own: the caller must not mutate them after. *)
 
 val device_count : t -> int
 (** The paper's N. *)

@@ -133,6 +133,100 @@ let test_expand_internal_nets_private () =
       Alcotest.(check bool) "g2 internal" true
         (Mae_netlist.Circuit.find_net tx "g2.pd_m1" <> None)
 
+(* Differential: the id-keyed expansion against the by-name one it
+   replaced (Expand_oracle): identical circuits, or the same error. *)
+
+let same_expansion ~include_supplies library c =
+  Expand.circuit ~include_supplies library c
+  = Mae_test_support.Expand_oracle.circuit ~include_supplies library c
+
+let check_same_expansion library c =
+  List.iter
+    (fun include_supplies ->
+      if not (same_expansion ~include_supplies library c) then
+        Alcotest.failf "%s (include_supplies %b): expansions differ"
+          c.Mae_netlist.Circuit.name include_supplies)
+    [ false; true ]
+
+let test_expand_same_on_generators () =
+  let module G = Mae_workload.Generators in
+  List.iter
+    (fun (technology, library) ->
+      let rng = S.rng 17 in
+      List.iter (check_same_expansion library)
+        ([ G.full_adder ~technology (); G.ripple_adder ~technology 4;
+           G.counter ~technology 8; G.decoder ~technology 3;
+           G.parity ~technology 6; G.mux_tree ~technology 3;
+           G.alu ~technology 4; G.shift_register ~technology 5;
+           G.multiplier ~technology 4; G.c17 ~technology ();
+           (* already transistors: both answer Unknown_cell *)
+           G.pass_chain ~technology 4; G.inverter_chain ~technology 3 ]
+        @ List.init 8 (fun i ->
+              Mae_workload.Random_circuit.generate ~rng
+                { Mae_workload.Random_circuit.default_params with
+                  devices = 10 + (i * 40); technology })))
+    [ ("nmos25", Nmos_lib.library); ("cmos20", Cmos_lib.library) ]
+
+(* Circuits whose names are chosen to collide with what the expansion
+   makes: raw nets named like a device's internal nets ([g1.pd_m1]),
+   like its unconnected pins ([g1.unconnected2]) or like the rails
+   ([vdd!]), dotted device names, devices with fewer (or more) pins than
+   their cell, and the odd unknown kind. *)
+let hostile_gen =
+  let open QCheck2.Gen in
+  let library = oneofl [ Nmos_lib.library; Cmos_lib.library ] in
+  let device_names = [ "g1"; "g2"; "g1.pd"; "g1.n"; "x.y"; "g" ] in
+  let internal library =
+    List.concat_map
+      (fun (cell : Cell.t) ->
+        List.filter_map
+          (function Cell.Internal n -> Some n | Cell.Pin _ | Vdd | Gnd -> None)
+          (List.concat_map
+             (fun (t : Cell.transistor) -> [ t.drain; t.gate; t.source ])
+             cell.transistors))
+      (Library.cells library)
+  in
+  library >>= fun library ->
+  let net_names =
+    [ "a"; "b"; "y"; "vdd!"; "gnd!"; "g1.unconnected1"; "g1.unconnected2";
+      "g2.unconnected0"; "g1.pd.m" ]
+    @ List.concat_map
+        (fun n -> [ "g1." ^ n; "g2." ^ n; "x.y." ^ n ])
+        (List.sort_uniq String.compare (internal library))
+  in
+  let kinds = "alien" :: Library.cell_names library in
+  let device =
+    triple (oneofl device_names)
+      (frequency [ (20, oneofl (List.tl kinds)); (1, return "alien") ])
+      (list_size (int_range 0 5) (oneofl net_names))
+  in
+  map2
+    (fun devices ports ->
+      let b = Mae_netlist.Builder.create ~name:"hostile" ~technology:"t" in
+      List.iter
+        (fun (name, kind, nets) ->
+          try ignore (Mae_netlist.Builder.add_device b ~name ~kind ~nets)
+          with Invalid_argument _ -> (* duplicate instance name *) ())
+        devices;
+      List.iter
+        (fun net ->
+          try
+            Mae_netlist.Builder.add_port b ~name:net
+              ~direction:Mae_netlist.Port.Input ~net
+          with Invalid_argument _ -> ())
+        ports;
+      (library, Mae_netlist.Builder.build b))
+    (list_size (int_range 0 8) device)
+    (list_size (int_range 0 3) (oneofl net_names))
+
+let expand_props =
+  [
+    S.qtest ~count:2000 "id = name on hostile names" hostile_gen
+      (fun (library, c) ->
+        same_expansion ~include_supplies:false library c
+        && same_expansion ~include_supplies:true library c);
+  ]
+
 (* Properties *)
 
 let props =
@@ -188,6 +282,9 @@ let () =
           Alcotest.test_case "unknown cell" `Quick test_expand_unknown_cell;
           Alcotest.test_case "internal nets private" `Quick
             test_expand_internal_nets_private;
-        ] );
+          Alcotest.test_case "id = name on generators" `Quick
+            test_expand_same_on_generators;
+        ]
+        @ expand_props );
       ("properties", props);
     ]

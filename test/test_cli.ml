@@ -1,0 +1,48 @@
+(* The mae CLI as a user runs it: every `mae generate` kind at its
+   default size and at size 0 either prints HDL that parses (exit 0) or
+   prints one "mae: ..." line and exits 1 -- never an uncaught exception
+   (cmdliner's exit 125). *)
+
+let mae =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/mae_cli.exe"
+
+let kinds = [ "counter"; "alu"; "adder"; "decoder"; "parity"; "shift"; "random" ]
+
+let run args =
+  let out = Filename.temp_file "mae_cli" ".out"
+  and err = Filename.temp_file "mae_cli" ".err" in
+  let code = Sys.command (Filename.quote_command mae ~stdout:out ~stderr:err args) in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let result = (code, read out, read err) in
+  Sys.remove out;
+  Sys.remove err;
+  result
+
+let check_generate kind size () =
+  let args = [ "generate"; kind ] @ Option.fold ~none:[] ~some:(fun s -> [ "--size"; s ]) size in
+  match run args with
+  | 0, out, _ -> (
+      match Mae_hdl.Parser.parse_string out with
+      | Ok [ _ ] -> ()
+      | Ok _ -> Alcotest.failf "%s: expected one module" kind
+      | Error e -> Alcotest.failf "%s: output does not parse: %s" kind e.message)
+  | 1, _, err ->
+      let lines = String.split_on_char '\n' (String.trim err) in
+      if List.length lines <> 1 || not (String.starts_with ~prefix:"mae: " err) then
+        Alcotest.failf "%s: expected one \"mae: ...\" line, got %S" kind err
+  | code, _, err -> Alcotest.failf "%s: exit %d: %s" kind code err
+
+let () =
+  Alcotest.run "cli"
+    [
+      ( "generate",
+        List.concat_map
+          (fun kind ->
+            [
+              Alcotest.test_case (kind ^ " default size") `Quick
+                (check_generate kind None);
+              Alcotest.test_case (kind ^ " size 0") `Quick
+                (check_generate kind (Some "0"));
+            ])
+          kinds );
+    ]

@@ -16,11 +16,21 @@ let sample =
 
 (* Lexer *)
 
+(* Every token of [text] with its line and column, through Eof. *)
+let lex text =
+  let lx = Lexer.create text in
+  let rec go acc =
+    let tok = Lexer.next lx in
+    let acc = (tok, Lexer.token_line lx, Lexer.token_column lx) :: acc in
+    match tok with Token.Eof -> List.rev acc | _ -> go acc
+  in
+  match go [] with tokens -> Ok tokens | exception Lexer.Error e -> Error e
+
 let test_lexer_tokens () =
-  match Lexer.tokenize "module m { port a in; }" with
+  match lex "module m { port a in; }" with
   | Error e -> Alcotest.failf "lex error: %s" e.message
   | Ok tokens ->
-      let kinds = List.map (fun (t : Token.located) -> t.token) tokens in
+      let kinds = List.map (fun (t, _, _) -> t) tokens in
       Alcotest.(check bool) "tokens" true
         (kinds
         = [ Token.Module; Token.Ident "m"; Token.Lbrace; Token.Port;
@@ -28,29 +38,29 @@ let test_lexer_tokens () =
             Token.Eof ])
 
 let test_lexer_comments () =
-  match Lexer.tokenize "# all\n// comment\nmodule" with
+  match lex "# all\n// comment\nmodule" with
   | Error e -> Alcotest.failf "lex error: %s" e.message
   | Ok tokens -> Alcotest.(check int) "module + eof" 2 (List.length tokens)
 
 let test_lexer_positions () =
-  match Lexer.tokenize "module\n  m" with
+  match lex "module\n  m" with
   | Error _ -> Alcotest.fail "lex error"
-  | Ok [ m; ident; _eof ] ->
-      Alcotest.(check int) "line 1" 1 m.Token.line;
-      Alcotest.(check int) "line 2" 2 ident.Token.line;
-      Alcotest.(check int) "col 3" 3 ident.Token.column
+  | Ok [ (_, m_line, _); (_, ident_line, ident_column); _eof ] ->
+      Alcotest.(check int) "line 1" 1 m_line;
+      Alcotest.(check int) "line 2" 2 ident_line;
+      Alcotest.(check int) "col 3" 3 ident_column
   | Ok _ -> Alcotest.fail "unexpected token count"
 
 let test_lexer_error () =
-  match Lexer.tokenize "module $" with
+  match lex "module $" with
   | Error e -> Alcotest.(check int) "line" 1 e.line
   | Ok _ -> Alcotest.fail "expected lex error"
 
 let test_lexer_bus_bits () =
-  match Lexer.tokenize "a[3] b.c" with
-  | Ok [ a; b; _eof ] ->
-      Alcotest.(check bool) "bracketed ident" true (a.Token.token = Token.Ident "a[3]");
-      Alcotest.(check bool) "dotted ident" true (b.Token.token = Token.Ident "b.c")
+  match lex "a[3] b.c" with
+  | Ok [ (a, _, _); (b, _, _); _eof ] ->
+      Alcotest.(check bool) "bracketed ident" true (a = Token.Ident "a[3]");
+      Alcotest.(check bool) "dotted ident" true (b = Token.Ident "b.c")
   | Ok _ | Error _ -> Alcotest.fail "expected two idents"
 
 (* Parser *)
@@ -357,20 +367,87 @@ let test_flatten_leaf_module_matches_plain () =
   Alcotest.(check int) "nets" (Mae_netlist.Circuit.net_count plain)
     (Mae_netlist.Circuit.net_count flat)
 
+(* One top instancing 2000 distinct leaf modules: each instance finds its
+   module through the flatten's index, not a scan of the design. *)
+let test_flatten_wide () =
+  let leaves = 2000 in
+  let b = Buffer.create (leaves * 64) in
+  for i = 0 to leaves - 1 do
+    Printf.bprintf b "module leaf%d { port a in; port y out; device x inv (a, y); }\n" i
+  done;
+  Buffer.add_string b "module top { technology nmos25; port a in;\n";
+  for i = 0 to leaves - 1 do
+    Printf.bprintf b "  device u%d leaf%d (a, y%d);\n" i i i
+  done;
+  Buffer.add_string b "}\n";
+  let design = Parser.parse_string (Buffer.contents b) |> Result.get_ok in
+  match Elaborate.flatten design ~top:"top" with
+  | Error e -> Alcotest.failf "flatten: %s" (Format.asprintf "%a" Elaborate.pp_error e)
+  | Ok c ->
+      Alcotest.(check int) "one device per leaf" leaves
+        (Mae_netlist.Circuit.device_count c);
+      Alcotest.(check bool) "instance path names" true
+        (Mae_netlist.Circuit.find_device c "u1999.x" <> None);
+      let a = Option.get (Mae_netlist.Circuit.find_net c "a") in
+      Alcotest.(check int) "shared input fans out to every leaf" leaves
+        (Mae_netlist.Circuit.degree c a.Mae_netlist.Net.index);
+      Alcotest.(check bool) "same as the list flatten" true
+        (Ok c = Mae_test_support.Hdl_oracle.flatten design ~top:"top")
+
+(* Random small hierarchies, with recursion, pin/port arity mismatches,
+   duplicate names and duplicate module definitions: the indexed flatten
+   gives the list flatten's circuit or its error. *)
+let hierarchy_gen =
+  let open QCheck2.Gen in
+  let modules = [ "m0"; "m1"; "m2"; "m3" ] in
+  let nets = [ "a"; "b"; "c"; "n"; "k" ] in
+  let item =
+    frequency
+      [ (1, map (fun t -> Ast.Technology_decl t) (oneofl [ "nmos25"; "cmos20" ]));
+        ( 3,
+          map2
+            (fun name direction -> Ast.Port_decl { name; direction })
+            (oneofl [ "a"; "b"; "c"; "a" ])
+            (oneofl Mae_netlist.Port.[ Input; Output; Inout ]) );
+        (1, map (fun n -> Ast.Net_decl n) (oneofl nets));
+        ( 5,
+          map3
+            (fun name kind pins -> Ast.Device_decl { name; kind; pins })
+            (oneofl [ "u"; "v"; "w"; "u" ])
+            (oneofl ([ "inv"; "nand2" ] @ modules))
+            (list_size (int_range 1 3) (oneofl nets)) ) ]
+  in
+  let module_decl =
+    map2
+      (fun name items -> { Ast.name; items })
+      (oneofl modules)
+      (list_size (int_range 0 6) item)
+  in
+  pair (list_size (int_range 1 5) module_decl) (oneofl ("zz" :: modules))
+
+let flatten_props =
+  [
+    S.qtest ~count:2000 "indexed = list flatten" hierarchy_gen
+      (fun (design, top) ->
+        Elaborate.flatten ~default_technology:"nmos25" design ~top
+        = Mae_test_support.Hdl_oracle.flatten ~default_technology:"nmos25"
+            design ~top);
+  ]
+
 (* Fuzz: malformed input must produce errors, never exceptions *)
 
-let fuzz_props =
-  let open QCheck2.Gen in
-  let junk_gen =
-    string_size ~gen:(char_range ' ' '~') (int_range 0 200)
-  in
-  let tokens_gen =
+let junk_gen =
+  QCheck2.Gen.(string_size ~gen:(char_range ' ' '~') (int_range 0 200))
+
+let tokens_gen =
+  QCheck2.Gen.(
     map (String.concat " ")
       (list_size (int_range 0 40)
          (oneofl
             [ "module"; "port"; "device"; "net"; "technology"; "{"; "}"; "(";
-              ")"; ","; ";"; "in"; "out"; "x"; "inv"; "a[2]"; "//c"; "#c" ]))
-  in
+              ")"; ","; ";"; "in"; "out"; "x"; "inv"; "a[2]"; "//c"; "#c" ])))
+
+let fuzz_props =
   [
     S.qtest ~count:300 "parser total on junk" junk_gen (fun text ->
         match Parser.parse_string text with
@@ -382,8 +459,97 @@ let fuzz_props =
         match Spice.parse_string text with
         | Ok _ | Error _ -> true);
     S.qtest ~count:300 "lexer total on junk" junk_gen (fun text ->
-        match Lexer.tokenize text with
+        match lex text with
         | Ok _ | Error _ -> true);
+  ]
+
+(* Differential: the pull parser against the list-based front end it
+   replaced (Hdl_oracle), same design or the same error (line, column,
+   message). *)
+
+let same_as_oracle text =
+  Parser.parse_string text = Mae_test_support.Hdl_oracle.parse_string text
+
+let check_same what text =
+  if not (same_as_oracle text) then
+    Alcotest.failf "%s: pull parser and list parser disagree on %S" what text
+
+(* Every generator circuit, printed as HDL. *)
+let printed_circuits =
+  let module G = Mae_workload.Generators in
+  let rng = S.rng 23 in
+  List.map Printer.to_string
+    ([ G.full_adder (); G.ripple_adder 4; G.counter 6; G.decoder 3;
+       G.parity 5; G.mux_tree 2; G.alu 3; G.shift_register 4;
+       G.pass_chain 5; G.inverter_chain 4; G.multiplier 3; G.c17 () ]
+    @ List.init 4 (fun i ->
+          Mae_workload.Random_circuit.generate ~rng
+            { Mae_workload.Random_circuit.default_params with devices = 10 + (i * 10) }))
+
+let test_diff_printed () =
+  List.iter (check_same "printed circuit") printed_circuits;
+  (* a multi-module file as the CLI sees it *)
+  check_same "concatenated" (String.concat "\n" printed_circuits)
+
+let test_diff_precedence () =
+  (* a lexer error after an earlier parse error wins *)
+  check_same "lex error after parse error" "module { }\nmodule m { $ }";
+  (match Parser.parse_string "module { }\nmodule m { $ }" with
+  | Error { line = 2; column = 12; message = "unexpected character '$'" } -> ()
+  | Error e -> Alcotest.failf "got %d:%d: %s" e.line e.column e.message
+  | Ok _ -> Alcotest.fail "expected the lexer error");
+  (* Eof after a trailing comment sits at the comment's first column *)
+  check_same "eof after comment" "module m {  # open";
+  match Parser.parse_string "module m {  # open" with
+  | Error { line = 1; column = 13; _ } -> ()
+  | Error e -> Alcotest.failf "got %d:%d: %s" e.line e.column e.message
+  | Ok _ -> Alcotest.fail "expected a parse error at Eof"
+
+(* Byte mutations of a printed circuit: overwrite, insert or delete a
+   byte, drawn from a set rich in token starts, comments and junk. *)
+let mutated_gen =
+  let open QCheck2.Gen in
+  let texts = Array.of_list printed_circuits in
+  let byte =
+    oneof
+      [ oneofl [ '{'; '}'; '('; ')'; ','; ';'; '#'; '/'; '\n'; ' '; '\t'; '$'; '.' ];
+        char_range ' ' '~' ]
+  in
+  let edit = triple (int_range 0 2) nat byte in
+  map
+    (fun (k, edits) ->
+      let b = Buffer.create 256 in
+      List.fold_left
+        (fun text (op, pos, c) ->
+          let n = String.length text in
+          let pos = if n = 0 then 0 else pos mod n in
+          Buffer.clear b;
+          Buffer.add_string b (String.sub text 0 pos);
+          (match op with
+          | 0 -> Buffer.add_char b c; Buffer.add_string b (String.sub text (min n (pos + 1)) (max 0 (n - pos - 1)))
+          | 1 -> Buffer.add_char b c; Buffer.add_string b (String.sub text pos (n - pos))
+          | _ -> Buffer.add_string b (String.sub text (min n (pos + 1)) (max 0 (n - pos - 1))));
+          Buffer.contents b)
+        texts.(k mod Array.length texts)
+        edits)
+    (pair nat (list_size (int_range 1 4) edit))
+
+let soup_gen =
+  QCheck2.Gen.(
+    map (String.concat "")
+      (list_size (int_range 0 60)
+         (oneofl
+            [ "module"; "port"; "device"; "net"; "technology"; "modules"; "nets";
+              "{"; "}"; "("; ")"; ","; ";"; "in"; "out"; "inout"; "x"; "a[2]";
+              " "; " "; "\n"; "\t"; "\r"; "//c"; "#c\n"; "/"; "$" ])))
+
+let diff_props =
+  [
+    S.qtest ~count:2000 "pull = list on junk" junk_gen same_as_oracle;
+    S.qtest ~count:2000 "pull = list on token soup" tokens_gen same_as_oracle;
+    S.qtest ~count:2000 "pull = list on dense soup" soup_gen same_as_oracle;
+    S.qtest ~count:2000 "pull = list on mutated circuits" mutated_gen
+      same_as_oracle;
   ]
 
 let () =
@@ -418,11 +584,19 @@ let () =
           Alcotest.test_case "errors" `Quick test_flatten_errors;
           Alcotest.test_case "leaf equals plain" `Quick
             test_flatten_leaf_module_matches_plain;
-        ] );
+          Alcotest.test_case "wide hierarchy" `Quick test_flatten_wide;
+        ]
+        @ flatten_props );
       ( "spice",
         [
           Alcotest.test_case "parse" `Quick test_spice_parse;
           Alcotest.test_case "errors" `Quick test_spice_errors;
         ] );
       ("fuzz", fuzz_props);
+      ( "pull",
+        [
+          Alcotest.test_case "printed circuits" `Quick test_diff_printed;
+          Alcotest.test_case "error precedence" `Quick test_diff_precedence;
+        ]
+        @ diff_props );
     ]

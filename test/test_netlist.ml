@@ -41,6 +41,48 @@ let test_circuit_validation () =
       Circuit.make ~name:"c" ~technology:"t" ~devices:[] ~nets:[]
         ~ports:[ Port.make ~name:"p" ~direction:Port.Input ~net:0 ])
 
+(* Every Circuit.make failure keeps its message, and the checks keep
+   their order: dense indices, then unique names, then net ranges. *)
+let test_circuit_make_messages () =
+  let net i name = Net.make ~index:i ~name in
+  let dev i name pins = Device.make ~index:i ~name ~kind:"inv" ~pins in
+  let port name n = Port.make ~name ~direction:Port.Input ~net:n in
+  let expect message ?(name = "c") devices nets ports =
+    Alcotest.check_raises message (Invalid_argument message) (fun () ->
+        ignore (Circuit.make ~name ~technology:"t" ~devices ~nets ~ports));
+    Alcotest.check_raises ("of_arrays: " ^ message) (Invalid_argument message)
+      (fun () ->
+        ignore
+          (Circuit.of_arrays ~name ~technology:"t" ~devices:(Array.of_list devices)
+             ~nets:(Array.of_list nets) ~ports:(Array.of_list ports)))
+  in
+  expect "Circuit.make: empty name" ~name:"" [ dev 1 "u" [||] ] [] [];
+  expect "Circuit.make: device index 1 at position 0" [ dev 1 "u" [||] ] [] [];
+  expect "Circuit.make: net index 0 at position 1"
+    [ dev 0 "u" [||] ] [ net 0 "a"; net 0 "b" ] [];
+  expect "Circuit.make: device index 0 at position 1"
+    [ dev 0 "u" [||]; dev 0 "u" [||] ] [ net 0 "a"; net 0 "b" ] [];
+  expect "Circuit.make: duplicate device name u"
+    [ dev 0 "u" [| 7 |]; dev 1 "u" [||] ] [ net 0 "a"; net 1 "a" ] [];
+  expect "Circuit.make: duplicate net name a"
+    [ dev 0 "u" [| 7 |] ] [ net 0 "a"; net 1 "a" ] [ port "p" 0; port "p" 0 ];
+  expect "Circuit.make: duplicate port name p"
+    [ dev 0 "u" [| 7 |] ] [ net 0 "a" ] [ port "p" 0; port "p" 9 ];
+  expect "Circuit.make: device v references net 5"
+    [ dev 0 "u" [| 0 |]; dev 1 "v" [| 0; 5; 6 |] ] [ net 0 "a" ] [ port "p" 9 ];
+  expect "Circuit.make: port q references net 1"
+    [ dev 0 "u" [| 0 |] ] [ net 0 "a" ] [ port "p" 0; port "q" 1 ];
+  (* the builder's own duplicate checks *)
+  let b = Builder.create ~name:"b" ~technology:"t" in
+  ignore (Builder.add_device b ~name:"u" ~kind:"inv" ~nets:[ "a" ]);
+  Alcotest.check_raises "builder device"
+    (Invalid_argument "Builder.add_device: duplicate instance u") (fun () ->
+      ignore (Builder.add_device b ~name:"u" ~kind:"inv" ~nets:[ "a" ]));
+  Builder.add_port b ~name:"p" ~direction:Port.Input ~net:"a";
+  Alcotest.check_raises "builder port"
+    (Invalid_argument "Builder.add_port: duplicate port p") (fun () ->
+      Builder.add_port b ~name:"p" ~direction:Port.Output ~net:"b")
+
 let test_circuit_connectivity () =
   let c = S.tiny () in
   Alcotest.(check int) "devices" 2 (Circuit.device_count c);
@@ -254,6 +296,38 @@ let test_canonical_is_structural () =
   Alcotest.(check bool) "rewired pins, different digest" false
     (String.equal (Canonical.digest a) (Canonical.digest (Builder.build b3)))
 
+(* [net_devices.(n)] is, by definition, the distinct devices with a pin
+   on [n], ascending; random circuits where a device may repeat a net
+   across its pins. *)
+let net_devices_prop =
+  let open QCheck2.Gen in
+  let circuit =
+    int_range 1 12 >>= fun nets ->
+    map
+      (fun pins -> (nets, pins))
+      (list_size (int_range 0 25)
+         (map Array.of_list (list_size (int_range 0 6) (int_range 0 (nets - 1)))))
+  in
+  S.qtest ~count:500 "net_devices = sorted distinct" circuit (fun (nets, pins) ->
+      let c =
+        Circuit.make ~name:"r" ~technology:"t"
+          ~devices:
+            (List.mapi
+               (fun i pins -> Device.make ~index:i ~name:(string_of_int i) ~kind:"k" ~pins)
+               pins)
+          ~nets:(List.init nets (fun i -> Net.make ~index:i ~name:(string_of_int i)))
+          ~ports:[]
+      in
+      List.for_all
+        (fun n ->
+          let expected =
+            List.sort_uniq Int.compare
+              (List.concat
+                 (List.mapi (fun d p -> if Array.mem n p then [ d ] else []) pins))
+          in
+          Array.to_list (Circuit.devices_on_net c n) = expected)
+        (List.init nets Fun.id))
+
 let () =
   Alcotest.run "netlist"
     [
@@ -263,6 +337,8 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_circuit_validation;
           Alcotest.test_case "connectivity" `Quick test_circuit_connectivity;
+          Alcotest.test_case "make messages" `Quick test_circuit_make_messages;
+          net_devices_prop;
         ] );
       ("builder", [ Alcotest.test_case "net reuse" `Quick test_builder_net_reuse ]);
       ( "stats",
