@@ -2,7 +2,7 @@
 
    A key is a digest over everything that determines an estimate:
 
-     - the canonical circuit text (Mae_netlist.Canonical -- structure,
+     - the canonical circuit stream (Mae_netlist.Canonical -- structure,
        not construction order),
      - the process fingerprint (every parameter that can influence a
        number),
@@ -139,14 +139,20 @@ let insert t e =
 
 let counts c = (C.device_count c, C.net_count c, C.port_count c)
 
+(* The canonical stream is self-delimiting (length-prefixed), the
+   fingerprint and the registry version are 32 hex characters each, and
+   the method list comes last: the concatenation splits one way only. *)
 let key ?(methods = M.default_names) ~process circuit =
   Digest.to_hex
     (Digest.string
-       (Printf.sprintf "mae-cas-key 1\n%sprocess %s\nregistry %s\nmethods %s\n"
-          (Mae_netlist.Canonical.to_string circuit)
-          (Mae_tech.Process.fingerprint process)
-          (M.registry_version ())
-          (String.concat "," methods)))
+       (String.concat ""
+          [
+            "mae-cas-key 2\n";
+            Mae_netlist.Canonical.to_string circuit;
+            Mae_tech.Process.fingerprint process;
+            M.registry_version ();
+            String.concat "," methods;
+          ]))
 
 (* --- outcome (de)serialization: one "method" line per result --- *)
 

@@ -1,7 +1,7 @@
 (** Content-addressed estimate store.
 
     Keys digest everything that determines an estimate: the canonical
-    circuit text ({!Mae_netlist.Canonical} -- structure, not
+    circuit stream ({!Mae_netlist.Canonical} -- structure, not
     construction order), the process fingerprint
     ({!Mae_tech.Process.fingerprint}), the methodology registry version
     ({!Mae.Methodology.registry_version}) and the resolved method-name
@@ -34,10 +34,18 @@ val key :
   process:Mae_tech.Process.t ->
   Mae_netlist.Circuit.t ->
   string
-(** The content address of (circuit, process, registry, methods).
-    [?methods] must be the {e resolved} method-name list (default
-    {!Mae.Methodology.default_names}); aliases like ["default"] must be
-    expanded by the caller so equal selections key equal. *)
+(** The content address of (circuit, process, registry, methods): the
+    hex MD5 of ["mae-cas-key 2\n"], the canonical stream, the process
+    fingerprint, the registry version and the comma-joined method
+    names, concatenated.  Distinct inputs give distinct digested bytes
+    because the canonical stream length-prefixes every name (no
+    quoting) and the two digests between it and the method list have a
+    fixed width of 32 characters.  Keys of the earlier quoted-text form
+    never equal these, so journal entries written under them miss and
+    are recomputed.  [?methods] must be the {e resolved}
+    method-name list (default {!Mae.Methodology.default_names}); aliases
+    like ["default"] must be expanded by the caller so equal selections
+    key equal. *)
 
 val find :
   t ->

@@ -1,8 +1,10 @@
 (* A minimal JSON reader/escaper so the telemetry artifacts can be
    emitted and checked without an external dependency.  The writer side
    of Mae_obs builds its documents with Buffer + [escape]; the reader is
-   a plain recursive-descent parser over the full JSON grammar, used by
-   the test suite and the @obs-smoke gate to assert that exported traces
+   a plain recursive-descent parser over the full JSON grammar.  The
+   serve daemon decodes every request with it, so its string reader
+   copies runs of plain bytes rather than one byte at a time; the test
+   suite and the @obs-smoke gate use it to assert that exported traces
    and metric dumps are well formed. *)
 
 type t =
@@ -147,14 +149,27 @@ let hex4 cur =
   done;
   !v
 
+(* Bytes that end a run of plain string content. *)
+let is_special c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let parse_string_body cur =
   expect cur '"';
+  let text = cur.text in
+  let len = String.length text in
   let buf = Buffer.create 16 in
   let rec go () =
-    match peek cur with
-    | None -> fail cur "unterminated string"
-    | Some '"' -> advance cur
-    | Some '\\' -> begin
+    (* copy the run up to the next quote, backslash or control byte *)
+    let start = cur.pos in
+    let i = ref start in
+    while !i < len && not (is_special (String.unsafe_get text !i)) do
+      incr i
+    done;
+    Buffer.add_substring buf text start (!i - start);
+    cur.pos <- !i;
+    if !i >= len then fail cur "unterminated string";
+    match String.unsafe_get text !i with
+    | '"' -> advance cur
+    | '\\' -> begin
         advance cur;
         begin
           match peek cur with
@@ -186,11 +201,7 @@ let parse_string_body cur =
         end;
         go ()
       end
-    | Some c when Char.code c < 0x20 -> fail cur "raw control char in string"
-    | Some c ->
-        advance cur;
-        Buffer.add_char buf c;
-        go ()
+    | _ -> fail cur "raw control char in string"
   in
   go ();
   Buffer.contents buf

@@ -8,6 +8,7 @@ type t = {
   min_spacing : Mae_geom.Lambda.t;
   devices : Device_kind.t list;
   device_index : (string * Device_kind.t) array;
+  mutable fingerprint : string;
 }
 
 let check_unique_names devices =
@@ -51,6 +52,7 @@ let make ~name ~lambda_microns ~row_height ~track_pitch ~feed_through_width
     min_spacing;
     devices;
     device_index = index_of_devices devices;
+    fingerprint = "";
   }
 
 let find_device t name =
@@ -73,9 +75,9 @@ let device_area t name = Option.map Device_kind.area (find_device t name)
 
 let with_devices t devices =
   check_unique_names devices;
-  { t with devices; device_index = index_of_devices devices }
+  { t with devices; device_index = index_of_devices devices; fingerprint = "" }
 
-let fingerprint t =
+let compute_fingerprint t =
   (* Every numeric parameter is rendered as a hex float (%h): exact,
      locale-independent, and distinct for distinct bit patterns.  Kinds
      are listed sorted by name so two processes built from the same set
@@ -95,6 +97,15 @@ let fingerprint t =
        (fun (a : Device_kind.t) b -> String.compare a.name b.name)
        t.devices);
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Rendered on first use and kept: the estimate store keys every lookup
+   with it (about 14 us a rendering), while the builtin processes are
+   made at start-up by every run, most of which never key (rendering
+   all three there added about 0.3 ms to a one-module [mae estimate]).
+   Domains racing on the first use both store the same string. *)
+let fingerprint t =
+  if String.equal t.fingerprint "" then t.fingerprint <- compute_fingerprint t;
+  t.fingerprint
 
 let pp ppf t =
   Format.fprintf ppf

@@ -26,6 +26,11 @@ type t = private {
           by {!find_device}'s binary search -- name lookups run once per
           device per module, so they must not scan [devices].  Treat as
           frozen: reads are domain-safe only because nothing mutates it. *)
+  mutable fingerprint : string;
+      (** {!fingerprint}'s value once it has been asked for, [""]
+          before ({!make} and {!with_devices} leave it empty): read it
+          through {!fingerprint}.  The type is private, so only this
+          module sets it. *)
 }
 
 val make :
@@ -56,8 +61,13 @@ val with_devices : t -> Device_kind.t list -> t
 val fingerprint : t -> string
 (** Hex digest of every parameter that can influence an estimate: the
     scalar extents (rendered as exact hex floats) plus each device
-    kind's name, category and geometry, sorted by kind name.  The
-    estimate store folds this into its keys, so retuning a process
-    invalidates stored results by construction. *)
+    kind's name, category and geometry, sorted by kind name, with each
+    name quoted by [%S] so two processes cannot render alike.  Always
+    32 hex characters: the store key places it between length-prefixed
+    and fixed-width fields with no separator, and the fixed width is
+    what keeps that concatenation unambiguous.  Rendered on the first
+    call and kept in the [fingerprint] field.  The estimate store folds
+    this into its keys, so retuning a process invalidates stored
+    results by construction. *)
 
 val pp : Format.formatter -> t -> unit

@@ -397,6 +397,36 @@ let test_cas_journal_roundtrip () =
         "post-crash entry is bit-for-bit" (report_bits r3) (report_bits r'));
   Sys.remove path
 
+(* A journal written under the quoted-text key form (the oracle's
+   "mae-cas-key 1") replays, but no lookup under the current key finds
+   its entry: the answer is recomputed, with the same bits. *)
+let test_cas_old_key_never_served () =
+  let path = Filename.temp_file "mae_cas" ".journal" in
+  let p = process () in
+  let r = report () in
+  let old_key = Mae_test_support.Canonical_oracle.cas_key ~process:p S.full_adder in
+  let writer = Mae_db.Cas.create () in
+  open_journal_exn writer ~path ~want:(0, 0);
+  Mae_db.Cas.store writer ~key:old_key r;
+  Mae_db.Cas.close_journal writer;
+  let cas = Mae_db.Cas.create () in
+  open_journal_exn cas ~path ~want:(1, 0);
+  Mae_db.Cas.close_journal cas;
+  Alcotest.(check bool) "the old entry replayed" true
+    (Option.is_some (Mae_db.Cas.find cas ~key:old_key ~circuit:S.full_adder ~process:p));
+  let key = Mae_db.Cas.key ~process:p S.full_adder in
+  Alcotest.(check bool) "current key differs" false (String.equal key old_key);
+  Alcotest.(check bool) "current key misses" true
+    (Option.is_none (Mae_db.Cas.find cas ~key ~circuit:S.full_adder ~process:p));
+  let recomputed = report () in
+  Alcotest.check bits "recomputed report is bit-for-bit" (report_bits r)
+    (report_bits recomputed);
+  Mae_db.Cas.store cas ~key recomputed;
+  (match Mae_db.Cas.find cas ~key ~circuit:S.full_adder ~process:p with
+  | None -> Alcotest.fail "recomputed entry not found under the current key"
+  | Some hit -> Alcotest.check bits "hit is bit-for-bit" (report_bits r) (report_bits hit));
+  Sys.remove path
+
 let test_cas_version_bump_invalidates () =
   let cas = Mae_db.Cas.create () in
   let r = report () in
@@ -779,6 +809,8 @@ let () =
             test_cas_journal_roundtrip;
           Alcotest.test_case "version bump invalidates" `Quick
             test_cas_version_bump_invalidates;
+          Alcotest.test_case "old-format key never served" `Quick
+            test_cas_old_key_never_served;
           Alcotest.test_case "lru cap churn" `Quick test_cas_lru_eviction;
           Alcotest.test_case "journal cut at every byte offset" `Quick
             test_cas_journal_truncation;

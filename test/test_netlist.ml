@@ -296,6 +296,174 @@ let test_canonical_is_structural () =
   Alcotest.(check bool) "rewired pins, different digest" false
     (String.equal (Canonical.digest a) (Canonical.digest (Builder.build b3)))
 
+(* --- the length-prefixed stream against the quoted text form --- *)
+
+module Oracle = Mae_test_support.Canonical_oracle
+
+(* Two circuits render equal in the stream exactly when they render
+   equal in the text form: both are injective images of the same
+   name-sorted structure. *)
+let same_verdict (a, b) =
+  Bool.equal
+    (String.equal (Oracle.to_string a) (Oracle.to_string b))
+    (String.equal (Canonical.to_string a) (Canonical.to_string b))
+
+(* Names that quoting had to guard against, and names that concatenate
+   into one another ("a" ^ "bc" = "ab" ^ "c"). *)
+let hostile_names =
+  [ "a"; "b"; "c"; "ab"; "bc"; "abc"; "\""; "\\"; "\\\""; "\n"; "\000"; "a\000b";
+    "0"; "1"; "01"; "10"; "a b"; " "; "\"\""; "pins"; "kind"; "net"; "device";
+    "in"; "out"; "\255"; "\r\n" ]
+
+(* A small circuit whose every name comes from [hostile_names].  Two
+   drawn independently are rarely equal; [edited_pair] below supplies
+   equal and near-equal pairs. *)
+let hostile_circuit =
+  let open QCheck2.Gen in
+  let name = oneofl hostile_names in
+  let distinct = map (List.sort_uniq String.compare) (list_size (int_range 1 5) name) in
+  distinct >>= fun nets ->
+  let nn = List.length nets in
+  distinct >>= fun devices ->
+  list_repeat (List.length devices)
+    (pair name (array_size (int_range 0 3) (int_range 0 (nn - 1))))
+  >>= fun kinds_pins ->
+  map (List.sort_uniq (fun (a, _, _) (b, _, _) -> String.compare a b))
+    (list_size (int_range 0 3)
+       (triple name (oneofl [ Port.Input; Port.Output; Port.Inout ]) (int_range 0 (nn - 1))))
+  >>= fun ports ->
+  map2
+    (fun cname tech ->
+      Circuit.make ~name:cname ~technology:tech
+        ~devices:
+          (List.mapi
+             (fun i (dname, (kind, pins)) -> Device.make ~index:i ~name:dname ~kind ~pins)
+             (List.combine devices kinds_pins))
+        ~nets:(List.mapi (fun i n -> Net.make ~index:i ~name:n) nets)
+        ~ports:(List.map (fun (n, direction, net) -> Port.make ~name:n ~direction ~net) ports))
+    (oneofl [ "a"; "ab"; "\"" ]) (oneofl [ "bc"; "c"; "\"" ])
+
+(* One random circuit and a variant: itself, a permuted rebuild, or one
+   of the four mutations, each possibly rebuilt permuted too. *)
+let variant_pair =
+  let open QCheck2.Gen in
+  map
+    (fun (seed, which, perm) ->
+      let c = random_circuit (abs seed mod 1000) in
+      let permute c = S.rebuild_permuted ~rng:(S.rng perm) c in
+      let v =
+        match abs which mod 6 with
+        | 0 -> c
+        | 1 -> permute c
+        | 2 -> Mae_workload.Mutate.add_device c ~kind:"inv" ~nets:[ "n0" ]
+        | 3 -> Mae_workload.Mutate.drop_device c ~index:(abs which mod Circuit.device_count c)
+        | 4 -> Mae_workload.Mutate.duplicate c
+        | _ ->
+            Mae_workload.Mutate.widen_net c
+              ~net:c.nets.(abs perm mod Circuit.net_count c).Net.name
+              ~extra:1 ~kind:"inv"
+      in
+      (c, if perm mod 2 = 0 then v else permute v))
+    (triple int int int)
+
+(* A near miss of [c]: a device renamed or re-kinded from the hostile
+   pool, or a name pair -- a device's name and kind, or the circuit's
+   name and technology -- split at another point of its concatenation.
+   An edit that would duplicate a name leaves [c] as it was. *)
+let edit (c : Circuit.t) (which, i, name, cut) =
+  let resplit a b =
+    let s = a ^ b in
+    let k = 1 + (cut mod (String.length s - 1)) in
+    (String.sub s 0 k, String.sub s k (String.length s - k))
+  in
+  let devices = Array.copy c.devices in
+  let nd = Array.length devices in
+  let cname, tech =
+    if which mod 4 = 3 || nd = 0 then resplit c.name c.technology
+    else begin
+      let d = devices.(i mod nd) in
+      let dname, kind =
+        match which mod 4 with
+        | 0 -> (name, d.kind)
+        | 1 -> (d.name, name)
+        | _ -> resplit d.name d.kind
+      in
+      devices.(i mod nd) <- Device.make ~index:d.index ~name:dname ~kind ~pins:d.pins;
+      (c.name, c.technology)
+    end
+  in
+  match
+    Circuit.of_arrays ~name:cname ~technology:tech ~devices ~nets:(Array.copy c.nets)
+      ~ports:(Array.copy c.ports)
+  with
+  | c' -> c'
+  | exception Invalid_argument _ -> c
+
+let edited_pair =
+  let open QCheck2.Gen in
+  hostile_circuit >>= fun c ->
+  map2
+    (fun edits perm ->
+      let c' = List.fold_left edit c edits in
+      (c, if perm mod 2 = 0 then c' else S.rebuild_permuted ~rng:(S.rng perm) c'))
+    (list_size (int_range 0 2) (quad nat nat (oneofl hostile_names) nat))
+    int
+
+let oracle_props =
+  let open QCheck2.Gen in
+  [
+    S.qtest ~count:300 "stream = text on random circuits and variants" variant_pair
+      same_verdict;
+    S.qtest ~count:300 "stream = text on pairs of random circuits"
+      (pair int int)
+      (fun (a, b) -> same_verdict (random_circuit (abs a mod 50), random_circuit (abs b mod 50)));
+    S.qtest ~count:1000 "stream = text on hostile names" (pair hostile_circuit hostile_circuit)
+      same_verdict;
+    S.qtest ~count:2000 "stream = text on hostile near misses" edited_pair same_verdict;
+  ]
+
+let test_canonical_concatenations () =
+  let circuit ?(name = "c") ?(technology = "t") devices =
+    Circuit.make ~name ~technology
+      ~devices:
+        (List.mapi (fun i (name, kind) -> Device.make ~index:i ~name ~kind ~pins:[| 0 |]) devices)
+      ~nets:[ Net.make ~index:0 ~name:"n" ] ~ports:[]
+  in
+  List.iter
+    (fun (what, a, b) ->
+      Alcotest.(check bool) (what ^ ": text differs") false
+        (String.equal (Oracle.to_string a) (Oracle.to_string b));
+      Alcotest.(check bool) (what ^ ": stream differs") false
+        (String.equal (Canonical.to_string a) (Canonical.to_string b)))
+    [
+      ("device a kind bc vs ab/c", circuit [ ("a", "bc") ], circuit [ ("ab", "c") ]);
+      ( "circuit a tech bc vs ab/c",
+        circuit ~name:"a" ~technology:"bc" [],
+        circuit ~name:"ab" ~technology:"c" [] );
+      ("quote in a name", circuit [ ("a\"", "b") ], circuit [ ("a", "\"b") ]);
+      ("NUL in a name", circuit [ ("a\000", "b") ], circuit [ ("a", "\000b") ]);
+      ("two devices vs one", circuit [ ("a", "b"); ("c", "d") ], circuit [ ("a", "bcd") ]);
+    ];
+  (* without the pin count, a rank could be read as the next device's
+     name length: these two would render alike *)
+  let nets = List.init 5 (fun i -> Net.make ~index:i ~name:(Printf.sprintf "n%d" i)) in
+  let two (n1, k1, p1) (n2, k2, p2) =
+    Circuit.make ~name:"c" ~technology:"t" ~nets ~ports:[]
+      ~devices:
+        [ Device.make ~index:0 ~name:n1 ~kind:k1 ~pins:p1;
+          Device.make ~index:1 ~name:n2 ~kind:k2 ~pins:p2 ]
+  in
+  let a = two ("\000", "k", [| 4 |]) ("\001\000\000\000x", "\002\000\000\000", [||])
+  and b = two ("\000", "k", [||]) ("\005\000\000\000", "x", [| 4; 2 |]) in
+  Alcotest.(check bool) "pin ranks vs name lengths: text differs" false
+    (String.equal (Oracle.to_string a) (Oracle.to_string b));
+  Alcotest.(check bool) "pin ranks vs name lengths: stream differs" false
+    (String.equal (Canonical.to_string a) (Canonical.to_string b))
+
+let test_canonical_header () =
+  let s = Canonical.to_string (S.tiny ()) in
+  Alcotest.(check string) "header" "mae-canonical 2\n" (String.sub s 0 16)
+
 (* [net_devices.(n)] is, by definition, the distinct devices with a pin
    on [n], ascending; random circuits where a device may repeat a net
    across its pins. *)
@@ -356,5 +524,9 @@ let () =
         Alcotest.test_case "digest is structural" `Quick
           test_canonical_is_structural
         :: canonical_props );
+      ( "canonical oracle",
+        Alcotest.test_case "header" `Quick test_canonical_header
+        :: Alcotest.test_case "concatenated names" `Quick test_canonical_concatenations
+        :: oracle_props );
       ("properties", props);
     ]

@@ -50,6 +50,45 @@ let test_json_parser () =
   | Ok (Json.String s) -> Alcotest.(check string) "round trip" tricky s
   | _ -> Alcotest.fail "escape round trip"
 
+(* The run-copying string reader against the char-by-char oracle: the
+   same value, or the same error text with the same offset. *)
+let json_oracle_props =
+  let open QCheck2.Gen in
+  let piece =
+    oneof
+      [
+        oneofl
+          [ {|\n|}; {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\r|}; {|\t|}; {|\u00e9|};
+            {|\u0000|}; {|\uD83D\uDE00|}; {|\uDBFF\uDFFF|}; {|\uD800|}; {|\uDC00|};
+            {|\uD800A|}; {|\uD800x|}; {|\uD800\|}; {|\u12|}; {|\uZZZZ|}; {|\x|};
+            {|\|}; "abc"; "hdl module m"; "\xc3\xa9"; "\xff"; " "; "\x7f"; "\"" ];
+        map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f);
+        map (Printf.sprintf "\\u%04x") (int_range 0 0xffff);
+        map2 (Printf.sprintf "\\u%04X\\u%04X") (int_range 0xd800 0xdbff) (int_range 0xdc00 0xdfff);
+        string_size ~gen:(char_range ' ' '~') (int_range 0 40);
+      ]
+  in
+  let soup = map (String.concat "") (list_size (int_range 0 12) piece) in
+  let document =
+    oneof
+      [
+        map (fun s -> "\"" ^ s ^ "\"") soup;
+        map (fun s -> "\"" ^ s) soup;
+        map2 (Printf.sprintf {|{"hdl": "%s", "id": "%s"}|}) soup soup;
+        map2 (Printf.sprintf {|["%s", 1, {"%s": null}]|}) soup soup;
+      ]
+  in
+  let same text = Json.parse text = Mae_test_support.Json_oracle.parse text in
+  [
+    Mae_test_support.Support.qtest ~count:2000 "json reader = oracle on arbitrary bytes"
+      (string_size (int_range 0 64)) same;
+    Mae_test_support.Support.qtest ~count:3000 "json reader = oracle on escape soups" document
+      same;
+    Mae_test_support.Support.qtest ~count:2000 "json reader = oracle on truncations"
+      (pair document nat)
+      (fun (text, cut) -> same (String.sub text 0 (cut mod (String.length text + 1))));
+  ]
+
 (* --- spans --- *)
 
 let test_span_recording () =
@@ -748,7 +787,8 @@ let test_capture_retention () =
 let () =
   Alcotest.run "obs"
     [
-      ("json", [ Alcotest.test_case "parser + escape" `Quick test_json_parser ]);
+      ( "json",
+        Alcotest.test_case "parser + escape" `Quick test_json_parser :: json_oracle_props );
       ( "spans",
         [
           Alcotest.test_case "recording, nesting, self time" `Quick

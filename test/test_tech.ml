@@ -134,6 +134,40 @@ let test_registry () =
   Alcotest.check_raises "find_exn" Not_found (fun () ->
       ignore (Registry.find_exn empty "zzz"))
 
+(* Every store key digests the fingerprint, so its bytes are pinned.
+   [with_devices] starts from an empty cache: a process whose
+   fingerprint was already asked for must not pass it on to a copy
+   with different kinds. *)
+let test_fingerprint () =
+  List.iter
+    (fun (name, hex) ->
+      Alcotest.(check string) (name ^ " fingerprint") hex
+        (Process.fingerprint (Builtin.find name |> Option.get)))
+    [
+      ("nmos25", "29b0c2d3a3cc79fc4e1acd6118eeece7");
+      ("cmos20", "310690097bd0f9cf0d7c7ca793a5fc4f");
+      ("cmos15", "cfa5150dc60e1584dabcb7e81967ac13");
+    ];
+  let p = S.nmos in
+  Alcotest.(check string) "same devices, same fingerprint" (Process.fingerprint p)
+    (Process.fingerprint (Process.with_devices p (List.rev p.devices)));
+  let first = List.hd p.devices in
+  let other = if first.category = Device_kind.Pad then Device_kind.Storage else Pad in
+  List.iter
+    (fun (what, (k : Device_kind.t)) ->
+      let changed = List.map (fun d -> if d == first then k else d) p.devices in
+      Alcotest.(check bool) (what ^ ", new fingerprint") false
+        (String.equal (Process.fingerprint p)
+           (Process.fingerprint (Process.with_devices p changed))))
+    [
+      ( "wider kind",
+        Device_kind.make ~name:first.name ~category:first.category
+          ~width:(first.width +. 1.) ~height:first.height );
+      ( "other category",
+        Device_kind.make ~name:first.name ~category:other ~width:first.width
+          ~height:first.height );
+    ]
+
 let fuzz_props =
   let open QCheck2.Gen in
   let junk = string_size ~gen:(char_range ' ' '~') (int_range 0 200) in
@@ -167,6 +201,7 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_process_validation;
           Alcotest.test_case "lookup" `Quick test_process_lookup;
+          Alcotest.test_case "fingerprint" `Quick test_fingerprint;
         ] );
       ( "builtin",
         [
