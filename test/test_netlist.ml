@@ -524,7 +524,7 @@ let () =
         Alcotest.test_case "digest is structural" `Quick
           test_canonical_is_structural
         :: canonical_props );
-      ( "canonical oracle",
+      ( "oracle",
         Alcotest.test_case "header" `Quick test_canonical_header
         :: Alcotest.test_case "concatenated names" `Quick test_canonical_concatenations
         :: oracle_props );
