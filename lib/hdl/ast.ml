@@ -1,31 +1,21 @@
-type item =
-  | Technology_decl of string
-  | Port_decl of { name : string; direction : Mae_netlist.Port.direction }
-  | Net_decl of string
-  | Device_decl of { name : string; kind : string; pins : string list }
-
-type module_decl = { name : string; items : item list }
+type module_decl = { name : string; idents : string array; items : int array }
 
 type design = module_decl list
 
-let technology m =
-  List.fold_left
-    (fun acc item ->
-      match item with
-      | Technology_decl t -> Some t
-      | Port_decl _ | Net_decl _ | Device_decl _ -> acc)
-    None m.items
+let tag_technology = 0
 
-let pp_item ppf = function
-  | Technology_decl t -> Format.fprintf ppf "technology %s;" t
-  | Port_decl { name; direction } ->
-      Format.fprintf ppf "port %s %s;" name
-        (Mae_netlist.Port.direction_to_string direction)
-  | Net_decl n -> Format.fprintf ppf "net %s;" n
-  | Device_decl { name; kind; pins } ->
-      Format.fprintf ppf "device %s %s (%s);" name kind (String.concat ", " pins)
+let tag_port = 1
 
-let pp_module ppf m =
-  Format.fprintf ppf "@[<v 2>module %s {@ %a@]@ }" m.name
-    (Format.pp_print_list pp_item)
-    m.items
+let tag_net = 2
+
+let tag_device = 3
+
+let direction_code : Mae_netlist.Port.direction -> int = function
+  | Input -> 0
+  | Output -> 1
+  | Inout -> 2
+
+let direction_of_code : int -> Mae_netlist.Port.direction = function
+  | 0 -> Input
+  | 1 -> Output
+  | _ -> Inout

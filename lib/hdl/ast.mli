@@ -1,4 +1,4 @@
-(** Abstract syntax of the structural HDL.
+(** Parsed modules of the structural HDL, in id form.
 
     A design file contains one or more module declarations:
 
@@ -11,21 +11,35 @@
       device x2 xor2 (t1, cin, s);
       net t1;                       // optional explicit declaration
     }
-    v} *)
+    v}
 
-type item =
-  | Technology_decl of string
-  | Port_decl of { name : string; direction : Mae_netlist.Port.direction }
-  | Net_decl of string
-  | Device_decl of { name : string; kind : string; pins : string list }
+    Each identifier of a module is interned once, by the {!Lexer}, and
+    known after that by its id: [idents.(id)] is its text, and ids are
+    dense from 0 in order of first sight within the module.  The module's
+    items are one int stream, item after item in source order:
 
-type module_decl = { name : string; items : item list }
+    - [tag_technology; t]: [technology t;]
+    - [tag_port; p; d]: [port p d;], [d] a {!direction_code}
+    - [tag_net; n]: [net n;]
+    - [tag_device; d; k; c; p{_ 1}; ...; p{_ c}]: [device d k (p{_ 1}, ..., p{_ c});],
+      [c >= 1] *)
+
+type module_decl = {
+  name : string;
+  idents : string array;  (** id -> identifier *)
+  items : int array;  (** the item stream *)
+}
 
 type design = module_decl list
 
-val technology : module_decl -> string option
-(** The last [technology] item, if any. *)
+val tag_technology : int
 
-val pp_item : Format.formatter -> item -> unit
+val tag_port : int
 
-val pp_module : Format.formatter -> module_decl -> unit
+val tag_net : int
+
+val tag_device : int
+
+val direction_code : Mae_netlist.Port.direction -> int
+
+val direction_of_code : int -> Mae_netlist.Port.direction

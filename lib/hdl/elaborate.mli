@@ -1,12 +1,18 @@
-(** Elaboration: HDL abstract syntax to a {!Mae_netlist.Circuit.t}.
+(** Elaboration: parsed HDL modules to {!Mae_netlist.Circuit.t}s.
 
     This is the paper's "input interface" step (Figure 1): the circuit
     schematic is translated into the mathematical representation the
-    estimators analyze. *)
+    estimators analyze.
+
+    A module is read in its {!Ast} id form: {!module_to_circuit} maps
+    identifier ids to net indices with an int array and finds a repeated
+    device or port name by a stamp bit per id and namespace, so it
+    hashes no name ({!Mae_netlist.Circuit.of_arrays} then checks the
+    result).  Nets, devices and ports are numbered in item order, nets
+    on first mention. *)
 
 type error =
   | Duplicate_name of { module_name : string; what : string; name : string }
-  | Port_without_net of { module_name : string; port : string }
   | No_technology of { module_name : string }
   | Module_not_found of string
   | Recursive_module of string
@@ -24,9 +30,12 @@ val module_to_circuit :
   ?default_technology:string ->
   Ast.module_decl ->
   (Mae_netlist.Circuit.t, error) result
-(** A [technology] item in the module wins over [default_technology]; if
-    neither exists the result is [No_technology].  Each port implicitly
-    names its net (a port [a] connects to net [a]). *)
+(** The module's last [technology] item wins over [default_technology];
+    if neither exists the result is [No_technology].  Each port
+    implicitly names its net (a port [a] connects to net [a]).  Of two
+    devices or two ports with one name, the second is a
+    [Duplicate_name]; a device and a net, or a port and a device, may
+    share a name. *)
 
 val design_to_circuits :
   ?default_technology:string ->

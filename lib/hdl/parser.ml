@@ -5,8 +5,14 @@ let pp_error ppf e = Format.fprintf ppf "%d:%d: %s" e.line e.column e.message
 exception Parse_error of error
 
 (* The parser pulls one token at a time: [tok] is the lookahead, at
-   [Lexer.token_line lx] / [Lexer.token_column lx]. *)
-type state = { lx : Lexer.t; mutable tok : Token.t }
+   [Lexer.token_line lx] / [Lexer.token_column lx].  The current
+   module's item stream grows in [items.(0 .. len - 1)]. *)
+type state = {
+  lx : Lexer.t;
+  mutable tok : Token.t;
+  mutable items : int array;
+  mutable len : int;
+}
 
 let fail_at line column message = raise (Parse_error { line; column; message })
 
@@ -15,87 +21,115 @@ let fail st message =
 
 let advance st = st.tok <- Lexer.next st.lx
 
+(* The lookahead as an error message shows it. *)
+let found st =
+  match st.tok with
+  | Token.Ident -> Lexer.ident_name st.lx
+  | tok -> Token.to_string tok
+
 let expect st token =
   if Token.equal st.tok token then advance st
   else
     fail st
       (Printf.sprintf "expected %s but found %s" (Token.to_string token)
-         (Token.to_string st.tok))
+         (found st))
 
 let expect_ident st what =
   match st.tok with
-  | Token.Ident s -> advance st; s
-  | other ->
-      fail st
-        (Printf.sprintf "expected %s but found %s" what (Token.to_string other))
+  | Token.Ident ->
+      let id = Lexer.ident st.lx in
+      advance st;
+      id
+  | _ -> fail st (Printf.sprintf "expected %s but found %s" what (found st))
+
+(* An identifier's text, for the two places that need it as a string. *)
+let expect_name st what =
+  match st.tok with
+  | Token.Ident ->
+      let name = Lexer.ident_name st.lx in
+      advance st;
+      name
+  | _ -> fail st (Printf.sprintf "expected %s but found %s" what (found st))
+
+let emit st x =
+  if st.len = Array.length st.items then begin
+    let items = Array.make (2 * st.len) 0 in
+    Array.blit st.items 0 items 0 st.len;
+    st.items <- items
+  end;
+  st.items.(st.len) <- x;
+  st.len <- st.len + 1
 
 let parse_direction st =
   let line = Lexer.token_line st.lx and column = Lexer.token_column st.lx in
-  let name = expect_ident st "port direction" in
+  let name = expect_name st "port direction" in
   match Mae_netlist.Port.direction_of_string name with
-  | Some d -> d
+  | Some d -> Ast.direction_code d
   | None -> fail_at line column ("invalid port direction " ^ name)
 
-let parse_pins st =
+(* The pins of a device item; the pin count goes in the slot at
+   [count_at]. *)
+let parse_pins st ~count_at =
   expect st Token.Lparen;
-  let first = expect_ident st "net name" in
-  let rec more acc =
+  emit st (expect_ident st "net name");
+  let rec more () =
     match st.tok with
     | Token.Comma ->
         advance st;
-        more (expect_ident st "net name" :: acc)
-    | Token.Rparen ->
-        advance st;
-        List.rev acc
-    | other ->
-        fail st
-          (Printf.sprintf "expected , or ) but found %s" (Token.to_string other))
+        emit st (expect_ident st "net name");
+        more ()
+    | Token.Rparen -> advance st
+    | _ -> fail st (Printf.sprintf "expected , or ) but found %s" (found st))
   in
-  more [ first ]
+  more ();
+  st.items.(count_at) <- st.len - count_at - 1
 
 (* An item; the caller has seen that the lookahead is not [}]. *)
-let parse_item st : Ast.item =
+let parse_item st =
   match st.tok with
   | Token.Technology ->
       advance st;
-      let name = expect_ident st "technology name" in
-      expect st Token.Semi;
-      Ast.Technology_decl name
+      emit st Ast.tag_technology;
+      emit st (expect_ident st "technology name");
+      expect st Token.Semi
   | Token.Port ->
       advance st;
-      let name = expect_ident st "port name" in
-      let direction = parse_direction st in
-      expect st Token.Semi;
-      Ast.Port_decl { name; direction }
+      emit st Ast.tag_port;
+      emit st (expect_ident st "port name");
+      emit st (parse_direction st);
+      expect st Token.Semi
   | Token.Net ->
       advance st;
-      let name = expect_ident st "net name" in
-      expect st Token.Semi;
-      Ast.Net_decl name
+      emit st Ast.tag_net;
+      emit st (expect_ident st "net name");
+      expect st Token.Semi
   | Token.Device ->
       advance st;
-      let name = expect_ident st "device name" in
-      let kind = expect_ident st "device kind" in
-      let pins = parse_pins st in
-      expect st Token.Semi;
-      Ast.Device_decl { name; kind; pins }
-  | other ->
-      fail st
-        (Printf.sprintf "expected an item or } but found %s"
-           (Token.to_string other))
+      emit st Ast.tag_device;
+      emit st (expect_ident st "device name");
+      emit st (expect_ident st "device kind");
+      let count_at = st.len in
+      emit st 0;
+      parse_pins st ~count_at;
+      expect st Token.Semi
+  | _ ->
+      fail st (Printf.sprintf "expected an item or } but found %s" (found st))
 
+(* A module; the caller has seen that the lookahead is [module].  Its
+   identifiers are interned in a fresh id space, read off before the
+   token after [}] is lexed. *)
 let parse_module st : Ast.module_decl =
-  expect st Token.Module;
-  let name = expect_ident st "module name" in
+  Lexer.start_module st.lx;
+  advance st;
+  let name = expect_name st "module name" in
   expect st Token.Lbrace;
-  let rec items acc =
-    match st.tok with
-    | Token.Rbrace -> List.rev acc
-    | _ -> items (parse_item st :: acc)
-  in
-  let items = items [] in
-  expect st Token.Rbrace;
-  { Ast.name; items }
+  st.len <- 0;
+  while not (Token.equal st.tok Token.Rbrace) do
+    parse_item st
+  done;
+  let idents = Lexer.idents st.lx and items = Array.sub st.items 0 st.len in
+  advance st;
+  { Ast.name; idents; items }
 
 (* A lexer error anywhere in the text wins over a parse error: after a
    parse error the rest of the text is still lexed, and the first
@@ -106,15 +140,14 @@ let parse_string text =
     Error { line = e.line; column = e.column; message = e.message }
   in
   match
-    let st = { lx; tok = Lexer.next lx } in
+    (* a module's stream holds about one int per 10 bytes of its text *)
+    let items = Array.make (max 256 (min 16384 (String.length text / 8))) 0 in
+    let st = { lx; tok = Lexer.next lx; items; len = 0 } in
     let rec modules acc =
       match st.tok with
       | Token.Eof -> List.rev acc
       | Token.Module -> modules (parse_module st :: acc)
-      | other ->
-          fail st
-            (Printf.sprintf "expected module but found %s"
-               (Token.to_string other))
+      | _ -> fail st (Printf.sprintf "expected module but found %s" (found st))
     in
     modules []
   with

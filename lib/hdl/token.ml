@@ -10,29 +10,11 @@ type t =
   | Rparen
   | Comma
   | Semi
-  | Ident of string
+  | Ident
   | Eof
 
-let equal a b =
-  match (a, b) with
-  | Ident x, Ident y -> String.equal x y
-  | Module, Module
-  | Technology, Technology
-  | Port, Port
-  | Net, Net
-  | Device, Device
-  | Lbrace, Lbrace
-  | Rbrace, Rbrace
-  | Lparen, Lparen
-  | Rparen, Rparen
-  | Comma, Comma
-  | Semi, Semi
-  | Eof, Eof ->
-      true
-  | ( ( Module | Technology | Port | Net | Device | Lbrace | Rbrace | Lparen
-      | Rparen | Comma | Semi | Ident _ | Eof ),
-      _ ) ->
-      false
+(* constant constructors are immediates: physical equality is equality *)
+let equal (a : t) b = a == b
 
 let to_string = function
   | Module -> "module"
@@ -46,7 +28,7 @@ let to_string = function
   | Rparen -> ")"
   | Comma -> ","
   | Semi -> ";"
-  | Ident s -> s
+  | Ident -> "identifier"
   | Eof -> "<eof>"
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -1,4 +1,8 @@
-(** Tokens of the structural HDL (see {!Parser} for the grammar). *)
+(** Tokens of the structural HDL (see {!Parser} for the grammar).
+
+    Every token is a constant: an identifier's text is interned by the
+    {!Lexer}, which hands out its id ({!Lexer.ident}) and its text
+    ({!Lexer.ident_name}). *)
 
 type t =
   | Module
@@ -12,11 +16,12 @@ type t =
   | Rparen
   | Comma
   | Semi
-  | Ident of string
+  | Ident
   | Eof
 
 val equal : t -> t -> bool
 
 val to_string : t -> string
+(** The token's text; ["identifier"] for [Ident]. *)
 
 val pp : Format.formatter -> t -> unit

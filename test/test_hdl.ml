@@ -1,5 +1,6 @@
 open Mae_hdl
 module S = Mae_test_support.Support
+module O = Mae_test_support.Hdl_oracle
 
 let sample =
   {|
@@ -16,12 +17,28 @@ let sample =
 
 (* Lexer *)
 
+(* A token with its text, as the list lexer of the oracle spells it. *)
+let spelled lx : Token.t -> O.token = function
+  | Token.Ident -> O.Ident (Lexer.ident_name lx)
+  | Token.Module -> O.Module
+  | Token.Technology -> O.Technology
+  | Token.Port -> O.Port
+  | Token.Net -> O.Net
+  | Token.Device -> O.Device
+  | Token.Lbrace -> O.Lbrace
+  | Token.Rbrace -> O.Rbrace
+  | Token.Lparen -> O.Lparen
+  | Token.Rparen -> O.Rparen
+  | Token.Comma -> O.Comma
+  | Token.Semi -> O.Semi
+  | Token.Eof -> O.Eof
+
 (* Every token of [text] with its line and column, through Eof. *)
 let lex text =
   let lx = Lexer.create text in
   let rec go acc =
     let tok = Lexer.next lx in
-    let acc = (tok, Lexer.token_line lx, Lexer.token_column lx) :: acc in
+    let acc = (spelled lx tok, Lexer.token_line lx, Lexer.token_column lx) :: acc in
     match tok with Token.Eof -> List.rev acc | _ -> go acc
   in
   match go [] with tokens -> Ok tokens | exception Lexer.Error e -> Error e
@@ -33,9 +50,8 @@ let test_lexer_tokens () =
       let kinds = List.map (fun (t, _, _) -> t) tokens in
       Alcotest.(check bool) "tokens" true
         (kinds
-        = [ Token.Module; Token.Ident "m"; Token.Lbrace; Token.Port;
-            Token.Ident "a"; Token.Ident "in"; Token.Semi; Token.Rbrace;
-            Token.Eof ])
+        = [ O.Module; O.Ident "m"; O.Lbrace; O.Port; O.Ident "a";
+            O.Ident "in"; O.Semi; O.Rbrace; O.Eof ])
 
 let test_lexer_comments () =
   match lex "# all\n// comment\nmodule" with
@@ -59,8 +75,8 @@ let test_lexer_error () =
 let test_lexer_bus_bits () =
   match lex "a[3] b.c" with
   | Ok [ (a, _, _); (b, _, _); _eof ] ->
-      Alcotest.(check bool) "bracketed ident" true (a = Token.Ident "a[3]");
-      Alcotest.(check bool) "dotted ident" true (b = Token.Ident "b.c")
+      Alcotest.(check bool) "bracketed ident" true (a = O.Ident "a[3]");
+      Alcotest.(check bool) "dotted ident" true (b = O.Ident "b.c")
   | Ok _ | Error _ -> Alcotest.fail "expected two idents"
 
 (* Parser *)
@@ -69,13 +85,14 @@ let test_parse_sample () =
   match Parser.parse_string sample with
   | Error e -> Alcotest.failf "parse error: %d:%d %s" e.line e.column e.message
   | Ok [ m ] ->
-      Alcotest.(check string) "name" "half_adder" m.Ast.name;
+      let m = O.of_module m in
+      Alcotest.(check string) "name" "half_adder" m.O.name;
       Alcotest.(check bool) "technology" true
-        (Ast.technology m = Some "nmos25");
+        (O.technology m = Some "nmos25");
       let devices =
         List.filter
-          (function Ast.Device_decl _ -> true | _ -> false)
-          m.Ast.items
+          (function O.Device_decl _ -> true | _ -> false)
+          m.O.items
       in
       Alcotest.(check int) "devices" 3 (List.length devices)
   | Ok _ -> Alcotest.fail "expected one module"
@@ -392,34 +409,35 @@ let test_flatten_wide () =
       Alcotest.(check int) "shared input fans out to every leaf" leaves
         (Mae_netlist.Circuit.degree c a.Mae_netlist.Net.index);
       Alcotest.(check bool) "same as the list flatten" true
-        (Ok c = Mae_test_support.Hdl_oracle.flatten design ~top:"top")
+        (Ok c = O.flatten (O.of_design design) ~top:"top")
 
 (* Random small hierarchies, with recursion, pin/port arity mismatches,
-   duplicate names and duplicate module definitions: the indexed flatten
-   gives the list flatten's circuit or its error. *)
+   duplicate names and duplicate module definitions, built in the
+   oracle's tree and printed: the parsed and indexed flatten gives the
+   list flatten's circuit or its error. *)
 let hierarchy_gen =
   let open QCheck2.Gen in
   let modules = [ "m0"; "m1"; "m2"; "m3" ] in
   let nets = [ "a"; "b"; "c"; "n"; "k" ] in
   let item =
     frequency
-      [ (1, map (fun t -> Ast.Technology_decl t) (oneofl [ "nmos25"; "cmos20" ]));
+      [ (1, map (fun t -> O.Technology_decl t) (oneofl [ "nmos25"; "cmos20" ]));
         ( 3,
           map2
-            (fun name direction -> Ast.Port_decl { name; direction })
+            (fun name direction -> O.Port_decl { name; direction })
             (oneofl [ "a"; "b"; "c"; "a" ])
             (oneofl Mae_netlist.Port.[ Input; Output; Inout ]) );
-        (1, map (fun n -> Ast.Net_decl n) (oneofl nets));
+        (1, map (fun n -> O.Net_decl n) (oneofl nets));
         ( 5,
           map3
-            (fun name kind pins -> Ast.Device_decl { name; kind; pins })
+            (fun name kind pins -> O.Device_decl { name; kind; pins })
             (oneofl [ "u"; "v"; "w"; "u" ])
             (oneofl ([ "inv"; "nand2" ] @ modules))
             (list_size (int_range 1 3) (oneofl nets)) ) ]
   in
   let module_decl =
     map2
-      (fun name items -> { Ast.name; items })
+      (fun name items -> { O.name; items })
       (oneofl modules)
       (list_size (int_range 0 6) item)
   in
@@ -429,9 +447,10 @@ let flatten_props =
   [
     S.qtest ~count:2000 "indexed = list flatten" hierarchy_gen
       (fun (design, top) ->
-        Elaborate.flatten ~default_technology:"nmos25" design ~top
-        = Mae_test_support.Hdl_oracle.flatten ~default_technology:"nmos25"
-            design ~top);
+        let parsed = Parser.parse_string (O.to_text design) |> Result.get_ok in
+        O.of_design parsed = design
+        && Elaborate.flatten ~default_technology:"nmos25" parsed ~top
+           = O.flatten ~default_technology:"nmos25" design ~top);
   ]
 
 (* Fuzz: malformed input must produce errors, never exceptions *)
@@ -464,11 +483,11 @@ let fuzz_props =
   ]
 
 (* Differential: the pull parser against the list-based front end it
-   replaced (Hdl_oracle), same design or the same error (line, column,
-   message). *)
+   replaced (Hdl_oracle), same design (read back from its id form) or the
+   same error (line, column, message). *)
 
 let same_as_oracle text =
-  Parser.parse_string text = Mae_test_support.Hdl_oracle.parse_string text
+  Result.map O.of_design (Parser.parse_string text) = O.parse_string text
 
 let check_same what text =
   if not (same_as_oracle text) then
@@ -552,6 +571,196 @@ let diff_props =
       same_as_oracle;
   ]
 
+(* Differential: the interning front end (Parser to the id form, then
+   Elaborate's stamp arrays) against the list parser and the Builder
+   elaboration it replaced (Hdl_oracle), same circuits or the same
+   error. *)
+
+let front_end ?default_technology text =
+  match Parser.parse_string text with
+  | Error e -> Error (O.Parse e)
+  | Ok design ->
+      Result.map_error
+        (fun e -> O.Elaborate e)
+        (Elaborate.design_to_circuits ?default_technology design)
+
+let same_circuits text =
+  front_end text = O.front_end text
+  && front_end ~default_technology:"cmos20" text
+     = O.front_end ~default_technology:"cmos20" text
+
+let check_circuits what text =
+  if not (same_circuits text) then
+    Alcotest.failf "%s: interned and list front ends disagree on %S" what text
+
+(* Gate-level generator circuits and their transistor-level expansions,
+   printed: each elaborates, to the oracle's circuit. *)
+let test_interned_printed () =
+  let gate_level = printed_circuits in
+  let transistor_level =
+    List.map
+      (fun c -> Printer.to_string (Mae_workload.Bench_circuits.flatten c))
+      Mae_workload.Generators.[ full_adder (); counter 4; alu 2; multiplier 3 ]
+  in
+  List.iter
+    (fun text ->
+      (match front_end text with
+      | Ok [ _ ] -> ()
+      | Ok _ | Error _ -> Alcotest.failf "printed circuit does not elaborate: %S" text);
+      check_circuits "printed circuit" text)
+    (gate_level @ transistor_level);
+  check_circuits "concatenated" (String.concat "\n" (gate_level @ transistor_level))
+
+let expect_error what text expected =
+  check_circuits what text;
+  match front_end text with
+  | Error e when e = expected -> ()
+  | Error _ | Ok _ -> Alcotest.failf "%s: not the expected error on %S" what text
+
+let test_interned_cases () =
+  let dup what name = O.Elaborate (Elaborate.Duplicate_name { module_name = "m"; what; name }) in
+  expect_error "duplicate device"
+    "module m { technology t; device u inv (a); device u inv (b); }"
+    (dup "device" "u");
+  expect_error "duplicate port" "module m { technology t; port a in; port a out; }"
+    (dup "port" "a");
+  (* the first error in item order: port p repeats before device u does *)
+  expect_error "first error"
+    "module m { technology t; device u inv (a); port p in; port p out; device u inv (b); }"
+    (dup "port" "p");
+  expect_error "no technology before a duplicate" "module m { port a in; port a in; }"
+    (O.Elaborate (Elaborate.No_technology { module_name = "m" }));
+  (* module a fails elaboration, module c has a syntax error: the parse
+     error wins *)
+  expect_error "parse error wins"
+    "module a { port p in; port p in; }\nmodule b { technology t; }\nmodule c { port }"
+    (O.Parse { line = 3; column = 17; message = "expected port name but found }" });
+  List.iter
+    (fun text ->
+      check_circuits "case" text;
+      match front_end text with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.failf "expected circuits from %S" text)
+    [ (* a name used as a device, a net and a port *)
+      "module m { technology t; port a in; device a inv (a, b); net b; device b inv (b, a); }";
+      (* two technology items: the last wins *)
+      "module m { technology t1; port a in; technology t2; device x inv (a, y); }";
+      (* keyword-prefixed identifiers *)
+      "module modules { technology netx; port netx in; port device1 out;\n\
+      \  device device1 modules (netx, device1, nets, ports1, technologyx, module_, devices);\n\
+      \  net portx; }";
+      (* no items, a lone net, two modules that share names *)
+      "module m { technology t; }";
+      "module m { technology t; net n; }";
+      "module m { technology t; port a in; device u inv (a, b); }\n\
+       module n { technology t; port b in; device u inv (b, a); }" ];
+  (match front_end "module m { technology t1; port a in; technology t2; }" with
+  | Ok [ c ] ->
+      Alcotest.(check string) "last technology" "t2" c.Mae_netlist.Circuit.technology
+  | Ok _ | Error _ -> Alcotest.fail "expected one circuit");
+  check_circuits "missing technology" "module m { port a in; device u inv (a, b); }";
+  (* each module's ids start from 0, in order of first sight *)
+  match Parser.parse_string "module m { net a; net m; } module n { net b; net a; }" with
+  | Ok [ m; n ] ->
+      Alcotest.(check (array string)) "first id space" [| "m"; "a" |] m.Ast.idents;
+      Alcotest.(check (array string)) "second id space" [| "n"; "b"; "a" |] n.Ast.idents
+  | Ok _ | Error _ -> Alcotest.fail "expected two modules"
+
+(* Random flat designs whose devices, ports, nets, kinds and technology
+   draw on one pool of names, keyword-prefixed ones among them, so a name
+   often serves in several namespaces at once. *)
+let flat_design_gen =
+  let open QCheck2.Gen in
+  let pool = [ "a"; "b"; "u"; "in"; "netx"; "modules"; "device1"; "a[1]" ] in
+  let item =
+    frequency
+      [ (1, map (fun t -> O.Technology_decl t) (oneofl [ "nmos25"; "netx" ]));
+        ( 3,
+          map2
+            (fun name direction -> O.Port_decl { name; direction })
+            (oneofl pool)
+            (oneofl Mae_netlist.Port.[ Input; Output; Inout ]) );
+        (2, map (fun n -> O.Net_decl n) (oneofl pool));
+        ( 5,
+          map3
+            (fun name kind pins -> O.Device_decl { name; kind; pins })
+            (oneofl pool) (oneofl pool)
+            (list_size (int_range 1 4) (oneofl pool)) ) ]
+  in
+  list_size (int_range 1 3)
+    (map2
+       (fun name items -> { O.name; items })
+       (oneofl [ "m0"; "m1"; "modules" ])
+       (list_size (int_range 0 8) item))
+
+let interned_props =
+  [
+    S.qtest ~count:2000 "interned = list on flat designs" flat_design_gen
+      (fun design ->
+        let parsed = Parser.parse_string (O.to_text design) |> Result.get_ok in
+        O.of_design parsed = design
+        && Elaborate.design_to_circuits parsed = O.design_to_circuits design
+        && Elaborate.design_to_circuits ~default_technology:"cmos20" parsed
+           = O.design_to_circuits ~default_technology:"cmos20" design
+        && List.for_all
+             (fun name ->
+               Elaborate.find_module parsed ~name = O.find_module design ~name)
+             [ "m0"; "m1"; "modules"; "zz" ]);
+    S.qtest ~count:1000 "interned = list on junk" junk_gen same_circuits;
+    S.qtest ~count:1000 "interned = list on token soup" tokens_gen same_circuits;
+    S.qtest ~count:1000 "interned = list on dense soup" soup_gen same_circuits;
+    S.qtest ~count:1000 "interned = list on mutated circuits" mutated_gen
+      same_circuits;
+  ]
+
+(* 20 000 distinct names whose Lexer.hash values agree in their low 16
+   bits, so they share one probe run of the intern table (it stays at
+   most 65 536 slots for this many names).  The hash is linear in the
+   bytes, so two 3-byte blocks with equal value modulo 2^16 can stand in
+   for each other anywhere in a name: 15 block positions give 2^15
+   names of one length. *)
+let colliding_names count =
+  let alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_" in
+  let block k =
+    String.init 3 (fun i -> alphabet.[(k / [| 1; 63; 63 * 63 |].(i)) mod 63])
+  in
+  let first = Array.make 65536 (-1) in
+  let rec pair k =
+    let v = Lexer.hash (block k) land 0xffff in
+    if first.(v) >= 0 then (block first.(v), block k)
+    else begin
+      first.(v) <- k;
+      pair (k + 1)
+    end
+  in
+  let x, y = pair 0 in
+  List.init count (fun i ->
+      "n" ^ String.concat "" (List.init 15 (fun b -> if (i lsr b) land 1 = 0 then x else y)))
+
+let test_intern_collisions () =
+  let count = 20_000 in
+  let names = colliding_names count in
+  let low = Lexer.hash (List.hd names) land 0xffff in
+  Alcotest.(check bool) "one slot run" true
+    (List.for_all (fun n -> Lexer.hash n land 0xffff = low) names);
+  Alcotest.(check int) "distinct" count
+    (List.length (List.sort_uniq String.compare names));
+  let names = Array.of_list names in
+  let b = Buffer.create (count * 110) in
+  Buffer.add_string b "module hostile { technology nmos25;\n";
+  Array.iteri
+    (fun i n ->
+      Printf.bprintf b "  device %s inv (%s, %s);\n" n n names.((i + 1) mod count))
+    names;
+  Buffer.add_string b "}\n";
+  let text = Buffer.contents b in
+  match front_end text with
+  | Ok [ c ] ->
+      Alcotest.(check int) "devices" count (Mae_netlist.Circuit.device_count c);
+      Alcotest.(check int) "nets" count (Mae_netlist.Circuit.net_count c);
+      Alcotest.(check bool) "oracle's circuit" true (Ok [ c ] = O.front_end text)
+  | Ok _ | Error _ -> Alcotest.fail "expected one circuit"
+
 let () =
   Alcotest.run "hdl"
     [
@@ -599,4 +808,11 @@ let () =
           Alcotest.test_case "error precedence" `Quick test_diff_precedence;
         ]
         @ diff_props );
+      ( "interned",
+        [
+          Alcotest.test_case "printed circuits" `Quick test_interned_printed;
+          Alcotest.test_case "cases" `Quick test_interned_cases;
+          Alcotest.test_case "colliding names" `Quick test_intern_collisions;
+        ]
+        @ interned_props );
     ]
