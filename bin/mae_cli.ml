@@ -632,8 +632,10 @@ let serve_cmd =
       & info [ "store-cap" ] ~docv:"N"
           ~doc:
             "LRU bound on the estimate store's entries, journal replay \
-             included (default 65536; 0 = unbounded).  Evictions count into \
-             mae_estimate_cache_evictions_total.")
+             included, and on the text index's (default 65536; 0 = \
+             unbounded).  Evictions count into \
+             mae_estimate_cache_evictions_total and \
+             mae_serve_text_index_evictions_total.")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -3,6 +3,12 @@ type method_result = {
   outcome : (Methodology.outcome, Methodology.error) result;
 }
 
+type answer = {
+  name : string;
+  technology : string;
+  results : method_result list;
+}
+
 type module_report = {
   circuit : Mae_netlist.Circuit.t;
   process : Mae_tech.Process.t;
@@ -35,6 +41,13 @@ let pp_error ppf = function
       Format.fprintf ppf "@[<v>module %s failed validation:@ %a@]" module_name
         (Format.pp_print_list Mae_netlist.Validate.pp_issue)
         issues
+
+let answer r =
+  {
+    name = r.circuit.Mae_netlist.Circuit.name;
+    technology = r.circuit.Mae_netlist.Circuit.technology;
+    results = r.results;
+  }
 
 (* --- per-method accessors ------------------------------------------- *)
 

@@ -43,6 +43,17 @@ type module_report = {
       (** one slot per selected methodology, in selection order *)
 }
 
+type answer = {
+  name : string;  (** the module's name *)
+  technology : string;
+  results : method_result list;
+}
+(** The part of a {!module_report} that a serve answer reads: the
+    module's name and technology and its results.  A stored estimate
+    keeps exactly this, so it can answer without the circuit. *)
+
+val answer : module_report -> answer
+
 type error =
   | Parse_error of Mae_hdl.Parser.error
   | Elaborate_error of Mae_hdl.Elaborate.error

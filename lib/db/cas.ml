@@ -14,9 +14,10 @@
    simply stops being looked up.  There is no invalidation protocol to
    get wrong.
 
-   One LRU-capped table backs the store, and it holds one compact entry
-   type: the module name and technology, the resolved method results,
-   and the device/net/port counts a Store snapshot row needs.  A hit
+   One LRU-capped table ({!Lru}) backs the store, and it holds one
+   compact entry type: the serve answer ({!Mae.Driver.answer}: module
+   name, technology and resolved method results) and the device/net/port
+   counts a Store snapshot row needs.  A hit
    rebuilds the report around the caller's circuit and process -- the
    pair the caller computed the key from -- with [issues = []] and
    [expanded = None]: validation warnings and the transistor-level
@@ -35,26 +36,14 @@ module D = Mae.Driver
 module M = Mae.Methodology
 module C = Mae_netlist.Circuit
 
-(* Entries thread an intrusive doubly-linked recency list: head is most
-   recently touched, tail is the LRU eviction victim. *)
-type entry = {
-  key : string;
-  module_name : string;
-  technology : string;
-  results : D.method_result list;
-  mutable counts : (int * int * int) option;
-      (* devices, nets, ports; a journal-replayed entry learns them from
-         the circuit of its first hit *)
-  mutable prev : entry option;
-  mutable next : entry option;
-}
+(* An entry is the stored answer plus the device/net/port counts a
+   Store snapshot row needs; a journal-replayed entry learns the counts
+   from the circuit of its first hit. *)
+type entry = { answer : D.answer; mutable counts : (int * int * int) option }
 
 type t = {
   lock : Mutex.t;
-  live_cap : int option;
-  table : (string, entry) Hashtbl.t;
-  mutable lru_head : entry option;
-  mutable lru_tail : entry option;
+  table : (string, entry) Lru.t;
   mutable journal : out_channel option;
 }
 
@@ -74,68 +63,23 @@ let hit_count () = Mae_obs.Metrics.counter_value hits
 let miss_count () = Mae_obs.Metrics.counter_value misses
 let eviction_count () = Mae_obs.Metrics.counter_value evictions
 
+(* [Lru.create] rejects a cap below 1 *)
 let create ?live_cap () =
-  (match live_cap with
-  | Some c when c < 1 ->
-      invalid_arg (Printf.sprintf "Cas.create: live_cap %d < 1" c)
-  | _ -> ());
   {
     lock = Mutex.create ();
-    live_cap;
-    table = Hashtbl.create 64;
-    lru_head = None;
-    lru_tail = None;
+    table = Lru.create ?cap:live_cap 64;
     journal = None;
   }
 
-(* --- recency list (call with t.lock held) --- *)
+let live_cap t = Lru.cap t.table
 
-let detach t e =
-  (match e.prev with
-  | Some p -> p.next <- e.next
-  | None -> t.lru_head <- e.next);
-  (match e.next with
-  | Some s -> s.prev <- e.prev
-  | None -> t.lru_tail <- e.prev);
-  e.prev <- None;
-  e.next <- None
-
-let push_front t e =
-  e.next <- t.lru_head;
-  (match t.lru_head with Some h -> h.prev <- Some e | None -> ());
-  t.lru_head <- Some e;
-  if t.lru_tail = None then t.lru_tail <- Some e
-
-let touch t e =
-  if t.lru_head != Some e then begin
-    detach t e;
-    push_front t e
-  end
-
-let enforce_cap t =
-  match t.live_cap with
-  | None -> ()
-  | Some cap ->
-      let rec evict () =
-        if Hashtbl.length t.table > cap then
-          match t.lru_tail with
-          | None -> () (* unreachable: every entry is on the list *)
-          | Some victim ->
-              detach t victim;
-              Hashtbl.remove t.table victim.key;
-              Mae_obs.Metrics.incr evictions;
-              evict ()
-      in
-      evict ()
-
-(* first write wins: a key already held is only touched *)
-let insert t e =
-  match Hashtbl.find_opt t.table e.key with
-  | Some held -> touch t held
-  | None ->
-      Hashtbl.replace t.table e.key e;
-      push_front t e;
-      enforce_cap t
+(* first write wins: a key already held is only touched (call with
+   t.lock held) *)
+let insert t k e =
+  if Lru.mem t.table k then ignore (Lru.find t.table k)
+  else
+    let evicted = Lru.add t.table k e in
+    if evicted > 0 then Mae_obs.Metrics.add evictions evicted
 
 let counts c = (C.device_count c, C.net_count c, C.port_count c)
 
@@ -310,11 +254,10 @@ let locked t f =
 let find t ~key:k ~circuit ~process =
   let r =
     locked t (fun () ->
-        match Hashtbl.find_opt t.table k with
+        match Lru.find t.table k with
         | Some e
-          when String.equal e.module_name circuit.C.name
-               && String.equal e.technology circuit.C.technology ->
-            touch t e;
+          when String.equal e.answer.name circuit.C.name
+               && String.equal e.answer.technology circuit.C.technology ->
             if Option.is_none e.counts then e.counts <- Some (counts circuit);
             Some
               {
@@ -322,7 +265,7 @@ let find t ~key:k ~circuit ~process =
                 process;
                 issues = [];
                 expanded = None;
-                results = e.results;
+                results = e.answer.results;
               }
         | Some _ | None -> None)
   in
@@ -331,19 +274,30 @@ let find t ~key:k ~circuit ~process =
   | None -> Mae_obs.Metrics.incr misses);
   r
 
+(* All or nothing: a held key is touched as it is found, but hits are
+   counted only when every key is held, so a caller that falls back to
+   [find] on [None] counts each module once. *)
+let find_answers t keys =
+  let r =
+    locked t (fun () ->
+        let rec go acc = function
+          | [] -> Some (List.rev acc)
+          | k :: rest -> (
+              match Lru.find t.table k with
+              | Some e -> go (e.answer :: acc) rest
+              | None -> None)
+        in
+        go [] keys)
+  in
+  (match r with
+  | Some answers -> Mae_obs.Metrics.add hits (List.length answers)
+  | None -> ());
+  r
+
 let store t ~key:k (r : D.module_report) =
   locked t (fun () ->
-      if not (Hashtbl.mem t.table k) then begin
-        insert t
-          {
-            key = k;
-            module_name = r.circuit.C.name;
-            technology = r.circuit.C.technology;
-            results = r.results;
-            counts = Some (counts r.circuit);
-            prev = None;
-            next = None;
-          };
+      if not (Lru.mem t.table k) then begin
+        insert t k { answer = D.answer r; counts = Some (counts r.circuit) };
         match t.journal with
         | None -> ()
         | Some oc -> (
@@ -357,7 +311,7 @@ let store t ~key:k (r : D.module_report) =
               t.journal <- None)
       end)
 
-let length t = locked t (fun () -> Hashtbl.length t.table)
+let length t = locked t (fun () -> Lru.length t.table)
 
 (* --- journal --- *)
 
@@ -380,7 +334,7 @@ let parse_journal ~add lines =
     !j
   in
   let parse_block i =
-    (* lines.(i) is an entry header; Some (entry, next_line) or None *)
+    (* lines.(i) is an entry header; Some (key, entry, next_line) or None *)
     try
       let k =
         match Escape.tokens (String.trim lines.(i)) with
@@ -424,14 +378,15 @@ let parse_journal ~add lines =
       | None -> raise (Bad "entry without module line")
       | Some (m, tech) ->
           Some
-            ( {
-                key = k;
-                module_name = m;
-                technology = tech;
-                results = List.rev !results;
+            ( k,
+              {
+                answer =
+                  {
+                    D.name = m;
+                    technology = tech;
+                    results = List.rev !results;
+                  };
                 counts = None;
-                prev = None;
-                next = None;
               },
               !j )
     with Bad _ -> None
@@ -446,8 +401,8 @@ let parse_journal ~add lines =
     end
     else
       match parse_block !i with
-      | Some (e, j) ->
-          add e;
+      | Some (k, e, j) ->
+          add k e;
           incr loaded;
           i := j
       | None ->
@@ -495,14 +450,15 @@ let close_journal t =
 let to_store t =
   let s = Store.create () in
   locked t (fun () ->
-      Hashtbl.iter
+      Lru.iter
         (fun _ e ->
           match e.counts with
           | None -> ()
           | Some (devices, nets, ports) -> (
               match
-                Record.of_results ~module_name:e.module_name
-                  ~technology:e.technology ~devices ~nets ~ports e.results
+                Record.of_results ~module_name:e.answer.name
+                  ~technology:e.answer.technology ~devices ~nets ~ports
+                  e.answer.results
               with
               | Ok record -> Store.add s record
               | Error _ -> ()))

@@ -9,9 +9,9 @@
     the registry, or bumping its epoch changes every key, so stale
     entries are simply never looked up again.
 
-    An entry keeps only what an answer needs: the module name and
-    technology, the resolved method results, and the device/net/port
-    counts of a {!Record}.  A hit rebuilds the
+    An entry keeps only what an answer needs: the
+    {!Mae.Driver.answer} (module name, technology and resolved method
+    results) and the device/net/port counts of a {!Record}.  A hit rebuilds the
     {!Mae.Driver.module_report} around the caller's own circuit and
     process: [results] are bit-for-bit as first computed, [issues] is
     [[]] and [expanded] is [None] (neither is part of a serve answer,
@@ -58,10 +58,21 @@ val find :
     physically.  An entry whose module name or technology differs from
     [circuit]'s misses. *)
 
+val find_answers : t -> string list -> Mae.Driver.answer list option
+(** Lookup by key alone, with no circuit: the stored answers of [keys]
+    in order, when every one is held.  Each held key is made most
+    recent.  When all are held, each counts a hit; otherwise [None] and
+    nothing is counted, so a caller that falls back to {!find} counts
+    each module once.  The serve daemon's text index answers a repeated
+    request through this. *)
+
 val store : t -> key:string -> Mae.Driver.module_report -> unit
 (** Insert (first write wins) and append to the journal when one is
     open.  A journal write failure disables persistence but never
     estimation. *)
+
+val live_cap : t -> int option
+(** The entry bound given to {!create}. *)
 
 val length : t -> int
 (** Entries currently held, stored and journal-replayed alike. *)

@@ -58,27 +58,36 @@ let choose_slow n k =
     | exception Invalid_argument _ -> Float.exp (log_choose n k)
 
 (* Every C(n,k) the estimator's hot loops reach -- rows and degrees are
-   small integers -- served from one flat float table.  The table is
-   filled through [choose_slow] itself, so a table lookup returns the
-   exact bits the direct computation returns, and it is built eagerly at
-   module initialization (single-domain) and never mutated, so reads
-   are safe from any number of domains. *)
+   small integers -- served from one flat float table, each entry filled
+   from [choose_slow] on its first read (see comb.mli for why a race
+   between domains is benign).  Filling all 8 256 entries at module
+   initialization cost every process about a millisecond of start-up. *)
 let choose_table_bound = 128
 
-let choose_table =
-  let t = Array.make (choose_table_bound * choose_table_bound) 0. in
-  for n = 0 to choose_table_bound - 1 do
-    for k = 0 to n do
-      t.((n * choose_table_bound) + k) <- choose_slow n k
-    done
-  done;
-  t
+module Table = struct
+  type t = float array
 
-let choose n k =
-  if k < 0 || k > n then 0.
-  else if n < choose_table_bound then
-    Array.unsafe_get choose_table ((n * choose_table_bound) + k)
-  else choose_slow n k
+  let create () = Array.make (choose_table_bound * choose_table_bound) 0.
+
+  let filled t n k = t.((n * choose_table_bound) + k) <> 0.
+
+  let choose t n k =
+    if k < 0 || k > n then 0.
+    else if n < choose_table_bound then begin
+      let i = (n * choose_table_bound) + k in
+      let v = Array.unsafe_get t i in
+      if v <> 0. then v
+      else begin
+        let v = choose_slow n k in
+        Array.unsafe_set t i v;
+        v
+      end
+    end
+    else choose_slow n k
+end
+
+let choose_table = Table.create ()
+let choose n k = Table.choose choose_table n k
 
 let float_pow x n =
   if n < 0 then invalid_arg "Comb.float_pow: negative exponent";

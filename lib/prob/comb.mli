@@ -18,9 +18,36 @@ val choose : int -> int -> float
     bits (every n up to ~61 for central k, much further for small k),
     exp/log only beyond that.  Arguments with [n < 128] -- every row
     and degree the estimator's hot loops reach -- are served from a
-    flat float table filled by the direct computation at module
-    initialization, so the fast path is one bounds check and an array
-    load with bit-identical results. *)
+    process-wide {!Table}, so the fast path is one bounds check and an
+    array load with bit-identical results. *)
+
+(** A flat float memo of C(n,k) for [n < 128], filled entry by entry.
+
+    An entry is computed by the direct computation on its first read and
+    kept; [0.] marks an entry not yet computed, since every C(n,k) with
+    [0 <= k <= n] is at least 1.  Nothing is computed when the table is
+    made, so a process that never asks for a binomial pays only for one
+    zeroed array.
+
+    Reads from several domains are safe without a lock.  Two domains
+    that read a fresh entry at once may both compute it; both get the
+    same bits from the same deterministic computation, and an entry is
+    one 64-bit word, written and read whole, so every reader sees either
+    the [0.] mark (and computes the value itself) or those bits. *)
+module Table : sig
+  type t
+
+  val create : unit -> t
+  (** A table with every entry not yet computed. *)
+
+  val choose : t -> int -> int -> float
+  (** {!choose} through this table: bit-identical to it for every
+      argument. *)
+
+  val filled : t -> int -> int -> bool
+  (** Whether entry [(n, k)] has been computed; requires
+      [0 <= k <= n < 128]. *)
+end
 
 val choose_int : int -> int -> int
 (** Exact C(n,k) by the rising product; raises [Invalid_argument] if an

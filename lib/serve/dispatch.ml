@@ -5,14 +5,17 @@
    requests from many connections interleave.  A tick pops one job and
    answers it with the full per-request bookkeeping: seq/rid, latency
    sketch + exemplar, tail capture, the access log record, the response
-   write.  An estimate job parses its HDL, then looks each
-   module up in the estimate store ({!Mae_db.Cas}, owned here and
-   nowhere else).  It makes one {!Mae_engine.run_circuits_with_stats}
-   call over the misses, or none when every module hit, at the
-   engine's default [jobs = 1] on the daemon's one domain, and stores
-   each computed result.  All of it runs inside the request's own
-   [serve.request] span and request-id scope, so its store and
-   kernel-cache counts are its own.
+   write.  An estimate job first asks the text index: a request whose
+   exact bytes (under the same methods and registries) were answered
+   wholly from the store before is answered from it again by the keys
+   recorded then, with no parse and no keying.  Otherwise it parses its
+   HDL, then looks each module up in the estimate store
+   ({!Mae_db.Cas}, owned here and nowhere else).  It makes one
+   {!Mae_engine.run_circuits_with_stats} call over the misses, or none
+   when every module hit, at the engine's default [jobs = 1] on the
+   daemon's one domain, and stores each computed result.  All of it
+   runs inside the request's own [serve.request] span and request-id
+   scope, so its store and kernel-cache counts are its own.
 
    Admission control lives at the front door: when the queued estimate
    count is at the watermark, a new estimate is answered 503 +
@@ -44,6 +47,22 @@ let requests_shed =
     ~help:
       "Estimation requests shed by admission control (queue at the \
        watermark; answered 503 + Retry-After without estimation)"
+
+let text_index_hits =
+  Metrics.counter "mae_serve_text_index_hits_total"
+    ~help:
+      "Estimate requests answered by the text index (bytes seen before: \
+       no parse, no keying)"
+
+let text_index_misses =
+  Metrics.counter "mae_serve_text_index_misses_total"
+    ~help:
+      "Estimate requests the text index could not answer (text not \
+       indexed, or one of its stored estimates evicted)"
+
+let text_index_evictions =
+  Metrics.counter "mae_serve_text_index_evictions_total"
+    ~help:"Text-index entries evicted by the LRU cap (the store's --store-cap)"
 
 let queue_depth_gauge =
   Metrics.gauge "mae_serve_queue_depth"
@@ -102,13 +121,37 @@ let method_result_json (r : Mae.Driver.method_result) =
             ("error", Json.String (Mae.Methodology.error_to_string e));
           ] )
 
+(* The outcome of the first result slot named [name], when it is Ok. *)
+let ok_outcome (results : Mae.Driver.method_result list) name =
+  match
+    List.find_opt
+      (fun (r : Mae.Driver.method_result) ->
+        String.equal (Mae.Methodology.name r.methodology) name)
+      results
+  with
+  | Some { outcome = Ok o; _ } -> Some o
+  | Some { outcome = Error _; _ } | None -> None
+
+let stdcell_auto results =
+  match ok_outcome results "stdcell" with
+  | Some (Mae.Methodology.Stdcell { auto; _ }) -> Some auto
+  | _ -> None
+
+let fullcustom_area results name field =
+  match ok_outcome results name with
+  | Some (Mae.Methodology.Fullcustom f) ->
+      [ (field, Json.Number f.Mae.Estimate.area) ]
+  | _ -> []
+
+(* A module's answer reads its name, technology and results only, so a
+   stored answer serves it without the circuit. *)
 let module_json = function
-  | Ok (r : Mae.Driver.module_report) ->
+  | Ok (a : Mae.Driver.answer) ->
       (* the flat legacy fields stay (when their methodologies ran and
          succeeded) so pre-registry clients keep working; the "methods"
          object is the full per-methodology story. *)
       let legacy =
-        (match Mae.Driver.stdcell r with
+        (match stdcell_auto a.results with
         | Some sc ->
             [
               ("rows", Json.Number (Float.of_int sc.Mae.Estimate.rows));
@@ -117,25 +160,25 @@ let module_json = function
               ("stdcell_width", Json.Number sc.Mae.Estimate.width);
             ]
         | None -> [])
-        @ (match Mae.Driver.fullcustom_exact r with
-          | Some f -> [ ("fullcustom_exact_area", Json.Number f.Mae.Estimate.area) ]
-          | None -> [])
-        @
-        match Mae.Driver.fullcustom_average r with
-        | Some f -> [ ("fullcustom_average_area", Json.Number f.Mae.Estimate.area) ]
-        | None -> []
+        @ fullcustom_area a.results "fullcustom-exact" "fullcustom_exact_area"
+        @ fullcustom_area a.results "fullcustom-average"
+            "fullcustom_average_area"
+      in
+      let failures =
+        List.length
+          (List.filter
+             (fun (r : Mae.Driver.method_result) -> Result.is_error r.outcome)
+             a.results)
       in
       Json.Object
         ([
-           ("name", Json.String r.circuit.Mae_netlist.Circuit.name);
-           ("technology", Json.String r.circuit.Mae_netlist.Circuit.technology);
+           ("name", Json.String a.name);
+           ("technology", Json.String a.technology);
          ]
         @ legacy
         @ [
-            ("methods", Json.Object (List.map method_result_json r.results));
-            ( "method_errors",
-              Json.Number
-                (Float.of_int (List.length (Mae.Driver.method_failures r))) );
+            ("methods", Json.Object (List.map method_result_json a.results));
+            ("method_errors", Json.Number (Float.of_int failures));
           ])
   | Error e ->
       Json.Object
@@ -153,6 +196,8 @@ type prepared = {
   cached : bool;
       (** every module of this request was answered from the estimate
           store -- exact per request, from its own per-module lookups *)
+  indexed : bool;
+      (** the text index answered: no parse, no keying *)
   server_error : bool;
       (** true when the failure is the server's fault (an estimator
           crash), as opposed to a malformed request or bad circuit: it
@@ -169,13 +214,15 @@ let failure ?(server_error = false) msg =
     cache_hits = 0;
     cache_misses = 0;
     cached = false;
+    indexed = false;
     server_error;
   }
 
 (* One request's results to the response fields.  [kernel] is the
    kernel-cache traffic of its engine run, [(0, 0)] when every module
    came from the store. *)
-let prepared_of_results results ~cached ~kernel:(cache_hits, cache_misses) =
+let prepared_of_results ?(indexed = false) results ~cached
+    ~kernel:(cache_hits, cache_misses) =
   let modules = List.length results in
   let modules_ok = List.length (List.filter Result.is_ok results) in
   (* a module that crashed its estimator is a server fault; a driver
@@ -188,8 +235,8 @@ let prepared_of_results results ~cached ~kernel:(cache_hits, cache_misses) =
   let rows =
     List.fold_left
       (fun acc -> function
-        | Ok (r : Mae.Driver.module_report) -> begin
-            match Mae.Driver.stdcell r with
+        | Ok (a : Mae.Driver.answer) -> begin
+            match stdcell_auto a.results with
             | Some sc -> acc + sc.Mae.Estimate.rows
             | None -> acc
           end
@@ -210,6 +257,7 @@ let prepared_of_results results ~cached ~kernel:(cache_hits, cache_misses) =
     cache_hits;
     cache_misses;
     cached;
+    indexed;
     server_error = crashed;
   }
 
@@ -241,6 +289,8 @@ type t = {
   config : config;
   transport : Transport.t;
   cas : Mae_db.Cas.t;
+  index : (string, string list) Mae_db.Lru.t;
+      (** text key -> the request's store keys, in module order *)
   queue : job Queue.t;
   mutable next_seq : int;
   mutable queued_estimates : int;
@@ -251,6 +301,9 @@ let create ~config ~transport ~cas =
     config;
     transport;
     cas;
+    (* empty, and at the size its first insert needs: the index costs
+       nothing before the daemon is ready *)
+    index = Mae_db.Lru.create ?cap:(Mae_db.Cas.live_cap cas) 1;
     queue = Queue.create ();
     next_seq = 1;
     queued_estimates = 0;
@@ -341,6 +394,7 @@ let answer t job ~id outcome =
       ("cache_hits", Log.Int p.cache_hits);
       ("cache_misses", Log.Int p.cache_misses);
       ("cached", Log.Bool p.cached);
+      ("indexed", Log.Bool p.indexed);
       ("bytes_in", Log.Int job.bytes);
     ];
   let status = if p.p_ok then 200 else if p.server_error then 500 else 400 in
@@ -373,6 +427,7 @@ let answer_shed t job ~id =
       ("cache_hits", Log.Int 0);
       ("cache_misses", Log.Int 0);
       ("cached", Log.Bool false);
+      ("indexed", Log.Bool false);
       ("bytes_in", Log.Int job.bytes);
     ];
   let fields =
@@ -392,37 +447,35 @@ let answer_shed t job ~id =
 
 (* --- the estimate path --- *)
 
-(* How the store answered one module: a stored report, a miss under
-   [key], or no lookup at all -- an unknown process or method, which
-   the engine reports as an error slot. *)
-type lookup = Hit of Mae.Driver.module_report | Miss of string | Unkeyed
+(* How the store answered one module: a stored report under [key], a
+   miss under [key], or no lookup at all -- an unknown process or
+   method, which the engine reports as an error slot. *)
+type lookup =
+  | Hit of string * Mae.Driver.module_report
+  | Miss of string
+  | Unkeyed
 
 (* One request's modules: one store lookup each, one engine run over
    the misses (none when every module hit), each computed [Ok] stored,
-   and the results back in input order. *)
-let estimate_circuits t ?methods circuits =
-  let names =
-    match
-      Mae.Methodology.resolve (Option.value methods ~default:[ "default" ])
-    with
-    | Ok selected -> Some (List.map Mae.Methodology.name selected)
-    | Error _ -> None
-  in
+   and the results back in input order.  With the answer come the
+   store keys of the modules that hit, in input order: all of them when
+   the answer is [cached]. *)
+let estimate_circuits t ~names ?methods circuits =
   let registry = t.config.registry in
   let lookup (circuit : Mae_netlist.Circuit.t) =
     match (names, Mae_tech.Registry.find registry circuit.technology) with
     | Some methods, Some process -> (
         let key = Mae_db.Cas.key ~methods ~process circuit in
         match Mae_db.Cas.find t.cas ~key ~circuit ~process with
-        | Some report -> Hit report
+        | Some report -> Hit (key, report)
         | None -> Miss key)
     | None, _ | _, None -> Unkeyed
   in
-  let lookups = List.map (fun c -> (c, lookup c)) circuits in
+  let lookups = List.map lookup circuits in
   let pending =
     List.filter_map
-      (function _, Hit _ -> None | c, (Miss _ | Unkeyed) -> Some c)
-      lookups
+      (fun (c, l) -> match l with Hit _ -> None | Miss _ | Unkeyed -> Some c)
+      (List.combine circuits lookups)
   in
   let computed, kernel =
     if pending = [] then ([], (0, 0))
@@ -434,8 +487,8 @@ let estimate_circuits t ?methods circuits =
   in
   let rec merge computed = function
     | [] -> []
-    | (_, Hit report) :: rest -> Ok report :: merge computed rest
-    | (_, l) :: rest -> (
+    | Hit (_, report) :: rest -> Ok report :: merge computed rest
+    | l :: rest -> (
         match computed with
         | r :: computed ->
             (match (l, r) with
@@ -444,19 +497,91 @@ let estimate_circuits t ?methods circuits =
             r :: merge computed rest
         | [] -> assert false (* one engine result per pending module *))
   in
-  prepared_of_results (merge computed lookups)
-    ~cached:(circuits <> [] && pending = [])
-    ~kernel
+  let results = merge computed lookups in
+  let hits =
+    List.filter_map
+      (function Hit (key, _) -> Some key | Miss _ | Unkeyed -> None)
+      lookups
+  in
+  ( prepared_of_results
+      (List.map (Result.map Mae.Driver.answer) results)
+      ~cached:(circuits <> [] && pending = [])
+      ~kernel,
+    hits )
 
-(* One estimate request: its own parse, then its modules. *)
+(* The text index: a request's key is the digest of its HDL bytes, the
+   two registry versions (methodologies, processes) and the resolved
+   method names, and its value is the store keys of its modules.  Any
+   byte, method or registry change gives another key; texts that differ
+   only in order or whitespace still meet in the store through the
+   canonical key.  The digest is 16 bytes and the methodology registry
+   version 32, so the concatenation splits one way only. *)
+let text_key t ~names hdl =
+  String.concat ""
+    [
+      Digest.string hdl;
+      Mae.Methodology.registry_version ();
+      string_of_int (Mae_tech.Registry.version t.config.registry);
+      "\n";
+      String.concat "," names;
+    ]
+
+(* An indexed request whose stored estimates are all still held is
+   answered from them; any one evicted sends it down the full path. *)
+let from_index t key =
+  Mae_obs.Span.with_ ~name:"serve.index" @@ fun () ->
+  Option.bind (Mae_db.Lru.find t.index key) (Mae_db.Cas.find_answers t.cas)
+  |> Option.map (fun answers ->
+         prepared_of_results ~indexed:true
+           (List.map Result.ok answers)
+           ~cached:true ~kernel:(0, 0))
+
+(* One estimate request: the text index, else its own parse and its
+   modules.  A request the full path answered wholly from the store is
+   indexed: its modules are all [Ok] and stored, and its text (or one
+   equal to it up to order and whitespace) has been answered before.
+   A text seen once takes no index entry, and an empty index is not
+   asked, so a stream of new texts never pays for the digest. *)
 let estimate t (est : Protocol.estimate) =
-  match Mae.Driver.string_circuits est.Protocol.hdl with
-  | Error e -> failure (Format.asprintf "%a" Mae.Driver.pp_error e)
-  | Ok circuits -> (
-      try estimate_circuits t ?methods:est.Protocol.methods circuits
-      with exn ->
-        failure ~server_error:true
-          ("estimator crashed: " ^ Printexc.to_string exn))
+  let names =
+    match
+      Mae.Methodology.resolve
+        (Option.value est.Protocol.methods ~default:[ "default" ])
+    with
+    | Ok selected -> Some (List.map Mae.Methodology.name selected)
+    | Error _ -> None
+  in
+  let key =
+    lazy (Option.map (fun names -> text_key t ~names est.Protocol.hdl) names)
+  in
+  let answered =
+    if Mae_db.Lru.length t.index = 0 then None
+    else Option.bind (Lazy.force key) (from_index t)
+  in
+  match answered with
+  | Some p ->
+      Metrics.incr text_index_hits;
+      p
+  | None -> (
+      if Option.is_some names then Metrics.incr text_index_misses;
+      match Mae.Driver.string_circuits est.Protocol.hdl with
+      | Error e -> failure (Format.asprintf "%a" Mae.Driver.pp_error e)
+      | Ok circuits -> (
+          match
+            estimate_circuits t ~names ?methods:est.Protocol.methods circuits
+          with
+          | p, hits ->
+              if p.cached then
+                Option.iter
+                  (fun key ->
+                    let evicted = Mae_db.Lru.add t.index key hits in
+                    if evicted > 0 then
+                      Metrics.add text_index_evictions evicted)
+                  (Lazy.force key);
+              p
+          | exception exn ->
+              failure ~server_error:true
+                ("estimator crashed: " ^ Printexc.to_string exn)))
 
 (* --- the tick --- *)
 

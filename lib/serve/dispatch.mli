@@ -4,13 +4,28 @@
     connection's responses in its own arrival order.  A {!tick} pops
     one job and answers it with the full per-request bookkeeping:
     seq/rid, latency sketch + exemplar, tail capture, the access-log
-    record, the response write.  An estimate looks each
+    record, the response write.
+
+    An estimate first asks the text index, which maps the digest of a
+    request's HDL bytes (with the resolved method names and the
+    methodology and process registry versions) to the store keys of its
+    modules.  When every one of those is still held, the request is
+    answered from the store with no parse and no keying, bytes identical
+    to the full path's answer.  Otherwise it parses and looks each
     module up in the estimate store once, then makes one
     {!Mae_engine.run_circuits_with_stats} call over the misses (none
     when every module hit) on the calling domain, inside its own
-    [serve.request] span, and stores each computed result.  It answers
-    [cached:true] exactly when it has modules and every one hit; its
-    access-log record carries that run's kernel-cache counts.
+    [serve.request] span, and stores each computed result.  A request
+    the full path answered wholly from the store ([cached:true]) is then
+    indexed: every module of it is [Ok] and stored, and its text (or one
+    equal to it up to order and whitespace) was answered before.  A
+    text seen once takes no index entry, and a request that fails to
+    parse, names an unknown process or method, or has a module error is
+    never indexed.  The index lives in memory only, under the store's
+    LRU cap ([--store-cap]).  A request answers [cached:true] exactly
+    when it has modules and every one hit; its access-log record carries
+    that run's kernel-cache counts and whether the index answered
+    ([indexed]).
 
     Admission control: at the queue-depth watermark a new estimate is
     answered 503 + Retry-After without estimation.  Shed requests
@@ -59,4 +74,7 @@ val requests_total : Mae_obs.Metrics.counter
 val requests_ok : Mae_obs.Metrics.counter
 val requests_failed : Mae_obs.Metrics.counter
 val requests_shed : Mae_obs.Metrics.counter
+val text_index_hits : Mae_obs.Metrics.counter
+val text_index_misses : Mae_obs.Metrics.counter
+val text_index_evictions : Mae_obs.Metrics.counter
 val request_latency_sketch : Mae_obs.Sketch.t

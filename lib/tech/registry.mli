@@ -13,6 +13,11 @@ val create : ?builtins:bool -> unit -> t
 val add : t -> Process.t -> unit
 (** Replaces any same-named process. *)
 
+val version : t -> int
+(** Counts the {!add}s so far, so it changes whenever a process is
+    added or replaced.  A cache of answers computed through the registry
+    keys on it to drop them when a process changes. *)
+
 val load_string : t -> string -> (int, Tech_parser.error) result
 (** Parse [.tech] text and add every process; returns how many were
     added. *)

@@ -775,6 +775,45 @@ let fuzz_props =
           end);
   ]
 
+(* Mae_db.Lru against a list model, most recent first: every find,
+   mem, length and eviction count agrees over random operation
+   sequences, with and without a cap. *)
+type lru_op = Add of int * int | Find of int | Mem of int
+
+let lru_model_prop =
+  let open QCheck2.Gen in
+  let key = int_range 0 7 in
+  let op =
+    oneof
+      [ map2 (fun k v -> Add (k, v)) key nat; map (fun k -> Find k) key;
+        map (fun k -> Mem k) key ]
+  in
+  S.qtest ~count:300 "lru = list model"
+    (pair (oneofl [ None; Some 1; Some 2; Some 3; Some 5 ]) (list op))
+    (fun (cap, ops) ->
+      let lru = Mae_db.Lru.create ?cap 1 in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Add (k, v) ->
+                let kept = (k, v) :: List.remove_assoc k !model in
+                let n = List.length kept in
+                let limit = Option.value cap ~default:n in
+                model := List.filteri (fun i _ -> i < limit) kept;
+                Mae_db.Lru.add lru k v = max 0 (n - limit)
+            | Find k ->
+                let got = Mae_db.Lru.find lru k in
+                (match List.assoc_opt k !model with
+                | Some v -> model := (k, v) :: List.remove_assoc k !model
+                | None -> ());
+                got = List.assoc_opt k !model
+            | Mem k -> Mae_db.Lru.mem lru k = List.mem_assoc k !model
+          in
+          ok && Mae_db.Lru.length lru = List.length !model)
+        ops)
+
 let () =
   Alcotest.run "db"
     [
@@ -821,5 +860,5 @@ let () =
           Alcotest.test_case "retains no circuit" `Quick
             test_cas_retains_no_circuit;
         ] );
-      ("fuzz", fuzz_props);
+      ("fuzz", fuzz_props @ [ lru_model_prop ]);
     ]

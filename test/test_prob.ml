@@ -109,6 +109,50 @@ let test_log_factorial_domains () =
         true (Domain.join d))
     domains
 
+(* The C(n,k) table is filled on first read.  Every entry must carry
+   the direct computation's bits (Comb_oracle) on the read that fills
+   it and on every read after. *)
+let bits = Int64.bits_of_float
+
+let test_choose_table_fill () =
+  let t = Comb.Table.create () in
+  for n = 0 to 127 do
+    for k = 0 to n do
+      let want = bits (Mae_test_support.Comb_oracle.choose n k) in
+      if Comb.Table.filled t n k then
+        Alcotest.failf "C(%d,%d) filled before its first read" n k;
+      let first = bits (Comb.Table.choose t n k) in
+      if not (Comb.Table.filled t n k) then
+        Alcotest.failf "C(%d,%d) not filled by its first read" n k;
+      let again = bits (Comb.Table.choose t n k) in
+      if first <> want || again <> want || bits (Comb.choose n k) <> want then
+        Alcotest.failf "C(%d,%d): %Lx then %Lx, direct %Lx" n k first again
+          want
+    done
+  done
+
+(* Two domains filling the same fresh entries race on every slot; both
+   must read the direct computation's bits throughout. *)
+let test_choose_table_domains () =
+  let t = Comb.Table.create () in
+  let read () =
+    Array.init (128 * 128) (fun i ->
+        let n = i / 128 and k = i mod 128 in
+        bits (Comb.Table.choose t n k))
+  in
+  let d1 = Domain.spawn read and d2 = Domain.spawn read in
+  let a = Domain.join d1 and b = Domain.join d2 in
+  Array.iteri
+    (fun i x ->
+      let n = i / 128 and k = i mod 128 in
+      let want =
+        if k > n then 0L else bits (Mae_test_support.Comb_oracle.choose n k)
+      in
+      if x <> b.(i) || x <> want then
+        Alcotest.failf "C(%d,%d): domains read %Lx and %Lx, direct %Lx" n k x
+          b.(i) want)
+    a
+
 (* Kernel_cache: a cache hit must equal a fresh computation, for both
    kernels and across the whole (rows, degree) plane the estimators
    touch. *)
@@ -641,6 +685,10 @@ let () =
           Alcotest.test_case "float_pow" `Quick test_float_pow;
           Alcotest.test_case "log_factorial from 4 domains" `Quick
             test_log_factorial_domains;
+          Alcotest.test_case "choose table filled on read" `Quick
+            test_choose_table_fill;
+          Alcotest.test_case "choose table from 2 domains" `Quick
+            test_choose_table_domains;
         ] );
       ( "kernel_cache",
         [

@@ -661,6 +661,218 @@ let hdl_deep_chain () =
       | Error e ->
           Alcotest.failf "flatten: %a" Mae_hdl.Elaborate.pp_error e)
 
+(* --- the text index: answers through it are the full path's answers --- *)
+
+module D = Mae_serve.Dispatch
+module Metrics = Mae_obs.Metrics
+
+(* A dispatch queue answering on one end of a socket pair; the test
+   reads each response line from the other end. *)
+type bench = { d : D.t; conn : Mae_serve.Transport.conn; ic : in_channel }
+
+let bench ~registry cas =
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let transport =
+    Mae_serve.Transport.create
+      ~config:
+        {
+          Mae_serve.Transport.max_request_bytes = 1 lsl 20;
+          idle_timeout_s = 60.;
+          max_connections = 4;
+        }
+      ~listeners:[]
+  in
+  let conn =
+    {
+      Mae_serve.Transport.fd = ours;
+      plane = Mae_serve.Transport.Request_plane;
+      peer = "test";
+      rbuf = Buffer.create 16;
+      decoder = P.initial;
+      last_activity = 0.;
+      frames_in = 0;
+      pending = 0;
+      closing = false;
+      dead = false;
+    }
+  in
+  let d =
+    D.create ~config:{ D.registry; queue_watermark = 64 } ~transport ~cas
+  in
+  { d; conn; ic = Unix.in_channel_of_descr theirs }
+
+let close_bench b =
+  Unix.close b.conn.Mae_serve.Transport.fd;
+  close_in b.ic
+
+(* One request's response line with its leading seq field cut off (each
+   queue numbers its own requests), and whether the index answered. *)
+let ask b ?methods hdl =
+  let hits0 = Metrics.counter_value D.text_index_hits in
+  D.submit_estimate b.d b.conn P.Line ~bytes:(String.length hdl)
+    { P.id = Json.Null; hdl; methods };
+  ignore (D.tick b.d);
+  let line = input_line b.ic in
+  let body =
+    match String.index_opt line ',' with
+    | Some i ->
+        String.trim (String.sub line (i + 1) (String.length line - i - 1))
+    | None -> line
+  in
+  (body, Metrics.counter_value D.text_index_hits > hits0)
+
+(* The full path's answer to the same request on the same store: a new
+   queue, whose index is empty. *)
+let full_path ~registry cas ?methods hdl =
+  let b = bench ~registry cas in
+  let body, indexed = ask b ?methods hdl in
+  close_bench b;
+  if indexed then Alcotest.fail "an empty index answered";
+  body
+
+let index_corpus =
+  Mae_workload.Generators.
+    [| counter 4; parity 5; decoder 3; c17 (); full_adder ();
+       ripple_adder ~technology:"cmos20" 2; alu 2;
+       counter ~technology:"unobtanium" 3 |]
+
+let index_methods =
+  [| None; Some [ "default" ]; Some [ "stdcell"; "gatearray" ]; Some [ "all" ];
+     Some [ "nonesuch" ] |]
+
+type variant = Same | Permuted of int | Spaced | Mutated of edit list
+
+(* One text of a request: its modules printed in some order, with the
+   same bytes, extra whitespace or byte edits. *)
+let variant_text circuits v =
+  let print cs = String.concat "\n" (List.map Mae_hdl.Printer.to_string cs) in
+  match v with
+  | Same -> print circuits
+  | Permuted seed ->
+      let a = Array.of_list circuits in
+      let st = Random.State.make [| seed |] in
+      for i = Array.length a - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- x
+      done;
+      print (Array.to_list a)
+  | Spaced ->
+      String.concat " \n\t" (String.split_on_char '\n' (print circuits))
+  | Mutated edits -> List.fold_left apply_edit (print circuits) edits
+
+let index_case_gen =
+  let open QCheck2.Gen in
+  let pos = int_range 0 1_000_000 in
+  let edit =
+    oneof
+      [ map2 (fun i x -> Flip (i, x)) pos nat;
+        map2 (fun i l -> Delete (i, l)) pos nat;
+        map (fun i -> Truncate i) pos ]
+  in
+  let variant =
+    frequency
+      [ (3, pure Same); (2, map (fun s -> Permuted s) nat); (2, pure Spaced);
+        (2, map (fun e -> Mutated e) (list_size (int_range 1 3) edit)) ]
+  in
+  let request =
+    triple
+      (list_size (int_range 1 3)
+         (int_range 0 (Array.length index_corpus - 1)))
+      variant
+      (int_range 0 (Array.length index_methods - 1))
+  in
+  pair
+    (oneofl [ None; Some 1; Some 2; Some 5 ])
+    (list_size (int_range 1 6) request)
+
+(* Each request of a case goes to one queue three times, among the
+   others; an answer the index gave must equal, byte for byte, the full
+   path's answer to the same request on the same store, and a request
+   the full path fails is never answered by the index. *)
+let index_matches_full_path =
+  S.qtest ~count:100 "index answer = full path answer" index_case_gen
+    (fun (cap, requests) ->
+      let registry = Mae_tech.Registry.create () in
+      let cas = Mae_db.Cas.create ?live_cap:cap () in
+      let b = bench ~registry cas in
+      let texts =
+        List.map
+          (fun (picks, v, m) ->
+            ( variant_text
+                (List.sort_uniq compare picks
+                |> List.map (fun i -> index_corpus.(i)))
+                v,
+              index_methods.(m) ))
+          requests
+      in
+      let answered_cached = Hashtbl.create 8 in
+      let check (hdl, methods) =
+        let body, indexed = ask b ?methods hdl in
+        let reference = full_path ~registry cas ?methods hdl in
+        (* with no cap nothing is evicted: a text this queue answered
+           wholly from the store is answered by the index after that *)
+        if cap = None && Hashtbl.mem answered_cached (hdl, methods)
+           && not indexed
+        then QCheck2.Test.fail_reportf "a repeat missed the index: %s" body;
+        if String.starts_with ~prefix:{|"ok": true, "cached": true|} body then
+          Hashtbl.replace answered_cached (hdl, methods) ();
+        if indexed && not (String.equal body reference) then
+          QCheck2.Test.fail_reportf "index answered@.%s@.full path@.%s" body
+            reference;
+        if indexed && not (String.starts_with ~prefix:{|"ok": true|} body)
+        then QCheck2.Test.fail_reportf "index answered a failure: %s" body
+      in
+      List.iter check texts;
+      List.iter check (List.rev texts);
+      List.iter check texts;
+      close_bench b;
+      true)
+
+(* A text the full path answered wholly from the store is answered by
+   the index from then on, with the same bytes; a failed request never
+   is, and replacing a process stops the index from answering with
+   estimates made under the old one. *)
+let index_hits_and_invalidation () =
+  let registry = Mae_tech.Registry.create () in
+  let cas = Mae_db.Cas.create () in
+  let b = bench ~registry cas in
+  let hdl =
+    String.concat "\n"
+      (List.map Mae_hdl.Printer.to_string
+         Mae_workload.Generators.[ counter 4; parity 5 ])
+  in
+  let sights n hdl = List.init n (fun _ -> snd (ask b hdl)) in
+  Alcotest.(check (list bool)) "computed, then stored, then indexed"
+    [ false; false; true; true ] (sights 4 hdl);
+  let from_index, indexed = ask b hdl in
+  Alcotest.(check bool) "indexed" true indexed;
+  Alcotest.(check string) "the full path's bytes" (full_path ~registry cas hdl)
+    from_index;
+  let lost =
+    Mae_hdl.Printer.to_string
+      (Mae_workload.Generators.counter ~technology:"unobtanium" 4)
+  in
+  Alcotest.(check (list bool)) "an unknown process is never indexed"
+    [ false; false; false ] (sights 3 lost);
+  Alcotest.(check (list bool)) "a parse error is never indexed"
+    [ false; false; false ] (sights 3 "module broken {");
+  let p = Mae_tech.Builtin.nmos25 in
+  Mae_tech.Registry.add registry
+    (Mae_tech.Process.make ~name:p.name ~lambda_microns:p.lambda_microns
+       ~row_height:p.row_height ~track_pitch:9.
+       ~feed_through_width:p.feed_through_width ~port_pitch:p.port_pitch
+       ~min_spacing:p.min_spacing ~devices:p.devices);
+  Alcotest.(check (list bool)) "a replaced process starts the index over"
+    [ false; false; true ] (sights 3 hdl);
+  let retuned, _ = ask b hdl in
+  Alcotest.(check bool) "with estimates under the new process" false
+    (String.equal retuned from_index);
+  Alcotest.(check string) "the full path's bytes again"
+    (full_path ~registry cas hdl) retuned;
+  close_bench b
+
 let () =
   Alcotest.run "serve"
     [ ( "protocol-line",
@@ -690,4 +902,8 @@ let () =
       ( "hdl-input",
         [ hdl_bytes_prop; hdl_mutation_prop;
           Alcotest.test_case "5000-module instance chain" `Quick
-            hdl_deep_chain ] ) ]
+            hdl_deep_chain ] );
+      ( "text-index",
+        [ index_matches_full_path;
+          Alcotest.test_case "hits and invalidation" `Quick
+            index_hits_and_invalidation ] ) ]
