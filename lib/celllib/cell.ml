@@ -45,19 +45,12 @@ let vdd_terminal = -1
 let gnd_terminal = -2
 
 let wiring pin_count transistors =
-  let internal = Hashtbl.create 8 and internal_rev = ref [] in
+  let internal = Mae_netlist.Intern.create 8 in
   let code = function
     | Pin i -> i
     | Vdd -> vdd_terminal
     | Gnd -> gnd_terminal
-    | Internal n -> (
-        match Hashtbl.find_opt internal n with
-        | Some k -> k
-        | None ->
-            let k = pin_count + Hashtbl.length internal in
-            Hashtbl.add internal n k;
-            internal_rev := n :: !internal_rev;
-            k)
+    | Internal n -> pin_count + Mae_netlist.Intern.intern internal n
   in
   let txs = Array.of_list transistors in
   let terminals =
@@ -71,19 +64,18 @@ let wiring pin_count transistors =
     tx_names = Array.map (fun (tx : transistor) -> tx.name) txs;
     tx_kinds = Array.map (fun (tx : transistor) -> tx.kind) txs;
     terminals;
-    internal_nets = Array.of_list (List.rev !internal_rev);
+    internal_nets = Mae_netlist.Intern.names internal;
   }
 
 let make ~name ~pins ~transistors =
   if String.length name = 0 then invalid_arg "Cell.make: empty name";
   let pin_count = List.length pins in
-  let seen = Hashtbl.create 8 in
+  let seen = Mae_netlist.Intern.create 8 in
   List.iter
     (fun (tx : transistor) ->
-      if Hashtbl.mem seen tx.name then
+      if not (Mae_netlist.Intern.fresh seen tx.name) then
         invalid_arg
           (Printf.sprintf "Cell.make: %s has duplicate transistor %s" name tx.name);
-      Hashtbl.add seen tx.name ();
       check_terminal name pin_count tx.drain;
       check_terminal name pin_count tx.gate;
       check_terminal name pin_count tx.source)

@@ -19,13 +19,6 @@ let wirings library (c : Mae_netlist.Circuit.t) =
   | ws -> Ok ws
   | exception Unknown e -> Error e
 
-(* Array fillers, all overwritten before the circuit is made. *)
-let placeholder =
-  Mae_netlist.Device.make ~index:0 ~name:"placeholder" ~kind:"placeholder"
-    ~pins:[||]
-
-let placeholder_net = Mae_netlist.Net.make ~index:0 ~name:"placeholder"
-
 (* Expanded nets are numbered in the order their first terminal is
    wired.  Each is looked up by name once, when it is first wired: a
    schematic net through [raw], a cell-private net through the device's
@@ -37,31 +30,21 @@ let circuit ?(include_supplies = false) library (c : Mae_netlist.Circuit.t) =
   | Error e -> Error e
   | Ok wirings ->
       let open Mae_netlist in
-      let total =
-        Array.fold_left
-          (fun acc (w : Cell.wiring) -> acc + Array.length w.tx_names)
-          0 wirings
-      in
-      let ids = Names.create (Array.length c.nets + total) in
-      let nets_rev = ref [] and net_count = ref 0 in
-      let net_id name =
-        match Names.find ids name with
-        | i -> i
-        | exception Not_found ->
-            let i = !net_count in
-            net_count := i + 1;
-            Names.add ids name i;
-            nets_rev := Net.make ~index:i ~name :: !nets_rev;
-            i
+      (* the schematic's nets, each device's private nets and two rails *)
+      let ids =
+        Intern.create
+          (Array.fold_left
+             (fun acc (w : Cell.wiring) -> acc + Array.length w.internal_nets)
+             (Array.length c.nets + 2) wirings)
       in
       let raw = Array.make (Array.length c.nets) (-1) in
       let raw_net n =
-        if raw.(n) < 0 then raw.(n) <- net_id c.nets.(n).name;
+        if raw.(n) < 0 then raw.(n) <- Intern.intern ids c.nets.(n).name;
         raw.(n)
       in
       let vdd = ref (-1) and gnd = ref (-1) in
       let rail r name =
-        if !r < 0 then r := net_id name;
+        if !r < 0 then r := Intern.intern ids name;
         !r
       in
       let slots =
@@ -77,7 +60,7 @@ let circuit ?(include_supplies = false) library (c : Mae_netlist.Circuit.t) =
         else begin
           if slots.(code) < 0 then
             slots.(code) <-
-              net_id
+              Intern.intern ids
                 (if code < w.pin_count then
                    (* The schematic gave fewer pins than the cell defines;
                       the missing pin gets a fresh private net so
@@ -91,13 +74,11 @@ let circuit ?(include_supplies = false) library (c : Mae_netlist.Circuit.t) =
       (* rails are left out of the result unless [include_supplies]:
          a rail terminal is then no pin at all *)
       let wired code = include_supplies || code >= 0 in
-      let devices = Array.make total placeholder in
       let next = ref 0 in
-      Array.iteri
-        (fun di (d : Device.t) ->
-          let w = wirings.(di) in
-          Array.fill slots 0 (Cell.slot_count w) (-1);
-          for t = 0 to Array.length w.tx_names - 1 do
+      let expand di (d : Device.t) =
+        let w = wirings.(di) in
+        Array.fill slots 0 (Cell.slot_count w) (-1);
+        Array.init (Array.length w.tx_names) (fun t ->
             let base = 3 * t in
             let kept = ref 0 in
             for k = 0 to 2 do
@@ -113,21 +94,18 @@ let circuit ?(include_supplies = false) library (c : Mae_netlist.Circuit.t) =
               end
             done;
             let index = !next in
-            devices.(index) <-
-              Device.make ~index
-                ~name:(d.name ^ "." ^ w.tx_names.(t))
-                ~kind:w.tx_kinds.(t) ~pins;
-            next := index + 1
-          done)
-        c.devices;
+            next := index + 1;
+            Device.make ~index ~name:(d.name ^ "." ^ w.tx_names.(t))
+              ~kind:w.tx_kinds.(t) ~pins)
+      in
+      let devices = Array.concat (Array.to_list (Array.mapi expand c.devices)) in
       let ports =
         Array.map
           (fun (p : Port.t) ->
             Port.make ~name:p.name ~direction:p.direction ~net:(raw_net p.net))
           c.ports
       in
-      let nets = Array.make !net_count placeholder_net in
-      List.iter (fun (n : Net.t) -> nets.(n.index) <- n) !nets_rev;
+      let nets = Array.mapi (fun index name -> Net.make ~index ~name) (Intern.names ids) in
       Ok
         (Circuit.of_arrays ~name:(c.name ^ "_tx") ~technology:c.technology
            ~devices ~nets ~ports)

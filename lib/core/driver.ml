@@ -221,8 +221,3 @@ let run_string ?methods ~registry text =
   match parse_string text with
   | Error e -> Error (Parse_error e)
   | Ok design -> run_design ?methods ~registry design
-
-let run_file ?methods ~registry path =
-  match parse_file path with
-  | Error e -> Error (Parse_error e)
-  | Ok design -> run_design ?methods ~registry design

@@ -130,9 +130,3 @@ val run_string :
   string ->
   (module_report list, error) result
 (** Parse HDL text and estimate every module in it. *)
-
-val run_file :
-  ?methods:string list ->
-  registry:Mae_tech.Registry.t ->
-  string ->
-  (module_report list, error) result

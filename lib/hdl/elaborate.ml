@@ -182,37 +182,38 @@ let index_module (m : Ast.module_decl) =
   { decl = m; ports; port_position }
 
 (* Hierarchical elaboration: walk the instance tree, renaming each child's
-   nets and devices under its instance path.  Modules are indexed by name
-   once (the first definition of a name wins) and [active] holds the
-   modules on the current instance path, so each instance costs a
-   constant number of table lookups plus its own items.  Prefixed names
-   are a namespace of their own, so the flattened circuit is built by
-   name. *)
+   nets and devices under its instance path.  Module names are interned
+   once (the first definition of a name wins), so a module is an id:
+   [modules.(id)] is its index and [active.(id)] tells whether it is on
+   the current instance path, and each instance costs one name lookup
+   plus its own items.  Prefixed names are a namespace of their own, so
+   the flattened circuit is built by name. *)
 let flatten ?default_technology design ~top =
-  let modules = Mae_netlist.Names.create 64 in
-  List.iter
-    (fun (m : Ast.module_decl) ->
-      if not (Mae_netlist.Names.mem modules m.name) then
-        Mae_netlist.Names.add modules m.name (index_module m))
-    design;
-  let module_of name = Mae_netlist.Names.find_opt modules name in
-  match module_of top with
-  | None -> Error (Module_not_found top)
-  | Some top_module -> begin
-      match technology_of ?default_technology top_module.decl with
+  let module_names = Mae_netlist.Intern.create 64 in
+  let modules =
+    List.filter
+      (fun (m : Ast.module_decl) -> Mae_netlist.Intern.fresh module_names m.name)
+      design
+    |> List.map index_module |> Array.of_list
+  in
+  match Mae_netlist.Intern.find module_names top with
+  | -1 -> Error (Module_not_found top)
+  | top_id -> begin
+      match technology_of ?default_technology modules.(top_id).decl with
       | None -> Error (No_technology { module_name = top })
       | Some technology -> begin
           let builder = Mae_netlist.Builder.create ~name:top ~technology in
           let fail e = raise (Elaborate_error e) in
-          let active = Mae_netlist.Names.create 16 in
-          (* [bindings.(i)] is the parent's net on port [i] of [m]; the
-             top has none *)
-          let rec instantiate ~prefix ~bindings (m : indexed) =
+          let active = Array.make (Array.length modules) false in
+          (* [bindings.(i)] is the parent's net on port [i] of the
+             module; the top has none *)
+          let rec instantiate ~prefix ~bindings module_id =
+            let m = modules.(module_id) in
             let name = m.decl.name
             and idents = m.decl.idents
             and items = m.decl.items in
-            if not (Mae_netlist.Names.fresh active name) then
-              fail (Recursive_module name);
+            if active.(module_id) then fail (Recursive_module name);
+            active.(module_id) <- true;
             let resolve id =
               let i = m.port_position.(id) in
               if i >= 0 && Array.length bindings > 0 then bindings.(i)
@@ -243,9 +244,19 @@ let flatten ?default_technology design ~top =
                 and kind = idents.(items.(at + 2))
                 and got = items.(at + 3) in
                 let pin p = resolve items.(at + 4 + p) in
-                match module_of kind with
-                | Some child ->
-                    let expected = Array.length child.ports in
+                match Mae_netlist.Intern.find module_names kind with
+                | -1 -> (
+                    try
+                      ignore
+                        (Mae_netlist.Builder.add_device builder
+                           ~name:(prefix ^ instance) ~kind
+                           ~nets:(List.init got pin))
+                    with Invalid_argument _ ->
+                      fail
+                        (Duplicate_name
+                           { module_name = name; what = "device"; name = instance }))
+                | child ->
+                    let expected = Array.length modules.(child).ports in
                     if expected <> got then
                       fail
                         (Port_arity
@@ -258,22 +269,12 @@ let flatten ?default_technology design ~top =
                     instantiate
                       ~prefix:(prefix ^ instance ^ ".")
                       ~bindings:(Array.init got pin) child
-                | None -> (
-                    try
-                      ignore
-                        (Mae_netlist.Builder.add_device builder
-                           ~name:(prefix ^ instance) ~kind
-                           ~nets:(List.init got pin))
-                    with Invalid_argument _ ->
-                      fail
-                        (Duplicate_name
-                           { module_name = name; what = "device"; name = instance }))
               end;
               k := at + item_length items at
             done;
-            Mae_netlist.Names.remove active name
+            active.(module_id) <- false
           in
-          match instantiate ~prefix:"" ~bindings:[||] top_module with
+          match instantiate ~prefix:"" ~bindings:[||] top_id with
           | () -> Ok (Mae_netlist.Builder.build builder)
           | exception Elaborate_error e -> Error e
         end

@@ -1,8 +1,5 @@
 type error = { line : int; column : int; message : string }
 
-let pp_error ppf e =
-  Format.fprintf ppf "%d:%d: %s" e.line e.column e.message
-
 exception Error of error
 
 type t = {
@@ -16,25 +13,13 @@ type t = {
           where the comment began *)
   mutable token_line : int;
   mutable token_column : int;
-  (* The intern table.  Names get global ids in order of first sight;
-     [base] is the first global id of the current id space, so a slot
-     holding an id below [base] is free, and opening a space clears
-     nothing. *)
-  mutable names : string array;  (** global id -> name *)
-  mutable hashes : int array;  (** global id -> [hash] of its name *)
-  mutable count : int;  (** global ids handed out *)
-  mutable base : int;
-  mutable slots : int array;  (** global ids; length a power of two *)
-  mutable ident : int;  (** global id of the last identifier *)
+  names : Mae_netlist.Intern.t;
+  mutable ident : int;  (** id of the last identifier *)
 }
-
-(* The first of [k], [2k], [4k], ... that is at least [n]. *)
-let rec pow2_above n k = if k >= n then k else pow2_above n (2 * k)
 
 (* Printed HDL holds about one distinct name per 20 to 40 bytes, so a
    table sized from the text rarely grows. *)
 let create text =
-  let names = pow2_above (min 4096 (String.length text / 20)) 64 in
   {
     text;
     pos = 0;
@@ -43,11 +28,7 @@ let create text =
     comment_column = 0;
     token_line = 1;
     token_column = 1;
-    names = Array.make names "";
-    hashes = Array.make names 0;
-    count = 0;
-    base = 0;
-    slots = Array.make (2 * names) (-1);
+    names = Mae_netlist.Intern.create (min 4096 (String.length text / 20));
     ident = 0;
   }
 
@@ -55,73 +36,13 @@ let token_line t = t.token_line
 
 let token_column t = t.token_column
 
-let ident t = t.ident - t.base
+let ident t = t.ident
 
-let ident_name t = t.names.(t.ident)
+let ident_name t = Mae_netlist.Intern.name t.names t.ident
 
-let start_module t = t.base <- t.count
+let start_module t = Mae_netlist.Intern.reset t.names
 
-let idents t = Array.sub t.names t.base (t.count - t.base)
-
-let multiplier = 0x100000001b3
-
-let hash s =
-  let h = ref 0 in
-  for k = 0 to String.length s - 1 do
-    h := (!h * multiplier) + Char.code (String.unsafe_get s k)
-  done;
-  !h
-
-(* [s.[k ..]] equals [text.[i + k .. j - 1]], [s] being [j - i] long *)
-let rec same_from s text i j k =
-  i + k >= j
-  || Char.equal (String.unsafe_get s k) (String.unsafe_get text (i + k))
-     && same_from s text i j (k + 1)
-
-(* The first free slot from [s] on, in the current id space. *)
-let rec free_slot t mask s =
-  if t.slots.(s) < t.base then s else free_slot t mask ((s + 1) land mask)
-
-(* Doubles the slot array and re-places the current space's ids. *)
-let grow_slots t =
-  let capacity = 2 * Array.length t.slots in
-  t.slots <- Array.make capacity (-1);
-  let mask = capacity - 1 in
-  for id = t.base to t.count - 1 do
-    t.slots.(free_slot t mask (t.hashes.(id) land mask)) <- id
-  done
-
-let add t i j h =
-  if 2 * (t.count - t.base + 1) > Array.length t.slots then grow_slots t;
-  if t.count = Array.length t.names then begin
-    let n = 2 * t.count in
-    let names = Array.make n "" and hashes = Array.make n 0 in
-    Array.blit t.names 0 names 0 t.count;
-    Array.blit t.hashes 0 hashes 0 t.count;
-    t.names <- names;
-    t.hashes <- hashes
-  end;
-  let id = t.count in
-  let mask = Array.length t.slots - 1 in
-  t.slots.(free_slot t mask (h land mask)) <- id;
-  t.names.(id) <- String.sub t.text i (j - i);
-  t.hashes.(id) <- h;
-  t.count <- id + 1;
-  id
-
-(* The global id of the name [text.[i .. j - 1]], whose hash is [h],
-   probing from slot [s]. *)
-let rec intern t i j h mask s =
-  (* [s] is masked and [base <= id < count]: both in range *)
-  let id = Array.unsafe_get t.slots s in
-  if id < t.base then add t i j h
-  else if
-    Array.unsafe_get t.hashes id = h
-    &&
-    let name = Array.unsafe_get t.names id in
-    String.length name = j - i && same_from name t.text i j 0
-  then id
-  else intern t i j h mask ((s + 1) land mask)
+let idents t = Mae_netlist.Intern.names t.names
 
 (* [ident_chars.[Char.code c]] is ['1'] where [c] may be part of an
    identifier: one load per byte of a name. *)
@@ -150,8 +71,7 @@ let word t text i j h =
   | 6, 'd' when rest_matches text i "device" 1 -> Token.Device
   | 10, 't' when rest_matches text i "technology" 1 -> Token.Technology
   | _ ->
-      let mask = Array.length t.slots - 1 in
-      t.ident <- intern t i j h mask (h land mask);
+      t.ident <- Mae_netlist.Intern.intern_sub t.names text i j h;
       Token.Ident
 
 let rec skip_line text len i =
@@ -162,11 +82,11 @@ let punct t i tok =
   tok
 
 (* An identifier or keyword starts at [i]: one pass finds its end and
-   its [hash], folded into the scan. *)
+   its intern-table hash, folded into the scan. *)
 let scan_word t text len i =
-  let j = ref (i + 1) and h = ref (Char.code (String.unsafe_get text i)) in
+  let j = ref i and h = ref 1 in
   while !j < len && is_ident (String.unsafe_get text !j) do
-    h := (!h * multiplier) + Char.code (String.unsafe_get text !j);
+    h := Mae_netlist.Intern.step t.names !h (String.unsafe_get text !j);
     incr j
   done;
   t.pos <- !j;

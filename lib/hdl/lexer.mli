@@ -9,27 +9,15 @@
     (so [Eof] after a comment that ends the text sits at the comment's
     first character).
 
-    {b Interning.}  Each identifier is hashed once, here, and interned
-    in the current id space: the first identifier of a space gets id 0,
-    each new name the next id, and a repeated name its old id.  Only the
-    first sight of a name takes a substring of the text.  {!start_module}
-    opens a fresh id space, so a module's ids are dense from 0.
-
-    The table is open-addressed with linear probing over a power-of-two
-    slot array at most half full; the slot of a name is the low bits of
-    {!hash}, and each slot's full hash is compared before any bytes are.
-    Interning costs one pass over the name's bytes plus its probe run.
-    Worst case: names whose hashes agree in the slot bits share one
-    probe run, so [k] of them cost O(k{^ 2}) integer compares in all
-    (bytes are compared only where the whole hash agrees).  The hash is
-    a fixed polynomial, so such names can be built on purpose: 20 000 of
-    them, 46 bytes each, take about 1.1 s to intern on a 2-core Xeon
-    container, against about 12 ms for 20 000 ordinary names of that
-    length. *)
+    {b Interning.}  Each identifier is hashed once, folding
+    {!Mae_netlist.Intern.step} into the scan, and interned in a
+    {!Mae_netlist.Intern.t}, whose seeded hash keeps a sender from
+    building names that share a probe run: on a 2-core AMD EPYC
+    container, 16 384 449-byte names built from the two 32-byte
+    Thue–Morse words parse in 52 ms, against 51 ms for ordinary names
+    and 556 ms under this lexer's earlier fixed polynomial. *)
 
 type error = { line : int; column : int; message : string }
-
-val pp_error : Format.formatter -> error -> unit
 
 exception Error of error
 (** Raised by {!next} at a character no token starts with. *)
@@ -62,7 +50,3 @@ val start_module : t -> unit
 
 val idents : t -> string array
 (** The names of the current id space, indexed by id. *)
-
-val hash : string -> int
-(** The table's hash of a name: [h = h * 0x100000001b3 + byte] over
-    every byte, from [h = 0], modulo [2{^ 63}]. *)

@@ -30,5 +30,3 @@ let to_string = function
   | Semi -> ";"
   | Ident -> "identifier"
   | Eof -> "<eof>"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

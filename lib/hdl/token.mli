@@ -23,5 +23,3 @@ val equal : t -> t -> bool
 
 val to_string : t -> string
 (** The token's text; ["identifier"] for [Ident]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -16,11 +16,11 @@ let check_dense_indices what get arr =
     arr
 
 let check_unique_names what get arr =
-  let seen = Names.create (Array.length arr) in
+  let seen = Intern.create (Array.length arr) in
   Array.iter
     (fun x ->
       let n = get x in
-      if not (Names.fresh seen n) then
+      if not (Intern.fresh seen n) then
         invalid_arg (Printf.sprintf "Circuit.make: duplicate %s name %s" what n))
     arr
 

@@ -23,9 +23,6 @@ let device_kinds (c : Circuit.t) process =
 let device_widths c process =
   Array.map (fun (k : Mae_tech.Device_kind.t) -> k.width) (device_kinds c process)
 
-let device_areas c process =
-  Array.map Mae_tech.Device_kind.area (device_kinds c process)
-
 (* Merge adjacent width classes that share a width: distinct kind
    records may still carry equal widths, and the histogram is keyed by
    the width value. *)

@@ -36,7 +36,4 @@ val ensure : ?stats:t -> Circuit.t -> Mae_tech.Process.t -> t
 val device_widths : Circuit.t -> Mae_tech.Process.t -> Mae_geom.Lambda.t array
 (** Per-device width, indexed by device index.  Raises {!Unknown_kind}. *)
 
-val device_areas : Circuit.t -> Mae_tech.Process.t -> Mae_geom.Lambda.area array
-(** Per-device exact area.  Raises {!Unknown_kind}. *)
-
 val pp : Format.formatter -> t -> unit

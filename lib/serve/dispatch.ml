@@ -336,8 +336,6 @@ let submit_invalid t conn framing ~bytes ~id ~error =
 let submit_reject t conn framing response =
   enqueue t conn framing ~bytes:0 (J_reject response)
 
-let queue_length t = Queue.length t.queue
-
 (* --- answering --- *)
 
 let finish t job response =

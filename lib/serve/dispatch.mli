@@ -66,8 +66,6 @@ val tick : t -> bool
     remains, so the select loop polls (and answers scrapes) before the
     next one instead of sleeping. *)
 
-val queue_length : t -> int
-
 (** {1 Registry instruments} (exposed for the obs documents) *)
 
 val requests_total : Mae_obs.Metrics.counter

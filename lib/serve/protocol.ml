@@ -109,26 +109,20 @@ let request_of_body body =
 let http_methods =
   [ "GET"; "POST"; "HEAD"; "PUT"; "DELETE"; "OPTIONS"; "PATCH" ]
 
-(* Does the buffer start an HTTP request?  [`Maybe] while the buffer is
-   still a proper prefix of some "METHOD " token -- the caller waits for
-   more bytes before committing to a dialect.  A line-JSON request can
-   never be mistaken: it starts with '{' (or anything that is not an
-   HTTP method name). *)
-let looks_http buf =
-  let n = String.length buf in
-  let classify m =
-    let lm = String.length m in
-    if n > lm then
-      if String.sub buf 0 lm = m && buf.[lm] = ' ' then `Yes else `No
-    else if String.sub m 0 n = buf then `Maybe
-    else `No
-  in
+(* Does the buffer, from [pos], start an HTTP request?  [`Maybe] while
+   the rest is still a proper prefix of some "METHOD " token -- the
+   caller waits for more bytes before committing to a dialect.  A
+   line-JSON request can never be mistaken: it starts with '{' (or
+   anything that is not an HTTP method name). *)
+let looks_http buf pos =
+  let n = String.length buf - pos in
   List.fold_left
     (fun acc m ->
-      match (acc, classify m) with
-      | `Yes, _ | _, `Yes -> `Yes
-      | `Maybe, _ | _, `Maybe -> `Maybe
-      | `No, `No -> `No)
+      let lm = String.length m in
+      if n > lm && String.sub buf pos (lm + 1) = m ^ " " then `Yes
+      else if n <= lm && acc = `No && String.sub buf pos n = String.sub m 0 n
+      then `Maybe
+      else acc)
     `No http_methods
 
 (* --- line dialect --- *)
@@ -138,23 +132,23 @@ let strip_cr line =
     String.sub line 0 (String.length line - 1)
   else line
 
-let decode_line ~max_bytes buf =
-  let n = String.length buf in
-  match String.index_opt buf '\n' with
+let decode_line ~max_bytes buf pos =
+  let n = String.length buf - pos in
+  match String.index_from_opt buf pos '\n' with
   | Some nl ->
-      let line = strip_cr (String.sub buf 0 nl) in
-      let len = String.length line in
+      let line = strip_cr (String.sub buf pos (nl - pos)) in
+      let len = String.length line and consumed = nl + 1 - pos in
       if len > max_bytes then
         Frame
           ( { request = Too_large { limit = max_bytes };
               framing = Line;
               bytes = len },
-            Ready, nl + 1 )
-      else if len = 0 then Skip (Ready, nl + 1)
+            Ready, consumed )
+      else if len = 0 then Skip (Ready, consumed)
       else
         Frame
           ({ request = request_of_body line; framing = Line; bytes = len },
-           Ready, nl + 1)
+           Ready, consumed)
   | None ->
       (* the line is at least [n - 1] bytes long: its last byte may be
          the '\r' that [strip_cr] drops *)
@@ -175,25 +169,25 @@ let decode_line ~max_bytes buf =
 let max_head_bytes = 65536
 
 (* Earliest of "\r\n\r\n" or a bare "\n\n" (tolerated like the old
-   plane did); returns (head_length, body_offset).  One pass over the
-   newlines, comparing bytes in place: a "\r\n\r\n" starting at [i - 1]
-   starts before a "\n\n" at [i], and the two cannot share a newline,
-   so the first hit is the earliest terminator and the body is never
-   scanned. *)
-let head_terminator buf =
+   plane did) from [pos]; returns (head_length, body_offset), both from
+   [pos].  One pass over the newlines, comparing bytes in place: a
+   "\r\n\r\n" starting at [i - 1] starts before a "\n\n" at [i], and
+   the two cannot share a newline, so the first hit is the earliest
+   terminator and the body is never scanned. *)
+let head_terminator buf pos =
   let n = String.length buf in
   let rec from i =
     match String.index_from_opt buf i '\n' with
     | None -> None
     | Some i when i + 1 >= n -> None
     | Some i ->
-        if buf.[i + 1] = '\n' then Some (i, i + 2)
-        else if i >= 1 && buf.[i - 1] = '\r' && buf.[i + 1] = '\r'
+        if buf.[i + 1] = '\n' then Some (i - pos, i + 2 - pos)
+        else if i > pos && buf.[i - 1] = '\r' && buf.[i + 1] = '\r'
                 && i + 2 < n && buf.[i + 2] = '\n'
-        then Some (i - 1, i + 3)
+        then Some (i - 1 - pos, i + 3 - pos)
         else from (i + 1)
   in
-  from 0
+  from pos
 
 type head = {
   meth : string;
@@ -250,8 +244,8 @@ let strip_query target =
   | Some i -> String.sub target 0 i
   | None -> target
 
-let decode_http ~max_bytes buf =
-  let n = String.length buf in
+let decode_http ~max_bytes buf pos =
+  let n = String.length buf - pos in
   (* The head cap holds however the bytes arrived: a buffer without a
      terminator holds a head of at least [n - 3] bytes (its last three
      may open a "\r\n\r\n"), a terminated one a head of [head_len]. *)
@@ -262,7 +256,7 @@ let decode_http ~max_bytes buf =
           bytes = n },
         Ready, n )
   in
-  match head_terminator buf with
+  match head_terminator buf pos with
   | None -> if n - 3 > max_head_bytes then head_too_large () else Await
   | Some (head_len, _) when head_len > max_head_bytes -> head_too_large ()
   | Some (head_len, body_off) -> begin
@@ -275,7 +269,7 @@ let decode_http ~max_bytes buf =
               bytes = n },
             Ready, n )
       in
-      match parse_head (String.sub buf 0 head_len) with
+      match parse_head (String.sub buf pos head_len) with
       | Error e -> closing e 400
       | Ok h -> begin
           let version = Option.value h.version ~default:V10 in
@@ -303,7 +297,7 @@ let decode_http ~max_bytes buf =
                     Ready, n )
               else if n - body_off < body_len then Await
               else begin
-                let body = String.sub buf body_off body_len in
+                let body = String.sub buf (pos + body_off) body_len in
                 let consumed = body_off + body_len in
                 let path = strip_query h.target in
                 let request =
@@ -332,20 +326,20 @@ let decode_http ~max_bytes buf =
         end
     end
 
-let decode ~max_bytes state buf =
-  if String.length buf = 0 then Await
+let decode ?(pos = 0) ~max_bytes state buf =
+  if pos >= String.length buf then Await
   else
     match state with
     | Discard_line -> begin
-        match String.index_opt buf '\n' with
-        | Some nl -> Skip (Ready, nl + 1)
-        | None -> Skip (Discard_line, String.length buf)
+        match String.index_from_opt buf pos '\n' with
+        | Some nl -> Skip (Ready, nl + 1 - pos)
+        | None -> Skip (Discard_line, String.length buf - pos)
       end
     | Ready -> begin
-        match looks_http buf with
+        match looks_http buf pos with
         | `Maybe -> Await
-        | `Yes -> decode_http ~max_bytes buf
-        | `No -> decode_line ~max_bytes buf
+        | `Yes -> decode_http ~max_bytes buf pos
+        | `No -> decode_line ~max_bytes buf pos
       end
 
 (* --- responses --- *)

@@ -52,14 +52,15 @@ type step =
           lines, discarded oversize tail) *)
   | Await  (** need more bytes *)
 
-val decode : max_bytes:int -> decoder -> string -> step
-(** [decode ~max_bytes state buf] inspects the front of [buf].  The
-    dialect is chosen per frame: a buffer starting with an HTTP method
-    token decodes as HTTP, anything else as a JSON line.  [max_bytes]
-    bounds a request line or an HTTP body; an HTTP head is capped at
-    64 KiB.  Both caps judge the frame, not the bytes that have
-    arrived, so a stream yields the same frames however it is split
-    across reads. *)
+val decode : ?pos:int -> max_bytes:int -> decoder -> string -> step
+(** [decode ~pos ~max_bytes state buf] inspects [buf] from [pos]
+    (default 0) as it would the copy [String.sub buf pos], so byte counts
+    in the result are from [pos].  The dialect is chosen per frame: a
+    buffer starting with an HTTP method token decodes as HTTP, anything
+    else as a JSON line.  [max_bytes] bounds a request line or an HTTP
+    body; an HTTP head is capped at 64 KiB.  Both caps judge the frame,
+    not the bytes that have arrived, so a stream yields the same frames
+    however it is split across reads. *)
 
 val request_of_body : string -> request
 (** Parse one JSON request document ([Estimate] or [Invalid]) -- the

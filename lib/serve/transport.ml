@@ -182,9 +182,11 @@ type t = {
   config : config;
   listeners : (Unix.file_descr * plane) list;
   mutable conns : conn list;
+  chunk : Bytes.t;  (** every connection's socket reads land here first *)
 }
 
-let create ~config ~listeners = { config; listeners; conns = [] }
+let create ~config ~listeners =
+  { config; listeners; conns = []; chunk = Bytes.create 65536 }
 
 let open_request_conns t =
   List.length (List.filter (fun c -> c.plane = Request_plane) t.conns)
@@ -257,9 +259,9 @@ let deliver_frames t conn ~handle =
   let rec go pos =
     if conn.dead || pos >= len then pos
     else begin
-      let rest = if pos = 0 then data else String.sub data pos (len - pos) in
       match
-        Protocol.decode ~max_bytes:t.config.max_request_bytes conn.decoder rest
+        Protocol.decode ~pos ~max_bytes:t.config.max_request_bytes conn.decoder
+          data
       with
       | Protocol.Await -> pos
       | Protocol.Skip (d, k) ->
@@ -283,17 +285,16 @@ let deliver_frames t conn ~handle =
   end
 
 let service t conn ~handle =
-  let chunk = Bytes.create 65536 in
   (* Loop on short reads: the socket is non-blocking, so keep reading
      until EAGAIN (a partial chunk is taken as "drained" too -- anything
      left wakes the next select) and retry EINTR at the same spot rather
      than dropping the wakeup. *)
   let rec fill total =
-    match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+    match Unix.read conn.fd t.chunk 0 (Bytes.length t.chunk) with
     | 0 -> `Eof
     | n ->
-        Buffer.add_subbytes conn.rbuf chunk 0 n;
-        if n = Bytes.length chunk then fill (total + n) else `Data (total + n)
+        Buffer.add_subbytes conn.rbuf t.chunk 0 n;
+        if n = Bytes.length t.chunk then fill (total + n) else `Data (total + n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill total
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         if total = 0 then `Nothing else `Data total

@@ -713,12 +713,21 @@ let interned_props =
       same_circuits;
   ]
 
-(* 20 000 distinct names whose Lexer.hash values agree in their low 16
-   bits, so they share one probe run of the intern table (it stays at
-   most 65 536 slots for this many names).  The hash is linear in the
-   bytes, so two 3-byte blocks with equal value modulo 2^16 can stand in
-   for each other anywhere in a name: 15 block positions give 2^15
-   names of one length. *)
+(* The lexer's hash before it was seeded: a fixed polynomial modulo
+   2^63, [h = h * 0x100000001b3 + byte] from [h = 0]. *)
+let fixed_hash s =
+  String.fold_left (fun h c -> (h * 0x100000001b3) + Char.code c) 0 s
+
+(* The name "n" followed by [blocks] blocks, block [b] being [y] where
+   bit [b] of [i] is set and [x] elsewhere. *)
+let block_name x y blocks i =
+  "n" ^ String.concat "" (List.init blocks (fun b -> if (i lsr b) land 1 = 0 then x else y))
+
+(* 20 000 distinct names whose fixed hashes agree in their low 16 bits,
+   so they would share one probe run of a table of at most 65 536
+   slots.  The hash is linear in the bytes, so two 3-byte blocks with
+   equal value modulo 2^16 can stand in for each other anywhere in a
+   name: 15 block positions give 2^15 names of one length. *)
 let colliding_names count =
   let alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_" in
   let block k =
@@ -726,7 +735,7 @@ let colliding_names count =
   in
   let first = Array.make 65536 (-1) in
   let rec pair k =
-    let v = Lexer.hash (block k) land 0xffff in
+    let v = fixed_hash (block k) land 0xffff in
     if first.(v) >= 0 then (block first.(v), block k)
     else begin
       first.(v) <- k;
@@ -734,32 +743,83 @@ let colliding_names count =
     end
   in
   let x, y = pair 0 in
-  List.init count (fun i ->
-      "n" ^ String.concat "" (List.init 15 (fun b -> if (i lsr b) land 1 = 0 then x else y)))
+  List.init count (block_name x y 15)
 
-let test_intern_collisions () =
-  let count = 20_000 in
-  let names = colliding_names count in
-  let low = Lexer.hash (List.hd names) land 0xffff in
-  Alcotest.(check bool) "one slot run" true
-    (List.for_all (fun n -> Lexer.hash n land 0xffff = low) names);
-  Alcotest.(check int) "distinct" count
-    (List.length (List.sort_uniq String.compare names));
+(* 2^14 names of 449 bytes built from the two 32-byte Thue-Morse words.
+   Their difference is a multiple of (1 - m)(1 - m^2)(1 - m^4)(1 - m^8)
+   (1 - m^16), so any polynomial hash modulo a power of two with an odd
+   multiplier [m] gives them equal low 19 bits, whatever [m] is. *)
+let thue_morse_names () =
+  let word flip =
+    String.init 32 (fun k ->
+        let rec parity k = if k = 0 then 0 else (k land 1) lxor parity (k lsr 1) in
+        if parity k lxor flip = 0 then 'a' else 'b')
+  in
+  List.init (1 lsl 14) (block_name (word 0) (word 1) 14)
+
+(* As many random identifiers as [names], each as long as its
+   counterpart. *)
+let ordinary_names names =
+  let rng = Random.State.make [| 28 |] in
+  let alphabet = "abcdefghijklmnopqrstuvwxyz0123456789_" in
+  List.map
+    (fun n ->
+      "n"
+      ^ String.init (String.length n - 1) (fun _ ->
+            alphabet.[Random.State.int rng (String.length alphabet)]))
+    names
+
+(* One module with a device per name, wired in a ring. *)
+let ring_text names =
   let names = Array.of_list names in
-  let b = Buffer.create (count * 110) in
+  let count = Array.length names in
+  let b = Buffer.create (count * 3 * (String.length names.(0) + 8)) in
   Buffer.add_string b "module hostile { technology nmos25;\n";
   Array.iteri
     (fun i n ->
       Printf.bprintf b "  device %s inv (%s, %s);\n" n n names.((i + 1) mod count))
     names;
   Buffer.add_string b "}\n";
-  let text = Buffer.contents b in
+  Buffer.contents b
+
+(* The best of 3 CPU timings of parsing [text]. *)
+let parse_seconds text =
+  let once () =
+    let t0 = Sys.time () in
+    (match Parser.parse_string text with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "parse: %a" Parser.pp_error e);
+    Sys.time () -. t0
+  in
+  List.fold_left min infinity (List.init 3 (fun _ -> once ()))
+
+(* Hostile names that collide in the low [bits] bits of [fixed_hash]
+   parse within 3 times the time of ordinary names of the same count
+   and length, and elaborate to the oracle's circuit. *)
+let check_hostile ~bits names =
+  let count = List.length names in
+  let low n = fixed_hash n land ((1 lsl bits) - 1) in
+  let slot = low (List.hd names) in
+  Alcotest.(check bool) "one fixed-hash slot run" true
+    (List.for_all (fun n -> low n = slot) names);
+  Alcotest.(check int) "distinct" count
+    (List.length (List.sort_uniq String.compare names));
+  let text = ring_text names in
+  let hostile = parse_seconds text
+  and ordinary = parse_seconds (ring_text (ordinary_names names)) in
+  if hostile > 3. *. ordinary then
+    Alcotest.failf "%d hostile names parse in %.3f s, ordinary ones in %.3f s"
+      count hostile ordinary;
   match front_end text with
   | Ok [ c ] ->
       Alcotest.(check int) "devices" count (Mae_netlist.Circuit.device_count c);
       Alcotest.(check int) "nets" count (Mae_netlist.Circuit.net_count c);
       Alcotest.(check bool) "oracle's circuit" true (Ok [ c ] = O.front_end text)
   | Ok _ | Error _ -> Alcotest.fail "expected one circuit"
+
+let test_intern_collisions () = check_hostile ~bits:16 (colliding_names 20_000)
+
+let test_intern_thue_morse () = check_hostile ~bits:19 (thue_morse_names ())
 
 let () =
   Alcotest.run "hdl"
@@ -813,6 +873,7 @@ let () =
           Alcotest.test_case "printed circuits" `Quick test_interned_printed;
           Alcotest.test_case "cases" `Quick test_interned_cases;
           Alcotest.test_case "colliding names" `Quick test_intern_collisions;
+          Alcotest.test_case "Thue-Morse names" `Quick test_intern_thue_morse;
         ]
         @ interned_props );
     ]

@@ -496,6 +496,88 @@ let net_devices_prop =
           Array.to_list (Circuit.devices_on_net c n) = expected)
         (List.init nets Fun.id))
 
+(* Intern against a stdlib-Hashtbl model: name sequences with
+   duplicates, NUL bytes, growth from the smallest table through several
+   slot-array doublings, fresh id spaces, and spans interned in place.
+   Each run lists every id it handed out and, at each reset and at the
+   end, the space's names. *)
+type intern_op = Name of string | Span of string | Reset
+
+let intern_ops =
+  let open QCheck2.Gen in
+  let name =
+    oneof
+      [ oneofl [ "a"; "b"; "a[1]"; ""; "\000a"; "a\000" ];
+        string_size (int_range 0 12);
+        map string_of_int (int_range 0 400) ]
+  in
+  list_size (int_range 0 1000)
+    (frequency
+       [ (60, map (fun s -> Name s) name);
+         (30, map (fun s -> Span s) name);
+         (1, pure Reset) ])
+
+let intern_run ?seed ops =
+  let t = Intern.create ?seed 1 in
+  let space () =
+    let names = Intern.names t in
+    if Array.to_list names <> List.init (Intern.count t) (Intern.name t) then
+      QCheck2.Test.fail_report "names and name disagree";
+    Array.iteri
+      (fun id n -> if Intern.find t n <> id then QCheck2.Test.fail_report "find")
+      names;
+    `Space names
+  in
+  let ids =
+    List.map
+      (function
+        | Name s -> `Id (Intern.intern t s)
+        | Span s ->
+            let h = String.fold_left (Intern.step t) 1 s in
+            `Id (Intern.intern_sub t ("<" ^ s ^ ">") 1 (1 + String.length s) h)
+        | Reset ->
+            let names = space () in
+            Intern.reset t;
+            if Intern.find t "a" <> -1 then QCheck2.Test.fail_report "reset";
+            names)
+      ops
+  in
+  ids @ [ space () ]
+
+let intern_model ops =
+  let ids = Hashtbl.create 8 and order = ref [] in
+  let id s =
+    match Hashtbl.find_opt ids s with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length ids in
+        Hashtbl.add ids s i;
+        order := s :: !order;
+        i
+  in
+  let space () = `Space (Array.of_list (List.rev !order)) in
+  let steps =
+    List.map
+      (function
+        | Name s | Span s -> `Id (id s)
+        | Reset ->
+            let names = space () in
+            Hashtbl.reset ids;
+            order := [];
+            names)
+      ops
+  in
+  steps @ [ space () ]
+
+let intern_props =
+  [
+    S.qtest ~count:300 "Intern = Hashtbl model" intern_ops (fun ops ->
+        intern_run ops = intern_model ops);
+    S.qtest ~count:100 "two seeds give the same ids"
+      QCheck2.Gen.(triple int int intern_ops)
+      (fun (a, b, ops) -> intern_run ~seed:a ops = intern_run ~seed:b ops);
+  ]
+
 let () =
   Alcotest.run "netlist"
     [
@@ -509,6 +591,7 @@ let () =
           net_devices_prop;
         ] );
       ("builder", [ Alcotest.test_case "net reuse" `Quick test_builder_net_reuse ]);
+      ("intern", intern_props);
       ( "stats",
         [
           Alcotest.test_case "equation 1" `Quick test_stats_equation_one;

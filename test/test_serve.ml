@@ -164,13 +164,46 @@ let line_oversize_resync () =
   let e = estimate_exn "resynced" (est_line "after" ^ "\n") in
   Alcotest.(check string) "post-resync hdl" "after" e.P.hdl
 
+(* Offsets into [String.concat "" frames]: any, or one where a frame
+   starts or ends. *)
+let offset_gen frames =
+  let ends =
+    List.fold_left (fun acc f -> (List.hd acc + String.length f) :: acc) [ 0 ] frames
+  in
+  QCheck2.Gen.(oneof [ int_bound (List.hd ends); oneofl ends ])
+
+(* Decoding [s] from offset [k] steps through the same frames, in the
+   same states, as decoding the copy [String.sub s k], in both decoder
+   states. *)
+let same_from_offset s k =
+  let rest = String.sub s k (String.length s - k) in
+  let rec steps decode state at acc =
+    match decode state at with
+    | P.Await -> List.rev acc
+    | (P.Skip (d, n) | P.Frame (_, d, n)) as step ->
+        steps decode d (at + n) (step :: acc)
+  in
+  let in_place state at = P.decode ~pos:at ~max_bytes state s
+  and copied state at =
+    P.decode ~max_bytes state (String.sub rest (at - k) (String.length s - at))
+  in
+  List.for_all
+    (fun state -> steps in_place state k [] = steps copied state k [])
+    [ P.initial; P.Discard_line ]
+
 (* Split-read invariance: any prefix of a request line Awaits, and the
    frame decoded from the full buffer is independent of how the bytes
-   arrived. *)
+   arrived, or of the offset it is decoded from. *)
 let split_read_prop =
   let line = est_line ~id:(Json.Number 42.) "circuit split; end split" in
-  let gen = QCheck2.Gen.int_bound (String.length line - 1) in
-  S.qtest ~count:100 "line split-read invariance" gen (fun cut ->
+  let frames = [ line ^ "\n"; est_line "circuit other; end other" ^ "\r\n" ] in
+  let stream = String.concat "" frames in
+  let gen =
+    QCheck2.Gen.(pair (int_bound (String.length line - 1)) (offset_gen frames))
+  in
+  S.qtest ~count:500 "line split-read invariance" gen (fun (cut, k) ->
+      if not (same_from_offset stream k) then
+        QCheck2.Test.fail_reportf "offset %d decodes differently" k;
       let prefix = String.sub line 0 cut in
       (match decode P.initial prefix with
       | P.Await -> ()
@@ -309,15 +342,27 @@ let http_split_reads () =
   | _ -> Alcotest.fail "reassembled POST should decode"
 
 (* Every cut point of an HTTP POST either Awaits or never appears;
-   the full buffer always yields the same single frame. *)
+   the full buffer always yields the same single frame, from whatever
+   offset it is decoded. *)
 let http_split_prop =
   let body = est_line ~id:(Json.Number 9.) "circuit p; end p" in
   let req =
     Printf.sprintf "POST /estimate HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
       (String.length body) body
   in
-  let gen = QCheck2.Gen.int_bound (String.length req - 1) in
-  S.qtest ~count:100 "http split-read invariance" gen (fun cut ->
+  let other = est_line "circuit q; end q" in
+  let frames =
+    [ req; "GET /healthz HTTP/1.1\n\n";
+      Printf.sprintf "POST / HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s"
+        (String.length other) other ]
+  in
+  let stream = String.concat "" frames in
+  let gen =
+    QCheck2.Gen.(pair (int_bound (String.length req - 1)) (offset_gen frames))
+  in
+  S.qtest ~count:500 "http split-read invariance" gen (fun (cut, k) ->
+      if not (same_from_offset stream k) then
+        QCheck2.Test.fail_reportf "offset %d decodes differently" k;
       (match decode P.initial (String.sub req 0 cut) with
       | P.Await -> ()
       | _ -> QCheck2.Test.fail_report "http prefix must Await");
