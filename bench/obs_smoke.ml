@@ -234,12 +234,12 @@ let () =
     "every metric family has # HELP and # TYPE (%d families)" helps;
   check
     (contains prom "# TYPE mae_engine_modules_total counter"
-    && contains prom "# TYPE mae_engine_module_seconds_summary summary")
+    && contains prom "# TYPE mae_driver_module_seconds_summary summary")
     "counter/summary TYPE lines present";
 
   (* (5) sketch accuracy: a synthetic stream's quantiles must sit
      within the advertised rank-error bound of the exact sorted pool *)
-  let sk = Mae_obs.Sketch.create "mae_obs_smoke_sketch_seconds_summary" ~eps:0.005 in
+  let sk = Mae_obs.Metrics.summary "mae_obs_smoke_sketch_seconds_summary" ~eps:0.005 in
   let n = 50_000 in
   let state = ref 0x1234ABCD in
   let samples =
@@ -275,8 +275,8 @@ let () =
     [ 0.5; 0.9; 0.99; 0.999 ];
   check
     (contains (Mae_obs.Metrics.to_prometheus ())
-       "mae_engine_module_seconds_summary{quantile=")
-    "engine latency sketch rides along in the /metrics exposition";
+       "mae_driver_module_seconds_summary{quantile=")
+    "driver module latency summary rides along in the /metrics exposition";
 
   (* (6) registry-time name lint: anything outside mae_[a-z0-9_]+ is
      rejected at registration, for metrics and sketches alike *)
@@ -284,7 +284,7 @@ let () =
   check
     (rejects (fun () -> Mae_obs.Metrics.counter "bad name!")
     && rejects (fun () -> Mae_obs.Metrics.gauge "engine_modules")
-    && rejects (fun () -> Mae_obs.Sketch.create "mae_Upper_seconds"))
+    && rejects (fun () -> Mae_obs.Metrics.summary "mae_Upper_seconds"))
     "metric and sketch name lint rejects non-mae_[a-z0-9_]+ names";
 
   (* (7) the runtime lens: gc.* slices land in the trace export, the
@@ -369,15 +369,15 @@ let () =
     "HELP/TYPE parity holds with the labelled gc family present";
   check
     (rejects (fun () ->
-         Mae_obs.Sketch.create
+         Mae_obs.Metrics.summary
            ~labels:[ ("Domain", "0") ]
            "mae_bad_label_seconds_summary")
     && rejects (fun () ->
-           Mae_obs.Sketch.create
+           Mae_obs.Metrics.summary
              ~labels:[ ("d", "a\"b") ]
              "mae_bad_value_seconds_summary")
     && rejects (fun () ->
-           Mae_obs.Sketch.create
+           Mae_obs.Metrics.summary
              ~labels:[ ("d", "1"); ("d", "2") ]
              "mae_dup_label_seconds_summary"))
     "sketch label lint rejects bad keys, quoted values and duplicates";

@@ -389,8 +389,9 @@ let estimate_cmd =
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
             "Write the telemetry metrics registry (engine counters, kernel \
-             cache hit/miss/race counters, queue-wait gauge, latency \
-             sketches) here after estimating: Prometheus text format, or \
+             cache hit/miss/race counters, queue-wait gauge, and the \
+             driver-stage, methodology, queue-wait and GC latency \
+             summaries) here after estimating: Prometheus text format, or \
              JSON when $(docv) ends in .json.  The path is validated before \
              estimation starts.")
   in

@@ -97,10 +97,13 @@ let method_failures report =
       | Ok _ -> None)
     report.results
 
+let module_stage = Methodology.new_stage "driver.module"
+let validate_stage = Methodology.new_stage "driver.validate"
+
 let run_circuit ?(methods = [ "default" ]) ~registry
     (circuit : Mae_netlist.Circuit.t) =
   let m = circuit.name in
-  Methodology.stage ~name:"driver.module" ~module_name:m @@ fun () ->
+  Methodology.stage module_stage ~module_name:m @@ fun () ->
   match Methodology.resolve methods with
   | Error name ->
       Error (Unknown_method { module_name = circuit.name; methodology = name })
@@ -112,7 +115,7 @@ let run_circuit ?(methods = [ "default" ]) ~registry
                { module_name = circuit.name; technology = circuit.technology })
       | Some process -> begin
           let issues =
-            Methodology.stage ~name:"driver.validate" ~module_name:m (fun () ->
+            Methodology.stage validate_stage ~module_name:m (fun () ->
                 Mae_netlist.Validate.check circuit process)
           in
           let errors = List.filter Mae_netlist.Validate.is_error issues in

@@ -110,49 +110,57 @@ let expand_for_fullcustom (circuit : Mae_netlist.Circuit.t) process =
       end
   end
 
-(* One Mae_obs span per Figure-1 stage, per module, plus a per-stage
-   latency sketch (mae_driver_<stage>_seconds_summary) so /metrics can
-   answer "p99 of validate" without bucket edges.  The module attribute
-   on every stage span lets a Chrome-trace or flame view slice by stage
-   across modules or by module across stages; with telemetry off each
-   [stage] call is a single atomic read. *)
-let stage_sketch =
-  let lock = Mutex.create () in
-  let tbl : (string, Mae_obs.Sketch.t) Hashtbl.t = Hashtbl.create 8 in
-  fun name ->
-    Mutex.lock lock;
-    let sk =
-      match Hashtbl.find_opt tbl name with
+(* One Mae_obs span per Figure-1 stage, per module, which also times
+   the stage into its latency summary (mae_driver_<stage>_seconds_summary)
+   so /metrics can answer "p99 of validate" without bucket edges.  The
+   module attribute on every stage span lets a Chrome-trace or flame
+   view slice by stage across modules or by module across stages; with
+   telemetry off each [stage] call is a single atomic read. *)
+type stage = {
+  span : string;
+  metric : string;
+  help : string;
+  summary : Mae_obs.Sketch.t option Atomic.t;
+      (* registered on the stage's first timed run, so a process with
+         telemetry off registers none *)
+}
+
+let new_stage span =
+  {
+    span;
+    metric =
+      "mae_" ^ String.map (fun c -> if c = '.' then '_' else c) span
+      ^ "_seconds_summary";
+    help = Printf.sprintf "Latency quantiles of the %s stage (GK sketch)" span;
+    summary = Atomic.make None;
+  }
+
+let stage st ~module_name f =
+  if not (Mae_obs.Control.enabled ()) then f ()
+  else begin
+    let summary =
+      match Atomic.get st.summary with
       | Some sk -> sk
       | None ->
-          let metric =
-            "mae_"
-            ^ String.map (fun c -> if c = '.' then '_' else c) name
-            ^ "_seconds_summary"
-          in
-          let sk =
-            Mae_obs.Sketch.create metric
-              ~help:
-                (Printf.sprintf "Latency quantiles of the %s stage (GK sketch)"
-                   name)
-          in
-          Hashtbl.add tbl name sk;
+          (* a racing domain gets the same sketch: registration is
+             idempotent *)
+          let sk = Mae_obs.Metrics.summary st.metric ~help:st.help in
+          Atomic.set st.summary (Some sk);
           sk
     in
-    Mutex.unlock lock;
-    sk
+    Mae_obs.Span.with_ ~name:st.span ~summary
+      ~attrs:[ ("module", module_name) ]
+      f
+  end
 
-let stage ~name ~module_name f =
-  if not (Mae_obs.Control.enabled ()) then f ()
-  else
-    Mae_obs.Sketch.time (stage_sketch name) (fun () ->
-        Mae_obs.Span.with_ ~name ~attrs:[ ("module", module_name) ] f)
+let expand_stage = new_stage "driver.expand"
+let stats_stage = new_stage "driver.stats"
 
 let make_ctx ?rows_override ~process (circuit : Mae_netlist.Circuit.t) =
   let m = circuit.name in
   match
     let expanded =
-      stage ~name:"driver.expand" ~module_name:m (fun () ->
+      stage expand_stage ~module_name:m (fun () ->
           expand_for_fullcustom circuit process)
     in
     let fc_circuit = Option.value expanded ~default:circuit in
@@ -160,7 +168,7 @@ let make_ctx ?rows_override ~process (circuit : Mae_netlist.Circuit.t) =
        the whole method set (the estimators' kernel caches ride along
        inside the stats) *)
     let stats, fc_stats =
-      stage ~name:"driver.stats" ~module_name:m (fun () ->
+      stage stats_stage ~module_name:m (fun () ->
           let stats = Mae_netlist.Stats.compute circuit process in
           let fc_stats =
             match expanded with
@@ -181,6 +189,7 @@ type t = {
   name : string;
   doc : string;
   estimate : ctx -> Mae_netlist.Circuit.t -> (outcome, error) result;
+  span_name : string;  (* "method.<name>" *)
   runs : Mae_obs.Metrics.counter;
   errors : Mae_obs.Metrics.counter;
   latency : Mae_obs.Sketch.t;
@@ -230,6 +239,7 @@ let register ~name ~doc estimate =
       name;
       doc;
       estimate;
+      span_name = "method." ^ name;
       runs =
         Mae_obs.Metrics.counter
           (Printf.sprintf "mae_method_%s_runs_total" m)
@@ -241,7 +251,7 @@ let register ~name ~doc estimate =
             (Printf.sprintf "Runs of the %s methodology that returned an error"
                name);
       latency =
-        Mae_obs.Sketch.create
+        Mae_obs.Metrics.summary
           (Printf.sprintf "mae_method_%s_seconds_summary" m)
           ~help:
             (Printf.sprintf "Per-module latency quantiles of the %s \
@@ -293,12 +303,11 @@ let selection_of_string s =
    converts anything escaping into a typed error so no pipeline path
    propagates an exception. *)
 let run ctx t (circuit : Mae_netlist.Circuit.t) =
-  Mae_obs.Span.with_ ~name:("method." ^ t.name)
+  Mae_obs.Span.with_ ~name:t.span_name ~summary:t.latency
     ~attrs:[ ("module", circuit.name) ]
   @@ fun () ->
   Mae_obs.Metrics.incr t.runs;
   let result =
-    Mae_obs.Sketch.time t.latency @@ fun () ->
     match t.estimate ctx circuit with
     | (Ok _ | Error _) as r -> r
     | exception Mae_netlist.Stats.Unknown_kind k ->

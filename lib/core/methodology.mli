@@ -107,11 +107,20 @@ val expand_for_fullcustom :
     when one exists; [None] when the circuit is already transistor-level
     or no library applies. *)
 
-val stage : name:string -> module_name:string -> (unit -> 'a) -> 'a
-(** [stage ~name ~module_name f] runs one Figure-1 pipeline stage under a
-    [name] span carrying a [module] attribute, and times it into the
-    [mae_<name>_seconds_summary] sketch ([.] becomes [_]).  With
-    telemetry off it is one atomic read and a call of [f]. *)
+type stage
+(** One Figure-1 pipeline stage: its span name and its latency summary
+    [mae_<name>_seconds_summary] ([.] becomes [_]). *)
+
+val new_stage : string -> stage
+(** [new_stage name] names a stage; it registers nothing.  The summary
+    is registered with {!Mae_obs.Metrics} on the stage's first timed
+    run, so a process with telemetry off registers none. *)
+
+val stage : stage -> module_name:string -> (unit -> 'a) -> 'a
+(** [stage st ~module_name f] runs one pipeline stage under a span
+    named after [st], carrying a [module] attribute; the span observes
+    its duration into the stage's summary, so the stage is timed once.
+    With telemetry off it is one atomic read and a call of [f]. *)
 
 val make_ctx :
   ?rows_override:int ->
@@ -144,7 +153,8 @@ val register :
     duplicate name — registration happens at module initialization, so a
     clash is a programming error, not a request error.  Per-methodology
     telemetry ([mae_method_<name>_runs_total], [.._errors_total] and the
-    [mae_method_<name>_seconds_summary] latency sketch) is created here. *)
+    [mae_method_<name>_seconds_summary] latency summary) is registered
+    here, with {!Mae_obs.Metrics}. *)
 
 val find : string -> t option
 val all : unit -> t list  (** registration order *)
@@ -178,8 +188,9 @@ val selection_of_string : string -> (string list, string) result
     names (the error text lists what is registered). *)
 
 val run : ctx -> t -> Mae_netlist.Circuit.t -> (outcome, error) result
-(** Run one methodology under its [method.<name>] span, record its
-    run/error counters and latency sketch, and convert any escaping
+(** Run one methodology under its [method.<name>] span, which also
+    times the run into its latency summary, record its run/error
+    counters, and convert any escaping
     exception ({!Mae_netlist.Stats.Unknown_kind}, [Invalid_argument],
     [Failure], [Not_found]) into the corresponding typed {!error} — the
     pipeline boundary where raises become values. *)

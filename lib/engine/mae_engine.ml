@@ -45,12 +45,8 @@ let queue_wait_gauge =
        module, over the most recent batch (domain spawn + scheduling cost)"
 
 (* Observed only while telemetry is on, like spans. *)
-let module_latency_sketch =
-  Mae_obs.Sketch.create "mae_engine_module_seconds_summary"
-    ~help:"Per-module estimation latency quantiles (GK sketch)"
-
 let queue_wait_sketch =
-  Mae_obs.Sketch.create "mae_engine_queue_wait_seconds_summary"
+  Mae_obs.Metrics.summary "mae_engine_queue_wait_seconds_summary"
     ~help:
       "Per-worker delay between batch start and first module claim \
        (GK sketch; one sample per worker per batch)"
@@ -199,7 +195,6 @@ let map_pool ~jobs ~t0 f inputs =
 
 (* One module: its report, or the error that replaced it. *)
 let estimate_module ?methods ~registry (circuit : Mae_netlist.Circuit.t) =
-  Mae_obs.Sketch.time module_latency_sketch @@ fun () ->
   match Mae.Driver.run_circuit ?methods ~registry circuit with
   | Ok report -> Ok report
   | Error e -> Error (Driver_error e)

@@ -36,11 +36,12 @@
 
     The engine is instrumented through {!Mae_obs}: with telemetry on
     ({!Mae_obs.set_enabled}) every batch records an [engine.batch]
-    span, one [engine.worker] root span per domain lane, and the
-    per-module latency sketch [mae_engine_module_seconds_summary]; the
-    always-on counters [mae_engine_modules_total] /
-    [..._ok_total] / [..._failed_total] and the
-    [mae_engine_queue_wait_seconds] gauge live in the
+    span, one [engine.worker] root span per domain lane, and one
+    [mae_engine_queue_wait_seconds_summary] sample per worker; each
+    module's latency is the driver's
+    [mae_driver_module_seconds_summary].  The always-on counters
+    [mae_engine_modules_total] / [..._ok_total] / [..._failed_total]
+    and the [mae_engine_queue_wait_seconds] gauge live in the
     {!Mae_obs.Metrics} registry. *)
 
 type error =

@@ -1,18 +1,21 @@
 (* Mae_obs: the in-pipeline observability layer.
 
-   Three pieces, one switch:
+   One switch, one registry, one timer:
 
-   - {!Span}: nested per-domain timed spans ([Span.with_ ~name f]),
-     recorded into lock-free-per-domain buffers and exported by
-     {!Trace} as Chrome trace-event JSON (one lane per domain) or a
-     plain-text flame summary.
-   - {!Metrics}: named counters and gauges with Prometheus-text and
-     JSON dumps.  They are always live; they back
-     [Kernel_cache.stats] and the engine's [--stats] line.
-   - {!Sketch}: the one latency recorder -- mergeable GK quantile
-     summaries (true p50/p99/p999, no bucket edges), one lock per
-     sketch, with request-id exemplars; rides along in every /metrics
-     dump.
+   - {!Span}: nested timed spans ([Span.with_ ~name f]), every domain's
+     closed spans in one log behind one mutex, exported by {!Trace} as
+     Chrome trace-event JSON (one lane per domain) or a plain-text
+     flame summary.  A span given a summary ([Span.with_ ~summary])
+     is also the region's latency timer: it observes the [dur] it
+     records, so each timed region reads the clock once at each end.
+   - {!Metrics}: the one instrument registry -- counters, gauges and
+     latency summaries in one name-checked table -- and the one
+     exporter of Prometheus text and JSON.  Counters and gauges are
+     always live; they back [Kernel_cache.stats] and the engine's
+     [--stats] line.
+   - {!Sketch}: the GK quantile summary behind every summary (true
+     p50/p99/p999, no bucket edges), one lock per sketch, with
+     request-id exemplars.
    - {!Capture}: tail-based trace retention -- full span trees kept
      only for errored and slowest-k requests, bounded memory.
    - {!Clock}: monotonic time for every duration measurement; wall
@@ -22,9 +25,9 @@
      single atomic check per disabled call site, like spans.
    - {!Runtime}: the runtime lens -- a self-monitoring Runtime_events
      consumer that attributes GC pauses, collections and allocation
-     pressure per domain (sketches on /metrics, gc.* spans in traces,
-     GET /runtimez), with {!Procstat} process gauges from /proc.
-     Explicitly started; a single atomic check when off.
+     pressure per domain (summaries on /metrics, gc.* spans in
+     traces, GET /runtimez), with {!Procstat} process gauges from
+     /proc.  Explicitly started; a single atomic check when off.
    - {!Control} (re-exported below): the single [enabled] flag.  With
      telemetry off, every instrumented code path costs one atomic
      read -- the @obs-smoke bench holds the pipeline to that.
@@ -51,5 +54,4 @@ let with_enabled = Control.with_enabled
 
 let reset () =
   Span.reset ();
-  Metrics.reset_values ();
-  List.iter Sketch.reset (Sketch.all ())
+  Metrics.reset_values ()

@@ -1,23 +1,56 @@
-(* The metrics registry: named counters and gauges.
+(* The metrics registry: every instrument of the process -- counters,
+   gauges and GK latency summaries -- in one name-checked table, and
+   the one exporter that writes it as Prometheus text or JSON.
 
-   Values are plain atomics, so instruments are safe to update from
-   any domain and cost what the hand-rolled counters they replace
-   cost.  Registration is idempotent -- asking for an existing name of
-   the same kind returns the registered instrument, so library
-   initialization order never matters -- and mutex-protected; updates
-   never take the lock.
+   Counter and gauge values are plain atomics, so instruments are safe
+   to update from any domain and cost what the hand-rolled counters
+   they replace cost.  A summary is a family of {!Sketch}es, one per
+   constant label set.  Registration is idempotent -- asking for an
+   existing name of the same kind returns the registered instrument, so
+   library initialization order never matters -- and mutex-protected;
+   updates never take the registry lock.
+
+   The table is keyed by every series name a family exposes: a counter
+   or gauge owns its name, a summary owns its name and its [_sum] and
+   [_count] series.  A registration whose series name another family
+   already owns raises, so no exposition carries a family twice or a
+   series under two families.
 
    Counters and gauges stay live even when telemetry is off (they back
    always-on reporting such as [Kernel_cache.stats] and the engine's
-   [--stats] line).  Latencies live in {!Sketch}, not here. *)
+   [--stats] line); summaries are fed by spans, so only while it is on. *)
 
 type counter = { c_name : string; c_help : string; c_value : int Atomic.t }
 type gauge = { g_name : string; g_help : string; g_bits : int64 Atomic.t }
 
-type metric = Counter of counter | Gauge of gauge
+type summary = {
+  s_name : string;
+  s_help : string;
+  s_eps : float;
+  mutable s_series : ((string * string) list * Sketch.t) list;
+      (* sorted by label key; written under [lock] *)
+}
+
+type metric = Counter of counter | Gauge of gauge | Summary of summary
 
 let lock = Mutex.create ()
 let table : (string, metric) Hashtbl.t = Hashtbl.create 32
+
+let family_name = function
+  | Counter c -> c.c_name
+  | Gauge g -> g.g_name
+  | Summary s -> s.s_name
+
+let kind = function
+  | Counter _ -> "counter"
+  | Gauge _ -> "gauge"
+  | Summary _ -> "summary"
+
+let series_names m =
+  let name = family_name m in
+  match m with
+  | Counter _ | Gauge _ -> [ name ]
+  | Summary _ -> [ name; name ^ "_sum"; name ^ "_count" ]
 
 (* Registry-time lint: every instrument in this codebase is namespaced
    mae_<subsystem>_..., lowercase snake.  Rejecting anything else at
@@ -30,30 +63,42 @@ let valid_name name =
        (function 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false)
        name
 
-let lint_name ?(what = "Mae_obs.Metrics") name =
+let lint_name name =
   if not (valid_name name) then
     invalid_arg
-      (Printf.sprintf "%s: metric name %S does not match mae_[a-z0-9_]+" what
-         name)
+      (Printf.sprintf "Mae_obs.Metrics: metric name %S does not match \
+                       mae_[a-z0-9_]+" name)
 
-let register name make classify =
+(* [find] answers a re-registration of an existing family; [make]
+   builds a new one, which claims every series name it exposes. *)
+let register name make find =
   lint_name name;
-  Mutex.lock lock;
   let result =
-    match Hashtbl.find_opt table name with
-    | Some existing -> classify existing
-    | None ->
-        let m, v = make () in
-        Hashtbl.add table name m;
-        Ok v
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt table name with
+        | Some m when String.equal (family_name m) name -> find m
+        | Some m ->
+            Error
+              (Printf.sprintf "%s is a series of the %s %s" name (kind m)
+                 (family_name m))
+        | None -> (
+            let m, v = make () in
+            match List.find_opt (Hashtbl.mem table) (series_names m) with
+            | Some s ->
+                Error
+                  (Printf.sprintf "%s %s would expose %s, already a %s series"
+                     (kind m) name s
+                     (kind (Hashtbl.find table s)))
+            | None ->
+                List.iter (fun s -> Hashtbl.add table s m) (series_names m);
+                Ok v))
   in
-  Mutex.unlock lock;
   match result with
   | Ok v -> v
-  | Error kind ->
-      invalid_arg
-        (Printf.sprintf "Mae_obs.Metrics: %s already registered as a %s" name
-           kind)
+  | Error msg -> invalid_arg ("Mae_obs.Metrics: " ^ msg)
+
+let already name m =
+  Error (Printf.sprintf "%s already registered as a %s" name (kind m))
 
 (* --- counters --- *)
 
@@ -62,7 +107,7 @@ let counter ?(help = "") name =
     (fun () ->
       let c = { c_name = name; c_help = help; c_value = Atomic.make 0 } in
       (Counter c, c))
-    (function Counter c -> Ok c | Gauge _ -> Error "gauge")
+    (function Counter c -> Ok c | m -> already name m)
 
 let incr c = Atomic.incr c.c_value
 let add c n = ignore (Atomic.fetch_and_add c.c_value n)
@@ -78,100 +123,243 @@ let gauge ?(help = "") name =
         { g_name = name; g_help = help; g_bits = Atomic.make (Int64.bits_of_float 0.) }
       in
       (Gauge g, g))
-    (function Gauge g -> Ok g | Counter _ -> Error "counter")
+    (function Gauge g -> Ok g | m -> already name m)
 
 let set g v = Atomic.set g.g_bits (Int64.bits_of_float v)
 let gauge_value g = Int64.float_of_bits (Atomic.get g.g_bits)
 
+(* --- summaries --- *)
+
+(* Canonical "k=v,k=v" form: the JSON key suffix and the sort key that
+   keeps a family's series in one order. *)
+let label_key labels =
+  String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
+
+(* Label names match [a-z_][a-z0-9_]*, but not "quantile", which the
+   exposition adds itself; values carry no quote, backslash or
+   newline, so they print unescaped. *)
+let lint_labels labels =
+  let ok_key k =
+    String.length k > 0
+    && String.for_all
+         (fun c -> (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_')
+         k
+    && not (k.[0] >= '0' && k.[0] <= '9')
+    && not (String.equal k "quantile")
+  in
+  let ok_value v =
+    String.for_all (fun c -> c <> '"' && c <> '\\' && c <> '\n') v
+  in
+  List.iter
+    (fun (k, v) ->
+      if not (ok_key k) then
+        invalid_arg
+          (Printf.sprintf "Mae_obs.Metrics: invalid label name %S" k);
+      if not (ok_value v) then
+        invalid_arg
+          (Printf.sprintf "Mae_obs.Metrics: invalid label value %S" v))
+    labels;
+  if
+    List.length (List.sort_uniq String.compare (List.map fst labels))
+    <> List.length labels
+  then invalid_arg "Mae_obs.Metrics: duplicate label name"
+
+let summary ?(help = "") ?eps ?(labels = []) name =
+  lint_labels labels;
+  let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
+  let key = label_key labels in
+  let by_key (a, _) (b, _) = String.compare (label_key a) (label_key b) in
+  register name
+    (fun () ->
+      let sk = Sketch.create ?eps () in
+      let s =
+        {
+          s_name = name;
+          s_help = help;
+          s_eps = Sketch.eps sk;
+          s_series = [ (labels, sk) ];
+        }
+      in
+      (Summary s, sk))
+    (function
+      | Summary s -> (
+          match eps with
+          | Some e when e <> s.s_eps ->
+              Error
+                (Printf.sprintf "%s already registered with eps %g" name
+                   s.s_eps)
+          | _ -> (
+              match
+                List.find_opt
+                  (fun (l, _) -> String.equal (label_key l) key)
+                  s.s_series
+              with
+              | Some (_, sk) -> Ok sk
+              | None ->
+                  let sk = Sketch.create ~eps:s.s_eps () in
+                  s.s_series <- List.sort by_key ((labels, sk) :: s.s_series);
+                  Ok sk))
+      | m -> already name m)
+
 (* --- introspection --- *)
 
+let find name =
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt table name with
+      | Some m when String.equal (family_name m) name -> Some m
+      | _ -> None)
+
 let find_counter name =
-  Mutex.lock lock;
-  let r = Hashtbl.find_opt table name in
-  Mutex.unlock lock;
-  match r with Some (Counter c) -> Some c | _ -> None
+  match find name with Some (Counter c) -> Some c | _ -> None
 
 let find_gauge name =
-  Mutex.lock lock;
-  let r = Hashtbl.find_opt table name in
-  Mutex.unlock lock;
-  match r with Some (Gauge g) -> Some g | _ -> None
+  match find name with Some (Gauge g) -> Some g | _ -> None
 
-let sorted_metrics () =
-  Mutex.lock lock;
-  let all = Hashtbl.fold (fun _ m acc -> m :: acc) table [] in
-  Mutex.unlock lock;
-  let name = function Counter c -> c.c_name | Gauge g -> g.g_name in
-  List.sort (fun a b -> String.compare (name a) (name b)) all
+let find_summaries name =
+  match find name with
+  | Some (Summary s) -> Mutex.protect lock (fun () -> s.s_series)
+  | _ -> []
+
+(* Every family, sorted by name, each summary with its series list as
+   it stood under the lock. *)
+let families () =
+  let all =
+    Mutex.protect lock (fun () ->
+        Hashtbl.fold
+          (fun key m acc ->
+            if not (String.equal key (family_name m)) then acc
+            else
+              match m with
+              | Summary s -> (m, s.s_series) :: acc
+              | Counter _ | Gauge _ -> (m, []) :: acc)
+          table [])
+  in
+  List.sort
+    (fun (a, _) (b, _) -> String.compare (family_name a) (family_name b))
+    all
 
 let reset_values () =
   List.iter
-    (function Counter c -> reset_counter c | Gauge g -> set g 0.)
-    (sorted_metrics ())
+    (fun (m, series) ->
+      match m with
+      | Counter c -> reset_counter c
+      | Gauge g -> set g 0.
+      | Summary _ -> List.iter (fun (_, sk) -> Sketch.reset sk) series)
+    (families ())
 
-(* --- exporters --- *)
-
-(* Sibling modules (Sketch) contribute their own sections to the
-   shared dumps without Metrics depending on them: each hook supplies
-   a Prometheus-text fragment and a JSON object keyed at the top
-   level.  Registration is idempotent by key. *)
-type exposition = {
-  e_key : string;
-  e_prometheus : unit -> string;
-  e_json : unit -> string;
-}
-
-let expositions : exposition list ref = ref []
-
-let register_exposition ~key ~prometheus ~json =
-  Mutex.lock lock;
-  if not (List.exists (fun e -> String.equal e.e_key key) !expositions) then
-    expositions :=
-      !expositions @ [ { e_key = key; e_prometheus = prometheus; e_json = json } ];
-  Mutex.unlock lock
-
-let current_expositions () =
-  Mutex.lock lock;
-  let es = !expositions in
-  Mutex.unlock lock;
-  es
+(* --- the exporter --- *)
 
 let float_repr v =
   if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
 
+(* "{domain="0",quantile="0.5"}" -- a series' labels plus an optional
+   quantile, or "" when there is neither. *)
+let render_labels ?quantile labels =
+  let pairs =
+    labels
+    @ match quantile with Some q -> [ ("quantile", float_repr q) ] | None -> []
+  in
+  match pairs with
+  | [] -> ""
+  | pairs ->
+      "{"
+      ^ String.concat ","
+          (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k v) pairs)
+      ^ "}"
+
+let prometheus_summary buf name (labels, sk) =
+  let s = Sketch.snapshot sk in
+  List.iter
+    (fun (q, v) ->
+      Printf.bprintf buf "%s%s %s\n" name
+        (render_labels ~quantile:q labels)
+        (float_repr v))
+    s.quantiles;
+  Printf.bprintf buf "%s_sum%s %s\n" name (render_labels labels)
+    (float_repr s.sum);
+  Printf.bprintf buf "%s_count%s %d\n" name (render_labels labels) s.n;
+  List.iter
+    (fun (v, label, wall) ->
+      (* OpenMetrics-flavoured exemplar, kept as a comment so plain
+         Prometheus text parsers stay happy; the label is a request id
+         resolvable at /tracez. *)
+      Printf.bprintf buf "# EXEMPLAR %s {request_id=\"%s\"} %s %s\n" name
+        label (float_repr v) (float_repr wall))
+    s.exemplars
+
 let to_prometheus () =
   let buf = Buffer.create 1024 in
-  let header name help kind =
-    (* Every metric gets HELP and TYPE lines; an instrument registered
-       without help falls back to its own name so scrapers always see
-       a complete exposition. *)
-    Buffer.add_string buf
-      (Printf.sprintf "# HELP %s %s\n" name
-         (if String.equal help "" then name else help));
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
-  in
   List.iter
-    (function
-      | Counter c ->
-          header c.c_name c.c_help "counter";
-          Buffer.add_string buf
-            (Printf.sprintf "%s %d\n" c.c_name (counter_value c))
+    (fun (m, series) ->
+      let name = family_name m in
+      let help =
+        match m with
+        | Counter c -> c.c_help
+        | Gauge g -> g.g_help
+        | Summary s -> s.s_help
+      in
+      (* Every family gets HELP and TYPE lines once; an instrument
+         registered without help falls back to its own name so scrapers
+         always see a complete exposition. *)
+      Printf.bprintf buf "# HELP %s %s\n" name
+        (if String.equal help "" then name else help);
+      Printf.bprintf buf "# TYPE %s %s\n" name (kind m);
+      match m with
+      | Counter c -> Printf.bprintf buf "%s %d\n" name (counter_value c)
       | Gauge g ->
-          header g.g_name g.g_help "gauge";
-          Buffer.add_string buf
-            (Printf.sprintf "%s %s\n" g.g_name (float_repr (gauge_value g))))
-    (sorted_metrics ());
-  List.iter (fun e -> Buffer.add_string buf (e.e_prometheus ()))
-    (current_expositions ());
+          Printf.bprintf buf "%s %s\n" name (float_repr (gauge_value g))
+      | Summary _ -> List.iter (prometheus_summary buf name) series)
+    (families ());
   Buffer.contents buf
 
+let json_summary name (labels, sk) =
+  let s = Sketch.snapshot sk in
+  let labels_field =
+    if labels = [] then []
+    else
+      [
+        ( "labels",
+          Json.Object (List.map (fun (k, v) -> (k, Json.String v)) labels) );
+      ]
+  in
+  let extremes =
+    if s.n = 0 then []
+    else [ ("min", Json.Number s.min_v); ("max", Json.Number s.max_v) ]
+  in
+  let exemplar (v, label, wall) =
+    Json.Object
+      [
+        ("value", Json.Number v);
+        ("label", Json.String label);
+        ("ts", Json.Number wall);
+      ]
+  in
+  let key = if labels = [] then name else name ^ "{" ^ label_key labels ^ "}" in
+  ( key,
+    Json.Object
+      (labels_field
+      @ [
+          ("eps", Json.Number s.eps);
+          ("count", Json.Number (float_of_int s.n));
+          ("sum", Json.Number s.sum);
+          ("tuples", Json.Number (float_of_int s.tuples));
+        ]
+      @ extremes
+      @ [
+          ( "quantiles",
+            Json.Object
+              (List.map (fun (q, v) -> (float_repr q, Json.Number v))
+                 s.quantiles) );
+          ("exemplars", Json.Array (List.map exemplar s.exemplars));
+        ]) )
+
 let to_json () =
-  let buf = Buffer.create 1024 in
-  let counters = ref [] and gauges = ref [] in
+  let counters = ref [] and gauges = ref [] and summaries = ref [] in
   List.iter
-    (function
+    (fun (m, series) ->
+      match m with
       | Counter c ->
           counters :=
             Printf.sprintf "%s: %d" (Json.escape c.c_name) (counter_value c)
@@ -180,25 +368,17 @@ let to_json () =
           gauges :=
             Printf.sprintf "%s: %s" (Json.escape g.g_name)
               (float_repr (gauge_value g))
-            :: !gauges)
-    (sorted_metrics ());
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"counters\": {%s},\n"
-       (String.concat ", " (List.rev !counters)));
-  let extras = current_expositions () in
-  Buffer.add_string buf
-    (Printf.sprintf "  \"gauges\": {%s}%s\n"
-       (String.concat ", " (List.rev !gauges))
-       (if extras = [] then "" else ","));
-  List.iteri
-    (fun i e ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %s: %s%s\n" (Json.escape e.e_key) (e.e_json ())
-           (if i < List.length extras - 1 then "," else "")))
-    extras;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+            :: !gauges
+      | Summary s ->
+          summaries :=
+            List.rev_append (List.map (json_summary s.s_name) series)
+              !summaries)
+    (families ());
+  let fields l = String.concat ", " (List.rev l) in
+  Printf.sprintf
+    "{\n  \"counters\": {%s},\n  \"gauges\": {%s},\n  \"sketches\": %s\n}\n"
+    (fields !counters) (fields !gauges)
+    (Json.encode (Json.Object (List.rev !summaries)))
 
 let write_file ~path contents =
   match open_out path with

@@ -1,28 +1,25 @@
-(** The metrics registry: named counters and gauges, with
-    Prometheus-text and JSON dumps.
+(** The metrics registry: every instrument of the process -- named
+    counters, gauges and GK latency summaries -- in one table, with the
+    one exporter that writes it as Prometheus text or JSON.
 
-    Instruments are backed by atomics -- update them freely from any
-    domain; no update takes a lock.  Registration is idempotent:
-    asking for an existing name of the same kind returns the already
-    registered instrument, asking for it as a different kind raises
-    [Invalid_argument].  Names must match [mae_[a-z0-9_]+] -- the
-    registry lints at registration time so metric-name drift is
-    caught the moment a PR introduces it.
+    Counters and gauges are backed by atomics -- update them freely
+    from any domain; no update takes a lock.  A summary is a family of
+    {!Sketch}es, one per constant label set.  Registration is
+    idempotent: asking for an existing name of the same kind returns
+    the already registered instrument.  Names must match
+    [mae_[a-z0-9_]+] -- the registry lints at registration time so
+    metric-name drift is caught the moment a PR introduces it.  Every
+    registration raises [Invalid_argument] when its name is registered
+    as another kind, or when a series it would expose (a summary's
+    [_sum] and [_count] included) belongs to another family: one name,
+    one family, in both dumps.
 
     Counters and gauges are always live, even with telemetry off --
     they replace hand-rolled statistics ints and cost the same.
-    Latencies are recorded by {!Sketch}, whose summaries ride along in
-    both dumps. *)
+    Summaries are fed by {!Span.with_}, so only while telemetry is on. *)
 
 type counter
 type gauge
-
-val valid_name : string -> bool
-(** Does the name match [mae_[a-z0-9_]+]? *)
-
-val lint_name : ?what:string -> string -> unit
-(** Raise [Invalid_argument] (prefixed with [what]) unless
-    {!valid_name}.  Shared by every registry in the obs layer. *)
 
 (** {1 Counters} *)
 
@@ -41,33 +38,52 @@ val gauge : ?help:string -> string -> gauge
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 
+(** {1 Summaries} *)
+
+val summary :
+  ?help:string ->
+  ?eps:float ->
+  ?labels:(string * string) list ->
+  string ->
+  Sketch.t
+(** [summary name] registers (or returns, idempotently) the sketch of
+    the summary family [name] with the given constant [labels]
+    ([[("domain", "3")]]; default none).  Series of one family share
+    its HELP/TYPE lines, its [eps] and its exposition, each with its
+    labels merged with the [quantile] label.  [eps] is the rank-error
+    fraction, fixed by the family's first registration (default
+    [0.001]); omitting it later accepts the family's.  Label names
+    must match [[a-z_][a-z0-9_]*] and not be [quantile]; values must
+    not contain quotes, backslashes or newlines.  Raises
+    [Invalid_argument] on a bad name or label, [eps] outside
+    (0, 0.5), or an explicit [eps] differing from the family's. *)
+
 (** {1 Registry introspection} *)
 
 val find_counter : string -> counter option
 val find_gauge : string -> gauge option
 
+val find_summaries : string -> ((string * string) list * Sketch.t) list
+(** The series of the summary family [name] as [(labels, sketch)],
+    sorted by labels; [[]] when no such summary is registered. *)
+
 val reset_values : unit -> unit
-(** Zero every registered counter and gauge (registrations persist).
-    [Mae_obs.reset] also empties every {!Sketch}. *)
+(** Zero every registered counter and gauge and empty every summary
+    (registrations persist). *)
 
-(** {1 Exporters} *)
-
-val register_exposition :
-  key:string -> prometheus:(unit -> string) -> json:(unit -> string) -> unit
-(** Contribute an extra section to both dumps: [prometheus] returns a
-    text-exposition fragment appended after the registered metrics,
-    [json] returns a JSON object added under [key] at the top level.
-    Idempotent by [key]; used by {!Sketch} so summaries ride along in
-    every /metrics scrape and [--metrics-out] file. *)
+(** {1 The exporter} *)
 
 val to_prometheus : unit -> string
-(** Prometheus text exposition format, metrics sorted by name; every
-    metric carries [# HELP] and [# TYPE] lines. *)
+(** Prometheus text exposition format, families sorted by name; every
+    family carries one [# HELP] and one [# TYPE] line.  Summaries print
+    their quantile, [_sum] and [_count] series, with exemplars as
+    trailing [# EXEMPLAR] comment lines. *)
 
 val to_json : unit -> string
 (** The same data as one JSON object:
-    [{"counters": {..}, "gauges": {..}, ...}] plus any registered
-    exposition sections (e.g. ["sketches"]). *)
+    [{"counters": {..}, "gauges": {..}, "sketches": {..}}], where each
+    summary series is keyed by its name ([name{k=v,..}] when
+    labelled). *)
 
 val write_prometheus : path:string -> (unit, string) result
 val write_json : path:string -> (unit, string) result

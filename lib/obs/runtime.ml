@@ -13,8 +13,8 @@
      counters and the major-heap gauge;
    - recent pause windows into a bounded store that (a) answers
      "how much GC landed inside this request window" for Capture
-     tagging and (b) feeds gc.* spans into the Chrome-trace export via
-     the Trace provider hook.
+     tagging and (b) holds the gc.* spans Trace reads into its
+     Chrome-trace export.
 
    The sampler is a domain rather than a sys-thread, so it needs no
    threads library and polls without sharing domain 0's runtime lock
@@ -139,7 +139,7 @@ let ring_state ring_id =
         {
           ring_id;
           sketch =
-            Sketch.create ~help:"GC pause duration per domain"
+            Metrics.summary ~help:"GC pause duration per domain"
               ~eps:pause_eps
               ~labels:[ ("domain", string_of_int ring_id) ]
               "mae_gc_pause_seconds_summary";
@@ -510,6 +510,3 @@ let reset () =
   polls := 0;
   Mutex.unlock lock;
   List.iter Sketch.reset (gc_sketches ())
-
-(* gc.* spans ride along in every Chrome-trace export *)
-let () = Trace.register_provider gc_events

@@ -13,7 +13,8 @@
       (major heap words, domains observed);
     - keeps recent pause windows so {!pause_seconds_since} can tag a
       request window with the GC time that landed inside it, and
-      feeds [gc.*] spans into {!Trace} exports via the provider hook;
+      {!Trace} reads them ({!gc_events}) as [gc.*] spans into its
+      Chrome export;
     - refreshes {!Procstat}'s [mae_process_*] gauges every tick.
 
     Off means off: until the first {!start} nothing is registered, no
@@ -82,9 +83,8 @@ val domains : unit -> domain_stats list
 
 val gc_events : unit -> Span.event list
 (** Recent pause windows as spans ([gc.minor], [gc.major_slice],
-    [gc.stw_leader], ...), ascending start time; bounded store.  Also
-    registered as a {!Trace} provider, so Chrome exports include them
-    automatically. *)
+    [gc.stw_leader], ...), ascending start time; bounded store.
+    {!Trace.to_chrome_string} merges them into every Chrome export. *)
 
 val to_json : unit -> Json.t
 (** The GET /runtimez document: sampler state, aggregate and

@@ -1,6 +1,7 @@
 (* Greenwald–Khanna quantile summaries behind one lock per sketch.
 
-   A sketch holds a flat sample buffer and one GK summary, both guarded
+   A sketch has no name; {!Metrics.summary} registers and exports it.
+   It holds a flat sample buffer and one GK summary, both guarded
    by [sk_lock].  [observe] stores a sample and folds the buffer into
    the summary when it fills; reads fold whatever is pending, then
    query the summary.  [quantile_of_many] answers rank queries over the
@@ -34,9 +35,6 @@ let empty_summary =
 type exemplar = { ex_v : float; ex_label : string; ex_wall : float }
 
 type t = {
-  sk_name : string;
-  sk_labels : (string * string) list;  (* sorted by key; [] = unlabeled *)
-  sk_help : string;
   sk_eps : float;
   sk_lock : Mutex.t;  (* guards sk_buf, sk_n and sk_summary *)
   sk_buf : float array;
@@ -45,39 +43,7 @@ type t = {
   sk_exemplars : exemplar option Atomic.t array;
 }
 
-let name t = t.sk_name
-let labels t = t.sk_labels
 let eps t = t.sk_eps
-
-(* Canonical "k=v,k=v" form: the registry key suffix and the sort key
-   that keeps a family's series adjacent in [all]. *)
-let label_key labels =
-  String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-
-let lint_labels labels =
-  let ok_key k =
-    String.length k > 0
-    && String.for_all
-         (fun c -> (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_')
-         k
-    && not (k.[0] >= '0' && k.[0] <= '9')
-  in
-  let ok_value v =
-    String.for_all (fun c -> c <> '"' && c <> '\\' && c <> '\n') v
-  in
-  List.iter
-    (fun (k, v) ->
-      if not (ok_key k) then
-        invalid_arg
-          (Printf.sprintf "Mae_obs.Sketch: invalid label name %S" k);
-      if not (ok_value v) then
-        invalid_arg
-          (Printf.sprintf "Mae_obs.Sketch: invalid label value %S" v))
-    labels;
-  if
-    List.length (List.sort_uniq String.compare (List.map fst labels))
-    <> List.length labels
-  then invalid_arg "Mae_obs.Sketch: duplicate label name"
 
 (* --- GK core --- *)
 
@@ -153,10 +119,7 @@ let query_sorted tuples n q =
     if !best_err = max_int then None else Some !best_v
   end
 
-(* --- registry and buffering --- *)
-
-let registry_lock = Mutex.create ()
-let registry : (string, t) Hashtbl.t = Hashtbl.create 8
+(* --- buffering --- *)
 
 (* Fold the pending samples into the summary.  Caller holds sk_lock. *)
 let fold_buffer t =
@@ -175,69 +138,23 @@ let summary t =
       fold_buffer t;
       t.sk_summary)
 
-let create ?(help = "") ?eps ?(labels = []) name =
-  Metrics.lint_name ~what:"Mae_obs.Sketch" name;
-  lint_labels labels;
-  let labels =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) labels
-  in
-  (match eps with
-  | Some e when not (e > 0. && e < 0.5) ->
-      invalid_arg "Mae_obs.Sketch: eps must be in (0, 0.5)"
-  | _ -> ());
-  let key = name ^ "{" ^ label_key labels ^ "}" in
-  Mutex.lock registry_lock;
-  let result =
-    match Hashtbl.find_opt registry key with
-    | Some t -> (
-        match eps with
-        | Some e when e <> t.sk_eps -> Error t.sk_eps
-        | _ -> Ok t)
-    | None ->
-        let eps = Option.value eps ~default:0.001 in
-        let t =
-          {
-            sk_name = name;
-            sk_labels = labels;
-            sk_help = help;
-            sk_eps = eps;
-            sk_lock = Mutex.create ();
-            sk_buf = Array.make buf_cap 0.;
-            sk_n = 0;
-            sk_summary = empty_summary;
-            sk_exemplars =
-              Array.init exemplar_slots (fun _ -> Atomic.make None);
-          }
-        in
-        Hashtbl.add registry key t;
-        Ok t
-  in
-  Mutex.unlock registry_lock;
-  match result with
-  | Ok t -> t
-  | Error existing ->
-      invalid_arg
-        (Printf.sprintf
-           "Mae_obs.Sketch: %s already registered with eps %g" name existing)
+let create ?(eps = 0.001) () =
+  if not (eps > 0. && eps < 0.5) then
+    invalid_arg "Mae_obs.Sketch: eps must be in (0, 0.5)";
+  {
+    sk_eps = eps;
+    sk_lock = Mutex.create ();
+    sk_buf = Array.make buf_cap 0.;
+    sk_n = 0;
+    sk_summary = empty_summary;
+    sk_exemplars = Array.init exemplar_slots (fun _ -> Atomic.make None);
+  }
 
 let observe t v =
   Mutex.protect t.sk_lock (fun () ->
       t.sk_buf.(t.sk_n) <- v;
       t.sk_n <- t.sk_n + 1;
       if t.sk_n >= buf_cap then fold_buffer t)
-
-let time t f =
-  if not (Control.enabled ()) then f ()
-  else begin
-    let t0 = Clock.monotonic () in
-    match f () with
-    | v ->
-        observe t (Clock.monotonic () -. t0);
-        v
-    | exception e ->
-        observe t (Clock.monotonic () -. t0);
-        raise e
-  end
 
 let offer_exemplar t ~label v =
   let slots = t.sk_exemplars in
@@ -262,17 +179,6 @@ let offer_exemplar t ~label v =
 let observe_exemplar t ~label v =
   observe t v;
   offer_exemplar t ~label v
-
-let all () =
-  Mutex.lock registry_lock;
-  let l = Hashtbl.fold (fun _ t acc -> t :: acc) registry [] in
-  Mutex.unlock registry_lock;
-  List.sort
-    (fun a b ->
-      match String.compare a.sk_name b.sk_name with
-      | 0 -> String.compare (label_key a.sk_labels) (label_key b.sk_labels)
-      | c -> c)
-    l
 
 (* --- reads --- *)
 
@@ -338,117 +244,3 @@ let reset t =
       t.sk_n <- 0;
       t.sk_summary <- empty_summary);
   Array.iter (fun slot -> Atomic.set slot None) t.sk_exemplars
-
-(* --- exposition --- *)
-
-let float_repr v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
-(* "{domain="0",quantile="0.5"}" -- the sketch's own labels plus an
-   optional quantile, or "" when there is neither. *)
-let render_labels ?quantile t =
-  let pairs =
-    t.sk_labels
-    @ match quantile with Some q -> [ ("quantile", float_repr q) ] | None -> []
-  in
-  match pairs with
-  | [] -> ""
-  | pairs ->
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k v) pairs)
-      ^ "}"
-
-let to_prometheus () =
-  let buf = Buffer.create 512 in
-  (* [all] sorts by (name, labels): a family's labelled series are
-     adjacent, and HELP/TYPE are emitted once per family name. *)
-  let last_family = ref "" in
-  List.iter
-    (fun t ->
-      let s = snapshot t in
-      if not (String.equal !last_family t.sk_name) then begin
-        last_family := t.sk_name;
-        Buffer.add_string buf
-          (Printf.sprintf "# HELP %s %s\n" t.sk_name
-             (if String.equal t.sk_help "" then t.sk_name else t.sk_help));
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s summary\n" t.sk_name)
-      end;
-      List.iter
-        (fun (q, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s %s\n" t.sk_name
-               (render_labels ~quantile:q t)
-               (float_repr v)))
-        s.quantiles;
-      Buffer.add_string buf
-        (Printf.sprintf "%s_sum%s %s\n" t.sk_name (render_labels t)
-           (float_repr s.sum));
-      Buffer.add_string buf
-        (Printf.sprintf "%s_count%s %d\n" t.sk_name (render_labels t) s.n);
-      List.iter
-        (fun (v, label, wall) ->
-          (* OpenMetrics-flavoured exemplar, kept as a comment so plain
-             Prometheus text parsers stay happy; the label is a request
-             id resolvable at /tracez. *)
-          Buffer.add_string buf
-            (Printf.sprintf "# EXEMPLAR %s {request_id=\"%s\"} %s %s\n"
-               t.sk_name label (float_repr v) (float_repr wall)))
-        s.exemplars)
-    (all ());
-  Buffer.contents buf
-
-let to_json_body () =
-  let sketch_json t =
-    let s = snapshot t in
-    let base =
-      (if t.sk_labels = [] then []
-       else
-         [
-           ( "labels",
-             Json.Object
-               (List.map (fun (k, v) -> (k, Json.String v)) t.sk_labels) );
-         ])
-      @ [
-        ("eps", Json.Number s.eps);
-        ("count", Json.Number (float_of_int s.n));
-        ("sum", Json.Number s.sum);
-        ("tuples", Json.Number (float_of_int s.tuples));
-      ]
-    in
-    let extremes =
-      if s.n = 0 then []
-      else [ ("min", Json.Number s.min_v); ("max", Json.Number s.max_v) ]
-    in
-    let quantiles =
-      ( "quantiles",
-        Json.Object
-          (List.map (fun (q, v) -> (float_repr q, Json.Number v)) s.quantiles)
-      )
-    in
-    let exemplars =
-      ( "exemplars",
-        Json.Array
-          (List.map
-             (fun (v, label, wall) ->
-               Json.Object
-                 [
-                   ("value", Json.Number v);
-                   ("label", Json.String label);
-                   ("ts", Json.Number wall);
-                 ])
-             s.exemplars) )
-    in
-    let key =
-      if t.sk_labels = [] then t.sk_name
-      else t.sk_name ^ "{" ^ label_key t.sk_labels ^ "}"
-    in
-    (key, Json.Object (base @ extremes @ [ quantiles; exemplars ]))
-  in
-  Json.encode (Json.Object (List.map sketch_json (all ())))
-
-(* Splice sketches into the shared /metrics dumps. *)
-let () =
-  Metrics.register_exposition ~key:"sketches" ~prometheus:to_prometheus
-    ~json:to_json_body

@@ -15,36 +15,20 @@
     pending samples first, so every observation made before a read,
     from any domain, is in it.
 
-    Observation cost is a lock and an array store.  Latency call sites
-    time through {!time}, which is gated on {!Control.enabled}. *)
+    Observation cost is a lock and an array store.  A sketch carries
+    no name: {!Metrics.summary} is the one way to make one that is
+    exported, and {!Span.with_} is the one way to time into one. *)
 
 type t
 
-val create :
-  ?help:string -> ?eps:float -> ?labels:(string * string) list -> string -> t
-(** [create name] registers (or returns, idempotently) the sketch
-    called [name].  [name] must match [mae_[a-z0-9_]*] -- same lint as
-    {!Metrics}.  [eps] is the rank-error fraction (default [0.001],
-    i.e. p99.9 resolved to one part in a thousand); omitting it on a
-    re-registration accepts whatever the sketch was created with.
-    [labels] attaches constant label pairs ([[("domain", "3")]]); the
-    registry keys on (name, labels), so differently-labelled sketches
-    with the same name form one Prometheus family whose series carry
-    the labels (merged with the [quantile] label) and whose HELP/TYPE
-    metadata is emitted once.  Label names must match
-    [[a-z_][a-z0-9_]*] and values must not contain quotes,
-    backslashes or newlines.
-    Raises [Invalid_argument] on a bad name or label, [eps] outside
-    (0, 0.5), or an explicit [eps] differing from the registered one. *)
+val create : ?eps:float -> unit -> t
+(** A fresh, empty sketch, registered nowhere.  [eps] is the
+    rank-error fraction (default [0.001], i.e. p99.9 resolved to one
+    part in a thousand).  Raises [Invalid_argument] on [eps] outside
+    (0, 0.5).  Only {!Metrics.summary} calls it. *)
 
 val observe : t -> float -> unit
 (** Record one sample; safe from any domain. *)
-
-val time : t -> (unit -> 'a) -> 'a
-(** Run the thunk and observe its duration on the monotonic clock, on
-    return and on an exception alike -- but only when
-    {!Control.enabled}; otherwise one atomic read and a call of the
-    thunk. *)
 
 val observe_exemplar : t -> label:string -> float -> unit
 (** {!observe}, additionally offering [(label, value)] as an exemplar:
@@ -85,24 +69,7 @@ val rank_error_bound : t -> n:int -> domains:int -> float
     into the query (the additive term covers per-summary integer
     rounding; one sketch is one summary).  Property tests assert against exactly this. *)
 
-val name : t -> string
-
-val labels : t -> (string * string) list
-(** Constant labels this sketch was created with, sorted by name. *)
-
 val eps : t -> float
-
-val all : unit -> t list
-(** Registered sketches, sorted by (name, labels). *)
 
 val reset : t -> unit
 (** Drop the summary, pending samples and exemplars. *)
-
-val to_prometheus : unit -> string
-(** Prometheus [summary]-typed exposition for every registered
-    sketch, with exemplars as trailing comment lines.  Appended to
-    {!Metrics.to_prometheus} output via the exposition hook. *)
-
-val to_json_body : unit -> string
-(** The sketches section as a JSON object body:
-    [{"name": {"count": .., "quantiles": {..}, ..}, ..}]. *)

@@ -1,7 +1,7 @@
 (* Timed spans in one log.
 
    Every closed span of every domain goes into one list behind one
-   mutex, the same shape as Sketch: one short critical section per
+   mutex, the same shape as a Sketch: one short critical section per
    span, and retention bounds the whole log, whichever domains wrote
    it.  The only per-domain state is the open-span stack ([Domain.DLS]),
    which is registered nowhere and dies with its domain, so a process
@@ -86,7 +86,10 @@ let record ~name ~attrs ~depth ~start ~children =
   Mutex.unlock lock;
   dur
 
-let with_ ?(attrs = []) ~name f =
+(* The one timer: a span given a summary observes into it the very
+   [dur] it records, so a timed region reads the clock once at each
+   end. *)
+let with_ ?(attrs = []) ?summary ~name f =
   if not (Control.enabled ()) then f ()
   else begin
     let stack = Domain.DLS.get open_spans in
@@ -101,6 +104,7 @@ let with_ ?(attrs = []) ~name f =
       let dur =
         record ~name ~attrs ~depth:(List.length outer) ~start ~children
       in
+      Option.iter (fun sk -> Sketch.observe sk dur) summary;
       (* we are a closed child of the enclosing span, if any *)
       stack := (match outer with p :: up -> (p +. dur) :: up | [] -> [])
     in

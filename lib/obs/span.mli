@@ -22,9 +22,16 @@ type event = {
   self : float;  (** [dur] minus the time spent in child spans *)
 }
 
-val with_ : ?attrs:(string * string) list -> name:string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a span.  No-op (beyond one atomic read) when
-    telemetry is disabled. *)
+val with_ :
+  ?attrs:(string * string) list ->
+  ?summary:Sketch.t ->
+  name:string ->
+  (unit -> 'a) ->
+  'a
+(** Run the thunk inside a span.  With [summary], the span is also the
+    region's latency timer: the span's [dur] is observed into it, once,
+    on return and on an exception alike.  No-op (beyond one atomic
+    read) when telemetry is disabled: no span and no sample. *)
 
 val events : unit -> event list
 (** Every recorded span across all domains, sorted by domain then

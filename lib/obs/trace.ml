@@ -4,26 +4,6 @@
 
 let us t = t *. 1e6
 
-(* Extra span sources merged into the Chrome export only -- the
-   runtime lens registers its GC phase events here, so flamegraph
-   lanes show collector pauses interleaved with the pipeline spans
-   without Trace depending on the consumer.  Providers must be cheap
-   and must return [] when they have nothing (export time only, never
-   on the hot path).  The flame summary deliberately excludes them:
-   GC pauses happen *inside* pipeline spans, and folding them in
-   would double-count self time. *)
-let providers : (unit -> Span.event list) list Atomic.t = Atomic.make []
-
-let register_provider f =
-  let rec add () =
-    let cur = Atomic.get providers in
-    if not (Atomic.compare_and_set providers cur (f :: cur)) then add ()
-  in
-  add ()
-
-let provider_events () =
-  List.concat_map (fun f -> f ()) (Atomic.get providers)
-
 (* Runtime-lens spans are named "gc.<phase>"; give them their own
    category so viewers (and the smoke gates) can tell collector time
    from pipeline time. *)
@@ -43,8 +23,14 @@ let attr_args attrs =
       in
       Printf.sprintf ", \"args\": {%s}" (String.concat ", " fields)
 
+(* The runtime lens's GC pause windows join the pipeline spans in the
+   Chrome export only, so the lanes show collector pauses interleaved
+   with the spans they landed in; [gc_events] is [] while the lens has
+   collected nothing.  The flame summary deliberately excludes them:
+   GC pauses happen *inside* pipeline spans, and folding them in would
+   double-count self time. *)
 let to_chrome_string () =
-  let events = Span.events () @ provider_events () in
+  let events = Span.events () @ Runtime.gc_events () in
   (* rebase timestamps so the trace starts near zero -- keeps the
      microsecond values small and the viewer timeline readable. *)
   let t0 =

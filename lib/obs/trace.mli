@@ -4,19 +4,12 @@
     its worker domains before returning, so any point after
     [run_circuits] is safe). *)
 
-val register_provider : (unit -> Span.event list) -> unit
-(** Add an extra span source consulted by {!to_chrome_string} /
-    {!write_chrome} at export time (the runtime lens registers its GC
-    phase events here).  Providers must be cheap and return [] when
-    idle.  Events named ["gc.*"] are exported under the ["gc"]
-    category; everything else under ["mae"].  The flame summary does
-    not include provider events (GC pauses land inside pipeline
-    spans, so folding them in would double-count self time). *)
-
 val to_chrome_string : unit -> string
 (** The whole trace as Chrome trace-event JSON ("X" complete events,
     one [tid] lane per domain, timestamps rebased to the earliest
-    span), merged with every registered provider's events.  Load in
+    span), merged with the runtime lens's recent GC pause windows
+    ({!Runtime.gc_events}).  Events named ["gc.*"] are exported under
+    the ["gc"] category, everything else under ["mae"].  Load in
     [chrome://tracing] or Perfetto. *)
 
 val write_chrome : path:string -> (unit, string) result
@@ -31,7 +24,9 @@ type flame_row = {
 val flame : unit -> flame_row list
 (** Aggregate by span name, hottest self-time first.  Self times are
     disjoint by construction, so they sum to the traced total -- a
-    true per-stage breakdown. *)
+    true per-stage breakdown.  GC windows are left out: they land
+    inside pipeline spans, so folding them in would double-count self
+    time. *)
 
 val flame_summary : unit -> string
 (** {!flame} as an aligned text table with a self-time total row. *)

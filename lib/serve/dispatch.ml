@@ -71,7 +71,7 @@ let queue_depth_gauge =
 (* Exemplars carry the request ids of the slowest requests so /metrics
    cross-links to /tracez. *)
 let request_latency_sketch =
-  Mae_obs.Sketch.create "mae_serve_request_seconds_summary"
+  Metrics.summary "mae_serve_request_seconds_summary"
     ~help:"Per-request service latency quantiles (GK sketch)"
 
 (* --- response assembly --- *)
@@ -348,16 +348,46 @@ let seq_and_id seq id fields =
       :: (match id with Json.Null -> [] | id -> [ ("id", id) ]))
     @ fields)
 
-(* Full per-request bookkeeping around [outcome]: the thunk runs inside
-   the request's [serve.request] span (for an estimate, its parse and
-   engine run).  Latency counts from frame arrival, so queue wait is
-   part of it. *)
-let answer t job ~id outcome =
+(* Every answered request takes the next sequence number and its
+   request id, and counts in requests_total. *)
+let with_next_request t f =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let rid = "r" ^ string_of_int seq in
   Log.with_request_id rid @@ fun () ->
   Metrics.incr requests_total;
+  f ~seq ~rid
+
+(* The one access-log writer: every answered request's record, with
+   its fields in one order; a shed request's adds "shed": true after
+   "ok". *)
+let log_request ?(shed = false) job ~seq ~latency ~gc_s p =
+  let rest =
+    [
+      ("modules", Log.Int p.modules);
+      ("modules_ok", Log.Int p.modules_ok);
+      ("rows_selected", Log.Int p.rows_selected_total);
+      ("latency_s", Log.Float latency);
+      ("gc_s", Log.Float gc_s);
+      ("cache_hits", Log.Int p.cache_hits);
+      ("cache_misses", Log.Int p.cache_misses);
+      ("cached", Log.Bool p.cached);
+      ("indexed", Log.Bool p.indexed);
+      ("bytes_in", Log.Int job.bytes);
+    ]
+  in
+  Log.info ~event:"serve.request"
+    (("seq", Log.Int seq)
+    :: ("peer", Log.Str job.conn.Transport.peer)
+    :: ("ok", Log.Bool p.p_ok)
+    :: (if shed then ("shed", Log.Bool true) :: rest else rest))
+
+(* Full per-request bookkeeping around [outcome]: the thunk runs inside
+   the request's [serve.request] span (for an estimate, its parse and
+   engine run).  Latency counts from frame arrival, so queue wait is
+   part of it. *)
+let answer t job ~id outcome =
+  with_next_request t @@ fun ~seq ~rid ->
   let t0 = job.t0 in
   let p =
     Mae_obs.Span.with_ ~name:"serve.request" ~attrs:[ ("rid", rid) ] outcome
@@ -379,22 +409,7 @@ let answer t job ~id outcome =
   let gc_s = Mae_obs.Runtime.pause_seconds_since t0 in
   Mae_obs.Capture.record ~rid ~ok:p.p_ok ?error ~gc_s ~latency ~since:t0 ();
   Metrics.incr (if p.p_ok then requests_ok else requests_failed);
-  Log.info ~event:"serve.request"
-    [
-      ("seq", Log.Int seq);
-      ("peer", Log.Str job.conn.Transport.peer);
-      ("ok", Log.Bool p.p_ok);
-      ("modules", Log.Int p.modules);
-      ("modules_ok", Log.Int p.modules_ok);
-      ("rows_selected", Log.Int p.rows_selected_total);
-      ("latency_s", Log.Float latency);
-      ("gc_s", Log.Float gc_s);
-      ("cache_hits", Log.Int p.cache_hits);
-      ("cache_misses", Log.Int p.cache_misses);
-      ("cached", Log.Bool p.cached);
-      ("indexed", Log.Bool p.indexed);
-      ("bytes_in", Log.Int job.bytes);
-    ];
+  log_request job ~seq ~latency ~gc_s p;
   let status = if p.p_ok then 200 else if p.server_error then 500 else 400 in
   finish t job
     (Protocol.json_response ~status (seq_and_id seq id p.fields))
@@ -404,44 +419,22 @@ let shed_retry_after_s = 1
 (* A shed request: counted (total + failed + its own counter) and
    logged, but kept out of the latency sketch and tail capture. *)
 let answer_shed t job ~id =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let rid = "r" ^ string_of_int seq in
-  Log.with_request_id rid @@ fun () ->
-  Metrics.incr requests_total;
+  with_next_request t @@ fun ~seq ~rid:_ ->
   Metrics.incr requests_failed;
   let latency = Mae_obs.Clock.monotonic () -. job.t0 in
-  Log.info ~event:"serve.request"
-    [
-      ("seq", Log.Int seq);
-      ("peer", Log.Str job.conn.Transport.peer);
-      ("ok", Log.Bool false);
-      ("shed", Log.Bool true);
-      ("modules", Log.Int 0);
-      ("modules_ok", Log.Int 0);
-      ("rows_selected", Log.Int 0);
-      ("latency_s", Log.Float latency);
-      ("gc_s", Log.Float 0.);
-      ("cache_hits", Log.Int 0);
-      ("cache_misses", Log.Int 0);
-      ("cached", Log.Bool false);
-      ("indexed", Log.Bool false);
-      ("bytes_in", Log.Int job.bytes);
-    ];
-  let fields =
-    [
-      ("ok", Json.Bool false);
-      ( "error",
-        Json.String
-          (Printf.sprintf
-             "server overloaded: request queue at watermark; retry after %ds"
-             shed_retry_after_s) );
-      ("retry_after_s", Json.Number (Float.of_int shed_retry_after_s));
-    ]
+  let p =
+    failure
+      (Printf.sprintf
+         "server overloaded: request queue at watermark; retry after %ds"
+         shed_retry_after_s)
   in
+  log_request ~shed:true job ~seq ~latency ~gc_s:0. p;
   finish t job
     (Protocol.json_response ~status:503 ~retry_after_s:shed_retry_after_s
-       (seq_and_id seq id fields))
+       (seq_and_id seq id
+          (p.fields
+          @ [ ("retry_after_s", Json.Number (Float.of_int shed_retry_after_s)) ]
+          )))
 
 (* --- the estimate path --- *)
 

@@ -125,6 +125,41 @@ let test_span_recording () =
   Span.reset ();
   Alcotest.(check int) "reset drops spans" 0 (List.length (Span.events ()))
 
+(* A span given a summary is the region's one timer: exactly one
+   sample, bit-equal to the span's [dur], on return and on a raise
+   alike; with telemetry off, neither. *)
+let test_span_feeds_summary () =
+  let sk = Metrics.summary "mae_test_span_timer_seconds_summary" in
+  let bits = Int64.bits_of_float in
+  let check_one label thunk =
+    Span.reset ();
+    Mae_obs.Sketch.reset sk;
+    (match Span.with_ ~name:label ~summary:sk thunk with
+    | () -> ()
+    | exception Exit -> ());
+    let dur =
+      match Span.events () with
+      | [ e ] -> e.Span.dur
+      | es -> Alcotest.failf "%s: %d spans, expected 1" label (List.length es)
+    in
+    let s = Mae_obs.Sketch.snapshot sk in
+    Alcotest.(check int) (label ^ ": one sample") 1 s.n;
+    Alcotest.(check int64) (label ^ ": sample is the span's dur") (bits dur)
+      (bits s.sum);
+    Alcotest.(check int64) (label ^ ": min is the span's dur") (bits dur)
+      (bits s.min_v)
+  in
+  Obs.with_enabled true (fun () ->
+      check_one "timed" (fun () -> ignore (Sys.opaque_identity 1));
+      check_one "timed.raise" (fun () -> raise Exit));
+  Obs.set_enabled false;
+  Span.reset ();
+  Mae_obs.Sketch.reset sk;
+  Span.with_ ~name:"untimed" ~summary:sk (fun () -> ());
+  Alcotest.(check int) "telemetry off: no span" 0 (List.length (Span.events ()));
+  Alcotest.(check int) "telemetry off: no sample" 0
+    (Mae_obs.Sketch.snapshot sk).n
+
 let test_span_disabled_noop () =
   Obs.set_enabled false;
   Span.reset ();
@@ -295,6 +330,122 @@ let test_prometheus_format () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "metrics JSON dump: %s" e
 
+(* --- one registry: no family exposed twice --- *)
+
+(* The exposition problems a name clash would cause: a family with
+   more than one # HELP or # TYPE line (or one without the other), or
+   one series name with one label set printed twice.  [prefix]
+   restricts the check to the names that start with it. *)
+let exposition_problems ?(prefix = "") () =
+  let count tbl k =
+    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
+  let helps = Hashtbl.create 64
+  and types = Hashtbl.create 64
+  and series = Hashtbl.create 256 in
+  String.split_on_char '\n' (Metrics.to_prometheus ())
+  |> List.iter (fun line ->
+         match String.split_on_char ' ' line with
+         | "#" :: "HELP" :: name :: _ -> count helps name
+         | "#" :: "TYPE" :: name :: _ -> count types name
+         | "#" :: _ | [ "" ] -> ()
+         | key :: _ -> count series key
+         | [] -> ());
+  let mine k = String.starts_with ~prefix k in
+  let bad what tbl =
+    Hashtbl.fold
+      (fun k n acc ->
+        if mine k && n <> 1 then Printf.sprintf "%s %s x%d" what k n :: acc
+        else acc)
+      tbl []
+  in
+  let unpaired a b what =
+    Hashtbl.fold
+      (fun k _ acc ->
+        if mine k && not (Hashtbl.mem b k) then (what ^ " " ^ k) :: acc
+        else acc)
+      a []
+  in
+  bad "# HELP" helps @ bad "# TYPE" types @ bad "series" series
+  @ unpaired helps types "HELP without TYPE:"
+  @ unpaired types helps "TYPE without HELP:"
+
+(* One registration either raises Invalid_argument or leaves a valid
+   exposition; a raise must leave it valid too. *)
+let register_and_check ~prefix what f =
+  (match f () with () -> () | exception Invalid_argument _ -> ());
+  match exposition_problems ~prefix () with
+  | [] -> true
+  | problems ->
+      QCheck2.Test.fail_reportf "after %s: %s" what
+        (String.concat "; " problems)
+
+type registration = Reg_counter | Reg_gauge | Reg_summary of (string * string) list
+
+let register_as kind name () =
+  match kind with
+  | Reg_counter -> ignore (Metrics.counter name)
+  | Reg_gauge -> ignore (Metrics.gauge name)
+  | Reg_summary labels -> ignore (Metrics.summary ~labels name)
+
+let test_clash_counter_then_summary () =
+  ignore (Metrics.counter "mae_clash_seconds");
+  Alcotest.(check bool) "a summary over a counter's name raises" true
+    (match Metrics.summary "mae_clash_seconds" with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check (list string)) "exposition valid" [] (exposition_problems ())
+
+let test_clash_counter_on_summary_count () =
+  ignore (Metrics.summary "mae_clash_count_seconds");
+  Alcotest.(check bool) "a counter named like a summary's _count raises" true
+    (match Metrics.counter "mae_clash_count_seconds_count" with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  ignore (Metrics.counter "mae_clash_sum_seconds_sum");
+  Alcotest.(check bool) "a summary whose _sum is a counter raises" true
+    (match Metrics.summary "mae_clash_sum_seconds" with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Alcotest.(check (list string)) "exposition valid" [] (exposition_problems ())
+
+(* Random registration sequences over a small pool of names shared by
+   every kind, with summary suffixes among them; each sequence gets
+   fresh names, so the registry grows but sequences never interact. *)
+let clash_prop =
+  let open QCheck2.Gen in
+  let kind =
+    oneof
+      [
+        pure Reg_counter;
+        pure Reg_gauge;
+        map (fun l -> Reg_summary l)
+          (oneofl [ []; [ ("domain", "0") ]; [ ("domain", "1") ] ]);
+      ]
+  in
+  let reg =
+    triple kind (oneofl [ "a"; "b_seconds" ]) (oneofl [ ""; "_sum"; "_count" ])
+  in
+  let sequence = ref 0 in
+  Mae_test_support.Support.qtest ~count:100
+    "registrations never expose a family twice"
+    (list_size (int_range 1 6) reg)
+    (fun regs ->
+      incr sequence;
+      let prefix = Printf.sprintf "mae_clashprop%d_" !sequence in
+      List.for_all
+        (fun (kind, base, suffix) ->
+          let name = prefix ^ base ^ suffix in
+          let what =
+            match kind with
+            | Reg_counter -> "counter " ^ name
+            | Reg_gauge -> "gauge " ^ name
+            | Reg_summary l ->
+                Printf.sprintf "summary %s (%d labels)" name (List.length l)
+          in
+          register_and_check ~prefix what (register_as kind name))
+        regs)
+
 let test_metrics_match_engine () =
   Mae_prob.Kernel_cache.clear ();
   let counter name =
@@ -327,34 +478,30 @@ let test_metrics_match_engine () =
   Alcotest.(check bool) "races never exceed misses" true
     (cache.races <= cache.misses)
 
-(* Mae_obs.reset must empty the latency sketches, not only the
-   counters: after a telemetry-on batch, the engine module, driver
-   stage and methodology sketches all read empty again. *)
+(* Mae_obs.reset must empty the latency summaries, not only the
+   counters: after a telemetry-on batch, the engine queue-wait, driver
+   stage and methodology summaries all read empty again. *)
 let test_reset_empties_sketches () =
-  let sketches =
-    List.map Mae_obs.Sketch.create
-      [
-        "mae_engine_module_seconds_summary";
-        "mae_driver_module_seconds_summary";
-        "mae_method_stdcell_seconds_summary";
-      ]
+  let names =
+    [
+      "mae_engine_queue_wait_seconds_summary";
+      "mae_driver_module_seconds_summary";
+      "mae_method_stdcell_seconds_summary";
+    ]
   in
+  let sketches = List.map (fun name -> (name, Metrics.summary name)) names in
   let n sk = (Mae_obs.Sketch.snapshot sk).Mae_obs.Sketch.n in
   ignore
     (Obs.with_enabled true (fun () ->
          Mae_engine.run_circuits ~jobs:2 ~registry (random_batch 4)));
   List.iter
-    (fun sk ->
-      Alcotest.(check bool)
-        (Mae_obs.Sketch.name sk ^ " populated by the batch")
-        true
-        (n sk > 0))
+    (fun (name, sk) ->
+      Alcotest.(check bool) (name ^ " populated by the batch") true (n sk > 0))
     sketches;
   Obs.reset ();
   List.iter
-    (fun sk ->
-      Alcotest.(check int) (Mae_obs.Sketch.name sk ^ " empty after reset") 0
-        (n sk))
+    (fun (name, sk) ->
+      Alcotest.(check int) (name ^ " empty after reset") 0 (n sk))
     sketches
 
 (* --- telemetry must never change an estimate --- *)
@@ -382,8 +529,9 @@ let digest results =
 
 let test_disabled_identical () =
   let batch = random_batch 12 in
-  (* the same registered sketch the engine observes into *)
-  let module_sketch = Mae_obs.Sketch.create "mae_engine_module_seconds_summary" in
+  (* the same registered summary the driver's module stage observes
+     into *)
+  let module_sketch = Metrics.summary "mae_driver_module_seconds_summary" in
   let sketch_count () = (Mae_obs.Sketch.snapshot module_sketch).Mae_obs.Sketch.n in
   Obs.set_enabled false;
   let sketch_before_off = sketch_count () in
@@ -436,7 +584,7 @@ let test_flame_zero_duration () =
 (* --- sketch observations at 0, huge, and negative values --- *)
 
 let test_sketch_extremes () =
-  let sk = Mae_obs.Sketch.create "mae_test_obs_extreme_seconds_summary" in
+  let sk = Metrics.summary "mae_test_obs_extreme_seconds_summary" in
   List.iter (Mae_obs.Sketch.observe sk) [ 0.; 1e308; -5.; Float.min_float ];
   let s = Mae_obs.Sketch.snapshot sk in
   Alcotest.(check int) "every observation counted" 4 s.Mae_obs.Sketch.n;
@@ -605,7 +753,7 @@ let test_sketch_streams () =
   List.iteri
     (fun i (label, samples) ->
       let sk =
-        Mae_obs.Sketch.create
+        Metrics.summary
           (Printf.sprintf "mae_test_sketch_stream%d_seconds_summary" i)
           ~eps:0.01
       in
@@ -631,7 +779,7 @@ let test_sketch_streams () =
     streams
 
 let test_sketch_merged_domains () =
-  let sk = Mae_obs.Sketch.create "mae_test_sketch_merged_seconds_summary" ~eps:0.01 in
+  let sk = Metrics.summary "mae_test_sketch_merged_seconds_summary" ~eps:0.01 in
   Mae_obs.Sketch.reset sk;
   let domains = 4 in
   let per_domain = 10_000 in
@@ -664,7 +812,7 @@ let observe_ten_live sk =
 let sketch_count sk = (Mae_obs.Sketch.snapshot sk).Mae_obs.Sketch.n
 
 let test_sketch_live_domain_visible () =
-  let sk = Mae_obs.Sketch.create "mae_test_sketch_live_seconds_summary" in
+  let sk = Metrics.summary "mae_test_sketch_live_seconds_summary" in
   Mae_obs.Sketch.reset sk;
   let finish = observe_ten_live sk in
   let n = sketch_count sk in
@@ -672,7 +820,7 @@ let test_sketch_live_domain_visible () =
   Alcotest.(check int) "live domain's samples counted" 10 n
 
 let test_sketch_reset_outlives_domain () =
-  let sk = Mae_obs.Sketch.create "mae_test_sketch_live_seconds_summary" in
+  let sk = Metrics.summary "mae_test_sketch_live_seconds_summary" in
   Mae_obs.Sketch.reset sk;
   let finish = observe_ten_live sk in
   Mae_obs.Sketch.reset sk;
@@ -681,17 +829,18 @@ let test_sketch_reset_outlives_domain () =
     (sketch_count sk)
 
 let test_sketch_registry () =
-  let a = Mae_obs.Sketch.create "mae_test_sketch_reg_seconds_summary" ~eps:0.02 in
-  let b = Mae_obs.Sketch.create "mae_test_sketch_reg_seconds_summary" in
+  let a = Metrics.summary "mae_test_sketch_reg_seconds_summary" ~eps:0.02 in
+  let b = Metrics.summary "mae_test_sketch_reg_seconds_summary" in
   Alcotest.(check bool) "idempotent registration shares state" true (a == b);
   Alcotest.(check (float 0.)) "eps preserved" 0.02 (Mae_obs.Sketch.eps b);
-  (match Mae_obs.Sketch.create "mae_test_sketch_reg_seconds_summary" ~eps:0.5 with
+  (match Metrics.summary "mae_test_sketch_reg_seconds_summary" ~eps:0.5 with
   | _ -> Alcotest.fail "conflicting eps must raise"
   | exception Invalid_argument _ -> ());
-  (* same lint as Metrics: names outside mae_[a-z0-9_]+ are rejected *)
+  (* the registry's name lint: names outside mae_[a-z0-9_]+ are
+     rejected *)
   List.iter
     (fun bad ->
-      match Mae_obs.Sketch.create bad with
+      match Metrics.summary bad with
       | _ -> Alcotest.failf "bad sketch name %S must raise" bad
       | exception Invalid_argument _ -> ())
     [ "latency"; "mae_Upper_seconds"; "mae_sp ace"; "mae-dash" ];
@@ -706,7 +855,7 @@ let test_sketch_registry () =
       Alcotest.(check (float 0.)) "largest exemplar first" 5.0 v;
       Alcotest.(check string) "exemplar label" "r2" label
   | [] -> Alcotest.fail "exemplars missing");
-  (* the exposition hook makes sketches ride along in every dump *)
+  (* the one exporter writes summaries beside counters and gauges *)
   let prom = Metrics.to_prometheus () in
   let contains needle hay =
     let n = String.length needle and m = String.length hay in
@@ -795,6 +944,8 @@ let () =
             test_span_recording;
           Alcotest.test_case "disabled is a no-op" `Quick
             test_span_disabled_noop;
+          Alcotest.test_case "a span times its summary once" `Quick
+            test_span_feeds_summary;
           Alcotest.test_case "retention bounds every domain's spans" `Quick
             test_span_retention_bounds_log;
         ] );
@@ -812,6 +963,11 @@ let () =
             test_metrics_match_engine;
           Alcotest.test_case "reset empties every sketch" `Quick
             test_reset_empties_sketches;
+          Alcotest.test_case "name clash: summary over a counter" `Quick
+            test_clash_counter_then_summary;
+          Alcotest.test_case "name clash: counter on a summary's _count"
+            `Quick test_clash_counter_on_summary_count;
+          clash_prop;
         ] );
       ( "edge cases",
         [

@@ -8,7 +8,6 @@
 
 module Obs = Mae_obs
 module Runtime = Mae_obs.Runtime
-module Sketch = Mae_obs.Sketch
 module Metrics = Mae_obs.Metrics
 module Json = Mae_obs.Json
 
@@ -55,10 +54,7 @@ let hammer () =
   ignore (Sys.opaque_identity !junk);
   Gc.minor ()
 
-let gc_sketches () =
-  List.filter
-    (fun s -> String.equal (Sketch.name s) "mae_gc_pause_seconds_summary")
-    (Sketch.all ())
+let gc_sketches () = Metrics.find_summaries "mae_gc_pause_seconds_summary"
 
 (* --- off is off --- *)
 
@@ -123,8 +119,8 @@ let test_hammer_populates_sketches () =
      two sketches share it *)
   let labels =
     List.map
-      (fun s ->
-        match Sketch.labels s with
+      (fun (labels, _) ->
+        match labels with
         | [ ("domain", d) ] -> d
         | other ->
             Alcotest.failf "unexpected labels (%d pairs)" (List.length other))
