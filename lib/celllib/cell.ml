@@ -29,6 +29,16 @@ type t = {
   wiring : wiring;
 }
 
+(* [unconnected<digits>]: the name Expand gives a pin an instance
+   leaves off. *)
+let is_unconnected_name name =
+  let p = String.length "unconnected" in
+  String.length name > p
+  && String.starts_with ~prefix:"unconnected" name
+  && String.for_all
+       (fun c -> c >= '0' && c <= '9')
+       (String.sub name p (String.length name - p))
+
 let check_terminal cell_name pin_count = function
   | Pin i ->
       if i < 0 || i >= pin_count then
@@ -37,7 +47,14 @@ let check_terminal cell_name pin_count = function
              pin_count)
   | Internal name ->
       if String.length name = 0 then
-        invalid_arg (Printf.sprintf "Cell.make: %s has empty internal net" cell_name)
+        invalid_arg (Printf.sprintf "Cell.make: %s has empty internal net" cell_name);
+      if String.contains name '.' then
+        invalid_arg
+          (Printf.sprintf "Cell.make: %s has dotted internal net %s" cell_name name);
+      if is_unconnected_name name then
+        invalid_arg
+          (Printf.sprintf "Cell.make: %s has internal net %s, an unconnected-pin name"
+             cell_name name)
   | Vdd | Gnd -> ()
 
 let vdd_terminal = -1
@@ -76,6 +93,9 @@ let make ~name ~pins ~transistors =
       if not (Mae_netlist.Intern.fresh seen tx.name) then
         invalid_arg
           (Printf.sprintf "Cell.make: %s has duplicate transistor %s" name tx.name);
+      if String.contains tx.name '.' then
+        invalid_arg
+          (Printf.sprintf "Cell.make: %s has dotted transistor %s" name tx.name);
       check_terminal name pin_count tx.drain;
       check_terminal name pin_count tx.gate;
       check_terminal name pin_count tx.source)

@@ -50,7 +50,13 @@ type t = private {
 
 val make : name:string -> pins:(string * pin_role) list -> transistors:transistor list -> t
 (** Validates pin indices in templates and uniqueness of transistor names;
-    raises [Invalid_argument] otherwise. *)
+    raises [Invalid_argument] otherwise.  Also refused: an empty
+    internal net, a transistor or internal net whose name contains [.],
+    and an internal net named [unconnected<digits>].  These make every
+    name {!Expand} builds unique without a lookup: [d ^ "." ^ s] with a
+    dot-free [s] splits at its last dot, so two built names agree only
+    when their devices and suffixes do, and no internal net is named
+    like the private net of a pin an instance leaves off. *)
 
 val pin_count : t -> int
 

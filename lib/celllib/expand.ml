@@ -19,10 +19,51 @@ let wirings library (c : Mae_netlist.Circuit.t) =
   | ws -> Ok ws
   | exception Unknown e -> Error e
 
-(* Expanded nets are numbered in the order their first terminal is
-   wired.  Each is looked up by name once, when it is first wired: a
-   schematic net through [raw], a cell-private net through the device's
-   [slots], a rail through [vdd] / [gnd].  The lookup keeps two names
+(* [prefix ^ "." ^ suffix] in one allocation. *)
+let dotted prefix suffix =
+  let p = String.length prefix and n = String.length suffix in
+  let b = Bytes.create (p + 1 + n) in
+  Bytes.blit_string prefix 0 b 0 p;
+  Bytes.unsafe_set b p '.';
+  Bytes.blit_string suffix 0 b (p + 1) n;
+  Bytes.unsafe_to_string b
+
+let no_device = Mae_netlist.Device.make ~index:0 ~name:"-" ~kind:"-" ~pins:[||]
+
+let no_net = Mae_netlist.Net.make ~index:0 ~name:"-"
+
+(* The schematic nets a built name can equal: a private net's name
+   [<device>.<suffix>] has a dot, and a rail is [vdd!] or [gnd!].  As a
+   lookup from such a name to the schematic net's index, or [None] when
+   the schematic has none (every generated gate-level circuit). *)
+let mergeable (c : Mae_netlist.Circuit.t) =
+  let may_merge (n : Mae_netlist.Net.t) =
+    String.contains n.name '.' || n.name = "vdd!" || n.name = "gnd!"
+  in
+  if not (Array.exists may_merge c.nets) then None
+  else begin
+    let table = Mae_netlist.Intern.create 8 in
+    let index =
+      Array.of_list
+        (List.filter_map
+           (fun (n : Mae_netlist.Net.t) ->
+             if may_merge n then begin
+               ignore (Mae_netlist.Intern.intern table n.name);
+               Some n.index
+             end
+             else None)
+           (Array.to_list c.nets))
+    in
+    Some
+      (fun name ->
+        match Mae_netlist.Intern.find table name with -1 -> -1 | i -> index.(i))
+  end
+
+(* Expanded nets are numbered with a counter, in the order their first
+   terminal is wired: a schematic net through [raw], a cell-private net
+   through the device's [slots], a rail through [vdd] / [gnd].  Built
+   names are distinct by the Cell.make rules, so none is looked up,
+   except against [mergeable]'s schematic nets: that keeps two names
    that coincide (a schematic net [g1.n1] and device [g1]'s internal
    [n1]) as one net. *)
 let circuit ?(include_supplies = false) library (c : Mae_netlist.Circuit.t) =
@@ -30,21 +71,37 @@ let circuit ?(include_supplies = false) library (c : Mae_netlist.Circuit.t) =
   | Error e -> Error e
   | Ok wirings ->
       let open Mae_netlist in
-      (* the schematic's nets, each device's private nets and two rails *)
-      let ids =
-        Intern.create
-          (Array.fold_left
-             (fun acc (w : Cell.wiring) -> acc + Array.length w.internal_nets)
-             (Array.length c.nets + 2) wirings)
+      (* transistors, and private nets past the pins each device wires *)
+      let tx_total = ref 0 and private_total = ref 0 in
+      Array.iteri
+        (fun di (w : Cell.wiring) ->
+          tx_total := !tx_total + Array.length w.tx_names;
+          private_total :=
+            !private_total + Cell.slot_count w
+            - min w.pin_count (Array.length c.devices.(di).pins))
+        wirings;
+      let names = Array.make (Array.length c.nets + 2 + !private_total) "" in
+      let net_count = ref 0 in
+      let fresh name =
+        let i = !net_count in
+        names.(i) <- name;
+        net_count := i + 1;
+        i
       in
       let raw = Array.make (Array.length c.nets) (-1) in
       let raw_net n =
-        if raw.(n) < 0 then raw.(n) <- Intern.intern ids c.nets.(n).name;
+        if raw.(n) < 0 then raw.(n) <- fresh c.nets.(n).name;
         raw.(n)
+      in
+      let built =
+        match mergeable c with
+        | None -> fresh
+        | Some find -> (
+            fun name -> match find name with -1 -> fresh name | n -> raw_net n)
       in
       let vdd = ref (-1) and gnd = ref (-1) in
       let rail r name =
-        if !r < 0 then r := Intern.intern ids name;
+        if !r < 0 then r := built name;
         !r
       in
       let slots =
@@ -60,25 +117,27 @@ let circuit ?(include_supplies = false) library (c : Mae_netlist.Circuit.t) =
         else begin
           if slots.(code) < 0 then
             slots.(code) <-
-              Intern.intern ids
+              built
                 (if code < w.pin_count then
                    (* The schematic gave fewer pins than the cell defines;
                       the missing pin gets a fresh private net so
                       estimation can proceed (as a layout tool would leave
                       it floating). *)
-                   d.name ^ ".unconnected" ^ string_of_int code
-                 else d.name ^ "." ^ w.internal_nets.(code - w.pin_count));
+                   dotted d.name ("unconnected" ^ string_of_int code)
+                 else dotted d.name w.internal_nets.(code - w.pin_count));
           slots.(code)
         end
       in
       (* rails are left out of the result unless [include_supplies]:
          a rail terminal is then no pin at all *)
       let wired code = include_supplies || code >= 0 in
+      let devices = Array.make !tx_total no_device in
       let next = ref 0 in
-      let expand di (d : Device.t) =
-        let w = wirings.(di) in
-        Array.fill slots 0 (Cell.slot_count w) (-1);
-        Array.init (Array.length w.tx_names) (fun t ->
+      Array.iteri
+        (fun di (d : Device.t) ->
+          let w = wirings.(di) in
+          Array.fill slots 0 (Cell.slot_count w) (-1);
+          for t = 0 to Array.length w.tx_names - 1 do
             let base = 3 * t in
             let kept = ref 0 in
             for k = 0 to 2 do
@@ -95,19 +154,26 @@ let circuit ?(include_supplies = false) library (c : Mae_netlist.Circuit.t) =
             done;
             let index = !next in
             next := index + 1;
-            Device.make ~index ~name:(d.name ^ "." ^ w.tx_names.(t))
-              ~kind:w.tx_kinds.(t) ~pins)
-      in
-      let devices = Array.concat (Array.to_list (Array.mapi expand c.devices)) in
+            devices.(index) <-
+              Device.make ~index ~name:(dotted d.name w.tx_names.(t))
+                ~kind:w.tx_kinds.(t) ~pins
+          done)
+        c.devices;
       let ports =
         Array.map
           (fun (p : Port.t) ->
             Port.make ~name:p.name ~direction:p.direction ~net:(raw_net p.net))
           c.ports
       in
-      let nets = Array.mapi (fun index name -> Net.make ~index ~name) (Intern.names ids) in
+      (* filled in place, as [devices] is: [Array.init] from a young
+         first net forces a minor collection once the array is too
+         large for the minor heap *)
+      let nets = Array.make !net_count no_net in
+      for index = 0 to !net_count - 1 do
+        nets.(index) <- Net.make ~index ~name:names.(index)
+      done;
       Ok
-        (Circuit.of_arrays ~name:(c.name ^ "_tx") ~technology:c.technology
+        (Circuit.of_distinct_arrays ~name:(c.name ^ "_tx") ~technology:c.technology
            ~devices ~nets ~ports)
 
 let transistor_count library (c : Mae_netlist.Circuit.t) =

@@ -29,12 +29,21 @@ val circuit :
 
     Transistors come out in device order, then template order.  Nets are
     numbered in the order their first terminal is wired (drain, gate,
-    source), then any port net no transistor touched.  A net is looked
-    up by name once, when it is first wired, so two names that coincide
-    (a schematic net [g1.n1] and instance [g1]'s internal net [n1], or a
-    schematic net [vdd!] and the rail) are one net.  A device with fewer
-    pins than its cell gets a private net [<device>.unconnected<i>] on
-    each missing pin [i]. *)
+    source), then any port net no transistor touched.  A device with
+    fewer pins than its cell gets a private net [<device>.unconnected<i>]
+    on each missing pin [i].
+
+    Names are built, never looked up: transistor [t] of device [d] is
+    [d.t] and its private net [m] is [d.m].  {!Cell.make} refuses a
+    dotted transistor or internal net and an internal net named
+    [unconnected<digits>], so a built name splits at its last dot into
+    one device and one suffix, and no two built names are equal.  The
+    one lookup left keeps names that coincide as one net: a schematic
+    net whose name has a dot, or is [vdd!] or [gnd!], is found by name
+    when a private net or rail is first wired ([g1.n1] and instance
+    [g1]'s internal net [n1] are one net, and so are a schematic net
+    [vdd!] and the rail).  The result is built by
+    [Mae_netlist.Circuit.of_distinct_arrays]. *)
 
 val transistor_count : Library.t -> Mae_netlist.Circuit.t -> (int, error) result
 (** Total transistors the expansion would produce, without building it. *)

@@ -90,13 +90,11 @@ type ctx = {
 
 (* A circuit is transistor-level when every device kind resolves to a
    transistor in the process. *)
-let all_transistors (circuit : Mae_netlist.Circuit.t) process =
+let all_transistors circuit process =
   Array.for_all
-    (fun (d : Mae_netlist.Device.t) ->
-      match Mae_tech.Process.find_device process d.kind with
-      | Some kind -> Mae_tech.Device_kind.is_transistor kind
-      | None -> false)
-    circuit.devices
+    (function
+      | Some kind -> Mae_tech.Device_kind.is_transistor kind | None -> false)
+    (Mae_netlist.Stats.device_kinds circuit process)
 
 let expand_for_fullcustom (circuit : Mae_netlist.Circuit.t) process =
   if all_transistors circuit process then None

@@ -101,6 +101,10 @@ type ctx = {
           selects rows automatically *)
 }
 
+val all_transistors : Mae_netlist.Circuit.t -> Mae_tech.Process.t -> bool
+(** Every device's kind is a transistor of the process (vacuously true
+    with no devices); an unknown kind is not. *)
+
 val expand_for_fullcustom :
   Mae_netlist.Circuit.t -> Mae_tech.Process.t -> Mae_netlist.Circuit.t option
 (** Flatten a gate-level schematic through its technology's cell library

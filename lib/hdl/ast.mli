@@ -14,9 +14,10 @@
     v}
 
     Each identifier of a module is interned once, by the {!Lexer}, and
-    known after that by its id: [idents.(id)] is its text, and ids are
-    dense from 0 in order of first sight within the module.  The module's
-    items are one int stream, item after item in source order:
+    known after that by its id: [idents.(id)] is its text, no two ids
+    share a text, and ids are dense from 0 in order of first sight
+    within the module.  The module's items are one int stream, item
+    after item in source order:
 
     - [tag_technology; t]: [technology t;]
     - [tag_port; p; d]: [port p d;], [d] a {!direction_code}

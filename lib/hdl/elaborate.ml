@@ -56,11 +56,15 @@ let no_device = Mae_netlist.Device.make ~index:0 ~name:"-" ~kind:"-" ~pins:[||]
 let no_port =
   Mae_netlist.Port.make ~name:"-" ~direction:Mae_netlist.Port.Inout ~net:0
 
+let no_net = Mae_netlist.Net.make ~index:0 ~name:"-"
+
 (* One walk of the item stream, keyed by id alone: [net_of.(id)] is the
    net index of identifier [id] (or -1), and [seen.(id)] holds one stamp
    bit per namespace, [device_bit] and [port_bit], so a repeated name
    is one byte test.  Nets are numbered on first mention, as the items
-   mention them. *)
+   mention them.  The module's idents are distinct, so distinct ids are
+   distinct names: devices and ports by their stamp bits, nets by
+   [net_of], and the circuit is built without a name table. *)
 let device_bit = 1
 
 let port_bit = 2
@@ -123,11 +127,14 @@ let build (m : Ast.module_decl) ~technology =
     else if tag = Ast.tag_net then ignore (net items.(at + 1));
     k := at + item_length items at
   done;
-  let nets =
-    Array.init !net_count (fun index ->
-        Mae_netlist.Net.make ~index ~name:idents.(net_ids.(index)))
-  in
-  Mae_netlist.Circuit.of_arrays ~name:m.name ~technology ~devices ~nets ~ports
+  (* filled in place: [Array.init] from a young first net forces a
+     minor collection once the array is too large for the minor heap *)
+  let nets = Array.make !net_count no_net in
+  for index = 0 to !net_count - 1 do
+    nets.(index) <- Mae_netlist.Net.make ~index ~name:idents.(net_ids.(index))
+  done;
+  Mae_netlist.Circuit.of_distinct_arrays ~name:m.name ~technology ~devices ~nets
+    ~ports
 
 let module_to_circuit ?default_technology (m : Ast.module_decl) =
   match technology_of ?default_technology m with

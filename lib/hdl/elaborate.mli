@@ -7,9 +7,10 @@
     A module is read in its {!Ast} id form: {!module_to_circuit} maps
     identifier ids to net indices with an int array and finds a repeated
     device or port name by a stamp bit per id and namespace, so it
-    hashes no name ({!Mae_netlist.Circuit.of_arrays} then checks the
-    result).  Nets, devices and ports are numbered in item order, nets
-    on first mention. *)
+    hashes no name.  Distinct ids are distinct names, so the result is
+    built by {!Mae_netlist.Circuit.of_distinct_arrays}, which runs every
+    check of [of_arrays] but its name tables.  Nets, devices and ports
+    are numbered in item order, nets on first mention. *)
 
 type error =
   | Duplicate_name of { module_name : string; what : string; name : string }

@@ -34,10 +34,18 @@ let by_name names =
     order;
   order
 
+(* The names of [items], made from [""] and filled in place: an array
+   too large for the minor heap that [Array.map] starts from a young
+   name (a circuit just parsed) forces a minor collection. *)
+let names_of items name =
+  let names = Array.make (Array.length items) "" in
+  Array.iteri (fun i x -> names.(i) <- name x) items;
+  names
+
 let to_string (c : Circuit.t) =
-  let net_names = Array.map (fun (n : Net.t) -> n.name) c.nets in
-  let device_names = Array.map (fun (d : Device.t) -> d.name) c.devices in
-  let port_names = Array.map (fun (p : Port.t) -> p.name) c.ports in
+  let net_names = names_of c.nets (fun (n : Net.t) -> n.name) in
+  let device_names = names_of c.devices (fun (d : Device.t) -> d.name) in
+  let port_names = names_of c.ports (fun (p : Port.t) -> p.name) in
   let buf =
     Buffer.create (64 + (16 * Array.length net_names) + (48 * Array.length device_names))
   in

@@ -48,19 +48,25 @@ let connectivity ~net_count devices =
       devices
   in
   pass (fun _ _ -> ());
-  let net_devices = Array.map (fun k -> Array.make k 0) fill in
+  (* made from [[||]] and filled: an array past the minor heap's size
+     limit that [Array.map] starts from a young row forces a minor
+     collection *)
+  let net_devices = Array.make net_count [||] in
+  Array.iteri (fun n k -> net_devices.(n) <- Array.make k 0) fill;
   Array.fill last 0 net_count (-1);
   Array.fill fill 0 net_count 0;
   pass (fun n d -> net_devices.(n).(fill.(n)) <- d);
   net_devices
 
-let of_arrays ~name ~technology ~devices ~nets ~ports =
+(* The checks that need no name table, in the order [of_arrays] runs
+   them: the circuit's name and dense indices before any uniqueness
+   check, pin and port ranges after. *)
+let check_shape ~name ~devices ~nets =
   if String.length name = 0 then invalid_arg "Circuit.make: empty name";
   check_dense_indices "device" (fun (d : Device.t) -> d.index) devices;
-  check_dense_indices "net" (fun (n : Net.t) -> n.index) nets;
-  check_unique_names "device" (fun (d : Device.t) -> d.name) devices;
-  check_unique_names "net" (fun (n : Net.t) -> n.name) nets;
-  check_unique_names "port" (fun (p : Port.t) -> p.name) ports;
+  check_dense_indices "net" (fun (n : Net.t) -> n.index) nets
+
+let connect ~name ~technology ~devices ~nets ~ports =
   let net_count = Array.length nets in
   Array.iter
     (fun (d : Device.t) ->
@@ -75,6 +81,17 @@ let of_arrays ~name ~technology ~devices ~nets ~ports =
     ports;
   let net_devices = connectivity ~net_count devices in
   { name; technology; devices; nets; ports; net_devices }
+
+let of_distinct_arrays ~name ~technology ~devices ~nets ~ports =
+  check_shape ~name ~devices ~nets;
+  connect ~name ~technology ~devices ~nets ~ports
+
+let of_arrays ~name ~technology ~devices ~nets ~ports =
+  check_shape ~name ~devices ~nets;
+  check_unique_names "device" (fun (d : Device.t) -> d.name) devices;
+  check_unique_names "net" (fun (n : Net.t) -> n.name) nets;
+  check_unique_names "port" (fun (p : Port.t) -> p.name) ports;
+  connect ~name ~technology ~devices ~nets ~ports
 
 let make ~name ~technology ~devices ~nets ~ports =
   of_arrays ~name ~technology ~devices:(Array.of_list devices)

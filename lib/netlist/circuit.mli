@@ -35,6 +35,20 @@ val of_arrays :
 (** {!make} on arrays, with the same checks and messages.  The arrays
     become the circuit's own: the caller must not mutate them after. *)
 
+val of_distinct_arrays :
+  name:string ->
+  technology:string ->
+  devices:Device.t array ->
+  nets:Net.t array ->
+  ports:Port.t array ->
+  t
+(** {!of_arrays} without its three name tables: every other check runs,
+    with the same messages, but the caller vouches that device names,
+    net names and port names are each distinct.  Only a producer that
+    knows this by construction may call it: [Mae_hdl.Elaborate]'s
+    stamp bits and interned ids, and [Mae_celllib.Expand]'s built
+    names.  [of_arrays] on the same arrays returns an [=] circuit. *)
+
 val device_count : t -> int
 (** The paper's N. *)
 

@@ -12,16 +12,55 @@ type t = {
   max_degree : int;
 }
 
-let kind_exn process name =
-  match Mae_tech.Process.find_device process name with
-  | Some k -> k
-  | None -> raise (Unknown_kind name)
+(* Each distinct kind string goes to [Process.find_device] once per
+   call: [names] / [kinds] hold the kinds found so far, at most one
+   entry per kind the process defines, matched by physical equality
+   first (a circuit's devices share their kind strings) and then by
+   [String.equal].  An unknown kind is not kept, so hostile kind strings
+   cannot grow the scan.  The result starts as [None]s and is filled in
+   place: [Array.map] would start it from a young [Some], and an array
+   too large for the minor heap made from a young value forces a minor
+   collection. *)
+let device_kinds (c : Circuit.t) (process : Mae_tech.Process.t) =
+  let capacity = Array.length process.device_index in
+  let names = Array.make capacity "" and kinds = Array.make capacity None in
+  let known = ref 0 in
+  let rec same s i =
+    if i = !known then -1 else if names.(i) == s then i else same s (i + 1)
+  in
+  let rec equal s i =
+    if i = !known then -1
+    else if String.equal names.(i) s then i
+    else equal s (i + 1)
+  in
+  let resolve s =
+    let i = match same s 0 with -1 -> equal s 0 | i -> i in
+    if i >= 0 then kinds.(i)
+    else begin
+      match Mae_tech.Process.find_device process s with
+      | None -> None
+      | Some _ as k ->
+          names.(!known) <- s;
+          kinds.(!known) <- k;
+          incr known;
+          k
+    end
+  in
+  let devices = c.devices in
+  let out = Array.make (Array.length devices) None in
+  for i = 0 to Array.length devices - 1 do
+    out.(i) <- resolve devices.(i).kind
+  done;
+  out
 
-let device_kinds (c : Circuit.t) process =
-  Array.map (fun (d : Device.t) -> kind_exn process d.kind) c.devices
+let kind_exn (c : Circuit.t) kinds i =
+  match Array.unsafe_get kinds i with
+  | Some k -> k
+  | None -> raise (Unknown_kind c.devices.(i).kind)
 
 let device_widths c process =
-  Array.map (fun (k : Mae_tech.Device_kind.t) -> k.width) (device_kinds c process)
+  let kinds = device_kinds c process in
+  Array.init (Array.length kinds) (fun i -> (kind_exn c kinds i).width)
 
 (* Merge adjacent width classes that share a width: distinct kind
    records may still carry equal widths, and the histogram is keyed by
@@ -49,7 +88,7 @@ let compute (c : Circuit.t) process =
      so a physical-equality scan beats any hashing *)
   let uniq : (Mae_tech.Device_kind.t * int ref) list ref = ref [] in
   for i = 0 to n - 1 do
-    let k = Array.unsafe_get kinds i in
+    let k = kind_exn c kinds i in
     total_width := !total_width +. k.Mae_tech.Device_kind.width;
     total_height := !total_height +. k.Mae_tech.Device_kind.height;
     total_device_area := !total_device_area +. Mae_tech.Device_kind.area k;

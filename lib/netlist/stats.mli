@@ -33,6 +33,13 @@ val ensure : ?stats:t -> Circuit.t -> Mae_tech.Process.t -> t
     [compute circuit process]: the default behind every estimator's
     [?stats] argument. *)
 
+val device_kinds :
+  Circuit.t -> Mae_tech.Process.t -> Mae_tech.Device_kind.t option array
+(** Each device's kind record, indexed by device index, [None] where the
+    process does not define the kind.  Each distinct kind string is
+    looked up in the process once per call; the devices whose kind
+    strings are equal share one [Some] block. *)
+
 val device_widths : Circuit.t -> Mae_tech.Process.t -> Mae_geom.Lambda.t array
 (** Per-device width, indexed by device index.  Raises {!Unknown_kind}. *)
 

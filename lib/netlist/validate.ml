@@ -15,9 +15,10 @@ let check (c : Circuit.t) process =
   let add i = issues := i :: !issues in
   if Circuit.device_count c = 0 then add No_devices;
   if Circuit.port_count c = 0 then add No_ports;
-  Array.iter
-    (fun (d : Device.t) ->
-      if Option.is_none (Mae_tech.Process.find_device process d.kind) then
+  let kinds = Stats.device_kinds c process in
+  Array.iteri
+    (fun i (d : Device.t) ->
+      if Option.is_none kinds.(i) then
         add (Unknown_device_kind { device = d.name; kind = d.kind });
       if Array.length d.pins = 0 then add (Unconnected_device { device = d.name }))
     c.devices;

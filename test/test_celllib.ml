@@ -15,6 +15,28 @@ let test_cell_validation () =
             { Cell.name = "t"; kind = "nenh"; drain = Cell.Gnd;
               gate = Cell.Gnd; source = Cell.Gnd } ])
 
+(* The template rules behind Expand's built names: no dotted
+   transistor or internal net, no internal net named like an unconnected
+   pin's private net. *)
+let test_cell_names () =
+  let cell ?(tx = "t") net =
+    Cell.make ~name:"c" ~pins:[ ("a", Cell.Input) ]
+      ~transistors:
+        [ { Cell.name = tx; kind = "nenh"; drain = Cell.Internal net;
+            gate = Cell.Pin 0; source = Cell.Gnd } ]
+  in
+  List.iter
+    (fun (tx, net) -> S.raises_invalid (fun () -> cell ~tx net))
+    [ ("t.1", "m"); (".", "m"); ("t", "m.1"); ("t", "."); ("t", "unconnected0");
+      ("t", "unconnected12") ];
+  List.iter
+    (fun net -> ignore (cell net))
+    [ "m"; "unconnected"; "unconnectedx"; "unconnected1a"; "xunconnected1" ];
+  List.iter
+    (fun library ->
+      Alcotest.(check bool) "library builds" true (Library.cells library <> []))
+    [ Nmos_lib.library; Cmos_lib.library ]
+
 let expected_nmos_counts =
   [ ("inv", 2); ("buf", 4); ("nand2", 3); ("nand3", 4); ("nand4", 5);
     ("nor2", 3); ("nor3", 4); ("aoi22", 5); ("xor2", 9); ("mux2", 8);
@@ -148,12 +170,13 @@ let check_same_expansion library c =
           c.Mae_netlist.Circuit.name include_supplies)
     [ false; true ]
 
-let test_expand_same_on_generators () =
+let generator_circuits =
   let module G = Mae_workload.Generators in
-  List.iter
+  List.concat_map
     (fun (technology, library) ->
       let rng = S.rng 17 in
-      List.iter (check_same_expansion library)
+      List.map
+        (fun c -> (library, c))
         ([ G.full_adder ~technology (); G.ripple_adder ~technology 4;
            G.counter ~technology 8; G.decoder ~technology 3;
            G.parity ~technology 6; G.mux_tree ~technology 3;
@@ -166,6 +189,35 @@ let test_expand_same_on_generators () =
                 { Mae_workload.Random_circuit.default_params with
                   devices = 10 + (i * 40); technology })))
     [ ("nmos25", Nmos_lib.library); ("cmos20", Cmos_lib.library) ]
+
+let test_expand_same_on_generators () =
+  List.iter (fun (library, c) -> check_same_expansion library c) generator_circuits
+
+(* Differential: the expansion builds its circuit without name tables
+   ([Circuit.of_distinct_arrays]); the checked constructor must accept
+   the same arrays and build an equal circuit. *)
+let checked_agrees ~include_supplies library c =
+  match Expand.circuit ~include_supplies library c with
+  | Error _ -> true
+  | Ok (tx : Mae_netlist.Circuit.t) -> (
+      match
+        Mae_netlist.Circuit.of_arrays ~name:tx.name ~technology:tx.technology
+          ~devices:(Array.copy tx.devices) ~nets:(Array.copy tx.nets)
+          ~ports:(Array.copy tx.ports)
+      with
+      | checked -> checked = tx
+      | exception Invalid_argument _ -> false)
+
+let test_expand_checked_on_generators () =
+  List.iter
+    (fun (library, (c : Mae_netlist.Circuit.t)) ->
+      List.iter
+        (fun include_supplies ->
+          if not (checked_agrees ~include_supplies library c) then
+            Alcotest.failf "%s (include_supplies %b): of_arrays disagrees" c.name
+              include_supplies)
+        [ false; true ])
+    generator_circuits
 
 (* Circuits whose names are chosen to collide with what the expansion
    makes: raw nets named like a device's internal nets ([g1.pd_m1]),
@@ -225,6 +277,10 @@ let expand_props =
       (fun (library, c) ->
         same_expansion ~include_supplies:false library c
         && same_expansion ~include_supplies:true library c);
+    S.qtest ~count:2000 "of_arrays accepts hostile-name expansions" hostile_gen
+      (fun (library, c) ->
+        checked_agrees ~include_supplies:false library c
+        && checked_agrees ~include_supplies:true library c);
   ]
 
 (* Properties *)
@@ -259,7 +315,11 @@ let props =
 let () =
   Alcotest.run "celllib"
     [
-      ("cell", [ Alcotest.test_case "validation" `Quick test_cell_validation ]);
+      ( "cell",
+        [
+          Alcotest.test_case "validation" `Quick test_cell_validation;
+          Alcotest.test_case "name rules" `Quick test_cell_names;
+        ] );
       ( "libraries",
         [
           Alcotest.test_case "nmos transistor counts" `Quick
@@ -284,6 +344,8 @@ let () =
             test_expand_internal_nets_private;
           Alcotest.test_case "id = name on generators" `Quick
             test_expand_same_on_generators;
+          Alcotest.test_case "of_arrays accepts generator expansions" `Quick
+            test_expand_checked_on_generators;
         ]
         @ expand_props );
       ("properties", props);

@@ -593,6 +593,26 @@ let check_circuits what text =
   if not (same_circuits text) then
     Alcotest.failf "%s: interned and list front ends disagree on %S" what text
 
+(* Differential: Elaborate builds its circuits without name tables
+   ([Circuit.of_distinct_arrays]); the checked constructor must accept
+   the same arrays and build an equal circuit. *)
+let checked (c : Mae_netlist.Circuit.t) =
+  match
+    Mae_netlist.Circuit.of_arrays ~name:c.name ~technology:c.technology
+      ~devices:(Array.copy c.devices) ~nets:(Array.copy c.nets)
+      ~ports:(Array.copy c.ports)
+  with
+  | c' -> c' = c
+  | exception Invalid_argument _ -> false
+
+let all_checked text =
+  List.for_all
+    (fun default_technology ->
+      match front_end ?default_technology text with
+      | Ok circuits -> List.for_all checked circuits
+      | Error _ -> true)
+    [ None; Some "cmos20" ]
+
 (* Gate-level generator circuits and their transistor-level expansions,
    printed: each elaborates, to the oracle's circuit. *)
 let test_interned_printed () =
@@ -607,7 +627,9 @@ let test_interned_printed () =
       (match front_end text with
       | Ok [ _ ] -> ()
       | Ok _ | Error _ -> Alcotest.failf "printed circuit does not elaborate: %S" text);
-      check_circuits "printed circuit" text)
+      check_circuits "printed circuit" text;
+      if not (all_checked text) then
+        Alcotest.failf "of_arrays disagrees on printed circuit %S" text)
     (gate_level @ transistor_level);
   check_circuits "concatenated" (String.concat "\n" (gate_level @ transistor_level))
 
@@ -711,6 +733,10 @@ let interned_props =
     S.qtest ~count:1000 "interned = list on dense soup" soup_gen same_circuits;
     S.qtest ~count:1000 "interned = list on mutated circuits" mutated_gen
       same_circuits;
+    S.qtest ~count:1000 "of_arrays accepts flat designs" flat_design_gen (fun design ->
+        all_checked (O.to_text design));
+    S.qtest ~count:1000 "of_arrays accepts mutated circuits" mutated_gen all_checked;
+    S.qtest ~count:1000 "of_arrays accepts dense soup" soup_gen all_checked;
   ]
 
 (* The lexer's hash before it was seeded: a fixed polynomial modulo
@@ -814,7 +840,8 @@ let check_hostile ~bits names =
   | Ok [ c ] ->
       Alcotest.(check int) "devices" count (Mae_netlist.Circuit.device_count c);
       Alcotest.(check int) "nets" count (Mae_netlist.Circuit.net_count c);
-      Alcotest.(check bool) "oracle's circuit" true (Ok [ c ] = O.front_end text)
+      Alcotest.(check bool) "oracle's circuit" true (Ok [ c ] = O.front_end text);
+      Alcotest.(check bool) "of_arrays accepts it" true (checked c)
   | Ok _ | Error _ -> Alcotest.fail "expected one circuit"
 
 let test_intern_collisions () = check_hostile ~bits:16 (colliding_names 20_000)

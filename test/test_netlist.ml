@@ -232,6 +232,191 @@ let props =
             && stats.average_width <= last +. 1e-9);
   ]
 
+(* --- kind resolution: Stats.device_kinds against a per-device lookup --- *)
+
+(* [c] with every device's kind string a fresh copy, so no two devices
+   share one physically. *)
+let fresh_kinds (c : Circuit.t) =
+  Circuit.of_arrays ~name:c.name ~technology:c.technology
+    ~devices:
+      (Array.map
+         (fun (d : Device.t) ->
+           Device.make ~index:d.index ~name:d.name
+             ~kind:(String.init (String.length d.kind) (String.get d.kind))
+             ~pins:d.pins)
+         c.devices)
+    ~nets:c.nets ~ports:c.ports
+
+let oracle_kinds (c : Circuit.t) process =
+  Array.map (fun (d : Device.t) -> Mae_tech.Process.find_device process d.kind) c.devices
+
+(* The per-device lookup, raising on the first unknown kind in device
+   order. *)
+let oracle_known (c : Circuit.t) process =
+  Array.map
+    (fun (d : Device.t) ->
+      match Mae_tech.Process.find_device process d.kind with
+      | Some k -> k
+      | None -> raise (Stats.Unknown_kind d.kind))
+    c.devices
+
+(* Stats.compute the plain way: one lookup per device, widths sorted
+   and grouped, every sum in device order. *)
+let oracle_stats (c : Circuit.t) process : Stats.t =
+  let kinds = oracle_known c process in
+  let n = Array.length kinds in
+  let sum f = Array.fold_left (fun acc k -> acc +. f k) 0. kinds in
+  let mean f = if n = 0 then 0. else sum f /. Float.of_int n in
+  let group sorted =
+    List.fold_left
+      (fun acc x ->
+        match acc with
+        | (y, k) :: rest when y = x -> (y, k + 1) :: rest
+        | _ -> (x, 1) :: acc)
+      [] sorted
+    |> List.rev
+  in
+  let widths =
+    List.sort Float.compare
+      (Array.to_list (Array.map (fun (k : Mae_tech.Device_kind.t) -> k.width) kinds))
+  in
+  let degrees =
+    List.filter (fun d -> d >= 1)
+      (List.init (Circuit.net_count c) (Circuit.degree c))
+  in
+  {
+    device_count = n;
+    net_count = Circuit.net_count c;
+    port_count = Circuit.port_count c;
+    width_classes = group widths;
+    average_width = mean (fun k -> k.width);
+    average_height = mean (fun k -> k.height);
+    total_device_area = sum Mae_tech.Device_kind.area;
+    degree_histogram = group (List.sort Int.compare degrees);
+    max_degree = List.fold_left Stdlib.max 0 degrees;
+  }
+
+let outcome f = match f () with x -> Ok x | exception Stats.Unknown_kind k -> Error k
+
+let unknown_kinds issues =
+  List.filter_map
+    (function
+      | Validate.Unknown_device_kind { device; kind } -> Some (device, kind)
+      | _ -> None)
+    issues
+
+(* Every kind-reading function agrees with the per-device oracle on [c]
+   under [process]: the same records, widths, issues and verdict, or
+   the same first unknown kind. *)
+let kinds_agree (c : Circuit.t) process =
+  Stats.device_kinds c process = oracle_kinds c process
+  && outcome (fun () -> Stats.compute c process)
+     = outcome (fun () -> oracle_stats c process)
+  && outcome (fun () -> Stats.device_widths c process)
+     = outcome (fun () ->
+           Array.map (fun (k : Mae_tech.Device_kind.t) -> k.width) (oracle_known c process))
+  && unknown_kinds (Validate.check c process)
+     = List.filter_map
+         (fun (d : Device.t) ->
+           match Mae_tech.Process.find_device process d.kind with
+           | None -> Some (d.name, d.kind)
+           | Some _ -> None)
+         (Array.to_list c.devices)
+  && Mae.Methodology.all_transistors c process
+     = Array.for_all
+         (function
+           | Some k -> Mae_tech.Device_kind.is_transistor k | None -> false)
+         (oracle_kinds c process)
+
+let kind_circuits =
+  let module G = Mae_workload.Generators in
+  let gate_level =
+    List.concat_map
+      (fun technology ->
+        [ G.full_adder ~technology (); G.counter ~technology 4; G.alu ~technology 3;
+          G.multiplier ~technology 3; G.pass_chain ~technology 4;
+          G.inverter_chain ~technology 3;
+          Mae_workload.Random_circuit.generate ~rng:(S.rng 5)
+            { Mae_workload.Random_circuit.default_params with devices = 60; technology } ])
+      [ "nmos25"; "cmos20" ]
+  in
+  gate_level
+  @ List.map Mae_workload.Bench_circuits.flatten
+      [ G.full_adder (); G.counter 4; G.multiplier 3 ]
+
+let test_kinds_shared () =
+  List.iter
+    (fun (c : Circuit.t) ->
+      List.iter
+        (fun process ->
+          if not (kinds_agree c process) then
+            Alcotest.failf "%s under %s: kinds disagree with the oracle" c.name
+              process.Mae_tech.Process.name)
+        Mae_tech.Builtin.all)
+    kind_circuits
+
+let test_kinds_fresh () =
+  List.iter
+    (fun (c : Circuit.t) ->
+      let fresh = fresh_kinds c in
+      Alcotest.(check bool) "no kind string shared" false
+        (Array.length fresh.devices > 1
+        && fresh.devices.(0).kind == fresh.devices.(1).kind);
+      List.iter
+        (fun process ->
+          if not (kinds_agree fresh process) then
+            Alcotest.failf "%s (fresh kinds) under %s: kinds disagree with the oracle"
+              c.name process.Mae_tech.Process.name)
+        Mae_tech.Builtin.all)
+    kind_circuits
+
+let test_kinds_first_unknown () =
+  let b = Builder.create ~name:"mixed" ~technology:"nmos25" in
+  List.iteri
+    (fun i kind ->
+      ignore (Builder.add_device b ~name:(Printf.sprintf "u%d" i) ~kind ~nets:[ "a"; "b" ]))
+    [ "inv"; "nenh"; "alien1"; "nand2"; "alien2"; "alien1" ];
+  let c = Builder.build b in
+  List.iter
+    (fun c ->
+      Alcotest.check_raises "compute" (Stats.Unknown_kind "alien1") (fun () ->
+          ignore (Stats.compute c S.nmos));
+      Alcotest.check_raises "device_widths" (Stats.Unknown_kind "alien1") (fun () ->
+          ignore (Stats.device_widths c S.nmos));
+      Alcotest.(check (list (pair string string)))
+        "validate" [ ("u2", "alien1"); ("u4", "alien2"); ("u5", "alien1") ]
+        (unknown_kinds (Validate.check c S.nmos));
+      Alcotest.(check bool) "not all transistors" false
+        (Mae.Methodology.all_transistors c S.nmos))
+    [ c; fresh_kinds c ]
+
+(* Devices draw their kinds from known gates and transistors of both
+   processes and unknown names, each string either shared with every
+   device of that kind or a fresh copy. *)
+let kinds_prop =
+  let open QCheck2.Gen in
+  let kind =
+    map2
+      (fun k fresh -> if fresh then String.init (String.length k) (String.get k) else k)
+      (oneofl [ "inv"; "nand2"; "dff"; "nenh"; "ndep"; "pmos"; "alien"; "nan"; "inv2" ])
+      bool
+  in
+  let circuit =
+    map
+      (fun kinds ->
+        let b = Builder.create ~name:"kinds" ~technology:"t" in
+        List.iteri
+          (fun i kind ->
+            ignore
+              (Builder.add_device b ~name:(Printf.sprintf "u%d" i) ~kind
+                 ~nets:[ Printf.sprintf "n%d" (i mod 3); "z" ]))
+          kinds;
+        Builder.build b)
+      (list_size (int_range 0 24) kind)
+  in
+  S.qtest ~count:500 "device_kinds = per-device lookup" (pair circuit (oneofl Mae_tech.Builtin.all))
+    (fun (c, process) -> kinds_agree c process)
+
 (* --- canonicalization: the estimate store's keying property --- *)
 
 (* Rebuild [c] with nets, devices and ports entered in a shuffled order:
@@ -597,6 +782,13 @@ let () =
           Alcotest.test_case "equation 1" `Quick test_stats_equation_one;
           Alcotest.test_case "degree histogram" `Quick test_stats_degree_histogram;
           Alcotest.test_case "unknown kind" `Quick test_stats_unknown_kind;
+        ] );
+      ( "kinds",
+        [
+          Alcotest.test_case "shared kind strings" `Quick test_kinds_shared;
+          Alcotest.test_case "fresh kind strings" `Quick test_kinds_fresh;
+          Alcotest.test_case "first unknown kind" `Quick test_kinds_first_unknown;
+          kinds_prop;
         ] );
       ( "validate",
         [
