@@ -1,10 +1,10 @@
-(* Perf regression gate: re-measure the engine's cached throughput and
+(* Perf regression gate: re-measure the engine's throughput and
    compare it against the most recent BENCH_history.jsonl entry from
-   the same host profile.  A drop of more than 20% in [seq_cached] or
+   the same host profile.  A drop of more than 20% in [seq] or
    in the best parallel run fails the build.  So does a p99 GC pause
    (the median over three passes) more than 50% above its baseline.
    That check runs the best parallel run that fits the host (jobs at
-   most its recommended domain count), or [seq_cached] when none does,
+   most its recommended domain count), or [seq] when none does,
    and its baseline is the median of that run's recorded p99 over the
    last three same-host entries that carry one: a single invocation's
    p99 is bimodal on a small shared host, so one entry is no baseline.
@@ -98,11 +98,12 @@ let run_of_json doc =
         }
   | _ -> None
 
-(* [passes] runs of the workload: each pass's modules/s and, while the
-   runtime lens is on, that pass's own p99 GC pause *)
+(* [passes] runs of the workload, each from an empty E(i) table: each
+   pass's modules/s and, while the runtime lens is on, that pass's own
+   p99 GC pause *)
 let measure ~jobs ~registry circuits =
   List.init passes (fun _ ->
-      Mae_prob.Kernel_cache.clear ();
+      Mae_prob.Occupancy.Table.clear Mae_prob.Occupancy.table;
       let (_, (stats : Mae_engine.stats)), p99 =
         Bench_history.History.with_own_gc_p99 (fun () ->
             Mae_engine.run_circuits_with_stats ~jobs ~registry circuits)
@@ -159,9 +160,9 @@ let () =
     | None -> skip "history entry lacks runs"
   in
   let baseline_seq =
-    match List.find_opt (fun r -> String.equal r.label "seq_cached") runs with
+    match List.find_opt (fun r -> String.equal r.label "seq") runs with
     | Some r when r.mps > 0. -> r
-    | _ -> skip "history entry lacks a seq_cached run"
+    | _ -> skip "history entry lacks a seq run"
   in
   (* best parallel run on record among [fits], if any: compare like
      with like by re-measuring at the same jobs count *)
@@ -196,14 +197,14 @@ let () =
       (if ok then "ok" else "REGRESSION");
     verdicts := ok :: !verdicts
   in
-  check "seq_cached" ~baseline:baseline_seq.mps ~current:seq;
+  check "seq" ~baseline:baseline_seq.mps ~current:seq;
   Option.iter
     (fun r ->
       let par = measure ~jobs:r.jobs ~registry circuits in
       check r.label ~baseline:r.mps ~current:(median_mps par))
     baseline_par;
   (* GC gate: re-run the best parallel run that fits this host
-     (seq_cached when none does) three times under the runtime lens,
+     (seq when none does) three times under the runtime lens,
      each pass measuring its own pauses, and compare the median p99
      against the median of that run's recorded p99 over the last three
      same-host entries carrying one.  Missing baseline data skips this
@@ -251,7 +252,7 @@ let () =
   if List.for_all Fun.id !verdicts then print_endline "bench-gate: ok"
   else begin
     print_endline
-      "bench-gate: regression against BENCH_history.jsonl -- cached engine \
+      "bench-gate: regression against BENCH_history.jsonl -- engine \
        throughput dropped more than 20% or p99 GC pause grew more than 50%; \
        investigate (or re-baseline by re-running the engine bench on this \
        host)";

@@ -1,7 +1,8 @@
 (* The correctness gate behind [dune build @check-smoke]: a scaled-down
    differential-harness sweep that still exercises all three oracles
    (closed form, Monte-Carlo, exact enumeration), the greedy shrinker
-   path, the golden Table 1 / Table 2 rows and the JSON report encoder.
+   path, the golden Table 1 / Table 2 rows, the kernel grids at full
+   size and the JSON report encoder.
 
    Small on purpose -- a few seconds, not minutes -- so it can sit next
    to @bench-smoke in CI on every push.  The full-strength sweep is
@@ -19,18 +20,25 @@ let () =
     }
   in
   let report = Mae_check.Harness.run config in
-  Format.printf "%a@." Mae_check.Harness.pp_report report;
+  let kernels = Mae_check.Harness.run_kernels () in
+  Format.printf "%a@.%a@." Mae_check.Harness.pp_report report
+    Mae_check.Harness.pp_kernels kernels;
+
+  let passed =
+    report.passed
+    && List.for_all (fun (k : Mae_check.Harness.cross_result) -> k.ok) kernels
+  in
 
   (* The machine-readable report must round-trip through the in-repo
      JSON parser -- same guarantee @obs-smoke gives the trace artifacts. *)
-  let json = Mae_check.Harness.report_json config report in
+  let json = Mae_check.Harness.report_json config report ~kernels in
   let encoded = Mae_obs.Json.encode json in
   begin
     match Mae_obs.Json.parse encoded with
     | Error e -> fail "report JSON does not parse: %s" e
     | Ok parsed -> begin
         match Mae_obs.Json.(member "passed" parsed) with
-        | Some (Mae_obs.Json.Bool b) when b = report.passed -> ()
+        | Some (Mae_obs.Json.Bool b) when b = passed -> ()
         | _ -> fail "report JSON lost the passed flag"
       end
   end;
@@ -45,6 +53,11 @@ let () =
       if s.comparisons = 0 then fail "family %s never ran" s.family)
     report.families;
   if List.length report.golden = 0 then fail "no golden rows ran";
+  if List.length kernels <> 3 then fail "the kernel grids did not run";
+  List.iter
+    (fun (k : Mae_check.Harness.cross_result) ->
+      if not k.ok then fail "kernel %s: %s" k.label k.detail)
+    kernels;
   List.iter
     (fun (g : Mae_check.Harness.golden_result) ->
       if not g.ok then

@@ -885,14 +885,13 @@ let run_timings () =
      inside the paper's seconds-level budget on a 1988 Sun 3/50."
 
 (* ------------------------------------------------------------------ *)
-(* Batch engine throughput: sequential vs parallel vs kernel cache     *)
+(* Batch engine throughput: sequential vs parallel                    *)
 (* ------------------------------------------------------------------ *)
 
 (* A service-shaped workload: the modules a floor-planning loop keeps
    re-submitting while it iterates -- a handful of large structural shapes,
-   pre-flattened to transistor level, cycled across the batch.  The
-   repetition of (rows, degree) pairs is exactly what the kernel cache
-   exploits; flattening happens here, outside the timed region, the way a
+   pre-flattened to transistor level, cycled across the batch.
+   Flattening happens here, outside the timed region, the way a
    long-lived estimation service would hold parsed netlists.  Deterministic
    so that every run times the same batch. *)
 let engine_workload ~modules =
@@ -914,7 +913,6 @@ let engine_workload ~modules =
 type engine_run = {
   label : string;
   jobs : int;
-  cache : bool;
   stats : Mae_engine.stats;
   gc_p99_s : float option;
       (* median over the passes of each pass's own p99 pause; lens on
@@ -926,16 +924,16 @@ type engine_run = {
 
 (* Passes per engine run.  A run records its median pass, the statistic
    bench_gate re-measures, so a history baseline and the gate compare
-   like with like. *)
+   like with like.  Every pass starts with an empty E(i) table, so each
+   one pays for filling it. *)
 let passes = 3
 
 let median xs = List.nth (List.sort Float.compare xs) (List.length xs / 2)
 
-let time_engine ~label ~jobs ~cache ~registry circuits =
-  Mae_prob.Kernel_cache.set_enabled cache;
+let time_engine ~label ~jobs ~registry circuits =
   let timed =
     List.init passes (fun _ ->
-        Mae_prob.Kernel_cache.clear ();
+        Mae_prob.Occupancy.Table.clear Mae_prob.Occupancy.table;
         let ((results, (stats : Mae_engine.stats)), words), p99 =
           Bench_history.History.with_own_gc_p99 (fun () ->
               let w0 = Gc.minor_words () in
@@ -946,7 +944,6 @@ let time_engine ~label ~jobs ~cache ~registry circuits =
         in
         ((results, stats, words), p99))
   in
-  Mae_prob.Kernel_cache.set_enabled true;
   let results, stats, words =
     let elapsed (_, (s : Mae_engine.stats), _) = s.elapsed_s in
     List.nth
@@ -961,7 +958,7 @@ let time_engine ~label ~jobs ~cache ~registry circuits =
       Some (words /. Float.of_int stats.modules)
     else None
   in
-  (results, { label; jobs; cache; stats; gc_p99_s; alloc_words_per_module })
+  (results, { label; jobs; stats; gc_p99_s; alloc_words_per_module })
 
 let modules_per_s (r : engine_run) =
   if r.stats.elapsed_s > 0. then
@@ -980,11 +977,10 @@ let engine_json ~modules ~runs ~path =
     (fun i r ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"label\": %S, \"jobs\": %d, \"cache\": %b, \"elapsed_s\": \
-            %.6f, \"modules_per_s\": %.1f, \"ok\": %d, \"failed\": %d, \
-            \"cache_hits\": %d, \"cache_misses\": %d}%s\n"
-           r.label r.jobs r.cache r.stats.elapsed_s (modules_per_s r)
-           r.stats.ok r.stats.failed r.stats.cache_hits r.stats.cache_misses
+           "    {\"label\": %S, \"jobs\": %d, \"elapsed_s\": %.6f, \
+            \"modules_per_s\": %.1f, \"ok\": %d, \"failed\": %d}%s\n"
+           r.label r.jobs r.stats.elapsed_s (modules_per_s r) r.stats.ok
+           r.stats.failed
            (if i = List.length runs - 1 then "" else ",")))
     runs;
   Buffer.add_string buf "  ],\n";
@@ -997,14 +993,9 @@ let engine_json ~modules ~runs ~path =
   in
   Buffer.add_string buf "  \"speedups\": {\n";
   Buffer.add_string buf
-    (Printf.sprintf "    \"cached_seq_vs_uncached_seq\": %.3f,\n"
-       (speedup "seq_cached" "seq_uncached"));
+    (Printf.sprintf "    \"parallel2_vs_seq\": %.3f,\n" (speedup "par2" "seq"));
   Buffer.add_string buf
-    (Printf.sprintf "    \"parallel8_vs_seq_cached\": %.3f,\n"
-       (speedup "par8_cached" "seq_cached"));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"parallel8_vs_uncached_seq\": %.3f\n"
-       (speedup "par8_cached" "seq_uncached"));
+    (Printf.sprintf "    \"parallel8_vs_seq\": %.3f\n" (speedup "par8" "seq"));
   Buffer.add_string buf "  }\n}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
@@ -1020,7 +1011,7 @@ let run_engine ~smoke () =
   let modules = if smoke then 48 else 500 in
   section
     (Printf.sprintf
-       "Batch engine: %d-module throughput (sequential / cached / parallel)"
+       "Batch engine: %d-module throughput (sequential / parallel)"
        modules);
   let circuits = engine_workload ~modules in
   let registry = Mae_tech.Registry.create () in
@@ -1030,11 +1021,8 @@ let run_engine ~smoke () =
      the measured spans stay unchanged *)
   ignore (Mae_obs.Runtime.start ());
   let parallel_jobs = if smoke then [ 2 ] else [ 2; 4; 8 ] in
-  let baseline_results, seq_uncached =
-    time_engine ~label:"seq_uncached" ~jobs:1 ~cache:false ~registry circuits
-  in
-  let _, seq_cached =
-    time_engine ~label:"seq_cached" ~jobs:1 ~cache:true ~registry circuits
+  let baseline_results, seq =
+    time_engine ~label:"seq" ~jobs:1 ~registry circuits
   in
   (* every parallel pass spawns and joins its own domains, so its
      elapsed time includes Domain.spawn and join (0.1-0.3 ms per
@@ -1043,9 +1031,8 @@ let run_engine ~smoke () =
     List.map
       (fun jobs ->
         let results, run =
-          time_engine
-            ~label:(Printf.sprintf "par%d_cached" jobs)
-            ~jobs ~cache:true ~registry circuits
+          time_engine ~label:(Printf.sprintf "par%d" jobs) ~jobs ~registry
+            circuits
         in
         (* determinism cross-check: the parallel run must reproduce the
            sequential baseline slot for slot. *)
@@ -1074,18 +1061,15 @@ let run_engine ~smoke () =
         run)
       parallel_jobs
   in
-  let runs = (seq_uncached :: seq_cached :: par_runs) in
+  let runs = seq :: par_runs in
   let t =
     Table.create
       ~columns:
         [
           ("run", Table.Left);
           ("jobs", Table.Right);
-          ("cache", Table.Left);
           ("time (s)", Table.Right);
           ("modules/s", Table.Right);
-          ("hits", Table.Right);
-          ("misses", Table.Right);
         ]
   in
   List.iter
@@ -1094,23 +1078,15 @@ let run_engine ~smoke () =
         [
           r.label;
           string_of_int r.jobs;
-          (if r.cache then "on" else "off");
           Printf.sprintf "%.3f" r.stats.elapsed_s;
           Printf.sprintf "%.0f" (modules_per_s r);
-          string_of_int r.stats.cache_hits;
-          string_of_int r.stats.cache_misses;
         ])
     runs;
   Table.print t;
-  let ratio a b =
-    if b.stats.elapsed_s > 0. then a.stats.elapsed_s /. b.stats.elapsed_s
-    else 0.
-  in
   Printf.printf
-    "kernel cache: sequential %.2fx faster than uncached; host offers %d\n\
-     domain(s), so parallel speedup here is bounded by the hardware (the\n\
-     fan-out itself is exercised above and cross-checked against jobs=1).\n"
-    (ratio seq_uncached seq_cached)
+    "host offers %d domain(s), so parallel speedup here is bounded by the\n\
+     hardware (the fan-out itself is exercised above and cross-checked\n\
+     against jobs=1).\n"
     (Mae_engine.default_jobs ());
   let path = "BENCH_engine.json" in
   engine_json ~modules ~runs ~path;
@@ -1188,20 +1164,20 @@ let run_engine ~smoke () =
     exit 1
   end;
   (* the bar a store hit had to clear to earn a place in the engine: a
-     fifth of a cached recompute; recorded so the decision to keep the
-     store in serve only stays re-checkable *)
+     fifth of a sequential recompute; recorded so the decision to keep
+     the store in serve only stays re-checkable *)
   let per_module s = s /. Float.of_int (Stdlib.max 1 modules) in
   let warm_hit_s_per_module = per_module warm_elapsed_s in
-  let seq_cached_s_per_module = per_module seq_cached.stats.elapsed_s in
+  let seq_s_per_module = per_module seq.stats.elapsed_s in
   Printf.printf
     "estimate store: cold %.3fs (%d misses), repeat %.3fs answered 100%%\n\
      from the store, bit-identical; a hit costs %.1f us per module against\n\
-     %.1f us for a seq_cached recompute (%.2fx)\n"
+     %.1f us for a sequential recompute (%.2fx)\n"
     cold_elapsed_s (modules - cold_hits) warm_elapsed_s
     (warm_hit_s_per_module *. 1e6)
-    (seq_cached_s_per_module *. 1e6)
-    (if seq_cached_s_per_module > 0. then
-       warm_hit_s_per_module /. seq_cached_s_per_module
+    (seq_s_per_module *. 1e6)
+    (if seq_s_per_module > 0. then
+       warm_hit_s_per_module /. seq_s_per_module
      else 0.);
   let retained_words_per_entry =
     Float.of_int (Obj.reachable_words (Obj.repr cas))
@@ -1237,11 +1213,8 @@ let run_engine ~smoke () =
                  ([
                    ("label", String r.label);
                    ("jobs", Number (Float.of_int r.jobs));
-                   ("cache", Bool r.cache);
                    ("elapsed_s", Number r.stats.elapsed_s);
                    ("modules_per_s", Number (modules_per_s r));
-                   ("cache_hits", Number (Float.of_int r.stats.cache_hits));
-                   ("cache_misses", Number (Float.of_int r.stats.cache_misses));
                  ]
                  @ (match r.gc_p99_s with
                    | Some p99 -> [ ("gc_p99_pause_s", Number p99) ]
@@ -1260,13 +1233,13 @@ let run_engine ~smoke () =
             ("warm_hits", Number (Float.of_int warm_hits));
             ("warm_hit_ratio", Number store_hit_ratio);
             ("warm_hit_s_per_module", Number warm_hit_s_per_module);
-            ("seq_cached_s_per_module", Number seq_cached_s_per_module);
+            ("seq_s_per_module", Number seq_s_per_module);
             ("warm_bit_identical", Bool store_identical);
             ("retained_words_per_entry", Number retained_words_per_entry);
           ] );
     ]
 
-(* --gc-sweep: one row per jobs level -- cached throughput (the median
+(* --gc-sweep: one row per jobs level -- throughput (the median
    pass) with the runtime lens riding along, against the pooled GC pause
    quantiles the lens observed during the run's last pass ([time_engine]
    zeroes the lens before each pass).  Feeds the EXPERIMENTS.md "GC pauses
@@ -1275,7 +1248,7 @@ let run_gc_sweep ~smoke () =
   let modules = if smoke then 48 else 500 in
   section
     (Printf.sprintf
-       "GC pauses vs --jobs throughput (%d modules, kernel cache on)" modules);
+       "GC pauses vs --jobs throughput (%d modules)" modules);
   let circuits = engine_workload ~modules in
   let registry = Mae_tech.Registry.create () in
   let t =
@@ -1295,9 +1268,8 @@ let run_gc_sweep ~smoke () =
     (fun jobs ->
       ignore (Mae_obs.Runtime.start ());
       let _, run =
-        time_engine
-          ~label:(Printf.sprintf "gc%d" jobs)
-          ~jobs ~cache:true ~registry circuits
+        time_engine ~label:(Printf.sprintf "gc%d" jobs) ~jobs ~registry
+          circuits
       in
       Mae_obs.Runtime.stop ();
       let us = Printf.sprintf "%.0f" in

@@ -370,8 +370,8 @@ let estimate_cmd =
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Print batch throughput, kernel-cache hit rate and per-domain \
-             module counts to stderr.")
+            "Print batch throughput and per-domain module counts to \
+             stderr.")
   in
   let trace_out =
     Arg.(
@@ -388,9 +388,8 @@ let estimate_cmd =
       value & opt (some string) None
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
-            "Write the telemetry metrics registry (engine counters, kernel \
-             cache hit/miss/race counters, queue-wait gauge, and the \
-             driver-stage, methodology, queue-wait and GC latency \
+            "Write the telemetry metrics registry (engine counters, \
+             queue-wait gauge, and the driver-stage, methodology, queue-wait and GC latency \
              summaries) here after estimating: Prometheus text format, or \
              JSON when $(docv) ends in .json.  The path is validated before \
              estimation starts.")
@@ -673,7 +672,9 @@ let run_check trials cases seed max_rows max_degree max_nets report_out
     try Mae_check.Harness.run ~log config
     with Invalid_argument msg -> or_die (Error msg)
   in
-  Format.printf "%a@." Mae_check.Harness.pp_report report;
+  let kernels = Mae_check.Harness.run_kernels () in
+  Format.printf "%a@.%a@." Mae_check.Harness.pp_report report
+    Mae_check.Harness.pp_kernels kernels;
   begin
     match report_out with
     | None -> ()
@@ -683,7 +684,7 @@ let run_check trials cases seed max_rows max_degree max_nets report_out
              let oc = open_out path in
              output_string oc
                (Mae_obs.Json.encode
-                  (Mae_check.Harness.report_json config report));
+                  (Mae_check.Harness.report_json config report ~kernels));
              output_char oc '\n';
              close_out oc;
              Ok ()
@@ -700,7 +701,11 @@ let run_check trials cases seed max_rows max_degree max_nets report_out
            else Mae_obs.Metrics.write_prometheus ~path);
         Format.eprintf "metrics written to %s@." path
   end;
-  if not report.Mae_check.Harness.passed then exit 1
+  if
+    not
+      (report.Mae_check.Harness.passed
+      && List.for_all (fun (k : Mae_check.Harness.cross_result) -> k.ok) kernels)
+  then exit 1
 
 let check_cmd =
   let trials =
@@ -757,9 +762,9 @@ let check_cmd =
       value & opt (some string) None
       & info [ "metrics-out" ] ~docv:"FILE"
           ~doc:
-            "Write the telemetry metrics registry (mae_check_* counters, \
-             kernel cache counters) here after the sweep: Prometheus text, \
-             or JSON when $(docv) ends in .json.")
+            "Write the telemetry metrics registry (mae_check_* counters) \
+             here after the sweep: Prometheus text, or JSON when $(docv) \
+             ends in .json.")
   in
   let verbose =
     Arg.(
@@ -772,7 +777,8 @@ let check_cmd =
        ~doc:
          "Cross-validate the closed-form probability kernels against \
           Monte-Carlo simulation and exact enumeration (three independent \
-          oracles; exits non-zero on any disagreement).")
+          oracles), pin the served E(i) and E(M) over whole key grids, and \
+          exit non-zero on any disagreement.")
     Term.(
       const run_check $ trials $ cases $ seed $ max_rows $ max_degree
       $ max_nets $ report_out $ metrics_out $ verbose)

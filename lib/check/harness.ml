@@ -1,7 +1,7 @@
 (* The differential correctness harness: three independent oracles over
    the paper's probability kernels.
 
-   (a) the closed-form kernels the pipeline serves (Kernel_cache,
+   (a) the closed-form kernels the pipeline serves (Row_model,
        Feedthrough) -- the code under test;
    (b) the Monte-Carlo simulator (Montecarlo), whose agreement is judged
        statistically inside a z-sigma Wilson interval;
@@ -15,7 +15,6 @@
    gate. *)
 
 module Sweep = Mae_workload.Sweep
-module Kc = Mae_prob.Kernel_cache
 
 (* The golden rows are re-derived through the methodology registry and
    the cross-method sanity section runs every registered estimator, so
@@ -144,7 +143,8 @@ let inside (lo, hi) p = p >= lo && p <= hi
 let span_exact_vs_enum config (c : Sweep.case) =
   let e = Enumerate.net ~rows:c.rows ~degree:c.degree in
   let d =
-    Kc.row_span_dist_uncached ~model:Kc.Exact ~rows:c.rows ~degree:c.degree
+    Mae.Row_model.prob_rows ~model:Mae.Config.Exact_occupancy ~rows:c.rows
+      ~degree:c.degree
   in
   let per_outcome =
     List.init c.rows (fun i ->
@@ -165,7 +165,10 @@ let span_exact_vs_enum config (c : Sweep.case) =
   in
   let ceiling =
     let enum_ceil = Mae_prob.Dist.expectation_ceil (Enumerate.span_dist e) in
-    let closed_ceil = Kc.expected_span ~model:Kc.Exact ~rows:c.rows ~degree:c.degree in
+    let closed_ceil =
+      Mae.Row_model.expected_span ~model:Mae.Config.Exact_occupancy
+        ~rows:c.rows ~degree:c.degree
+    in
     ( Float.of_int (abs (enum_ceil - closed_ceil)),
       0.,
       Printf.sprintf "ceil E(span): enum %d vs closed %d" enum_ceil closed_ceil
@@ -180,7 +183,8 @@ let span_paper_vs_enum config (c : Sweep.case) =
   else begin
     let e = Enumerate.net ~rows:c.rows ~degree:c.degree in
     let d =
-      Kc.row_span_dist_uncached ~model:Kc.Paper ~rows:c.rows ~degree:c.degree
+      Mae.Row_model.prob_rows ~model:Mae.Config.Paper_model ~rows:c.rows
+        ~degree:c.degree
     in
     collect
       (List.init c.rows (fun i ->
@@ -234,7 +238,7 @@ let feed_eq5_vs_closed config (c : Sweep.case) =
    interpolation, checked against the closed form instead.) *)
 let feed_eq9_vs_enum config (c : Sweep.case) =
   if c.rows land 1 = 0 then
-    let eq9 = Kc.two_component_feed_prob ~rows:c.rows in
+    let eq9 = Mae.Feedthrough.prob_two_component ~rows:c.rows in
     let central = Mae.Feedthrough.prob_central ~rows:c.rows ~degree:2 in
     collect
       [
@@ -246,7 +250,7 @@ let feed_eq9_vs_enum config (c : Sweep.case) =
   else begin
     let e = Enumerate.net ~rows:c.rows ~degree:2 in
     let central = (c.rows + 1) / 2 in
-    let eq9 = Kc.two_component_feed_prob ~rows:c.rows in
+    let eq9 = Mae.Feedthrough.prob_two_component ~rows:c.rows in
     let exact = Enumerate.feed_prob e ~row:central in
     collect
       [
@@ -316,7 +320,7 @@ let feed_mc_wilson config (c : Sweep.case) =
    the binomial machinery; the mean is also pinned to H*p in closed
    form. *)
 let binom_mc_wilson config (c : Sweep.case) =
-  let p = Kc.two_component_feed_prob ~rows:c.rows in
+  let p = Mae.Feedthrough.prob_two_component ~rows:c.rows in
   let dist = Mae.Feedthrough.feed_through_dist ~net_count:c.nets ~rows:c.rows in
   let rng = case_rng config c in
   let t = Stdlib.min config.trials 20_000 in
@@ -605,6 +609,97 @@ let run_cross () =
             (Mae.Methodology.all ()))
     entries
 
+(* --- the served kernels over whole key grids --- *)
+
+(* Equation (3): the served ceil E(i) of both models against the
+   occupancy mean n (1 - (1 - 1/n)^balls), which shares no code with
+   the recurrence behind it.  Where that closed form lies within
+   1e-9 n of an integer, its float rounding cannot say which side the
+   true mean is on, and the served ceiling must equal the nearest
+   integer instead. *)
+let span_grid = 127
+
+let span_grid_check (model, name) =
+  let keys = ref 0 and near = ref 0 and bad = ref [] in
+  for rows = 1 to span_grid do
+    for degree = 1 to span_grid do
+      incr keys;
+      let balls =
+        match (model : Mae.Config.row_span_model) with
+        | Paper_model -> Stdlib.min rows degree
+        | Exact_occupancy -> degree
+      in
+      let n = Float.of_int rows in
+      let mean = n *. (1. -. Float.pow (1. -. (1. /. n)) (Float.of_int balls)) in
+      let nearest = Float.round mean in
+      let want =
+        if Float.abs (mean -. nearest) <= 1e-9 *. n then begin
+          incr near;
+          Float.to_int nearest
+        end
+        else Float.to_int (Float.ceil mean)
+      in
+      let got = Mae.Row_model.expected_span ~model ~rows ~degree in
+      if got <> want then
+        bad :=
+          Printf.sprintf "n=%d D=%d: served %d, closed form %.17g" rows degree
+            got mean
+          :: !bad
+    done
+  done;
+  {
+    label = "kernel.span_ceil." ^ name;
+    detail =
+      (match List.rev !bad with
+      | [] ->
+          Printf.sprintf "%d keys (n, D in 1..%d), %d near an integer" !keys
+            span_grid !near
+      | first :: _ ->
+          Printf.sprintf "%d of %d keys off, first %s" (List.length !bad) !keys
+            first);
+    ok = !bad = [];
+  }
+
+(* Equation (11): the served integer E(M) against the ceiling of the
+   binomial distribution it summarises. *)
+let feed_grid_nets = 3_000
+let feed_grid_rows = 40
+
+let feed_grid_check () =
+  let keys = ref 0 and bad = ref [] in
+  for rows = 1 to feed_grid_rows do
+    for net_count = 0 to feed_grid_nets do
+      incr keys;
+      let got = Mae.Feedthrough.expected_feed_throughs ~net_count ~rows in
+      let want =
+        Mae_prob.Dist.expectation_ceil
+          (Mae.Feedthrough.feed_through_dist ~net_count ~rows)
+      in
+      if got <> want then
+        bad :=
+          Printf.sprintf "H=%d n=%d: served %d, binomial %d" net_count rows got
+            want
+          :: !bad
+    done
+  done;
+  {
+    label = "kernel.feed_ceil";
+    detail =
+      (match List.rev !bad with
+      | [] ->
+          Printf.sprintf "%d keys (H <= %d, n <= %d)" !keys feed_grid_nets
+            feed_grid_rows
+      | first :: _ ->
+          Printf.sprintf "%d of %d keys off, first %s" (List.length !bad) !keys
+            first);
+    ok = !bad = [];
+  }
+
+let run_kernels () =
+  List.map span_grid_check
+    [ (Mae.Config.Paper_model, "paper"); (Mae.Config.Exact_occupancy, "exact") ]
+  @ [ feed_grid_check () ]
+
 (* --- the sweep --- *)
 
 let run ?(log = fun (_ : string) -> ()) config =
@@ -705,7 +800,15 @@ let json_of_case (c : Sweep.case) =
       ("nets", Mae_obs.Json.Number (Float.of_int c.nets));
     ]
 
-let report_json config r =
+let json_of_result (c : cross_result) =
+  Mae_obs.Json.Object
+    [
+      ("label", Mae_obs.Json.String c.label);
+      ("detail", Mae_obs.Json.String c.detail);
+      ("ok", Mae_obs.Json.Bool c.ok);
+    ]
+
+let report_json config r ~kernels =
   let open Mae_obs.Json in
   Object
     [
@@ -761,18 +864,11 @@ let report_json config r =
                    ("ok", Bool g.ok);
                  ])
              r.golden) );
-      ( "cross",
-        Array
-          (List.map
-             (fun (c : cross_result) ->
-               Object
-                 [
-                   ("label", String c.label);
-                   ("detail", String c.detail);
-                   ("ok", Bool c.ok);
-                 ])
-             r.cross) );
-      ("passed", Bool r.passed);
+      ("cross", Array (List.map json_of_result r.cross));
+      ("kernels", Array (List.map json_of_result kernels));
+      ( "passed",
+        Bool (r.passed && List.for_all (fun (k : cross_result) -> k.ok) kernels)
+      );
     ]
 
 let pp_report ppf r =
@@ -813,3 +909,13 @@ let pp_report ppf r =
     r.findings;
   Format.fprintf ppf "%s@]"
     (if r.passed then "all oracles agree" else "ORACLE DISAGREEMENT")
+
+let pp_kernels ppf kernels =
+  Format.fprintf ppf "@[<v>kernel grids:";
+  List.iter
+    (fun (k : cross_result) ->
+      Format.fprintf ppf "@,  %s%s: %s"
+        (if k.ok then "" else "KERNEL FAIL ")
+        k.label k.detail)
+    kernels;
+  Format.fprintf ppf "@]"

@@ -4,7 +4,7 @@
     {!Mae_workload.Sweep} cases [(n, D, H)]:
 
     - the closed-form kernels the pipeline serves
-      ({!Mae_prob.Kernel_cache}, {!Mae.Feedthrough});
+      ({!Mae.Row_model}, {!Mae.Feedthrough});
     - the Monte-Carlo simulator ({!Mae_prob.Montecarlo}), judged inside
       a z-sigma Wilson interval;
     - the exact enumerator ({!Enumerate}), compared to the closed forms
@@ -18,7 +18,11 @@
     registered estimator (all eight, baselines included) over the bench
     suites and checks estimator-independent invariants (success,
     positive area, width * height = area, and a summed-device-area floor
-    for the footprint-accounting models).  Progress and totals flow
+    for the footprint-accounting models).  A separate kernel section
+    ({!run_kernels}) pins the served ceil E(i) of both row-span models
+    to the closed-form occupancy mean over a whole [(n, D)] grid, and
+    the served integer E(M) to the ceiling of its binomial distribution
+    over a whole [(H, n)] grid.  Progress and totals flow
     through {!Mae_obs} counters and spans ([mae_check_cases_total],
     [mae_check_comparisons_total], [mae_check_violations_total]; spans
     [check.run] / [check.case]). *)
@@ -80,13 +84,26 @@ val run : ?log:(string -> unit) -> config -> report
     case coordinates).  Raises [Invalid_argument] on a non-positive
     config field. *)
 
+val run_kernels : unit -> cross_result list
+(** The kernel section, over fixed grids: one result per grid,
+    [kernel.span_ceil.paper] and [kernel.span_ceil.exact] (the served
+    ceil E(i) against n (1 - (1 - 1/n)^balls) for every n, D in
+    [1 .. 127]) and [kernel.feed_ceil] (the served E(M) against the
+    ceiling of its binomial for every H in [0 .. 3000], n in
+    [1 .. 40]).  A few seconds; [mae check] runs it after {!run}. *)
+
 val derive_goldens : unit -> (string * float) list
 (** Recompute the golden Table 1 / Table 2 rows from the live estimator
     through the methodology registry (label, value) -- the source of the
     pinned constants, exposed so they can be regenerated when the model
     intentionally changes. *)
 
-val report_json : config -> report -> Mae_obs.Json.t
-(** The machine-readable report ([mae check --report]). *)
+val report_json :
+  config -> report -> kernels:cross_result list -> Mae_obs.Json.t
+(** The machine-readable report ([mae check --report]), with the
+    {!run_kernels} results under ["kernels"]; its ["passed"] holds only
+    if the report passed and every kernel result is ok. *)
 
 val pp_report : Format.formatter -> report -> unit
+
+val pp_kernels : Format.formatter -> cross_result list -> unit

@@ -82,15 +82,21 @@ let prob_central ~rows ~degree =
 
 let prob_two_component ~rows =
   if rows < 1 then invalid_arg "Feedthrough.prob_two_component: rows < 1"; (* invariant *)
-  Mae_prob.Kernel_cache.two_component_feed_prob ~rows
+  let n = Float.of_int rows in
+  let r = (n -. 1.) /. n in
+  r *. r /. 2.
 
 let feed_through_dist ~net_count ~rows =
   if net_count < 0 then invalid_arg "Feedthrough.feed_through_dist: net_count < 0"; (* invariant *)
   if rows < 1 then invalid_arg "Feedthrough.feed_through_dist: rows < 1"; (* invariant *)
-  Mae_prob.Kernel_cache.feed_through_dist_uncached ~net_count ~rows
+  Mae_prob.Dist.binomial ~n:net_count ~p:(prob_two_component ~rows)
 
+(* E(M) = H * (n-1)^2 / (2n^2), the binomial's mean; its ceiling in
+   integers is one division.  [feed_through_dist]'s
+   [Dist.expectation_ceil] is the oracle it is checked against. *)
 let expected_feed_throughs ~net_count ~rows =
   if net_count < 0 then
     invalid_arg "Feedthrough.expected_feed_throughs: net_count < 0"; (* invariant *)
   if rows < 1 then invalid_arg "Feedthrough.expected_feed_throughs: rows < 1"; (* invariant *)
-  Mae_prob.Kernel_cache.expected_feed_throughs ~net_count ~rows
+  let den = 2 * rows * rows in
+  ((net_count * (rows - 1) * (rows - 1)) + den - 1) / den

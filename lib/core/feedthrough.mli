@@ -44,4 +44,6 @@ val feed_through_dist : net_count:int -> rows:int -> Mae_prob.Dist.t
     probability {!prob_two_component}. *)
 
 val expected_feed_throughs : net_count:int -> rows:int -> int
-(** Equation (11): E(M), rounded up. *)
+(** Equation (11): E(M) = H * (n - 1)^2 / (2 n^2), rounded up, computed
+    in integers.  Equals [Dist.expectation_ceil] of {!feed_through_dist}
+    (pinned by [mae check]). *)

@@ -81,40 +81,28 @@ let site_demand ?params (circuit : Mae_netlist.Circuit.t) process =
       go 0 0
 
 (* The row count of the squarest array offering at least [sites] sites
-   (its columns follow: ceil (sites / rows)): an O(sites) scan
-   with a log per candidate row count.  Its result depends only on
-   (sites, site_width, row_pitch) -- a handful of distinct values per
-   process/parameter set across a whole batch -- so the scan is memoized
-   in a shared kernel-cache table (floats keyed by their IEEE-754 bits;
-   the scan itself is untouched, a hit returns exactly the bits a fresh
-   scan would). *)
-let shape_table : (int * int64 * int64, int) Mae_prob.Kernel_cache.Table.t =
-  Mae_prob.Kernel_cache.Table.create ()
-
+   (its columns follow: ceil (sites / rows)): an O(sites) scan with a
+   log per candidate row count. *)
 let squarest_rows ~sites ~site_width ~row_pitch =
-  Mae_prob.Kernel_cache.Table.find_or_compute shape_table
-    (sites, Int64.bits_of_float site_width, Int64.bits_of_float row_pitch)
-    (fun () ->
-      let best = ref None in
-      for rows = 1 to sites do
-        let columns = (sites + rows - 1) / rows in
-        let width = Float.of_int columns *. site_width in
-        let height = Float.of_int rows *. row_pitch in
-        let deviation = Float.abs (Float.log (width /. height)) in
-        match !best with
-        | Some (d, _) when d <= deviation -> ()
-        | Some _ | None -> best := Some (deviation, rows)
-      done;
-      snd (Option.get !best))
+  let best = ref None in
+  for rows = 1 to sites do
+    let columns = (sites + rows - 1) / rows in
+    let width = Float.of_int columns *. site_width in
+    let height = Float.of_int rows *. row_pitch in
+    let deviation = Float.abs (Float.log (width /. height)) in
+    match !best with
+    | Some (d, _) when d <= deviation -> ()
+    | Some _ | None -> best := Some (deviation, rows)
+  done;
+  snd (Option.get !best)
 
 let row_pitch params process =
   params.site_height
   +. (Float.of_int params.channel_tracks *. process.Mae_tech.Process.track_pitch)
 
 (* The array at a given row count: its shape, and its routability via
-   the paper's own track expectation (the shared statistics -- and,
-   through the track model, the shared kernel cache -- keep batch runs
-   from recomputing per method). *)
+   the paper's own track expectation (the shared statistics keep batch
+   runs from recomputing per method). *)
 let at_rows ~params ~stats ~demand ~sites process rows =
   let columns = (sites + rows - 1) / rows in
   let width = Float.of_int columns *. params.site_width in

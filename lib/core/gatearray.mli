@@ -55,10 +55,9 @@ val estimate :
   (estimate, string) result
 (** Square-ish array sizing: the row count minimizing the bounding box's
     deviation from 1:1 given the fixed per-row channel.  Raises nothing;
-    all failures are [Error].  Pass [?stats] to reuse statistics (and
-    their kernel caches) already computed for the circuit, as
-    {!Stdcell.estimate} and {!Fullcustom.estimate} do; they are computed
-    on demand otherwise. *)
+    all failures are [Error].  Pass [?stats] to reuse statistics already
+    computed for the circuit, as {!Stdcell.estimate} and
+    {!Fullcustom.estimate} do; they are computed on demand otherwise. *)
 
 val estimate_routable :
   ?params:params ->

@@ -163,8 +163,7 @@ let make_ctx ?rows_override ~process (circuit : Mae_netlist.Circuit.t) =
     in
     let fc_circuit = Option.value expanded ~default:circuit in
     (* each circuit's statistics are computed once and shared across
-       the whole method set (the estimators' kernel caches ride along
-       inside the stats) *)
+       the whole method set *)
     let stats, fc_stats =
       stage stats_stage ~module_name:m (fun () ->
           let stats = Mae_netlist.Stats.compute circuit process in

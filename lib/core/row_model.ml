@@ -1,18 +1,20 @@
-let kernel_model : Config.row_span_model -> Mae_prob.Kernel_cache.span_model =
-  function
-  | Paper_model -> Mae_prob.Kernel_cache.Paper
-  | Exact_occupancy -> Mae_prob.Kernel_cache.Exact
+(* Both models are the occupancy of [balls] uniform components: the
+   paper's b_k(i) = surj(k, i) at k = min(n, D) throws min(n, D) of
+   them, the exact model all D. *)
+let balls ~model ~rows ~degree =
+  match (model : Config.row_span_model) with
+  | Paper_model -> Stdlib.min rows degree
+  | Exact_occupancy -> degree
 
 let prob_rows ~model ~rows ~degree =
   if rows < 1 then invalid_arg "Row_model.prob_rows: rows < 1"; (* invariant *)
   if degree < 1 then invalid_arg "Row_model.prob_rows: degree < 1"; (* invariant *)
-  Mae_prob.Kernel_cache.row_span_dist_uncached ~model:(kernel_model model)
-    ~rows ~degree
+  Mae_prob.Occupancy.dist ~rows ~balls:(balls ~model ~rows ~degree)
 
 let expected_span ~model ~rows ~degree =
   if rows < 1 then invalid_arg "Row_model.expected_span: rows < 1"; (* invariant *)
   if degree < 1 then invalid_arg "Row_model.expected_span: degree < 1"; (* invariant *)
-  Mae_prob.Kernel_cache.expected_span ~model:(kernel_model model) ~rows ~degree
+  Mae_prob.Occupancy.expected_ceil ~rows ~balls:(balls ~model ~rows ~degree)
 
 type track_class = {
   degree : int;

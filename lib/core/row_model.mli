@@ -5,19 +5,21 @@
     the net consumes under the paper's one-net-per-track assumption: a net
     spanning i rows needs i tracks (one in each neighbouring channel).
 
-    The per-degree expectation {!expected_span} is shared through
-    {!Mae_prob.Kernel_cache} -- it depends only on [(rows, degree)], so
-    repeated queries (sweeps, batches) hit the cache.  {!prob_rows}
-    builds the distribution afresh on every call. *)
+    Both models are the occupancy of {!Mae_prob.Occupancy}: the paper's
+    throws [min n D] components, the exact model all [D].
+    {!expected_span} depends only on [(rows, degree)] and is served from
+    that module's lazily filled table; {!prob_rows} builds the
+    distribution afresh on every call. *)
 
 val prob_rows :
   model:Config.row_span_model -> rows:int -> degree:int -> Mae_prob.Dist.t
 (** Distribution of the number of occupied rows, over support
     [1 .. min rows degree].
 
-    [Paper_model] is equation (2) verbatim: weight(i) proportional to
+    [Paper_model] is equation (2): weight(i) proportional to
     [C(n,i) * b(i)] with [b] the paper's recurrence at exponent
-    [k = min (n, D)].  [Exact_occupancy] uses the exact surjection count
+    [k = min (n, D)], which is the occupancy of [k] components.
+    [Exact_occupancy] is the occupancy of all [D] components,
     [C(n,i) * surj(D,i) / n^D].  The two agree whenever [rows >= degree].
 
     Raises [Invalid_argument] when [rows < 1] or [degree < 1]. *)

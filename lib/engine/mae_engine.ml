@@ -18,8 +18,6 @@ type stats = {
   failed : int;
   jobs : int;
   elapsed_s : float;
-  cache_hits : int;
-  cache_misses : int;
   per_domain : int array;
 }
 
@@ -58,16 +56,11 @@ let oversubscribed_gauge =
        recent batch (0 = batch fit the hardware)"
 
 let pp_stats ppf s =
-  let lookups = s.cache_hits + s.cache_misses in
   Format.fprintf ppf
     "%d module(s) (%d ok, %d failed) on %d domain(s) in %.3f s (%.0f \
-     modules/s); kernel cache %d hits / %d misses (%.1f%% hit rate); \
-     modules/domain [%s]"
+     modules/s); modules/domain [%s]"
     s.modules s.ok s.failed (Array.length s.per_domain) s.elapsed_s
     (if s.elapsed_s > 0. then Float.of_int s.modules /. s.elapsed_s else 0.)
-    s.cache_hits s.cache_misses
-    (if lookups > 0 then 100. *. Float.of_int s.cache_hits /. Float.of_int lookups
-     else 0.)
     (String.concat " " (List.map string_of_int (Array.to_list s.per_domain)))
 
 let default_jobs () = Stdlib.max 1 (Domain.recommended_domain_count ())
@@ -127,8 +120,6 @@ let map_pool ~jobs ~t0 f inputs =
   let workers = Stdlib.max 1 (Stdlib.min jobs n) in
   let claimed = Array.make workers 0 in
   let first_wait = Array.make workers Float.nan in
-  let cache_delta = Array.make workers 0 in
-  let miss_delta = Array.make workers 0 in
   let next = Atomic.make 0 in
   let chunk = Stdlib.max 1 (n / (8 * workers)) in
   let rec drain w =
@@ -143,7 +134,6 @@ let map_pool ~jobs ~t0 f inputs =
     end
   in
   let worker w =
-    let c0 = Mae_prob.Kernel_cache.local_counts () in
     let body () =
       (* per worker, not per module: the queue-wait gauge stays live
          even with telemetry off, like every other gauge *)
@@ -164,10 +154,7 @@ let map_pool ~jobs ~t0 f inputs =
              ("domain", string_of_int (Domain.self () :> int));
            ]
          body
-     else body ());
-    let c1 = Mae_prob.Kernel_cache.local_counts () in
-    cache_delta.(w) <- c1.Mae_prob.Kernel_cache.hits - c0.Mae_prob.Kernel_cache.hits;
-    miss_delta.(w) <- c1.Mae_prob.Kernel_cache.misses - c0.Mae_prob.Kernel_cache.misses
+     else body ())
   in
   let spawned =
     Array.init (workers - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
@@ -189,9 +176,7 @@ let map_pool ~jobs ~t0 f inputs =
       (fun acc w -> if Float.is_nan w then acc else Float.max acc w)
       0. first_wait
   in
-  let batch_hits = Array.fold_left ( + ) 0 cache_delta in
-  let batch_misses = Array.fold_left ( + ) 0 miss_delta in
-  (results, claimed, max_wait, batch_hits, batch_misses)
+  (results, claimed, max_wait)
 
 (* One module: its report, or the error that replaced it. *)
 let estimate_module ?methods ~registry (circuit : Mae_netlist.Circuit.t) =
@@ -213,7 +198,7 @@ let run_circuits_with_stats ?methods ?jobs ~registry circuits =
       [ ("modules", string_of_int modules); ("jobs", string_of_int jobs) ]
   @@ fun () ->
   let t0 = Mae_obs.Clock.monotonic () in
-  let results, per_domain, queue_wait, cache_hits, cache_misses =
+  let results, per_domain, queue_wait =
     map_pool ~jobs ~t0 (estimate_module ?methods ~registry) inputs
   in
   let elapsed_s = Mae_obs.Clock.monotonic () -. t0 in
@@ -231,11 +216,6 @@ let run_circuits_with_stats ?methods ?jobs ~registry circuits =
       failed = modules - ok;
       jobs;
       elapsed_s;
-      (* summed per-worker deltas of the workers' domain-local cache
-         counts: exactly this batch's traffic, even when another batch
-         runs concurrently on other domains *)
-      cache_hits;
-      cache_misses;
       per_domain;
     }
   in
@@ -247,8 +227,6 @@ let run_circuits_with_stats ?methods ?jobs ~registry circuits =
         ("failed", Mae_obs.Log.Int (modules - ok));
         ("jobs", Mae_obs.Log.Int jobs);
         ("elapsed_s", Mae_obs.Log.Float elapsed_s);
-        ("cache_hits", Mae_obs.Log.Int cache_hits);
-        ("cache_misses", Mae_obs.Log.Int cache_misses);
       ];
   (Array.to_list results, stats)
 

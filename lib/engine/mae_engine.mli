@@ -19,10 +19,10 @@
     serve daemon looks each module up in its store before it calls the
     engine, and passes only the misses on.
 
-    The probability kernels shared by all modules -- row-span
-    distributions, feed-through binomials -- are memoized in the
-    domain-safe {!Mae_prob.Kernel_cache}, so a batch pays for each
-    [(rows, degree)] kernel once across all domains.
+    The row-span expectation E(i) is served from
+    {!Mae_prob.Occupancy}'s lazily filled table, which every domain
+    reads without a lock; the feed-through expectation E(M) is one
+    integer division ({!Mae.Feedthrough.expected_feed_throughs}).
 
     Scheduling: every worker claims the next chunk of
     [max 1 (n / (8 * workers))] modules from one shared atomic counter
@@ -57,11 +57,6 @@ type stats = {
   failed : int;
   jobs : int;  (** domains requested ([0] resolved); see [per_domain] *)
   elapsed_s : float;  (** wall-clock batch time *)
-  cache_hits : int;
-      (** kernel-cache hits during this batch, summed from the workers'
-          domain-local counts -- exact for this batch even when other
-          batches run concurrently on other domains *)
-  cache_misses : int;
   per_domain : int array;
       (** how many modules each worker estimated; its length is the
           number of domains used.  Slot 0 is the calling domain, the
@@ -69,8 +64,8 @@ type stats = {
 }
 
 val pp_stats : Format.formatter -> stats -> unit
-(** One line: domains used, throughput, kernel-cache hits/misses with
-    hit rate, and the per-domain module counts. *)
+(** One line: domains used, throughput and the per-domain module
+    counts. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)

@@ -11,8 +11,7 @@
    - {!Metrics}: the one instrument registry -- counters, gauges and
      latency summaries in one name-checked table -- and the one
      exporter of Prometheus text and JSON.  Counters and gauges are
-     always live; they back [Kernel_cache.stats] and the engine's
-     [--stats] line.
+     always live; they back the engine's [--stats] line.
    - {!Sketch}: the GK quantile summary behind every summary (true
      p50/p99/p999, no bucket edges), one lock per sketch, with
      request-id exemplars.

@@ -17,8 +17,8 @@
    series under two families.
 
    Counters and gauges stay live even when telemetry is off (they back
-   always-on reporting such as [Kernel_cache.stats] and the engine's
-   [--stats] line); summaries are fed by spans, so only while it is on. *)
+   always-on reporting such as the engine's [--stats] line);
+   summaries are fed by spans, so only while it is on. *)
 
 type counter = { c_name : string; c_help : string; c_value : int Atomic.t }
 type gauge = { g_name : string; g_help : string; g_bits : int64 Atomic.t }

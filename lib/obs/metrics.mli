@@ -29,7 +29,7 @@ val add : counter -> int -> unit
 val counter_value : counter -> int
 
 val reset_counter : counter -> unit
-(** For subsystem [clear] entry points (e.g. the kernel cache);
+(** Zero one counter, as {!reset_values} does for all of them;
     Prometheus scrapers treat it as a counter reset. *)
 
 (** {1 Gauges} *)

@@ -114,26 +114,15 @@ let surjections d i =
     Float.max 0. !total
   end
 
-(* The recurrence values are prefix-stable: b[1..m] do not depend on
-   how far the row extends, so one row array serves every i <= imax
-   with exactly the bits the per-i recurrence produces. *)
-let paper_b_row ~k imax =
-  if imax < 1 then invalid_arg "Comb.paper_b_row: imax must be >= 1";
-  let b = Array.make (imax + 1) 0. in
+let paper_b ~k i =
+  if i < 1 then invalid_arg "Comb.paper_b: i must be >= 1";
+  let b = Array.make (i + 1) 0. in
   b.(1) <- 1.;
-  for m = 2 to imax do
+  for m = 2 to i do
     let subtract = ref 0. in
     for j = 1 to m - 1 do
       subtract := !subtract +. (choose m j *. b.(j))
     done;
     b.(m) <- float_pow (Float.of_int m) k -. !subtract
   done;
-  b
-
-let paper_b ~k i =
-  if i < 1 then invalid_arg "Comb.paper_b: i must be >= 1";
-  (paper_b_row ~k i).(i)
-
-let surjections_row d imax =
-  if imax < 0 then invalid_arg "Comb.surjections_row: negative imax";
-  Array.init (imax + 1) (fun i -> surjections d i)
+  b.(i)

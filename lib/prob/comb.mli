@@ -1,8 +1,10 @@
 (** Combinatorics for the estimator's probability models.
 
-    All counting functions are evaluated in log space so that the
-    expectation sums of equations (2)-(3) and (10)-(11) of the paper remain
-    stable for nets with many components and modules with many nets. *)
+    Factorials and binomials are exact where they fit in 63 bits and
+    evaluated in log space beyond, so the binomial of equations
+    (10)-(11) stays stable for modules with many nets.  The surjection
+    counts and the b-recurrence of equation (2) are the test oracles
+    for {!Occupancy}. *)
 
 val log_factorial : int -> float
 (** [log_factorial n] = ln(n!).  Backed by an immutable table built at
@@ -56,23 +58,16 @@ val choose_int : int -> int -> int
 val surjections : int -> int -> float
 (** [surjections d i] counts the functions from a [d]-element set onto an
     [i]-element set (each of the [i] rows receives at least one of the [d]
-    components).  Computed by inclusion-exclusion. *)
-
-val surjections_row : int -> int -> float array
-(** [surjections_row d imax] is the flat row [|surjections d 0; ...;
-    surjections d imax|], so a distribution over [i = 1..imax] pays the
-    inclusion-exclusion sums once per row rather than once per call. *)
+    components).  Computed by inclusion-exclusion, whose alternating sum
+    loses all precision once [i] passes about 30; the estimator takes
+    its occupancy distribution from {!Occupancy}, and this stays as a
+    test oracle. *)
 
 val paper_b : k:int -> int -> float
 (** [paper_b ~k i] is the paper's b[i] recurrence (equation 2):
     b[1] = 1, b[i] = i^k - sum_{j=1}^{i-1} C(i,j) * b[j].
-    When [k >= i] this equals [surjections k i]. *)
-
-val paper_b_row : k:int -> int -> float array
-(** [paper_b_row ~k imax] is the recurrence row [b.(0..imax)]
-    ([b.(0) = 0.]); the recurrence is prefix-stable, so
-    [(paper_b_row ~k imax).(i) = paper_b ~k i] bit for bit for every
-    [1 <= i <= imax], at a third of the repeated-call cost. *)
+    When [k >= i] this equals [surjections k i].  It cancels like
+    {!surjections} and is kept as a test oracle too. *)
 
 val float_pow : float -> int -> float
 (** [float_pow x n] = x^n for n >= 0 by binary exponentiation. *)

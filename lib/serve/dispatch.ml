@@ -11,11 +11,11 @@
    recorded then, with no parse and no keying.  Otherwise it parses its
    HDL, then looks each module up in the estimate store
    ({!Mae_db.Cas}, owned here and nowhere else).  It makes one
-   {!Mae_engine.run_circuits_with_stats} call over the misses, or none
+   {!Mae_engine.run_circuits} call over the misses, or none
    when every module hit, at the engine's default [jobs = 1] on the
    daemon's one domain, and stores each computed result.  All of it
    runs inside the request's own [serve.request] span and request-id
-   scope, so its store and kernel-cache counts are its own.
+   scope, so its store counts are its own.
 
    Admission control lives at the front door: when the queued estimate
    count is at the watermark, a new estimate is answered 503 +
@@ -191,8 +191,6 @@ type prepared = {
   modules : int;
   modules_ok : int;
   rows_selected_total : int;
-  cache_hits : int;  (** kernel-cache traffic of this request's engine run *)
-  cache_misses : int;
   cached : bool;
       (** every module of this request was answered from the estimate
           store -- exact per request, from its own per-module lookups *)
@@ -211,18 +209,13 @@ let failure ?(server_error = false) msg =
     modules = 0;
     modules_ok = 0;
     rows_selected_total = 0;
-    cache_hits = 0;
-    cache_misses = 0;
     cached = false;
     indexed = false;
     server_error;
   }
 
-(* One request's results to the response fields.  [kernel] is the
-   kernel-cache traffic of its engine run, [(0, 0)] when every module
-   came from the store. *)
-let prepared_of_results ?(indexed = false) results ~cached
-    ~kernel:(cache_hits, cache_misses) =
+(* One request's results to the response fields. *)
+let prepared_of_results ?(indexed = false) results ~cached =
   let modules = List.length results in
   let modules_ok = List.length (List.filter Result.is_ok results) in
   (* a module that crashed its estimator is a server fault; a driver
@@ -254,8 +247,6 @@ let prepared_of_results ?(indexed = false) results ~cached
     modules;
     modules_ok;
     rows_selected_total = rows;
-    cache_hits;
-    cache_misses;
     cached;
     indexed;
     server_error = crashed;
@@ -369,8 +360,6 @@ let log_request ?(shed = false) job ~seq ~latency ~gc_s p =
       ("rows_selected", Log.Int p.rows_selected_total);
       ("latency_s", Log.Float latency);
       ("gc_s", Log.Float gc_s);
-      ("cache_hits", Log.Int p.cache_hits);
-      ("cache_misses", Log.Int p.cache_misses);
       ("cached", Log.Bool p.cached);
       ("indexed", Log.Bool p.indexed);
       ("bytes_in", Log.Int job.bytes);
@@ -468,13 +457,9 @@ let estimate_circuits t ~names ?methods circuits =
       (fun (c, l) -> match l with Hit _ -> None | Miss _ | Unkeyed -> Some c)
       (List.combine circuits lookups)
   in
-  let computed, kernel =
-    if pending = [] then ([], (0, 0))
-    else
-      let results, (stats : Mae_engine.stats) =
-        Mae_engine.run_circuits_with_stats ?methods ~registry pending
-      in
-      (results, (stats.cache_hits, stats.cache_misses))
+  let computed =
+    if pending = [] then []
+    else Mae_engine.run_circuits ?methods ~registry pending
   in
   let rec merge computed = function
     | [] -> []
@@ -496,8 +481,7 @@ let estimate_circuits t ~names ?methods circuits =
   in
   ( prepared_of_results
       (List.map (Result.map Mae.Driver.answer) results)
-      ~cached:(circuits <> [] && pending = [])
-      ~kernel,
+      ~cached:(circuits <> [] && pending = []),
     hits )
 
 (* The text index: a request's key is the digest of its HDL bytes, the
@@ -525,7 +509,7 @@ let from_index t key =
   |> Option.map (fun answers ->
          prepared_of_results ~indexed:true
            (List.map Result.ok answers)
-           ~cached:true ~kernel:(0, 0))
+           ~cached:true)
 
 (* One estimate request: the text index, else its own parse and its
    modules.  A request the full path answered wholly from the store is

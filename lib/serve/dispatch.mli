@@ -23,9 +23,8 @@
     parse, names an unknown process or method, or has a module error is
     never indexed.  The index lives in memory only, under the store's
     LRU cap ([--store-cap]).  A request answers [cached:true] exactly
-    when it has modules and every one hit; its access-log record carries
-    that run's kernel-cache counts and whether the index answered
-    ([indexed]).
+    when it has modules and every one hit; its access-log record says
+    whether the index answered ([indexed]).
 
     Admission control: at the queue-depth watermark a new estimate is
     answered 503 + Retry-After without estimation.  Shed requests

@@ -38,8 +38,8 @@
       telemetry).
 
     Every request emits one [serve.request] access-log record through
-    {!Mae_obs.Log} -- latency, rows selected, kernel-cache hit deltas
-    -- scoped to request id [r<seq>], and feeds the
+    {!Mae_obs.Log} -- latency, rows selected, store and index hits --
+    scoped to request id [r<seq>], and feeds the
     [mae_serve_request_seconds_summary] latency sketch (with the
     request id as exemplar).  SIGINT/SIGTERM stop the accept loop,
     drain request frames already received, emit a final

@@ -128,6 +128,17 @@ let test_harness_small_run_passes () =
       Alcotest.(check bool) (g.label ^ " reproduces") true g.ok)
     r.Harness.golden
 
+let test_harness_kernel_grids_pass () =
+  let kernels = Harness.run_kernels () in
+  Alcotest.(check (list string))
+    "kernel grids ran"
+    [ "kernel.span_ceil.paper"; "kernel.span_ceil.exact"; "kernel.feed_ceil" ]
+    (List.map (fun (k : Harness.cross_result) -> k.label) kernels);
+  List.iter
+    (fun (k : Harness.cross_result) ->
+      Alcotest.(check bool) (k.label ^ ": " ^ k.detail) true k.ok)
+    kernels
+
 let test_harness_deterministic () =
   let a = Harness.run small_config and b = Harness.run small_config in
   Alcotest.(check int) "same comparisons" a.Harness.comparisons
@@ -168,7 +179,7 @@ let test_harness_goldens_derive () =
 
 let test_harness_report_json_round_trips () =
   let r = Harness.run small_config in
-  let json = Harness.report_json small_config r in
+  let json = Harness.report_json small_config r ~kernels:[] in
   match Mae_obs.Json.parse (Mae_obs.Json.encode json) with
   | Error e -> Alcotest.failf "report does not parse: %s" e
   | Ok parsed ->
@@ -215,6 +226,8 @@ let () =
         [
           Alcotest.test_case "small run passes" `Slow
             test_harness_small_run_passes;
+          Alcotest.test_case "kernel grids pass" `Slow
+            test_harness_kernel_grids_pass;
           Alcotest.test_case "deterministic" `Slow test_harness_deterministic;
           Alcotest.test_case "config validation" `Quick
             test_harness_validates_config;

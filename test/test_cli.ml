@@ -32,6 +32,25 @@ let check_generate kind size () =
         Alcotest.failf "%s: expected one \"mae: ...\" line, got %S" kind err
   | code, _, err -> Alcotest.failf "%s: exit %d: %s" kind code err
 
+(* A 64-bit counter has a net of degree 64 (its clock) and a gate
+   array of 72 rows: a row-span kernel key far past where the
+   inclusion-exclusion sums cancelled into a negative weight. *)
+let check_wide_counter_estimates () =
+  let hdl = Filename.temp_file "mae_cli" ".hdl" in
+  Fun.protect ~finally:(fun () -> Sys.remove hdl) @@ fun () ->
+  (match run [ "generate"; "counter"; "--size"; "64" ] with
+  | 0, out, _ -> Out_channel.with_open_bin hdl (fun oc -> output_string oc out)
+  | code, _, err -> Alcotest.failf "generate: exit %d: %s" code err);
+  match run [ "estimate"; hdl ] with
+  | 0, out, _ ->
+      let gate_array =
+        List.filter
+          (fun l -> String.starts_with ~prefix:"gate-array:" (String.trim l))
+          (String.split_on_char '\n' out)
+      in
+      Alcotest.(check int) "one gate-array estimate" 1 (List.length gate_array)
+  | code, out, err -> Alcotest.failf "estimate: exit %d: %s%s" code out err
+
 let () =
   Alcotest.run "cli"
     [
@@ -45,4 +64,9 @@ let () =
                 (check_generate kind (Some "0"));
             ])
           kinds );
+      ( "estimate",
+        [
+          Alcotest.test_case "counter size 64 gate array estimates" `Quick
+            check_wide_counter_estimates;
+        ] );
     ]

@@ -44,6 +44,22 @@ let test_row_model_single_row () =
   Alcotest.(check int) "span 1" 1
     (Mae.Row_model.expected_span ~model:Mae.Config.Paper_model ~rows:1 ~degree:7)
 
+(* Past min(n, D) = 30 the old inclusion-exclusion sums cancelled:
+   the paper's model raised on a negative weight and the exact model
+   clamped the cancellation to 0 and rounded to the wrong integer.  The
+   true ceilings are those of n (1 - (1 - 1/n)^balls): 35 (1 - (34/35)^35)
+   = 22.31 and 155 (1 - (154/155)^32) = 28.94. *)
+let test_expected_span_wide_keys () =
+  Alcotest.(check int) "paper n=35 D=35" 23
+    (Mae.Row_model.expected_span ~model:Mae.Config.Paper_model ~rows:35
+       ~degree:35);
+  Alcotest.(check int) "exact n=155 D=32" 29
+    (Mae.Row_model.expected_span ~model:Mae.Config.Exact_occupancy ~rows:155
+       ~degree:32);
+  Alcotest.(check int) "exact n=35 D=200" 35
+    (Mae.Row_model.expected_span ~model:Mae.Config.Exact_occupancy ~rows:35
+       ~degree:200)
+
 let test_expected_span_monotone_in_degree () =
   let rows = 6 in
   let spans =
@@ -855,6 +871,7 @@ let () =
           Alcotest.test_case "single row" `Quick test_row_model_single_row;
           Alcotest.test_case "span monotone in D" `Quick
             test_expected_span_monotone_in_degree;
+          Alcotest.test_case "wide keys" `Quick test_expected_span_wide_keys;
           Alcotest.test_case "histogram tracks" `Quick test_tracks_for_histogram;
         ] );
       ( "feedthrough",

@@ -132,7 +132,6 @@ let test_jobs_validation () =
 
 let test_stats () =
   let batch = random_batch 8 in
-  Mae_prob.Kernel_cache.clear ();
   let results, stats =
     Mae_engine.run_circuits_with_stats ~jobs:2 ~registry batch
   in
@@ -144,10 +143,7 @@ let test_stats () =
     "ok counts the Ok slots" stats.Mae_engine.ok
     (List.length (List.filter Result.is_ok results));
   Alcotest.(check int) "jobs as requested" 2 stats.Mae_engine.jobs;
-  Alcotest.(check bool) "elapsed >= 0" true (stats.Mae_engine.elapsed_s >= 0.);
-  Alcotest.(check bool)
-    "repeated kernels hit the cache" true
-    (stats.Mae_engine.cache_hits > 0)
+  Alcotest.(check bool) "elapsed >= 0" true (stats.Mae_engine.elapsed_s >= 0.)
 
 (* [jobs] is the request; [per_domain] and the printed line are what
    ran.  Two circuits cannot keep four domains busy. *)

@@ -447,7 +447,6 @@ let clash_prop =
         regs)
 
 let test_metrics_match_engine () =
-  Mae_prob.Kernel_cache.clear ();
   let counter name =
     match Metrics.find_counter name with
     | Some c -> Metrics.counter_value c
@@ -464,19 +463,9 @@ let test_metrics_match_engine () =
   Alcotest.(check int) "ok = Ok slots"
     (List.length (List.filter Result.is_ok results))
     stats.Mae_engine.ok;
-  (* the cache was cleared, so batch deltas = cumulative counters *)
-  let cache = Mae_prob.Kernel_cache.stats () in
-  Alcotest.(check int) "cache hits via registry" cache.hits
-    (counter "mae_kernel_cache_hits_total");
-  Alcotest.(check int) "cache misses via registry" cache.misses
-    (counter "mae_kernel_cache_misses_total");
-  Alcotest.(check int) "engine stats cache hits" cache.hits
-    stats.Mae_engine.cache_hits;
   Alcotest.(check int) "per-domain counts sum to modules"
     stats.Mae_engine.modules
-    (Array.fold_left ( + ) 0 stats.Mae_engine.per_domain);
-  Alcotest.(check bool) "races never exceed misses" true
-    (cache.races <= cache.misses)
+    (Array.fold_left ( + ) 0 stats.Mae_engine.per_domain)
 
 (* Mae_obs.reset must empty the latency summaries, not only the
    counters: after a telemetry-on batch, the engine queue-wait, driver

@@ -153,168 +153,190 @@ let test_choose_table_domains () =
           b.(i) want)
     a
 
-(* Kernel_cache: a cache hit must equal a fresh computation, for both
-   kernels and across the whole (rows, degree) plane the estimators
-   touch. *)
+(* The row-span and feed-through kernels: E(i) (equation 3) is read
+   from Occupancy's lazily filled table, E(M) (equation 11) is one
+   integer division.  Each must equal the distribution it summarises. *)
+
+let fresh_span ~rows ~balls =
+  Dist.expectation_ceil (Occupancy.dist ~rows ~balls)
+
+let balls model ~rows ~degree =
+  match (model : Mae.Config.row_span_model) with
+  | Paper_model -> Stdlib.min rows degree
+  | Exact_occupancy -> degree
 
 let test_kernel_cache_matches_fresh () =
-  Kernel_cache.clear ();
-  Alcotest.(check bool) "cache enabled" true (Kernel_cache.enabled ());
   List.iter
     (fun (model, mname) ->
       for rows = 1 to 12 do
         for degree = 2 to 16 do
           let name = Printf.sprintf "%s span n=%d D=%d" mname rows degree in
-          let fresh =
-            Dist.expectation_ceil
-              (Kernel_cache.row_span_dist_uncached ~model ~rows ~degree)
-          in
-          (* first call fills the table, second call must hit it *)
-          let filled = Kernel_cache.expected_span ~model ~rows ~degree in
-          let hit = Kernel_cache.expected_span ~model ~rows ~degree in
+          let fresh = fresh_span ~rows ~balls:(balls model ~rows ~degree) in
+          (* first call fills the table, second call reads it *)
+          let filled = Mae.Row_model.expected_span ~model ~rows ~degree in
+          let hit = Mae.Row_model.expected_span ~model ~rows ~degree in
           Alcotest.(check int) (name ^ " E(i)") fresh filled;
           Alcotest.(check int) (name ^ " E(i) (hit)") fresh hit
         done
       done)
-    [ (Kernel_cache.Paper, "paper"); (Kernel_cache.Exact, "exact") ];
+    [ (Mae.Config.Paper_model, "paper"); (Mae.Config.Exact_occupancy, "exact") ];
   List.iter
     (fun net_count ->
       for rows = 1 to 12 do
         let name = Printf.sprintf "feed nets=%d n=%d" net_count rows in
-        let fresh =
-          Dist.expectation_ceil
-            (Kernel_cache.feed_through_dist_uncached ~net_count ~rows)
-        in
-        let filled = Kernel_cache.expected_feed_throughs ~net_count ~rows in
-        let hit = Kernel_cache.expected_feed_throughs ~net_count ~rows in
-        Alcotest.(check int) (name ^ " E(M)") fresh filled;
-        Alcotest.(check int) (name ^ " E(M) (hit)") fresh hit
+        Alcotest.(check int) (name ^ " E(M)")
+          (Dist.expectation_ceil
+             (Mae.Feedthrough.feed_through_dist ~net_count ~rows))
+          (Mae.Feedthrough.expected_feed_throughs ~net_count ~rows)
       done)
     [ 1; 5; 50; 200 ];
-  let s = Kernel_cache.stats () in
-  Alcotest.(check bool) "hits were recorded" true (s.hits > 0);
-  Alcotest.(check bool) "entries resident" true (s.entries > 0);
-  Kernel_cache.clear ();
-  let cleared = Kernel_cache.stats () in
-  Alcotest.(check int) "clear drops entries" 0 cleared.entries;
-  Alcotest.(check int) "clear resets hits" 0 cleared.hits
+  Alcotest.(check bool) "entries filled" true
+    (Occupancy.Table.filled Occupancy.table > 0)
 
-(* The tables keep integers, not distributions: 1000 distinct
-   feed-through keys over 20k-net modules (each a B(H, p) of H + 1
-   floats when built) must leave under 1 MiB live once collected. *)
+(* E(i) keeps one int per key inside the table's bound and nothing
+   outside it, and E(M) keeps nothing: 1000 distinct large keys of each
+   must leave under 1 MiB live once collected, and the table as it
+   was. *)
 let test_kernel_cache_retains_integers () =
-  Kernel_cache.clear ();
+  let filled = Occupancy.Table.filled Occupancy.table in
   Gc.full_major ();
   let before = (Gc.stat ()).live_words in
   for net_count = 20_000 to 20_199 do
     for rows = 10 to 14 do
-      ignore (Kernel_cache.expected_feed_throughs ~net_count ~rows)
+      ignore (Mae.Feedthrough.expected_feed_throughs ~net_count ~rows);
+      ignore
+        (Occupancy.expected_ceil ~rows:(Occupancy.bound + net_count - 20_000)
+           ~balls:rows)
     done
   done;
   Gc.full_major ();
   let grown = ((Gc.stat ()).live_words - before) * (Sys.word_size / 8) in
-  let entries = (Kernel_cache.stats ()).entries in
-  Kernel_cache.clear ();
   if grown >= 1 lsl 20 then
     Alcotest.failf "1000 keys kept %d live bytes (bound 1 MiB)" grown;
-  Alcotest.(check int) "1000 keys resident" 1000 entries
+  Alcotest.(check int) "table unchanged" filled
+    (Occupancy.Table.filled Occupancy.table)
 
-(* The locked tables under real contention: four domains hammer a
-   shared key plane (every insert raced) plus a private plane each
-   (uncontended inserts), checking every returned expectation against
-   the uncached reference.  Afterwards the accounting must add up
-   exactly: every lookup was either a hit or a miss, races are a
-   subset of misses, and the tables hold exactly the distinct keys
-   touched. *)
-let fresh_span model ~rows ~degree =
+(* A key on or past the bound in either coordinate is computed, not
+   kept; a key inside it is kept once. *)
+let test_table_bound () =
+  let t = Occupancy.Table.create () in
+  let b = Occupancy.bound in
+  List.iter
+    (fun (rows, balls) ->
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d balls=%d" rows balls)
+        (fresh_span ~rows ~balls)
+        (Occupancy.Table.expected_ceil t ~rows ~balls);
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d balls=%d not kept" rows balls)
+        0 (Occupancy.Table.filled t))
+    [ (b, 3); (640, 98); (5, b); (b + 1, b + 1) ];
+  ignore (Occupancy.Table.expected_ceil t ~rows:(b - 1) ~balls:(b - 1));
+  ignore (Occupancy.Table.expected_ceil t ~rows:(b - 1) ~balls:(b - 1));
+  Alcotest.(check int) "inside the bound, kept once" 1
+    (Occupancy.Table.filled t);
+  S.raises_invalid (fun () -> Occupancy.Table.expected_ceil t ~rows:0 ~balls:1);
+  S.raises_invalid (fun () -> Occupancy.Table.expected_ceil t ~rows:1 ~balls:0)
+
+(* The equation-(2) weights C(n,i) * b_k(i) (the paper's model) and
+   C(n,i) * surj(D,i) (the exact model) by inclusion-exclusion: the
+   path the recurrence replaced.  Their alternating sums cancel, so
+   they are an oracle only while min(n, D) <= 30. *)
+let old_span_ceil model ~rows ~degree =
+  let support = Stdlib.min rows degree in
+  let count i =
+    match (model : Mae.Config.row_span_model) with
+    | Paper_model -> Comb.paper_b ~k:support i
+    | Exact_occupancy -> Comb.surjections degree i
+  in
   Dist.expectation_ceil
-    (Kernel_cache.row_span_dist_uncached ~model ~rows ~degree)
+    (Dist.of_sorted_weights
+       ~outcomes:(Array.init support (fun j -> j + 1))
+       ~weights:
+         (Array.init support (fun j -> Comb.choose rows (j + 1) *. count (j + 1))))
 
-let test_kernel_cache_hammer () =
-  Kernel_cache.clear ();
+(* Seeded keys over the reachable range (rows past the table's bound,
+   as the gate array's row doubling reaches): the served ceiling is the
+   recurrence's, and equals the inclusion-exclusion path's wherever
+   that path is still exact. *)
+let test_table_matches_recurrence () =
+  let rng = S.rng 31 in
+  let old_checked = ref 0 in
+  for _ = 1 to 1500 do
+    let rows = 1 + Rng.int rng 200 and degree = 1 + Rng.int rng 100 in
+    List.iter
+      (fun model ->
+        let b = balls model ~rows ~degree in
+        let served = Mae.Row_model.expected_span ~model ~rows ~degree in
+        let name = Printf.sprintf "n=%d D=%d balls=%d" rows degree b in
+        Alcotest.(check int) (name ^ " recurrence") (fresh_span ~rows ~balls:b)
+          served;
+        if Stdlib.min rows degree <= 30 then begin
+          incr old_checked;
+          Alcotest.(check int) (name ^ " b-recurrence")
+            (old_span_ceil model ~rows ~degree)
+            served
+        end)
+      [ Mae.Config.Paper_model; Mae.Config.Exact_occupancy ]
+  done;
+  Alcotest.(check bool) "old path compared" true (!old_checked > 500)
+
+(* The lazily filled table under real contention: four domains read a
+   shared key plane (every fill raced) plus a private plane each,
+   checking every value against a fresh computation.  Afterwards the
+   table holds exactly the distinct keys touched. *)
+let test_table_hammer () =
+  let t = Occupancy.Table.create () in
   let passes = 20 in
-  let shared_rows = (2, 9) and shared_degs = (2, 5) in
+  let shared_rows = (2, 9) and shared_balls = (2, 5) in
   let work w () =
     let bad = ref 0 in
-    let check model ~rows ~degree =
-      let got = Kernel_cache.expected_span ~model ~rows ~degree in
-      if got <> fresh_span model ~rows ~degree then incr bad
+    let check ~rows ~balls =
+      if Occupancy.Table.expected_ceil t ~rows ~balls <> fresh_span ~rows ~balls
+      then incr bad
     in
     for _pass = 1 to passes do
-      (* shared plane: all four domains fight over these keys *)
       for rows = fst shared_rows to snd shared_rows do
-        for degree = fst shared_degs to snd shared_degs do
-          check Kernel_cache.Paper ~rows ~degree
+        for balls = fst shared_balls to snd shared_balls do
+          check ~rows ~balls
         done
       done;
-      (* private plane: rows disjoint per domain, never contended *)
-      for degree = 2 to 8 do
-        check Kernel_cache.Exact ~rows:(20 + w) ~degree
+      for balls = 2 to 8 do
+        check ~rows:(20 + w) ~balls
       done
     done;
     !bad
   in
   let domains = List.init 4 (fun w -> Domain.spawn (work w)) in
-  let bad_counts = List.map Domain.join domains in
   List.iteri
     (fun i bad ->
       Alcotest.(check int)
         (Printf.sprintf "domain %d saw only reference values" i)
         0 bad)
-    bad_counts;
+    (List.map Domain.join domains);
   let shared_keys =
     (snd shared_rows - fst shared_rows + 1)
-    * (snd shared_degs - fst shared_degs + 1)
+    * (snd shared_balls - fst shared_balls + 1)
   in
-  let private_keys = 4 * 7 in
-  let lookups = 4 * passes * (shared_keys + private_keys / 4) in
-  let s = Kernel_cache.stats () in
   Alcotest.(check int)
-    "every lookup was a hit or a miss" lookups (s.hits + s.misses);
-  Alcotest.(check bool)
-    "misses cover every distinct key" true
-    (s.misses >= shared_keys + private_keys);
-  Alcotest.(check bool) "races are a subset of misses" true
-    (s.races <= s.misses);
-  Alcotest.(check int)
-    "tables hold exactly the distinct keys" (shared_keys + private_keys)
-    s.entries
+    "table holds exactly the distinct keys"
+    (shared_keys + (4 * 7))
+    (Occupancy.Table.filled t)
 
-(* A live domain's hits reach [stats] as they happen: the domain never
-   misses, exits or flushes before the main domain reads them. *)
-let test_kernel_cache_live_domain_hits () =
-  Alcotest.(check bool) "cache enabled" true (Kernel_cache.enabled ());
-  let lookup () =
-    ignore
-      (Kernel_cache.expected_span ~model:Kernel_cache.Paper ~rows:6 ~degree:3)
-  in
-  lookup ();
-  let before = (Kernel_cache.stats ()).hits in
-  let finish =
-    S.live_domain (fun () ->
-        for _ = 1 to 5 do
-          lookup ()
-        done)
-  in
-  let hits = (Kernel_cache.stats ()).hits - before in
-  finish ();
-  Alcotest.(check int) "live domain's hits counted" 5 hits
-
-(* [clear] while four domains keep reading: no crash, no torn value --
-   only reference values ever come back, and once the dust settles a
-   final clear leaves empty tables. *)
+(* [clear] while four domains keep reading: only reference values ever
+   come back, and a final clear leaves an empty table. *)
 let test_kernel_cache_clear_under_load () =
-  Kernel_cache.clear ();
+  let t = Occupancy.Table.create () in
   let stop = Atomic.make false in
   let reader () =
     let bad = ref 0 in
     while not (Atomic.get stop) do
       for rows = 2 to 8 do
-        for degree = 2 to 5 do
-          let got =
-            Kernel_cache.expected_span ~model:Kernel_cache.Paper ~rows ~degree
-          in
-          if got <> fresh_span Kernel_cache.Paper ~rows ~degree then incr bad
+        for balls = 2 to 5 do
+          if
+            Occupancy.Table.expected_ceil t ~rows ~balls
+            <> fresh_span ~rows ~balls
+          then incr bad
         done
       done
     done;
@@ -322,7 +344,7 @@ let test_kernel_cache_clear_under_load () =
   in
   let domains = List.init 4 (fun _ -> Domain.spawn reader) in
   for _ = 1 to 100 do
-    Kernel_cache.clear ();
+    Occupancy.Table.clear t;
     Domain.cpu_relax ()
   done;
   Atomic.set stop true;
@@ -332,9 +354,9 @@ let test_kernel_cache_clear_under_load () =
         (Printf.sprintf "reader %d saw only reference values" i)
         0 (Domain.join bad))
     domains;
-  Kernel_cache.clear ();
-  let s = Kernel_cache.stats () in
-  Alcotest.(check int) "final clear leaves empty tables" 0 s.entries
+  Occupancy.Table.clear t;
+  Alcotest.(check int) "final clear leaves an empty table" 0
+    (Occupancy.Table.filled t)
 
 (* Rng *)
 
@@ -692,16 +714,17 @@ let () =
         ] );
       ( "kernel_cache",
         [
-          Alcotest.test_case "locked cache 4-domain hammer" `Slow
-            test_kernel_cache_hammer;
+          Alcotest.test_case "table 4-domain hammer" `Slow test_table_hammer;
           Alcotest.test_case "clear under concurrent lookups" `Slow
             test_kernel_cache_clear_under_load;
           Alcotest.test_case "cache hit = fresh computation" `Quick
             test_kernel_cache_matches_fresh;
-          Alcotest.test_case "live domain's hits counted at once" `Quick
-            test_kernel_cache_live_domain_hits;
+          Alcotest.test_case "key past the bound is not kept" `Quick
+            test_table_bound;
           Alcotest.test_case "1000 large keys retain under 1 MiB" `Quick
             test_kernel_cache_retains_integers;
+          Alcotest.test_case "table = recurrence = b-recurrence" `Quick
+            test_table_matches_recurrence;
         ] );
       ( "rng",
         [
