@@ -1,13 +1,16 @@
 (* Perf regression gate: re-measure the engine's throughput and
-   compare it against the most recent BENCH_history.jsonl entry from
-   the same host profile.  A drop of more than 20% in [seq] or
-   in the best parallel run fails the build.  So does a p99 GC pause
-   (the median over three passes) more than 50% above its baseline.
-   That check runs the best parallel run that fits the host (jobs at
-   most its recommended domain count), or [seq] when none does,
-   and its baseline is the median of that run's recorded p99 over the
-   last three same-host entries that carry one: a single invocation's
-   p99 is bimodal on a small shared host, so one entry is no baseline.
+   compare it against BENCH_history.jsonl entries from the same host
+   profile.  A drop of more than 20% in [seq] or in the best parallel
+   run fails the build.  So does a p99 GC pause (the median over three
+   passes) more than 50% above its baseline.  That check runs the best
+   parallel run that fits the host (jobs at most its recommended domain
+   count), or [seq] when none does.  Every baseline, throughput and
+   pause alike, is the median of that run's recorded figure over the
+   last three same-host entries that carry it: a single invocation's
+   figures are bimodal on a small shared host (parallel throughput
+   there reads 4 000 or 15 000 modules/s from one process to the next),
+   so one entry is no baseline.  The newest entry names the runs and
+   the workload size.
    An empty history, or one whose entries all come from other host
    profiles (recommended domain count), skips the gate with a logged
    reason -- numbers from another machine prove nothing about this
@@ -16,8 +19,9 @@
    Noise control on shared/virtualized runners: each configuration is
    measured three times in this one process and the median pass is
    compared.  The engine bench records every run as the median of the
-   same number of passes, so baseline and re-measurement are the same
-   statistic. *)
+   same number of passes, with the runtime lens off for throughput and
+   on for the p99 pause, as measured here, so baseline and
+   re-measurement are the same statistic. *)
 
 module Json = Mae_obs.Json
 
@@ -100,7 +104,8 @@ let run_of_json doc =
 
 (* [passes] runs of the workload, each from an empty E(i) table: each
    pass's modules/s and, while the runtime lens is on, that pass's own
-   p99 GC pause *)
+   p99 GC pause.  Throughput is read with the lens off and pauses with
+   it on, as bench/main.ml's [time_engine] records them. *)
 let measure ~jobs ~registry circuits =
   List.init passes (fun _ ->
       Mae_prob.Occupancy.Table.clear Mae_prob.Occupancy.table;
@@ -138,7 +143,7 @@ let () =
   in
   (* newest first; other machines' numbers are not a baseline here *)
   let host_entries = List.rev (List.filter same_host entries) in
-  (* the throughput baseline is the most recent entry alone *)
+  (* the newest entry names the runs and the workload size *)
   let entry =
     match host_entries with
     | [] ->
@@ -181,10 +186,31 @@ let () =
       None runs
   in
   let baseline_par = best_par (fun _ -> true) in
+  (* [field] of run [label] in the last three same-host entries that
+     carry it, newest first *)
+  let last_three label field =
+    List.filteri
+      (fun i _ -> i < 3)
+      (List.filter_map
+         (fun e ->
+           Option.bind (Option.bind (Json.member "runs" e) Json.to_list)
+             (List.find_map (fun r ->
+                  match run_of_json r with
+                  | Some r when String.equal r.label label -> field r
+                  | _ -> None)))
+         host_entries)
+  in
+  let baseline_mps label =
+    let recorded = last_three label (fun r -> Some r.mps) in
+    Printf.printf "bench-gate: %s baseline = median of %d entries (%s/s)\n"
+      label (List.length recorded)
+      (String.concat ", " (List.map (Printf.sprintf "%.0f") recorded));
+    median recorded
+  in
   let circuits = workload ~modules in
   let registry = Mae_tech.Registry.create () in
   Printf.printf
-    "bench-gate: %d modules vs last history entry (threshold %.0f%%)\n%!"
+    "bench-gate: %d modules vs same-host history (threshold %.0f%%)\n%!"
     modules
     (100. *. (1. -. threshold));
   let seq = median_mps (measure ~jobs:1 ~registry circuits) in
@@ -197,11 +223,11 @@ let () =
       (if ok then "ok" else "REGRESSION");
     verdicts := ok :: !verdicts
   in
-  check "seq" ~baseline:baseline_seq.mps ~current:seq;
+  check "seq" ~baseline:(baseline_mps "seq") ~current:seq;
   Option.iter
     (fun r ->
       let par = measure ~jobs:r.jobs ~registry circuits in
-      check r.label ~baseline:r.mps ~current:(median_mps par))
+      check r.label ~baseline:(baseline_mps r.label) ~current:(median_mps par))
     baseline_par;
   (* GC gate: re-run the best parallel run that fits this host
      (seq when none does) three times under the runtime lens,
@@ -213,17 +239,7 @@ let () =
   let gc_run =
     Option.value (best_par (fun r -> r.jobs <= here)) ~default:baseline_seq
   in
-  let recorded_p99s =
-    List.filter_map
-      (fun e ->
-        Option.bind (Option.bind (Json.member "runs" e) Json.to_list)
-          (List.find_map (fun r ->
-               match run_of_json r with
-               | Some r when String.equal r.label gc_run.label -> r.gc_p99
-               | _ -> None)))
-      host_entries
-  in
-  (match List.filteri (fun i _ -> i < 3) recorded_p99s with
+  (match last_three gc_run.label (fun r -> r.gc_p99) with
   | [] ->
       Printf.printf
         "bench-gate: gc check skipped (no same-host %s run has \

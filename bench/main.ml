@@ -915,8 +915,7 @@ type engine_run = {
   jobs : int;
   stats : Mae_engine.stats;
   gc_p99_s : float option;
-      (* median over the passes of each pass's own p99 pause; lens on
-         only *)
+      (* median over the lens-on passes of each pass's own p99 pause *)
   alloc_words_per_module : float option;
       (* minor words the calling domain allocated per module; jobs = 1
          only, where that domain does all the work *)
@@ -930,35 +929,50 @@ let passes = 3
 
 let median xs = List.nth (List.sort Float.compare xs) (List.length xs / 2)
 
+let engine_pass ~jobs ~registry circuits =
+  Mae_prob.Occupancy.Table.clear Mae_prob.Occupancy.table;
+  let w0 = Gc.minor_words () in
+  let run = Mae_engine.run_circuits_with_stats ~jobs ~registry circuits in
+  (run, Gc.minor_words () -. w0)
+
+(* One engine run's throughput: its median of [passes] passes, with the
+   runtime lens off, as bench_gate measures it.  The lens costs the
+   engine up to threefold on a 2-CPU host, so a throughput recorded
+   under it is no baseline for a gate that measures without it. *)
 let time_engine ~label ~jobs ~registry circuits =
-  let timed =
-    List.init passes (fun _ ->
-        Mae_prob.Occupancy.Table.clear Mae_prob.Occupancy.table;
-        let ((results, (stats : Mae_engine.stats)), words), p99 =
-          Bench_history.History.with_own_gc_p99 (fun () ->
-              let w0 = Gc.minor_words () in
-              let run =
-                Mae_engine.run_circuits_with_stats ~jobs ~registry circuits
-              in
-              (run, Gc.minor_words () -. w0))
-        in
-        ((results, stats, words), p99))
-  in
-  let results, stats, words =
-    let elapsed (_, (s : Mae_engine.stats), _) = s.elapsed_s in
+  let timed = List.init passes (fun _ -> engine_pass ~jobs ~registry circuits) in
+  let (results, (stats : Mae_engine.stats)), words =
+    let elapsed ((_, (s : Mae_engine.stats)), _) = s.elapsed_s in
     List.nth
-      (List.sort (fun a b -> Float.compare (elapsed a) (elapsed b)) (List.map fst timed))
+      (List.sort (fun a b -> Float.compare (elapsed a) (elapsed b)) timed)
       (passes / 2)
-  in
-  let gc_p99_s =
-    match List.filter_map snd timed with [] -> None | p99s -> Some (median p99s)
   in
   let alloc_words_per_module =
     if jobs = 1 && stats.modules > 0 then
       Some (words /. Float.of_int stats.modules)
     else None
   in
-  (results, { label; jobs; stats; gc_p99_s; alloc_words_per_module })
+  (results, { label; jobs; stats; gc_p99_s = None; alloc_words_per_module })
+
+(* The run's p99 GC pause: [passes] more passes, each reading its own
+   p99 from the runtime lens, which the caller has started.  Callers
+   take every throughput first and the pauses after, in bench_gate's
+   order: a process that has run the lens measures parallel throughput
+   differently from one that has not. *)
+let gc_pauses ~registry circuits run =
+  let p99s =
+    List.init passes (fun _ ->
+        snd
+          (Bench_history.History.with_own_gc_p99 (fun () ->
+               engine_pass ~jobs:run.jobs ~registry circuits)))
+  in
+  {
+    run with
+    gc_p99_s =
+      (match List.filter_map Fun.id p99s with
+      | [] -> None
+      | p99s -> Some (median p99s));
+  }
 
 let modules_per_s (r : engine_run) =
   if r.stats.elapsed_s > 0. then
@@ -1015,11 +1029,8 @@ let run_engine ~smoke () =
        modules);
   let circuits = engine_workload ~modules in
   let registry = Mae_tech.Registry.create () in
-  (* the runtime lens rides the whole bench so every run in the history
-     entry carries its own p99 pause next to its throughput ([time_engine]
-     zeroes the lens before each run); it does not require telemetry, so
-     the measured spans stay unchanged *)
-  ignore (Mae_obs.Runtime.start ());
+  (* every run in the history entry carries its throughput, lens off
+     ([time_engine]), and its own p99 pause, lens on ([gc_pauses]) *)
   let parallel_jobs = if smoke then [ 2 ] else [ 2; 4; 8 ] in
   let baseline_results, seq =
     time_engine ~label:"seq" ~jobs:1 ~registry circuits
@@ -1061,7 +1072,9 @@ let run_engine ~smoke () =
         run)
       parallel_jobs
   in
-  let runs = seq :: par_runs in
+  ignore (Mae_obs.Runtime.start ());
+  let runs = List.map (gc_pauses ~registry circuits) (seq :: par_runs) in
+  Mae_obs.Runtime.stop ();
   let t =
     Table.create
       ~columns:
@@ -1192,10 +1205,6 @@ let run_engine ~smoke () =
       retained_words_per_entry max_retained_words_per_entry;
     exit 1
   end;
-  (* drain the cursor so the history entry's gc object sees the run; its
-     pause fields cover what ran since the last per-run reset (the last
-     parallel run and the store passes) *)
-  Mae_obs.Runtime.stop ();
   (* one timestamped line per bench run, appended so the trajectory
      across commits survives BENCH_engine.json being overwritten *)
   let open Mae_obs.Json in
@@ -1240,10 +1249,10 @@ let run_engine ~smoke () =
     ]
 
 (* --gc-sweep: one row per jobs level -- throughput (the median
-   pass) with the runtime lens riding along, against the pooled GC pause
-   quantiles the lens observed during the run's last pass ([time_engine]
-   zeroes the lens before each pass).  Feeds the EXPERIMENTS.md "GC pauses
-   vs parallelism" table. *)
+   pass, lens off) against the pooled GC pause quantiles the lens
+   observed during the last of the passes under it ([gc_pauses] zeroes
+   the lens before each).  Feeds the EXPERIMENTS.md "GC pauses vs
+   parallelism" table. *)
 let run_gc_sweep ~smoke () =
   let modules = if smoke then 48 else 500 in
   section
@@ -1266,11 +1275,12 @@ let run_gc_sweep ~smoke () =
   in
   List.iter
     (fun jobs ->
-      ignore (Mae_obs.Runtime.start ());
       let _, run =
         time_engine ~label:(Printf.sprintf "gc%d" jobs) ~jobs ~registry
           circuits
       in
+      ignore (Mae_obs.Runtime.start ());
+      ignore (gc_pauses ~registry circuits run);
       Mae_obs.Runtime.stop ();
       let us = Printf.sprintf "%.0f" in
       let q p =

@@ -173,10 +173,16 @@ let print_report ~verbose ~explicit ~compare ~db_requested store
       | None -> ()
     end;
     if Option.is_some (Mae.Driver.fullcustom_exact report) then begin
-      let fc_circuit = Option.value report.expanded ~default:circuit in
+      let stats = Mae.Methodology.fullcustom_stats circuit process in
       Format.printf "%a@." Mae.Fullcustom.pp_ledger
-        (Mae.Fullcustom.ledger ~mode:Mae.Config.Exact_areas fc_circuit process)
-    end
+        (Mae.Fullcustom.ledger ~stats ~mode:Mae.Config.Exact_areas circuit process)
+    end;
+    match Mae.Driver.gatearray report with
+    | Some ga -> (
+        match Mae.Gatearray.ledger ~rows:ga.array_rows circuit process with
+        | Ok l -> Format.printf "%a@." Mae.Gatearray.pp_ledger l
+        | Error e -> Format.printf "gate-array breakdown unavailable: %s@." e)
+    | None -> ()
   end;
   match Mae_db.Record.of_report report with
   | Ok record -> Mae_db.Store.add store record
@@ -680,15 +686,11 @@ let run_check trials cases seed max_rows max_degree max_nets report_out
     | None -> ()
     | Some path ->
         or_die
-          (try
-             let oc = open_out path in
-             output_string oc
-               (Mae_obs.Json.encode
-                  (Mae_check.Harness.report_json config report ~kernels));
-             output_char oc '\n';
-             close_out oc;
-             Ok ()
-           with Sys_error msg -> Error msg);
+          (Mae_obs.Atomic_file.write_with ~path (fun oc ->
+               output_string oc
+                 (Mae_obs.Json.encode
+                    (Mae_check.Harness.report_json config report ~kernels));
+               output_char oc '\n'));
         Format.eprintf "check report written to %s@." path
   end;
   begin

@@ -29,11 +29,11 @@ let () =
           Format.printf "== %a ==@."
             Mae_netlist.Circuit.pp_summary r.circuit;
           begin
-            match r.expanded with
-            | Some tx ->
-                Format.printf "flattened for full-custom: %d transistors@."
-                  (Mae_netlist.Circuit.device_count tx)
-            | None -> ()
+            let stats = Mae_netlist.Stats.compute r.circuit r.process in
+            let fc = Mae.Methodology.fullcustom_stats ~stats r.circuit r.process in
+            if fc != stats then
+              Format.printf "flattened for full-custom: %d transistors@."
+                fc.Mae_netlist.Stats.device_count
           end;
           (* the default method set always carries these three results *)
           begin

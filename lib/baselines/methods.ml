@@ -27,25 +27,53 @@ let _naive =
               ctx.Methodology.process)))
 
 (* CHAMP needs training pairs; the paper fit its empirical formulas on
-   layout experiments.  We fit once, lazily, on the Table 1 bench
+   layout experiments.  We fit once, on first use, on the Table 1 bench
    circuits' exact full-custom estimates under the paper's nmos25
    process -- the closest thing the repo has to "numerous layout
    experiments". *)
-let champ_model =
-  lazy
-    (let process = Mae_tech.Builtin.nmos25 in
-     let pairs =
-       List.map
-         (fun (e : Mae_workload.Bench_circuits.entry) ->
-           let stats = Mae_netlist.Stats.compute e.circuit process in
-           let fc =
-             Fullcustom.estimate ~stats ~mode:Config.Exact_areas e.circuit
-               process
-           in
-           (stats.Mae_netlist.Stats.device_count, fc.Estimate.area))
-         (Mae_workload.Bench_circuits.table1 ())
-     in
-     Champ.fit pairs)
+let fit_champ () =
+  let process = Mae_tech.Builtin.nmos25 in
+  let pairs =
+    List.map
+      (fun (e : Mae_workload.Bench_circuits.entry) ->
+        let stats = Mae_netlist.Stats.compute e.circuit process in
+        let fc =
+          Fullcustom.estimate ~stats ~mode:Config.Exact_areas e.circuit process
+        in
+        (stats.Mae_netlist.Stats.device_count, fc.Estimate.area))
+      (Mae_workload.Bench_circuits.table1 ())
+  in
+  Champ.fit pairs
+
+(* Engine workers reach the first use from several domains at once,
+   and a [lazy] forced by a second domain while the first is still
+   fitting raises [CamlinternalLazy.Undefined].  One domain claims the
+   fit instead and the others spin until it is published (the fit takes
+   a fraction of a millisecond).  Nothing runs at start-up: the fit
+   would cost every process that never selects champ, and a mutex made
+   at module initialisation added about 0.1 ms to the 3 ms of
+   `mae --version` on a 2-vCPU x86-64 host. *)
+let champ_fit = Atomic.make None
+let champ_fitting = Atomic.make false
+
+let rec champ_model () =
+  match Atomic.get champ_fit with
+  | Some m -> m
+  | None ->
+      if Atomic.compare_and_set champ_fitting false true then begin
+        match fit_champ () with
+        | m ->
+            Atomic.set champ_fit (Some m);
+            m
+        | exception e ->
+            (* let a waiting domain try again *)
+            Atomic.set champ_fitting false;
+            raise e
+      end
+      else begin
+        Domain.cpu_relax ();
+        champ_model ()
+      end
 
 let _champ =
   Methodology.register ~name:"champ"
@@ -53,7 +81,7 @@ let _champ =
       "CHAMP-style power law area = a * devices^b, fit on the Table 1 bench \
        suite's exact full-custom estimates"
     (fun ctx (_ : Mae_netlist.Circuit.t) ->
-      match Lazy.force champ_model with
+      match champ_model () with
       | Error reason ->
           Error
             (Methodology.Unsupported

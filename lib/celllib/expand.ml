@@ -59,122 +59,206 @@ let mergeable (c : Mae_netlist.Circuit.t) =
         match Mae_netlist.Intern.find table name with -1 -> -1 | i -> index.(i))
   end
 
-(* Expanded nets are numbered with a counter, in the order their first
-   terminal is wired: a schematic net through [raw], a cell-private net
-   through the device's [slots], a rail through [vdd] / [gnd].  Built
-   names are distinct by the Cell.make rules, so none is looked up,
-   except against [mergeable]'s schematic nets: that keeps two names
-   that coincide (a schematic net [g1.n1] and device [g1]'s internal
-   [n1]) as one net. *)
+(* How many transistors the expansion has, and a bound on its nets:
+   every schematic net, both rails, and each device's private slots
+   past the pins it wires. *)
+let sizes (c : Mae_netlist.Circuit.t) wirings =
+  let tx_total = ref 0 and private_total = ref 0 in
+  Array.iteri
+    (fun di (w : Cell.wiring) ->
+      tx_total := !tx_total + Array.length w.tx_names;
+      private_total :=
+        !private_total + Cell.slot_count w
+        - min w.pin_count (Array.length c.devices.(di).pins))
+    wirings;
+  (!tx_total, Array.length c.nets + 2 + !private_total)
+
+(* The one terminal walk, shared by [circuit] and [stats].  Expanded
+   nets are numbered with a counter, in the order their first terminal
+   is wired: a schematic net through [raw], a cell-private net through
+   the device's [slots], a rail through [vdd] / [gnd]; then each port
+   net no transistor touched.  Built names are distinct by the Cell.make
+   rules, so none is looked up, except against [mergeable]'s schematic
+   nets: that keeps two names that coincide (a schematic net [g1.n1]
+   and device [g1]'s internal [n1]) as one net.
+
+   [transistor d w t drain gate source] is called for each transistor
+   in order, with the net of each terminal, or -1 for a rail left out
+   (unless [include_supplies], a rail terminal is no pin at all).  Net
+   [i]'s name goes to [names.(i)] when [names] is given; a private
+   net's name is built only then or when [mergeable] needs it.  Returns
+   the net count and each port's net. *)
+let walk ~include_supplies ?names (c : Mae_netlist.Circuit.t) wirings
+    ~transistor =
+  let open Mae_netlist in
+  let net_count = ref 0 in
+  let fresh name =
+    let i = !net_count in
+    (match names with Some names -> names.(i) <- name | None -> ());
+    net_count := i + 1;
+    i
+  in
+  let raw = Array.make (Array.length c.nets) (-1) in
+  let raw_net n =
+    if raw.(n) < 0 then raw.(n) <- fresh c.nets.(n).name;
+    raw.(n)
+  in
+  let merge = mergeable c in
+  let named = Option.is_some names || Option.is_some merge in
+  let built =
+    match merge with
+    | None -> fresh
+    | Some find -> (
+        fun name -> match find name with -1 -> fresh name | n -> raw_net n)
+  in
+  let vdd = ref (-1) and gnd = ref (-1) in
+  let rail r name =
+    if !r < 0 then r := built name;
+    !r
+  in
+  let slots =
+    Array.make
+      (Array.fold_left (fun m w -> max m (Cell.slot_count w)) 0 wirings)
+      (-1)
+  in
+  let resolve (d : Device.t) (w : Cell.wiring) code =
+    if code = Cell.vdd_terminal then
+      if include_supplies then rail vdd "vdd!" else -1
+    else if code = Cell.gnd_terminal then
+      if include_supplies then rail gnd "gnd!" else -1
+    else if code < w.pin_count && code < Array.length d.pins then
+      raw_net d.pins.(code)
+    else begin
+      if slots.(code) < 0 then
+        slots.(code) <-
+          built
+            (if not named then ""
+             else if code < w.pin_count then
+               (* The schematic gave fewer pins than the cell defines;
+                  the missing pin gets a fresh private net so
+                  estimation can proceed (as a layout tool would leave
+                  it floating). *)
+               dotted d.name ("unconnected" ^ string_of_int code)
+             else dotted d.name w.internal_nets.(code - w.pin_count));
+      slots.(code)
+    end
+  in
+  Array.iteri
+    (fun di (d : Device.t) ->
+      let w = wirings.(di) in
+      Array.fill slots 0 (Cell.slot_count w) (-1);
+      for t = 0 to Array.length w.tx_names - 1 do
+        let base = 3 * t in
+        (* drain, gate, source: the order nets are numbered in *)
+        let drain = resolve d w w.terminals.(base) in
+        let gate = resolve d w w.terminals.(base + 1) in
+        let source = resolve d w w.terminals.(base + 2) in
+        transistor di w t drain gate source
+      done)
+    c.devices;
+  let ports = Array.map (fun (p : Port.t) -> raw_net p.net) c.ports in
+  (!net_count, ports)
+
 let circuit ?(include_supplies = false) library (c : Mae_netlist.Circuit.t) =
   match wirings library c with
   | Error e -> Error e
   | Ok wirings ->
       let open Mae_netlist in
-      (* transistors, and private nets past the pins each device wires *)
-      let tx_total = ref 0 and private_total = ref 0 in
-      Array.iteri
-        (fun di (w : Cell.wiring) ->
-          tx_total := !tx_total + Array.length w.tx_names;
-          private_total :=
-            !private_total + Cell.slot_count w
-            - min w.pin_count (Array.length c.devices.(di).pins))
-        wirings;
-      let names = Array.make (Array.length c.nets + 2 + !private_total) "" in
-      let net_count = ref 0 in
-      let fresh name =
-        let i = !net_count in
-        names.(i) <- name;
-        net_count := i + 1;
-        i
-      in
-      let raw = Array.make (Array.length c.nets) (-1) in
-      let raw_net n =
-        if raw.(n) < 0 then raw.(n) <- fresh c.nets.(n).name;
-        raw.(n)
-      in
-      let built =
-        match mergeable c with
-        | None -> fresh
-        | Some find -> (
-            fun name -> match find name with -1 -> fresh name | n -> raw_net n)
-      in
-      let vdd = ref (-1) and gnd = ref (-1) in
-      let rail r name =
-        if !r < 0 then r := built name;
-        !r
-      in
-      let slots =
-        Array.make
-          (Array.fold_left (fun m w -> max m (Cell.slot_count w)) 0 wirings)
-          (-1)
-      in
-      let resolve (d : Device.t) (w : Cell.wiring) code =
-        if code = Cell.vdd_terminal then rail vdd "vdd!"
-        else if code = Cell.gnd_terminal then rail gnd "gnd!"
-        else if code < w.pin_count && code < Array.length d.pins then
-          raw_net d.pins.(code)
-        else begin
-          if slots.(code) < 0 then
-            slots.(code) <-
-              built
-                (if code < w.pin_count then
-                   (* The schematic gave fewer pins than the cell defines;
-                      the missing pin gets a fresh private net so
-                      estimation can proceed (as a layout tool would leave
-                      it floating). *)
-                   dotted d.name ("unconnected" ^ string_of_int code)
-                 else dotted d.name w.internal_nets.(code - w.pin_count));
-          slots.(code)
-        end
-      in
-      (* rails are left out of the result unless [include_supplies]:
-         a rail terminal is then no pin at all *)
-      let wired code = include_supplies || code >= 0 in
-      let devices = Array.make !tx_total no_device in
+      let tx_total, net_bound = sizes c wirings in
+      let names = Array.make net_bound "" in
+      let devices = Array.make tx_total no_device in
       let next = ref 0 in
-      Array.iteri
-        (fun di (d : Device.t) ->
-          let w = wirings.(di) in
-          Array.fill slots 0 (Cell.slot_count w) (-1);
-          for t = 0 to Array.length w.tx_names - 1 do
-            let base = 3 * t in
-            let kept = ref 0 in
-            for k = 0 to 2 do
-              if wired w.terminals.(base + k) then incr kept
-            done;
-            let pins = Array.make !kept 0 in
-            let p = ref 0 in
-            for k = 0 to 2 do
-              let code = w.terminals.(base + k) in
-              if wired code then begin
-                pins.(!p) <- resolve d w code;
-                incr p
-              end
-            done;
-            let index = !next in
-            next := index + 1;
-            devices.(index) <-
-              Device.make ~index ~name:(dotted d.name w.tx_names.(t))
-                ~kind:w.tx_kinds.(t) ~pins
-          done)
-        c.devices;
+      let transistor di (w : Cell.wiring) t drain gate source =
+        let kept =
+          Bool.to_int (drain >= 0) + Bool.to_int (gate >= 0)
+          + Bool.to_int (source >= 0)
+        in
+        let pins = Array.make kept 0 in
+        let p = ref 0 in
+        let put n =
+          if n >= 0 then begin
+            pins.(!p) <- n;
+            incr p
+          end
+        in
+        put drain;
+        put gate;
+        put source;
+        let index = !next in
+        next := index + 1;
+        devices.(index) <-
+          Device.make ~index
+            ~name:(dotted c.devices.(di).name w.tx_names.(t))
+            ~kind:w.tx_kinds.(t) ~pins
+      in
+      let net_count, port_nets =
+        walk ~include_supplies ~names c wirings ~transistor
+      in
       let ports =
-        Array.map
-          (fun (p : Port.t) ->
-            Port.make ~name:p.name ~direction:p.direction ~net:(raw_net p.net))
+        Array.mapi
+          (fun i (p : Port.t) ->
+            Port.make ~name:p.name ~direction:p.direction ~net:port_nets.(i))
           c.ports
       in
       (* filled in place, as [devices] is: [Array.init] from a young
          first net forces a minor collection once the array is too
          large for the minor heap *)
-      let nets = Array.make !net_count no_net in
-      for index = 0 to !net_count - 1 do
+      let nets = Array.make net_count no_net in
+      for index = 0 to net_count - 1 do
         nets.(index) <- Net.make ~index ~name:names.(index)
       done;
       Ok
         (Circuit.of_distinct_arrays ~name:(c.name ^ "_tx") ~technology:c.technology
            ~devices ~nets ~ports)
+
+(* [circuit]'s statistics without [circuit]: the same walk, with each
+   transistor's kind resolved (once per distinct kind string) and folded
+   into the statistics in transistor order, and each net's members
+   counted and their widths summed as they are first wired.  [last.(n)]
+   is the last transistor on net [n]: transistors come in index order,
+   so each net counts its distinct members in ascending order, as
+   [Circuit.devices_on_net] lists them. *)
+let stats library (c : Mae_netlist.Circuit.t) process =
+  match wirings library c with
+  | Error e -> Error e
+  | Ok wirings ->
+      let open Mae_netlist in
+      let _, net_bound = sizes c wirings in
+      let degrees = Array.make net_bound 0 in
+      let widths = Array.make net_bound 0. in
+      let last = Array.make net_bound (-1) in
+      let resolve = Stats.resolver process in
+      let tally = Stats.tally () in
+      let next = ref 0 in
+      let touch tx (k : Mae_tech.Device_kind.t) n =
+        if n >= 0 && last.(n) <> tx then begin
+          last.(n) <- tx;
+          degrees.(n) <- degrees.(n) + 1;
+          widths.(n) <- widths.(n) +. k.width
+        end
+      in
+      let transistor _ (w : Cell.wiring) t drain gate source =
+        let kind = w.tx_kinds.(t) in
+        let k =
+          match resolve kind with
+          | Some k -> k
+          | None -> raise (Stats.Unknown_kind kind)
+        in
+        Stats.add tally k;
+        let tx = !next in
+        next := tx + 1;
+        touch tx k drain;
+        touch tx k gate;
+        touch tx k source
+      in
+      let net_count, _ =
+        walk ~include_supplies:false c wirings ~transistor
+      in
+      Ok
+        (Stats.finish tally
+           ~net_degrees:(Array.sub degrees 0 net_count)
+           ~net_widths:(Array.sub widths 0 net_count)
+           ~port_count:(Array.length c.ports))
 
 let transistor_count library (c : Mae_netlist.Circuit.t) =
   let rec go acc i =

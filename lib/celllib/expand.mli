@@ -43,7 +43,24 @@ val circuit :
     when a private net or rail is first wired ([g1.n1] and instance
     [g1]'s internal net [n1] are one net, and so are a schematic net
     [vdd!] and the rail).  The result is built by
-    [Mae_netlist.Circuit.of_distinct_arrays]. *)
+    [Mae_netlist.Circuit.of_distinct_arrays].  The estimate path never
+    builds it: full-custom estimation reads {!stats}. *)
+
+val stats :
+  Library.t ->
+  Mae_netlist.Circuit.t ->
+  Mae_tech.Process.t ->
+  (Mae_netlist.Stats.t, error) result
+(** [Mae_netlist.Stats.compute (circuit library c) process], bit for bit
+    and per-net terms included, without building the expansion: one
+    walk over the devices' cell wirings numbers the nets as {!circuit}
+    does (the same function does both) and folds each transistor's kind
+    into the statistics in transistor order.  No transistor, net or
+    name is made, except a private net's name when the schematic has a
+    net it may merge with.  Supply rails are left out, as {!circuit}
+    leaves them by default.  Errors like {!circuit}; raises
+    [Mae_netlist.Stats.Unknown_kind] on the first transistor, in order,
+    whose kind the process does not define. *)
 
 val transistor_count : Library.t -> Mae_netlist.Circuit.t -> (int, error) result
 (** Total transistors the expansion would produce, without building it. *)

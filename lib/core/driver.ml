@@ -124,29 +124,19 @@ let run_circuit ?(methods = [ "default" ]) ~registry
               Error
                 (Validation_failed { module_name = circuit.name; issues = errors })
           | [] ->
-              let expanded, results =
+              let results =
                 match Methodology.make_ctx ~process circuit with
                 | Ok ctx ->
-                    (* make_ctx falls back to the raw circuit itself when
-                       nothing was expanded *)
-                    ( (if ctx.fc_circuit == circuit then None
-                       else Some ctx.fc_circuit),
-                      List.map
-                        (fun t ->
-                          {
-                            methodology = t;
-                            outcome = Methodology.run ctx t circuit;
-                          })
-                        selected )
+                    List.map
+                      (fun t ->
+                        { methodology = t; outcome = Methodology.run ctx t circuit })
+                      selected
                 | Error e ->
                     (* validation already refused unknown kinds; should the
                        context still fail, every slot reports it, typed *)
-                    ( None,
-                      List.map
-                        (fun t -> { methodology = t; outcome = Error e })
-                        selected )
+                    List.map (fun t -> { methodology = t; outcome = Error e }) selected
               in
-              let report = { circuit; process; issues; expanded; results } in
+              let report = { circuit; process; issues; expanded = None; results } in
               (* one structured record per module (debug level): which row
                  count the estimator selected and what it concluded -- the
                  per-module detail behind a serve access-log line. *)

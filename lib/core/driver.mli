@@ -17,11 +17,14 @@
     schematics are flattened through the technology's cell library when
     one exists ({!Mae_celllib.Cmos_lib.for_technology}); schematics that
     are already transistor-level (or whose technology has no library) are
-    estimated as-is.
+    estimated as-is.  The flattening is statistical: equation (13) needs
+    only the expansion's {!Mae_netlist.Stats.t}, which one walk over the
+    cell templates produces without building a transistor circuit.
 
     Every stage is instrumented with {!Mae_obs.Span}: with telemetry on,
     each module records a [driver.module] span nesting one span per
-    Figure-1 stage ([driver.validate], [driver.expand], [driver.stats])
+    Figure-1 stage ([driver.validate], [driver.stats], and
+    [driver.expand] for the expansion's statistics)
     plus one [method.<name>] span per selected methodology, and the
     front end records [driver.parse] / [driver.elaborate]; all carry a
     [module] attribute where applicable.  With telemetry off each stage
@@ -37,8 +40,10 @@ type module_report = {
   process : Mae_tech.Process.t;
   issues : Mae_netlist.Validate.issue list;  (** warnings only; errors abort *)
   expanded : Mae_netlist.Circuit.t option;
-      (** the transistor-level circuit used for full-custom estimation,
-          when expansion happened *)
+      (** always [None] from {!run_circuit}: full-custom estimation reads
+          the expansion's statistics ({!Methodology.fullcustom_stats})
+          and never builds it.  Kept only for callers that build a
+          report as a record literal (perfbench's replay) *)
   results : method_result list;
       (** one slot per selected methodology, in selection order *)
 }

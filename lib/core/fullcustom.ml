@@ -6,65 +6,76 @@ type net_area = {
 
 let half_rounded_up degree = (degree + 1) / 2
 
+(* The A_j of equation (13) for net [net], from the statistics alone. *)
+let interconnect_area (config : Config.t) (stats : Mae_netlist.Stats.t) ~mode
+    ~track net =
+  let degree = stats.net_degrees.(net) in
+  if degree <= 1 || (degree = 2 && config.two_component_free) then 0.
+  else begin
+    let mean_width =
+      match (mode : Config.device_area_mode) with
+      | Average_areas -> stats.average_width
+      | Exact_areas -> stats.net_widths.(net) /. Float.of_int degree
+    in
+    track *. (Float.of_int (half_rounded_up degree) *. mean_width)
+  end
+
 let net_areas ?(config = Config.default) ?stats ~mode circuit process =
   let stats = Mae_netlist.Stats.ensure ?stats circuit process in
-  (* local laziness only: the array is needed in [Exact_areas] mode alone
-     and never escapes this call, so there is no cross-domain sharing. *)
-  let widths = lazy (Mae_netlist.Stats.device_widths circuit process) in
   let track = process.Mae_tech.Process.track_pitch in
-  let area_of_net net =
-    let members = Mae_netlist.Circuit.devices_on_net circuit net in
-    let degree = Array.length members in
-    let free = degree <= 1 || (degree = 2 && config.Config.two_component_free) in
-    let interconnect_area =
-      if free then 0.
-      else begin
-        let mean_width =
-          match (mode : Config.device_area_mode) with
-          | Average_areas -> stats.average_width
-          | Exact_areas ->
-              let widths = Lazy.force widths in
-              Array.fold_left (fun acc d -> acc +. widths.(d)) 0. members
-              /. Float.of_int degree
-        in
-        let channel_length =
-          Float.of_int (half_rounded_up degree) *. mean_width
-        in
-        track *. channel_length
-      end
-    in
-    { net; degree; interconnect_area }
-  in
-  List.init (Mae_netlist.Circuit.net_count circuit) area_of_net
+  List.init (Array.length stats.net_degrees) (fun net ->
+      {
+        net;
+        degree = stats.net_degrees.(net);
+        interconnect_area = interconnect_area config stats ~mode ~track net;
+      })
 
-type ledger = { device_area : Mae_geom.Lambda.area; nets : net_area list }
+type ledger = {
+  device_area : Mae_geom.Lambda.area;
+  wire_area : Mae_geom.Lambda.area;
+  nets : net_area list;
+}
+
+let device_area (stats : Mae_netlist.Stats.t) ~mode =
+  if stats.device_count = 0 then
+    invalid_arg "Fullcustom.estimate: circuit has no devices"; (* invariant *)
+  match (mode : Config.device_area_mode) with
+  | Config.Exact_areas -> stats.total_device_area
+  | Config.Average_areas ->
+      Float.of_int stats.device_count *. stats.average_width
+      *. stats.average_height
+
+(* Equation (13)'s sum of the A_j, in net order.  [estimate] takes it
+   from here rather than from the ledger's list: building the list cost
+   serve-cold about a sixth of its throughput on one seed. *)
+let wire_area config (stats : Mae_netlist.Stats.t) ~mode ~track =
+  let sum = ref 0. in
+  for net = 0 to Array.length stats.net_degrees - 1 do
+    sum := !sum +. interconnect_area config stats ~mode ~track net
+  done;
+  !sum
 
 let ledger ?(config = Config.default) ?stats ~mode circuit process =
   let stats = Mae_netlist.Stats.ensure ?stats circuit process in
-  if stats.device_count = 0 then
-    invalid_arg "Fullcustom.estimate: circuit has no devices"; (* invariant *)
-  let device_area =
-    match (mode : Config.device_area_mode) with
-    | Config.Exact_areas -> stats.total_device_area
-    | Config.Average_areas ->
-        Float.of_int stats.device_count *. stats.average_width
-        *. stats.average_height
-  in
-  { device_area; nets = net_areas ~config ~stats ~mode circuit process }
-
-let wire_area l =
-  List.fold_left (fun acc n -> acc +. n.interconnect_area) 0. l.nets
+  let track = process.Mae_tech.Process.track_pitch in
+  {
+    device_area = device_area stats ~mode;
+    wire_area = wire_area config stats ~mode ~track;
+    nets = net_areas ~config ~stats ~mode circuit process;
+  }
 
 let estimate ?(config = Config.default) ?stats ~mode circuit process =
   let stats = Mae_netlist.Stats.ensure ?stats circuit process in
-  let l = ledger ~config ~stats ~mode circuit process in
-  let wire_area = wire_area l in
-  let area = l.device_area +. wire_area in
+  let device_area = device_area stats ~mode in
+  let wire_area =
+    wire_area config stats ~mode ~track:process.Mae_tech.Process.track_pitch
+  in
+  let area = device_area +. wire_area in
   let width, height, aspect_raw =
     Aspect_ratio.fullcustom ~area ~port_count:stats.port_count ~process
   in
   {
-    Estimate.device_area = l.device_area;
+    Estimate.device_area;
     wire_area;
     area;
     width;
@@ -87,7 +98,7 @@ let pp_ledger ppf l =
     (List.sort
        (fun a b -> Float.compare b.interconnect_area a.interconnect_area)
        charged);
-  Format.fprintf ppf "  wire area: %.0fL^2@]" (wire_area l)
+  Format.fprintf ppf "  wire area: %.0fL^2@]" l.wire_area
 
 let estimate_both ?config ?stats circuit process =
   let stats = Mae_netlist.Stats.ensure ?stats circuit process in

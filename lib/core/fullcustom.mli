@@ -23,12 +23,18 @@ val net_areas :
 (** Per-net interconnect areas, net index ascending.  In [Exact_areas]
     mode the half-row length uses the mean width of the devices actually
     on the net; in [Average_areas] mode it uses the module-wide W_avg.
-    [stats], when given, must be [Stats.compute circuit process].
-    Raises {!Mae_netlist.Stats.Unknown_kind}. *)
+    [stats], when given, must be [Stats.compute circuit process], or the
+    statistics of the circuit full-custom estimation runs on
+    ({!Methodology.ctx}[.fc_stats]); every term is then read from its
+    per-net fields, and [circuit] is not read.  Raises
+    {!Mae_netlist.Stats.Unknown_kind} when it computes [stats]. *)
 
 type ledger = {
   device_area : Mae_geom.Lambda.area;
       (** exact sum, or N * W_avg * h_avg in [Average_areas] mode *)
+  wire_area : Mae_geom.Lambda.area;
+      (** the [nets]' interconnect areas summed in net index order, as
+          {!estimate} sums them *)
   nets : net_area list;  (** {!net_areas}, net index ascending *)
 }
 
@@ -39,7 +45,8 @@ val ledger :
   Mae_netlist.Circuit.t ->
   Mae_tech.Process.t ->
   ledger
-(** Every equation (13) term.  Raises like {!estimate}. *)
+(** Every equation (13) term, from [stats] alone when given, as
+    {!net_areas}.  Raises like {!estimate}. *)
 
 val pp_ledger : Format.formatter -> ledger -> unit
 (** The breakdown behind [mae estimate --verbose]: the device area, the
@@ -53,8 +60,9 @@ val estimate :
   Mae_tech.Process.t ->
   Estimate.fullcustom
 (** Equation (13) plus the section 5 aspect-ratio algorithm: area =
-    the {!ledger}'s [device_area] plus its net areas, folded in net
-    index order.  Raises
+    the {!ledger}'s [device_area] plus its [wire_area], computed without
+    the ledger's list of nets.  Given [stats], it reads nothing else of
+    the circuit, as {!net_areas}.  Raises
     {!Mae_netlist.Stats.Unknown_kind} and [Invalid_argument] on an empty
     circuit. *)
 

@@ -100,54 +100,89 @@ let row_pitch params process =
   params.site_height
   +. (Float.of_int params.channel_tracks *. process.Mae_tech.Process.track_pitch)
 
+type ledger = {
+  params : params;
+  row_pitch : Mae_geom.Lambda.t;
+  classes : Row_model.track_class list;
+  tracks : int;
+  estimate : estimate;
+}
+
 (* The array at a given row count: its shape, and its routability via
    the paper's own track expectation (the shared statistics keep batch
-   runs from recomputing per method). *)
+   runs from recomputing per method), with every term that went in. *)
 let at_rows ~params ~stats ~demand ~sites process rows =
   let columns = (sites + rows - 1) / rows in
+  let row_pitch = row_pitch params process in
   let width = Float.of_int columns *. params.site_width in
-  let height = Float.of_int rows *. row_pitch params process in
-  let tracks =
-    Row_model.tracks_for_histogram ~model:Config.Paper_model ~rows
+  let height = Float.of_int rows *. row_pitch in
+  let classes =
+    Row_model.track_classes ~model:Config.Paper_model ~rows
       ~degree_histogram:stats.Mae_netlist.Stats.degree_histogram
+  in
+  let tracks =
+    List.fold_left (fun acc (c : Row_model.track_class) -> acc + c.tracks) 0 classes
   in
   let per_channel = Float.of_int tracks /. Float.of_int rows in
   {
-    gate_equivalents = demand;
-    sites;
-    array_rows = rows;
-    array_columns = columns;
-    width;
-    height;
-    area = width *. height;
-    aspect = Mae_geom.Aspect.make ~width ~height;
-    expected_tracks_per_channel = per_channel;
-    routable = per_channel <= Float.of_int params.channel_tracks;
+    params;
+    row_pitch;
+    classes;
+    tracks;
+    estimate =
+      {
+        gate_equivalents = demand;
+        sites;
+        array_rows = rows;
+        array_columns = columns;
+        width;
+        height;
+        area = width *. height;
+        aspect = Mae_geom.Aspect.make ~width ~height;
+        expected_tracks_per_channel = per_channel;
+        routable = per_channel <= Float.of_int params.channel_tracks;
+      };
   }
 
-let estimate ?params ?stats (circuit : Mae_netlist.Circuit.t) process =
+(* Sites demanded and provided, or why there are none. *)
+let sizing ~params circuit process =
+  match site_demand ~params circuit process with
+  | Error e -> Error e
+  | Ok 0 -> Error "circuit has no devices"
+  | Ok demand ->
+      let sites =
+        Stdlib.max 1
+          (Float.to_int (Float.ceil (Float.of_int demand /. params.utilization)))
+      in
+      Ok (demand, sites)
+
+let with_params params process f =
   let params =
     match params with Some p -> p | None -> default_params process
   in
-  match validate_params params with
+  match validate_params params with Error e -> Error e | Ok params -> f params
+
+let estimate ?params ?stats (circuit : Mae_netlist.Circuit.t) process =
+  with_params params process @@ fun params ->
+  match sizing ~params circuit process with
   | Error e -> Error e
-  | Ok params -> begin
-      match site_demand ~params circuit process with
-      | Error e -> Error e
-      | Ok 0 -> Error "circuit has no devices"
-      | Ok demand ->
-          let sites =
-            Stdlib.max 1
-              (Float.to_int
-                 (Float.ceil (Float.of_int demand /. params.utilization)))
-          in
-          let rows =
-            squarest_rows ~sites ~site_width:params.site_width
-              ~row_pitch:(row_pitch params process)
-          in
-          let stats = Mae_netlist.Stats.ensure ?stats circuit process in
-          Ok (at_rows ~params ~stats ~demand ~sites process rows)
-    end
+  | Ok (demand, sites) ->
+      let rows =
+        squarest_rows ~sites ~site_width:params.site_width
+          ~row_pitch:(row_pitch params process)
+      in
+      let stats = Mae_netlist.Stats.ensure ?stats circuit process in
+      Ok (at_rows ~params ~stats ~demand ~sites process rows).estimate
+
+let ledger ~rows (circuit : Mae_netlist.Circuit.t) process =
+  with_params None process @@ fun params ->
+  if rows < 1 then Error "rows must be >= 1"
+  else
+    match sizing ~params circuit process with
+    | Error e -> Error e
+    | Ok (demand, sites) ->
+        let stats = Mae_netlist.Stats.compute circuit process in
+        Ok (at_rows ~params ~stats ~demand ~sites process rows)
 
 let estimate_routable ?params ?stats ?(max_growth = 8) circuit process =
   let params =
@@ -159,8 +194,9 @@ let estimate_routable ?params ?stats ?(max_growth = 8) circuit process =
   | Ok base ->
       let rec grow rows budget =
         let candidate =
-          at_rows ~params ~stats ~demand:base.gate_equivalents ~sites:base.sites
-            process rows
+          (at_rows ~params ~stats ~demand:base.gate_equivalents ~sites:base.sites
+             process rows)
+            .estimate
         in
         if candidate.routable then Ok candidate
         else if budget = 0 then
@@ -176,3 +212,25 @@ let pp_estimate ppf e =
     e.gate_equivalents e.array_rows e.array_columns e.sites e.width e.height
     e.area Mae_geom.Aspect.pp e.aspect e.expected_tracks_per_channel
     (if e.routable then "routable" else "NOT routable")
+
+let pp_ledger ppf l =
+  let e = l.estimate and p = l.params in
+  Format.fprintf ppf "@[<v>gate-array breakdown at %d rows:@ " e.array_rows;
+  Format.fprintf ppf
+    "  %d gate equivalents at %g utilization -> %d sites (%d x %d array)@ "
+    e.gate_equivalents p.utilization e.sites e.array_rows e.array_columns;
+  List.iter
+    (fun (c : Row_model.track_class) ->
+      Format.fprintf ppf
+        "  %d nets of %d components: E(span) = %d -> %d tracks@ " c.net_count
+        c.degree c.expected_span c.tracks)
+    l.classes;
+  Format.fprintf ppf
+    "  total tracks: %d over %d channels = %.1f per channel (capacity %d: %s)@ "
+    l.tracks e.array_rows e.expected_tracks_per_channel p.channel_tracks
+    (if e.routable then "routable" else "NOT routable");
+  Format.fprintf ppf "  width  = %d columns x %.0fL sites = %.0fL@ "
+    e.array_columns p.site_width e.width;
+  Format.fprintf ppf
+    "  height = %d rows x %.0fL pitch (%.0fL site + %d tracks) = %.0fL@]"
+    e.array_rows l.row_pitch p.site_height p.channel_tracks e.height

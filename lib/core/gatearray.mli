@@ -72,4 +72,32 @@ val estimate_routable :
     [max_growth] (default 8) doublings of the row count.  Errors if no
     routable master exists within the growth budget. *)
 
+type ledger = {
+  params : params;
+  row_pitch : Mae_geom.Lambda.t;
+      (** site height plus the prediffused channel's tracks *)
+  classes : Row_model.track_class list;
+      (** equations (2)-(3) at the array's row count, one per degree D
+          with y_D > 0, D ascending *)
+  tracks : int;  (** the classes' tracks summed, over every channel *)
+  estimate : estimate;  (** what the terms above add up to *)
+}
+(** Every term behind an {!estimate} at one row count. *)
+
+val ledger :
+  rows:int ->
+  Mae_netlist.Circuit.t ->
+  Mae_tech.Process.t ->
+  (ledger, string) result
+(** The terms of the array at [rows] rows under {!default_params}: its
+    [estimate] is the one {!estimate} or {!estimate_routable} returns
+    with default params when it settles on [rows], bit for bit (both
+    build it through this function's sizing and row model).  Errors like
+    {!estimate}, and on [rows < 1]. *)
+
+val pp_ledger : Format.formatter -> ledger -> unit
+(** The breakdown behind [mae estimate --verbose]: sites, the track
+    classes, the per-channel demand against capacity, and the array's
+    width and height. *)
+
 val pp_estimate : Format.formatter -> estimate -> unit

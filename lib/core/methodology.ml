@@ -96,17 +96,30 @@ let all_transistors circuit process =
       | Some kind -> Mae_tech.Device_kind.is_transistor kind | None -> false)
     (Mae_netlist.Stats.device_kinds circuit process)
 
-let expand_for_fullcustom (circuit : Mae_netlist.Circuit.t) process =
+(* The library that flattens a gate-level circuit, [None] when the
+   circuit is already transistor-level or its technology has none. *)
+let flattening_library (circuit : Mae_netlist.Circuit.t) process =
   if all_transistors circuit process then None
-  else begin
-    match Mae_celllib.Cmos_lib.for_technology circuit.technology with
-    | None -> None
-    | Some library -> begin
-        match Mae_celllib.Expand.circuit library circuit with
-        | Ok expanded -> Some expanded
-        | Error (Mae_celllib.Expand.Unknown_cell _) -> None
-      end
-  end
+  else Mae_celllib.Cmos_lib.for_technology circuit.technology
+
+let expand_for_fullcustom circuit process =
+  match flattening_library circuit process with
+  | None -> None
+  | Some library -> begin
+      match Mae_celllib.Expand.circuit library circuit with
+      | Ok expanded -> Some expanded
+      | Error (Mae_celllib.Expand.Unknown_cell _) -> None
+    end
+
+let fullcustom_stats ?stats circuit process =
+  let stats () = Mae_netlist.Stats.ensure ?stats circuit process in
+  match flattening_library circuit process with
+  | None -> stats ()
+  | Some library -> begin
+      match Mae_celllib.Expand.stats library circuit process with
+      | Ok fc_stats -> fc_stats
+      | Error (Mae_celllib.Expand.Unknown_cell _) -> stats ()
+    end
 
 (* One Mae_obs span per Figure-1 stage, per module, which also times
    the stage into its latency summary (mae_driver_<stage>_seconds_summary)
@@ -157,24 +170,18 @@ let stats_stage = new_stage "driver.stats"
 let make_ctx ?rows_override ~process (circuit : Mae_netlist.Circuit.t) =
   let m = circuit.name in
   match
-    let expanded =
-      stage expand_stage ~module_name:m (fun () ->
-          expand_for_fullcustom circuit process)
-    in
-    let fc_circuit = Option.value expanded ~default:circuit in
     (* each circuit's statistics are computed once and shared across
-       the whole method set *)
-    let stats, fc_stats =
+       the whole method set; the expansion's come from the cell
+       templates, and the expansion itself is never built *)
+    let stats =
       stage stats_stage ~module_name:m (fun () ->
-          let stats = Mae_netlist.Stats.compute circuit process in
-          let fc_stats =
-            match expanded with
-            | None -> stats
-            | Some e -> Mae_netlist.Stats.compute e process
-          in
-          (stats, fc_stats))
+          Mae_netlist.Stats.compute circuit process)
     in
-    { config = None; process; stats; fc_circuit; fc_stats; rows_override }
+    let fc_stats =
+      stage expand_stage ~module_name:m (fun () ->
+          fullcustom_stats ~stats circuit process)
+    in
+    { config = None; process; stats; fc_circuit = circuit; fc_stats; rows_override }
   with
   | ctx -> Ok ctx
   | exception Mae_netlist.Stats.Unknown_kind k ->

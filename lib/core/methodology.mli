@@ -91,10 +91,14 @@ type ctx = {
   process : Mae_tech.Process.t;
   stats : Mae_netlist.Stats.t;  (** of the raw circuit *)
   fc_circuit : Mae_netlist.Circuit.t;
-      (** the transistor-level circuit full-custom estimation runs on:
-          the library expansion when one happened, the raw circuit
-          otherwise *)
-  fc_stats : Mae_netlist.Stats.t;  (** of [fc_circuit] *)
+      (** the circuit as given; {!make_ctx} always sets the module's own
+          circuit.  No estimator reads it: full-custom estimation reads
+          [fc_stats] alone.  The field stays for callers that build a
+          ctx by hand (perfbench's replay passes the explicit
+          expansion) *)
+  fc_stats : Mae_netlist.Stats.t;
+      (** the statistics full-custom estimation runs on: those of the
+          library expansion ({!fullcustom_stats}) *)
   rows_override : int option;
       (** force the standard-cell estimator to this row count (used by
           the check harness to re-derive the Table 2 golden rows); [None]
@@ -109,7 +113,22 @@ val expand_for_fullcustom :
   Mae_netlist.Circuit.t -> Mae_tech.Process.t -> Mae_netlist.Circuit.t option
 (** Flatten a gate-level schematic through its technology's cell library
     when one exists; [None] when the circuit is already transistor-level
-    or no library applies. *)
+    or no library applies (or has no template for one of its kinds).
+    The estimate path does not call it ({!fullcustom_stats} reads the
+    same statistics from the templates); it is kept for callers that
+    want the transistor-level circuit itself. *)
+
+val fullcustom_stats :
+  ?stats:Mae_netlist.Stats.t ->
+  Mae_netlist.Circuit.t ->
+  Mae_tech.Process.t ->
+  Mae_netlist.Stats.t
+(** The statistics full-custom estimation runs on, bit for bit
+    [Stats.compute] of {!expand_for_fullcustom}'s circuit, or of the
+    circuit itself where that is [None], without building the
+    expansion ({!Mae_celllib.Expand.stats}).  [stats], when given, must
+    be [Stats.compute circuit process]; it is returned itself (physically)
+    when nothing is expanded.  Raises {!Mae_netlist.Stats.Unknown_kind}. *)
 
 type stage
 (** One Figure-1 pipeline stage: its span name and its latency summary
@@ -131,13 +150,14 @@ val make_ctx :
   process:Mae_tech.Process.t ->
   Mae_netlist.Circuit.t ->
   (ctx, error) result
-(** Expand one circuit for full-custom estimation, then compute the
-    statistics of the raw and the expanded circuit, timed as the
-    [driver.expand] and [driver.stats] {!stage}s.  This is the one place
-    a [ctx] is built: {!Driver.run_circuit} and the check harness both
-    call it.  [fc_circuit] is the circuit itself (physically) when
-    nothing was expanded.  Returns [Invalid_input] on an unknown device
-    kind instead of raising. *)
+(** Compute the statistics of the raw circuit, then those of its
+    transistor-level expansion ({!fullcustom_stats}), timed as the
+    [driver.stats] and [driver.expand] {!stage}s.  No expansion is
+    built.  This is the one place a [ctx] is built: {!Driver.run_circuit}
+    and the check harness both call it.  [fc_circuit] is the circuit
+    itself (physically), and [fc_stats] is [stats] itself when nothing
+    is expanded.  Returns [Invalid_input] on an unknown device kind
+    instead of raising. *)
 
 (** {1 The registry} *)
 

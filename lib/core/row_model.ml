@@ -33,9 +33,3 @@ let track_classes ~model ~rows ~degree_histogram =
         Some { degree; net_count; expected_span; tracks = net_count * expected_span }
       end)
     degree_histogram
-
-let tracks_for_histogram ~model ~rows ~degree_histogram =
-  List.fold_left
-    (fun acc c -> acc + c.tracks)
-    0
-    (track_classes ~model ~rows ~degree_histogram)

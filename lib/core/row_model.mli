@@ -44,9 +44,3 @@ val track_classes :
 (** One class per histogram entry with [y_D > 0], in histogram order.
     Raises [Invalid_argument] on a negative count or non-positive
     degree. *)
-
-val tracks_for_histogram :
-  model:Config.row_span_model -> rows:int -> degree_histogram:(int * int) list -> int
-(** Expected total track count for the module: the sum of the
-    {!track_classes}' tracks (the paper's "expectation value of the
-    total number of tracks"). *)

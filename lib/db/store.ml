@@ -166,11 +166,7 @@ let of_string text =
   in
   go 1 lines
 
-let save t ~path =
-  match Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (to_string t)) with
-  | () -> Ok ()
-  | exception Sys_error msg -> Error msg
+let save t ~path = Mae_obs.Atomic_file.write ~path (to_string t)
 
 let load ~path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -24,5 +24,7 @@ val of_string : string -> (t, string) result
 (** Parses what {!to_string} produces. *)
 
 val save : t -> path:string -> (unit, string) result
+(** {!to_string} into [path], replaced whole: a save cut short leaves
+    the old snapshot as it was ({!Mae_obs.Atomic_file}). *)
 
 val load : path:string -> (t, string) result

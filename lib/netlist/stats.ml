@@ -10,18 +10,17 @@ type t = {
   total_device_area : Mae_geom.Lambda.area;
   degree_histogram : (int * int) list;
   max_degree : int;
+  net_degrees : int array;
+  net_widths : Mae_geom.Lambda.t array;
 }
 
 (* Each distinct kind string goes to [Process.find_device] once per
-   call: [names] / [kinds] hold the kinds found so far, at most one
+   resolver: [names] / [kinds] hold the kinds found so far, at most one
    entry per kind the process defines, matched by physical equality
-   first (a circuit's devices share their kind strings) and then by
-   [String.equal].  An unknown kind is not kept, so hostile kind strings
-   cannot grow the scan.  The result starts as [None]s and is filled in
-   place: [Array.map] would start it from a young [Some], and an array
-   too large for the minor heap made from a young value forces a minor
-   collection. *)
-let device_kinds (c : Circuit.t) (process : Mae_tech.Process.t) =
+   first (a circuit's devices, and a cell's transistors, share their
+   kind strings) and then by [String.equal].  An unknown kind is not
+   kept, so hostile kind strings cannot grow the scan. *)
+let resolver (process : Mae_tech.Process.t) =
   let capacity = Array.length process.device_index in
   let names = Array.make capacity "" and kinds = Array.make capacity None in
   let known = ref 0 in
@@ -33,7 +32,7 @@ let device_kinds (c : Circuit.t) (process : Mae_tech.Process.t) =
     else if String.equal names.(i) s then i
     else equal s (i + 1)
   in
-  let resolve s =
+  fun s ->
     let i = match same s 0 with -1 -> equal s 0 | i -> i in
     if i >= 0 then kinds.(i)
     else begin
@@ -45,7 +44,12 @@ let device_kinds (c : Circuit.t) (process : Mae_tech.Process.t) =
           incr known;
           k
     end
-  in
+
+(* The result starts as [None]s and is filled in place: [Array.map]
+   would start it from a young [Some], and an array too large for the
+   minor heap made from a young value forces a minor collection. *)
+let device_kinds (c : Circuit.t) process =
+  let resolve = resolver process in
   let devices = c.devices in
   let out = Array.make (Array.length devices) None in
   for i = 0 to Array.length devices - 1 do
@@ -62,6 +66,34 @@ let device_widths c process =
   let kinds = device_kinds c process in
   Array.init (Array.length kinds) (fun i -> (kind_exn c kinds i).width)
 
+(* Devices share a handful of kind records, so widths are tallied per
+   kind (physical equality) rather than sorting one float per device,
+   and the degree histogram is a counting sort over net degrees.  The
+   three sums sit in a float array, so adding to them allocates
+   nothing.  Every float fold runs in device order, so the results are
+   bit-for-bit what the straightforward sort-and-group produced. *)
+type tally = {
+  sums : float array;  (* width, height, area *)
+  mutable devices : int;
+  mutable classes : (Mae_tech.Device_kind.t * int ref) list;
+      (* distinct kind records in first-seen order; a process defines
+         ~10, so a physical-equality scan beats any hashing *)
+}
+
+let tally () = { sums = Array.make 3 0.; devices = 0; classes = [] }
+
+let rec count_class t k = function
+  | (k', r) :: rest -> if k' == k then incr r else count_class t k rest
+  | [] -> t.classes <- (k, ref 1) :: t.classes
+
+let add t (k : Mae_tech.Device_kind.t) =
+  let s = t.sums in
+  s.(0) <- s.(0) +. k.width;
+  s.(1) <- s.(1) +. k.height;
+  s.(2) <- s.(2) +. Mae_tech.Device_kind.area k;
+  t.devices <- t.devices + 1;
+  count_class t k t.classes
+
 (* Merge adjacent width classes that share a width: distinct kind
    records may still carry equal widths, and the histogram is keyed by
    the width value. *)
@@ -71,72 +103,55 @@ let rec merge_equal_widths = function
   | p :: rest -> p :: merge_equal_widths rest
   | [] -> []
 
-let compute (c : Circuit.t) process =
-  (* This runs twice per module (original and transistor-expanded
-     circuit) on the driver's hot path.  Devices share a handful of
-     kind records, so widths are tallied per kind (physical equality)
-     rather than sorting one float per device, and the degree histogram
-     is a counting sort over net degrees.  Every float fold stays in
-     device order, so the results are bit-for-bit what the
-     straightforward sort-and-group produced. *)
-  let kinds = device_kinds c process in
-  let n = Array.length kinds in
-  let total_width = ref 0. in
-  let total_height = ref 0. in
-  let total_device_area = ref 0. in
-  (* distinct kind records in first-seen order; a process defines ~10,
-     so a physical-equality scan beats any hashing *)
-  let uniq : (Mae_tech.Device_kind.t * int ref) list ref = ref [] in
-  for i = 0 to n - 1 do
-    let k = kind_exn c kinds i in
-    total_width := !total_width +. k.Mae_tech.Device_kind.width;
-    total_height := !total_height +. k.Mae_tech.Device_kind.height;
-    total_device_area := !total_device_area +. Mae_tech.Device_kind.area k;
-    match List.find_opt (fun (k', _) -> k' == k) !uniq with
-    | Some (_, r) -> incr r
-    | None -> uniq := (k, ref 1) :: !uniq
-  done;
+let finish t ~net_degrees ~net_widths ~port_count =
+  let n = t.devices in
   let width_classes =
-    List.map
-      (fun ((k : Mae_tech.Device_kind.t), r) -> (k.width, !r))
-      !uniq
+    List.map (fun ((k : Mae_tech.Device_kind.t), r) -> (k.width, !r)) t.classes
     |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
     |> merge_equal_widths
   in
-  let average_width = if n = 0 then 0. else !total_width /. Float.of_int n in
-  let average_height = if n = 0 then 0. else !total_height /. Float.of_int n in
-  let net_count = Circuit.net_count c in
-  let max_degree = ref 0 in
-  let degs = Array.make (Stdlib.max 1 net_count) 0 in
-  for i = 0 to net_count - 1 do
-    let d = Circuit.degree c i in
-    Array.unsafe_set degs i d;
-    if d > !max_degree then max_degree := d
-  done;
-  let counts = Array.make (!max_degree + 1) 0 in
-  for i = 0 to net_count - 1 do
-    let d = Array.unsafe_get degs i in
-    counts.(d) <- counts.(d) + 1
-  done;
+  let mean i = if n = 0 then 0. else t.sums.(i) /. Float.of_int n in
+  let max_degree = Array.fold_left Stdlib.max 0 net_degrees in
+  let counts = Array.make (max_degree + 1) 0 in
+  Array.iter (fun d -> counts.(d) <- counts.(d) + 1) net_degrees;
   let degree_histogram = ref [] in
-  for d = !max_degree downto 1 do
+  for d = max_degree downto 1 do
     if counts.(d) > 0 then
       degree_histogram := (d, counts.(d)) :: !degree_histogram
   done;
-  let degree_histogram = !degree_histogram in
-  let max_degree = !max_degree in
-  let total_device_area = !total_device_area in
   {
     device_count = n;
-    net_count;
-    port_count = Circuit.port_count c;
+    net_count = Array.length net_degrees;
+    port_count;
     width_classes;
-    average_width;
-    average_height;
-    total_device_area;
-    degree_histogram;
+    average_width = mean 0;
+    average_height = mean 1;
+    total_device_area = t.sums.(2);
+    degree_histogram = !degree_histogram;
     max_degree;
+    net_degrees;
+    net_widths;
   }
+
+let compute (c : Circuit.t) process =
+  let kinds = device_kinds c process in
+  let t = tally () in
+  for i = 0 to Array.length kinds - 1 do
+    add t (kind_exn c kinds i)
+  done;
+  let net_count = Circuit.net_count c in
+  let net_degrees = Array.make net_count 0 in
+  let net_widths = Array.make net_count 0. in
+  for i = 0 to net_count - 1 do
+    let members = c.net_devices.(i) in
+    net_degrees.(i) <- Array.length members;
+    let sum = ref 0. in
+    for j = 0 to Array.length members - 1 do
+      sum := !sum +. (kind_exn c kinds members.(j)).width
+    done;
+    net_widths.(i) <- !sum
+  done;
+  finish t ~net_degrees ~net_widths ~port_count:(Circuit.port_count c)
 
 let ensure ?stats c process =
   match stats with Some s -> s | None -> compute c process

@@ -27,6 +27,9 @@
      pressure per domain (summaries on /metrics, gc.* spans in
      traces, GET /runtimez), with {!Procstat} process gauges from
      /proc.  Explicitly started; a single atomic check when off.
+   - {!Atomic_file}: every output file (traces, metrics dumps, the
+     estimate snapshot, the check report) is written to a temporary
+     file and renamed over the old one, so a cut never truncates it.
    - {!Control} (re-exported below): the single [enabled] flag.  With
      telemetry off, every instrumented code path costs one atomic
      read -- the @obs-smoke bench holds the pipeline to that.
@@ -46,6 +49,7 @@ module Json = Json
 module Log = Log
 module Runtime = Runtime
 module Procstat = Procstat
+module Atomic_file = Atomic_file
 
 let enabled = Control.enabled
 let set_enabled = Control.set_enabled

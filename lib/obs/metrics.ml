@@ -380,14 +380,5 @@ let to_json () =
     (fields !counters) (fields !gauges)
     (Json.encode (Json.Object (List.rev !summaries)))
 
-let write_file ~path contents =
-  match open_out path with
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc contents);
-      Ok ()
-  | exception Sys_error msg -> Error msg
-
-let write_prometheus ~path = write_file ~path (to_prometheus ())
-let write_json ~path = write_file ~path (to_json ())
+let write_prometheus ~path = Atomic_file.write ~path (to_prometheus ())
+let write_json ~path = Atomic_file.write ~path (to_json ())

@@ -87,3 +87,5 @@ val to_json : unit -> string
 
 val write_prometheus : path:string -> (unit, string) result
 val write_json : path:string -> (unit, string) result
+(** {!to_prometheus} / {!to_json} into [path], replaced whole
+    ({!Atomic_file}). *)

@@ -75,14 +75,7 @@ let to_chrome_string () =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-let write_chrome ~path =
-  match open_out path with
-  | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (to_chrome_string ()));
-      Ok ()
-  | exception Sys_error msg -> Error msg
+let write_chrome ~path = Atomic_file.write ~path (to_chrome_string ())
 
 (* --- flame summary --- *)
 

@@ -13,6 +13,7 @@ val to_chrome_string : unit -> string
     [chrome://tracing] or Perfetto. *)
 
 val write_chrome : path:string -> (unit, string) result
+(** {!to_chrome_string} into [path], replaced whole ({!Atomic_file}). *)
 
 type flame_row = {
   span_name : string;

@@ -86,3 +86,95 @@ let live_domain work =
   fun () ->
     Atomic.set release true;
     Domain.join d
+
+(* Every field of a Stats.t, floats as Int64 bits, per-net arrays
+   included: comparable data whose mismatch names its field. *)
+let stats_fields (s : Mae_netlist.Stats.t) =
+  let bits f = Int64.to_string (Int64.bits_of_float f) in
+  let ints a = String.concat "," (List.map string_of_int a) in
+  let pairs f l = String.concat ";" (List.map f l) in
+  [
+    ("device_count", string_of_int s.device_count);
+    ("net_count", string_of_int s.net_count);
+    ("port_count", string_of_int s.port_count);
+    ( "width_classes",
+      pairs (fun (w, x) -> bits w ^ "x" ^ string_of_int x) s.width_classes );
+    ("average_width", bits s.average_width);
+    ("average_height", bits s.average_height);
+    ("total_device_area", bits s.total_device_area);
+    ( "degree_histogram",
+      pairs (fun (d, y) -> string_of_int d ^ "x" ^ string_of_int y)
+        s.degree_histogram );
+    ("max_degree", string_of_int s.max_degree);
+    ("net_degrees", ints (Array.to_list s.net_degrees));
+    ("net_widths", String.concat "," (Array.to_list (Array.map bits s.net_widths)));
+  ]
+
+let fullcustom_bits (e : Mae.Estimate.fullcustom) =
+  List.map Int64.bits_of_float
+    [ e.device_area; e.wire_area; e.area; e.width; e.height;
+      Mae_geom.Aspect.ratio e.aspect_raw; Mae_geom.Aspect.ratio e.aspect ]
+
+(* What full-custom estimation reads of a circuit's expansion: its
+   statistics, both modes' estimates as bits, and the --verbose ledger
+   text, or the error that stops it. *)
+let fullcustom_view stats c process =
+  match stats () with
+  | exception Mae_netlist.Stats.Unknown_kind k -> Error ("unknown kind " ^ k)
+  | Error e -> Error (Format.asprintf "%a" Mae_celllib.Expand.pp_error e)
+  | Ok (s : Mae_netlist.Stats.t) ->
+      let estimates =
+        if s.device_count = 0 then []
+        else
+          List.concat_map
+            (fun mode ->
+              fullcustom_bits (Mae.Fullcustom.estimate ~stats:s ~mode c process))
+            [ Mae.Config.Exact_areas; Mae.Config.Average_areas ]
+      in
+      let ledger =
+        if s.device_count = 0 then ""
+        else
+          Format.asprintf "%a" Mae.Fullcustom.pp_ledger
+            (Mae.Fullcustom.ledger ~stats:s ~mode:Mae.Config.Exact_areas c process)
+      in
+      Ok (stats_fields s, estimates, ledger)
+
+(* The expansion walk ([Expand.stats]) against [Stats.compute] of the
+   built expansion ([Expand.circuit]): the same statistics field by
+   field, the same estimates and ledger, or the same error.  Returns the
+   first differing part, [None] when they agree. *)
+let walk_disagreement library (c : Mae_netlist.Circuit.t) process =
+  let walked =
+    fullcustom_view (fun () -> Mae_celllib.Expand.stats library c process) c process
+  in
+  let built =
+    match Mae_celllib.Expand.circuit library c with
+    | Error e -> fullcustom_view (fun () -> Error e) c process
+    | Ok tx ->
+        fullcustom_view (fun () -> Ok (Mae_netlist.Stats.compute tx process)) tx
+          process
+  in
+  match (walked, built) with
+  | Error a, Error b when String.equal a b -> None
+  | Ok (fa, ea, la), Ok (fb, eb, lb) -> (
+      match List.find_opt (fun (k, v) -> List.assoc k fb <> v) fa with
+      | Some (k, _) -> Some k
+      | None ->
+          if ea <> eb then Some "estimates"
+          else if not (String.equal la lb) then Some "ledger"
+          else None)
+  | Error a, Error b -> Some (Printf.sprintf "errors %s / %s" a b)
+  | Error a, Ok _ -> Some ("walk failed: " ^ a)
+  | Ok _, Error b -> Some ("expansion failed: " ^ b)
+
+let walk_agrees library c process = walk_disagreement library c process = None
+
+let check_walk library (c : Mae_netlist.Circuit.t) process =
+  match walk_disagreement library c process with
+  | None -> ()
+  | Some what -> Alcotest.failf "%s: walk and expansion differ in %s" c.name what
+
+(* The process a cell library's transistors are defined in. *)
+let library_process library =
+  if library == Mae_celllib.Nmos_lib.library then Mae_tech.Builtin.nmos25
+  else Mae_tech.Builtin.cmos20

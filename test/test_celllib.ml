@@ -219,6 +219,58 @@ let test_expand_checked_on_generators () =
         [ false; true ])
     generator_circuits
 
+(* Differential: the statistics walk ([Expand.stats]) against
+   [Stats.compute] of the built expansion: every field as Int64 bits,
+   per-net arrays included, both full-custom modes and the --verbose
+   ledger text, or the same error.  Under the library's own process,
+   and under the other one, where a template's transistor kind is
+   unknown. *)
+let test_walk_on_generators () =
+  List.iter
+    (fun (library, c) ->
+      S.check_walk library c (S.library_process library);
+      S.check_walk library c Mae_tech.Builtin.cmos15)
+    generator_circuits
+
+let test_walk_unknown_cell () =
+  let b = Mae_netlist.Builder.create ~name:"bad" ~technology:"nmos25" in
+  ignore (Mae_netlist.Builder.add_device b ~name:"u" ~kind:"alien" ~nets:[ "a" ]);
+  let c = Mae_netlist.Builder.build b in
+  match Expand.stats Nmos_lib.library c S.nmos with
+  | Error (Expand.Unknown_cell { device = "u"; kind = "alien" }) -> ()
+  | Error (Expand.Unknown_cell _) | Ok _ -> Alcotest.fail "expected Unknown_cell"
+
+(* A template transistor the process does not define raises
+   Unknown_kind, naming the first such transistor's kind, as
+   [Stats.compute] of the expansion does. *)
+let test_walk_unknown_kind () =
+  let c = S.counter8 in
+  let expected = Mae_netlist.Stats.Unknown_kind "ndep" in
+  Alcotest.check_raises "expansion" expected (fun () ->
+      ignore
+        (Mae_netlist.Stats.compute
+           (Result.get_ok (Expand.circuit Nmos_lib.library c))
+           Mae_tech.Builtin.cmos20));
+  Alcotest.check_raises "walk" expected (fun () ->
+      ignore (Expand.stats Nmos_lib.library c Mae_tech.Builtin.cmos20))
+
+(* The walk builds no transistor: on a 912-transistor expansion it
+   allocates fewer minor-heap words than one bare Device.t record
+   (header and four fields) per transistor would take. *)
+let test_walk_allocates_no_devices () =
+  let c = Mae_workload.Generators.multiplier 6 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let built = words (fun () -> Expand.circuit Nmos_lib.library c) in
+  let walked = words (fun () -> Expand.stats Nmos_lib.library c S.nmos) in
+  let tx = Result.get_ok (Expand.transistor_count Nmos_lib.library c) in
+  if walked >= Float.of_int (5 * tx) then
+    Alcotest.failf "walk allocated %.0f words for %d transistors (build: %.0f)"
+      walked tx built
+
 (* Circuits whose names are chosen to collide with what the expansion
    makes: raw nets named like a device's internal nets ([g1.pd_m1]),
    like its unconnected pins ([g1.unconnected2]) or like the rails
@@ -277,6 +329,10 @@ let expand_props =
       (fun (library, c) ->
         same_expansion ~include_supplies:false library c
         && same_expansion ~include_supplies:true library c);
+    S.qtest ~count:2000 "walk stats = expansion stats on hostile names" hostile_gen
+      (fun (library, c) ->
+        S.walk_agrees library c (S.library_process library)
+        && S.walk_agrees library c Mae_tech.Builtin.cmos15);
     S.qtest ~count:2000 "of_arrays accepts hostile-name expansions" hostile_gen
       (fun (library, c) ->
         checked_agrees ~include_supplies:false library c
@@ -346,6 +402,13 @@ let () =
             test_expand_same_on_generators;
           Alcotest.test_case "of_arrays accepts generator expansions" `Quick
             test_expand_checked_on_generators;
+          Alcotest.test_case "walk stats = expansion stats on generators" `Quick
+            test_walk_on_generators;
+          Alcotest.test_case "walk unknown cell" `Quick test_walk_unknown_cell;
+          Alcotest.test_case "walk unknown transistor kind" `Quick
+            test_walk_unknown_kind;
+          Alcotest.test_case "walk builds no transistors" `Quick
+            test_walk_allocates_no_devices;
         ]
         @ expand_props );
       ("properties", props);

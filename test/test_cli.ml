@@ -51,6 +51,44 @@ let check_wide_counter_estimates () =
       Alcotest.(check int) "one gate-array estimate" 1 (List.length gate_array)
   | code, out, err -> Alcotest.failf "estimate: exit %d: %s%s" code out err
 
+(* --verbose prints each ledger after the estimates; the gate-array
+   ledger's width and height are the gate-array line's. *)
+let check_verbose_ledgers () =
+  let hdl = Filename.temp_file "mae_cli" ".hdl" in
+  Fun.protect ~finally:(fun () -> Sys.remove hdl) @@ fun () ->
+  (match run [ "generate"; "counter"; "--size"; "8" ] with
+  | 0, out, _ -> Out_channel.with_open_bin hdl (fun oc -> output_string oc out)
+  | code, _, err -> Alcotest.failf "generate: exit %d: %s" code err);
+  match run [ "estimate"; "--verbose"; hdl ] with
+  | 0, out, _ ->
+      let find prefix lines =
+        match List.find_opt (String.starts_with ~prefix) lines with
+        | Some l -> l
+        | None -> Alcotest.failf "no line starting %S in:\n%s" prefix out
+      in
+      let rec from prefix = function
+        | l :: rest when String.starts_with ~prefix l -> l :: rest
+        | _ :: rest -> from prefix rest
+        | [] -> Alcotest.failf "no line starting %S in:\n%s" prefix out
+      in
+      let lines = List.map String.trim (String.split_on_char '\n' out) in
+      let ledger =
+        from "gate-array breakdown at"
+          (from "full-custom breakdown:" (from "standard-cell breakdown at" lines))
+      in
+      let width, height =
+        Scanf.sscanf
+          (List.nth (String.split_on_char ',' (find "gate-array:" lines)) 1)
+          " %f x %f L" (fun w h -> (w, h))
+      in
+      (* "width  = ... = <w>L" *)
+      let total l =
+        Scanf.sscanf (List.hd (List.rev (String.split_on_char '=' l))) " %fL" Fun.id
+      in
+      Alcotest.(check (float 0.)) "ledger width" width (total (find "width  =" ledger));
+      Alcotest.(check (float 0.)) "ledger height" height (total (find "height =" ledger))
+  | code, out, err -> Alcotest.failf "estimate: exit %d: %s%s" code out err
+
 let () =
   Alcotest.run "cli"
     [
@@ -68,5 +106,7 @@ let () =
         [
           Alcotest.test_case "counter size 64 gate array estimates" `Quick
             check_wide_counter_estimates;
+          Alcotest.test_case "verbose prints the gate-array ledger" `Quick
+            check_verbose_ledgers;
         ] );
     ]

@@ -75,18 +75,26 @@ let test_expected_span_monotone_in_degree () =
   in
   check spans
 
+(* the paper's "expectation value of the total number of tracks": the
+   track classes' tracks summed *)
+let total_tracks ~model ~rows ~degree_histogram =
+  List.fold_left
+    (fun acc (c : Mae.Row_model.track_class) -> acc + c.tracks)
+    0
+    (Mae.Row_model.track_classes ~model ~rows ~degree_histogram)
+
 let test_tracks_for_histogram () =
   let model = Mae.Config.Paper_model in
   let span d = Mae.Row_model.expected_span ~model ~rows:4 ~degree:d in
   Alcotest.(check int) "weighted sum"
     ((3 * span 2) + (2 * span 5))
-    (Mae.Row_model.tracks_for_histogram ~model ~rows:4
+    (total_tracks ~model ~rows:4
        ~degree_histogram:[ (2, 3); (5, 2) ]);
   Alcotest.(check int) "zero counts skipped" 0
-    (Mae.Row_model.tracks_for_histogram ~model ~rows:4 ~degree_histogram:[ (2, 0) ]);
+    (total_tracks ~model ~rows:4 ~degree_histogram:[ (2, 0) ]);
   S.raises_invalid (fun () ->
       ignore
-        (Mae.Row_model.tracks_for_histogram ~model ~rows:4
+        (total_tracks ~model ~rows:4
            ~degree_histogram:[ (2, -1) ]))
 
 (* Feedthrough: equations (4)-(11) *)
@@ -292,7 +300,7 @@ let test_stdcell_equation_twelve_arithmetic () =
   let stats = Mae_netlist.Stats.compute S.counter8 S.nmos in
   (* reconstruct each factor by hand *)
   let tracks =
-    Mae.Row_model.tracks_for_histogram ~model:Mae.Config.Paper_model ~rows
+    total_tracks ~model:Mae.Config.Paper_model ~rows
       ~degree_histogram:stats.Mae_netlist.Stats.degree_histogram
   in
   Alcotest.(check int) "tracks" tracks est.Mae.Estimate.tracks;
@@ -589,13 +597,43 @@ let test_gatearray_params_validation () =
   Alcotest.(check bool) "unknown kind errors" true
     (Result.is_error (Mae.Gatearray.site_demand c S.nmos))
 
+(* The --verbose ledger at the rows the routable master settled on
+   carries that master, bit for bit, and its tracks are the classes'. *)
+let test_gatearray_ledger_is_the_estimate () =
+  let bits (e : Mae.Gatearray.estimate) =
+    [ Int64.of_int e.gate_equivalents; Int64.of_int e.sites;
+      Int64.of_int e.array_rows; Int64.of_int e.array_columns;
+      Int64.of_int (Bool.to_int e.routable) ]
+    @ List.map Int64.bits_of_float
+        [ e.width; e.height; e.area; e.expected_tracks_per_channel ]
+  in
+  List.iter
+    (fun (c : Mae_netlist.Circuit.t) ->
+      match Mae.Gatearray.estimate_routable c S.nmos with
+      | Error e -> Alcotest.failf "%s: %s" c.name e
+      | Ok e -> (
+          match Mae.Gatearray.ledger ~rows:e.array_rows c S.nmos with
+          | Error e -> Alcotest.failf "%s: ledger: %s" c.name e
+          | Ok l ->
+              Alcotest.(check (list int64)) (c.name ^ ": estimate") (bits e)
+                (bits l.estimate);
+              Alcotest.(check int) (c.name ^ ": tracks")
+                (List.fold_left
+                   (fun acc (k : Mae.Row_model.track_class) -> acc + k.tracks)
+                   0 l.classes)
+                l.tracks))
+    [ S.counter8; S.full_adder; Mae_workload.Generators.counter 64;
+      Mae_workload.Generators.multiplier 6 ];
+  Alcotest.(check bool) "rows < 1" true
+    (Result.is_error (Mae.Gatearray.ledger ~rows:0 S.counter8 S.nmos))
+
 let test_gatearray_routability_uses_track_model () =
   match Mae.Gatearray.estimate S.counter8 S.nmos with
   | Error e -> Alcotest.failf "estimate: %s" e
   | Ok e ->
       let stats = Mae_netlist.Stats.compute S.counter8 S.nmos in
       let tracks =
-        Mae.Row_model.tracks_for_histogram ~model:Mae.Config.Paper_model
+        total_tracks ~model:Mae.Config.Paper_model
           ~rows:e.Mae.Gatearray.array_rows
           ~degree_histogram:stats.Mae_netlist.Stats.degree_histogram
       in
@@ -704,6 +742,7 @@ let fullcustom_ledger_case config circuit mode () =
   in
   check_bits "charged areas sum to wire_area" est.Mae.Estimate.wire_area
     charged_area;
+  check_bits "ledger wire_area" est.wire_area l.wire_area;
   check_bits "device area" est.device_area l.device_area;
   check_bits "area" est.area (l.device_area +. charged_area)
 
@@ -761,8 +800,8 @@ let test_driver_runs_hdl () =
   | Error e -> Alcotest.failf "driver: %s" (Format.asprintf "%a" Mae.Driver.pp_error e)
   | Ok [ report ] ->
       Alcotest.(check string) "module" "m" report.circuit.Mae_netlist.Circuit.name;
-      Alcotest.(check bool) "expanded to transistors" true
-        (report.expanded <> None);
+      Alcotest.(check bool) "the driver keeps no expansion" true
+        (report.expanded = None);
       let sc =
         match Mae.Driver.stdcell report with
         | Some sc -> sc
@@ -776,7 +815,17 @@ let test_driver_runs_hdl () =
       Alcotest.(check bool) "positive sc area" true (sc.Mae.Estimate.area > 0.);
       Alcotest.(check bool) "positive fc area" true (fce.Mae.Estimate.area > 0.);
       Alcotest.(check bool) "fc smaller than sc for tiny module" true
-        (fce.Mae.Estimate.area < sc.Mae.Estimate.area)
+        (fce.Mae.Estimate.area < sc.Mae.Estimate.area);
+      (* estimated at the transistor level all the same: the estimate
+         of the explicitly built expansion, bit for bit *)
+      let tx =
+        Option.get
+          (Mae.Methodology.expand_for_fullcustom report.circuit report.process)
+      in
+      Alcotest.(check (list int64)) "fc of the expansion"
+        (S.fullcustom_bits
+           (Mae.Fullcustom.estimate ~mode:Mae.Config.Exact_areas tx report.process))
+        (S.fullcustom_bits fce)
   | Ok _ -> Alcotest.fail "expected one report"
 
 let test_driver_unknown_process () =
@@ -805,7 +854,14 @@ let test_driver_transistor_level_not_expanded () =
   let chain = Mae_workload.Generators.pass_chain 4 in
   match Mae.Driver.run_circuit ~registry chain with
   | Error _ -> Alcotest.fail "driver failed"
-  | Ok report -> Alcotest.(check bool) "no expansion" true (report.expanded = None)
+  | Ok report ->
+      Alcotest.(check bool) "no expansion" true (report.expanded = None);
+      (* estimated as it is *)
+      let process = report.process in
+      Alcotest.(check (list int64)) "fc of the circuit itself"
+        (S.fullcustom_bits
+           (Mae.Fullcustom.estimate ~mode:Mae.Config.Exact_areas chain process))
+        (S.fullcustom_bits (Option.get (Mae.Driver.fullcustom_exact report)))
 
 (* Properties *)
 
@@ -953,6 +1009,8 @@ let () =
             test_gatearray_routable_master;
           Alcotest.test_case "routable base = estimate, bit for bit" `Quick
             test_gatearray_routable_equals_estimate;
+          Alcotest.test_case "ledger carries the estimate" `Quick
+            test_gatearray_ledger_is_the_estimate;
         ] );
       ("config", [ Alcotest.test_case "validation" `Quick test_config_validation ]);
       ( "driver",

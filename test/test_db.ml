@@ -110,6 +110,115 @@ let test_store_file_io () =
    corrupted (spaces split one name into many tokens) and for keyword
    collisions ("record", "end") --- *)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Store.save replaces the snapshot whole (Mae_obs.Atomic_file): a
+   writer killed after any prefix of the new snapshot -- at every byte
+   offset, the last one a kill between the write and the rename --
+   leaves the old snapshot as it was, loading as before, and only the
+   writer's own temporary file holds the prefix.  The next save then
+   replaces the snapshot and leaves no temporary file. *)
+let test_store_save_cut_anywhere () =
+  let path = Filename.temp_file "mae_store" ".db" in
+  let old_store = Mae_db.Store.create () in
+  Mae_db.Store.add old_store (record_of_report_exn (report ()));
+  (match Mae_db.Store.save old_store ~path with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "save: %s" e);
+  let old_text = read_file path in
+  let new_store = Mae_db.Store.create () in
+  let registry = Mae_tech.Registry.create () in
+  List.iter
+    (fun c ->
+      match Mae.Driver.run_circuit ~registry c with
+      | Ok r -> Mae_db.Store.add new_store (record_of_report_exn r)
+      | Error _ -> Alcotest.fail "driver failed")
+    [ Mae_workload.Generators.parity 3 ];
+  let new_text = Mae_db.Store.to_string new_store in
+  for k = 0 to String.length new_text do
+    match Unix.fork () with
+    | 0 ->
+        ignore
+          (Mae_obs.Atomic_file.write_with ~path (fun oc ->
+               output_string oc (String.sub new_text 0 k);
+               flush oc;
+               Unix.kill (Unix.getpid ()) Sys.sigkill));
+        Unix._exit 2
+    | pid ->
+        (match Unix.waitpid [] pid with
+        | _, Unix.WSIGNALED s when s = Sys.sigkill -> ()
+        | _ -> Alcotest.failf "cut at %d: the writer was not killed" k);
+        let tmp = path ^ ".tmp." ^ string_of_int pid in
+        if read_file path <> old_text then
+          Alcotest.failf "cut at %d: the old snapshot changed" k;
+        if read_file tmp <> String.sub new_text 0 k then
+          Alcotest.failf "cut at %d: the temporary file is not the prefix" k;
+        Sys.remove tmp
+  done;
+  (match Mae_db.Store.load ~path with
+  | Ok s ->
+      Alcotest.(check (list string)) "old snapshot loads"
+        (Mae_db.Store.names old_store) (Mae_db.Store.names s)
+  | Error e -> Alcotest.failf "load: %s" e);
+  (match Mae_db.Store.save new_store ~path with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "save: %s" e);
+  Alcotest.(check string) "new snapshot whole" new_text (read_file path);
+  Alcotest.(check bool) "no temporary file left" false
+    (Sys.file_exists (path ^ ".tmp." ^ string_of_int (Unix.getpid ())));
+  (* a save that cannot write leaves the snapshot and no temporary file *)
+  let dir_path = Filename.concat path "x" in
+  Alcotest.(check bool) "unwritable path is an error" true
+    (Result.is_error (Mae_db.Store.save new_store ~path:dir_path));
+  Alcotest.(check string) "snapshot untouched" new_text (read_file path);
+  Sys.remove path
+
+(* What is not a regular file is written through, not replaced: a
+   symbolic link to /dev/null stays a link and the device stays a
+   device, and a FIFO's reader gets the contents.  A link to a regular
+   file stays a link; the file it points at is replaced. *)
+let test_atomic_write_through_links_and_fifos () =
+  let dir = Filename.temp_dir "mae_atomic" "" in
+  let in_dir = Filename.concat dir in
+  let write path text =
+    match Mae_obs.Atomic_file.write ~path text with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "write %s: %s" path e
+  in
+  let is_link path = (Unix.lstat path).st_kind = Unix.S_LNK in
+  let null_link = in_dir "null" in
+  Unix.symlink "/dev/null" null_link;
+  write null_link "discarded";
+  Alcotest.(check bool) "link to /dev/null stays a link" true (is_link null_link);
+  Alcotest.(check string) "still pointing at /dev/null" "/dev/null"
+    (Unix.readlink null_link);
+  Alcotest.(check bool) "/dev/null still a device" true
+    ((Unix.stat "/dev/null").st_kind = Unix.S_CHR);
+  let fifo = in_dir "fifo" in
+  Unix.mkfifo fifo 0o600;
+  (* a non-blocking reader: a write that replaced the FIFO would leave
+     it reading nothing instead of hanging *)
+  let reader = Unix.openfile fifo [ Unix.O_RDONLY; Unix.O_NONBLOCK ] 0 in
+  write fifo "through the pipe";
+  let buf = Bytes.create 64 in
+  let n = try Unix.read reader buf 0 64 with Unix.Unix_error (EAGAIN, _, _) -> 0 in
+  Unix.close reader;
+  Alcotest.(check string) "FIFO reader gets the contents" "through the pipe"
+    (Bytes.sub_string buf 0 n);
+  Alcotest.(check bool) "FIFO still a FIFO" true
+    ((Unix.lstat fifo).st_kind = Unix.S_FIFO);
+  let file = in_dir "file" and file_link = in_dir "file_link" in
+  write file "old";
+  Unix.symlink file file_link;
+  write file_link "new";
+  Alcotest.(check bool) "link to a file stays a link" true (is_link file_link);
+  Alcotest.(check string) "the file it points at replaced" "new" (read_file file);
+  let left = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
+  Alcotest.(check (list string)) "no temporary file left"
+    [ "fifo"; "file"; "file_link"; "null" ] left;
+  List.iter (fun f -> Sys.remove (in_dir f)) left;
+  Sys.rmdir dir
+
 let roundtrip_one (record : Mae_db.Record.t) =
   let store = Mae_db.Store.create () in
   Mae_db.Store.add store record;
@@ -688,21 +797,20 @@ let test_cas_journal_bit_flips () =
   Sys.remove path
 
 (* The store keeps results, not the circuits they came from: once the
-   caller lets go, the circuit and its transistor-level expansion are
-   collectable, and a later hit is rebuilt around the new caller's
-   circuit. *)
+   caller lets go, the circuit is collectable (the driver builds no
+   transistor-level expansion to keep), and a later hit is rebuilt
+   around the new caller's circuit. *)
 let test_cas_retains_no_circuit () =
   let registry = Mae_tech.Registry.create () in
   let process = process () in
   let cas = Mae_db.Cas.create () in
-  let weak = Weak.create 2 in
+  let weak = Weak.create 1 in
   let store_one () =
     let c = Mae_workload.Generators.counter 4 in
     let r = fresh_report ~registry ~methods:Mae.Methodology.default_names c in
-    Alcotest.(check bool) "the circuit expands to transistors" true
-      (Option.is_some r.expanded);
+    Alcotest.(check bool) "the driver keeps no expansion" true
+      (r.expanded = None);
     Weak.set weak 0 (Some r.circuit);
-    Weak.set weak 1 r.expanded;
     let key = Mae_db.Cas.key ~process c in
     Mae_db.Cas.store cas ~key r;
     (key, report_bits r)
@@ -710,7 +818,6 @@ let test_cas_retains_no_circuit () =
   let key, expected = (Sys.opaque_identity store_one) () in
   Gc.full_major ();
   Alcotest.(check bool) "stored circuit collected" false (Weak.check weak 0);
-  Alcotest.(check bool) "expanded circuit collected" false (Weak.check weak 1);
   let c = Mae_workload.Generators.counter 4 in
   match Mae_db.Cas.find cas ~key ~circuit:c ~process with
   | None -> Alcotest.fail "stored entry not found"
@@ -837,6 +944,10 @@ let () =
           Alcotest.test_case "replace" `Quick test_store_replaces;
           Alcotest.test_case "parse errors" `Quick test_store_parse_errors;
           Alcotest.test_case "file io" `Quick test_store_file_io;
+          Alcotest.test_case "save cut at every byte offset" `Quick
+            test_store_save_cut_anywhere;
+          Alcotest.test_case "save through links and FIFOs" `Quick
+            test_atomic_write_through_links_and_fifos;
           Alcotest.test_case "adversarial names round trip" `Quick
             test_store_adversarial_names;
           Alcotest.test_case "extreme floats round trip bit-for-bit" `Quick

@@ -613,6 +613,22 @@ let all_checked text =
       | Error _ -> true)
     [ None; Some "cmos20" ]
 
+(* Differential: every circuit the text elaborates to, flattened for
+   full-custom estimation through both cell libraries: the statistics
+   walk agrees with Stats.compute of the built expansion (fields as
+   Int64 bits, per-net arrays, both full-custom modes, the ledger text),
+   or both fail alike. *)
+let walk_agrees text =
+  match front_end text with
+  | Error _ -> true
+  | Ok circuits ->
+      List.for_all
+        (fun c ->
+          List.for_all
+            (fun library -> S.walk_agrees library c (S.library_process library))
+            [ Mae_celllib.Nmos_lib.library; Mae_celllib.Cmos_lib.library ])
+        circuits
+
 (* Gate-level generator circuits and their transistor-level expansions,
    printed: each elaborates, to the oracle's circuit. *)
 let test_interned_printed () =
@@ -737,6 +753,12 @@ let interned_props =
         all_checked (O.to_text design));
     S.qtest ~count:1000 "of_arrays accepts mutated circuits" mutated_gen all_checked;
     S.qtest ~count:1000 "of_arrays accepts dense soup" soup_gen all_checked;
+    S.qtest ~count:1000 "walk stats = expansion stats on flat designs"
+      flat_design_gen (fun design -> walk_agrees (O.to_text design));
+    S.qtest ~count:1000 "walk stats = expansion stats on dense soup" soup_gen
+      walk_agrees;
+    S.qtest ~count:1000 "walk stats = expansion stats on mutated circuits"
+      mutated_gen walk_agrees;
   ]
 
 (* The lexer's hash before it was seeded: a fixed polynomial modulo

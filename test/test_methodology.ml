@@ -219,15 +219,30 @@ let test_make_ctx_matches_driver () =
     (fun ((circuit : Mae_netlist.Circuit.t), expands) ->
       let report = report_of ~methods:[ "all" ] circuit in
       Alcotest.(check bool)
-        (circuit.name ^ ": expansion as expected")
-        expands
-        (Option.is_some report.expanded);
+        (circuit.name ^ ": the driver keeps no expansion")
+        true (report.expanded = None);
       let ctx =
         match Mae.Methodology.make_ctx ~process circuit with
         | Ok ctx -> ctx
         | Error e ->
             Alcotest.failf "make_ctx: %s" (Mae.Methodology.error_to_string e)
       in
+      Alcotest.(check bool)
+        (circuit.name ^ ": fc_circuit is the circuit itself")
+        true (ctx.fc_circuit == circuit);
+      (* the expansion's statistics, read from the templates, are those
+         of the expansion built explicitly *)
+      let fc_expected =
+        match Mae.Methodology.expand_for_fullcustom circuit process with
+        | Some e -> Mae_netlist.Stats.compute e process
+        | None -> ctx.stats
+      in
+      Alcotest.(check bool)
+        (circuit.name ^ ": expansion as expected")
+        expands (ctx.fc_stats != ctx.stats);
+      Alcotest.(check (list (pair string string)))
+        (circuit.name ^ ": fc_stats = Stats.compute of the expansion")
+        (S.stats_fields fc_expected) (S.stats_fields ctx.fc_stats);
       let standalone =
         List.map
           (fun t ->
@@ -247,6 +262,34 @@ let test_make_ctx_matches_driver () =
         (circuit.name ^ ": make_ctx + run = driver, bit for bit")
         driven standalone)
     [ (S.counter8, true); (S.full_adder_tx, false) ]
+
+(* The fallbacks: a circuit no library flattens (a kind with no
+   template, or already transistors) is estimated as it is, so its
+   full-custom statistics are its own, physically; a template
+   transistor the process lacks is the typed unknown-kind error, as
+   when the expansion was built. *)
+let test_make_ctx_fallbacks () =
+  let process = Mae_tech.Builtin.nmos25 in
+  let own what (circuit : Mae_netlist.Circuit.t) =
+    match Mae.Methodology.make_ctx ~process circuit with
+    | Ok ctx ->
+        Alcotest.(check bool) (what ^ ": fc_stats is stats") true
+          (ctx.fc_stats == ctx.stats);
+        Alcotest.(check bool) (what ^ ": no expansion to build") true
+          (Mae.Methodology.expand_for_fullcustom circuit process = None)
+    | Error e -> Alcotest.failf "%s: %s" what (Mae.Methodology.error_to_string e)
+  in
+  let b = Mae_netlist.Builder.create ~name:"padded" ~technology:"nmos25" in
+  ignore (Mae_netlist.Builder.add_device b ~name:"i1" ~kind:"inv" ~nets:[ "a"; "m" ]);
+  ignore (Mae_netlist.Builder.add_device b ~name:"p1" ~kind:"iopad" ~nets:[ "m"; "y" ]);
+  own "no template for iopad (Unknown_cell)" (Mae_netlist.Builder.build b);
+  own "all transistors" S.full_adder_tx;
+  match Mae.Methodology.make_ctx ~process:Mae_tech.Builtin.cmos20 S.counter8 with
+  | Error (Mae.Methodology.Invalid_input { reason; _ }) ->
+      Alcotest.(check string) "names the transistor kind"
+        "unknown device kind ndep" reason
+  | Error e -> Alcotest.failf "unexpected error %s" (Mae.Methodology.error_to_string e)
+  | Ok _ -> Alcotest.fail "expected Invalid_input"
 
 let test_make_ctx_unknown_kind () =
   let b = Mae_netlist.Builder.create ~name:"odd" ~technology:"nmos25" in
@@ -287,6 +330,7 @@ let () =
             test_make_ctx_matches_driver;
           Alcotest.test_case "make_ctx unknown kind is typed" `Quick
             test_make_ctx_unknown_kind;
+          Alcotest.test_case "make_ctx fallbacks" `Quick test_make_ctx_fallbacks;
         ] );
       ( "engine",
         [

@@ -261,7 +261,8 @@ let oracle_known (c : Circuit.t) process =
     c.devices
 
 (* Stats.compute the plain way: one lookup per device, widths sorted
-   and grouped, every sum in device order. *)
+   and grouped, every sum in device order, each net's widths folded
+   over its members as Fullcustom.net_areas once did. *)
 let oracle_stats (c : Circuit.t) process : Stats.t =
   let kinds = oracle_known c process in
   let n = Array.length kinds in
@@ -294,6 +295,12 @@ let oracle_stats (c : Circuit.t) process : Stats.t =
     total_device_area = sum Mae_tech.Device_kind.area;
     degree_histogram = group (List.sort Int.compare degrees);
     max_degree = List.fold_left Stdlib.max 0 degrees;
+    net_degrees = Array.init (Circuit.net_count c) (Circuit.degree c);
+    net_widths =
+      Array.init (Circuit.net_count c) (fun i ->
+          Array.fold_left
+            (fun acc d -> acc +. kinds.(d).Mae_tech.Device_kind.width)
+            0. (Circuit.devices_on_net c i));
   }
 
 let outcome f = match f () with x -> Ok x | exception Stats.Unknown_kind k -> Error k
