@@ -16,17 +16,21 @@
    reason -- numbers from another machine prove nothing about this
    one.
 
-   Noise control on shared/virtualized runners: each configuration is
-   measured three times in this one process and the median pass is
-   compared.  The engine bench records every run as the median of the
-   same number of passes, with the runtime lens off for throughput and
-   on for the p99 pause, as measured here, so baseline and
-   re-measurement are the same statistic. *)
+   Noise control on shared/virtualized runners: a whole process's
+   figures land in one of two modes on a small host, so the gate
+   measures in three fresh child processes (it re-executes itself with
+   [--measure]) and compares the median of their figures.  Each child
+   measures each configuration three times and reports its median
+   pass.  The engine bench records every run as the median of the same
+   number of passes, with the runtime lens off for throughput and on
+   for the p99 pause, as measured here, so baseline and re-measurement
+   are the same statistic. *)
 
 module Json = Mae_obs.Json
 
 let threshold = 0.80
 let passes = 3
+let children = 3
 
 (* GC gate: fail when the measured p99 pause exceeds the baseline by
    more than 50%, with a small absolute slack so microsecond-scale
@@ -127,7 +131,78 @@ let median xs =
 
 let median_mps passes = median (List.map fst passes)
 
+(* --- one child's figures --- *)
+
+type figures = { seq : float; par : float option; gc_p99 : float option }
+
+(* What a child measures in its own process: seq, the parallel run at
+   [par_jobs] when there is one, and the p99 GC pause of the run at
+   [gc_jobs] under the runtime lens when asked (none when no pause was
+   observed). *)
+let measure_figures ~modules ~par_jobs ~gc_jobs =
+  let circuits = workload ~modules in
+  let registry = Mae_tech.Registry.create () in
+  let seq = median_mps (measure ~jobs:1 ~registry circuits) in
+  let par =
+    Option.map
+      (fun jobs -> median_mps (measure ~jobs ~registry circuits))
+      par_jobs
+  in
+  let gc_p99 =
+    Option.bind gc_jobs (fun jobs ->
+        ignore (Mae_obs.Runtime.start ());
+        let gc_passes = measure ~jobs ~registry circuits in
+        Mae_obs.Runtime.stop ();
+        match List.filter_map snd gc_passes with
+        | [] -> None
+        | p99s -> Some (median p99s))
+  in
+  { seq; par; gc_p99 }
+
+let opt_jobs = function None -> "0" | Some j -> string_of_int j
+
+let child_main args =
+  let int_arg i = int_of_string args.(i) in
+  let jobs i = match int_arg i with 0 -> None | j -> Some j in
+  let f =
+    measure_figures ~modules:(int_arg 0) ~par_jobs:(jobs 1) ~gc_jobs:(jobs 2)
+  in
+  let num = function None -> Json.Null | Some v -> Json.Number v in
+  print_endline
+    (Json.encode
+       (Json.Object
+          [ ("seq", Json.Number f.seq); ("par", num f.par); ("gc_p99", num f.gc_p99) ]));
+  exit 0
+
+(* One fresh process's figures: this executable again, with
+   [--measure]. *)
+let child_figures ~modules ~par_jobs ~gc_jobs =
+  let exe = Sys.executable_name in
+  let ic =
+    Unix.open_process_args_in exe
+      [| exe; "--measure"; string_of_int modules; opt_jobs par_jobs; opt_jobs gc_jobs |]
+  in
+  let out = In_channel.input_all ic in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ ->
+      print_endline "bench-gate: a measuring child failed";
+      exit 1);
+  match Json.parse (String.trim out) with
+  | Ok doc -> (
+      match number_member "seq" doc with
+      | Some seq ->
+          { seq; par = number_member "par" doc; gc_p99 = number_member "gc_p99" doc }
+      | None ->
+          print_endline "bench-gate: a measuring child reported no seq figure";
+          exit 1)
+  | Error e ->
+      Printf.printf "bench-gate: a measuring child's report is not JSON (%s)\n" e;
+      exit 1
+
 let () =
+  if Array.length Sys.argv = 5 && Sys.argv.(1) = "--measure" then
+    child_main (Array.sub Sys.argv 2 3);
   let history_path =
     if Array.length Sys.argv > 1 then Sys.argv.(1)
     else Bench_history.History.path
@@ -207,13 +282,32 @@ let () =
       (String.concat ", " (List.map (Printf.sprintf "%.0f") recorded));
     median recorded
   in
-  let circuits = workload ~modules in
-  let registry = Mae_tech.Registry.create () in
+  (* GC gate: the best parallel run that fits this host (seq when none
+     does), its p99 pause under the runtime lens against the median of
+     that run's recorded p99 over the last three same-host entries
+     carrying one.  Missing baseline data skips this check only, with
+     the reason logged -- the throughput verdicts still decide. *)
+  let gc_run =
+    Option.value (best_par (fun r -> r.jobs <= here)) ~default:baseline_seq
+  in
+  let gc_last = last_three gc_run.label (fun r -> r.gc_p99) in
   Printf.printf
-    "bench-gate: %d modules vs same-host history (threshold %.0f%%)\n%!"
+    "bench-gate: %d modules vs same-host history (threshold %.0f%%), \
+     median of %d fresh processes\n%!"
     modules
-    (100. *. (1. -. threshold));
-  let seq = median_mps (measure ~jobs:1 ~registry circuits) in
+    (100. *. (1. -. threshold))
+    children;
+  let par_jobs = Option.map (fun r -> r.jobs) baseline_par in
+  let gc_jobs = if gc_last = [] then None else Some gc_run.jobs in
+  let figures =
+    List.init children (fun i ->
+        let f = child_figures ~modules ~par_jobs ~gc_jobs in
+        let show = function None -> "-" | Some v -> Printf.sprintf "%.0f" v in
+        Printf.printf "bench-gate: process %d: seq %.0f/s  par %s/s  gc_p99 %sus\n%!"
+          (i + 1) f.seq (show f.par)
+          (show (Option.map (fun p -> p *. 1e6) f.gc_p99));
+        f)
+  in
   let verdicts = ref [] in
   let check label ~baseline ~current =
     let floor = baseline *. threshold in
@@ -223,23 +317,14 @@ let () =
       (if ok then "ok" else "REGRESSION");
     verdicts := ok :: !verdicts
   in
-  check "seq" ~baseline:(baseline_mps "seq") ~current:seq;
+  check "seq" ~baseline:(baseline_mps "seq")
+    ~current:(median (List.map (fun f -> f.seq) figures));
   Option.iter
     (fun r ->
-      let par = measure ~jobs:r.jobs ~registry circuits in
-      check r.label ~baseline:(baseline_mps r.label) ~current:(median_mps par))
+      check r.label ~baseline:(baseline_mps r.label)
+        ~current:(median (List.filter_map (fun f -> f.par) figures)))
     baseline_par;
-  (* GC gate: re-run the best parallel run that fits this host
-     (seq when none does) three times under the runtime lens,
-     each pass measuring its own pauses, and compare the median p99
-     against the median of that run's recorded p99 over the last three
-     same-host entries carrying one.  Missing baseline data skips this
-     check only, with the reason logged -- the throughput verdicts
-     above still decide. *)
-  let gc_run =
-    Option.value (best_par (fun r -> r.jobs <= here)) ~default:baseline_seq
-  in
-  (match last_three gc_run.label (fun r -> r.gc_p99) with
+  (match gc_last with
   | [] ->
       Printf.printf
         "bench-gate: gc check skipped (no same-host %s run has \
@@ -249,10 +334,7 @@ let () =
       let baseline_p99 = median last in
       Printf.printf "bench-gate: gc baseline %s p99 = median of %d entries\n"
         gc_run.label (List.length last);
-      ignore (Mae_obs.Runtime.start ());
-      let gc_passes = measure ~jobs:gc_run.jobs ~registry circuits in
-      Mae_obs.Runtime.stop ();
-      match List.filter_map snd gc_passes with
+      match List.filter_map (fun f -> f.gc_p99) figures with
       | [] ->
           print_endline
             "bench-gate: gc check skipped (no pauses observed this run)"

@@ -925,6 +925,21 @@ let () =
           check true "final metrics dump still counts %d requests" total
       | _ -> fail "final metrics dump disagrees with the tally"));
   check (Sys.file_exists trace_path) "final trace flushed";
+  (* the byte path's own spans: each decode that yielded a frame, each
+     encode and write of an answer *)
+  let span_names =
+    match Json.parse (In_channel.with_open_bin trace_path In_channel.input_all) with
+    | Error e -> fail "final trace not JSON: %s" e
+    | Ok doc ->
+        List.filter_map
+          (fun ev -> Option.bind (Json.member "name" ev) Json.to_string)
+          (Option.value ~default:[]
+             (Option.bind (Json.member "traceEvents" doc) Json.to_list))
+  in
+  List.iter
+    (fun name ->
+      check (List.mem name span_names) "the trace holds %s spans" name)
+    [ "serve.decode"; "serve.write" ];
   let shutdown_seen =
     List.exists
       (fun line ->

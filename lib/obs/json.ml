@@ -1,11 +1,15 @@
-(* A minimal JSON reader/escaper so the telemetry artifacts can be
-   emitted and checked without an external dependency.  The writer side
-   of Mae_obs builds its documents with Buffer + [escape]; the reader is
-   a plain recursive-descent parser over the full JSON grammar.  The
-   serve daemon decodes every request with it, so its string reader
-   copies runs of plain bytes rather than one byte at a time; the test
-   suite and the @obs-smoke gate use it to assert that exported traces
-   and metric dumps are well formed. *)
+(* A minimal JSON reader/writer so the telemetry artifacts can be
+   emitted and checked without an external dependency.  The serve
+   daemon decodes every request and encodes every response and
+   access-log line with it, so both halves move strings in runs: one
+   word-at-a-time scan ([plain_run_end]) finds the next byte that needs
+   escaping, the writer appends each run with one blit, and the reader
+   measures a string, then writes it once into an exact-size result.
+   Numbers print through the C formatter directly.  The reader is a
+   plain recursive-descent parser over the full JSON grammar, over a
+   whole string or a span of one; the test suite and the @obs-smoke
+   gate use it to assert that exported traces and metric dumps are
+   well formed. *)
 
 type t =
   | Null
@@ -15,39 +19,111 @@ type t =
   | Array of t list
   | Object of (string * t) list
 
+(* --- the byte scan both halves share --- *)
+
+(* The bytes a JSON string cannot hold raw: '"', '\\' and the control
+   bytes below 0x20.  The writer escapes exactly these and the reader
+   stops a plain run at exactly these. *)
+let[@inline] is_special c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* The index of the lowest byte flagged in [mask], a word whose only set
+   bits are byte high bits: the bytes below the lowest set bit, counted
+   by one multiply. *)
+let[@inline] first_flagged mask =
+  let low = Int64.logand mask (Int64.neg mask) in
+  let below = Int64.sub (Int64.shift_right_logical low 7) 1L in
+  Int64.to_int
+    (Int64.shift_right_logical
+       (Int64.mul (Int64.logand below 0x0101010101010101L) 0x0101010101010101L)
+       56)
+
+(* The end of the plain run of [text] that starts at [i]: the index of
+   the first special byte before [stop], or [stop].  Eight bytes at a
+   time while a whole word fits, read little-endian so the word's
+   lowest byte comes first.  A byte is special exactly when it is zero
+   after xor with '"' or with '\\', or is below 0x20; the borrow tests
+   below flag those, and a borrow only runs upward, so the lowest
+   flagged byte is the first special one (a byte >= 0x80 is never
+   flagged on its own).  The last bytes are checked one at a time.
+   [stop] is at most [String.length text]. *)
+let plain_run_end text i stop =
+  let i = ref i and found = ref (-1) in
+  while !found < 0 && !i + 8 <= stop do
+    let w = String.get_int64_le text !i in
+    let q = Int64.logxor w 0x2222222222222222L in
+    let b = Int64.logxor w 0x5C5C5C5C5C5C5C5CL in
+    let hits =
+      Int64.logand
+        (Int64.logor
+           (Int64.logor
+              (Int64.logand (Int64.sub q 0x0101010101010101L) (Int64.lognot q))
+              (Int64.logand (Int64.sub b 0x0101010101010101L) (Int64.lognot b)))
+           (Int64.logand (Int64.sub w 0x2020202020202020L) (Int64.lognot w)))
+        0x8080808080808080L
+    in
+    if hits = 0L then i := !i + 8 else found := !i + first_flagged hits
+  done;
+  if !found >= 0 then !found
+  else begin
+    while !i < stop && not (is_special (String.unsafe_get text !i)) do
+      incr i
+    done;
+    !i
+  end
+
 (* --- escaping (the writer side) --- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
+let hex_digits = "0123456789abcdef"
+
+(* [s] as a quoted literal, appended in runs: the plain bytes between
+   two special ones go in with one blit. *)
+let add_escaped buf s =
+  let len = String.length s in
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
+  let rec go start =
+    let i = plain_run_end s start len in
+    Buffer.add_substring buf s start (i - start);
+    if i < len then begin
+      (match String.unsafe_get s i with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
+      | c ->
+          let code = Char.code c in
+          Buffer.add_string buf "\\u00";
+          Buffer.add_char buf hex_digits.[code lsr 4];
+          Buffer.add_char buf hex_digits.[code land 0xF]);
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.add_char buf '"'
+
+let escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_escaped buf s;
   Buffer.contents buf
 
 (* --- writing --- *)
 
+(* The C formatter every float conversion of Printf ends in; called
+   directly it skips the format interpreter, and its output is the
+   same bytes. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Integer-valued floats print without a decimal point (counter values,
    request ids); everything else gets enough digits to round-trip. *)
 let number_repr v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
+  if Float.is_integer v && Float.abs v < 1e15 then format_float "%.0f" v
+  else format_float "%.17g" v
 
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Number v -> Buffer.add_string buf (number_repr v)
-  | String s -> Buffer.add_string buf (escape s)
+  | String s -> add_escaped buf s
   | Array l ->
       Buffer.add_char buf '[';
       List.iteri
@@ -61,7 +137,7 @@ let rec write buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (escape k);
+          add_escaped buf k;
           Buffer.add_string buf ": ";
           write buf v)
         fields;
@@ -76,67 +152,80 @@ let encode v =
 
 exception Parse_failure of string
 
-type cursor = { text : string; mutable pos : int }
+(* A parse reads [text] from [base] up to [stop]; offsets in error
+   messages count from [base], as if the span were its own string. *)
+type cursor = { text : string; base : int; stop : int; mutable pos : int }
 
 let fail cur msg =
-  raise (Parse_failure (Printf.sprintf "%s at offset %d" msg cur.pos))
+  raise
+    (Parse_failure (Printf.sprintf "%s at offset %d" msg (cur.pos - cur.base)))
 
-let peek cur = if cur.pos < String.length cur.text then Some cur.text.[cur.pos] else None
+let peek cur =
+  if cur.pos < cur.stop then Some (String.unsafe_get cur.text cur.pos)
+  else None
 
 let advance cur = cur.pos <- cur.pos + 1
 
 let skip_ws cur =
   while
-    match peek cur with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance cur;
-        true
+    cur.pos < cur.stop
+    &&
+    match String.unsafe_get cur.text cur.pos with
+    | ' ' | '\t' | '\n' | '\r' -> true
     | _ -> false
   do
-    ()
+    advance cur
   done
 
 let expect cur c =
-  match peek cur with
-  | Some x when Char.equal x c -> advance cur
-  | _ -> fail cur (Printf.sprintf "expected %C" c)
+  if cur.pos < cur.stop && Char.equal (String.unsafe_get cur.text cur.pos) c
+  then advance cur
+  else fail cur (Printf.sprintf "expected %C" c)
 
 let literal cur word value =
   let n = String.length word in
-  if
-    cur.pos + n <= String.length cur.text
-    && String.equal (String.sub cur.text cur.pos n) word
-  then begin
+  let rec same i =
+    i = n || (String.unsafe_get cur.text (cur.pos + i) = word.[i] && same (i + 1))
+  in
+  if cur.pos + n <= cur.stop && same 0 then begin
     cur.pos <- cur.pos + n;
     value
   end
   else fail cur (Printf.sprintf "expected %s" word)
 
-let add_utf8 buf code =
-  (* encode a BMP code point; surrogate pairs are rejoined by the
-     caller before reaching here. *)
-  if code < 0x80 then Buffer.add_char buf (Char.chr code)
-  else if code < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-  else if code < 0x10000 then begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-  end
+(* Write the UTF-8 encoding of [code] into [dst] at [o] unless [dst] is
+   empty (the measuring walk); the index after it either way. *)
+let put_utf8 dst o code =
+  let set k b = Bytes.unsafe_set dst (o + k) (Char.unsafe_chr b) in
+  let len =
+    if code < 0x80 then 1
+    else if code < 0x800 then 2
+    else if code < 0x10000 then 3
+    else 4
+  in
+  if Bytes.length dst > 0 then begin
+    match len with
+    | 1 -> set 0 code
+    | 2 ->
+        set 0 (0xC0 lor (code lsr 6));
+        set 1 (0x80 lor (code land 0x3F))
+    | 3 ->
+        set 0 (0xE0 lor (code lsr 12));
+        set 1 (0x80 lor ((code lsr 6) land 0x3F));
+        set 2 (0x80 lor (code land 0x3F))
+    | _ ->
+        set 0 (0xF0 lor (code lsr 18));
+        set 1 (0x80 lor ((code lsr 12) land 0x3F));
+        set 2 (0x80 lor ((code lsr 6) land 0x3F));
+        set 3 (0x80 lor (code land 0x3F))
+  end;
+  o + len
 
 let hex4 cur =
-  if cur.pos + 4 > String.length cur.text then fail cur "truncated \\u escape";
+  if cur.pos + 4 > cur.stop then fail cur "truncated \\u escape";
   let v = ref 0 in
   for _ = 1 to 4 do
-    let c = cur.text.[cur.pos] in
+    let c = String.unsafe_get cur.text cur.pos in
     let d =
       match c with
       | '0' .. '9' -> Char.code c - Char.code '0'
@@ -149,62 +238,80 @@ let hex4 cur =
   done;
   !v
 
-(* Bytes that end a run of plain string content. *)
-let is_special c = c = '"' || c = '\\' || Char.code c < 0x20
+(* The code point of a \u escape whose 'u' the cursor has just passed;
+   a high surrogate must be followed by an escaped low one. *)
+let unicode_escape cur =
+  let hi = hex4 cur in
+  if hi >= 0xD800 && hi <= 0xDBFF then begin
+    expect cur '\\';
+    expect cur 'u';
+    let lo = hex4 cur in
+    if lo < 0xDC00 || lo > 0xDFFF then fail cur "unpaired surrogate";
+    0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+  end
+  else if hi >= 0xDC00 && hi <= 0xDFFF then fail cur "unpaired surrogate"
+  else hi
+
+(* One walk over a string body, from just past its opening quote to its
+   closing quote (where it leaves the cursor): the decoded length.  With
+   a non-empty [dst] it also writes the decoded bytes there.  The first
+   walk measures and validates, raising every error where the byte
+   reader would; the second, over a string already known good, fills
+   the exact-size result. *)
+let string_walk cur dst =
+  let text = cur.text in
+  let write = Bytes.length dst > 0 in
+  let rec go n =
+    let start = cur.pos in
+    let i = plain_run_end text start cur.stop in
+    if write then Bytes.blit_string text start dst n (i - start);
+    let n = n + (i - start) in
+    cur.pos <- i;
+    if i >= cur.stop then fail cur "unterminated string";
+    match String.unsafe_get text i with
+    | '"' -> n
+    | '\\' ->
+        advance cur;
+        if cur.pos >= cur.stop then fail cur "bad escape";
+        let e = String.unsafe_get text cur.pos in
+        let c =
+          match e with
+          | '"' | '\\' | '/' | 'u' -> e
+          | 'b' -> '\b'
+          | 'f' -> '\012'
+          | 'n' -> '\n'
+          | 'r' -> '\r'
+          | 't' -> '\t'
+          | _ -> fail cur "bad escape"
+        in
+        advance cur;
+        if e = 'u' then go (put_utf8 dst n (unicode_escape cur))
+        else begin
+          if write then Bytes.unsafe_set dst n c;
+          go (n + 1)
+        end
+    | _ -> fail cur "raw control char in string"
+  in
+  go 0
 
 let parse_string_body cur =
   expect cur '"';
-  let text = cur.text in
-  let len = String.length text in
-  let buf = Buffer.create 16 in
-  let rec go () =
-    (* copy the run up to the next quote, backslash or control byte *)
-    let start = cur.pos in
-    let i = ref start in
-    while !i < len && not (is_special (String.unsafe_get text !i)) do
-      incr i
-    done;
-    Buffer.add_substring buf text start (!i - start);
-    cur.pos <- !i;
-    if !i >= len then fail cur "unterminated string";
-    match String.unsafe_get text !i with
-    | '"' -> advance cur
-    | '\\' -> begin
-        advance cur;
-        begin
-          match peek cur with
-          | Some '"' -> advance cur; Buffer.add_char buf '"'
-          | Some '\\' -> advance cur; Buffer.add_char buf '\\'
-          | Some '/' -> advance cur; Buffer.add_char buf '/'
-          | Some 'b' -> advance cur; Buffer.add_char buf '\b'
-          | Some 'f' -> advance cur; Buffer.add_char buf '\012'
-          | Some 'n' -> advance cur; Buffer.add_char buf '\n'
-          | Some 'r' -> advance cur; Buffer.add_char buf '\r'
-          | Some 't' -> advance cur; Buffer.add_char buf '\t'
-          | Some 'u' ->
-              advance cur;
-              let hi = hex4 cur in
-              if hi >= 0xD800 && hi <= 0xDBFF then begin
-                (* high surrogate: a low surrogate must follow *)
-                expect cur '\\';
-                expect cur 'u';
-                let lo = hex4 cur in
-                if lo < 0xDC00 || lo > 0xDFFF then
-                  fail cur "unpaired surrogate";
-                add_utf8 buf
-                  (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
-              end
-              else if hi >= 0xDC00 && hi <= 0xDFFF then
-                fail cur "unpaired surrogate"
-              else add_utf8 buf hi
-          | _ -> fail cur "bad escape"
-        end;
-        go ()
-      end
-    | _ -> fail cur "raw control char in string"
+  let start = cur.pos in
+  let n = string_walk cur Bytes.empty in
+  let close = cur.pos in
+  let s =
+    if n = close - start then
+      (* no escapes: every escape decodes shorter than it is written *)
+      String.sub cur.text start n
+    else begin
+      let dst = Bytes.create n in
+      cur.pos <- start;
+      ignore (string_walk cur dst);
+      Bytes.unsafe_to_string dst
+    end
   in
-  go ();
-  Buffer.contents buf
+  cur.pos <- close + 1;
+  s
 
 let parse_number cur =
   let start = cur.pos in
@@ -293,15 +400,19 @@ and parse_array cur =
     elements []
   end
 
-let parse text =
-  let cur = { text; pos = 0 } in
+let parse_span text ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > String.length text then
+    invalid_arg "Mae_obs.Json.parse_span";
+  let cur = { text; base = pos; stop = pos + len; pos } in
   match parse_value cur with
   | v ->
       skip_ws cur;
-      if cur.pos <> String.length text then
-        Error (Printf.sprintf "trailing garbage at offset %d" cur.pos)
+      if cur.pos <> cur.stop then
+        Error (Printf.sprintf "trailing garbage at offset %d" (cur.pos - pos))
       else Ok v
   | exception Parse_failure msg -> Error msg
+
+let parse text = parse_span text ~pos:0 ~len:(String.length text)
 
 (* --- accessors --- *)
 

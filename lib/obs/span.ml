@@ -117,6 +117,20 @@ let with_ ?(attrs = []) ?summary ~name f =
         raise e
   end
 
+(* A leaf span whose start the caller read: for a region that is known
+   to deserve a span only once it has run (a decode that yielded a
+   frame).  It counts as a closed child of the enclosing span. *)
+let close_since ~name start =
+  if not (Control.enabled ()) then 0.
+  else begin
+    let stack = Domain.DLS.get open_spans in
+    let dur =
+      record ~name ~attrs:[] ~depth:(List.length !stack) ~start ~children:0.
+    in
+    (match !stack with p :: up -> stack := (p +. dur) :: up | [] -> ());
+    dur
+  end
+
 let by_domain_then_start a b =
   match Int.compare a.domain b.domain with
   | 0 -> Float.compare a.ts b.ts

@@ -33,6 +33,14 @@ val with_ :
     on return and on an exception alike.  No-op (beyond one atomic
     read) when telemetry is disabled: no span and no sample. *)
 
+val close_since : name:string -> float -> float
+(** [close_since ~name start] records a span from [start] (a
+    {!Clock.monotonic} instant the caller read) to now, as a leaf
+    child of the innermost open span, and returns its [dur].  It is for
+    a region that deserves a span only once it has run: the serve
+    transport opens [serve.decode] only around a decode that yielded a
+    frame.  With telemetry off it records nothing and returns [0.]. *)
+
 val events : unit -> event list
 (** Every recorded span across all domains, sorted by domain then
     start time.  Call after in-flight estimation has finished (the

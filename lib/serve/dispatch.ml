@@ -268,6 +268,7 @@ type job = {
   framing : Protocol.framing;
   kind : job_kind;
   t0 : float;  (** arrival instant: latency includes queue wait *)
+  decode_s : float;  (** the frame's decode, before [t0] *)
   bytes : int;
 }
 
@@ -303,29 +304,30 @@ let create ~config ~transport ~cas =
 let sync_depth t =
   Metrics.set queue_depth_gauge (Float.of_int (Queue.length t.queue))
 
-let enqueue t conn framing ~bytes kind =
+let enqueue t conn framing ~decode_s ~bytes kind =
   let job =
-    { conn; framing; kind; t0 = Mae_obs.Clock.monotonic (); bytes }
+    { conn; framing; kind; t0 = Mae_obs.Clock.monotonic (); decode_s; bytes }
   in
   Queue.add job t.queue;
   conn.Transport.pending <- conn.Transport.pending + 1;
   sync_depth t
 
-let submit_estimate t conn framing ~bytes (est : Protocol.estimate) =
+let submit_estimate t conn framing ~decode_s ~bytes (est : Protocol.estimate)
+    =
   if t.queued_estimates >= t.config.queue_watermark then begin
     Metrics.incr requests_shed;
-    enqueue t conn framing ~bytes (J_shed { id = est.Protocol.id })
+    enqueue t conn framing ~decode_s ~bytes (J_shed { id = est.Protocol.id })
   end
   else begin
     t.queued_estimates <- t.queued_estimates + 1;
-    enqueue t conn framing ~bytes (J_estimate est)
+    enqueue t conn framing ~decode_s ~bytes (J_estimate est)
   end
 
-let submit_invalid t conn framing ~bytes ~id ~error =
-  enqueue t conn framing ~bytes (J_invalid { id; error })
+let submit_invalid t conn framing ~decode_s ~bytes ~id ~error =
+  enqueue t conn framing ~decode_s ~bytes (J_invalid { id; error })
 
 let submit_reject t conn framing response =
-  enqueue t conn framing ~bytes:0 (J_reject response)
+  enqueue t conn framing ~decode_s:0. ~bytes:0 (J_reject response)
 
 (* --- answering --- *)
 
@@ -351,13 +353,15 @@ let with_next_request t f =
 
 (* The one access-log writer: every answered request's record, with
    its fields in one order; a shed request's adds "shed": true after
-   "ok". *)
+   "ok".  [decode_s + latency_s] is the daemon's whole time for the
+   request, from the first byte the decoder read. *)
 let log_request ?(shed = false) job ~seq ~latency ~gc_s p =
   let rest =
     [
       ("modules", Log.Int p.modules);
       ("modules_ok", Log.Int p.modules_ok);
       ("rows_selected", Log.Int p.rows_selected_total);
+      ("decode_s", Log.Float job.decode_s);
       ("latency_s", Log.Float latency);
       ("gc_s", Log.Float gc_s);
       ("cached", Log.Bool p.cached);

@@ -47,11 +47,13 @@ val create :
   t
 
 val submit_estimate :
-  t -> Transport.conn -> Protocol.framing -> bytes:int ->
+  t -> Transport.conn -> Protocol.framing -> decode_s:float -> bytes:int ->
   Protocol.estimate -> unit
+(** [decode_s] is the frame's decode time, which the access-log record
+    carries next to [latency_s] (measured from the submission). *)
 
 val submit_invalid :
-  t -> Transport.conn -> Protocol.framing -> bytes:int ->
+  t -> Transport.conn -> Protocol.framing -> decode_s:float -> bytes:int ->
   id:Json.t -> error:string -> unit
 
 val submit_reject :

@@ -297,7 +297,7 @@ let obs_response st path =
    obs documents stay responsive under a request backlog -- the point
    of admission control); estimation and request errors queue so each
    connection's responses keep arrival order. *)
-let handle st conn (frame : Protocol.frame) =
+let handle st conn ~decode_s (frame : Protocol.frame) =
   let framing = frame.Protocol.framing in
   match frame.Protocol.request with
   | Protocol.Scrape { path } ->
@@ -325,10 +325,10 @@ let handle st conn (frame : Protocol.frame) =
                     (Printf.sprintf "request line exceeds %d bytes" limit) );
               ]))
   | Protocol.Invalid { id; error } ->
-      Dispatch.submit_invalid st.dispatch conn framing
+      Dispatch.submit_invalid st.dispatch conn framing ~decode_s
         ~bytes:frame.Protocol.bytes ~id ~error
   | Protocol.Estimate est ->
-      Dispatch.submit_estimate st.dispatch conn framing
+      Dispatch.submit_estimate st.dispatch conn framing ~decode_s
         ~bytes:frame.Protocol.bytes est
 
 (* --- shutdown flag --- *)

@@ -10,9 +10,12 @@
 
    [decode] is an incremental step function over a connection buffer:
    feed it whatever bytes arrived, get back at most one frame plus the
-   number of bytes it consumed.  No sockets, no clocks, no globals --
-   the whole codec is unit-testable with strings, which is the point
-   of the layer. *)
+   number of bytes it consumed.  It reads the buffer in place, from
+   [pos] up to [len], and copies out only what a frame keeps (a request
+   head, the decoded JSON strings), so the transport can hand it its
+   own mutable buffer.  No sockets, no clocks, no globals -- the whole
+   codec is unit-testable with strings, which is the point of the
+   layer. *)
 
 module Json = Mae_obs.Json
 
@@ -88,8 +91,9 @@ let parse_methods doc =
     end
   | Some _ -> Error "\"methods\" must be a string or an array of strings"
 
-let request_of_body body =
-  match Json.parse body with
+(* The request document in [buf] from [pos], [len] bytes long. *)
+let request_of_span buf ~pos ~len =
+  match Json.parse_span buf ~pos ~len with
   | Error e -> Invalid { id = Json.Null; error = "bad request JSON: " ^ e }
   | Ok doc -> begin
       let id = Option.value (Json.member "id" doc) ~default:Json.Null in
@@ -109,21 +113,31 @@ let request_of_body body =
 let http_methods =
   [ "GET"; "POST"; "HEAD"; "PUT"; "DELETE"; "OPTIONS"; "PATCH" ]
 
-(* Does the buffer, from [pos], start an HTTP request?  [`Maybe] while
-   the rest is still a proper prefix of some "METHOD " token -- the
-   caller waits for more bytes before committing to a dialect.  A
-   line-JSON request can never be mistaken: it starts with '{' (or
-   anything that is not an HTTP method name). *)
-let looks_http buf pos =
-  let n = String.length buf - pos in
+(* Do the [k] bytes of [buf] at [pos] equal those of [m] at 0? *)
+let same_bytes buf pos m k =
+  let rec go i = i = k || (buf.[pos + i] = m.[i] && go (i + 1)) in
+  go 0
+
+(* Does the buffer, from [pos] to [stop], start an HTTP request?
+   [`Maybe] while the rest is still a proper prefix of some "METHOD "
+   token -- the caller waits for more bytes before committing to a
+   dialect.  A line-JSON request can never be mistaken: it starts with
+   '{' (or anything that is not an HTTP method name). *)
+let looks_http buf pos stop =
+  let n = stop - pos in
   List.fold_left
     (fun acc m ->
       let lm = String.length m in
-      if n > lm && String.sub buf pos (lm + 1) = m ^ " " then `Yes
-      else if n <= lm && acc = `No && String.sub buf pos n = String.sub m 0 n
-      then `Maybe
+      if n > lm && same_bytes buf pos m lm && buf.[pos + lm] = ' ' then `Yes
+      else if n <= lm && acc = `No && same_bytes buf pos m n then `Maybe
       else acc)
     `No http_methods
+
+(* The first [c] in [buf] from [i] before [stop]. *)
+let rec index_before buf i stop c =
+  if i >= stop then None
+  else if buf.[i] = c then Some i
+  else index_before buf (i + 1) stop c
 
 (* --- line dialect --- *)
 
@@ -132,12 +146,14 @@ let strip_cr line =
     String.sub line 0 (String.length line - 1)
   else line
 
-let decode_line ~max_bytes buf pos =
-  let n = String.length buf - pos in
-  match String.index_from_opt buf pos '\n' with
+let decode_line ~max_bytes buf pos stop =
+  let n = stop - pos in
+  match index_before buf pos stop '\n' with
   | Some nl ->
-      let line = strip_cr (String.sub buf pos (nl - pos)) in
-      let len = String.length line and consumed = nl + 1 - pos in
+      let len =
+        if nl > pos && buf.[nl - 1] = '\r' then nl - 1 - pos else nl - pos
+      in
+      let consumed = nl + 1 - pos in
       if len > max_bytes then
         Frame
           ( { request = Too_large { limit = max_bytes };
@@ -147,11 +163,13 @@ let decode_line ~max_bytes buf pos =
       else if len = 0 then Skip (Ready, consumed)
       else
         Frame
-          ({ request = request_of_body line; framing = Line; bytes = len },
-           Ready, consumed)
+          ( { request = request_of_span buf ~pos ~len;
+              framing = Line;
+              bytes = len },
+            Ready, consumed )
   | None ->
       (* the line is at least [n - 1] bytes long: its last byte may be
-         the '\r' that [strip_cr] drops *)
+         the '\r' that does not count *)
       if n - 1 > max_bytes then
         (* no newline yet and already over budget: answer now and
            discard until the line finally ends *)
@@ -174,10 +192,9 @@ let max_head_bytes = 65536
    "\r\n\r\n" starting at [i - 1] starts before a "\n\n" at [i], and
    the two cannot share a newline, so the first hit is the earliest
    terminator and the body is never scanned. *)
-let head_terminator buf pos =
-  let n = String.length buf in
+let head_terminator buf pos n =
   let rec from i =
-    match String.index_from_opt buf i '\n' with
+    match index_before buf i n '\n' with
     | None -> None
     | Some i when i + 1 >= n -> None
     | Some i ->
@@ -244,8 +261,25 @@ let strip_query target =
   | Some i -> String.sub target 0 i
   | None -> target
 
-let decode_http ~max_bytes buf pos =
-  let n = String.length buf - pos in
+(* The request document in [buf] from [first] to [last], less
+   [String.trim]'s whitespace at both ends; error offsets count from
+   the first byte kept. *)
+let request_of_trimmed buf first last =
+  let is_space = function
+    | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+    | _ -> false
+  in
+  let first = ref first and last = ref last in
+  while !first < !last && is_space buf.[!first] do
+    incr first
+  done;
+  while !last > !first && is_space buf.[!last - 1] do
+    decr last
+  done;
+  request_of_span buf ~pos:!first ~len:(!last - !first)
+
+let decode_http ~max_bytes buf pos stop =
+  let n = stop - pos in
   (* The head cap holds however the bytes arrived: a buffer without a
      terminator holds a head of at least [n - 3] bytes (its last three
      may open a "\r\n\r\n"), a terminated one a head of [head_len]. *)
@@ -256,7 +290,7 @@ let decode_http ~max_bytes buf pos =
           bytes = n },
         Ready, n )
   in
-  match head_terminator buf pos with
+  match head_terminator buf pos stop with
   | None -> if n - 3 > max_head_bytes then head_too_large () else Await
   | Some (head_len, _) when head_len > max_head_bytes -> head_too_large ()
   | Some (head_len, body_off) -> begin
@@ -297,7 +331,6 @@ let decode_http ~max_bytes buf pos =
                     Ready, n )
               else if n - body_off < body_len then Await
               else begin
-                let body = String.sub buf (pos + body_off) body_len in
                 let consumed = body_off + body_len in
                 let path = strip_query h.target in
                 let request =
@@ -311,7 +344,9 @@ let decode_http ~max_bytes buf pos =
                               error =
                                 "POST needs a JSON request body (with \
                                  Content-Length)" }
-                        else request_of_body (String.trim body)
+                        else
+                          request_of_trimmed buf (pos + body_off)
+                            (pos + body_off + body_len)
                       else
                         Malformed
                           { status = 404;
@@ -326,21 +361,28 @@ let decode_http ~max_bytes buf pos =
         end
     end
 
-let decode ?(pos = 0) ~max_bytes state buf =
-  if pos >= String.length buf then Await
+let decode ?(pos = 0) ?len ~max_bytes state buf =
+  let stop = Option.value len ~default:(String.length buf) in
+  if stop > String.length buf then invalid_arg "Protocol.decode: len" (* invariant *);
+  if pos >= stop then Await
   else
     match state with
     | Discard_line -> begin
-        match String.index_from_opt buf pos '\n' with
+        match index_before buf pos stop '\n' with
         | Some nl -> Skip (Ready, nl + 1 - pos)
-        | None -> Skip (Discard_line, String.length buf - pos)
+        | None -> Skip (Discard_line, stop - pos)
       end
     | Ready -> begin
-        match looks_http buf pos with
+        match looks_http buf pos stop with
         | `Maybe -> Await
-        | `Yes -> decode_http ~max_bytes buf pos
-        | `No -> decode_line ~max_bytes buf pos
+        | `Yes -> decode_http ~max_bytes buf pos stop
+        | `No -> decode_line ~max_bytes buf pos stop
       end
+
+(* A buffer holding this many bytes from [pos] always decodes a step:
+   the longest frame still awaiting bytes is an HTTP head at the head
+   cap, its four-byte terminator and a body at [max_bytes]. *)
+let max_pending_bytes ~max_bytes = max_head_bytes + 4 + max_bytes
 
 (* --- responses --- *)
 
@@ -373,7 +415,13 @@ let status_text = function
   | s -> Printf.sprintf "%d Status" s
 
 let body_string r =
-  match r.body with Json_body doc -> Json.encode doc ^ "\n" | Text s -> s
+  match r.body with
+  | Json_body doc ->
+      let buf = Buffer.create 1024 in
+      Json.write buf doc;
+      Buffer.add_char buf '\n';
+      Buffer.contents buf
+  | Text s -> s
 
 (* A response that poisons framing closes the connection even under
    keep-alive: after Too_large the client's next bytes may be the tail
@@ -390,13 +438,24 @@ let encode framing r =
   | Line -> body_string r
   | Http { version; keep_alive = _ } as f ->
       let body = body_string r in
-      Printf.sprintf
-        "%s %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%sConnection: \
-         %s\r\n\r\n%s"
-        (version_string version) (status_text r.status) r.content_type
-        (String.length body)
-        (match r.retry_after_s with
-        | None -> ""
-        | Some s -> Printf.sprintf "Retry-After: %d\r\n" s)
-        (if will_close f r then "close" else "keep-alive")
-        body
+      let buf = Buffer.create (String.length body + 160) in
+      let add = Buffer.add_string buf in
+      add (version_string version);
+      add " ";
+      add (status_text r.status);
+      add "\r\nContent-Type: ";
+      add r.content_type;
+      add "\r\nContent-Length: ";
+      add (string_of_int (String.length body));
+      add "\r\n";
+      Option.iter
+        (fun s ->
+          add "Retry-After: ";
+          add (string_of_int s);
+          add "\r\n")
+        r.retry_after_s;
+      add "Connection: ";
+      add (if will_close f r then "close" else "keep-alive");
+      add "\r\n\r\n";
+      add body;
+      Buffer.contents buf

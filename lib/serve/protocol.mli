@@ -52,19 +52,26 @@ type step =
           lines, discarded oversize tail) *)
   | Await  (** need more bytes *)
 
-val decode : ?pos:int -> max_bytes:int -> decoder -> string -> step
-(** [decode ~pos ~max_bytes state buf] inspects [buf] from [pos]
-    (default 0) as it would the copy [String.sub buf pos], so byte counts
-    in the result are from [pos].  The dialect is chosen per frame: a
+val decode :
+  ?pos:int -> ?len:int -> max_bytes:int -> decoder -> string -> step
+(** [decode ~pos ~len ~max_bytes state buf] inspects the bytes of [buf]
+    from [pos] (default 0) up to [len] (default [String.length buf]) as
+    it would the copy [String.sub buf pos (len - pos)], so byte counts
+    in the result are from [pos].  It reads them in place, and nothing
+    in a decoded frame shares memory with [buf]: a transport may pass
+    its own mutable buffer through [Bytes.unsafe_to_string] and reuse
+    it once [decode] returns.  The dialect is chosen per frame: a
     buffer starting with an HTTP method token decodes as HTTP, anything
     else as a JSON line.  [max_bytes] bounds a request line or an HTTP
     body; an HTTP head is capped at 64 KiB.  Both caps judge the frame,
     not the bytes that have arrived, so a stream yields the same frames
     however it is split across reads. *)
 
-val request_of_body : string -> request
-(** Parse one JSON request document ([Estimate] or [Invalid]) -- the
-    shared body semantics of both dialects. *)
+val max_pending_bytes : max_bytes:int -> int
+(** A buffer holding at least this many bytes from [pos] never decodes
+    to [Await]: the longest frame still waiting for bytes is a 64 KiB
+    HTTP head, its terminator and a body of [max_bytes].  So a
+    transport that stops reading there loses nothing. *)
 
 (** {1 Responses} *)
 

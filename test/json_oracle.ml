@@ -1,4 +1,5 @@
-(* Reference implementation of the JSON reader, kept as a test oracle.
+(* Reference implementations of the JSON reader and writer, kept as
+   test oracles.
 
    The char-by-char reader: [peek] wraps every byte in an option and
    each plain string byte is added on its own.  Mae_obs.Json.parse must
@@ -225,3 +226,60 @@ let parse text =
         Error (Printf.sprintf "trailing garbage at offset %d" cur.pos)
       else Ok v
   | exception Failure_at msg -> Error msg
+
+(* --- the writer, as it was: Buffer + Printf --- *)
+
+(* Mae_obs.Json's writer must produce these bytes: every string escaped
+   through [Printf "\\u%04x"] byte by byte, every number through
+   [Printf "%.0f"] or [Printf "%.17g"]. *)
+
+let escape s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let number_repr v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.17g" v
+
+let rec write buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Number v -> Buffer.add_string buf (number_repr v)
+  | String s -> Buffer.add_string buf (escape s)
+  | Array l ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf ", ";
+          write buf v)
+        l;
+      Buffer.add_char buf ']'
+  | Object fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string buf ", ";
+          Buffer.add_string buf (escape k);
+          Buffer.add_string buf ": ";
+          write buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+let encode v =
+  let buf = Buffer.create 256 in
+  write buf v;
+  Buffer.contents buf

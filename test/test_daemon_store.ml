@@ -1,8 +1,9 @@
-(* Estimate-store accounting of the serve daemon, end to end: a forked
+(* The serve daemon end to end, forked.  Estimate-store accounting: a
    daemon with a journal answers line-JSON requests, and each request's
    store traffic shows in its [cached] flag, the process-wide
    mae_estimate_cache_{hits,misses}_total counters on /metrics, and the
-   entries appended to the journal. *)
+   entries appended to the journal.  And a peer that never reads its
+   answers: the daemon keeps answering everyone else. *)
 
 module Json = Mae_obs.Json
 open Smoke_support
@@ -138,6 +139,87 @@ let test_store_accounting () =
   Alcotest.check counts "empty request looks nothing up" (0, 0) empty_counts;
   Alcotest.(check int) "empty request stores nothing" 0 empty_inserts
 
+let now = Unix.gettimeofday
+
+(* Connection A shrinks its receive window, pipelines requests whose
+   answers echo a 10 KB id, and never reads.  Connection B's request
+   must still be answered within a second, and A, once its unread
+   answers pass the daemon's cap, is closed and counted. *)
+let test_non_reading_peer () =
+  let pid, req_port, obs_port = spawn ~prefix:"daemon-store child" Fun.id in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid))
+  @@ fun () ->
+  let a = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt_int a Unix.SO_RCVBUF 4096;
+  Unix.connect a (Unix.ADDR_INET (Unix.inet_addr_loopback, req_port));
+  Unix.set_nonblock a;
+  let request =
+    Json.encode (Json.Object [ ("id", Json.String (String.make 10_000 'i')) ])
+    ^ "\n"
+  in
+  let batch = String.concat "" (List.init 100 (fun _ -> request)) in
+  let total = 20 * String.length batch in
+  (* push 2 000 requests, for at most a second: a daemon stuck writing
+     to A stops reading them *)
+  let deadline = now () +. 1.0 in
+  let rec push sent =
+    if sent < total && now () < deadline then
+      let off = sent mod String.length batch in
+      match Unix.write_substring a batch off (String.length batch - off) with
+      | w -> push (sent + w)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Unix.sleepf 0.002;
+          push sent
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  in
+  push 0;
+  let b = connect_tcp "127.0.0.1" req_port in
+  let t0 = now () in
+  write_fully b "{\"id\": \"b\"}\n";
+  let answer = Buffer.create 128 in
+  let chunk = Bytes.create 4096 in
+  let rec await () =
+    let left = t0 +. 1.0 -. now () in
+    if left > 0. && not (String.contains (Buffer.contents answer) '\n') then
+      match Unix.select [ b ] [] [] left with
+      | [], _, _ -> ()
+      | _ -> (
+          match Unix.read b chunk 0 4096 with
+          | 0 -> ()
+          | n ->
+              Buffer.add_subbytes answer chunk 0 n;
+              await ())
+  in
+  await ();
+  let elapsed = now () -. t0 in
+  Unix.close b;
+  if not (String.contains (Buffer.contents answer) '\n') then
+    Alcotest.failf "B got no answer within 1 s (got %S)" (Buffer.contents answer);
+  Alcotest.(check bool) (Printf.sprintf "B answered in %.3f s" elapsed) true
+    (elapsed < 1.0);
+  (match Json.parse (String.trim (Buffer.contents answer)) with
+  | Ok doc ->
+      Alcotest.(check bool) "B's own answer" true
+        (Json.member "id" doc = Some (Json.String "b"))
+  | Error e -> Alcotest.failf "B's answer is not JSON: %s" e);
+  let stalled () =
+    let _, body = get ~port:obs_port "/metrics" in
+    prom_value body "mae_serve_connections_stalled_closed_total"
+  in
+  let rec wait_closed tries =
+    if stalled () < 1. && tries > 0 then begin
+      Unix.sleepf 0.05;
+      wait_closed (tries - 1)
+    end
+  in
+  wait_closed 100;
+  Alcotest.(check bool) "A closed past the unsent cap, and counted" true
+    (stalled () >= 1.);
+  Unix.close a
+
 let () =
   (* the daemon is forked inside the test, before anything in this
      process spawns a domain *)
@@ -147,5 +229,10 @@ let () =
         [
           Alcotest.test_case "per-request hits, misses and inserts" `Quick
             test_store_accounting;
+        ] );
+      ( "faults",
+        [
+          Alcotest.test_case "a peer that never reads stalls nobody" `Quick
+            test_non_reading_peer;
         ] );
     ]

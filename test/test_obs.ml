@@ -89,6 +89,159 @@ let json_oracle_props =
       (fun (text, cut) -> same (String.sub text 0 (cut mod (String.length text + 1))));
   ]
 
+module Oracle = Mae_test_support.Json_oracle
+
+let same_parse text = Json.parse text = Oracle.parse text
+
+let check_same_parse what text =
+  if not (same_parse text) then
+    Alcotest.failf "%s: reader and oracle differ on %S" what text
+
+(* The bytes that end a plain run, with what may follow a backslash:
+   every escape, good and bad, and a backslash at the end. *)
+let specials =
+  List.init 0x20 (fun c -> String.make 1 (Char.chr c))
+  @ [ "\""; {|\|}; {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\n|}; {|\r|};
+      {|\t|}; {|\x|}; {|\u00e9|}; {|\u12|}; {|\uD83D\uDE00|}; {|\uD800|};
+      {|\uDC00|} ]
+
+(* The word scan against the byte reader: each special byte at every
+   offset mod 8 (and past a whole word), alone or followed by more
+   text, with the string closed or left open. *)
+let json_specials_every_offset () =
+  List.iter
+    (fun sp ->
+      for k = 0 to 17 do
+        let plain = String.init k (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+        List.iter
+          (fun tail -> check_same_parse "special" ("\"" ^ plain ^ sp ^ tail))
+          [ ""; "\""; "z\""; "0123456789abcdef\""; "]" ]
+      done)
+    specials
+
+(* Bytes >= 0x80 at every position of a word, before, after and beside
+   a special byte: a high byte must neither hide a special one nor be
+   taken for one. *)
+let json_high_bytes_every_position () =
+  for hi = 0x80 to 0xFF do
+    for p = 0 to 15 do
+      List.iter
+        (fun q ->
+          let b = Bytes.make 24 'm' in
+          Bytes.set b p (Char.chr hi);
+          if q >= 0 then Bytes.set b q (if q mod 3 = 0 then '\n' else '"');
+          let body = Bytes.to_string b in
+          check_same_parse "high byte" ("\"" ^ body ^ "\"");
+          check_same_parse "high byte, escaped" ("\"" ^ body ^ {|\n"|}))
+        [ -1; (p + 1) mod 24; (p + 7) mod 24; (p + 8) mod 24; (p + 13) mod 24 ]
+    done
+  done
+
+(* Every prefix of documents that cover the grammar. *)
+let json_every_truncation () =
+  List.iter
+    (fun doc ->
+      for cut = 0 to String.length doc do
+        check_same_parse "truncation" (String.sub doc 0 cut)
+      done)
+    [ {|{"hdl": "module m {\n  port a in;\n}\n", "id": [1, -2.5e3, true, null]}|};
+      {|["\u00e9\uD83D\uDE00", {"a": {"b": false}}, "0123456789abcdef0123"]|};
+      "  \"tab\\there\\\"quote\"  " ]
+
+let json_span_props =
+  let open QCheck2.Gen in
+  let text =
+    oneof
+      [
+        string_size (int_range 0 64);
+        map
+          (fun (a, b) -> Printf.sprintf {|xx{"hdl": %s, "id": %s}yy|} a b)
+          (pair (map Json.escape (string_size (int_range 0 40))) (oneofl [ "1"; "null"; "\"r\""; "[" ]));
+      ]
+  in
+  let gen =
+    text >>= fun t ->
+    let n = String.length t in
+    int_range 0 n >>= fun pos ->
+    int_range 0 (n - pos) >>= fun len -> pure (t, pos, len)
+  in
+  [
+    Mae_test_support.Support.qtest ~count:3000
+      "json span parse = parse of the copied substring" gen
+      (fun (t, pos, len) ->
+        Json.parse_span t ~pos ~len = Json.parse (String.sub t pos len));
+  ]
+
+(* The writer against the Printf writer it replaced: the same bytes for
+   every number class (signed zeros, nan, infinities, subnormals, the
+   1e15 integer bound, 2^53) and strings over all 256 byte values. *)
+let json_writer_props =
+  let open QCheck2.Gen in
+  let special_floats =
+    [ 0.; -0.; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity;
+      Float.min_float; -.Float.min_float; 4.9e-324; 2.2250738585072009e-308;
+      Float.max_float; 1e15; 1e15 -. 1.; 1e15 +. 1.; -1e15; -.(1e15 -. 1.);
+      9007199254740992.; 9007199254740993.; -9007199254740992.; 0.1; 1. /. 3.;
+      123456.789012; 1e-7; 5e-324 ]
+  in
+  let number =
+    oneof
+      [
+        oneofl special_floats;
+        float;
+        map Float.of_int int;
+        map (fun (m, e) -> Float.ldexp (Float.of_int m) e) (pair (int_range (-1000) 1000) (int_range (-1100) 1100));
+      ]
+  in
+  let str = string_size ~gen:char (int_range 0 40) in
+  let doc =
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              pure Json.Null;
+              map (fun b -> Json.Bool b) bool;
+              map (fun v -> Json.Number v) number;
+              map (fun s -> Json.String s) str;
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (3, leaf);
+              (1, map (fun l -> Json.Array l) (list_size (int_range 0 4) (self (depth - 1))));
+              ( 1,
+                map
+                  (fun l -> Json.Object l)
+                  (list_size (int_range 0 4) (pair str (self (depth - 1)))) );
+            ])
+      3
+  in
+  [
+    Mae_test_support.Support.qtest ~count:3000 "json writer = Printf writer on documents" doc
+      (fun v ->
+        let buf = Buffer.create 4 in
+        Buffer.add_string buf "prefix";
+        Json.write buf v;
+        String.equal (Json.encode v) (Oracle.encode v)
+        && String.equal (Buffer.contents buf) ("prefix" ^ Oracle.encode v));
+    Mae_test_support.Support.qtest ~count:2000 "json escape = Printf escape on any bytes"
+      (string_size ~gen:char (int_range 0 80))
+      (fun s -> String.equal (Json.escape s) (Oracle.escape s));
+  ]
+
+let json_writer_every_byte () =
+  let all = String.init 256 Char.chr in
+  Alcotest.(check string) "all 256 bytes" (Oracle.escape all) (Json.escape all);
+  for i = 0 to 255 do
+    for k = 0 to 9 do
+      let s = String.make k 'a' ^ String.make 1 (Char.chr i) ^ String.make (9 - k) 'z' in
+      Alcotest.(check string) "one byte at each offset" (Oracle.escape s) (Json.escape s)
+    done
+  done
+
 (* --- spans --- *)
 
 let test_span_recording () =
@@ -926,7 +1079,16 @@ let () =
   Alcotest.run "obs"
     [
       ( "json",
-        Alcotest.test_case "parser + escape" `Quick test_json_parser :: json_oracle_props );
+        (Alcotest.test_case "parser + escape" `Quick test_json_parser
+         :: Alcotest.test_case "reader = oracle: specials at every offset" `Quick
+              json_specials_every_offset
+         :: Alcotest.test_case "reader = oracle: high bytes at every position" `Quick
+              json_high_bytes_every_position
+         :: Alcotest.test_case "reader = oracle: every truncation" `Quick
+              json_every_truncation
+         :: Alcotest.test_case "writer = oracle: every byte" `Quick json_writer_every_byte
+         :: json_oracle_props)
+        @ json_span_props @ json_writer_props );
       ( "spans",
         [
           Alcotest.test_case "recording, nesting, self time" `Quick

@@ -728,18 +728,8 @@ let bench ~registry cas =
       ~listeners:[]
   in
   let conn =
-    {
-      Mae_serve.Transport.fd = ours;
-      plane = Mae_serve.Transport.Request_plane;
-      peer = "test";
-      rbuf = Buffer.create 16;
-      decoder = P.initial;
-      last_activity = 0.;
-      frames_in = 0;
-      pending = 0;
-      closing = false;
-      dead = false;
-    }
+    Mae_serve.Transport.connection ~plane:Mae_serve.Transport.Request_plane
+      ~peer:"test" ours
   in
   let d =
     D.create ~config:{ D.registry; queue_watermark = 64 } ~transport ~cas
@@ -754,7 +744,7 @@ let close_bench b =
    queue numbers its own requests), and whether the index answered. *)
 let ask b ?methods hdl =
   let hits0 = Metrics.counter_value D.text_index_hits in
-  D.submit_estimate b.d b.conn P.Line ~bytes:(String.length hdl)
+  D.submit_estimate b.d b.conn P.Line ~decode_s:0. ~bytes:(String.length hdl)
     { P.id = Json.Null; hdl; methods };
   ignore (D.tick b.d);
   let line = input_line b.ic in
@@ -918,6 +908,343 @@ let index_hits_and_invalidation () =
     (full_path ~registry cas hdl) retuned;
   close_bench b
 
+(* --- transport: frames decoded in place, answers that never wait --- *)
+
+module T = Mae_serve.Transport
+
+(* as in the daemon: a write to a closed peer is an error, not a signal *)
+let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+
+let metric name =
+  match Metrics.find_counter name with
+  | Some c -> Metrics.counter_value c
+  | None -> Alcotest.failf "no counter %s" name
+
+let transport ?(max_request_bytes = max_bytes) () =
+  T.create
+    ~config:{ T.max_request_bytes; idle_timeout_s = 60.; max_connections = 4 }
+    ~listeners:[]
+
+(* A connection on one end of a socket pair, non-blocking like an
+   accepted one, and the peer's end, non-blocking too. *)
+let socket_pair () =
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock ours;
+  Unix.set_nonblock theirs;
+  (T.connection ~plane:T.Request_plane ~peer:"test" ours, theirs)
+
+(* Everything the peer can read right now.  A connection closed with
+   request bytes still unread reads as reset once its answers are
+   read. *)
+let read_available fd buf =
+  let chunk = Bytes.create 65536 in
+  let rec go () =
+    match Unix.read fd chunk 0 65536 with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+    | exception
+        Unix.Unix_error
+          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNRESET), _, _) ->
+        ()
+  in
+  go ()
+
+(* An answer naming what the daemon acts on: the request and its
+   framing, and the frame's size except for an oversized or malformed
+   one (which counts what had arrived). *)
+let frame_answer (f : P.frame) =
+  let str s = Json.String s and num n = Json.Number (Float.of_int n) in
+  let request =
+    match f.P.request with
+    | P.Estimate e -> [ ("estimate", str e.P.hdl); ("id", e.P.id) ]
+    | P.Scrape { path } -> [ ("scrape", str path) ]
+    | P.Invalid { id; error } -> [ ("invalid", str error); ("id", id) ]
+    | P.Malformed { status; error } -> [ ("malformed", str error); ("status", num status) ]
+    | P.Too_large { limit } -> [ ("too_large", num limit) ]
+    | P.Not_allowed { meth } -> [ ("not_allowed", str meth) ]
+  in
+  let bytes =
+    match f.P.request with
+    | P.Too_large _ | P.Malformed _ -> []
+    | _ -> [ ("bytes", num f.P.bytes) ]
+  in
+  P.json_response (Json.Object (request @ bytes))
+
+(* The bytes a peer reads back after sending [chunks] one read at a
+   time: each frame answered inline, as the daemon answers scrapes. *)
+let served chunks =
+  let t = transport () in
+  let conn, theirs = socket_pair () in
+  let handle conn ~decode_s:_ f = T.send t conn f.P.framing (frame_answer f) in
+  let out = Buffer.create 256 in
+  List.iter
+    (fun chunk ->
+      let n = String.length chunk in
+      let rec push off =
+        if off < n then begin
+          let w =
+            match Unix.write_substring theirs chunk off (n - off) with
+            | w -> w
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> 0
+            | exception Unix.Unix_error (Unix.EPIPE, _, _) -> n - off
+          in
+          if not conn.T.dead then T.service t conn ~handle;
+          read_available theirs out;
+          push (off + w)
+        end
+      in
+      push 0;
+      if not conn.T.dead then T.service t conn ~handle;
+      read_available theirs out)
+    chunks;
+  Unix.shutdown theirs Unix.SHUTDOWN_SEND;
+  while not conn.T.released do
+    if not conn.T.dead then T.service t conn ~handle;
+    if T.unsent conn > 0 then T.flush t conn;
+    read_available theirs out
+  done;
+  read_available theirs out;
+  Unix.close theirs;
+  Buffer.contents out
+
+(* What the pure decoder says the peer should read back. *)
+let expected_answers s =
+  let rec go = function
+    | [] -> []
+    | f :: rest ->
+        P.encode f.P.framing (frame_answer f)
+        :: (if closes f then [] else go rest)
+  in
+  String.concat "" (go (frames_of_chunks [ s ]))
+
+let pipelined_stream =
+  let post ?(version = "HTTP/1.1") body =
+    Printf.sprintf "POST /estimate %s\r\nContent-Length: %d\r\n\r\n%s" version
+      (String.length body) body
+  in
+  String.concat ""
+    [ est_line "module a" ^ "\n"; est_line ~id:(Json.String "q\"2") "b\\c" ^ "\r\n";
+      "\n"; post (est_line "posted\nhdl"); "GET /healthz HTTP/1.1\r\n\r\n";
+      post ("  \012" ^ est_line "trimmed" ^ "\t\012 "); "{\"hdl\": 5}\n";
+      post "{bad json"; "{\"id\": 3}\n"; post ~version:"HTTP/1.0" (est_line "last") ]
+
+let transport_split_every_offset () =
+  let s = pipelined_stream in
+  let whole = served [ s ] in
+  Alcotest.(check string) "one read answers as the decoder says"
+    (expected_answers s) whole;
+  for k = 1 to String.length s - 1 do
+    let split = served [ String.sub s 0 k; String.sub s k (String.length s - k) ] in
+    if not (String.equal split whole) then
+      Alcotest.failf "split at %d answers %S, one read %S" k split whole
+  done;
+  Alcotest.(check string) "one byte per read" whole
+    (served (List.init (String.length s) (fun i -> String.make 1 s.[i])))
+
+let transport_split_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100 ~name:"transport split invariance"
+       ~print:print_stream stream_gen (fun (s, cuts) ->
+         let whole = served [ s ] in
+         String.equal whole (expected_answers s)
+         && String.equal whole (served (chunks_at s cuts))))
+
+(* The decoder reads a mutable buffer in place; what it decodes must
+   not change when the buffer is overwritten afterwards. *)
+let decode_owns_its_frames () =
+  let s = pipelined_stream in
+  let buf = Bytes.of_string s in
+  let rec frames st pos acc =
+    match P.decode ~pos ~len:(Bytes.length buf) ~max_bytes st (Bytes.unsafe_to_string buf) with
+    | P.Await -> List.rev acc
+    | P.Skip (d, k) -> frames d (pos + k) acc
+    | P.Frame (f, d, k) -> frames d (pos + k) (f :: acc)
+  in
+  let decoded = frames P.initial 0 [] in
+  Bytes.fill buf 0 (Bytes.length buf) '#';
+  Alcotest.(check bool) "frames unchanged by overwriting the buffer" true
+    (decoded = frames_of_chunks [ s ]);
+  (* bytes past [len] are not read *)
+  let line = est_line "x" ^ "\n" in
+  let padded = Bytes.of_string (line ^ est_line "y" ^ "\n") in
+  let len = String.length line - 1 in
+  Alcotest.(check bool) "a line cut at len awaits" true
+    (P.decode ~len ~max_bytes P.initial (Bytes.unsafe_to_string padded) = P.Await)
+
+(* At [max_pending_bytes] the decoder always takes a step. *)
+let max_pending_prop =
+  let gen = QCheck2.Gen.(map2 (fun (s, _) pad -> (s, pad)) stream_gen (string_size ~gen:char (0 -- 64))) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200 ~name:"a full buffer never awaits"
+       ~print:(fun (s, _) -> print_stream (s, []))
+       gen (fun (s, pad) ->
+         let bound = P.max_pending_bytes ~max_bytes in
+         let rec fill acc = if String.length acc >= bound then acc else fill (acc ^ s ^ pad) in
+         let buf = if s ^ pad = "" then String.make bound 'x' else fill "" in
+         P.decode ~max_bytes P.initial buf <> P.Await))
+
+(* The longest frame that still awaits bytes: a 64 KiB head, its
+   terminator and a body at the line cap.  One byte short of
+   [max_pending_bytes] it awaits; at it, it decodes. *)
+let max_pending_is_tight () =
+  let head_start = Printf.sprintf "POST /estimate HTTP/1.1\r\nContent-Length: %d\r\nX-Pad: " max_bytes in
+  let head = head_start ^ String.make (65536 - String.length head_start) 'p' in
+  let body = String.make max_bytes ' ' in
+  let frame = head ^ "\r\n\r\n" ^ body in
+  let bound = P.max_pending_bytes ~max_bytes in
+  Alcotest.(check int) "the frame is the bound" bound (String.length frame);
+  Alcotest.(check bool) "one byte short awaits" true
+    (P.decode ~len:(bound - 1) ~max_bytes P.initial frame = P.Await);
+  match P.decode ~max_bytes P.initial frame with
+  | P.Frame (_, _, k) -> Alcotest.(check int) "the whole frame" bound k
+  | _ -> Alcotest.fail "a full frame must decode"
+
+(* An HTTP body decodes as its [String.trim] copy would: a parse error
+   is the copy's error text with the same offsets, and a document is
+   the request a line holding the copy's document decodes to. *)
+let http_body_trim_prop =
+  let gen =
+    QCheck2.Gen.(
+      map (String.concat "")
+        (list_size (0 -- 8)
+           (oneofl
+              [ " "; "\012"; "\t"; "\r"; "\n"; "\011"; "\000"; {|{"hdl": "x"}|}; {|{"hdl": 1}|};
+                "{"; "}"; "[1, 2]"; {|"s"|}; "\xa0" ])))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"http body trimmed as String.trim"
+       ~print:(Printf.sprintf "%S") gen (fun body ->
+         let wire =
+           Printf.sprintf "POST /estimate HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+             (String.length body) body
+         in
+         let expected =
+           match Json.parse (String.trim body) with
+           | Error e ->
+               P.Invalid { id = Json.Null; error = "bad request JSON: " ^ e }
+           | Ok doc -> (
+               match P.decode ~max_bytes P.initial (Json.encode doc ^ "\n") with
+               | P.Frame (f, _, _) -> f.P.request
+               | _ -> Alcotest.fail "a one-line document must decode")
+         in
+         match P.decode ~max_bytes P.initial wire with
+         | P.Frame (f, _, _) -> body = "" || f.P.request = expected
+         | _ -> false))
+
+(* A sender that keeps its socket full: while it decodes and after
+   every readiness event, the connection holds at most what the decoder
+   may need.  The sender gets a head start, so the first read reaches
+   the bound. *)
+let transport_read_bound () =
+  let max_request_bytes = 4096 in
+  let t = transport ~max_request_bytes () in
+  let conn, theirs = socket_pair () in
+  Unix.clear_nonblock theirs;
+  let line = est_line (String.make 200 'x') ^ "\n" in
+  let lines = (32 * 1024 * 1024) / String.length line in
+  let writer =
+    Domain.spawn (fun () ->
+        let batch = String.concat "" (List.init 256 (fun _ -> line)) in
+        let rec go left =
+          if left > 0 then begin
+            let k = min 256 left in
+            let chunk = String.sub batch 0 (k * String.length line) in
+            let rec all off =
+              if off < String.length chunk then
+                all (off + Unix.write_substring theirs chunk off (String.length chunk - off))
+            in
+            all 0;
+            go (left - k)
+          end
+        in
+        go lines;
+        Unix.shutdown theirs Unix.SHUTDOWN_SEND)
+  in
+  let bound = P.max_pending_bytes ~max_bytes:max_request_bytes in
+  let frames = ref 0 and worst = ref 0 in
+  let handle conn ~decode_s:_ (f : P.frame) =
+    worst := max !worst conn.T.rlen;
+    match f.P.request with P.Estimate _ -> incr frames | _ -> Alcotest.fail "not an estimate"
+  in
+  Unix.sleepf 0.05;
+  while not conn.T.dead do
+    ignore (Unix.select [ conn.T.fd ] [] [] 1.0);
+    T.service t conn ~handle;
+    if max !worst conn.T.rlen > bound then
+      Alcotest.failf "%d bytes buffered, bound %d" (max !worst conn.T.rlen) bound;
+    if Bytes.length conn.T.rbuf > bound then
+      Alcotest.failf "a %d-byte buffer, bound %d" (Bytes.length conn.T.rbuf) bound
+  done;
+  Domain.join writer;
+  Unix.close theirs;
+  Alcotest.(check int) "every line decoded" lines !frames;
+  Alcotest.(check bool) "the bound was reached" true (!worst > bound / 2)
+
+(* A peer that does not read: sends never wait, unsent answers queue in
+   order, a reader drains them, and past the cap the connection
+   closes and is counted. *)
+let transport_unsent_bytes () =
+  let t = transport () in
+  let conn, theirs = socket_pair () in
+  let answer i = P.text_response (Printf.sprintf "%06d" i ^ String.make 99_994 'a') in
+  let sent = Buffer.create (1 lsl 20) in
+  for i = 1 to 8 do
+    let r = answer i in
+    Buffer.add_string sent (P.encode P.Line r);
+    T.send t conn P.Line r
+  done;
+  Alcotest.(check bool) "answers wait unsent" true (T.unsent conn > 0);
+  let got = Buffer.create (1 lsl 20) in
+  while T.unsent conn > 0 do
+    read_available theirs got;
+    T.flush t conn
+  done;
+  read_available theirs got;
+  Alcotest.(check bool) "the peer reads every answer in order" true
+    (Buffer.contents got = Buffer.contents sent);
+  let stalled0 = metric "mae_serve_connections_stalled_closed_total" in
+  let i = ref 0 in
+  while not conn.T.released do
+    incr i;
+    if !i > 1000 then Alcotest.fail "never closed past the cap";
+    T.send t conn P.Line (answer !i)
+  done;
+  Alcotest.(check int) "counted" (stalled0 + 1)
+    (metric "mae_serve_connections_stalled_closed_total");
+  Alcotest.(check bool) "closed at the cap, not before" true
+    (!i * 100_000 > T.max_unsent_bytes);
+  Unix.close theirs
+
+(* One answer larger than the cap, to a peer that reads it: the cap
+   judges the backlog left by earlier answers, so the whole answer
+   arrives, the connection stays open and no stall is counted. *)
+let transport_large_answer () =
+  let t = transport () in
+  let conn, theirs = socket_pair () in
+  let big = P.text_response (String.make (T.max_unsent_bytes + (1 lsl 20)) 'b') in
+  let small = P.text_response "after" in
+  let sent = P.encode P.Line big ^ P.encode P.Line small in
+  let stalled0 = metric "mae_serve_connections_stalled_closed_total" in
+  T.send t conn P.Line big;
+  Alcotest.(check bool) "the answer waits unsent, over the cap" true
+    (T.unsent conn > T.max_unsent_bytes);
+  T.send t conn P.Line small;
+  let got = Buffer.create (String.length sent) in
+  while T.unsent conn > 0 && not conn.T.released do
+    read_available theirs got;
+    T.flush t conn
+  done;
+  read_available theirs got;
+  Alcotest.(check bool) "the connection stays open" false conn.T.released;
+  Alcotest.(check int) "no stall counted" stalled0
+    (metric "mae_serve_connections_stalled_closed_total");
+  Alcotest.(check bool) "the peer reads both answers whole" true
+    (Buffer.contents got = sent);
+  Unix.close conn.T.fd;
+  Unix.close theirs
+
 let () =
   Alcotest.run "serve"
     [ ( "protocol-line",
@@ -948,6 +1275,22 @@ let () =
         [ hdl_bytes_prop; hdl_mutation_prop;
           Alcotest.test_case "5000-module instance chain" `Quick
             hdl_deep_chain ] );
+      ( "transport",
+        [ Alcotest.test_case "split at every offset" `Quick
+            transport_split_every_offset;
+          transport_split_prop;
+          Alcotest.test_case "decoded frames own their bytes" `Quick
+            decode_owns_its_frames;
+          max_pending_prop;
+          Alcotest.test_case "the pending bound is tight" `Quick
+            max_pending_is_tight;
+          http_body_trim_prop;
+          Alcotest.test_case "a full socket stays within the bound" `Quick
+            transport_read_bound;
+          Alcotest.test_case "unsent answers queue, then close at the cap"
+            `Quick transport_unsent_bytes;
+          Alcotest.test_case "one answer past the cap is delivered" `Quick
+            transport_large_answer ] );
       ( "text-index",
         [ index_matches_full_path;
           Alcotest.test_case "hits and invalidation" `Quick
